@@ -90,8 +90,11 @@ impl DataManager {
         self
     }
 
-    /// Stage one directive; returns the (virtual) seconds spent.
-    pub fn stage(&self, directive: &DataDirective) -> f64 {
+    /// Sample how many (virtual) seconds transferring `directive` takes, without
+    /// spending them: the non-blocking half of [`DataManager::stage`], for callers
+    /// that wait on a timer instead of a sleeping thread and then call
+    /// [`DataManager::record_transfer`].
+    pub fn transfer_secs(&self, directive: &DataDirective) -> f64 {
         let profile = if directive.remote {
             self.remote
         } else {
@@ -101,11 +104,21 @@ impl DataManager {
             let mut rng = self.rng.lock();
             profile.setup_secs.sample(&mut *rng).max(0.0)
         };
-        let secs = setup + directive.size_mib.max(0.0) / profile.bandwidth_mib_s;
-        self.clock.sleep(std::time::Duration::from_secs_f64(secs));
+        setup + directive.size_mib.max(0.0) / profile.bandwidth_mib_s
+    }
+
+    /// Record a finished transfer of `directive` that took `secs`.
+    pub fn record_transfer(&self, directive: &DataDirective, secs: f64) {
         self.metrics.record_scalar("staging.secs", secs);
         self.metrics
             .record_scalar("staging.mib", directive.size_mib);
+    }
+
+    /// Stage one directive; returns the (virtual) seconds spent.
+    pub fn stage(&self, directive: &DataDirective) -> f64 {
+        let secs = self.transfer_secs(directive);
+        self.clock.sleep(std::time::Duration::from_secs_f64(secs));
+        self.record_transfer(directive, secs);
         secs
     }
 

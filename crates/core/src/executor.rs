@@ -1,14 +1,61 @@
 //! The executor: launching service instances and running tasks.
 //!
 //! The executor realises flows ③–⑤ of the paper's architecture (Fig. 2): it places each
-//! scheduled entity on its slot and drives it through its lifecycle. Every service and
-//! task runs on its own OS thread (the paper's entities are self-contained executables
-//! placed on specific nodes), and all hardware-bound durations — launcher start-up,
-//! model load, data staging, compute kernels, network hops, token generation — are spent
-//! on the session's shared virtual clock.
+//! scheduled entity on its slot and drives it through its lifecycle. All
+//! hardware-bound durations — launcher start-up, model load, data staging, compute
+//! kernels, network hops, token generation — are spent on the session's shared virtual
+//! clock.
 //!
-//! For **local services** the executor measures the three bootstrap components of the
-//! paper's Fig. 3 from the service's own state timestamps:
+//! ## Tasks are resumable state machines
+//!
+//! A task is not a thread. Its lifecycle is one state machine,
+//!
+//! ```text
+//! Admitted → [AwaitingServices] → Scheduling → [StagingInput] → Executing(until)
+//!          → [StagingOutput] → Releasing → Done
+//!                 ▲                                   │ node failure, retry budget left
+//!                 └────────────── Backoff(until) ◄────┘
+//! ```
+//!
+//! and `advance` runs it on **whichever thread holds the task** until it *parks*:
+//!
+//! | park | waits for | resumed by |
+//! |---|---|---|
+//! | `Placement` | a slot: the task keeps a place in the scheduler's wait queue ([`Scheduler::poll_placed`]) | the scheduler calling the task's waker on a release, plus a real-time timer at the poll's `wake_at` (request timeout, gang drain threshold) |
+//! | `Timer(t)` | the session clock to read `t`: compute, each staging transfer, retry backoff | the timer thread |
+//! | `Blocking` | something that can only be waited for by blocking: `after_services` not yet published, the inference-client request loop | a dedicated entity thread, for that stage only — it goes on advancing the task until the next park |
+//! | `Done` | — | — |
+//!
+//! **Who advances when.** The thread that submits a task advances it to its first
+//! park itself: a NOOP task on a pilot with free capacity runs to `Done` inside
+//! `Session::submit_task(s)` without touching a queue or another thread, so
+//! `New → Done` latency falls with throughput instead of queueing behind a hand-off.
+//! Parked tasks are resumed by a small fixed worker pool and one timer thread
+//! (`pool.rs`), both started by the first park and sized from
+//! `available_parallelism`; a session whose tasks never park — or only block — never
+//! starts them. Wakers only enqueue (they are called under a scheduler lock); a
+//! per-run status makes a duplicate wake-up cost one enqueue and turns a wake-up that
+//! lands mid-advance into one more advance instead of a lost one. Every stage
+//! re-checks its own condition when resumed, so early or stale wake-ups are harmless.
+//!
+//! Thread count is therefore bounded by pool size + 1 + live services + in-flight
+//! `Blocking` stages, whatever the number of tasks; finished entity threads are joined
+//! whenever a new one is spawned.
+//!
+//! **Lock order.** run state → { scheduler queue shard → drain gate → allocation
+//! shards } and run state → { timer heaps | run queue }; the timer heaps and the run
+//! queue are leaves, taken with nothing else held beneath them, and a waker — which
+//! runs under a queue-shard lock — touches only the run's status and the run queue.
+//!
+//! **`Done` means released.** The final stage releases the slot, then makes `Done`
+//! observable, then publishes it: a handle that shows `Done` has its resources back
+//! in the pilot, and a task gets exactly one terminal message.
+//!
+//! ## Services
+//!
+//! A service instance is a long-lived executable placed on specific nodes and runs on
+//! an entity thread of its own. For **local services** the executor measures the three
+//! bootstrap components of the paper's Fig. 3 from the service's own state timestamps:
 //! `launch` (Launching → Initializing), `init` (Initializing → Publishing) and
 //! `publish` (Publishing → Ready). For **inference-client tasks** it records one
 //! response-time sample per request, decomposed into `communication`, `service` and
@@ -17,10 +64,11 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,7 +77,7 @@ use hpcml_comm::message::Message;
 use hpcml_comm::pubsub::Publisher;
 use hpcml_comm::registry::{EndpointEntry, EndpointRegistry};
 use hpcml_comm::reqrep::ReqRepServer;
-use hpcml_platform::resources::ResourceError;
+use hpcml_platform::resources::{ResourceError, Slot};
 use hpcml_platform::PlatformId;
 use hpcml_serving::host::ModelHost;
 use hpcml_serving::protocol::{
@@ -37,15 +85,18 @@ use hpcml_serving::protocol::{
 };
 use hpcml_serving::request::InferenceRequest;
 use hpcml_serving::service::{inference_request_message, InferenceService};
-use hpcml_sim::clock::{SharedClock, Stopwatch};
+use hpcml_sim::clock::{SharedClock, SimTime, Stopwatch};
 use hpcml_sim::dist::Dist;
 
 use crate::data::DataManager;
-use crate::describe::{ServicePlacement, ServiceSelector, TaskKind};
+use crate::describe::{DataDirective, ServicePlacement, ServiceSelector, TaskKind};
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeMetrics;
+use crate::pool::{Pool, Resume, RunCell};
 use crate::records::{BootstrapTimes, ServiceRecord, TaskRecord};
-use crate::scheduler::{AdmissionTicket, Priority, Scheduler};
+use crate::scheduler::{
+    AdmissionTicket, Placement, PlacementPoll, PlacementStats, Priority, Scheduler,
+};
 use crate::states::{ServiceState, TaskState};
 
 /// Metadata key under which a service's model name is published.
@@ -55,7 +106,7 @@ pub const META_PLATFORM: &str = "platform";
 /// Metadata key under which a service's runtime identifier is published.
 pub const META_SERVICE_ID: &str = "service_id";
 
-/// How long entity threads wait for dependencies (endpoints, resources) in real time.
+/// How long entities wait for dependencies (endpoints, resources) in real time.
 const DEPENDENCY_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Virtual backoff before the first retry of a task evicted by a node failure;
@@ -65,6 +116,111 @@ const RETRY_BACKOFF_BASE_SECS: f64 = 0.5;
 /// How many times an inference client honours a shed reply's retry-after hint before
 /// counting the request as failed.
 const MAX_SHED_RETRIES: u32 = 3;
+
+/// Where a task's lifecycle stands between two advances (see the module docs).
+enum Stage {
+    /// Accepted, or back from a retry backoff: nothing of this attempt has happened.
+    Admitted,
+    /// `Scheduling` is published but an `after_services` endpoint is not: wait for
+    /// them on an entity thread.
+    AwaitingServices,
+    /// Queued for a slot; the placement is created on first entry.
+    Scheduling(Option<Queued>),
+    /// Input directives are transferred one after the other.
+    StagingInput(Staging),
+    /// On its slot. `None` before the state is entered; then when execution began and
+    /// when it ends on the session clock (`None` = the blocking client loop).
+    Executing(Option<(SimTime, Option<SimTime>)>),
+    /// Output directives are transferred one after the other.
+    StagingOutput(Staging),
+    /// The attempt is over with this outcome; the slot goes back before anything
+    /// becomes observable.
+    Releasing(Result<(), RuntimeError>),
+    /// Evicted with retry budget left: re-enter scheduling once the clock reads this.
+    Backoff(SimTime),
+    /// Terminal state reached and published.
+    Done,
+}
+
+/// A task's place in the scheduler's wait queue.
+struct Queued {
+    placement: Placement,
+    /// When the wait began (real time), for `task.placement_wait_secs`.
+    wait_start: Instant,
+    /// The `wake_at` already on the timer heap, so that re-polls which come back with
+    /// the same deadline do not file it again.
+    armed: Option<Instant>,
+}
+
+/// Progress through a list of staging directives.
+#[derive(Default)]
+struct Staging {
+    /// Directives fully transferred.
+    next: usize,
+    /// The transfer in flight: its sampled seconds and when it ends.
+    transfer: Option<(f64, SimTime)>,
+}
+
+/// Why `advance` returned.
+enum Park {
+    /// Waiting in the scheduler's queue; poll again when woken, and at `arm` if that
+    /// deadline is not on the timer heap yet.
+    Placement { arm: Option<Instant> },
+    /// Nothing to do until the session clock reads this.
+    Timer(SimTime),
+    /// The next stage must block: continue on an entity thread.
+    Blocking,
+    /// The lifecycle is over.
+    Done,
+}
+
+/// The mutable half of a task run; only the thread holding the run touches it.
+struct RunState {
+    stage: Stage,
+    /// Batch admission ticket, until the first attempt consumes it.
+    ticket: Option<AdmissionTicket>,
+    /// The slot this attempt holds.
+    slot: Option<Slot>,
+}
+
+/// One task's lifecycle in flight.
+struct TaskRun {
+    executor: Arc<Executor>,
+    record: Arc<TaskRecord>,
+    scheduler: Option<Arc<Scheduler>>,
+    cell: RunCell,
+    state: Mutex<RunState>,
+}
+
+impl Resume for TaskRun {
+    fn cell(&self) -> &RunCell {
+        &self.cell
+    }
+
+    fn resume(self: Arc<Self>) {
+        let executor = Arc::clone(&self.executor);
+        executor.drive(self, false);
+    }
+}
+
+impl Wake for TaskRun {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.executor.pool.wake(self);
+    }
+}
+
+/// Task runs between spawn and their last publish, and who waits for them to end
+/// (counted so that a run ending with nobody waiting — every run of a burst — costs
+/// no condvar notify, which is a system call).
+#[derive(Default)]
+struct InFlight {
+    runs: usize,
+    waiters: usize,
+}
 
 /// The executor component.
 pub struct Executor {
@@ -77,7 +233,13 @@ pub struct Executor {
     publish_overhead: Dist,
     seed_counter: AtomicU64,
     base_seed: u64,
+    /// Entity threads not yet joined: services and `Blocking` task stages.
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Resumes parked task runs; starts no thread before the first park.
+    pool: Pool,
+    in_flight: Mutex<InFlight>,
+    /// Signalled when `in_flight.runs` reaches zero while someone waits.
+    drained: Condvar,
 }
 
 impl std::fmt::Debug for Executor {
@@ -87,13 +249,15 @@ impl std::fmt::Debug for Executor {
                 "concurrent_launches",
                 &self.concurrent_launches.load(Ordering::Relaxed),
             )
-            .field("spawned", &self.handles.lock().len())
+            .field("entity_threads", &self.handles.lock().len())
+            .field("runs_in_flight", &self.in_flight.lock().runs)
+            .field("pool_started", &self.pool.is_started())
             .finish()
     }
 }
 
 impl Executor {
-    /// Create an executor.
+    /// Create an executor. Spawns nothing.
     pub fn new(
         clock: SharedClock,
         metrics: Arc<RuntimeMetrics>,
@@ -103,6 +267,7 @@ impl Executor {
         base_seed: u64,
     ) -> Arc<Self> {
         Arc::new(Executor {
+            pool: Pool::new(Arc::clone(&clock)),
             clock,
             metrics,
             registry,
@@ -115,6 +280,8 @@ impl Executor {
             seed_counter: AtomicU64::new(1),
             base_seed,
             handles: Mutex::new(Vec::new()),
+            in_flight: Mutex::new(InFlight::default()),
+            drained: Condvar::new(),
         })
     }
 
@@ -131,36 +298,49 @@ impl Executor {
         self.publisher.publish(&msg);
     }
 
-    /// Spawn the lifecycle thread of a service instance.
+    /// The one place entity threads come from: services, and task stages that must
+    /// block. Finished threads are joined first, so a long session with many short
+    /// blocking stages does not pile up unjoined stacks.
+    fn spawn_entity(&self, name: &str, body: impl FnOnce() + Send + 'static) {
+        let mut handles = self.handles.lock();
+        let mut i = 0;
+        while i < handles.len() {
+            if handles[i].is_finished() {
+                let _ = handles.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        let handle = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(body)
+            .expect("failed to spawn entity thread");
+        handles.push(handle);
+    }
+
+    /// Start the lifecycle of a service instance on an entity thread of its own.
     pub fn spawn_service(
         self: &Arc<Self>,
         record: Arc<ServiceRecord>,
         scheduler: Option<Arc<Scheduler>>,
     ) {
         let this = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(record.id.clone())
-            .spawn(move || this.run_service(record, scheduler))
-            .expect("failed to spawn service thread");
-        self.handles.lock().push(handle);
+        let name = record.id.clone();
+        self.spawn_entity(&name, move || this.run_service(record, scheduler));
     }
 
-    /// Spawn the lifecycle thread of a task.
+    /// Start the lifecycle of a task: the calling thread advances it to its first
+    /// park (for a task that never waits, to its end); the pool resumes it from there.
     pub fn spawn_task(
         self: &Arc<Self>,
         record: Arc<TaskRecord>,
         scheduler: Option<Arc<Scheduler>>,
     ) {
-        let this = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(record.id.clone())
-            .spawn(move || this.run_task(record, scheduler, None))
-            .expect("failed to spawn task thread");
-        self.handles.lock().push(handle);
+        self.start_task(record, scheduler, None);
     }
 
-    /// Spawn the lifecycle thread of a task whose placement request was already
-    /// admitted through [`Scheduler::submit_batch`]: the thread consumes the
+    /// [`Executor::spawn_task`] for a task whose placement request was already
+    /// admitted through [`Scheduler::submit_batch`]: its first attempt consumes the
     /// [`AdmissionTicket`] instead of enqueueing again, so the task keeps the FIFO
     /// place its batch admission recorded.
     pub fn spawn_task_admitted(
@@ -169,25 +349,46 @@ impl Executor {
         scheduler: Arc<Scheduler>,
         ticket: AdmissionTicket,
     ) {
-        let this = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(record.id.clone())
-            .spawn(move || this.run_task(record, Some(scheduler), Some(ticket)))
-            .expect("failed to spawn task thread");
-        self.handles.lock().push(handle);
+        self.start_task(record, Some(scheduler), Some(ticket));
     }
 
-    /// Wait for every spawned entity thread to finish.
+    fn start_task(
+        self: &Arc<Self>,
+        record: Arc<TaskRecord>,
+        scheduler: Option<Arc<Scheduler>>,
+        ticket: Option<AdmissionTicket>,
+    ) {
+        self.in_flight.lock().runs += 1;
+        let run = Arc::new(TaskRun {
+            executor: Arc::clone(self),
+            record,
+            scheduler,
+            cell: RunCell::held(),
+            state: Mutex::new(RunState {
+                stage: Stage::Admitted,
+                ticket,
+                slot: None,
+            }),
+        });
+        self.drive(run, false);
+    }
+
+    /// Wait until every task run has ended, stop the pool if it was started, and
+    /// join every entity thread (services must have been asked to stop).
     pub fn join_all(&self) {
+        {
+            let mut in_flight = self.in_flight.lock();
+            in_flight.waiters += 1;
+            while in_flight.runs > 0 {
+                self.drained.wait(&mut in_flight);
+            }
+            in_flight.waiters -= 1;
+        }
+        self.pool.shutdown();
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
         for h in handles {
             let _ = h.join();
         }
-    }
-
-    /// Number of entity threads spawned so far (including finished ones not yet joined).
-    pub fn spawned_count(&self) -> usize {
-        self.handles.lock().len()
     }
 
     // ------------------------------------------------------------------ services
@@ -369,83 +570,265 @@ impl Executor {
 
     // ------------------------------------------------------------------ tasks
 
-    fn run_task(
-        &self,
-        record: Arc<TaskRecord>,
-        scheduler: Option<Arc<Scheduler>>,
-        mut ticket: Option<AdmissionTicket>,
-    ) {
-        // Retry loop for node-failure evictions: a task that lost its slot re-enters
-        // scheduling (at the front of its wait queue) up to `max_retries` times, with
-        // exponential backoff on the session clock between attempts. Any other error
-        // — and an eviction once the budget is spent — fails the task.
-        let mut attempt = 0u32;
+    /// Advance `run` — which the calling thread holds — until it parks, file what the
+    /// park needs, and let go of it; or finish it. `may_block` says the caller is an
+    /// entity thread that may run blocking stages itself.
+    fn drive(self: &Arc<Self>, run: Arc<TaskRun>, may_block: bool) {
         loop {
-            let err =
-                match self.run_task_inner(&record, scheduler.clone(), attempt > 0, &mut ticket) {
-                    Ok(()) => return,
-                    Err(e) => e,
-                };
-            // A pre-admitted ticket the attempt never consumed must leave its
-            // queue, or it would sit at its shard's head forever, blocking the
-            // FIFO behind it.
-            if let (Some(unused), Some(s)) = (ticket.take(), scheduler.as_ref()) {
-                s.cancel_admitted(unused);
+            let park = {
+                let mut state = run.state.lock();
+                let park = self.advance(&run, &mut state, may_block);
+                match park {
+                    Park::Timer(at) => self.pool.wake_at_clock(&run, at),
+                    Park::Placement { arm: Some(at) } => self.pool.wake_at_wall(&run, at),
+                    Park::Placement { arm: None } | Park::Blocking | Park::Done => {}
+                }
+                park
+            };
+            match park {
+                Park::Done => {
+                    run.cell.finish();
+                    let mut in_flight = self.in_flight.lock();
+                    in_flight.runs -= 1;
+                    if in_flight.runs == 0 && in_flight.waiters > 0 {
+                        self.drained.notify_all();
+                    }
+                    return;
+                }
+                Park::Blocking => {
+                    // The run stays held; the entity thread takes it over.
+                    let this = Arc::clone(self);
+                    let name = run.record.id.clone();
+                    self.spawn_entity(&name, move || this.drive(run, true));
+                    return;
+                }
+                Park::Timer(_) | Park::Placement { .. } => {
+                    if run.cell.release() {
+                        return;
+                    }
+                    // Woken while still advancing: look again.
+                }
             }
-            let evicted = matches!(err, RuntimeError::Resource(ResourceError::NodeFailed(_)));
-            if evicted && attempt < record.description.max_retries {
-                attempt += 1;
-                record.retries.fetch_add(1, Ordering::Relaxed);
-                self.metrics.record_scalar("task.retries", 1.0);
-                self.publish_state("task", &record.id, "Scheduling");
-                let backoff = RETRY_BACKOFF_BASE_SECS * f64::from(1u32 << (attempt - 1).min(16));
-                self.clock.sleep(Duration::from_secs_f64(backoff));
-                continue;
-            }
-            if !record.state.current().is_final() {
-                record.state.fail(TaskState::Failed, err.to_string());
-            }
-            self.publish_state("task", &record.id, "Failed");
-            return;
         }
     }
 
-    fn run_task_inner(
-        &self,
-        record: &Arc<TaskRecord>,
-        scheduler: Option<Arc<Scheduler>>,
-        requeue: bool,
-        ticket: &mut Option<AdmissionTicket>,
-    ) -> Result<(), RuntimeError> {
-        let desc = record.description.clone();
-
-        record.state.transition(TaskState::Scheduling)?;
-        self.publish_state("task", &record.id, "Scheduling");
-
-        // Readiness relations: every service named in `after_services` must have
-        // published its endpoint before this task starts.
-        for service_name in &desc.after_services {
-            self.registry
-                .wait_for(&format!("service.{service_name}"), DEPENDENCY_TIMEOUT)
-                .map_err(RuntimeError::Comm)?;
+    /// Run the state machine until it parks. An attempt that errors takes the retry
+    /// edge when a node failure caused it and budget is left, and fails the task
+    /// otherwise.
+    fn advance(&self, run: &Arc<TaskRun>, state: &mut RunState, may_block: bool) -> Park {
+        loop {
+            match self.step(run, state, may_block) {
+                Ok(Some(park)) => return park,
+                Ok(None) => {}
+                Err(e) => self.attempt_failed(run, state, e),
+            }
         }
+    }
 
-        let scheduler = scheduler.ok_or_else(|| {
-            RuntimeError::InvalidState("task submitted without an active pilot".into())
-        })?;
-        let wait_start = std::time::Instant::now();
-        // A retry after a node failure re-enters its wait queue at the front: the
-        // task already waited its turn before the eviction. A batch-admitted task
-        // consumes its ticket instead of enqueueing again (first attempt only —
-        // the ticket is gone once consumed).
-        let (slot, placement) = if let Some(admitted) = ticket.take() {
-            scheduler.allocate_admitted_with_stats(admitted, DEPENDENCY_TIMEOUT)?
-        } else if requeue {
-            scheduler.requeue_with_stats(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)?
-        } else {
-            scheduler.allocate_with_stats(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)?
+    /// One transition of the state machine: `Some(park)` when the current stage has
+    /// to wait, `None` when it moved on.
+    fn step(
+        &self,
+        run: &Arc<TaskRun>,
+        state: &mut RunState,
+        may_block: bool,
+    ) -> Result<Option<Park>, RuntimeError> {
+        let record = &run.record;
+        let desc = &record.description;
+        let RunState {
+            stage,
+            ticket,
+            slot,
+        } = state;
+        let next = match stage {
+            Stage::Admitted => {
+                record.state.transition(TaskState::Scheduling)?;
+                self.publish_state("task", &record.id, "Scheduling");
+                // Readiness relations: every service named in `after_services` must
+                // have published its endpoint before this task starts. Only a
+                // missing one needs a thread to wait on.
+                let published = desc
+                    .after_services
+                    .iter()
+                    .all(|name| self.registry.lookup(&format!("service.{name}")).is_some());
+                if published {
+                    Stage::Scheduling(None)
+                } else {
+                    Stage::AwaitingServices
+                }
+            }
+            Stage::AwaitingServices => {
+                if !may_block {
+                    return Ok(Some(Park::Blocking));
+                }
+                for service_name in &desc.after_services {
+                    self.registry
+                        .wait_for(&format!("service.{service_name}"), DEPENDENCY_TIMEOUT)
+                        .map_err(RuntimeError::Comm)?;
+                }
+                Stage::Scheduling(None)
+            }
+            Stage::Scheduling(pending) => {
+                let scheduler = run.scheduler.as_ref().ok_or_else(|| {
+                    RuntimeError::InvalidState("task submitted without an active pilot".into())
+                })?;
+                // A batch-admitted task consumes its ticket instead of enqueueing
+                // again (first attempt only — the ticket is gone once consumed). A
+                // retry after a node failure re-enters its wait queue at the front:
+                // the task already waited its turn before the eviction.
+                let queued = pending.get_or_insert_with(|| Queued {
+                    placement: match ticket.take() {
+                        Some(admitted) => Placement::admitted(admitted, DEPENDENCY_TIMEOUT),
+                        None if record.retries.load(Ordering::Relaxed) > 0 => {
+                            Placement::requeued(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)
+                        }
+                        None => Placement::new(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT),
+                    },
+                    wait_start: Instant::now(),
+                    armed: None,
+                });
+                let waker = Waker::from(Arc::clone(run));
+                match scheduler.poll_placed(&mut queued.placement, &waker) {
+                    PlacementPoll::Pending { wake_at } => {
+                        let arm = (queued.armed != Some(wake_at)).then_some(wake_at);
+                        queued.armed = Some(wake_at);
+                        return Ok(Some(Park::Placement { arm }));
+                    }
+                    PlacementPoll::Ready(result) => {
+                        let wait_secs = queued.wait_start.elapsed().as_secs_f64();
+                        let (placed, stats) = result?;
+                        self.record_placement(&placed, &stats, wait_secs);
+                        *record.slot.lock() = Some(placed.clone());
+                        *slot = Some(placed);
+                        if desc.stage_in.is_empty() {
+                            Stage::Executing(None)
+                        } else {
+                            record.state.transition(TaskState::StagingInput)?;
+                            Stage::StagingInput(Staging::default())
+                        }
+                    }
+                }
+            }
+            Stage::StagingInput(staging) => match self.stage_next(&desc.stage_in, staging) {
+                Some(until) => return Ok(Some(Park::Timer(until))),
+                None => Stage::Executing(None),
+            },
+            Stage::Executing(None) => {
+                record.state.transition(TaskState::Executing)?;
+                self.publish_state("task", &record.id, "Executing");
+                let started = self.clock.now();
+                let until = match &desc.kind {
+                    TaskKind::Noop => Some(started),
+                    TaskKind::Compute { duration_secs } => {
+                        let mut rng = StdRng::seed_from_u64(self.next_seed());
+                        Some(started + duration_secs.sample_secs(&mut rng))
+                    }
+                    TaskKind::InferenceClient { .. } => None,
+                };
+                Stage::Executing(Some((started, until)))
+            }
+            Stage::Executing(Some((started, until))) => {
+                let result = match until {
+                    Some(until) if self.clock.now() < *until => {
+                        return Ok(Some(Park::Timer(*until)))
+                    }
+                    Some(_) => Ok(()),
+                    None if !may_block => return Ok(Some(Park::Blocking)),
+                    None => self.run_inference_client(record, &desc.kind),
+                };
+                self.metrics.record_scalar(
+                    "task.exec_secs",
+                    self.clock.now().since(*started).as_secs_f64(),
+                );
+                let held = slot.as_ref().expect("an executing task holds a slot");
+                let scheduler = run.scheduler.as_ref().expect("placed by a scheduler");
+                if result.is_err() {
+                    Stage::Releasing(result)
+                } else if scheduler.slot_lost(held) {
+                    // Node-failure detection: the slot was evicted while the task
+                    // ran, so the work is lost and the task must be requeued.
+                    // Release retires the evicted slot and reports which node failed.
+                    Stage::Releasing(Err(RuntimeError::Resource(ResourceError::NodeFailed(
+                        held.node_index(),
+                    ))))
+                } else if desc.stage_out.is_empty() {
+                    Stage::Releasing(Ok(()))
+                } else {
+                    record.state.transition(TaskState::StagingOutput)?;
+                    Stage::StagingOutput(Staging::default())
+                }
+            }
+            Stage::StagingOutput(staging) => match self.stage_next(&desc.stage_out, staging) {
+                Some(until) => return Ok(Some(Park::Timer(until))),
+                None => Stage::Releasing(Ok(())),
+            },
+            Stage::Releasing(outcome) => {
+                let outcome = std::mem::replace(outcome, Ok(()));
+                let held = slot.take().expect("a releasing task holds a slot");
+                let scheduler = run.scheduler.as_ref().expect("placed by a scheduler");
+                match (scheduler.release(&held), outcome) {
+                    (Ok(()), Ok(())) => {}
+                    // The node died after the work completed: the eviction already
+                    // reclaimed the slot's resources, so the task's outcome stands.
+                    (Err(RuntimeError::Resource(ResourceError::NodeFailed(_))), Ok(())) => {}
+                    // A failed release outranks the attempt's own error: for an
+                    // evicted slot it names the node that failed, which is what
+                    // decides between retry and failure.
+                    (Err(e), _) | (Ok(()), Err(e)) => return Err(e),
+                }
+                // Released first, observable second, published last.
+                record.state.transition(TaskState::Done)?;
+                self.publish_state("task", &record.id, "Done");
+                Stage::Done
+            }
+            Stage::Backoff(until) => {
+                if self.clock.now() < *until {
+                    return Ok(Some(Park::Timer(*until)));
+                }
+                Stage::Admitted
+            }
+            Stage::Done => return Ok(Some(Park::Done)),
         };
-        let wait_secs = wait_start.elapsed().as_secs_f64();
+        *stage = next;
+        Ok(None)
+    }
+
+    /// The attempt failed with `err`: give back what it still holds, then either
+    /// take the retry edge — a task that lost its slot to a node failure re-enters
+    /// scheduling (at the front of its wait queue) up to `max_retries` times, with
+    /// exponential backoff on the session clock between attempts — or fail the task
+    /// with its one terminal message.
+    fn attempt_failed(&self, run: &TaskRun, state: &mut RunState, err: RuntimeError) {
+        let record = &run.record;
+        if let Some(scheduler) = run.scheduler.as_ref() {
+            if let Some(held) = state.slot.take() {
+                let _ = scheduler.release(&held);
+            }
+            // A pre-admitted ticket the attempt never consumed must leave its
+            // queue, or it would sit at its shard's head forever, blocking the
+            // FIFO behind it.
+            if let Some(unused) = state.ticket.take() {
+                scheduler.cancel_admitted(unused);
+            }
+        }
+        let evicted = matches!(err, RuntimeError::Resource(ResourceError::NodeFailed(_)));
+        let retries = record.retries.load(Ordering::Relaxed);
+        if evicted && retries < record.description.max_retries {
+            record.retries.store(retries + 1, Ordering::Relaxed);
+            self.metrics.record_scalar("task.retries", 1.0);
+            self.publish_state("task", &record.id, "Scheduling");
+            let backoff = RETRY_BACKOFF_BASE_SECS * f64::from(1u32 << retries.min(16));
+            state.stage = Stage::Backoff(self.clock.now() + Duration::from_secs_f64(backoff));
+            return;
+        }
+        if !record.state.current().is_final() {
+            record.state.fail(TaskState::Failed, err.to_string());
+        }
+        self.publish_state("task", &record.id, "Failed");
+        state.stage = Stage::Done;
+    }
+
+    fn record_placement(&self, slot: &Slot, placement: &PlacementStats, wait_secs: f64) {
         self.metrics
             .record_scalar("task.placement_wait_secs", wait_secs);
         // Shard-probe cost of the successful placement: 1 means the two-choice
@@ -474,80 +857,24 @@ impl Executor {
                     .record_scalar("task.gang.drain_secs", drain_secs);
             }
         }
-        *record.slot.lock() = Some(slot.clone());
-
-        let finish = |result: Result<(), RuntimeError>| -> Result<(), RuntimeError> {
-            match scheduler.release(&slot) {
-                Ok(()) => result,
-                // The node died after the work completed: the eviction already
-                // reclaimed the slot's resources, so the task's outcome stands.
-                Err(RuntimeError::Resource(ResourceError::NodeFailed(_))) if result.is_ok() => {
-                    result
-                }
-                Err(e) => Err(e),
-            }
-        };
-
-        // Input staging.
-        if !desc.stage_in.is_empty() {
-            record.state.transition(TaskState::StagingInput)?;
-            self.data.stage_all(&desc.stage_in);
-        }
-
-        // Execution.
-        record.state.transition(TaskState::Executing)?;
-        self.publish_state("task", &record.id, "Executing");
-        let exec_watch = Stopwatch::start(Arc::clone(&self.clock));
-        let exec_result = self.execute_kind(record, &desc.kind);
-        self.metrics
-            .record_scalar("task.exec_secs", exec_watch.elapsed_secs());
-        if let Err(e) = exec_result {
-            return finish(Err(e));
-        }
-
-        // Node-failure detection: the slot may have been evicted while the task ran,
-        // in which case the work is lost and the task must be requeued. Release
-        // retires the evicted slot and reports which node failed.
-        if scheduler.slot_lost(&slot) {
-            return Err(scheduler.release(&slot).err().unwrap_or_else(|| {
-                RuntimeError::Resource(ResourceError::NodeFailed(slot.node_index()))
-            }));
-        }
-
-        // Output staging.
-        if !desc.stage_out.is_empty() {
-            record.state.transition(TaskState::StagingOutput)?;
-            self.data.stage_all(&desc.stage_out);
-        }
-
-        record.state.transition(TaskState::Done)?;
-        self.publish_state("task", &record.id, "Done");
-        finish(Ok(()))
     }
 
-    fn execute_kind(&self, record: &Arc<TaskRecord>, kind: &TaskKind) -> Result<(), RuntimeError> {
-        match kind {
-            TaskKind::Noop => Ok(()),
-            TaskKind::Compute { duration_secs } => {
-                let mut rng = StdRng::seed_from_u64(self.next_seed());
-                let duration = duration_secs.sample_secs(&mut rng);
-                self.clock.sleep(duration);
-                Ok(())
+    /// Advance a staging stage: record the transfer that has ended, start the next.
+    /// `Some(t)` = a transfer runs until `t`; `None` = every directive is staged.
+    fn stage_next(&self, directives: &[DataDirective], staging: &mut Staging) -> Option<SimTime> {
+        loop {
+            if let Some((secs, until)) = staging.transfer {
+                if self.clock.now() < until {
+                    return Some(until);
+                }
+                self.data.record_transfer(&directives[staging.next], secs);
+                staging.next += 1;
+                staging.transfer = None;
             }
-            TaskKind::InferenceClient {
-                selector,
-                requests,
-                prompt_words,
-                max_tokens,
-                think_time_secs,
-            } => self.run_inference_client(
-                record,
-                selector,
-                *requests,
-                *prompt_words,
-                *max_tokens,
-                think_time_secs,
-            ),
+            let directive = directives.get(staging.next)?;
+            let secs = self.data.transfer_secs(directive);
+            let until = self.clock.now() + Duration::from_secs_f64(secs);
+            staging.transfer = Some((secs, until));
         }
     }
 
@@ -626,15 +953,23 @@ impl Executor {
         )
     }
 
+    /// The blocking request loop of an inference-client task.
     fn run_inference_client(
         &self,
         record: &Arc<TaskRecord>,
-        selector: &ServiceSelector,
-        requests: u32,
-        prompt_words: u32,
-        max_tokens: u32,
-        think_time: &Dist,
+        kind: &TaskKind,
     ) -> Result<(), RuntimeError> {
+        let TaskKind::InferenceClient {
+            selector,
+            requests,
+            prompt_words,
+            max_tokens,
+            think_time_secs: think_time,
+        } = kind
+        else {
+            unreachable!("only inference clients run the request loop");
+        };
+        let (requests, prompt_words, max_tokens) = (*requests, *prompt_words, *max_tokens);
         let entries = self.resolve_targets(selector)?;
         let mut rng = StdRng::seed_from_u64(self.next_seed());
         let clients: Vec<(String, hpcml_comm::ReqRepClient)> = entries
@@ -944,6 +1279,106 @@ mod tests {
         a.request_stop();
         b.request_stop();
         fx.executor.join_all();
+    }
+
+    #[test]
+    fn tasks_that_never_park_spawn_no_thread_and_finish_on_the_caller() {
+        let fx = fixture(PlatformId::Local, 1, 10_000.0);
+        for i in 0..100 {
+            let t = TaskRecord::new(
+                format!("task.inline-{i}"),
+                TaskDescription::new("noop"),
+                PlatformId::Local,
+                Arc::clone(&fx.clock),
+            );
+            fx.executor
+                .spawn_task(Arc::clone(&t), Some(Arc::clone(&fx.scheduler)));
+            assert_eq!(t.state.current(), TaskState::Done, "done on return");
+            assert_eq!(fx.scheduler.outstanding_slots(), 0, "released before Done");
+        }
+        assert!(!fx.executor.pool.is_started());
+        assert!(fx.executor.handles.lock().is_empty());
+        fx.executor.join_all();
+    }
+
+    #[test]
+    fn finished_blocking_stages_are_reaped_when_the_next_one_spawns() {
+        let fx = fixture(PlatformId::Local, 2, 2000.0);
+        let svc = service_record(&fx, "noop-r", ModelSpec::noop(), PlatformId::Local);
+        fx.executor
+            .spawn_service(Arc::clone(&svc), Some(Arc::clone(&fx.scheduler)));
+        for i in 0..8 {
+            let client = TaskRecord::new(
+                format!("task.client-{i}"),
+                TaskDescription::new("client").kind(TaskKind::inference_client("noop-r", 2)),
+                PlatformId::Local,
+                Arc::clone(&fx.clock),
+            );
+            fx.executor
+                .spawn_task(Arc::clone(&client), Some(Arc::clone(&fx.scheduler)));
+            client
+                .state
+                .wait_until(|s| s.is_final(), Duration::from_secs(60))
+                .unwrap();
+            assert_eq!(client.state.current(), TaskState::Done);
+            // The service, this client's thread, and at most the previous client's
+            // if it had not quite exited when this one was spawned.
+            assert!(fx.executor.handles.lock().len() <= 3);
+        }
+        assert!(
+            !fx.executor.pool.is_started(),
+            "clients only block: the pool is never needed"
+        );
+        svc.request_stop();
+        fx.executor.join_all();
+        assert_eq!(fx.scheduler.outstanding_slots(), 0);
+    }
+
+    #[test]
+    fn timers_follow_a_manual_clock() {
+        let clock = Arc::new(hpcml_sim::clock::ManualClock::new());
+        let shared: SharedClock = Arc::clone(&clock) as SharedClock;
+        let metrics = RuntimeMetrics::new();
+        let data = Arc::new(DataManager::new(
+            Arc::clone(&shared),
+            Arc::clone(&metrics),
+            1,
+        ));
+        let executor = Executor::new(
+            Arc::clone(&shared),
+            Arc::clone(&metrics),
+            Arc::new(EndpointRegistry::new()),
+            data,
+            Publisher::new(),
+            42,
+        );
+        let batch = BatchSystem::new(PlatformId::Local.spec(), Arc::clone(&shared), 2);
+        let scheduler = Arc::new(Scheduler::new(
+            batch.submit(AllocationRequest::nodes(1)).unwrap(),
+        ));
+        let task = TaskRecord::new(
+            "task.manual".into(),
+            TaskDescription::new("compute").kind(TaskKind::compute_secs(30.0)),
+            PlatformId::Local,
+            Arc::clone(&shared),
+        );
+        executor.spawn_task(Arc::clone(&task), Some(Arc::clone(&scheduler)));
+        assert_eq!(task.state.current(), TaskState::Executing);
+        // The timer thread registers the deadline with the clock like any sleeper.
+        while clock.pending_sleepers() < 1 {
+            std::thread::yield_now();
+        }
+        clock.advance(Duration::from_secs(10));
+        assert_eq!(task.state.current(), TaskState::Executing, "20 s to go");
+        while clock.pending_sleepers() < 1 {
+            std::thread::yield_now();
+        }
+        assert!((clock.advance_to_next().as_secs_f64() - 30.0).abs() < 1e-9);
+        task.state
+            .wait_until(|s| s == TaskState::Done, Duration::from_secs(10))
+            .unwrap();
+        executor.join_all();
+        assert_eq!(metrics.scalar_values("task.exec_secs"), vec![30.0]);
     }
 
     #[test]

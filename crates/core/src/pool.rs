@@ -1,0 +1,461 @@
+//! The bounded executor's machinery: a run queue, a fixed worker pool and one timer
+//! thread with its heaps.
+//!
+//! A *run* is anything resumable ([`Resume`]): the pool never looks inside it. What
+//! the pool owns is **who may advance a run when**. Every run embeds a [`RunCell`]
+//! whose status is one of
+//!
+//! * `Running` — some thread holds the run and is advancing it (a run is created
+//!   held by its creator);
+//! * `Idle` — parked: the next wake-up enqueues it;
+//! * `Queued` — on the run queue, a worker will pick it up;
+//! * `Notified` — woken *while* a thread was still advancing it: that thread must
+//!   advance it once more before letting go, so the wake-up is not lost;
+//! * `Done` — finished; wake-ups are ignored.
+//!
+//! Wake-ups ([`Pool::wake`], an expired timer) only ever flip the status and push onto
+//! the run queue — they never advance a run inline — so they are safe to issue under a
+//! scheduler queue-shard lock. Duplicate wake-ups cost one enqueue. The run-queue lock
+//! and the timer lock are leaves: no other lock is taken while one of them is held.
+//!
+//! Timers come in two kinds, one heap each: deadlines on the session clock
+//! (compute, staging and backoff sleeps) and real-time deadlines (the scheduler's
+//! request timeout and gang drain threshold). The timer thread sleeps to the earliest
+//! of both through [`hpcml_sim::clock::Clock::sleep_interruptibly`], so a manual clock works too. An
+//! entry carries the generation its run had when the entry was made; a run that has
+//! since parked on something else has a newer generation, and the stale entry is
+//! dropped when popped — never searched for.
+//!
+//! Nothing is started eagerly: the workers and the timer thread are spawned by the
+//! first enqueue or timer, sized from `available_parallelism`, and
+//! [`Pool::shutdown`] joins them. A session that never parks a task never starts them.
+
+use std::cmp::Ordering as CmpOrdering;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Instant;
+
+use parking_lot::{Condvar, Mutex};
+
+use hpcml_sim::clock::{Interrupt, SharedClock, SimTime};
+
+const IDLE: u8 = 0;
+const QUEUED: u8 = 1;
+const RUNNING: u8 = 2;
+const NOTIFIED: u8 = 3;
+const DONE: u8 = 4;
+
+/// Something a worker can advance to its next park.
+pub(crate) trait Resume: Send + Sync + 'static {
+    /// The scheduling state the pool keeps for this run.
+    fn cell(&self) -> &RunCell;
+    /// Advance until the run parks or finishes. Called by a worker that holds the run
+    /// (`Running`); must end in [`RunCell::release`] or [`RunCell::finish`], or hand
+    /// the held run to another thread that will.
+    fn resume(self: Arc<Self>);
+}
+
+/// Per-run scheduling state: who holds the run, and which timer entries still count.
+pub(crate) struct RunCell {
+    status: AtomicU8,
+    generation: AtomicU64,
+}
+
+impl RunCell {
+    /// A cell for a run its creator is about to advance.
+    pub(crate) fn held() -> Self {
+        RunCell {
+            status: AtomicU8::new(RUNNING),
+            generation: AtomicU64::new(0),
+        }
+    }
+
+    /// Register a wake-up. True if the caller must put the run on the run queue.
+    fn claim_wake(&self) -> bool {
+        loop {
+            let (seen, next) = match self.status.load(Ordering::Acquire) {
+                IDLE => (IDLE, QUEUED),
+                RUNNING => (RUNNING, NOTIFIED),
+                _ => return false,
+            };
+            if self
+                .status
+                .compare_exchange(seen, next, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return next == QUEUED;
+            }
+        }
+    }
+
+    /// Let go of a parked run. False if a wake-up landed meanwhile: the caller still
+    /// holds the run and must advance it again.
+    pub(crate) fn release(&self) -> bool {
+        let released = self
+            .status
+            .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok();
+        if !released {
+            self.status.store(RUNNING, Ordering::Release);
+        }
+        released
+    }
+
+    /// Mark the run finished; later wake-ups are ignored.
+    pub(crate) fn finish(&self) {
+        self.status.store(DONE, Ordering::Release);
+    }
+}
+
+/// A timer entry; the heap is a min-heap on `at`.
+struct Timer<K> {
+    at: K,
+    generation: u64,
+    run: Arc<dyn Resume>,
+}
+
+impl<K: Ord> PartialEq for Timer<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at
+    }
+}
+impl<K: Ord> Eq for Timer<K> {}
+impl<K: Ord> PartialOrd for Timer<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+        Some(self.cmp(other))
+    }
+}
+impl<K: Ord> Ord for Timer<K> {
+    fn cmp(&self, other: &Self) -> CmpOrdering {
+        other.at.cmp(&self.at)
+    }
+}
+
+#[derive(Default)]
+struct RunQueue {
+    runs: VecDeque<Arc<dyn Resume>>,
+    /// Workers asleep on `work`.
+    idle: usize,
+    shutdown: bool,
+}
+
+struct Timers {
+    /// Deadlines on the session clock.
+    by_clock: BinaryHeap<Timer<SimTime>>,
+    /// Real-time deadlines.
+    by_wall: BinaryHeap<Timer<Instant>>,
+    shutdown: bool,
+}
+
+struct Shared {
+    clock: SharedClock,
+    queue: Mutex<RunQueue>,
+    work: Condvar,
+    timers: Mutex<Timers>,
+    /// Wakes the timer thread when an earlier deadline arrives or on shutdown.
+    interrupt: Arc<Interrupt>,
+}
+
+/// Run queue + workers + timer thread (see the module docs).
+pub(crate) struct Pool {
+    shared: Arc<Shared>,
+    /// Empty until the first enqueue or timer.
+    threads: Mutex<Vec<JoinHandle<()>>>,
+    started: AtomicBool,
+}
+
+impl Pool {
+    /// Create a pool over `clock`; no thread is spawned yet.
+    pub(crate) fn new(clock: SharedClock) -> Self {
+        Pool {
+            shared: Arc::new(Shared {
+                clock,
+                queue: Mutex::new(RunQueue::default()),
+                work: Condvar::new(),
+                timers: Mutex::new(Timers {
+                    by_clock: BinaryHeap::new(),
+                    by_wall: BinaryHeap::new(),
+                    shutdown: false,
+                }),
+                interrupt: Interrupt::new(),
+            }),
+            threads: Mutex::new(Vec::new()),
+            started: AtomicBool::new(false),
+        }
+    }
+
+    /// Whether the workers and the timer thread are running.
+    pub(crate) fn is_started(&self) -> bool {
+        self.started.load(Ordering::Acquire)
+    }
+
+    fn ensure_started(&self) {
+        if self.is_started() {
+            return;
+        }
+        let mut threads = self.threads.lock();
+        if !threads.is_empty() {
+            return;
+        }
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for i in 0..workers {
+            let shared = Arc::clone(&self.shared);
+            threads.push(spawn(format!("executor-worker-{i}"), move || {
+                shared.work_loop()
+            }));
+        }
+        let shared = Arc::clone(&self.shared);
+        threads.push(spawn("executor-timer".to_string(), move || {
+            shared.timer_loop()
+        }));
+        self.started.store(true, Ordering::Release);
+    }
+
+    /// Wake `run`: resume it on a worker if it is parked, or make the thread that
+    /// is advancing it right now advance it once more. Only enqueues — safe under a
+    /// scheduler lock.
+    pub(crate) fn wake<R: Resume>(&self, run: &Arc<R>) {
+        if run.cell().claim_wake() {
+            self.ensure_started();
+            self.shared.enqueue(Arc::clone(run) as Arc<dyn Resume>);
+        }
+    }
+
+    /// Wake `run` once the session clock reads `at`, unless it parks anew before.
+    pub(crate) fn wake_at_clock<R: Resume>(&self, run: &Arc<R>, at: SimTime) {
+        self.add_timer(run, at, |timers| &mut timers.by_clock);
+    }
+
+    /// Wake `run` once real time reaches `at`, unless it parks anew before.
+    pub(crate) fn wake_at_wall<R: Resume>(&self, run: &Arc<R>, at: Instant) {
+        self.add_timer(run, at, |timers| &mut timers.by_wall);
+    }
+
+    /// Start a new generation of `run` (every older timer entry of it goes stale) and
+    /// file the entry; the timer thread is interrupted when the entry is the new
+    /// earliest of its heap.
+    fn add_timer<R: Resume, K: Ord + Copy>(
+        &self,
+        run: &Arc<R>,
+        at: K,
+        heap: impl FnOnce(&mut Timers) -> &mut BinaryHeap<Timer<K>>,
+    ) {
+        self.ensure_started();
+        let generation = run.cell().generation.fetch_add(1, Ordering::AcqRel) + 1;
+        let earliest = {
+            let mut timers = self.shared.timers.lock();
+            let heap = heap(&mut timers);
+            let earliest = heap.peek().is_none_or(|head| at < head.at);
+            heap.push(Timer {
+                at,
+                generation,
+                run: Arc::clone(run) as Arc<dyn Resume>,
+            });
+            earliest
+        };
+        if earliest {
+            self.shared.interrupt.raise();
+        }
+    }
+
+    /// Stop and join the workers and the timer thread, if they were started, and
+    /// drop whatever is still queued or timed. The pool can start again afterwards.
+    pub(crate) fn shutdown(&self) {
+        let mut threads = self.threads.lock();
+        if threads.is_empty() {
+            return;
+        }
+        self.shared.queue.lock().shutdown = true;
+        self.shared.work.notify_all();
+        self.shared.timers.lock().shutdown = true;
+        self.shared.interrupt.raise();
+        for handle in threads.drain(..) {
+            let _ = handle.join();
+        }
+        *self.shared.queue.lock() = RunQueue::default();
+        let mut timers = self.shared.timers.lock();
+        timers.by_clock.clear();
+        timers.by_wall.clear();
+        timers.shutdown = false;
+        self.started.store(false, Ordering::Release);
+    }
+}
+
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("failed to spawn executor pool thread")
+}
+
+impl Shared {
+    fn enqueue(&self, run: Arc<dyn Resume>) {
+        let mut queue = self.queue.lock();
+        queue.runs.push_back(run);
+        if queue.idle > 0 {
+            self.work.notify_one();
+        }
+    }
+
+    fn work_loop(&self) {
+        loop {
+            let run = {
+                let mut queue = self.queue.lock();
+                loop {
+                    if queue.shutdown {
+                        return;
+                    }
+                    if let Some(run) = queue.runs.pop_front() {
+                        break run;
+                    }
+                    queue.idle += 1;
+                    self.work.wait(&mut queue);
+                    queue.idle -= 1;
+                }
+            };
+            run.cell().status.store(RUNNING, Ordering::Release);
+            run.resume();
+        }
+    }
+
+    fn timer_loop(&self) {
+        loop {
+            let mut due: Vec<(u64, Arc<dyn Resume>)> = Vec::new();
+            let (next_clock, next_wall) = {
+                let mut timers = self.timers.lock();
+                if timers.shutdown {
+                    return;
+                }
+                let now = self.clock.now();
+                while timers.by_clock.peek().is_some_and(|t| t.at <= now) {
+                    due.extend(timers.by_clock.pop().map(|t| (t.generation, t.run)));
+                }
+                let wall = Instant::now();
+                while timers.by_wall.peek().is_some_and(|t| t.at <= wall) {
+                    due.extend(timers.by_wall.pop().map(|t| (t.generation, t.run)));
+                }
+                (
+                    timers.by_clock.peek().map(|t| t.at),
+                    timers.by_wall.peek().map(|t| t.at),
+                )
+            };
+            if due.is_empty() {
+                self.clock
+                    .sleep_interruptibly(next_clock, next_wall, &self.interrupt);
+                continue;
+            }
+            for (generation, run) in due {
+                let cell = run.cell();
+                if cell.generation.load(Ordering::Acquire) == generation && cell.claim_wake() {
+                    self.enqueue(run);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpcml_sim::clock::ClockSpec;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    /// A run that counts its resumes and parks again after each.
+    struct Counter {
+        cell: RunCell,
+        resumed: AtomicUsize,
+    }
+
+    impl Counter {
+        fn parked() -> Arc<Self> {
+            let run = Arc::new(Counter {
+                cell: RunCell::held(),
+                resumed: AtomicUsize::new(0),
+            });
+            assert!(run.cell.release());
+            run
+        }
+
+        fn wait_for(&self, resumes: usize) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.resumed.load(Ordering::Acquire) < resumes {
+                assert!(Instant::now() < deadline, "run was not resumed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    impl Resume for Counter {
+        fn cell(&self) -> &RunCell {
+            &self.cell
+        }
+        fn resume(self: Arc<Self>) {
+            loop {
+                self.resumed.fetch_add(1, Ordering::AcqRel);
+                if self.cell.release() {
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nothing_starts_until_the_first_wake_and_shutdown_joins() {
+        let pool = Pool::new(ClockSpec::scaled(1000.0).build());
+        assert!(!pool.is_started());
+        pool.shutdown(); // never started: a no-op
+        let run = Counter::parked();
+        pool.wake(&run);
+        assert!(pool.is_started());
+        run.wait_for(1);
+        pool.shutdown();
+        assert!(!pool.is_started());
+        // A shut-down pool starts again on demand.
+        pool.wake(&run);
+        run.wait_for(2);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_wake_during_an_advance_causes_one_more_advance_not_an_enqueue() {
+        let cell = RunCell::held();
+        assert!(!cell.claim_wake(), "a held run is notified, not queued");
+        assert!(!cell.claim_wake(), "duplicates collapse");
+        assert!(!cell.release(), "the holder must advance again");
+        assert!(cell.release(), "nothing landed since");
+        assert!(
+            cell.claim_wake(),
+            "a parked run is queued by the first wake"
+        );
+        assert!(!cell.claim_wake(), "and only by the first");
+        cell.finish();
+        assert!(!cell.claim_wake(), "a finished run ignores wake-ups");
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order_and_stale_generations_are_dropped() {
+        let clock = ClockSpec::scaled(1000.0).build();
+        let pool = Pool::new(Arc::clone(&clock));
+        let (late, early, stale) = (Counter::parked(), Counter::parked(), Counter::parked());
+        pool.wake_at_clock(&late, clock.now() + Duration::from_secs(40));
+        pool.wake_at_clock(&early, clock.now() + Duration::from_secs(5));
+        // Superseded by a newer park of the same run: only the second entry counts.
+        pool.wake_at_clock(&stale, clock.now() + Duration::from_secs(1));
+        pool.wake_at_wall(&stale, Instant::now() + Duration::from_secs(3600));
+        early.wait_for(1);
+        assert_eq!(
+            late.resumed.load(Ordering::Acquire),
+            0,
+            "40 s is not due yet"
+        );
+        late.wait_for(1);
+        assert_eq!(stale.resumed.load(Ordering::Acquire), 0);
+        // A real-time deadline fires too.
+        pool.wake_at_wall(&early, Instant::now() + Duration::from_millis(5));
+        early.wait_for(2);
+        pool.shutdown();
+    }
+}

@@ -5,7 +5,9 @@
 //! resources, because workflows generally need their services up before compute tasks
 //! can use them. This scheduler provides:
 //!
-//! * blocking slot allocation with back-pressure (callers wait until resources free up),
+//! * slot allocation with back-pressure: callers wait until resources free up, either
+//!   blocked in [`Scheduler::allocate`] or parked and re-polled through
+//!   [`Scheduler::poll_placed`] — one wait loop, two ways of sleeping,
 //! * service priority (pending service placements starve ordinary tasks, not vice versa),
 //! * immediate rejection of requests that could never be satisfied by the node shape,
 //! * gang placement: a multi-node MPI request (`ResourceRequest::nodes > 1`) parks in
@@ -15,9 +17,10 @@
 //!
 //! ## Sharded wait-queue front-end
 //!
-//! Waiters park in explicit FIFO queues and each waiter owns its own condition
-//! variable — its *wake slot*. A release notifies the waiters in the serve window
-//! instead of `notify_all`-ing every parked thread, so a free-capacity event costs at
+//! Waiters park in explicit FIFO queues and each waiter owns its own *wake slot* — a
+//! condition variable for a blocked thread, a [`Waker`] for a polled placement (see
+//! "Polled placement" below). A release notifies the waiters in the serve window
+//! instead of `notify_all`-ing every parked waiter, so a free-capacity event costs at
 //! most `lookahead` targeted wakeups per shard regardless of queue depth (no
 //! thundering herd), and wakeup order is the arrival order. Newcomers never overtake
 //! parked waiters of their class: the fast path is only taken when no waiter of the
@@ -51,6 +54,24 @@
 //! bit-exact legacy single-queue scheduler — the escape hatch
 //! `SessionBuilder::scheduler_queue_shards(1)` pins it.
 //!
+//! ## Polled placement
+//!
+//! The wait loop exists once, as three steps under the home-shard lock: *enter*
+//! (validate, fast path, park), one *pass* (window check, placement attempt, drain
+//! ageing, post-deadline final attempt — or "pending, look again by `wake_at`"), and
+//! *leave* (drain cleanup, overtake ticking, queue removal, wake fan-out). The
+//! blocking calls run `loop { pass; cond.wait_until(wake_at) }` without ever dropping
+//! the lock outside the wait; [`Scheduler::poll_placed`] runs one pass per call and
+//! returns, so a task can wait for a slot without owning a thread. A polled waiter's
+//! wake slot holds the caller's [`Waker`], stored when the first poll comes back
+//! pending. Notifies are issued under the shard lock, so a waker must only enqueue,
+//! and a notify that lands while the owner is between its pass and its park must
+//! lead to another poll — the executor's per-run status does that. The deadlines a
+//! blocked thread would have slept to (request timeout, gang drain threshold) come
+//! back as `wake_at` for the caller's timer. Everything else — service priority at
+//! every decision point, front-of-queue requeue, drain open/cancel/cleanup, overtake
+//! ageing, the exit fan-out — is the same code for both.
+//!
 //! ## Batched admission
 //!
 //! [`Scheduler::submit_batch`] admits a burst of requests in one pass: entries are
@@ -58,7 +79,8 @@
 //! one lock round-trip per *touched shard* instead of one per request — and the
 //! caller gets back one [`AdmissionTicket`] per entry. A ticket holds the waiter's
 //! place in its FIFO shard; [`Scheduler::allocate_admitted`] turns it into a slot
-//! (blocking like [`Scheduler::allocate`]) and [`Scheduler::cancel_admitted`]
+//! (blocking like [`Scheduler::allocate`]; [`Placement::admitted`] is the polled
+//! form) and [`Scheduler::cancel_admitted`]
 //! abandons it without placing (a ticket dropped on an error path would otherwise
 //! block its shard's FIFO forever). Admission records arrival order exactly like
 //! one-by-one submission, so a batch at one queue shard places identically to the
@@ -152,7 +174,8 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -169,10 +192,22 @@ pub const DEFAULT_MAX_OVERTAKES: u32 = 16;
 /// than pinned: small allocations collapse to one shard (the exact legacy queue).
 const MIN_NODES_PER_QUEUE_SHARD: usize = 16;
 
-/// One parked placement request: a dedicated condition variable the releaser can
-/// target, making wakeups O(1) and ordered.
+/// How a parked waiter is resumed: a thread blocked in [`Scheduler::allocate`] and
+/// friends sleeps on a condition variable of its own; a polled placement
+/// ([`Scheduler::poll_placed`]) has its owner's [`Waker`] called, which must only
+/// enqueue — notifies are issued under a queue-shard lock.
+enum WakeSlot {
+    Thread(Condvar),
+    Task(Waker),
+}
+
+/// One parked placement request with its own wake slot, so a releaser can target it:
+/// wakeups are O(1) and ordered.
 struct Waiter {
-    cond: Condvar,
+    /// Armed under the waiter's shard lock when its first pass over the wait loop comes
+    /// back pending. A notify before that is a no-op: that first pass is still to come
+    /// and reads, under the same lock, the state the notify announced.
+    wake: OnceLock<WakeSlot>,
     /// How many later arrivals of this waiter's class placed while it stayed parked.
     /// Mutated under the waiter's shard lock — and, cross-shard, by sibling-shard
     /// placers that hold *their* shard lock — so it is atomic, not lock-protected.
@@ -182,9 +217,27 @@ struct Waiter {
 impl Waiter {
     fn new() -> Arc<Self> {
         Arc::new(Waiter {
-            cond: Condvar::new(),
+            wake: OnceLock::new(),
             overtakes: AtomicU32::new(0),
         })
+    }
+
+    fn notify(&self) {
+        match self.wake.get() {
+            Some(WakeSlot::Thread(cond)) => {
+                cond.notify_one();
+            }
+            Some(WakeSlot::Task(waker)) => waker.wake_by_ref(),
+            None => {}
+        }
+    }
+
+    /// The condition variable a blocking owner sleeps on (arms the slot on first use).
+    fn thread_cond(&self) -> &Condvar {
+        match self.wake.get_or_init(|| WakeSlot::Thread(Condvar::new())) {
+            WakeSlot::Thread(cond) => cond,
+            WakeSlot::Task(_) => unreachable!("a polled placement never blocks"),
+        }
     }
 }
 
@@ -278,6 +331,105 @@ pub struct BatchAdmission {
     pub shard_batches: Vec<usize>,
     /// Targeted wakeups per shard issued by the post-admission window wake.
     pub shard_wakeups: Vec<usize>,
+}
+
+/// A placement request in progress: what [`Scheduler::poll_placed`] advances and
+/// what the blocking calls drive internally. It records the request, its deadline
+/// and — once parked — its place in a queue shard, so it must end in a `Ready`
+/// poll or be handed to [`Scheduler::cancel_placement`]; dropped while queued it
+/// would block the FIFO behind it forever.
+#[must_use = "a placement must be polled to Ready or cancelled"]
+pub struct Placement {
+    /// The request; its gang packing is resolved on entry.
+    req: ResourceRequest,
+    priority: Priority,
+    /// Park at the front of the class queue (node-failure requeue).
+    requeue: bool,
+    /// When the wait began (real time): the ageing clock and the deadline base.
+    parked_at: Instant,
+    deadline: Instant,
+    /// The waiter and its home shard, while the request holds a queue place.
+    queued: Option<(Arc<Waiter>, usize)>,
+    /// When this waiter began draining (real time), for the drain_secs metric.
+    drained_at: Option<Instant>,
+}
+
+impl Placement {
+    /// A fresh request, as [`Scheduler::allocate`] takes it; `timeout` is real time
+    /// from now.
+    pub fn new(req: &ResourceRequest, priority: Priority, timeout: Duration) -> Self {
+        let parked_at = Instant::now();
+        Placement {
+            req: *req,
+            priority,
+            requeue: false,
+            parked_at,
+            deadline: parked_at + timeout,
+            queued: None,
+            drained_at: None,
+        }
+    }
+
+    /// A request re-entering placement after a node failure, as
+    /// [`Scheduler::requeue`] takes it: it parks at the front of its class.
+    pub fn requeued(req: &ResourceRequest, priority: Priority, timeout: Duration) -> Self {
+        Placement {
+            requeue: true,
+            ..Placement::new(req, priority, timeout)
+        }
+    }
+
+    /// A request already admitted through [`Scheduler::submit_batch`]: it keeps the
+    /// FIFO place its ticket holds. The gang-ageing clock starts here, not at
+    /// admission.
+    pub fn admitted(ticket: AdmissionTicket, timeout: Duration) -> Self {
+        let AdmissionTicket {
+            waiter,
+            shard,
+            req,
+            priority,
+        } = ticket;
+        Placement {
+            queued: Some((waiter, shard)),
+            ..Placement::new(&req, priority, timeout)
+        }
+    }
+
+    fn waiter(&self) -> &Waiter {
+        &self
+            .queued
+            .as_ref()
+            .expect("only a parked placement waits")
+            .0
+    }
+}
+
+/// What one [`Scheduler::poll_placed`] call found.
+#[derive(Debug)]
+pub enum PlacementPoll {
+    /// The wait is over: the slot with its [`PlacementStats`], or why there is none.
+    Ready(Result<(Slot, PlacementStats), RuntimeError>),
+    /// Still queued: poll again when woken, and no later than `wake_at`.
+    Pending {
+        /// The earliest real-time deadline the placement has to act on by itself.
+        wake_at: Instant,
+    },
+}
+
+/// How [`Scheduler::enter`] left a placement.
+enum Entered<'a> {
+    /// Served by the fast path without queueing.
+    Placed((Slot, PlacementStats)),
+    /// Parked; the home shard is locked for the first pass.
+    Parked(MutexGuard<'a, ShardState>),
+}
+
+/// What one pass over the wait loop decided.
+enum Pass {
+    /// Leave the queue with this result (slot and allocator shard probes).
+    Ready(Result<(Slot, u32), RuntimeError>),
+    /// Stay parked until notified or `wake_at`.
+    Pending { wake_at: Instant },
 }
 
 /// Scheduler bound to one pilot allocation.
@@ -566,7 +718,7 @@ impl Scheduler {
             let st = self.shards[0].lock();
             let mut woken = 0u64;
             for waiter in st.services.iter().take(self.lookahead) {
-                waiter.cond.notify_one();
+                waiter.notify();
                 woken += 1;
             }
             if woken > 0 {
@@ -583,7 +735,7 @@ impl Scheduler {
             let st = shard.lock();
             let mut woken = 0u64;
             for waiter in st.tasks.iter().take(self.lookahead) {
-                waiter.cond.notify_one();
+                waiter.notify();
                 woken += 1;
             }
             if woken > 0 {
@@ -664,7 +816,7 @@ impl Scheduler {
         priority: Priority,
         timeout: Duration,
     ) -> Result<(Slot, PlacementStats), RuntimeError> {
-        self.allocate_inner(req, priority, timeout, false)
+        self.block_on(Placement::new(req, priority, timeout))
     }
 
     /// Re-enter placement after losing a slot to a node failure: parks at the
@@ -689,20 +841,76 @@ impl Scheduler {
         priority: Priority,
         timeout: Duration,
     ) -> Result<(Slot, PlacementStats), RuntimeError> {
-        self.allocate_inner(req, priority, timeout, true)
+        self.block_on(Placement::requeued(req, priority, timeout))
     }
 
-    fn allocate_inner(
-        &self,
-        req: &ResourceRequest,
-        priority: Priority,
-        timeout: Duration,
-        requeue: bool,
-    ) -> Result<(Slot, PlacementStats), RuntimeError> {
+    /// Advance a [`Placement`] without blocking: enter the queue if it has not yet
+    /// (validation, fast path, parking), then make one pass over the wait loop.
+    /// `Ready` carries the final result and spends the placement; `Pending` means
+    /// the request keeps its place in the queue and must be polled again when
+    /// `waker` is called or at `wake_at` (the request deadline, or an ageing gang's
+    /// drain threshold), whichever comes first. Polling more often is harmless.
+    ///
+    /// `waker` is called under a queue-shard lock, so it must only enqueue work —
+    /// never poll inline. It is stored when the first poll comes back pending; a
+    /// wake-up that lands while the owner is still inside a poll must make the owner
+    /// poll again rather than be dropped.
+    ///
+    /// This is [`Scheduler::allocate`] with the thread taken out: both run the same
+    /// entry, pass and exit code, and a blocking caller is
+    /// `loop { pass; cond.wait_until(wake_at) }` under the shard lock.
+    pub fn poll_placed(&self, placement: &mut Placement, waker: &Waker) -> PlacementPoll {
+        let st = match self.enter(placement) {
+            Err(e) => return PlacementPoll::Ready(Err(e)),
+            Ok(Entered::Placed(placed)) => return PlacementPoll::Ready(Ok(placed)),
+            Ok(Entered::Parked(st)) => st,
+        };
+        match self.pass(&st, placement) {
+            Pass::Ready(result) => PlacementPoll::Ready(self.leave(st, placement, result)),
+            Pass::Pending { wake_at } => {
+                placement
+                    .waiter()
+                    .wake
+                    .get_or_init(|| WakeSlot::Task(waker.clone()));
+                PlacementPoll::Pending { wake_at }
+            }
+        }
+    }
+
+    /// Drive `placement` to its result on the calling thread, sleeping on the
+    /// waiter's condition variable between passes. The shard lock is held
+    /// continuously from parking on and released only inside the condvar wait, so a
+    /// notification issued under it is never lost.
+    fn block_on(&self, mut placement: Placement) -> Result<(Slot, PlacementStats), RuntimeError> {
+        let mut st = match self.enter(&mut placement)? {
+            Entered::Placed(placed) => return Ok(placed),
+            Entered::Parked(st) => st,
+        };
+        loop {
+            match self.pass(&st, &mut placement) {
+                Pass::Ready(result) => return self.leave(st, &mut placement, result),
+                Pass::Pending { wake_at } => {
+                    placement
+                        .waiter()
+                        .thread_cond()
+                        .wait_until(&mut st, wake_at);
+                }
+            }
+        }
+    }
+
+    /// Entry of every placement: lock the home shard of a request that already
+    /// holds a queue place; otherwise validate it, try the fast path and park it.
+    /// A parked request comes back with its shard still locked, so its first pass
+    /// runs under the lock hold that recorded its arrival.
+    fn enter(&self, placement: &mut Placement) -> Result<Entered<'_>, RuntimeError> {
+        if let Some((_, shard_idx)) = &placement.queued {
+            return Ok(Entered::Parked(self.shards[*shard_idx].lock()));
+        }
         // Shape mismatches fail fast without ever queueing. A request that is
         // merely too wide for the *current* node set parks instead: allocations
         // are elastic, so a pilot resize can make it placeable later.
-        match self.allocation.check_satisfiable(req) {
+        match self.allocation.check_satisfiable(&placement.req) {
             Ok(()) | Err(ResourceError::InsufficientResources) => {}
             Err(e) => return Err(RuntimeError::Resource(e)),
         }
@@ -711,10 +919,9 @@ impl Scheduler {
         // policy wins, otherwise the scheduler's session default applies. Every fit
         // attempt below — fast path, lookahead window, drain, final try — uses the
         // resolved request, so the allocation layer never guesses.
-        let req = req.or_packing(self.gang_packing);
+        placement.req = placement.req.or_packing(self.gang_packing);
+        let priority = placement.priority;
 
-        let parked_at = Instant::now();
-        let deadline = parked_at + timeout;
         let shard_idx = self.home_shard(priority);
         let mut st = self.shards[shard_idx].lock();
 
@@ -732,16 +939,16 @@ impl Scheduler {
             }
         };
         if fast_eligible {
-            match self.allocation.allocate_slot_with_stats(&req) {
+            match self.allocation.allocate_slot_with_stats(&placement.req) {
                 Ok((slot, probes)) => {
                     self.outstanding.fetch_add(1, Ordering::AcqRel);
-                    return Ok((
+                    return Ok(Entered::Placed((
                         slot,
                         PlacementStats {
                             shard_probes: probes.shard_probes,
                             ..PlacementStats::default()
                         },
-                    ));
+                    )));
                 }
                 Err(ResourceError::InsufficientResources) => {}
                 Err(e) => return Err(RuntimeError::Resource(e)),
@@ -752,179 +959,194 @@ impl Scheduler {
         // front of the class queue (the request already waited its turn once) — and
         // wait for a targeted wakeup.
         let waiter = Waiter::new();
-        self.park(&mut st, shard_idx, &waiter, priority, requeue);
-        self.wait_placed(shard_idx, st, &waiter, &req, priority, parked_at, deadline)
+        self.park(&mut st, shard_idx, &waiter, priority, placement.requeue);
+        placement.queued = Some((waiter, shard_idx));
+        Ok(Entered::Parked(st))
     }
 
-    /// The parked-waiter wait loop: runs with the home-shard lock held continuously
-    /// (released only inside the condvar wait), attempting placement whenever the
-    /// waiter is inside its serve window, opening/consuming a backfill reservation
-    /// per the ageing rules, and performing the exit bookkeeping — queue removal,
-    /// overtake ticking, drain cleanup, cross-shard wakeup fan-out.
-    #[allow(clippy::too_many_arguments)]
-    fn wait_placed(
-        &self,
-        shard_idx: usize,
-        mut st: MutexGuard<'_, ShardState>,
-        waiter: &Arc<Waiter>,
-        req: &ResourceRequest,
-        priority: Priority,
-        parked_at: Instant,
-        deadline: Instant,
-    ) -> Result<(Slot, PlacementStats), RuntimeError> {
-        // When this waiter began draining (real time), for the drain_secs metric.
-        let mut drained_at: Option<Instant> = None;
+    /// One pass of the parked-waiter wait loop, under the home-shard lock: attempt
+    /// placement when the waiter is inside its serve window, open or consume a
+    /// backfill reservation per the ageing rules, make the explicit final attempt
+    /// once the deadline has passed — or report when to look again.
+    fn pass(&self, st: &ShardState, placement: &mut Placement) -> Pass {
+        let (priority, parked_at, deadline) =
+            (placement.priority, placement.parked_at, placement.deadline);
+        let req = &placement.req;
+        let waiter = &placement
+            .queued
+            .as_ref()
+            .expect("pass runs on a parked placement")
+            .0;
+        let drained_at = &mut placement.drained_at;
 
-        let result = loop {
-            let queue = match priority {
-                Priority::Service => &st.services,
-                Priority::Task => &st.tasks,
-            };
-            // Bounded scan: the waiter can only be eligible within the first
-            // `lookahead` entries, so the position probe never walks a deep queue.
-            let position = queue
-                .iter()
-                .take(self.lookahead)
-                .position(|w| Arc::ptr_eq(w, waiter));
-            let eligible = position.is_some_and(|p| self.in_window(priority, p));
-            // Peek the drain gate once per iteration: whether any reservation is
-            // active, and whether it is this waiter's.
-            let (mut my_drain, any_drain) = {
-                let gate = self.drain.lock();
-                (
-                    gate.as_ref()
-                        .filter(|d| Arc::ptr_eq(&d.owner, waiter))
-                        .map(|d| d.id),
-                    gate.is_some(),
-                )
-            };
-            if my_drain.is_none() {
-                // The reservation was cancelled externally (a service parked): this
-                // waiter is back to plain waiting, so the drain clock must not keep
-                // running — `drain_secs` reports only an interval that ends in a
-                // reserved placement.
-                drained_at = None;
-            }
-            if let Some(drain_id) = my_drain {
-                // Draining: place through the reservation the moment it is complete.
-                if eligible {
-                    match self.allocation.allocate_reserved_with_stats(drain_id, req) {
-                        Ok((slot, probes)) => break Ok((slot, probes.shard_probes)),
-                        Err(ResourceError::InsufficientResources) => {}
-                        // The gate peek raced a cross-shard cancellation (a service
-                        // parked on shard 0 between the peek and this attempt):
-                        // fall back to plain waiting, exactly as if the
-                        // cancellation had been observed first. Impossible at one
-                        // queue shard, where the gate only changes under the
-                        // (single) shard lock.
-                        Err(ResourceError::UnknownDrain(_)) => {
-                            my_drain = None;
-                            drained_at = None;
-                        }
-                        Err(e) => break Err(RuntimeError::Resource(e)),
-                    }
-                }
-            } else if eligible {
-                match self.allocation.allocate_slot_with_stats(req) {
-                    Ok((slot, probes)) => break Ok((slot, probes.shard_probes)),
-                    Err(ResourceError::InsufficientResources) => {}
-                    Err(e) => break Err(RuntimeError::Resource(e)),
-                }
-                // Placement denied: check whether this head gang has aged out of
-                // plain waiting and should open a backfill reservation.
-                if self.should_drain(!any_drain, req, priority, position, waiter, parked_at) {
-                    let begun = {
-                        let mut gate = self.drain.lock();
-                        // Re-check under the gate: another shard's head may have
-                        // opened a reservation since the peek.
-                        if gate.is_some() {
-                            None
-                        } else {
-                            match self.allocation.begin_drain(req) {
-                                Ok(id) => {
-                                    *gate = Some(ActiveDrain {
-                                        id,
-                                        owner: Arc::clone(waiter),
-                                        priority,
-                                    });
-                                    Some(Ok(id))
-                                }
-                                Err(e) => Some(Err(e)),
-                            }
-                        }
-                    };
-                    match begun {
-                        Some(Ok(id)) => {
-                            my_drain = Some(id);
-                            drained_at = Some(Instant::now());
-                            // The already-idle nodes may complete the reservation
-                            // outright.
-                            match self.allocation.allocate_reserved_with_stats(id, req) {
-                                Ok((slot, probes)) => break Ok((slot, probes.shard_probes)),
-                                Err(ResourceError::InsufficientResources) => {}
-                                Err(e) => break Err(RuntimeError::Resource(e)),
-                            }
-                        }
-                        // Raced by another allocation user — or the pilot is
-                        // currently too small for the gang; retry on a later wakeup.
-                        Some(Err(ResourceError::DrainActive))
-                        | Some(Err(ResourceError::InsufficientResources))
-                        | None => {}
-                        Some(Err(e)) => break Err(RuntimeError::Resource(e)),
-                    }
-                }
-            }
-            if Instant::now() >= deadline {
-                // Explicit final attempt after the timeout: capacity may have freed
-                // while this waiter was outside the window (or between the last wait
-                // and the deadline). Service priority is still honoured — a task makes
-                // its last-gasp attempt only when no service is waiting.
-                let may_final_try = priority == Priority::Service
-                    || self.waiting_services.load(Ordering::Acquire) == 0;
-                if may_final_try {
-                    let attempt = match my_drain {
-                        Some(id) => match self.allocation.allocate_reserved_with_stats(id, req) {
-                            // Reservation cancelled under us: the plain path is
-                            // still worth the last try.
-                            Err(ResourceError::UnknownDrain(_)) => {
-                                self.allocation.allocate_slot_with_stats(req)
-                            }
-                            other => other,
-                        },
-                        None => self.allocation.allocate_slot_with_stats(req),
-                    }
-                    .map(|(slot, probes)| (slot, probes.shard_probes));
-                    match attempt {
-                        Ok(placed) => break Ok(placed),
-                        Err(ResourceError::InsufficientResources) => {}
-                        Err(e) => break Err(RuntimeError::Resource(e)),
-                    }
-                }
-                let shape = format!("{} cores / {} gpus", req.cores, req.gpus);
-                break Err(RuntimeError::WaitTimeout {
-                    entity: "scheduler".to_string(),
-                    awaited: if req.nodes > 1 {
-                        format!("{} nodes x ({shape}) gang", req.nodes)
-                    } else {
-                        shape
-                    },
-                });
-            }
-            // An ageing-eligible gang that is not yet draining must wake at its drain
-            // deadline, not only on releases. Once the threshold has passed (or when
-            // draining/ineligible), wait on the request deadline alone — state
-            // changes that matter always come with a targeted wakeup.
-            let mut wake_at = deadline;
-            if my_drain.is_none() && !any_drain && req.is_gang() {
-                if let Some(after) = self.gang_drain_after {
-                    let drain_deadline = parked_at + after;
-                    if drain_deadline > Instant::now() {
-                        wake_at = wake_at.min(drain_deadline);
-                    }
-                }
-            }
-            waiter.cond.wait_until(&mut st, wake_at);
+        let queue = match priority {
+            Priority::Service => &st.services,
+            Priority::Task => &st.tasks,
         };
+        // Bounded scan: the waiter can only be eligible within the first
+        // `lookahead` entries, so the position probe never walks a deep queue.
+        let position = queue
+            .iter()
+            .take(self.lookahead)
+            .position(|w| Arc::ptr_eq(w, waiter));
+        let eligible = position.is_some_and(|p| self.in_window(priority, p));
+        // Peek the drain gate once per pass: whether any reservation is
+        // active, and whether it is this waiter's.
+        let (mut my_drain, any_drain) = {
+            let gate = self.drain.lock();
+            (
+                gate.as_ref()
+                    .filter(|d| Arc::ptr_eq(&d.owner, waiter))
+                    .map(|d| d.id),
+                gate.is_some(),
+            )
+        };
+        if my_drain.is_none() {
+            // The reservation was cancelled externally (a service parked): this
+            // waiter is back to plain waiting, so the drain clock must not keep
+            // running — `drain_secs` reports only an interval that ends in a
+            // reserved placement.
+            *drained_at = None;
+        }
+        let placed = |(slot, probes): (Slot, hpcml_platform::batch::PlacementProbes)| {
+            Pass::Ready(Ok((slot, probes.shard_probes)))
+        };
+        if let Some(drain_id) = my_drain {
+            // Draining: place through the reservation the moment it is complete.
+            if eligible {
+                match self.allocation.allocate_reserved_with_stats(drain_id, req) {
+                    Ok(found) => return placed(found),
+                    Err(ResourceError::InsufficientResources) => {}
+                    // The gate peek raced a cross-shard cancellation (a service
+                    // parked on shard 0 between the peek and this attempt):
+                    // fall back to plain waiting, exactly as if the
+                    // cancellation had been observed first. Impossible at one
+                    // queue shard, where the gate only changes under the
+                    // (single) shard lock.
+                    Err(ResourceError::UnknownDrain(_)) => {
+                        my_drain = None;
+                        *drained_at = None;
+                    }
+                    Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
+                }
+            }
+        } else if eligible {
+            match self.allocation.allocate_slot_with_stats(req) {
+                Ok(found) => return placed(found),
+                Err(ResourceError::InsufficientResources) => {}
+                Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
+            }
+            // Placement denied: check whether this head gang has aged out of
+            // plain waiting and should open a backfill reservation.
+            if self.should_drain(!any_drain, req, priority, position, waiter, parked_at) {
+                let begun = {
+                    let mut gate = self.drain.lock();
+                    // Re-check under the gate: another shard's head may have
+                    // opened a reservation since the peek.
+                    if gate.is_some() {
+                        None
+                    } else {
+                        match self.allocation.begin_drain(req) {
+                            Ok(id) => {
+                                *gate = Some(ActiveDrain {
+                                    id,
+                                    owner: Arc::clone(waiter),
+                                    priority,
+                                });
+                                Some(Ok(id))
+                            }
+                            Err(e) => Some(Err(e)),
+                        }
+                    }
+                };
+                match begun {
+                    Some(Ok(id)) => {
+                        my_drain = Some(id);
+                        *drained_at = Some(Instant::now());
+                        // The already-idle nodes may complete the reservation
+                        // outright.
+                        match self.allocation.allocate_reserved_with_stats(id, req) {
+                            Ok(found) => return placed(found),
+                            Err(ResourceError::InsufficientResources) => {}
+                            Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
+                        }
+                    }
+                    // Raced by another allocation user — or the pilot is
+                    // currently too small for the gang; retry on a later wakeup.
+                    Some(Err(ResourceError::DrainActive))
+                    | Some(Err(ResourceError::InsufficientResources))
+                    | None => {}
+                    Some(Err(e)) => return Pass::Ready(Err(RuntimeError::Resource(e))),
+                }
+            }
+        }
+        if Instant::now() >= deadline {
+            // Explicit final attempt after the timeout: capacity may have freed
+            // while this waiter was outside the window (or between the last wait
+            // and the deadline). Service priority is still honoured — a task makes
+            // its last-gasp attempt only when no service is waiting.
+            let may_final_try =
+                priority == Priority::Service || self.waiting_services.load(Ordering::Acquire) == 0;
+            if may_final_try {
+                let attempt = match my_drain {
+                    Some(id) => match self.allocation.allocate_reserved_with_stats(id, req) {
+                        // Reservation cancelled under us: the plain path is
+                        // still worth the last try.
+                        Err(ResourceError::UnknownDrain(_)) => {
+                            self.allocation.allocate_slot_with_stats(req)
+                        }
+                        other => other,
+                    },
+                    None => self.allocation.allocate_slot_with_stats(req),
+                };
+                match attempt {
+                    Ok(found) => return placed(found),
+                    Err(ResourceError::InsufficientResources) => {}
+                    Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
+                }
+            }
+            let shape = format!("{} cores / {} gpus", req.cores, req.gpus);
+            return Pass::Ready(Err(RuntimeError::WaitTimeout {
+                entity: "scheduler".to_string(),
+                awaited: if req.nodes > 1 {
+                    format!("{} nodes x ({shape}) gang", req.nodes)
+                } else {
+                    shape
+                },
+            }));
+        }
+        // An ageing-eligible gang that is not yet draining must wake at its drain
+        // deadline, not only on releases. Once the threshold has passed (or when
+        // draining/ineligible), wait on the request deadline alone — state
+        // changes that matter always come with a targeted wakeup.
+        let mut wake_at = deadline;
+        if my_drain.is_none() && !any_drain && req.is_gang() {
+            if let Some(after) = self.gang_drain_after {
+                let drain_deadline = parked_at + after;
+                if drain_deadline > Instant::now() {
+                    wake_at = wake_at.min(drain_deadline);
+                }
+            }
+        }
+        Pass::Pending { wake_at }
+    }
+
+    /// Exit bookkeeping of a parked placement, with its shard still locked: drain
+    /// cleanup, overtake ticking, queue removal, then — lock dropped — cross-shard
+    /// head ageing and the wakeup fan-out. `result` is what the last pass (or, with
+    /// `E = ()`, a cancellation) decided; a success gains its [`PlacementStats`].
+    fn leave<E>(
+        &self,
+        mut st: MutexGuard<'_, ShardState>,
+        placement: &mut Placement,
+        result: Result<(Slot, u32), E>,
+    ) -> Result<(Slot, PlacementStats), E> {
+        let priority = placement.priority;
+        let (waiter, shard_idx) = placement
+            .queued
+            .take()
+            .expect("leave runs on a parked placement");
+        let waiter = &waiter;
 
         // Drain cleanup: if this waiter still owns the reservation, release it.
         // After a successful reserved placement the allocation side is already
@@ -996,7 +1218,7 @@ impl Scheduler {
                 slot,
                 PlacementStats {
                     overtakes: waiter.overtakes.load(Ordering::Relaxed),
-                    drain_secs: drained_at.map(|t| t.elapsed().as_secs_f64()),
+                    drain_secs: placement.drained_at.map(|t| t.elapsed().as_secs_f64()),
                     shard_probes,
                 },
             )
@@ -1098,48 +1320,24 @@ impl Scheduler {
         ticket: AdmissionTicket,
         timeout: Duration,
     ) -> Result<(Slot, PlacementStats), RuntimeError> {
-        let AdmissionTicket {
-            waiter,
-            shard,
-            req,
-            priority,
-        } = ticket;
-        let parked_at = Instant::now();
-        let deadline = parked_at + timeout;
-        let st = self.shards[shard].lock();
-        self.wait_placed(shard, st, &waiter, &req, priority, parked_at, deadline)
+        self.block_on(Placement::admitted(ticket, timeout))
     }
 
     /// Abandon an [`AdmissionTicket`] without placing: the waiter leaves its queue
     /// and the window wake passes on, so the FIFO behind it is not blocked. Used by
     /// the executor when an admitted task errors before reaching allocation.
     pub fn cancel_admitted(&self, ticket: AdmissionTicket) {
-        let AdmissionTicket {
-            waiter,
-            shard,
-            priority,
-            ..
-        } = ticket;
-        {
-            let mut st = self.shards[shard].lock();
-            match priority {
-                Priority::Service => {
-                    if let Some(idx) = st.services.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-                        st.services.remove(idx);
-                        self.waiting_services.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-                Priority::Task => {
-                    if let Some(idx) = st.tasks.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-                        st.tasks.remove(idx);
-                        self.waiting_tasks.fetch_sub(1, Ordering::AcqRel);
-                        self.shard_tasks[shard].fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-            }
+        self.cancel_placement(Placement::admitted(ticket, Duration::ZERO));
+    }
+
+    /// Abandon a [`Placement`] that may still hold a queue place (its last poll was
+    /// `Pending`, or it wraps an unconsumed ticket): the exit bookkeeping of a
+    /// failed wait — queue removal, drain cleanup, window wake — without a result.
+    pub fn cancel_placement(&self, mut placement: Placement) {
+        if let Some((_, shard_idx)) = &placement.queued {
+            let st = self.shards[*shard_idx].lock();
+            let _ = self.leave(st, &mut placement, Err::<(Slot, u32), ()>(()));
         }
-        self.cancel_drain_if(|d| Arc::ptr_eq(&d.owner, &waiter));
-        self.wake_windows();
     }
 
     /// Release a previously allocated slot and wake the waiters in the serve window.

@@ -498,7 +498,9 @@ impl Session {
         record
     }
 
-    /// Submit a task. Requires an active pilot.
+    /// Submit a task. Requires an active pilot. The calling thread advances the
+    /// task to its first park — a task that never has to wait is already final when
+    /// this returns (see [`crate::executor`]).
     pub fn submit_task(&self, description: TaskDescription) -> Result<TaskHandle, RuntimeError> {
         self.ensure_open()?;
         let record = self.new_task_record(description, self.active_platform());
@@ -510,9 +512,11 @@ impl Session {
     /// Submit a batch of tasks through the scheduler's batched admission path:
     /// dependency-free tasks with a satisfiable shape are enqueued as one burst —
     /// one queue-shard lock round-trip per touched shard instead of one per task —
-    /// and their executor threads consume the pre-admitted tickets, preserving the
-    /// batch's arrival order. Tasks with service dependencies or impossible shapes
-    /// fall back to the one-by-one path so they fail (or wait) individually. The
+    /// and each task's first attempt consumes its pre-admitted ticket, preserving the
+    /// batch's arrival order. Like [`Session::submit_task`], the calling thread then
+    /// advances every task to its first park. Tasks with service dependencies or
+    /// impossible shapes fall back to the one-by-one path so they fail (or wait)
+    /// individually. The
     /// admission's fan-out shape is recorded as `task.admission.batch_size`,
     /// `task.admission.shard_batch` and `task.admission.shard_wakeups` metrics.
     pub fn submit_tasks(
@@ -523,8 +527,8 @@ impl Session {
         let descriptions: Vec<TaskDescription> = descriptions.into_iter().collect();
         let scheduler = self.scheduler.lock().clone();
         let Some(scheduler) = scheduler else {
-            // No active pilot: each task fails in its own thread, exactly as with
-            // one-by-one submission.
+            // No active pilot: each task fails on its own, exactly as with one-by-one
+            // submission.
             return descriptions
                 .into_iter()
                 .map(|d| self.submit_task(d))
@@ -576,7 +580,7 @@ impl Session {
                 match self.submit_task(description) {
                     Ok(handle) => handles.push(handle),
                     Err(e) => {
-                        // Return the not-yet-spawned tickets so they don't block
+                        // Return the not-yet-started tickets so they don't block
                         // their shards' FIFOs.
                         for ticket in tickets {
                             scheduler.cancel_admitted(ticket);
@@ -594,8 +598,10 @@ impl Session {
         self.task_manager.wait_all(timeout).map(|_| ())
     }
 
-    /// Orderly shutdown: stop all services, wait for all entity threads, terminate
-    /// pilots. Idempotent.
+    /// Orderly shutdown: stop all services, wait until every task run has ended (a
+    /// run ends after its last state message is published), stop the executor's
+    /// pool if it was ever started, join the entity threads, terminate pilots.
+    /// Idempotent.
     pub fn close(&self) {
         if self.closed.swap(true, Ordering::AcqRel) {
             return;

@@ -85,6 +85,45 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
+/// A latched wake-up flag: the handle through which a thread sleeping in
+/// [`Clock::sleep_interruptibly`] is woken early. A raise that lands before the sleeper
+/// waits is not lost — the next wait returns at once and clears it.
+#[derive(Debug, Default)]
+pub struct Interrupt {
+    raised: Mutex<bool>,
+    cond: Condvar,
+}
+
+impl Interrupt {
+    /// Create a lowered interrupt.
+    pub fn new() -> Arc<Self> {
+        Arc::new(Interrupt::default())
+    }
+
+    /// Wake the sleeper (or make its next wait return immediately).
+    pub fn raise(&self) {
+        *self.raised.lock() = true;
+        self.cond.notify_one();
+    }
+
+    /// Block until raised or until the real-time `deadline` (if any) passes; a raise is
+    /// consumed by the wait it ends.
+    pub fn wait_until(&self, deadline: Option<Instant>) {
+        let mut raised = self.raised.lock();
+        while !*raised {
+            match deadline {
+                Some(at) => {
+                    if self.cond.wait_until(&mut raised, at).timed_out() {
+                        break;
+                    }
+                }
+                None => self.cond.wait(&mut raised),
+            }
+        }
+        *raised = false;
+    }
+}
+
 /// A source of virtual time.
 ///
 /// Implementations must be cheap to clone behind an [`Arc`] and safe to share across the
@@ -95,6 +134,28 @@ pub trait Clock: Send + Sync {
 
     /// Block the calling thread for `d` of virtual time.
     fn sleep(&self, d: Duration);
+
+    /// Block until the clock reads `deadline`, real time reaches `real_deadline`, or
+    /// `interrupt` is raised — whichever comes first (`None` = no such bound). May
+    /// return early; callers re-check their condition. This is how one timer thread
+    /// sleeps to the earliest entry of a timer heap and still hears about an earlier
+    /// one. The provided body serves every clock that runs off real time at a finite
+    /// [`Clock::scale`] (virtual seconds per real second); a clock advanced any other
+    /// way overrides it.
+    fn sleep_interruptibly(
+        &self,
+        deadline: Option<SimTime>,
+        real_deadline: Option<Instant>,
+        interrupt: &Arc<Interrupt>,
+    ) {
+        let virtual_due =
+            deadline.map(|at| Instant::now() + at.since(self.now()).div_f64(self.scale()));
+        let due = match (virtual_due, real_deadline) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        interrupt.wait_until(due);
+    }
 
     /// Virtual-to-real compression factor (1.0 for a real-time clock).
     fn scale(&self) -> f64 {
@@ -265,6 +326,23 @@ struct ManualState {
     now: SimTime,
     pending: BinaryHeap<Waiter>,
     next_seq: u64,
+    /// Interruptible sleepers to raise whenever time moves, keyed by their `seq`.
+    listeners: Vec<(u64, Arc<Interrupt>)>,
+}
+
+impl ManualState {
+    fn time_moved(&self, cond: &Condvar) {
+        cond.notify_all();
+        for (_, listener) in &self.listeners {
+            listener.raise();
+        }
+    }
+
+    /// Drop sleeper `seq` from the pending heap (passed deadlines of other sleepers
+    /// may remain; everything that is not `seq` is kept).
+    fn forget(&mut self, seq: u64) {
+        self.pending.retain(|w| w.seq != seq);
+    }
 }
 
 /// Deterministic clock advanced explicitly by the test driver.
@@ -287,7 +365,7 @@ impl ManualClock {
     pub fn advance(&self, d: Duration) {
         let mut st = self.state.lock();
         st.now += d;
-        self.cond.notify_all();
+        st.time_moved(&self.cond);
     }
 
     /// Advance to the earliest pending deadline, if any. Returns the new time.
@@ -299,7 +377,7 @@ impl ManualClock {
             }
         }
         let now = st.now;
-        self.cond.notify_all();
+        st.time_moved(&self.cond);
         now
     }
 
@@ -326,15 +404,35 @@ impl Clock for ManualClock {
         while st.now < deadline {
             self.cond.wait(&mut st);
         }
-        // Remove our waiter entry (deadlines already passed may remain from other
-        // sleepers; retain everything that is not us).
-        let mut kept: BinaryHeap<Waiter> = BinaryHeap::with_capacity(st.pending.len());
-        for w in st.pending.drain() {
-            if w.seq != seq {
-                kept.push(w);
+        st.forget(seq);
+    }
+
+    /// Manual time has no real-time equivalent: register as a pending sleeper (so
+    /// [`ManualClock::advance_to_next`] sees the deadline) and as a listener every
+    /// advance raises, then wait on the interrupt alone.
+    fn sleep_interruptibly(
+        &self,
+        deadline: Option<SimTime>,
+        real_deadline: Option<Instant>,
+        interrupt: &Arc<Interrupt>,
+    ) {
+        let seq = {
+            let mut st = self.state.lock();
+            if deadline.is_some_and(|at| st.now >= at) {
+                return;
             }
-        }
-        st.pending = kept;
+            let seq = st.next_seq;
+            st.next_seq += 1;
+            if let Some(deadline) = deadline {
+                st.pending.push(Waiter { deadline, seq });
+            }
+            st.listeners.push((seq, Arc::clone(interrupt)));
+            seq
+        };
+        interrupt.wait_until(real_deadline);
+        let mut st = self.state.lock();
+        st.forget(seq);
+        st.listeners.retain(|(s, _)| *s != seq);
     }
 
     fn scale(&self) -> f64 {
@@ -500,6 +598,55 @@ mod tests {
         let lap = sw.lap();
         assert!(lap.as_secs_f64() >= 2.9);
         assert!(sw.elapsed_secs() < 1.0);
+    }
+
+    #[test]
+    fn interruptible_sleep_ends_at_the_virtual_deadline_or_on_a_raise() {
+        let clock = ScaledClock::new(1000.0);
+        let interrupt = Interrupt::new();
+        // 20 virtual seconds == 20 ms real: the deadline ends the sleep.
+        let deadline = clock.now() + Duration::from_secs(20);
+        clock.sleep_interruptibly(Some(deadline), None, &interrupt);
+        assert!(clock.now() >= deadline);
+        // A raise that lands first is latched and ends an unbounded sleep at once.
+        interrupt.raise();
+        let wall = Instant::now();
+        clock.sleep_interruptibly(None, None, &interrupt);
+        assert!(wall.elapsed() < Duration::from_secs(5));
+        // The real-time bound applies when it is the earlier one.
+        let far = clock.now() + Duration::from_secs(3600 * 1000);
+        let wall = Instant::now();
+        clock.sleep_interruptibly(Some(far), Some(wall + Duration::from_millis(5)), &interrupt);
+        assert!(wall.elapsed() >= Duration::from_millis(5));
+        assert!(clock.now() < far);
+    }
+
+    #[test]
+    fn manual_clock_interruptible_sleep_follows_advances() {
+        let c = Arc::new(ManualClock::new());
+        let interrupt = Interrupt::new();
+        let (cc, ii) = (Arc::clone(&c), Arc::clone(&interrupt));
+        let deadline = SimTime::from_secs_f64(7.0);
+        let sleeper = thread::spawn(move || {
+            while cc.now() < deadline {
+                cc.sleep_interruptibly(Some(deadline), None, &ii);
+            }
+            cc.now()
+        });
+        // The deadline is visible to `advance_to_next` like any other sleeper's.
+        while c.pending_sleepers() < 1 {
+            thread::yield_now();
+        }
+        c.advance(Duration::from_secs(3)); // early return, re-registers
+        while c.pending_sleepers() < 1 {
+            thread::yield_now();
+        }
+        let t = c.advance_to_next();
+        assert!((t.as_secs_f64() - 7.0).abs() < 1e-9);
+        assert_eq!(sleeper.join().unwrap(), t);
+        assert_eq!(c.pending_sleepers(), 0);
+        // Already past the deadline: returns without registering.
+        c.sleep_interruptibly(Some(deadline), None, &interrupt);
     }
 
     #[test]

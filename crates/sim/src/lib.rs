@@ -35,7 +35,9 @@ pub mod ids;
 pub mod metrics;
 pub mod stats;
 
-pub use clock::{Clock, ClockSpec, ManualClock, RealClock, ScaledClock, SimTime, Stopwatch};
+pub use clock::{
+    Clock, ClockSpec, Interrupt, ManualClock, RealClock, ScaledClock, SimTime, Stopwatch,
+};
 pub use dist::Dist;
 pub use fault::{FaultEvent, FaultPlan};
 pub use metrics::{BreakdownRecorder, ComponentSample, MetricRegistry};

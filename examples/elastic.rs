@@ -70,13 +70,8 @@ fn main() {
         pilot.failed_nodes()
     );
 
-    // `wait_done` returns when the task state flips; the executor thread
-    // releases the gang slot just after. Let the release land before reading
-    // occupancy, so the final numbers show a quiesced pilot.
-    let clock = session.clock();
-    while pilot.idle_nodes() < 4 {
-        clock.sleep(Duration::from_millis(50));
-    }
+    // `Done` means released: the gang's slot was back in the pilot before
+    // `wait_done` returned, so the occupancy below is already quiesced.
 
     // ⑤ Repair the pilot: shrinking retires the failed node first, growing
     // back attaches a fresh healthy one.

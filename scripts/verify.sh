@@ -3,8 +3,12 @@
 #
 # Beyond build + tests, this checks formatting, compiles every bench target
 # (`cargo bench --no-run`) and lints with `-D warnings`, so benches and shims cannot
-# bit-rot silently between PRs. Set BENCH_GUARD=1 to additionally run the scheduler
-# bench-regression guard (scripts/bench_guard.sh), which CI runs as its own job.
+# bit-rot silently between PRs. It also runs the repo benchmark's own tests and its
+# smoke mode (`benchmark/run.sh --smoke`: every workload at 1/20 size, output checks
+# only), so a change that breaks an output check — a missing state message, a leaked
+# slot, a wait that times out — fails here rather than at the benchmark gate.
+# Set BENCH_GUARD=1 to additionally run the scheduler bench-regression guard
+# (scripts/bench_guard.sh), which CI runs as its own job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +32,13 @@ cargo bench --no-run
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings: docs must not bit-rot)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "==> cargo test -q --manifest-path benchmark/Cargo.toml (the repo benchmark's own tests)"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark/run.sh --smoke (output checks of all four workloads)"
+bash benchmark/run.sh --smoke
 
 if [[ "${BENCH_GUARD:-0}" == "1" ]]; then
     echo "==> BENCH_GUARD=1: scripts/bench_guard.sh"

@@ -226,6 +226,51 @@ fn tasks_wait_for_their_services_and_staging_happens() {
     s.close();
 }
 
+/// `Done` means released: once `wait_final` has reported the last task of a batch
+/// `Done`, every slot is back in the pilot — read once, never polled — for seeded
+/// mixes of NOOP and compute tasks that queue for a one-node pilot.
+#[test]
+fn done_means_the_slot_is_already_released() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    for rep in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(0xD0E ^ rep.wrapping_mul(0x9E37_79B9));
+        let s = Session::builder("released")
+            .platform(PlatformId::Delta)
+            .clock(ClockSpec::scaled(5000.0))
+            .seed(rep)
+            .build()
+            .expect("session");
+        let pilot = s
+            .submit_pilot(PilotDescription::new(PlatformId::Delta).nodes(1))
+            .expect("pilot");
+        let (free_cores, idle_nodes) = (pilot.free_cores(), pilot.idle_nodes());
+        let batch: Vec<TaskDescription> = (0..rng.gen_range(2usize..24))
+            .map(|i| {
+                let task = TaskDescription::new(format!("t{i}"))
+                    .cores([8, 16, 32, 64][rng.gen_range(0usize..4)]);
+                if rng.gen_bool(0.3) {
+                    task
+                } else {
+                    task.kind(TaskKind::compute_secs(rng.gen_range(0.2..2.0)))
+                }
+            })
+            .collect();
+        let handles = s.submit_tasks(batch).expect("batch");
+        for h in &handles {
+            let state = h.wait_final(Duration::from_secs(60)).expect("final");
+            assert_eq!(state, TaskState::Done, "rep {rep}: {:?}", h.error());
+        }
+        assert_eq!(
+            (pilot.free_cores(), pilot.idle_nodes()),
+            (free_cores, idle_nodes),
+            "rep {rep}: a task showed Done before its slot was back"
+        );
+        s.close();
+    }
+}
+
 #[test]
 fn session_close_is_idempotent_and_rejects_new_work() {
     let s = session(5000.0);

@@ -1,0 +1,109 @@
+//! Bounds of the executor: tasks are state machines resumed by a fixed pool, so one
+//! session outlives the old one-thread-per-entity cap (≈32 000 entities, where the
+//! process ran out of memory maps) and its thread count does not follow the number of
+//! parked tasks.
+//!
+//! Kept in a test binary of its own: it reads the process-wide thread count, which
+//! tests running beside it would disturb.
+
+use std::time::Duration;
+
+use hpcml::prelude::*;
+
+/// `Threads:` of `/proc/self/status`; `None` where there is no such file.
+fn process_threads() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+}
+
+#[test]
+fn one_session_runs_42000_tasks_on_a_bounded_number_of_threads() {
+    const NOOP_WAVES: usize = 10;
+    const NOOP_WAVE: usize = 4_000;
+    const QUEUED: usize = 2_000;
+    // Workers + the timer thread, plus slack for a thread the harness may start.
+    let pool = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let allowance = pool + 1 + 2;
+
+    let before = process_threads();
+    let s = Session::builder("bounds")
+        .platform(PlatformId::Local)
+        .clock(ClockSpec::scaled(1000.0))
+        .seed(5)
+        .build()
+        .expect("session");
+    let pilot = s
+        .submit_pilot(PilotDescription::new(PlatformId::Local).nodes(1))
+        .expect("pilot");
+    let free_cores = pilot.free_cores();
+    assert_eq!(
+        process_threads(),
+        before,
+        "building a session and activating a pilot spawn nothing"
+    );
+
+    // 40 000 NOOP tasks: none of them ever parks, so none of them costs a thread.
+    for wave in 0..NOOP_WAVES {
+        let handles = s
+            .submit_tasks((0..NOOP_WAVE).map(|i| TaskDescription::new(format!("n{wave}-{i}"))))
+            .expect("noop wave");
+        assert!(
+            handles.iter().all(|h| h.state() == TaskState::Done),
+            "wave {wave}: a NOOP task on a free pilot is done when submit returns"
+        );
+    }
+    assert_eq!(
+        process_threads(),
+        before,
+        "tasks that never park never start the pool"
+    );
+
+    // 2 000 one-second tasks for 8 cores: all but 8 park in the scheduler's queue.
+    let handles = s
+        .submit_tasks((0..QUEUED).map(|i| {
+            TaskDescription::new(format!("q{i}"))
+                .kind(TaskKind::compute_secs(1.0))
+                .cores(1)
+        }))
+        .expect("queued batch");
+    let parked = handles
+        .iter()
+        .filter(|h| h.state() == TaskState::Scheduling)
+        .count();
+    assert!(
+        parked > QUEUED * 9 / 10,
+        "only {parked} tasks are parked when submit returns"
+    );
+    let mut peak = process_threads();
+    for h in handles.iter().step_by(100) {
+        h.wait_final(Duration::from_secs(120)).expect("final");
+        peak = peak.max(process_threads());
+    }
+    s.wait_tasks(Duration::from_secs(120)).expect("all final");
+    assert!(handles.iter().all(|h| h.state() == TaskState::Done));
+    assert_eq!(pilot.free_cores(), free_cores, "every slot is back");
+    if let (Some(before), Some(peak)) = (before, peak) {
+        assert!(
+            peak <= before + allowance,
+            "{peak} threads with {parked} tasks parked; {before} before the session, \
+             pool of {pool}"
+        );
+    }
+
+    assert_eq!(s.task_manager().len(), NOOP_WAVES * NOOP_WAVE + QUEUED);
+    s.close();
+    // `close` has joined every thread it started; the kernel may take a moment longer
+    // to take a joined thread off the process's list.
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while process_threads() != before && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        process_threads(),
+        before,
+        "close joins the pool: the thread count is back where it started"
+    );
+}

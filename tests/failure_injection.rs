@@ -210,6 +210,119 @@ fn gang_survives_node_failure_and_pilot_resizes_four_shards() {
     elastic_gang_survives_node_failure(4);
 }
 
+/// Names of this process's threads (`/proc/self/task/*/comm`); empty elsewhere.
+fn thread_names() -> Vec<String> {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return Vec::new();
+    };
+    tasks
+        .flatten()
+        .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+/// A seeded fault plan fails the node under a running task while 50 others are
+/// parked behind it. Returns the victim, the queued tasks and what the threads were
+/// called the moment the victim's retry became visible (its backoff had just begun).
+fn evicted_while_others_queue(max_retries: u32) -> (TaskHandle, Vec<TaskHandle>, Vec<String>) {
+    let plan = FaultPlan::seeded(3, 2, 1, 20.0);
+    let event = plan.events()[0];
+    assert!(
+        event.at_secs > 2.0,
+        "the fault must land after placement, mid-execution: {event:?}"
+    );
+    let s = Session::builder("evicted-queued")
+        .platform(PlatformId::Local)
+        .clock(ClockSpec::scaled(1000.0))
+        .seed(99)
+        .fault_plan(plan)
+        .build()
+        .expect("session");
+    let pilot = s
+        .submit_pilot(PilotDescription::new(PlatformId::Local).nodes(2))
+        .expect("pilot");
+    // Whole-node tasks: the first lands on node 0, the second on node 1. The victim
+    // takes whichever node the plan fails; a shorter task holds the other.
+    let whole_node = |name: &str, secs: f64| {
+        TaskDescription::new(name)
+            .kind(TaskKind::compute_secs(secs))
+            .cores(8)
+    };
+    let victim_desc = whole_node("victim", 60.0).max_retries(max_retries);
+    let holder_desc = whole_node("holder", 30.0);
+    let (victim, _holder) = if event.node == 0 {
+        let v = s.submit_task(victim_desc).expect("victim");
+        (v, s.submit_task(holder_desc).expect("holder"))
+    } else {
+        let h = s.submit_task(holder_desc).expect("holder");
+        (s.submit_task(victim_desc).expect("victim"), h)
+    };
+    // 50 one-second whole-node tasks park behind them and drain through the healthy
+    // node from t = 30 s on: about 20 are still parked when the victim comes back.
+    let queued = s
+        .submit_tasks((0..50).map(|i| whole_node(&format!("queued-{i}"), 1.0)))
+        .expect("queued");
+    assert!(queued.iter().all(|h| h.state() == TaskState::Scheduling));
+
+    let mut names_at_retry = Vec::new();
+    if max_retries > 0 {
+        while victim.retries() == 0 {
+            assert!(!victim.state().is_final(), "victim ended without retrying");
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        names_at_retry = thread_names();
+    }
+    victim.wait_final(Duration::from_secs(120)).expect("final");
+    for h in &queued {
+        assert_eq!(
+            h.wait_final(Duration::from_secs(120)).expect("final"),
+            TaskState::Done
+        );
+    }
+    assert_eq!(pilot.failed_nodes(), 1);
+    assert_eq!(pilot.free_cores(), 8, "the healthy node is idle again");
+    s.close();
+    (victim, queued, names_at_retry)
+}
+
+#[test]
+fn task_evicted_mid_timer_requeues_in_front_of_50_parked_tasks() {
+    let (victim, queued, names_at_retry) = evicted_while_others_queue(2);
+    assert_eq!(victim.state(), TaskState::Done);
+    assert_eq!(victim.retries(), 1, "one eviction, one retry");
+    // Front of its class: the retry placed ahead of tasks that were parked before it
+    // came back. Requeued at the back, it would have started after all fifty.
+    let restarted = victim.timestamps()["Executing"];
+    let overtaken = queued
+        .iter()
+        .filter(|h| h.timestamps()["Executing"] > restarted)
+        .count();
+    assert!(
+        overtaken >= 5,
+        "the retry overtook only {overtaken} of the tasks parked behind it"
+    );
+    // The backoff is an entry on the timer heap: no thread carries the task's name
+    // (an entity thread is named after its entity, 15 characters of it).
+    let id: String = victim.id().chars().take(15).collect();
+    assert!(
+        !names_at_retry.contains(&id),
+        "task {id} backs off on a thread of its own: {names_at_retry:?}"
+    );
+}
+
+#[test]
+fn task_evicted_mid_timer_without_retry_budget_fails_with_the_node_failure() {
+    let (victim, _queued, _) = evicted_while_others_queue(0);
+    assert_eq!(victim.state(), TaskState::Failed);
+    assert_eq!(victim.retries(), 0);
+    let reason = victim.error().expect("a failed task has a reason");
+    assert!(
+        reason.contains("node") && reason.contains("failed"),
+        "the reason must name the node failure: {reason}"
+    );
+}
+
 #[test]
 fn pilot_request_larger_than_platform_fails_cleanly() {
     let s = session();

@@ -1969,3 +1969,829 @@ fn batched_burst_transport_matches_singleton_semantics() {
         .collect();
     assert_eq!(echoed, (0..32).collect::<Vec<usize>>());
 }
+
+// ---------------------------------------------------------------- polled placement
+
+/// The waker of the polled-placement properties. It does what the scheduler allows
+/// a waker to do — enqueue the waiter's id — and nothing else.
+struct ReadyQueue {
+    ids: std::sync::Mutex<std::collections::VecDeque<usize>>,
+    pushed: std::sync::Condvar,
+}
+
+impl ReadyQueue {
+    fn new() -> std::sync::Arc<Self> {
+        std::sync::Arc::new(ReadyQueue {
+            ids: std::sync::Mutex::new(std::collections::VecDeque::new()),
+            pushed: std::sync::Condvar::new(),
+        })
+    }
+
+    fn push(&self, id: usize) {
+        self.ids.lock().unwrap().push_back(id);
+        self.pushed.notify_one();
+    }
+
+    fn pop(&self) -> Option<usize> {
+        self.ids.lock().unwrap().pop_front()
+    }
+
+    /// Pop, waiting up to `patience` for an id to arrive.
+    fn pop_wait(&self, patience: std::time::Duration) -> Option<usize> {
+        let mut ids = self.ids.lock().unwrap();
+        if ids.is_empty() {
+            ids = self.pushed.wait_timeout(ids, patience).unwrap().0;
+        }
+        ids.pop_front()
+    }
+
+    fn waker(self: &std::sync::Arc<Self>, id: usize) -> std::task::Waker {
+        struct Enqueue(usize, std::sync::Arc<ReadyQueue>);
+        impl std::task::Wake for Enqueue {
+            fn wake(self: std::sync::Arc<Self>) {
+                self.1.push(self.0);
+            }
+        }
+        std::task::Waker::from(std::sync::Arc::new(Enqueue(
+            id,
+            std::sync::Arc::clone(self),
+        )))
+    }
+}
+
+/// Blocking and polled waits are one wait loop: the same seeded request stream —
+/// singles and two-node gangs of distinct sizes, some admitted as a batch of tickets
+/// (one of them cancelled), one arriving as a front-of-queue requeue, a service
+/// arriving mid-stream — places in the same order with the same
+/// `PlacementStats::overtakes` whether every request is a thread blocked in
+/// `allocate*` or a `Placement` polled when its waker fires, at one queue shard and
+/// lookahead 3.
+///
+/// The order is made deterministic without serialising the threads: all capacity is
+/// held by the driver, and each step frees exactly as many cores as the *smallest*
+/// request in the serve window needs (on two nodes for a gang), so that one request
+/// — and no other — fits. A model of the queues predicts the target, the order and
+/// every overtake count; both ways of waiting must match it.
+#[test]
+fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
+    use hpcml::platform::batch::Allocation;
+    use hpcml::platform::Slot;
+    use hpcml::runtime::scheduler::{
+        AdmissionTicket, Placement, PlacementPoll, Priority, Scheduler,
+    };
+    use std::collections::VecDeque;
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+
+    const NODES: usize = 4;
+    const LOOKAHEAD: usize = 3;
+    const TIMEOUT: Duration = Duration::from_secs(60);
+
+    #[derive(Clone, Copy, Debug)]
+    struct Request {
+        req: ResourceRequest,
+        priority: Priority,
+        /// Re-enters at the front of its class (a node-failure requeue).
+        requeue: bool,
+    }
+    #[derive(Clone, Copy, Debug)]
+    enum Action {
+        Arrive(usize),
+        Serve,
+    }
+    /// One case: requests `0..tickets` are admitted as a batch, of which `cancelled`
+    /// is given back; the rest arrive one by one, interleaved with capacity events.
+    struct Stream {
+        requests: Vec<Request>,
+        tickets: usize,
+        cancelled: usize,
+        actions: Vec<Action>,
+    }
+
+    fn stream(rng: &mut StdRng) -> Stream {
+        let n = rng.gen_range(8usize..13);
+        let mut sizes: Vec<u32> = (1..=14).collect();
+        for i in 0..n {
+            let j = rng.gen_range(i..sizes.len());
+            sizes.swap(i, j);
+        }
+        let tickets = rng.gen_range(3usize..6);
+        let service = rng.gen_range(tickets + 1..n - 1);
+        let requeue = loop {
+            let i = rng.gen_range(tickets..n);
+            if i != service {
+                break i;
+            }
+        };
+        let mut gangs = 0;
+        let requests: Vec<Request> = (0..n)
+            .map(|i| {
+                let gang = i != service && gangs < 3 && rng.gen_bool(0.3);
+                gangs += usize::from(gang);
+                Request {
+                    req: ResourceRequest {
+                        cores: sizes[i],
+                        gpus: 0,
+                        mem_gib: 0.0,
+                        nodes: if gang { 2 } else { 1 },
+                        packing: None,
+                    },
+                    priority: if i == service {
+                        Priority::Service
+                    } else {
+                        Priority::Task
+                    },
+                    requeue: i == requeue,
+                }
+            })
+            .collect();
+        let mut actions = Vec::new();
+        let (mut next, mut parked) = (tickets, tickets - 1);
+        while next < n || parked > 0 {
+            if next < n && (parked == 0 || rng.gen_bool(0.5)) {
+                actions.push(Action::Arrive(next));
+                next += 1;
+                parked += 1;
+            } else {
+                actions.push(Action::Serve);
+                parked -= 1;
+            }
+        }
+        Stream {
+            requests,
+            tickets,
+            cancelled: rng.gen_range(0usize..tickets),
+            actions,
+        }
+    }
+
+    /// The queues as the scheduler should see them, and what it should do.
+    #[derive(Default)]
+    struct Model {
+        services: VecDeque<usize>,
+        tasks: VecDeque<usize>,
+        overtakes: Vec<u32>,
+    }
+
+    impl Model {
+        fn arrive(&mut self, id: usize, r: &Request) {
+            match r.priority {
+                Priority::Service => self.services.push_back(id),
+                Priority::Task if r.requeue => self.tasks.push_front(id),
+                Priority::Task => self.tasks.push_back(id),
+            }
+        }
+
+        fn parked(&self) -> usize {
+            self.services.len() + self.tasks.len()
+        }
+
+        /// The request the next capacity event is cut for: the smallest in the
+        /// serve window of the serving class. It leaves the queue; everyone parked
+        /// ahead of it is overtaken once.
+        fn serve(&mut self, requests: &[Request]) -> (usize, u32) {
+            let queue = if self.services.is_empty() {
+                &mut self.tasks
+            } else {
+                &mut self.services
+            };
+            let pos = (0..queue.len().min(LOOKAHEAD))
+                .min_by_key(|&p| requests[queue[p]].req.cores)
+                .expect("serve is only scheduled with someone parked");
+            for &ahead in queue.iter().take(pos) {
+                self.overtakes[ahead] += 1;
+            }
+            let id = queue.remove(pos).expect("in range");
+            (id, self.overtakes[id])
+        }
+    }
+
+    /// The allocation with every core held by the driver as a one-core slot.
+    struct Held(Vec<Vec<Slot>>);
+
+    impl Held {
+        fn all(alloc: &Allocation) -> Held {
+            let mut by_node = vec![Vec::new(); NODES];
+            let one = ResourceRequest::cores(1).unwrap();
+            while let Ok(slot) = alloc.allocate_slot(&one) {
+                by_node[slot.node_index()].push(slot);
+            }
+            Held(by_node)
+        }
+
+        /// Free exactly what `req` needs: `cores` on as many distinct nodes as it
+        /// spans, taken where the driver holds most.
+        fn free_for(&mut self, alloc: &Allocation, req: &ResourceRequest) {
+            let mut nodes: Vec<usize> = (0..NODES).collect();
+            nodes.sort_by_key(|&n| std::cmp::Reverse(self.0[n].len()));
+            for &n in &nodes[..req.nodes] {
+                for _ in 0..req.cores {
+                    let slot = self.0[n].pop().expect("the driver holds enough");
+                    alloc.release_slot(&slot).unwrap();
+                }
+            }
+        }
+    }
+
+    type Log = Vec<(usize, u32)>;
+
+    /// One way of waiting for placements.
+    trait Waiting {
+        /// Request `id` enters — consuming its ticket if it was admitted with the
+        /// batch. Returns once it holds its place: `parked` requests are queued.
+        fn enter(&mut self, id: usize, r: Request, ticket: Option<AdmissionTicket>, parked: usize);
+        /// Capacity was freed and announced. Returns once `placed` requests have
+        /// placed in total.
+        fn settle(&mut self, placed: usize);
+        /// The placement log `(request, overtakes)` and the slots handed out.
+        fn finish(self: Box<Self>) -> (Log, Vec<Slot>);
+    }
+
+    /// Every request is a thread blocked in `allocate*`.
+    struct Blocking {
+        scheduler: Arc<Scheduler>,
+        log: Arc<Mutex<Log>>,
+        threads: Vec<std::thread::JoinHandle<Slot>>,
+    }
+
+    impl Blocking {
+        fn wait_for(&self, what: &str, done: impl Fn(&Self) -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while !done(self) {
+                assert!(Instant::now() < deadline, "blocking waiters stuck: {what}");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+    }
+
+    impl Waiting for Blocking {
+        fn enter(&mut self, id: usize, r: Request, ticket: Option<AdmissionTicket>, parked: usize) {
+            let (scheduler, log) = (Arc::clone(&self.scheduler), Arc::clone(&self.log));
+            self.threads.push(std::thread::spawn(move || {
+                let placed = match ticket {
+                    Some(ticket) => scheduler.allocate_admitted_with_stats(ticket, TIMEOUT),
+                    None if r.requeue => scheduler.requeue_with_stats(&r.req, r.priority, TIMEOUT),
+                    None => scheduler.allocate_with_stats(&r.req, r.priority, TIMEOUT),
+                };
+                let (slot, stats) = placed.expect("request places");
+                log.lock().unwrap().push((id, stats.overtakes));
+                slot
+            }));
+            self.wait_for("arrival parks", |w| {
+                w.scheduler.waiting_tasks() + w.scheduler.waiting_services() == parked
+            });
+        }
+
+        fn settle(&mut self, placed: usize) {
+            self.wait_for("served request places", |w| {
+                w.log.lock().unwrap().len() == placed
+            });
+        }
+
+        fn finish(self: Box<Self>) -> (Log, Vec<Slot>) {
+            let slots = self
+                .threads
+                .into_iter()
+                .map(|t| t.join().unwrap())
+                .collect();
+            let log = self.log.lock().unwrap().clone();
+            (log, slots)
+        }
+    }
+
+    /// Every request is a `Placement`, polled once on arrival and then whenever its
+    /// waker has enqueued it — by one thread, in wake order.
+    struct Polled {
+        scheduler: Arc<Scheduler>,
+        ready: Arc<ReadyQueue>,
+        placements: Vec<Option<Placement>>,
+        log: Log,
+        slots: Vec<Slot>,
+    }
+
+    impl Polled {
+        fn poll(&mut self, id: usize) {
+            let Some(placement) = self.placements[id].as_mut() else {
+                return; // woken once more after it had placed
+            };
+            match self.scheduler.poll_placed(placement, &self.ready.waker(id)) {
+                PlacementPoll::Pending { wake_at } => {
+                    assert!(wake_at > Instant::now(), "nothing here times out");
+                }
+                PlacementPoll::Ready(result) => {
+                    let (slot, stats) = result.expect("request places");
+                    self.placements[id] = None;
+                    self.log.push((id, stats.overtakes));
+                    self.slots.push(slot);
+                }
+            }
+        }
+    }
+
+    impl Waiting for Polled {
+        fn enter(&mut self, id: usize, r: Request, ticket: Option<AdmissionTicket>, parked: usize) {
+            self.placements[id] = Some(match ticket {
+                Some(ticket) => Placement::admitted(ticket, TIMEOUT),
+                None if r.requeue => Placement::requeued(&r.req, r.priority, TIMEOUT),
+                None => Placement::new(&r.req, r.priority, TIMEOUT),
+            });
+            self.poll(id);
+            assert_eq!(
+                self.scheduler.waiting_tasks() + self.scheduler.waiting_services(),
+                parked,
+                "a polled arrival parks within its first poll"
+            );
+        }
+
+        fn settle(&mut self, placed: usize) {
+            while let Some(id) = self.ready.pop() {
+                self.poll(id);
+            }
+            assert_eq!(self.log.len(), placed, "a wake-up was lost: {:?}", self.log);
+        }
+
+        fn finish(self: Box<Self>) -> (Log, Vec<Slot>) {
+            (self.log, self.slots)
+        }
+    }
+
+    /// Drive `s` through one way of waiting and check it against the model.
+    fn run(s: &Stream, waiting: impl FnOnce(Arc<Scheduler>) -> Box<dyn Waiting>) -> Log {
+        let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
+        let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
+        let scheduler = Arc::new(
+            Scheduler::with_lookahead(Arc::clone(&alloc), LOOKAHEAD)
+                .with_queue_shards(Some(1))
+                .with_max_overtakes(None),
+        );
+        let mut held = Held::all(&alloc);
+        let mut waiting = waiting(Arc::clone(&scheduler));
+        let mut model = Model {
+            overtakes: vec![0; s.requests.len()],
+            ..Model::default()
+        };
+
+        // The batch is admitted — and one ticket cancelled — before any is consumed.
+        let batch_requests: Vec<(ResourceRequest, Priority)> = s.requests[..s.tickets]
+            .iter()
+            .map(|r| (r.req, r.priority))
+            .collect();
+        let mut admitted = Vec::new();
+        let tickets = scheduler
+            .submit_batch(&batch_requests)
+            .expect("admission")
+            .tickets;
+        for (id, ticket) in tickets.into_iter().enumerate() {
+            if id == s.cancelled {
+                scheduler.cancel_admitted(ticket);
+            } else {
+                model.arrive(id, &s.requests[id]);
+                admitted.push((id, ticket));
+            }
+        }
+        let parked = model.parked();
+        for (id, ticket) in admitted {
+            waiting.enter(id, s.requests[id], Some(ticket), parked);
+        }
+
+        let mut expected = Log::new();
+        for action in &s.actions {
+            match *action {
+                Action::Arrive(id) => {
+                    model.arrive(id, &s.requests[id]);
+                    waiting.enter(id, s.requests[id], None, model.parked());
+                }
+                Action::Serve => {
+                    let served = model.serve(&s.requests);
+                    expected.push(served);
+                    held.free_for(&alloc, &s.requests[served.0].req);
+                    scheduler.notify_capacity();
+                    waiting.settle(expected.len());
+                }
+            }
+        }
+
+        let (log, slots) = waiting.finish();
+        for slot in &slots {
+            scheduler.release(slot).unwrap();
+        }
+        for slot in held.0.iter().flatten() {
+            alloc.release_slot(slot).unwrap();
+        }
+        assert_eq!(scheduler.waiting_tasks() + scheduler.waiting_services(), 0);
+        assert!(alloc.is_idle(), "teardown");
+        assert_eq!(log, expected, "placement order and overtakes vs the model");
+        log
+    }
+
+    let mut overtaken = 0;
+    for case in 0..16u64 {
+        let seed = 0x9011ED ^ case.wrapping_mul(0x9E37_79B9);
+        let s = stream(&mut StdRng::seed_from_u64(seed));
+        let blocking = run(&s, |scheduler| {
+            Box::new(Blocking {
+                scheduler,
+                log: Arc::new(Mutex::new(Vec::new())),
+                threads: Vec::new(),
+            })
+        });
+        let polled = run(&s, |scheduler| {
+            Box::new(Polled {
+                scheduler,
+                ready: ReadyQueue::new(),
+                placements: s.requests.iter().map(|_| None).collect(),
+                log: Vec::new(),
+                slots: Vec::new(),
+            })
+        });
+        assert_eq!(blocking, polled, "case {case} (seed {seed:#x})");
+        assert!(
+            blocking.len() == s.requests.len() - 1,
+            "case {case}: every request but the cancelled one placed"
+        );
+        overtaken += blocking.iter().map(|(_, n)| n).sum::<u32>();
+    }
+    assert!(overtaken > 0, "the streams must exercise overtaking");
+}
+
+/// Polled waiters under concurrent release, `fail_node`, `expand` and
+/// `notify_capacity`, at 1 and 4 queue shards: no unit is ever double-booked, and no
+/// wake-up is lost — every request places although the `notify_capacity` actor stops
+/// early, so the tail is served by release-driven wake-ups alone.
+///
+/// The placements are advanced the way the executor advances them, minus its
+/// bookkeeping: a waker enqueues the waiter's id, and whoever pops an id polls that
+/// placement under its own lock — so a wake-up that lands during a poll leads to
+/// another poll. A request evicted by the node failure re-enters as a requeue.
+#[test]
+fn sharded_polled_waiters_never_double_book_or_lose_a_wakeup() {
+    use hpcml::platform::Slot;
+    use hpcml::runtime::scheduler::{Placement, PlacementPoll, Priority, Scheduler};
+    use std::collections::{HashMap, HashSet};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    const NODES: usize = 6;
+    const REQUESTS: usize = 60;
+    const POLLERS: usize = 3;
+    const TIMEOUT: Duration = Duration::from_secs(60);
+
+    /// Cores in use, `(node, core)`, and which slot holds which. `fail_node` runs
+    /// under this lock and writes its victims off with it, so a re-claim of the freed
+    /// cores never meets a stale entry; a victim evicted between its claim and its
+    /// registration is remembered and skipped when its poller arrives.
+    #[derive(Default)]
+    struct Occupancy {
+        live: HashSet<(usize, u32)>,
+        by_slot: HashMap<u64, Vec<(usize, u32)>>,
+        evicted_unregistered: HashSet<u64>,
+    }
+
+    impl Occupancy {
+        fn register(&mut self, slot: &Slot, case: u64) {
+            if self.evicted_unregistered.remove(&slot.id) {
+                return;
+            }
+            let units: Vec<(usize, u32)> = slot
+                .members
+                .iter()
+                .flat_map(|m| m.core_ids.iter().map(move |&c| (m.node_index, c)))
+                .collect();
+            for &unit in &units {
+                assert!(
+                    self.live.insert(unit),
+                    "case {case}: {unit:?} double-booked"
+                );
+            }
+            self.by_slot.insert(slot.id, units);
+        }
+
+        /// Forget `slot_id`'s cores; false if the slot was never registered.
+        fn write_off(&mut self, slot_id: u64) -> bool {
+            let Some(units) = self.by_slot.remove(&slot_id) else {
+                return false;
+            };
+            for unit in units {
+                assert!(self.live.remove(&unit), "released core was not tracked");
+            }
+            true
+        }
+    }
+
+    let alloc_shards: usize = std::env::var("ALLOC_SHARDS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(4);
+
+    for queue_shards in [1usize, 4] {
+        for case in 0..4u64 {
+            let seed = 0x901D ^ case.wrapping_mul(0x9E37_79B9) ^ (queue_shards as u64) << 40;
+            let finished = Arc::new(AtomicBool::new(false));
+            {
+                let finished = Arc::clone(&finished);
+                std::thread::spawn(move || {
+                    for _ in 0..1200 {
+                        if finished.load(Ordering::Acquire) {
+                            return;
+                        }
+                        std::thread::sleep(Duration::from_millis(100));
+                    }
+                    eprintln!(
+                        "polled waiters property: queue_shards {queue_shards} case {case} \
+                         exceeded 120 s — lost wakeup?"
+                    );
+                    std::process::abort();
+                });
+            }
+
+            let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
+            let alloc = batch
+                .submit(AllocationRequest::nodes(NODES).with_allocator_shards(alloc_shards))
+                .unwrap();
+            let spec = alloc.node_spec();
+            let scheduler = Arc::new(
+                Scheduler::with_lookahead(Arc::clone(&alloc), 2)
+                    .with_queue_shards(Some(queue_shards)),
+            );
+            let occupancy = Arc::new(Mutex::new(Occupancy::default()));
+            let ready = ReadyQueue::new();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let requests: Vec<(ResourceRequest, Priority)> = (0..REQUESTS)
+                .map(|_| {
+                    let gang = rng.gen_bool(0.25);
+                    (
+                        ResourceRequest {
+                            cores: rng.gen_range(spec.cores / 4..spec.cores + 1),
+                            gpus: 0,
+                            mem_gib: 0.0,
+                            nodes: if gang { 2 } else { 1 },
+                            packing: None,
+                        },
+                        if rng.gen_bool(0.15) {
+                            Priority::Service
+                        } else {
+                            Priority::Task
+                        },
+                    )
+                })
+                .collect();
+            // A third is admitted as one batch of tickets, the rest arrive fresh.
+            let batched = REQUESTS / 3;
+            let tickets = scheduler
+                .submit_batch(&requests[..batched])
+                .expect("admission")
+                .tickets;
+            let placements: Arc<Vec<Mutex<Option<Placement>>>> = Arc::new(
+                tickets
+                    .into_iter()
+                    .map(|t| Placement::admitted(t, TIMEOUT))
+                    .chain(
+                        requests[batched..]
+                            .iter()
+                            .map(|(req, priority)| Placement::new(req, *priority, TIMEOUT)),
+                    )
+                    .map(|p| Mutex::new(Some(p)))
+                    .collect(),
+            );
+            let placed = Arc::new(AtomicUsize::new(0));
+            let held: Arc<Mutex<Vec<(usize, Slot)>>> = Arc::new(Mutex::new(Vec::new()));
+
+            let pollers: Vec<_> = (0..POLLERS)
+                .map(|_| {
+                    let (scheduler, ready, placements, placed, held, occupancy) = (
+                        Arc::clone(&scheduler),
+                        Arc::clone(&ready),
+                        Arc::clone(&placements),
+                        Arc::clone(&placed),
+                        Arc::clone(&held),
+                        Arc::clone(&occupancy),
+                    );
+                    std::thread::spawn(move || {
+                        while placed.load(Ordering::Acquire) < REQUESTS {
+                            let Some(id) = ready.pop_wait(Duration::from_millis(20)) else {
+                                continue;
+                            };
+                            let mut placement = placements[id].lock().unwrap();
+                            let Some(pending) = placement.as_mut() else {
+                                continue;
+                            };
+                            match scheduler.poll_placed(pending, &ready.waker(id)) {
+                                PlacementPoll::Pending { .. } => {}
+                                PlacementPoll::Ready(result) => {
+                                    let (slot, _) = result.unwrap_or_else(|e| {
+                                        panic!("case {case}: request {id} did not place: {e}")
+                                    });
+                                    *placement = None;
+                                    occupancy.lock().unwrap().register(&slot, case);
+                                    held.lock().unwrap().push((id, slot));
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+
+            // The releaser hands slots back through the scheduler; an evicted one
+            // sends its request around again as a front-of-queue requeue.
+            let releaser = {
+                let (scheduler, ready, placements, placed, held, occupancy, requests) = (
+                    Arc::clone(&scheduler),
+                    Arc::clone(&ready),
+                    Arc::clone(&placements),
+                    Arc::clone(&placed),
+                    Arc::clone(&held),
+                    Arc::clone(&occupancy),
+                    requests.clone(),
+                );
+                std::thread::spawn(move || {
+                    while placed.load(Ordering::Acquire) < REQUESTS {
+                        let Some((id, slot)) = held.lock().unwrap().pop() else {
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        occupancy.lock().unwrap().write_off(slot.id);
+                        match scheduler.release(&slot) {
+                            Ok(()) => {
+                                placed.fetch_add(1, Ordering::AcqRel);
+                            }
+                            Err(hpcml::runtime::RuntimeError::Resource(
+                                ResourceError::NodeFailed(_),
+                            )) => {
+                                let (req, priority) = requests[id];
+                                *placements[id].lock().unwrap() =
+                                    Some(Placement::requeued(&req, priority, TIMEOUT));
+                                ready.push(id);
+                            }
+                            Err(e) => panic!("case {case}: release failed: {e}"),
+                        }
+                    }
+                })
+            };
+
+            // Out-of-band capacity announcements, for a while only.
+            let notifier = {
+                let scheduler = Arc::clone(&scheduler);
+                std::thread::spawn(move || {
+                    for _ in 0..200 {
+                        scheduler.notify_capacity();
+                        std::thread::yield_now();
+                    }
+                })
+            };
+
+            // Everyone gets the first poll a submitter owes them.
+            for id in 0..REQUESTS {
+                ready.push(id);
+            }
+            // One node dies under the churn and a fresh one is attached.
+            let doomed = rng.gen_range(0usize..NODES);
+            while placed.load(Ordering::Acquire) < REQUESTS / 3 {
+                std::thread::yield_now();
+            }
+            {
+                let mut o = occupancy.lock().unwrap();
+                for victim in alloc.fail_node(doomed).expect("fail_node") {
+                    if !o.write_off(victim) {
+                        o.evicted_unregistered.insert(victim);
+                    }
+                }
+            }
+            alloc.expand(1).expect("expand");
+            scheduler.notify_capacity();
+
+            for t in pollers {
+                t.join().unwrap();
+            }
+            releaser.join().unwrap();
+            notifier.join().unwrap();
+            finished.store(true, Ordering::Release);
+
+            assert_eq!(scheduler.waiting_tasks() + scheduler.waiting_services(), 0);
+            assert_eq!(scheduler.outstanding_slots(), 0);
+            assert!(occupancy.lock().unwrap().live.is_empty());
+            assert_eq!(alloc.reserved_nodes(), 0, "no drain leaked");
+            assert_eq!(alloc.free_cores(), NODES as u32 * spec.cores);
+        }
+    }
+}
+
+/// The deadlines a blocked thread would sleep to come back from `poll_placed` as
+/// `wake_at`, and acting on them is all it takes: a polled gang ages into a backfill
+/// drain with no release ever arriving, and a polled waiter outside the serve window
+/// makes its explicit final attempt when its timeout has passed.
+#[test]
+fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
+    use hpcml::runtime::scheduler::{Placement, PlacementPoll, Priority, Scheduler};
+    use hpcml::runtime::RuntimeError;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// What the executor's timer does with a `wake_at`.
+    fn sleep_until(at: Instant) {
+        std::thread::sleep(at.saturating_duration_since(Instant::now()));
+    }
+    let wake_at = |poll: PlacementPoll| match poll {
+        PlacementPoll::Pending { wake_at } => wake_at,
+        PlacementPoll::Ready(result) => panic!("expected pending, got {result:?}"),
+    };
+    let ready = ReadyQueue::new();
+
+    // --- A gang ages into a drain through `wake_at` alone. ---
+    {
+        let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
+        let alloc = batch.submit(AllocationRequest::nodes(3)).unwrap();
+        let after = Duration::from_millis(40);
+        let scheduler = Scheduler::with_lookahead(Arc::clone(&alloc), 2)
+            .with_queue_shards(Some(1))
+            .with_max_overtakes(None)
+            .with_gang_drain_after(Some(after));
+        let whole = ResourceRequest::cores(alloc.node_spec().cores).unwrap();
+        // Two nodes busy, one idle: the two-node gang cannot place.
+        let busy: Vec<_> = (0..2)
+            .map(|_| {
+                scheduler
+                    .allocate(&whole, Priority::Task, Duration::from_secs(1))
+                    .unwrap()
+            })
+            .collect();
+        let timeout = Duration::from_secs(30);
+        let parked_at = Instant::now();
+        let mut gang = Placement::new(&whole.with_nodes(2), Priority::Task, timeout);
+        let first = wake_at(scheduler.poll_placed(&mut gang, &ready.waker(0)));
+        assert!(
+            first >= parked_at + after && first < parked_at + Duration::from_secs(1),
+            "an ageing gang asks to be looked at when its drain threshold passes"
+        );
+        assert!(alloc.drain_status().is_none());
+        sleep_until(first);
+        assert_eq!(
+            ready.pop(),
+            None,
+            "no release arrived, nobody woke the gang"
+        );
+        let second = wake_at(scheduler.poll_placed(&mut gang, &ready.waker(0)));
+        let drain = alloc.drain_status().expect("the gang opened a reservation");
+        assert_eq!(
+            drain.pinned_idle + drain.pinned_partial,
+            1,
+            "the idle node is pinned"
+        );
+        assert!(
+            second >= parked_at + timeout,
+            "once draining, only the request deadline is left"
+        );
+        // A release completes the reservation and wakes the gang.
+        scheduler.release(&busy[0]).unwrap();
+        assert_eq!(ready.pop(), Some(0));
+        match scheduler.poll_placed(&mut gang, &ready.waker(0)) {
+            PlacementPoll::Ready(Ok((slot, stats))) => {
+                assert_eq!(slot.num_nodes(), 2);
+                assert!(stats.drain_secs.is_some(), "placed through the drain");
+                scheduler.release(&slot).unwrap();
+            }
+            other => panic!("gang should place through its reservation: {other:?}"),
+        }
+        scheduler.release(&busy[1]).unwrap();
+        assert!(alloc.is_idle());
+    }
+
+    // --- A waiter times out through `wake_at`, final attempt included. ---
+    {
+        let batch = BatchSystem::new(PlatformId::Local.spec(), ClockSpec::Manual.build(), 1);
+        let alloc = batch.submit(AllocationRequest::nodes(1)).unwrap(); // 2 GPUs
+        let scheduler = Scheduler::new(Arc::clone(&alloc)).with_queue_shards(Some(1));
+        let gpus = |n| ResourceRequest::gpus(n).unwrap();
+        let hold = scheduler
+            .allocate(&gpus(1), Priority::Task, Duration::from_secs(1))
+            .unwrap();
+        // The head needs both GPUs and never fits; the free GPU is out of reach of
+        // the waiter behind it (strict FIFO) — except by its final attempt.
+        let mut head = Placement::new(&gpus(2), Priority::Task, Duration::from_millis(150));
+        let mut behind = Placement::new(&gpus(1), Priority::Task, Duration::from_millis(50));
+        let head_deadline = wake_at(scheduler.poll_placed(&mut head, &ready.waker(1)));
+        let behind_deadline = wake_at(scheduler.poll_placed(&mut behind, &ready.waker(2)));
+        assert!(behind_deadline < head_deadline);
+        assert_eq!(scheduler.waiting_tasks(), 2);
+        sleep_until(behind_deadline);
+        match scheduler.poll_placed(&mut behind, &ready.waker(2)) {
+            PlacementPoll::Ready(Ok((slot, _))) => {
+                assert_eq!(slot.num_gpus(), 1);
+                scheduler.release(&slot).unwrap();
+            }
+            other => panic!("the final attempt should take the free GPU: {other:?}"),
+        }
+        // Nothing is left for the head: its final attempt fails and it times out.
+        sleep_until(head_deadline);
+        match scheduler.poll_placed(&mut head, &ready.waker(1)) {
+            PlacementPoll::Ready(Err(RuntimeError::WaitTimeout { .. })) => {}
+            other => panic!("the head should time out: {other:?}"),
+        }
+        assert_eq!(
+            scheduler.waiting_tasks(),
+            0,
+            "a timed-out waiter leaves the queue"
+        );
+        scheduler.release(&hold).unwrap();
+    }
+}
