@@ -62,6 +62,7 @@
 //! `inference` exactly as the paper's experiments 2 and 3 do.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Wake, Waker};
@@ -614,10 +615,20 @@ impl Executor {
 
     /// Run the state machine until it parks. An attempt that errors takes the retry
     /// edge when a node failure caused it and budget is left, and fails the task
-    /// otherwise.
+    /// otherwise; so does a step that panics, because the thread it ran on — a pool
+    /// worker, perhaps — has other runs to resume, and `join_all` counts this one.
     fn advance(&self, run: &Arc<TaskRun>, state: &mut RunState, may_block: bool) -> Park {
         loop {
-            match self.step(run, state, may_block) {
+            let stepped = catch_unwind(AssertUnwindSafe(|| self.step(run, state, may_block)))
+                .unwrap_or_else(|panic| {
+                    let what = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "unknown panic".to_string());
+                    Err(RuntimeError::InvalidState(format!("task panicked: {what}")))
+                });
+            match stepped {
                 Ok(Some(park)) => return park,
                 Ok(None) => {}
                 Err(e) => self.attempt_failed(run, state, e),
@@ -809,6 +820,13 @@ impl Executor {
             // FIFO behind it.
             if let Some(unused) = state.ticket.take() {
                 scheduler.cancel_admitted(unused);
+            }
+            // So must a placement that still holds a queue place (only a panic gets
+            // here with one).
+            if let Stage::Scheduling(Some(pending)) =
+                std::mem::replace(&mut state.stage, Stage::Done)
+            {
+                scheduler.cancel_placement(pending.placement);
             }
         }
         let evicted = matches!(err, RuntimeError::Resource(ResourceError::NodeFailed(_)));
@@ -1445,6 +1463,43 @@ mod tests {
             task.state.error()
         );
         assert_eq!(task.retries.load(Ordering::Relaxed), 0);
+        assert_eq!(fx.scheduler.outstanding_slots(), 0);
+    }
+
+    #[test]
+    fn a_step_that_panics_on_a_worker_fails_its_task_and_nothing_else() {
+        let fx = fixture(PlatformId::Local, 1, 1000.0);
+        let task = |name: &str, kind: TaskKind| {
+            TaskRecord::new(
+                format!("task.{name}"),
+                TaskDescription::new(name).kind(kind).cores(8),
+                PlatformId::Local,
+                Arc::clone(&fx.clock),
+            )
+        };
+        // `first` holds the whole node, so the other two park and are resumed by the
+        // pool. An infinite duration does not convert to a `Duration`: that step panics.
+        let first = task("first", TaskKind::compute_secs(5.0));
+        let doomed = task(
+            "doomed",
+            TaskKind::Compute {
+                duration_secs: hpcml_sim::dist::Dist::constant(f64::INFINITY),
+            },
+        );
+        let last = task("last", TaskKind::compute_secs(5.0));
+        for record in [&first, &doomed, &last] {
+            fx.executor
+                .spawn_task(Arc::clone(record), Some(Arc::clone(&fx.scheduler)));
+        }
+        fx.executor.join_all();
+        assert_eq!(first.state.current(), TaskState::Done);
+        assert_eq!(doomed.state.current(), TaskState::Failed);
+        assert!(
+            doomed.state.error().unwrap().contains("panicked"),
+            "{:?}",
+            doomed.state.error()
+        );
+        assert_eq!(last.state.current(), TaskState::Done, "the queue moved on");
         assert_eq!(fx.scheduler.outstanding_slots(), 0);
     }
 }

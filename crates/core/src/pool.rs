@@ -24,16 +24,21 @@
 //! of both through [`hpcml_sim::clock::Clock::sleep_interruptibly`], so a manual clock works too. An
 //! entry carries the generation its run had when the entry was made; a run that has
 //! since parked on something else has a newer generation, and the stale entry is
-//! dropped when popped — never searched for.
+//! dropped when popped — never searched for. A session-clock entry owns its run: a
+//! sleeping run has no other holder, and the entry is popped when the sleep ends. A
+//! real-time entry only points at it ([`Weak`]): the scheduler's queue holds a run
+//! that waits for placement, and the deadline — minutes away — usually goes stale
+//! long before it is popped, so it must not keep a finished run alive until then.
 //!
 //! Nothing is started eagerly: the workers and the timer thread are spawned by the
 //! first enqueue or timer, sized from `available_parallelism`, and
-//! [`Pool::shutdown`] joins them. A session that never parks a task never starts them.
+//! [`Pool::shutdown`] joins them for good. A session that never parks a task never
+//! starts them.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -109,25 +114,25 @@ impl RunCell {
     }
 }
 
-/// A timer entry; the heap is a min-heap on `at`.
-struct Timer<K> {
+/// A timer entry holding its run through `R`; the heap is a min-heap on `at`.
+struct Timer<K, R> {
     at: K,
     generation: u64,
-    run: Arc<dyn Resume>,
+    run: R,
 }
 
-impl<K: Ord> PartialEq for Timer<K> {
+impl<K: Ord, R> PartialEq for Timer<K, R> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at
     }
 }
-impl<K: Ord> Eq for Timer<K> {}
-impl<K: Ord> PartialOrd for Timer<K> {
+impl<K: Ord, R> Eq for Timer<K, R> {}
+impl<K: Ord, R> PartialOrd for Timer<K, R> {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
     }
 }
-impl<K: Ord> Ord for Timer<K> {
+impl<K: Ord, R> Ord for Timer<K, R> {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         other.at.cmp(&self.at)
     }
@@ -142,10 +147,10 @@ struct RunQueue {
 }
 
 struct Timers {
-    /// Deadlines on the session clock.
-    by_clock: BinaryHeap<Timer<SimTime>>,
-    /// Real-time deadlines.
-    by_wall: BinaryHeap<Timer<Instant>>,
+    /// Deadlines on the session clock; the entry owns the sleeping run.
+    by_clock: BinaryHeap<Timer<SimTime, Arc<dyn Resume>>>,
+    /// Real-time deadlines of runs something else holds.
+    by_wall: BinaryHeap<Timer<Instant, Weak<dyn Resume>>>,
     shutdown: bool,
 }
 
@@ -196,7 +201,7 @@ impl Pool {
             return;
         }
         let mut threads = self.threads.lock();
-        if !threads.is_empty() {
+        if self.is_started() {
             return;
         }
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -225,25 +230,29 @@ impl Pool {
 
     /// Wake `run` once the session clock reads `at`, unless it parks anew before.
     pub(crate) fn wake_at_clock<R: Resume>(&self, run: &Arc<R>, at: SimTime) {
-        self.add_timer(run, at, |timers| &mut timers.by_clock);
+        let held = Arc::clone(run) as Arc<dyn Resume>;
+        self.add_timer(run.cell(), at, held, |timers| &mut timers.by_clock);
     }
 
-    /// Wake `run` once real time reaches `at`, unless it parks anew before.
+    /// Wake `run` once real time reaches `at`, unless it parks anew — or ends —
+    /// before. The caller keeps the run alive.
     pub(crate) fn wake_at_wall<R: Resume>(&self, run: &Arc<R>, at: Instant) {
-        self.add_timer(run, at, |timers| &mut timers.by_wall);
+        let seen = Arc::downgrade(run) as Weak<dyn Resume>;
+        self.add_timer(run.cell(), at, seen, |timers| &mut timers.by_wall);
     }
 
-    /// Start a new generation of `run` (every older timer entry of it goes stale) and
-    /// file the entry; the timer thread is interrupted when the entry is the new
+    /// Start a new generation of the run (every older timer entry of it goes stale)
+    /// and file the entry; the timer thread is interrupted when the entry is the new
     /// earliest of its heap.
-    fn add_timer<R: Resume, K: Ord + Copy>(
+    fn add_timer<K: Ord + Copy, R>(
         &self,
-        run: &Arc<R>,
+        cell: &RunCell,
         at: K,
-        heap: impl FnOnce(&mut Timers) -> &mut BinaryHeap<Timer<K>>,
+        run: R,
+        heap: impl FnOnce(&mut Timers) -> &mut BinaryHeap<Timer<K, R>>,
     ) {
         self.ensure_started();
-        let generation = run.cell().generation.fetch_add(1, Ordering::AcqRel) + 1;
+        let generation = cell.generation.fetch_add(1, Ordering::AcqRel) + 1;
         let earliest = {
             let mut timers = self.shared.timers.lock();
             let heap = heap(&mut timers);
@@ -251,7 +260,7 @@ impl Pool {
             heap.push(Timer {
                 at,
                 generation,
-                run: Arc::clone(run) as Arc<dyn Resume>,
+                run,
             });
             earliest
         };
@@ -261,9 +270,10 @@ impl Pool {
     }
 
     /// Stop and join the workers and the timer thread, if they were started, and
-    /// drop whatever is still queued or timed. The pool can start again afterwards.
+    /// drop whatever is still queued or timed. Terminal: a pool that ran does not
+    /// start again.
     pub(crate) fn shutdown(&self) {
-        let mut threads = self.threads.lock();
+        let threads = std::mem::take(&mut *self.threads.lock());
         if threads.is_empty() {
             return;
         }
@@ -271,15 +281,13 @@ impl Pool {
         self.shared.work.notify_all();
         self.shared.timers.lock().shutdown = true;
         self.shared.interrupt.raise();
-        for handle in threads.drain(..) {
+        for handle in threads {
             let _ = handle.join();
         }
-        *self.shared.queue.lock() = RunQueue::default();
+        self.shared.queue.lock().runs.clear();
         let mut timers = self.shared.timers.lock();
         timers.by_clock.clear();
         timers.by_wall.clear();
-        timers.shutdown = false;
-        self.started.store(false, Ordering::Release);
     }
 }
 
@@ -334,7 +342,8 @@ impl Shared {
                 }
                 let wall = Instant::now();
                 while timers.by_wall.peek().is_some_and(|t| t.at <= wall) {
-                    due.extend(timers.by_wall.pop().map(|t| (t.generation, t.run)));
+                    let entry = timers.by_wall.pop().expect("peeked");
+                    due.extend(entry.run.upgrade().map(|run| (entry.generation, run)));
                 }
                 (
                     timers.by_clock.peek().map(|t| t.at),
@@ -412,11 +421,7 @@ mod tests {
         assert!(pool.is_started());
         run.wait_for(1);
         pool.shutdown();
-        assert!(!pool.is_started());
-        // A shut-down pool starts again on demand.
-        pool.wake(&run);
-        run.wait_for(2);
-        pool.shutdown();
+        pool.shutdown(); // already joined: a no-op
     }
 
     #[test]
@@ -456,6 +461,10 @@ mod tests {
         // A real-time deadline fires too.
         pool.wake_at_wall(&early, Instant::now() + Duration::from_millis(5));
         early.wait_for(2);
+        // And does not keep a run alive that ends before it.
+        let gone = Arc::downgrade(&stale);
+        drop(stale);
+        assert!(gone.upgrade().is_none(), "only the deadline entry is left");
         pool.shutdown();
     }
 }

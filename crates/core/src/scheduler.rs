@@ -60,8 +60,10 @@
 //! (validate, fast path, park), one *pass* (window check, placement attempt, drain
 //! ageing, post-deadline final attempt — or "pending, look again by `wake_at`"), and
 //! *leave* (drain cleanup, overtake ticking, queue removal, wake fan-out). The
-//! blocking calls run `loop { pass; cond.wait_until(wake_at) }` without ever dropping
-//! the lock outside the wait; [`Scheduler::poll_placed`] runs one pass per call and
+//! blocking calls run `loop { pass; cond.wait_until(wake_at) }`, every sleep starting
+//! inside the lock hold of the pass before it (a thread that wakes lets go of the lock
+//! and yields once, so that the waiter that woke it gets to return first);
+//! [`Scheduler::poll_placed`] runs one pass per call and
 //! returns, so a task can wait for a slot without owning a thread. A polled waiter's
 //! wake slot holds the caller's [`Waker`], stored when the first poll comes back
 //! pending. Notifies are issued under the shard lock, so a waker must only enqueue,
@@ -699,8 +701,9 @@ impl Scheduler {
     /// shard 0 first; only when no service waits, the task window of every shard
     /// with parked tasks. Called with **no shard lock held** — each shard is locked
     /// one at a time, so the fan-out can never deadlock against a parker, and
-    /// because waiters release their shard lock only inside their condvar wait, a
-    /// notification issued under the shard lock is never lost.
+    /// because a waiter goes to sleep only from a pass, inside the condvar wait that
+    /// gives up the shard lock that pass ran under, a notification issued under the
+    /// shard lock is never lost: it finds the waiter asleep, or a pass still ahead.
     fn wake_windows(&self) {
         self.wake_windows_recording(None);
     }
@@ -878,14 +881,15 @@ impl Scheduler {
     }
 
     /// Drive `placement` to its result on the calling thread, sleeping on the
-    /// waiter's condition variable between passes. The shard lock is held
-    /// continuously from parking on and released only inside the condvar wait, so a
-    /// notification issued under it is never lost.
+    /// waiter's condition variable between passes. Every sleep begins inside the
+    /// lock hold of the pass that came back pending, so a notification issued under
+    /// the shard lock is never lost.
     fn block_on(&self, mut placement: Placement) -> Result<(Slot, PlacementStats), RuntimeError> {
         let mut st = match self.enter(&mut placement)? {
             Entered::Placed(placed) => return Ok(placed),
             Entered::Parked(st) => st,
         };
+        let shard_idx = placement.queued.as_ref().expect("parked on entry").1;
         loop {
             match self.pass(&st, &mut placement) {
                 Pass::Ready(result) => return self.leave(st, &mut placement, result),
@@ -894,6 +898,16 @@ impl Scheduler {
                         .waiter()
                         .thread_cond()
                         .wait_until(&mut st, wake_at);
+                    // Whoever woke this thread — usually the waiter served just before
+                    // it, passing the wake on — is often preempted by it a few
+                    // instructions short of returning (on a small VM the wakee runs
+                    // on the waker's CPU at once). Let it finish first, so that blocked
+                    // callers come back in the order they were served. A notification
+                    // that lands while the lock is dropped is covered by the pass that
+                    // follows.
+                    drop(st);
+                    std::thread::yield_now();
+                    st = self.shards[shard_idx].lock();
                 }
             }
         }
