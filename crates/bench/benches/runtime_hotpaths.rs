@@ -252,20 +252,15 @@ fn bench_resize(c: &mut Criterion) {
 }
 
 /// Multi-thread allocate/release churn on a 256-node allocation, swept across
-/// thread counts (1/2/4/8/16), contrasting the sharded configurations against
-/// their single-lock baselines on both axes. `sharded` pins 16 allocator shards
-/// — what the default derivation yields for 256 nodes on a ≥16-core host,
-/// pinned explicitly so the sweep measures the same structure on any machine —
-/// with a single queue shard; `single` pins `allocator_shards = 1` (the
-/// pre-sharding allocator, bit for bit); `queue_sharded` keeps the 16 allocator
-/// shards and stripes the scheduler front-end into 16 queue shards, so the
-/// `queue_sharded` vs `sharded` gap isolates the *wait-queue lock* contention
-/// the queue sharding exists to cut (both pin identical allocators). Capacity
+/// thread counts (1/2/4/8/16), contrasting the sharded allocator against its
+/// single-lock baseline. `sharded` pins 16 allocator shards — what the default
+/// derivation yields for 256 nodes on a ≥16-core host, pinned explicitly so the
+/// sweep measures the same structure on any machine; `single` pins
+/// `allocator_shards = 1` (the pre-sharding allocator, bit for bit). Capacity
 /// always exceeds demand, so every allocation takes the queueless fast path;
 /// parked-waiter wakeups are measured separately by `bench_scheduler_waitqueue`.
-/// `scripts/bench_guard.sh` asserts the group's existence, that 8-thread
-/// sharded churn beats the 1-shard baseline, and that 8-thread queue-sharded
-/// churn beats the 1-queue-shard baseline.
+/// `scripts/bench_guard.sh` asserts the group's existence and that 8-thread
+/// sharded churn beats the 1-shard baseline.
 fn bench_scheduler_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler/churn");
     group.sample_size(10);
@@ -274,19 +269,14 @@ fn bench_scheduler_churn(c: &mut Criterion) {
     // configurations) does not dilute the lock-contention signal the speedup
     // guard measures.
     const OPS_PER_THREAD: usize = 1024;
-    for (label, alloc_shards, queue_shards) in [
-        ("sharded", 16usize, 1usize),
-        ("single", 1, 1),
-        ("queue_sharded", 16, 16),
-    ] {
+    for (label, alloc_shards) in [("sharded", 16usize), ("single", 1)] {
         for threads in [1usize, 2, 4, 8, 16] {
             let batch = BatchSystem::new(wide_spec(NODES), ClockSpec::Manual.build(), 1);
             let alloc = batch
                 .submit(AllocationRequest::nodes(NODES).with_allocator_shards(alloc_shards))
                 .unwrap();
             assert_eq!(alloc.num_shards(), alloc_shards);
-            let scheduler = Arc::new(Scheduler::new(alloc).with_queue_shards(Some(queue_shards)));
-            assert_eq!(scheduler.queue_shards(), queue_shards);
+            let scheduler = Arc::new(Scheduler::new(alloc));
             group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &threads| {
                 b.iter(|| {
                     let mut handles = Vec::new();
@@ -346,60 +336,6 @@ fn bench_scheduler_waitqueue(c: &mut Criterion) {
     group.finish();
 }
 
-/// Admission overhead of a 10⁴-submission burst against a *full* allocation, so
-/// nothing places and the bench isolates pure queue admission + retirement:
-/// `batched` admits the burst through `submit_batch` (one shard-lock round trip
-/// for the whole queue) and retires the tickets with `cancel_admitted`;
-/// `individual` runs the same requests through `allocate` with a zero timeout —
-/// per request: an enqueue, two failed placement scans, a dequeue, and a window
-/// wake. Both pin one queue shard so the comparison is lock-round-trip count,
-/// not striping. `scripts/bench_guard.sh` asserts the datapoints exist and that
-/// the batched path beats the individual path.
-fn bench_admission_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduler/admission_batch");
-    group.sample_size(10);
-    const BURST: usize = 10_000;
-    const NODES: usize = 4;
-    let batch = BatchSystem::new(wide_spec(NODES), ClockSpec::Manual.build(), 1);
-    let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
-    let spec = alloc.node_spec();
-    // Saturate every node: the shape stays satisfiable, so admission succeeds,
-    // but no placement can.
-    let whole = ResourceRequest {
-        cores: spec.cores,
-        gpus: spec.gpus,
-        mem_gib: 0.0,
-        nodes: 1,
-        packing: None,
-    };
-    let _held: Vec<_> = (0..NODES)
-        .map(|_| alloc.allocate_slot(&whole).unwrap())
-        .collect();
-    let scheduler = Arc::new(Scheduler::new(alloc).with_queue_shards(Some(1)));
-    let req = ResourceRequest::cores(4).unwrap();
-    let requests: Vec<(ResourceRequest, Priority)> =
-        (0..BURST).map(|_| (req, Priority::Task)).collect();
-    group.bench_function(BenchmarkId::new("batched", BURST), |b| {
-        b.iter(|| {
-            let admission = scheduler.submit_batch(&requests).unwrap();
-            for ticket in admission.tickets {
-                scheduler.cancel_admitted(ticket);
-            }
-        })
-    });
-    group.bench_function(BenchmarkId::new("individual", BURST), |b| {
-        b.iter(|| {
-            for (req, priority) in &requests {
-                let err = scheduler
-                    .allocate(req, *priority, Duration::ZERO)
-                    .unwrap_err();
-                black_box(err);
-            }
-        })
-    });
-    group.finish();
-}
-
 fn bench_noop_roundtrip(c: &mut Criterion) {
     let clock = ClockSpec::scaled(1000.0).build();
     let server = ReqRepServer::new("svc.bench");
@@ -438,7 +374,6 @@ criterion_group!(
     bench_resize,
     bench_scheduler_churn,
     bench_scheduler_waitqueue,
-    bench_admission_batch,
     bench_noop_roundtrip,
     bench_stats
 );

@@ -16,10 +16,9 @@ use hpcml_comm::link::Link;
 use hpcml_comm::reqrep::ReqRepServer;
 use hpcml_serving::protocol::{KIND_INFER_REPLY, KIND_SHED};
 use hpcml_serving::service::{inference_request_message, inference_request_message_with_deadline};
-use hpcml_serving::{
-    null_sink, InferenceRequest, InferenceService, ModelHost, ModelSpec, ServingConfig,
-};
+use hpcml_serving::{InferenceRequest, InferenceService, ModelHost, ModelSpec, ServingConfig};
 use hpcml_sim::clock::{ClockSpec, SharedClock};
+use hpcml_sim::metrics::null_sink;
 
 /// Compression factor: virtual seconds per real second. High enough that a full run
 /// finishes in a fraction of a second of real time, low enough that real scheduling

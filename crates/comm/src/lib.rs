@@ -22,9 +22,17 @@
 //!   appropriate [`hpcml_platform::LatencyProfile`] (local vs remote) on the shared
 //!   virtual clock, so the response-time experiments see the paper's measured
 //!   0.063 ms / 0.47 ms link characteristics; batches traverse once with summed
-//!   payload bytes ([`link::Link::traverse_batch`]);
-//! * [`metrics`] — the `comm.*` scalar series (fan-out width, batch size, queue
-//!   depth) the fabric records through a pluggable [`metrics::CommSink`].
+//!   payload bytes ([`link::Link::traverse_batch`]).
+//!
+//! The fabric's hot paths record a small set of `comm.*` scalar series through a
+//! pluggable [`hpcml_sim::metrics::ScalarSink`] (`with_sink` on the publisher and the
+//! work queue; the runtime wires the session's metric recorder in):
+//!
+//! | series                    | recorded by                  | meaning                        |
+//! |---------------------------|------------------------------|--------------------------------|
+//! | `comm.fanout.width`       | [`pubsub::Publisher`]        | subscribers hit by one publish |
+//! | `comm.publish.batch_size` | [`pubsub::Publisher`]        | messages per `publish_batch`   |
+//! | `comm.queue.depth`        | [`queue::WorkQueueSender`]   | queue depth after a push       |
 //!
 //! # Example
 //!
@@ -60,7 +68,6 @@
 pub mod error;
 pub mod link;
 pub mod message;
-pub mod metrics;
 pub mod pubsub;
 pub mod queue;
 pub mod registry;
@@ -69,7 +76,6 @@ pub mod reqrep;
 pub use error::CommError;
 pub use link::Link;
 pub use message::{Message, MessageView};
-pub use metrics::{null_comm_sink, CommSink, SharedCommSink};
 pub use pubsub::{Publisher, Subscriber};
 pub use queue::{WorkQueue, WorkQueueReceiver, WorkQueueSender};
 pub use registry::{EndpointEntry, EndpointRegistry};

@@ -31,10 +31,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
+use hpcml_sim::metrics::{null_sink, SharedScalarSink};
 
 use crate::error::CommError;
 use crate::message::Message;
-use crate::metrics::{null_comm_sink, SharedCommSink};
 
 /// Default number of subscriber shards.
 const DEFAULT_SHARDS: usize = 4;
@@ -58,7 +58,7 @@ struct Inner {
     next_shard: AtomicUsize,
     /// Live subscriber count (kept exact across subscribe/close/prune).
     live: AtomicUsize,
-    sink: SharedCommSink,
+    sink: SharedScalarSink,
 }
 
 /// Publishing side of a PUB/SUB channel.
@@ -99,7 +99,7 @@ impl Publisher {
                     .collect(),
                 next_shard: AtomicUsize::new(0),
                 live: AtomicUsize::new(0),
-                sink: null_comm_sink(),
+                sink: null_sink(),
             }),
         }
     }
@@ -107,7 +107,7 @@ impl Publisher {
     /// Builder: attach a metrics sink recording `comm.fanout.width` per publish and
     /// `comm.publish.batch_size` per batch. Call at construction, before any
     /// subscriber joins — the runtime wires this in when the session is built.
-    pub fn with_sink(self, sink: SharedCommSink) -> Self {
+    pub fn with_sink(self, sink: SharedScalarSink) -> Self {
         debug_assert_eq!(
             self.subscriber_count(),
             0,

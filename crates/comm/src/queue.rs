@@ -19,14 +19,15 @@
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::time::Duration;
 
+use hpcml_sim::metrics::SharedScalarSink;
+
 use crate::error::CommError;
-use crate::metrics::SharedCommSink;
 
 /// Sending half of a [`WorkQueue`].
 pub struct WorkQueueSender<T> {
     tx: Sender<T>,
     name: String,
-    sink: Option<SharedCommSink>,
+    sink: Option<SharedScalarSink>,
 }
 
 impl<T> Clone for WorkQueueSender<T> {
@@ -49,7 +50,7 @@ impl<T> std::fmt::Debug for WorkQueueSender<T> {
 
 impl<T> WorkQueueSender<T> {
     /// Attach a metrics sink; every push records `comm.queue.depth` (post-push depth).
-    pub fn with_sink(mut self, sink: SharedCommSink) -> Self {
+    pub fn with_sink(mut self, sink: SharedScalarSink) -> Self {
         self.sink = Some(sink);
         self
     }

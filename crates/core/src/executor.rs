@@ -42,10 +42,10 @@
 //! `Blocking` stages, whatever the number of tasks; finished entity threads are joined
 //! whenever a new one is spawned.
 //!
-//! **Lock order.** run state → { scheduler queue shard → drain gate → allocation
-//! shards } and run state → { timer heaps | run queue }; the timer heaps and the run
-//! queue are leaves, taken with nothing else held beneath them, and a waker — which
-//! runs under a queue-shard lock — touches only the run's status and the run queue.
+//! **Lock order.** run state → { scheduler queue → allocation shards } and run state →
+//! { timer heaps | run queue }; the timer heaps and the run queue are leaves, taken
+//! with nothing else held beneath them, and a waker — which runs under the scheduler's
+//! queue lock — touches only the run's status and the run queue.
 //!
 //! **`Done` means released.** The final stage releases the slot, then makes `Done`
 //! observable, then publishes it: a handle that shows `Done` has its resources back
@@ -95,9 +95,7 @@ use crate::error::RuntimeError;
 use crate::metrics::RuntimeMetrics;
 use crate::pool::{Pool, Resume, RunCell};
 use crate::records::{BootstrapTimes, ServiceRecord, TaskRecord};
-use crate::scheduler::{
-    AdmissionTicket, Placement, PlacementPoll, PlacementStats, Priority, Scheduler,
-};
+use crate::scheduler::{Placement, PlacementPoll, PlacementStats, Priority, Scheduler};
 use crate::states::{ServiceState, TaskState};
 
 /// Metadata key under which a service's model name is published.
@@ -178,8 +176,6 @@ enum Park {
 /// The mutable half of a task run; only the thread holding the run touches it.
 struct RunState {
     stage: Stage,
-    /// Batch admission ticket, until the first attempt consumes it.
-    ticket: Option<AdmissionTicket>,
     /// The slot this attempt holds.
     slot: Option<Slot>,
 }
@@ -337,28 +333,6 @@ impl Executor {
         record: Arc<TaskRecord>,
         scheduler: Option<Arc<Scheduler>>,
     ) {
-        self.start_task(record, scheduler, None);
-    }
-
-    /// [`Executor::spawn_task`] for a task whose placement request was already
-    /// admitted through [`Scheduler::submit_batch`]: its first attempt consumes the
-    /// [`AdmissionTicket`] instead of enqueueing again, so the task keeps the FIFO
-    /// place its batch admission recorded.
-    pub fn spawn_task_admitted(
-        self: &Arc<Self>,
-        record: Arc<TaskRecord>,
-        scheduler: Arc<Scheduler>,
-        ticket: AdmissionTicket,
-    ) {
-        self.start_task(record, Some(scheduler), Some(ticket));
-    }
-
-    fn start_task(
-        self: &Arc<Self>,
-        record: Arc<TaskRecord>,
-        scheduler: Option<Arc<Scheduler>>,
-        ticket: Option<AdmissionTicket>,
-    ) {
         self.in_flight.lock().runs += 1;
         let run = Arc::new(TaskRun {
             executor: Arc::clone(self),
@@ -367,7 +341,6 @@ impl Executor {
             cell: RunCell::held(),
             state: Mutex::new(RunState {
                 stage: Stage::Admitted,
-                ticket,
                 slot: None,
             }),
         });
@@ -541,7 +514,7 @@ impl Executor {
         // Serve until asked to stop. Serving-plane metrics flow into the runtime
         // metrics store alongside the task/service scalars.
         let metrics = Arc::clone(&self.metrics);
-        let sink: hpcml_serving::SharedMetricsSink =
+        let sink: hpcml_sim::metrics::SharedScalarSink =
             Arc::new(move |name: &str, value: f64| metrics.record_scalar(name, value));
         let service = InferenceService::with_config(
             record.description.name.clone(),
@@ -646,11 +619,7 @@ impl Executor {
     ) -> Result<Option<Park>, RuntimeError> {
         let record = &run.record;
         let desc = &record.description;
-        let RunState {
-            stage,
-            ticket,
-            slot,
-        } = state;
+        let RunState { stage, slot } = state;
         let next = match stage {
             Stage::Admitted => {
                 record.state.transition(TaskState::Scheduling)?;
@@ -683,17 +652,13 @@ impl Executor {
                 let scheduler = run.scheduler.as_ref().ok_or_else(|| {
                     RuntimeError::InvalidState("task submitted without an active pilot".into())
                 })?;
-                // A batch-admitted task consumes its ticket instead of enqueueing
-                // again (first attempt only — the ticket is gone once consumed). A
-                // retry after a node failure re-enters its wait queue at the front:
+                // A retry after a node failure re-enters the wait queue at the front:
                 // the task already waited its turn before the eviction.
                 let queued = pending.get_or_insert_with(|| Queued {
-                    placement: match ticket.take() {
-                        Some(admitted) => Placement::admitted(admitted, DEPENDENCY_TIMEOUT),
-                        None if record.retries.load(Ordering::Relaxed) > 0 => {
-                            Placement::requeued(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)
-                        }
-                        None => Placement::new(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT),
+                    placement: if record.retries.load(Ordering::Relaxed) > 0 {
+                        Placement::requeued(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)
+                    } else {
+                        Placement::new(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)
                     },
                     wait_start: Instant::now(),
                     armed: None,
@@ -815,14 +780,8 @@ impl Executor {
             if let Some(held) = state.slot.take() {
                 let _ = scheduler.release(&held);
             }
-            // A pre-admitted ticket the attempt never consumed must leave its
-            // queue, or it would sit at its shard's head forever, blocking the
-            // FIFO behind it.
-            if let Some(unused) = state.ticket.take() {
-                scheduler.cancel_admitted(unused);
-            }
-            // So must a placement that still holds a queue place (only a panic gets
-            // here with one).
+            // A placement that still holds a queue place (only a panic gets here with
+            // one) must leave it, or it would block the FIFO behind it forever.
             if let Stage::Scheduling(Some(pending)) =
                 std::mem::replace(&mut state.stage, Stage::Done)
             {

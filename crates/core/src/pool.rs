@@ -15,7 +15,7 @@
 //!
 //! Wake-ups ([`Pool::wake`], an expired timer) only ever flip the status and push onto
 //! the run queue — they never advance a run inline — so they are safe to issue under a
-//! scheduler queue-shard lock. Duplicate wake-ups cost one enqueue. The run-queue lock
+//! scheduler's queue lock. Duplicate wake-ups cost one enqueue. The run-queue lock
 //! and the timer lock are leaves: no other lock is taken while one of them is held.
 //!
 //! Timers come in two kinds, one heap each: deadlines on the session clock

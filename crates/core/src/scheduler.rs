@@ -11,91 +11,61 @@
 //! * service priority (pending service placements starve ordinary tasks, not vice versa),
 //! * immediate rejection of requests that could never be satisfied by the node shape,
 //! * gang placement: a multi-node MPI request (`ResourceRequest::nodes > 1`) parks in
-//!   the same FIFO queues and is granted atomically once enough idle nodes exist,
-//! * batched admission: a burst of submissions enqueues under one lock round-trip per
-//!   touched queue shard ([`Scheduler::submit_batch`]) and places asynchronously.
+//!   the same FIFO queues and is granted atomically once enough idle nodes exist.
 //!
-//! ## Sharded wait-queue front-end
+//! ## Wait-queue front-end
 //!
-//! Waiters park in explicit FIFO queues and each waiter owns its own *wake slot* — a
-//! condition variable for a blocked thread, a [`Waker`] for a polled placement (see
-//! "Polled placement" below). A release notifies the waiters in the serve window
-//! instead of `notify_all`-ing every parked waiter, so a free-capacity event costs at
-//! most `lookahead` targeted wakeups per shard regardless of queue depth (no
-//! thundering herd), and wakeup order is the arrival order. Newcomers never overtake
-//! parked waiters of their class: the fast path is only taken when no waiter of the
-//! relevant classes is parked, so arrival order is always recorded and the window
-//! below is the *only* overtaking mechanism.
+//! There is one wait queue behind one lock and one way in (`enter`, which every
+//! blocking call and every poll goes through). The lock covers a service FIFO, a task
+//! FIFO and the single active backfill reservation. Each parked waiter owns its
+//! own *wake slot* — a condition variable for a blocked thread, a [`Waker`] for a
+//! polled placement (see "Polled placement" below) — so a release notifies the waiters
+//! in the serve window instead of `notify_all`-ing every parked waiter: a
+//! free-capacity event costs at most `lookahead` targeted wakeups regardless of queue
+//! depth (no thundering herd), and wakeup order is the arrival order. Newcomers never
+//! overtake parked waiters of their class: the fast path is only taken when no waiter
+//! of the relevant classes is parked, so arrival order is always recorded and the
+//! window below is the *only* overtaking mechanism.
 //!
-//! The queues themselves are striped into [`Scheduler::queue_shards`] independently
-//! locked shards so that admission and wakeup traffic from many submitting threads
-//! stops serialising on one mutex (the allocator below was sharded first — see
-//! `AllocationRequest::with_allocator_shards` — which left this front-end as the
-//! remaining serial section):
-//!
-//! * **Shard key.** Services always park on shard 0: the service class is never
-//!   striped, because its absolute priority needs one authoritative arrival order.
-//!   Tasks are striped round-robin by an admission rotor, so each shard holds an
-//!   arrival-ordered subsequence of the task stream and per-shard FIFO is the sharded
-//!   relaxation of the global FIFO (exact at one shard).
-//! * **Service gate.** A cross-shard atomic count of parked services gates every
-//!   task-side decision — fast path, serve window, drain trigger, final attempt — so
-//!   tasks in *any* shard never place while a service waits, exactly as before.
-//! * **Drain gate.** The single active backfill reservation lives behind its own leaf
-//!   lock, acquired only while a shard lock is held (lock order: shard → drain gate →
-//!   allocation; shard locks are never nested). A parking service still cancels a
-//!   task-class drain through the gate regardless of which shard the gang parked on.
-//! * **Cross-shard wakeup order.** A departure or release first wakes the service
-//!   window on shard 0; only when no service waits does it fan out to the task
-//!   shards, visiting only shards with parked tasks (per-shard counters make the
-//!   skip cheap) and waking each shard's first `lookahead` tasks.
-//!
-//! With `queue_shards = 1` every waiter shares one shard and the behaviour is the
-//! bit-exact legacy single-queue scheduler — the escape hatch
-//! `SessionBuilder::scheduler_queue_shards(1)` pins it.
+//! * **Lock-free gates.** The numbers of parked services and parked tasks are mirrored
+//!   in two atomics that change only under the queue lock. A release reads them first
+//!   and takes no lock when nobody is parked — the common case of a burst whose
+//!   capacity never binds.
+//! * **Service priority.** Every task-side decision — fast path, serve window, drain
+//!   trigger, final attempt — is gated on the service FIFO being empty, and a
+//!   departure or release wakes the service window first; only when no service waits
+//!   does it wake the first `lookahead` tasks.
+//! * **Lock order.** queue → allocation, i.e. queue → drain controller → allocation
+//!   shards ascending. Wakers and condition variables are signalled under the queue
+//!   lock; a waker must therefore only enqueue.
 //!
 //! ## Polled placement
 //!
-//! The wait loop exists once, as three steps under the home-shard lock: *enter*
-//! (validate, fast path, park), one *pass* (window check, placement attempt, drain
-//! ageing, post-deadline final attempt — or "pending, look again by `wake_at`"), and
-//! *leave* (drain cleanup, overtake ticking, queue removal, wake fan-out). The
-//! blocking calls run `loop { pass; cond.wait_until(wake_at) }`, every sleep starting
-//! inside the lock hold of the pass before it (a thread that wakes lets go of the lock
-//! and yields once, so that the waiter that woke it gets to return first);
-//! [`Scheduler::poll_placed`] runs one pass per call and
-//! returns, so a task can wait for a slot without owning a thread. A polled waiter's
-//! wake slot holds the caller's [`Waker`], stored when the first poll comes back
-//! pending. Notifies are issued under the shard lock, so a waker must only enqueue,
-//! and a notify that lands while the owner is between its pass and its park must
-//! lead to another poll — the executor's per-run status does that. The deadlines a
-//! blocked thread would have slept to (request timeout, gang drain threshold) come
-//! back as `wake_at` for the caller's timer. Everything else — service priority at
-//! every decision point, front-of-queue requeue, drain open/cancel/cleanup, overtake
-//! ageing, the exit fan-out — is the same code for both.
-//!
-//! ## Batched admission
-//!
-//! [`Scheduler::submit_batch`] admits a burst of requests in one pass: entries are
-//! validated, assigned their home shards, and appended queue-shard by queue-shard —
-//! one lock round-trip per *touched shard* instead of one per request — and the
-//! caller gets back one [`AdmissionTicket`] per entry. A ticket holds the waiter's
-//! place in its FIFO shard; [`Scheduler::allocate_admitted`] turns it into a slot
-//! (blocking like [`Scheduler::allocate`]; [`Placement::admitted`] is the polled
-//! form) and [`Scheduler::cancel_admitted`]
-//! abandons it without placing (a ticket dropped on an error path would otherwise
-//! block its shard's FIFO forever). Admission records arrival order exactly like
-//! one-by-one submission, so a batch at one queue shard places identically to the
-//! same submissions made individually.
+//! The wait loop exists once, as three steps under the queue lock: *enter* (validate,
+//! fast path, park), one *pass* (window check, placement attempt, drain ageing,
+//! post-deadline final attempt — or "pending, look again by `wake_at`"), and *leave*
+//! (drain cleanup, overtake ticking, queue removal, window wake). The blocking calls
+//! run `loop { pass; cond.wait_until(wake_at) }`, every sleep starting inside the lock
+//! hold of the pass before it (a thread that wakes lets go of the lock and yields
+//! once, so that the waiter that woke it gets to return first);
+//! [`Scheduler::poll_placed`] runs one pass per call and returns, so a task can wait
+//! for a slot without owning a thread. A polled waiter's wake slot holds the caller's
+//! [`Waker`], stored when the first poll comes back pending. A notify that lands while
+//! the owner is between its pass and its park must lead to another poll — the
+//! executor's per-run status does that. The deadlines a blocked thread would have
+//! slept to (request timeout, gang drain threshold) come back as `wake_at` for the
+//! caller's timer. Everything else — service priority at every decision point,
+//! front-of-queue requeue, drain open/cancel/cleanup, overtake ageing, the exit wake —
+//! is the same code for both.
 //!
 //! ## Bounded lookahead
 //!
 //! Strict FIFO implies head-of-line blocking: a wide gang at the head parks narrow
 //! requests behind it even when they would fit right now. A scheduler built with
 //! [`Scheduler::with_lookahead`] relaxes FIFO *within* a priority class: the first `k`
-//! parked waiters of the serving class (per shard) may attempt placement, so a blocked
-//! wide gang lets smaller requests inside the window through while keeping its place
-//! at the head. Service priority stays absolute — tasks never place while any service
+//! parked waiters of the serving class may attempt placement, so a blocked wide gang
+//! lets smaller requests inside the window through while keeping its place at the
+//! head. Service priority stays absolute — tasks never place while any service
 //! waits, exactly as with `k = 1` — so the PR-1 guarantee that services are never
 //! starved by tasks holds for every window size. `k = 1` (the [`Scheduler::new`]
 //! default) is the strict-FIFO no-starvation behaviour.
@@ -117,13 +87,6 @@
 //! one member share (a full idle transition under [`GangPacking::Whole`]; any
 //! share-covering headroom under [`GangPacking::Partial`] — see the packing section
 //! below). Set both knobs to `None` to restore the pure PR-2 lookahead behaviour.
-//!
-//! With more than one queue shard, arrival order *across* task shards is not tracked,
-//! so a successful task placement conservatively ages the parked head of every other
-//! task shard one tick as well as the waiters ahead of it in its own shard. The head
-//! is what the drain trigger watches; erring toward draining sooner keeps starvation
-//! bounded exactly as with one shard (a gang whose shard sees no traffic would
-//! otherwise never drain while churn lands on sibling shards).
 //!
 //! ## Gang packing: whole vs partial nodes
 //!
@@ -147,10 +110,7 @@
 //! reservation on the way out, returning every pinned node to its headroom class.
 //! And because service priority is absolute, a *service* parking while a task-class
 //! reservation is active cancels that drain (the task head re-opens it once no
-//! service waits), so pinned nodes can never idle-block a waiting service. With
-//! multiple queue shards that cancellation can race the gang's own reserved
-//! placement attempt; the attempt then reports `UnknownDrain` and the gang falls
-//! back to plain waiting, exactly as if it had observed the cancellation first.
+//! service waits), so pinned nodes can never idle-block a waiting service.
 //!
 //! One further deliberate deviation: a waiter whose timeout expires makes one explicit
 //! final allocation attempt even when it is outside the window (services still shield
@@ -163,9 +123,9 @@
 //! When a node fails, its co-resident slots are evicted by the allocation
 //! ([`hpcml_platform::batch::Allocation::fail_node`]) and their owners discover the
 //! loss through [`Scheduler::slot_lost`]. A victim re-enters placement through
-//! [`Scheduler::requeue`], which parks at the *front* of its priority-class queue
-//! (on a freshly assigned shard): the task already waited its turn once, so the
-//! failure must not send it to the back behind arrivals it had previously beaten.
+//! [`Scheduler::requeue`], which parks at the *front* of its priority-class queue:
+//! the task already waited its turn once, so the failure must not send it to the back
+//! behind arrivals it had previously beaten.
 //! [`Scheduler::release`] tolerates [`ResourceError::NodeFailed`] — the allocation
 //! already reclaimed the slot's resources on eviction, so the scheduler still
 //! decrements its outstanding count and passes the wakeup on, surfacing the error
@@ -175,7 +135,7 @@
 //! otherwise wake nobody.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::Waker;
 use std::time::{Duration, Instant};
@@ -190,14 +150,10 @@ use crate::error::RuntimeError;
 /// Default overtake budget before a parked head gang flips into draining mode.
 pub const DEFAULT_MAX_OVERTAKES: u32 = 16;
 
-/// Minimum attached nodes per queue shard when the shard count is derived rather
-/// than pinned: small allocations collapse to one shard (the exact legacy queue).
-const MIN_NODES_PER_QUEUE_SHARD: usize = 16;
-
 /// How a parked waiter is resumed: a thread blocked in [`Scheduler::allocate`] and
 /// friends sleeps on a condition variable of its own; a polled placement
 /// ([`Scheduler::poll_placed`]) has its owner's [`Waker`] called, which must only
-/// enqueue — notifies are issued under a queue-shard lock.
+/// enqueue — notifies are issued under the queue lock.
 enum WakeSlot {
     Thread(Condvar),
     Task(Waker),
@@ -206,13 +162,12 @@ enum WakeSlot {
 /// One parked placement request with its own wake slot, so a releaser can target it:
 /// wakeups are O(1) and ordered.
 struct Waiter {
-    /// Armed under the waiter's shard lock when its first pass over the wait loop comes
+    /// Armed under the queue lock when the waiter's first pass over the wait loop comes
     /// back pending. A notify before that is a no-op: that first pass is still to come
     /// and reads, under the same lock, the state the notify announced.
     wake: OnceLock<WakeSlot>,
     /// How many later arrivals of this waiter's class placed while it stayed parked.
-    /// Mutated under the waiter's shard lock — and, cross-shard, by sibling-shard
-    /// placers that hold *their* shard lock — so it is atomic, not lock-protected.
+    /// Ticked under the queue lock; atomic only because the waiter is shared.
     overtakes: AtomicU32,
 }
 
@@ -253,15 +208,16 @@ struct ActiveDrain {
     priority: Priority,
 }
 
-/// One wait-queue shard: arrival-ordered FIFO queues per priority class. Services
-/// only ever populate shard 0; the per-class split is kept per shard so the wait
-/// loop's position probes stay class-local.
+/// Everything behind the queue lock: one arrival-ordered FIFO per priority class and
+/// the single active backfill reservation.
 #[derive(Default)]
-struct ShardState {
-    /// Service placements waiting for resources, in arrival order (shard 0 only).
+struct QueueState {
+    /// Service placements waiting for resources, in arrival order.
     services: VecDeque<Arc<Waiter>>,
-    /// Task placements waiting for resources, in arrival order within this shard.
+    /// Task placements waiting for resources, in arrival order.
     tasks: VecDeque<Arc<Waiter>>,
+    /// Mirrors the allocation's drain and is mutated only together with it.
+    drain: Option<ActiveDrain>,
 }
 
 /// Priority class of a placement request.
@@ -288,56 +244,9 @@ pub struct PlacementStats {
     pub shard_probes: u32,
 }
 
-/// A parked waiter created by [`Scheduler::submit_batch`]: the request already
-/// holds its FIFO place in its queue shard. Consume it with
-/// [`Scheduler::allocate_admitted`] to block until placement, or return it with
-/// [`Scheduler::cancel_admitted`] — an abandoned ticket would otherwise sit at its
-/// shard's head forever, blocking the FIFO behind it.
-#[must_use = "an admitted request must be placed via allocate_admitted or returned via cancel_admitted"]
-pub struct AdmissionTicket {
-    waiter: Arc<Waiter>,
-    shard: usize,
-    req: ResourceRequest,
-    priority: Priority,
-}
-
-impl AdmissionTicket {
-    /// The queue shard this ticket's waiter parked on.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The priority class the request was admitted under.
-    pub fn priority(&self) -> Priority {
-        self.priority
-    }
-}
-
-impl std::fmt::Debug for AdmissionTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmissionTicket")
-            .field("shard", &self.shard)
-            .field("priority", &self.priority)
-            .finish()
-    }
-}
-
-/// The result of one [`Scheduler::submit_batch`] call: the per-request tickets plus
-/// the admission's fan-out shape, which the session surfaces as
-/// `task.admission.shard_batch` / `task.admission.shard_wakeups` metrics.
-#[derive(Debug)]
-pub struct BatchAdmission {
-    /// One ticket per submitted request, in submission order.
-    pub tickets: Vec<AdmissionTicket>,
-    /// How many of the batch's waiters were appended to each queue shard.
-    pub shard_batches: Vec<usize>,
-    /// Targeted wakeups per shard issued by the post-admission window wake.
-    pub shard_wakeups: Vec<usize>,
-}
-
 /// A placement request in progress: what [`Scheduler::poll_placed`] advances and
 /// what the blocking calls drive internally. It records the request, its deadline
-/// and — once parked — its place in a queue shard, so it must end in a `Ready`
+/// and — once parked — its place in the wait queue, so it must end in a `Ready`
 /// poll or be handed to [`Scheduler::cancel_placement`]; dropped while queued it
 /// would block the FIFO behind it forever.
 #[must_use = "a placement must be polled to Ready or cancelled"]
@@ -350,8 +259,8 @@ pub struct Placement {
     /// When the wait began (real time): the ageing clock and the deadline base.
     parked_at: Instant,
     deadline: Instant,
-    /// The waiter and its home shard, while the request holds a queue place.
-    queued: Option<(Arc<Waiter>, usize)>,
+    /// The waiter, while the request holds a queue place.
+    queued: Option<Arc<Waiter>>,
     /// When this waiter began draining (real time), for the drain_secs metric.
     drained_at: Option<Instant>,
 }
@@ -381,28 +290,8 @@ impl Placement {
         }
     }
 
-    /// A request already admitted through [`Scheduler::submit_batch`]: it keeps the
-    /// FIFO place its ticket holds. The gang-ageing clock starts here, not at
-    /// admission.
-    pub fn admitted(ticket: AdmissionTicket, timeout: Duration) -> Self {
-        let AdmissionTicket {
-            waiter,
-            shard,
-            req,
-            priority,
-        } = ticket;
-        Placement {
-            queued: Some((waiter, shard)),
-            ..Placement::new(&req, priority, timeout)
-        }
-    }
-
-    fn waiter(&self) -> &Waiter {
-        &self
-            .queued
-            .as_ref()
-            .expect("only a parked placement waits")
-            .0
+    fn waiter(&self) -> &Arc<Waiter> {
+        self.queued.as_ref().expect("only a parked placement waits")
     }
 }
 
@@ -422,8 +311,8 @@ pub enum PlacementPoll {
 enum Entered<'a> {
     /// Served by the fast path without queueing.
     Placed((Slot, PlacementStats)),
-    /// Parked; the home shard is locked for the first pass.
-    Parked(MutexGuard<'a, ShardState>),
+    /// Parked; the queue is locked for the first pass.
+    Parked(MutexGuard<'a, QueueState>),
 }
 
 /// What one pass over the wait loop decided.
@@ -436,35 +325,20 @@ enum Pass {
 
 /// Scheduler bound to one pilot allocation.
 ///
-/// Lock order: queue shard → drain gate → allocation. Shard locks are never
-/// nested; cross-shard work (wakeup fan-out, head ageing) visits shards one at a
-/// time with no other shard lock held.
+/// Lock order: queue → allocation (drain controller, then allocation shards
+/// ascending).
 pub struct Scheduler {
     allocation: Arc<Allocation>,
-    /// Wait-queue shards. Shard 0 holds every parked service; tasks are striped by
-    /// the admission rotor.
-    shards: Vec<Mutex<ShardState>>,
-    /// The drain gate: the single active backfill reservation (mirrors the
-    /// allocation's drain and is mutated only together with it, under this lock,
-    /// itself only taken while a shard lock is held).
-    drain: Mutex<Option<ActiveDrain>>,
-    /// Parked services across all shards (always shard 0) — the cross-shard service
-    /// gate every task-side decision reads.
+    /// The wait queue: both class FIFOs and the active drain.
+    queue: Mutex<QueueState>,
+    /// Parked services and parked tasks, changed only under the queue lock and read
+    /// without it by [`Scheduler::wake_windows`] and the accessors.
     waiting_services: AtomicUsize,
-    /// Parked tasks across all shards.
     waiting_tasks: AtomicUsize,
-    /// Parked tasks per shard, so wakeup fan-out can skip empty shards without
-    /// taking their locks.
-    shard_tasks: Vec<AtomicUsize>,
-    /// Targeted wakeups issued per shard (observability: `shard_wakeup_counts`).
-    shard_wakeups: Vec<AtomicU64>,
     /// Total slots handed out and not yet released (for observability).
     outstanding: AtomicUsize,
-    /// Round-robin task shard assignment.
-    rotor: AtomicUsize,
-    /// Serve window: how many parked waiters of the serving class (per shard) may
-    /// attempt a placement. 1 = strict FIFO; service priority is absolute at every
-    /// size.
+    /// Serve window: how many parked waiters of the serving class may attempt a
+    /// placement. 1 = strict FIFO; service priority is absolute at every size.
     lookahead: usize,
     /// Overtake budget before a parked head gang flips to draining (`None` = never
     /// drain on overtakes).
@@ -485,7 +359,6 @@ impl std::fmt::Debug for Scheduler {
             .field("waiting_services", &self.waiting_services())
             .field("waiting_tasks", &self.waiting_tasks())
             .field("outstanding_slots", &self.outstanding_slots())
-            .field("queue_shards", &self.queue_shards())
             .field("lookahead", &self.lookahead)
             .finish()
     }
@@ -500,56 +373,19 @@ impl Scheduler {
     /// Create a scheduler serving the first `lookahead` parked waiters of the
     /// serving class that fit (head-of-line relief for mixed request widths within a
     /// priority class; tasks still never overtake a waiting service). Clamped to at
-    /// least 1. The queue-shard count is derived from the host parallelism and the
-    /// allocation's node count — pin it with [`Scheduler::with_queue_shards`].
+    /// least 1.
     pub fn with_lookahead(allocation: Arc<Allocation>, lookahead: usize) -> Self {
-        let queue_shards = Scheduler::derived_queue_shards(&allocation);
-        let mut scheduler = Scheduler {
+        Scheduler {
             allocation,
-            shards: Vec::new(),
-            drain: Mutex::new(None),
+            queue: Mutex::new(QueueState::default()),
             waiting_services: AtomicUsize::new(0),
             waiting_tasks: AtomicUsize::new(0),
-            shard_tasks: Vec::new(),
-            shard_wakeups: Vec::new(),
             outstanding: AtomicUsize::new(0),
-            rotor: AtomicUsize::new(0),
             lookahead: lookahead.max(1),
             max_overtakes: Some(DEFAULT_MAX_OVERTAKES),
             gang_drain_after: None,
             gang_packing: GangPacking::default(),
-        };
-        scheduler.resize_shards(queue_shards);
-        scheduler
-    }
-
-    /// The derived queue-shard count: one shard per `MIN_NODES_PER_QUEUE_SHARD`
-    /// attached nodes, capped by the host parallelism — small allocations collapse
-    /// to one shard, reproducing the single-queue scheduler exactly.
-    fn derived_queue_shards(allocation: &Allocation) -> usize {
-        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-        parallelism
-            .min(allocation.num_nodes() / MIN_NODES_PER_QUEUE_SHARD)
-            .max(1)
-    }
-
-    fn resize_shards(&mut self, count: usize) {
-        let count = count.max(1);
-        self.shards = (0..count)
-            .map(|_| Mutex::new(ShardState::default()))
-            .collect();
-        self.shard_tasks = (0..count).map(|_| AtomicUsize::new(0)).collect();
-        self.shard_wakeups = (0..count).map(|_| AtomicU64::new(0)).collect();
-    }
-
-    /// Set the wait-queue shard count: `Some(n)` pins it (clamped to at least 1,
-    /// with `Some(1)` as the bit-exact legacy single-queue escape hatch); `None`
-    /// re-derives it from the host parallelism and the allocation's node count.
-    /// Builder-time only — must be called before any waiter parks.
-    pub fn with_queue_shards(mut self, shards: Option<usize>) -> Self {
-        let count = shards.unwrap_or_else(|| Scheduler::derived_queue_shards(&self.allocation));
-        self.resize_shards(count);
-        self
+        }
     }
 
     /// Set the session-level default gang packing policy: [`GangPacking::Partial`]
@@ -605,11 +441,6 @@ impl Scheduler {
         self.gang_packing
     }
 
-    /// Number of wait-queue shards (1 = the legacy single-queue front-end).
-    pub fn queue_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of slots currently handed out.
     pub fn outstanding_slots(&self) -> usize {
         self.outstanding.load(Ordering::Acquire)
@@ -620,186 +451,107 @@ impl Scheduler {
         self.waiting_services.load(Ordering::Acquire)
     }
 
-    /// Number of task placements currently waiting for resources (all shards).
+    /// Number of task placements currently waiting for resources.
     pub fn waiting_tasks(&self) -> usize {
         self.waiting_tasks.load(Ordering::Acquire)
     }
 
-    /// Cumulative targeted wakeups issued per queue shard since construction.
-    pub fn shard_wakeup_counts(&self) -> Vec<u64> {
-        self.shard_wakeups
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The home shard for a new waiter: services always park on shard 0 (one
-    /// authoritative service arrival order); tasks stripe round-robin.
-    fn home_shard(&self, priority: Priority) -> usize {
-        match priority {
-            Priority::Service => 0,
-            Priority::Task => self.rotor.fetch_add(1, Ordering::Relaxed) % self.shards.len(),
-        }
-    }
-
-    /// Whether a parked waiter at `position` within its class queue (in its shard)
-    /// may attempt a placement: within the first `lookahead` entries, and — for
-    /// tasks — only while no service waits anywhere (service priority is absolute
-    /// for every window size and shard count).
-    fn in_window(&self, priority: Priority, position: usize) -> bool {
-        match priority {
-            Priority::Service => position < self.lookahead,
-            Priority::Task => {
-                self.waiting_services.load(Ordering::Acquire) == 0 && position < self.lookahead
-            }
-        }
+    /// Whether a parked waiter at `position` within its class queue may attempt a
+    /// placement: within the first `lookahead` entries, and — for tasks — only
+    /// while no service waits (service priority is absolute for every window size).
+    fn in_window(&self, st: &QueueState, priority: Priority, position: usize) -> bool {
+        position < self.lookahead && (priority == Priority::Service || st.services.is_empty())
     }
 
     /// Whether the parked `waiter` — eligible but just denied a placement — should
-    /// flip into draining mode: it is a gang at the head of its class in its shard,
-    /// no other drain is active (`drain_free`: the gate was observed empty this
-    /// iteration), draining is enabled, and either its overtake budget is spent or
-    /// it has waited past the age threshold. A task head never opens a drain while
-    /// a service waits (the reservation would hold nodes the service must get
+    /// flip into draining mode: it is a gang at the head of its class, no other
+    /// drain is active, draining is enabled, and either its overtake budget is spent
+    /// or it has waited past the age threshold. A task head never opens a drain
+    /// while a service waits (the reservation would hold nodes the service must get
     /// first).
     fn should_drain(
         &self,
-        drain_free: bool,
-        req: &ResourceRequest,
-        priority: Priority,
+        st: &QueueState,
+        placement: &Placement,
         position: Option<usize>,
-        waiter: &Arc<Waiter>,
-        parked_at: Instant,
     ) -> bool {
-        if !req.is_gang() || !drain_free || position != Some(0) {
+        if !placement.req.is_gang() || st.drain.is_some() || position != Some(0) {
             return false;
         }
-        if priority == Priority::Task && self.waiting_services.load(Ordering::Acquire) > 0 {
+        if placement.priority == Priority::Task && !st.services.is_empty() {
             return false;
         }
         let overtaken = self
             .max_overtakes
-            .is_some_and(|budget| waiter.overtakes.load(Ordering::Relaxed) > budget);
+            .is_some_and(|budget| placement.waiter().overtakes.load(Ordering::Relaxed) > budget);
         let aged = self
             .gang_drain_after
-            .is_some_and(|after| parked_at.elapsed() >= after);
+            .is_some_and(|after| placement.parked_at.elapsed() >= after);
         overtaken || aged
     }
 
     /// Cancel the active drain when `condition` holds for it, returning its pinned
     /// nodes to the idle bucket. The owner discovers the loss on its next wakeup
-    /// (its drain-gate ownership test fails) and falls back to plain waiting.
-    fn cancel_drain_if(&self, condition: impl Fn(&ActiveDrain) -> bool) {
-        let mut drain = self.drain.lock();
-        if drain.as_ref().is_some_and(condition) {
-            let active = drain.take().expect("checked above");
+    /// (its ownership test fails) and falls back to plain waiting.
+    fn cancel_drain_if(&self, st: &mut QueueState, condition: impl FnOnce(&ActiveDrain) -> bool) {
+        if let Some(active) = st.drain.take_if(|d| condition(d)) {
             let _ = self.allocation.cancel_drain(active.id);
         }
     }
 
-    /// Wake the waiters in the serve window, cross-shard: the service window on
-    /// shard 0 first; only when no service waits, the task window of every shard
-    /// with parked tasks. Called with **no shard lock held** — each shard is locked
-    /// one at a time, so the fan-out can never deadlock against a parker, and
-    /// because a waiter goes to sleep only from a pass, inside the condvar wait that
-    /// gives up the shard lock that pass ran under, a notification issued under the
-    /// shard lock is never lost: it finds the waiter asleep, or a pass still ahead.
+    /// Wake the waiters in the serve window: the service window when a service
+    /// waits, the task window otherwise. With nobody parked — every release of a
+    /// burst whose capacity never binds — this takes no lock. Called with the queue
+    /// lock **not** held. Because a waiter goes to sleep only from a pass, inside the
+    /// condvar wait that gives up the queue lock that pass ran under, a notification
+    /// issued under the queue lock is never lost: it finds the waiter asleep, or a
+    /// pass still ahead.
     fn wake_windows(&self) {
-        self.wake_windows_recording(None);
-    }
-
-    /// [`Scheduler::wake_windows`], optionally recording the per-shard wakeup count
-    /// into `record` (used by [`Scheduler::submit_batch`] for its fan-out metrics).
-    fn wake_windows_recording(&self, mut record: Option<&mut [usize]>) {
-        let mut note = |shard: usize, woken: u64| {
-            self.shard_wakeups[shard].fetch_add(woken, Ordering::Relaxed);
-            if let Some(rec) = record.as_deref_mut() {
-                rec[shard] += woken as usize;
-            }
+        if self.waiting_services.load(Ordering::Acquire) == 0
+            && self.waiting_tasks.load(Ordering::Acquire) == 0
+        {
+            return;
+        }
+        let st = self.queue.lock();
+        let serving = if st.services.is_empty() {
+            &st.tasks
+        } else {
+            &st.services
         };
-        if self.waiting_services.load(Ordering::Acquire) > 0 {
-            let st = self.shards[0].lock();
-            let mut woken = 0u64;
-            for waiter in st.services.iter().take(self.lookahead) {
-                waiter.notify();
-                woken += 1;
-            }
-            if woken > 0 {
-                note(0, woken);
-                return;
-            }
-            // Raced: the waiting services departed between the gate read and the
-            // lock; fall through to the task shards.
-        }
-        for (idx, shard) in self.shards.iter().enumerate() {
-            if self.shard_tasks[idx].load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let st = shard.lock();
-            let mut woken = 0u64;
-            for waiter in st.tasks.iter().take(self.lookahead) {
-                waiter.notify();
-                woken += 1;
-            }
-            if woken > 0 {
-                note(idx, woken);
-            }
+        for waiter in serving.iter().take(self.lookahead) {
+            waiter.notify();
         }
     }
 
-    /// Append `waiter` to its class queue in `st` (front on requeue) and bump the
-    /// waiting counters. A parking service also cancels an active task-class drain:
-    /// service priority extends to reservations, so pinned nodes can never
-    /// idle-block a service. The task head re-opens its drain once no service waits
-    /// (its overtake count is preserved).
-    fn park(
-        &self,
-        st: &mut ShardState,
-        shard_idx: usize,
-        waiter: &Arc<Waiter>,
-        priority: Priority,
-        requeue: bool,
-    ) {
-        let queue = match priority {
-            Priority::Service => &mut st.services,
-            Priority::Task => &mut st.tasks,
+    /// Append `waiter` to its class queue (front on requeue) and bump the waiting
+    /// counter. A parking service also cancels an active task-class drain: service
+    /// priority extends to reservations, so pinned nodes can never idle-block a
+    /// service. The task head re-opens its drain once no service waits (its
+    /// overtake count is preserved).
+    fn park(&self, st: &mut QueueState, waiter: &Arc<Waiter>, priority: Priority, requeue: bool) {
+        let (queue, waiting) = match priority {
+            Priority::Service => (&mut st.services, &self.waiting_services),
+            Priority::Task => (&mut st.tasks, &self.waiting_tasks),
         };
         if requeue {
             queue.push_front(Arc::clone(waiter));
         } else {
             queue.push_back(Arc::clone(waiter));
         }
-        match priority {
-            Priority::Service => {
-                self.waiting_services.fetch_add(1, Ordering::AcqRel);
-                self.cancel_drain_if(|d| d.priority == Priority::Task);
-            }
-            Priority::Task => {
-                self.waiting_tasks.fetch_add(1, Ordering::AcqRel);
-                self.shard_tasks[shard_idx].fetch_add(1, Ordering::AcqRel);
-            }
+        waiting.fetch_add(1, Ordering::AcqRel);
+        if priority == Priority::Service {
+            self.cancel_drain_if(st, |d| d.priority == Priority::Task);
         }
     }
 
-    /// Whether `req` could ever be satisfied by the allocation's node shape — the
-    /// admission predicate of [`Scheduler::allocate`] and the filter
-    /// `Session::submit_tasks` applies before batching (a request merely too wide
-    /// for the *current* node set is admissible: allocations are elastic).
-    pub fn admissible(&self, req: &ResourceRequest) -> bool {
-        matches!(
-            self.allocation.check_satisfiable(req),
-            Ok(()) | Err(ResourceError::InsufficientResources)
-        )
-    }
-
     /// Allocate a slot, blocking (up to `timeout` of real time) until resources are
-    /// available. Requests are served in FIFO order within their priority class
-    /// (per queue shard), relaxed only by the bounded lookahead window;
-    /// task-priority requests additionally wait while any service placement is
-    /// pending, so services are never starved by a flood of tasks. A gang request
-    /// (`req.nodes > 1`) waits like any other request until enough idle nodes
-    /// exist, then claims them atomically — ageing into a backfill reservation
-    /// first when it keeps being overtaken (see the module docs).
+    /// available. Requests are served in FIFO order within their priority class,
+    /// relaxed only by the bounded lookahead window; task-priority requests
+    /// additionally wait while any service placement is pending, so services are
+    /// never starved by a flood of tasks. A gang request (`req.nodes > 1`) waits
+    /// like any other request until enough idle nodes exist, then claims them
+    /// atomically — ageing into a backfill reservation first when it keeps being
+    /// overtaken (see the module docs).
     pub fn allocate(
         &self,
         req: &ResourceRequest,
@@ -854,21 +606,21 @@ impl Scheduler {
     /// `waker` is called or at `wake_at` (the request deadline, or an ageing gang's
     /// drain threshold), whichever comes first. Polling more often is harmless.
     ///
-    /// `waker` is called under a queue-shard lock, so it must only enqueue work —
+    /// `waker` is called under the queue lock, so it must only enqueue work —
     /// never poll inline. It is stored when the first poll comes back pending; a
     /// wake-up that lands while the owner is still inside a poll must make the owner
     /// poll again rather than be dropped.
     ///
     /// This is [`Scheduler::allocate`] with the thread taken out: both run the same
     /// entry, pass and exit code, and a blocking caller is
-    /// `loop { pass; cond.wait_until(wake_at) }` under the shard lock.
+    /// `loop { pass; cond.wait_until(wake_at) }` under the queue lock.
     pub fn poll_placed(&self, placement: &mut Placement, waker: &Waker) -> PlacementPoll {
-        let st = match self.enter(placement) {
+        let mut st = match self.enter(placement) {
             Err(e) => return PlacementPoll::Ready(Err(e)),
             Ok(Entered::Placed(placed)) => return PlacementPoll::Ready(Ok(placed)),
             Ok(Entered::Parked(st)) => st,
         };
-        match self.pass(&st, placement) {
+        match self.pass(&mut st, placement) {
             Pass::Ready(result) => PlacementPoll::Ready(self.leave(st, placement, result)),
             Pass::Pending { wake_at } => {
                 placement
@@ -883,15 +635,14 @@ impl Scheduler {
     /// Drive `placement` to its result on the calling thread, sleeping on the
     /// waiter's condition variable between passes. Every sleep begins inside the
     /// lock hold of the pass that came back pending, so a notification issued under
-    /// the shard lock is never lost.
+    /// the queue lock is never lost.
     fn block_on(&self, mut placement: Placement) -> Result<(Slot, PlacementStats), RuntimeError> {
         let mut st = match self.enter(&mut placement)? {
             Entered::Placed(placed) => return Ok(placed),
             Entered::Parked(st) => st,
         };
-        let shard_idx = placement.queued.as_ref().expect("parked on entry").1;
         loop {
-            match self.pass(&st, &mut placement) {
+            match self.pass(&mut st, &mut placement) {
                 Pass::Ready(result) => return self.leave(st, &mut placement, result),
                 Pass::Pending { wake_at } => {
                     placement
@@ -907,19 +658,19 @@ impl Scheduler {
                     // follows.
                     drop(st);
                     std::thread::yield_now();
-                    st = self.shards[shard_idx].lock();
+                    st = self.queue.lock();
                 }
             }
         }
     }
 
-    /// Entry of every placement: lock the home shard of a request that already
-    /// holds a queue place; otherwise validate it, try the fast path and park it.
-    /// A parked request comes back with its shard still locked, so its first pass
-    /// runs under the lock hold that recorded its arrival.
+    /// Entry of every placement: lock the queue for a request that already holds a
+    /// place in it; otherwise validate it, try the fast path and park it. A parked
+    /// request comes back with the queue still locked, so its first pass runs under
+    /// the lock hold that recorded its arrival.
     fn enter(&self, placement: &mut Placement) -> Result<Entered<'_>, RuntimeError> {
-        if let Some((_, shard_idx)) = &placement.queued {
-            return Ok(Entered::Parked(self.shards[*shard_idx].lock()));
+        if placement.queued.is_some() {
+            return Ok(Entered::Parked(self.queue.lock()));
         }
         // Shape mismatches fail fast without ever queueing. A request that is
         // merely too wide for the *current* node set parks instead: allocations
@@ -936,22 +687,15 @@ impl Scheduler {
         placement.req = placement.req.or_packing(self.gang_packing);
         let priority = placement.priority;
 
-        let shard_idx = self.home_shard(priority);
-        let mut st = self.shards[shard_idx].lock();
+        let mut st = self.queue.lock();
 
         // Fast path: nothing is parked ahead of this request, try immediately without
         // paying for a queue entry. Deliberately stricter than the serve window —
         // newcomers always queue when anyone of their class waits, so a stream of
         // arrivals can never rotate through the window without recording arrival
-        // order. The counters are read under the home-shard lock, so at one queue
-        // shard this is exactly the legacy queues-empty check.
-        let fast_eligible = match priority {
-            Priority::Service => self.waiting_services.load(Ordering::Acquire) == 0,
-            Priority::Task => {
-                self.waiting_services.load(Ordering::Acquire) == 0
-                    && self.waiting_tasks.load(Ordering::Acquire) == 0
-            }
-        };
+        // order.
+        let fast_eligible =
+            st.services.is_empty() && (priority == Priority::Service || st.tasks.is_empty());
         if fast_eligible {
             match self.allocation.allocate_slot_with_stats(&placement.req) {
                 Ok((slot, probes)) => {
@@ -973,54 +717,45 @@ impl Scheduler {
         // front of the class queue (the request already waited its turn once) — and
         // wait for a targeted wakeup.
         let waiter = Waiter::new();
-        self.park(&mut st, shard_idx, &waiter, priority, placement.requeue);
-        placement.queued = Some((waiter, shard_idx));
+        self.park(&mut st, &waiter, priority, placement.requeue);
+        placement.queued = Some(waiter);
         Ok(Entered::Parked(st))
     }
 
-    /// One pass of the parked-waiter wait loop, under the home-shard lock: attempt
+    /// One pass of the parked-waiter wait loop, under the queue lock: attempt
     /// placement when the waiter is inside its serve window, open or consume a
     /// backfill reservation per the ageing rules, make the explicit final attempt
     /// once the deadline has passed — or report when to look again.
-    fn pass(&self, st: &ShardState, placement: &mut Placement) -> Pass {
-        let (priority, parked_at, deadline) =
-            (placement.priority, placement.parked_at, placement.deadline);
-        let req = &placement.req;
-        let waiter = &placement
+    fn pass(&self, st: &mut QueueState, placement: &mut Placement) -> Pass {
+        let (priority, deadline) = (placement.priority, placement.deadline);
+        let req = placement.req;
+        let waiter = placement
             .queued
             .as_ref()
-            .expect("pass runs on a parked placement")
-            .0;
-        let drained_at = &mut placement.drained_at;
+            .expect("pass runs on a parked placement");
 
+        // Bounded scan: the waiter can only be eligible within the first
+        // `lookahead` entries, so the position probe never walks a deep queue.
         let queue = match priority {
             Priority::Service => &st.services,
             Priority::Task => &st.tasks,
         };
-        // Bounded scan: the waiter can only be eligible within the first
-        // `lookahead` entries, so the position probe never walks a deep queue.
         let position = queue
             .iter()
             .take(self.lookahead)
             .position(|w| Arc::ptr_eq(w, waiter));
-        let eligible = position.is_some_and(|p| self.in_window(priority, p));
-        // Peek the drain gate once per pass: whether any reservation is
-        // active, and whether it is this waiter's.
-        let (mut my_drain, any_drain) = {
-            let gate = self.drain.lock();
-            (
-                gate.as_ref()
-                    .filter(|d| Arc::ptr_eq(&d.owner, waiter))
-                    .map(|d| d.id),
-                gate.is_some(),
-            )
-        };
+        let eligible = position.is_some_and(|p| self.in_window(st, priority, p));
+        let mut my_drain = st
+            .drain
+            .as_ref()
+            .filter(|d| Arc::ptr_eq(&d.owner, waiter))
+            .map(|d| d.id);
         if my_drain.is_none() {
             // The reservation was cancelled externally (a service parked): this
             // waiter is back to plain waiting, so the drain clock must not keep
             // running — `drain_secs` reports only an interval that ends in a
             // reserved placement.
-            *drained_at = None;
+            placement.drained_at = None;
         }
         let placed = |(slot, probes): (Slot, hpcml_platform::batch::PlacementProbes)| {
             Pass::Ready(Ok((slot, probes.shard_probes)))
@@ -1028,58 +763,40 @@ impl Scheduler {
         if let Some(drain_id) = my_drain {
             // Draining: place through the reservation the moment it is complete.
             if eligible {
-                match self.allocation.allocate_reserved_with_stats(drain_id, req) {
+                match self.allocation.allocate_reserved_with_stats(drain_id, &req) {
                     Ok(found) => return placed(found),
                     Err(ResourceError::InsufficientResources) => {}
-                    // The gate peek raced a cross-shard cancellation (a service
-                    // parked on shard 0 between the peek and this attempt):
-                    // fall back to plain waiting, exactly as if the
-                    // cancellation had been observed first. Impossible at one
-                    // queue shard, where the gate only changes under the
-                    // (single) shard lock.
+                    // Someone cancelled the reservation on the allocation itself
+                    // (its handle is public): fall back to plain waiting.
                     Err(ResourceError::UnknownDrain(_)) => {
+                        st.drain = None;
                         my_drain = None;
-                        *drained_at = None;
+                        placement.drained_at = None;
                     }
                     Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
                 }
             }
         } else if eligible {
-            match self.allocation.allocate_slot_with_stats(req) {
+            match self.allocation.allocate_slot_with_stats(&req) {
                 Ok(found) => return placed(found),
                 Err(ResourceError::InsufficientResources) => {}
                 Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
             }
             // Placement denied: check whether this head gang has aged out of
             // plain waiting and should open a backfill reservation.
-            if self.should_drain(!any_drain, req, priority, position, waiter, parked_at) {
-                let begun = {
-                    let mut gate = self.drain.lock();
-                    // Re-check under the gate: another shard's head may have
-                    // opened a reservation since the peek.
-                    if gate.is_some() {
-                        None
-                    } else {
-                        match self.allocation.begin_drain(req) {
-                            Ok(id) => {
-                                *gate = Some(ActiveDrain {
-                                    id,
-                                    owner: Arc::clone(waiter),
-                                    priority,
-                                });
-                                Some(Ok(id))
-                            }
-                            Err(e) => Some(Err(e)),
-                        }
-                    }
-                };
-                match begun {
-                    Some(Ok(id)) => {
+            if self.should_drain(st, placement, position) {
+                match self.allocation.begin_drain(&req) {
+                    Ok(id) => {
+                        st.drain = Some(ActiveDrain {
+                            id,
+                            owner: Arc::clone(waiter),
+                            priority,
+                        });
                         my_drain = Some(id);
-                        *drained_at = Some(Instant::now());
+                        placement.drained_at = Some(Instant::now());
                         // The already-idle nodes may complete the reservation
                         // outright.
-                        match self.allocation.allocate_reserved_with_stats(id, req) {
+                        match self.allocation.allocate_reserved_with_stats(id, &req) {
                             Ok(found) => return placed(found),
                             Err(ResourceError::InsufficientResources) => {}
                             Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
@@ -1087,10 +804,8 @@ impl Scheduler {
                     }
                     // Raced by another allocation user — or the pilot is
                     // currently too small for the gang; retry on a later wakeup.
-                    Some(Err(ResourceError::DrainActive))
-                    | Some(Err(ResourceError::InsufficientResources))
-                    | None => {}
-                    Some(Err(e)) => return Pass::Ready(Err(RuntimeError::Resource(e))),
+                    Err(ResourceError::DrainActive | ResourceError::InsufficientResources) => {}
+                    Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
                 }
             }
         }
@@ -1099,19 +814,17 @@ impl Scheduler {
             // while this waiter was outside the window (or between the last wait
             // and the deadline). Service priority is still honoured — a task makes
             // its last-gasp attempt only when no service is waiting.
-            let may_final_try =
-                priority == Priority::Service || self.waiting_services.load(Ordering::Acquire) == 0;
-            if may_final_try {
+            if priority == Priority::Service || st.services.is_empty() {
                 let attempt = match my_drain {
-                    Some(id) => match self.allocation.allocate_reserved_with_stats(id, req) {
+                    Some(id) => match self.allocation.allocate_reserved_with_stats(id, &req) {
                         // Reservation cancelled under us: the plain path is
                         // still worth the last try.
                         Err(ResourceError::UnknownDrain(_)) => {
-                            self.allocation.allocate_slot_with_stats(req)
+                            self.allocation.allocate_slot_with_stats(&req)
                         }
                         other => other,
                     },
-                    None => self.allocation.allocate_slot_with_stats(req),
+                    None => self.allocation.allocate_slot_with_stats(&req),
                 };
                 match attempt {
                     Ok(found) => return placed(found),
@@ -1134,9 +847,9 @@ impl Scheduler {
         // draining/ineligible), wait on the request deadline alone — state
         // changes that matter always come with a targeted wakeup.
         let mut wake_at = deadline;
-        if my_drain.is_none() && !any_drain && req.is_gang() {
+        if st.drain.is_none() && req.is_gang() {
             if let Some(after) = self.gang_drain_after {
-                let drain_deadline = parked_at + after;
+                let drain_deadline = placement.parked_at + after;
                 if drain_deadline > Instant::now() {
                     wake_at = wake_at.min(drain_deadline);
                 }
@@ -1145,86 +858,53 @@ impl Scheduler {
         Pass::Pending { wake_at }
     }
 
-    /// Exit bookkeeping of a parked placement, with its shard still locked: drain
-    /// cleanup, overtake ticking, queue removal, then — lock dropped — cross-shard
-    /// head ageing and the wakeup fan-out. `result` is what the last pass (or, with
-    /// `E = ()`, a cancellation) decided; a success gains its [`PlacementStats`].
+    /// Exit bookkeeping of a parked placement, with the queue still locked: drain
+    /// cleanup, overtake ticking, queue removal, then — lock dropped — the window
+    /// wake. `result` is what the last pass (or, with `E = ()`, a cancellation)
+    /// decided; a success gains its [`PlacementStats`].
     fn leave<E>(
         &self,
-        mut st: MutexGuard<'_, ShardState>,
+        mut st: MutexGuard<'_, QueueState>,
         placement: &mut Placement,
         result: Result<(Slot, u32), E>,
     ) -> Result<(Slot, PlacementStats), E> {
         let priority = placement.priority;
-        let (waiter, shard_idx) = placement
+        let waiter = placement
             .queued
             .take()
             .expect("leave runs on a parked placement");
-        let waiter = &waiter;
 
         // Drain cleanup: if this waiter still owns the reservation, release it.
         // After a successful reserved placement the allocation side is already
         // consumed, so the cancel inside is a no-op error that is ignored; on a
         // timeout or error it returns every pinned node to the idle bucket.
-        self.cancel_drain_if(|d| Arc::ptr_eq(&d.owner, waiter));
+        self.cancel_drain_if(&mut st, |d| Arc::ptr_eq(&d.owner, &waiter));
 
-        // Overtake bookkeeping: this waiter placing while earlier arrivals of its
-        // class stay parked ages each of them one tick (the head is what the drain
-        // trigger watches). Positions ahead are within the window except on the rare
+        // Leave the queue. A waiter that placed while earlier arrivals of its class
+        // stay parked ages each of them one tick (the head is what the drain trigger
+        // watches); positions ahead are within the window except on the rare
         // post-timeout final attempt, so the scan is O(lookahead) in steady state.
-        let mut age_sibling_shards = false;
-        if result.is_ok() {
-            let queue = match priority {
-                Priority::Service => &st.services,
-                Priority::Task => &st.tasks,
-            };
-            if let Some(my_pos) = queue.iter().position(|w| Arc::ptr_eq(w, waiter)) {
+        // The departure shifts everyone behind this waiter one position forward, so
+        // a new waiter may have entered the window (a departing service can unblock
+        // tasks, a successful head may leave capacity for its successor): pass the
+        // wakeup on below, after the queue lock drops.
+        let (queue, waiting) = match priority {
+            Priority::Service => (&mut st.services, &self.waiting_services),
+            Priority::Task => (&mut st.tasks, &self.waiting_tasks),
+        };
+        if let Some(my_pos) = queue.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
+            if result.is_ok() {
                 for overtaken in queue.iter().take(my_pos) {
                     overtaken.overtakes.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            age_sibling_shards = priority == Priority::Task && self.shards.len() > 1;
-        }
-
-        // Leave the queue. The departure shifts everyone behind this waiter one
-        // position forward, so a new waiter may have entered the window (a departing
-        // service can unblock tasks, a successful head may leave capacity for its
-        // successor): pass the wakeup on below, after the shard lock drops.
-        match priority {
-            Priority::Service => {
-                if let Some(idx) = st.services.iter().position(|w| Arc::ptr_eq(w, waiter)) {
-                    st.services.remove(idx);
-                    self.waiting_services.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Priority::Task => {
-                if let Some(idx) = st.tasks.iter().position(|w| Arc::ptr_eq(w, waiter)) {
-                    st.tasks.remove(idx);
-                    self.waiting_tasks.fetch_sub(1, Ordering::AcqRel);
-                    self.shard_tasks[shard_idx].fetch_sub(1, Ordering::AcqRel);
-                }
-            }
+            queue.remove(my_pos);
+            waiting.fetch_sub(1, Ordering::AcqRel);
         }
         if result.is_ok() {
             self.outstanding.fetch_add(1, Ordering::AcqRel);
         }
         drop(st);
-
-        // Cross-shard ageing: arrival order across task shards is not tracked, so a
-        // successful placement conservatively ages the parked head of every other
-        // task shard one tick — the head is what the drain trigger watches, and
-        // erring toward draining sooner keeps starvation bounded exactly as with
-        // one shard. Shards are visited one at a time with no other lock held.
-        if age_sibling_shards {
-            for (idx, shard) in self.shards.iter().enumerate() {
-                if idx == shard_idx || self.shard_tasks[idx].load(Ordering::Acquire) == 0 {
-                    continue;
-                }
-                if let Some(head) = shard.lock().tasks.front() {
-                    head.overtakes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
 
         self.wake_windows();
         result.map(|(slot, shard_probes)| {
@@ -1239,117 +919,12 @@ impl Scheduler {
         })
     }
 
-    /// Admit a burst of requests in one pass: every entry is validated against the
-    /// node shape (the whole batch is rejected on the first impossible request —
-    /// pre-filter with [`Scheduler::admissible`] to keep mixed batches alive), home
-    /// shards are assigned in submission order, and the waiters are appended with
-    /// one lock round-trip per *touched* queue shard. Returns one
-    /// [`AdmissionTicket`] per request plus the admission's per-shard fan-out
-    /// shape. The window wake after admission lets already-free capacity serve the
-    /// batch heads immediately.
-    pub fn submit_batch(
-        &self,
-        requests: &[(ResourceRequest, Priority)],
-    ) -> Result<BatchAdmission, RuntimeError> {
-        for (req, _) in requests {
-            match self.allocation.check_satisfiable(req) {
-                Ok(()) | Err(ResourceError::InsufficientResources) => {}
-                Err(e) => return Err(RuntimeError::Resource(e)),
-            }
-        }
-        let shard_count = self.shards.len();
-        // Home shards in submission order, so the rotor striping matches what
-        // one-by-one submission would have produced.
-        let assignments: Vec<usize> = requests
-            .iter()
-            .map(|(_, priority)| self.home_shard(*priority))
-            .collect();
-        let mut tickets: Vec<Option<AdmissionTicket>> = requests.iter().map(|_| None).collect();
-        let mut shard_batches = vec![0usize; shard_count];
-        let mut admitted_service = false;
-        for (shard_idx, shard_batch) in shard_batches.iter_mut().enumerate() {
-            let mut guard: Option<MutexGuard<'_, ShardState>> = None;
-            for (i, (req, priority)) in requests.iter().enumerate() {
-                if assignments[i] != shard_idx {
-                    continue;
-                }
-                let st = guard.get_or_insert_with(|| self.shards[shard_idx].lock());
-                let waiter = Waiter::new();
-                let queue = match priority {
-                    Priority::Service => &mut st.services,
-                    Priority::Task => &mut st.tasks,
-                };
-                queue.push_back(Arc::clone(&waiter));
-                match priority {
-                    Priority::Service => {
-                        self.waiting_services.fetch_add(1, Ordering::AcqRel);
-                        admitted_service = true;
-                    }
-                    Priority::Task => {
-                        self.waiting_tasks.fetch_add(1, Ordering::AcqRel);
-                        self.shard_tasks[shard_idx].fetch_add(1, Ordering::AcqRel);
-                    }
-                }
-                *shard_batch += 1;
-                tickets[i] = Some(AdmissionTicket {
-                    waiter,
-                    shard: shard_idx,
-                    req: req.or_packing(self.gang_packing),
-                    priority: *priority,
-                });
-            }
-        }
-        // Service priority extends to reservations, batched or not: an admitted
-        // service cancels an active task-class drain.
-        if admitted_service {
-            self.cancel_drain_if(|d| d.priority == Priority::Task);
-        }
-        let mut shard_wakeups = vec![0usize; shard_count];
-        self.wake_windows_recording(Some(&mut shard_wakeups));
-        Ok(BatchAdmission {
-            tickets: tickets
-                .into_iter()
-                .map(|t| t.expect("every request was assigned a shard"))
-                .collect(),
-            shard_batches,
-            shard_wakeups,
-        })
-    }
-
-    /// Consume an [`AdmissionTicket`]: block (up to `timeout` of real time) until
-    /// the admitted request places, exactly like [`Scheduler::allocate`] from the
-    /// parked state. The gang-ageing clock starts at this call, not at admission.
-    pub fn allocate_admitted(
-        &self,
-        ticket: AdmissionTicket,
-        timeout: Duration,
-    ) -> Result<Slot, RuntimeError> {
-        self.allocate_admitted_with_stats(ticket, timeout)
-            .map(|(slot, _)| slot)
-    }
-
-    /// [`Scheduler::allocate_admitted`], additionally returning [`PlacementStats`].
-    pub fn allocate_admitted_with_stats(
-        &self,
-        ticket: AdmissionTicket,
-        timeout: Duration,
-    ) -> Result<(Slot, PlacementStats), RuntimeError> {
-        self.block_on(Placement::admitted(ticket, timeout))
-    }
-
-    /// Abandon an [`AdmissionTicket`] without placing: the waiter leaves its queue
-    /// and the window wake passes on, so the FIFO behind it is not blocked. Used by
-    /// the executor when an admitted task errors before reaching allocation.
-    pub fn cancel_admitted(&self, ticket: AdmissionTicket) {
-        self.cancel_placement(Placement::admitted(ticket, Duration::ZERO));
-    }
-
     /// Abandon a [`Placement`] that may still hold a queue place (its last poll was
-    /// `Pending`, or it wraps an unconsumed ticket): the exit bookkeeping of a
-    /// failed wait — queue removal, drain cleanup, window wake — without a result.
+    /// `Pending`): the exit bookkeeping of a failed wait — queue removal, drain
+    /// cleanup, window wake — without a result.
     pub fn cancel_placement(&self, mut placement: Placement) {
-        if let Some((_, shard_idx)) = &placement.queued {
-            let st = self.shards[*shard_idx].lock();
+        if placement.queued.is_some() {
+            let st = self.queue.lock();
             let _ = self.leave(st, &mut placement, Err::<(Slot, u32), ()>(()));
         }
     }
@@ -1385,14 +960,12 @@ impl Scheduler {
 
     /// Re-probe parked waiters after capacity appeared without a release — e.g. the
     /// pilot expanded its allocation. Releases wake the window themselves; this is
-    /// for capacity that arrives out of band. The fan-out only visits shards whose
-    /// classes could place: the service window on shard 0 shields everything while
-    /// a service waits, and task shards with no parked tasks are skipped without
-    /// taking their locks.
+    /// for capacity that arrives out of band.
     pub fn notify_capacity(&self) {
         self.wake_windows();
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1786,19 +1359,15 @@ mod tests {
 
     /// Acceptance scenario, drain ON: a 4-node whole-node gang parked behind a stream
     /// of 1-node whole-node tasks places within its overtake budget once draining,
-    /// because every node the stream releases is pinned to the reservation. With
-    /// more than one queue shard the stream lands on sibling shards and the gang is
-    /// aged by the cross-shard head ticking instead of same-queue overtakes.
-    fn draining_gang_places_within_its_overtake_budget_at(queue_shards: usize) {
+    /// because every node the stream releases is pinned to the reservation.
+    #[test]
+    fn draining_gang_places_within_its_overtake_budget() {
         const MAX_OVERTAKES: u32 = 3;
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 3);
         let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
         let cores_per_node = alloc.node_spec().cores;
-        let s = Arc::new(
-            Scheduler::with_lookahead(alloc, 2)
-                .with_max_overtakes(Some(MAX_OVERTAKES))
-                .with_queue_shards(Some(queue_shards)),
-        );
+        let s =
+            Arc::new(Scheduler::with_lookahead(alloc, 2).with_max_overtakes(Some(MAX_OVERTAKES)));
         let narrow = cores(cores_per_node); // whole single node
         let gang_req = cores(cores_per_node).with_nodes(4); // all four nodes, idle
 
@@ -1867,16 +1436,6 @@ mod tests {
         assert_eq!(s.outstanding_slots(), 0);
         assert_eq!(s.allocation().idle_nodes(), 4);
         assert_eq!(s.allocation().reserved_nodes(), 0);
-    }
-
-    #[test]
-    fn draining_gang_places_within_its_overtake_budget() {
-        draining_gang_places_within_its_overtake_budget_at(1);
-    }
-
-    #[test]
-    fn draining_gang_places_within_its_overtake_budget_with_four_queue_shards() {
-        draining_gang_places_within_its_overtake_budget_at(4);
     }
 
     /// Acceptance contrast, drain OFF: the identical scenario with draining disabled
@@ -1956,14 +1515,14 @@ mod tests {
     /// overtake budget, because each churn release frees one member share of
     /// headroom (40 ≥ 32 cores) and partial pinning captures it while the resident
     /// slots keep running.
-    fn partial_drain_places_gang_under_subnode_churn_within_budget_at(queue_shards: usize) {
+    #[test]
+    fn partial_drain_places_gang_under_subnode_churn_within_budget() {
         const MAX_OVERTAKES: u32 = 3;
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 3);
         let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
         let s = Arc::new(
             Scheduler::with_lookahead(Arc::clone(&alloc), 2)
-                .with_max_overtakes(Some(MAX_OVERTAKES))
-                .with_queue_shards(Some(queue_shards)),
+                .with_max_overtakes(Some(MAX_OVERTAKES)),
         );
         assert_eq!(s.gang_packing(), GangPacking::Partial, "session default");
         let (residents, mut churn) = subnode_churn_fixture(&s);
@@ -2041,16 +1600,6 @@ mod tests {
         assert_eq!(s.outstanding_slots(), 0);
         assert_eq!(alloc.idle_nodes(), 4);
         assert_eq!(alloc.reserved_nodes(), 0);
-    }
-
-    #[test]
-    fn partial_drain_places_gang_under_subnode_churn_within_budget() {
-        partial_drain_places_gang_under_subnode_churn_within_budget_at(1);
-    }
-
-    #[test]
-    fn partial_drain_places_gang_under_subnode_churn_within_budget_with_four_queue_shards() {
-        partial_drain_places_gang_under_subnode_churn_within_budget_at(4);
     }
 
     /// Acceptance contrast, `Whole` packing: the identical sub-node churn scenario
@@ -2550,163 +2099,31 @@ mod tests {
     }
 
     #[test]
-    fn queue_shards_knob_pins_and_derives() {
-        let s = scheduler(PlatformId::Local, 1);
-        assert_eq!(s.queue_shards(), 1, "small allocations derive one shard");
-        let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 3);
-        let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
-        let pinned = Scheduler::new(Arc::clone(&alloc)).with_queue_shards(Some(4));
-        assert_eq!(pinned.queue_shards(), 4);
-        assert_eq!(pinned.shard_wakeup_counts(), vec![0; 4]);
-        let clamped = Scheduler::new(alloc).with_queue_shards(Some(0));
-        assert_eq!(clamped.queue_shards(), 1, "clamped to at least 1");
-        assert!(format!("{clamped:?}").contains("queue_shards"));
-    }
-
-    #[test]
-    fn submit_batch_fans_out_across_shards_and_every_ticket_places() {
-        let s = Arc::new(scheduler(PlatformId::Local, 2).with_queue_shards(Some(2)));
-        // Fill both nodes so the whole batch parks instead of fast-pathing.
-        let hold_a = s
-            .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
-            .unwrap();
-        let hold_b = s
-            .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
-            .unwrap();
-        let admission = s.submit_batch(&[(cores(4), Priority::Task); 4]).unwrap();
-        assert_eq!(admission.tickets.len(), 4);
-        assert_eq!(
-            admission.shard_batches,
-            vec![2, 2],
-            "the rotor stripes the batch evenly across both shards"
-        );
-        assert_eq!(s.waiting_tasks(), 4);
-        let threads: Vec<_> = admission
-            .tickets
-            .into_iter()
-            .map(|ticket| {
-                let s = Arc::clone(&s);
-                thread::spawn(move || s.allocate_admitted(ticket, Duration::from_secs(10)))
-            })
-            .collect();
-        s.release(&hold_a).unwrap();
-        s.release(&hold_b).unwrap();
-        let slots: Vec<Slot> = threads
-            .into_iter()
-            .map(|t| t.join().unwrap().expect("admitted ticket places"))
-            .collect();
-        assert_eq!(s.outstanding_slots(), 4);
-        for slot in &slots {
-            s.release(slot).unwrap();
-        }
-        assert_eq!(s.waiting_tasks(), 0);
-        assert_eq!(s.outstanding_slots(), 0);
-        assert_eq!(s.allocation().free_cores(), 16);
-        assert!(
-            s.shard_wakeup_counts().iter().sum::<u64>() > 0,
-            "releases must have issued targeted wakeups"
-        );
-    }
-
-    #[test]
-    fn batched_admission_preserves_fifo_order_at_one_shard() {
-        let s = Arc::new(scheduler(PlatformId::Local, 1).with_queue_shards(Some(1)));
+    fn cancelled_placement_unblocks_the_waiter_behind_it() {
+        let s = Arc::new(scheduler(PlatformId::Local, 1));
         let hold = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let admission = s.submit_batch(&[(cores(8), Priority::Task); 3]).unwrap();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let threads: Vec<_> = admission
-            .tickets
-            .into_iter()
-            .enumerate()
-            .map(|(i, ticket)| {
-                let s = Arc::clone(&s);
-                let order = Arc::clone(&order);
-                thread::spawn(move || {
-                    let slot = s
-                        .allocate_admitted(ticket, Duration::from_secs(10))
-                        .unwrap();
-                    order.lock().push(i);
-                    s.release(&slot).unwrap();
-                })
-            })
-            .collect();
-        s.release(&hold).unwrap();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // Whole-node requests at lookahead 1: only the queue head can ever place,
-        // so the placement order is the admission order no matter when each
-        // consumer thread reached its allocate_admitted call.
-        assert_eq!(*order.lock(), vec![0, 1, 2]);
-        assert_eq!(s.outstanding_slots(), 0);
-    }
-
-    #[test]
-    fn cancelled_ticket_unblocks_the_fifo_behind_it() {
-        let s = Arc::new(scheduler(PlatformId::Local, 1).with_queue_shards(Some(1)));
-        let hold = s
-            .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
-            .unwrap();
-        let mut admission = s.submit_batch(&[(cores(8), Priority::Task); 2]).unwrap();
-        let second = admission.tickets.pop().unwrap();
-        let first = admission.tickets.pop().unwrap();
-        // Abandon the head ticket: the one behind it must still place.
-        s.cancel_admitted(first);
-        assert_eq!(s.waiting_tasks(), 1);
+        // A polled placement parks at the head and is then abandoned.
+        let mut head = Placement::new(&cores(8), Priority::Task, Duration::from_secs(10));
+        assert!(matches!(
+            s.poll_placed(&mut head, Waker::noop()),
+            PlacementPoll::Pending { .. }
+        ));
         let s2 = Arc::clone(&s);
-        let consumer = thread::spawn(move || s2.allocate_admitted(second, Duration::from_secs(10)));
+        let behind =
+            thread::spawn(move || s2.allocate(&cores(8), Priority::Task, Duration::from_secs(10)));
+        wait_until(&s, "second waiter parked behind the head", |s| {
+            s.waiting_tasks() == 2
+        });
+        // The freed node wakes only the head (strict FIFO), whose owner never polls
+        // again; abandoning it must pass the wake-up on.
         s.release(&hold).unwrap();
-        let slot = consumer.join().unwrap().unwrap();
+        assert_eq!(s.waiting_tasks(), 2);
+        s.cancel_placement(head);
+        let slot = behind.join().unwrap().unwrap();
         s.release(&slot).unwrap();
         assert_eq!(s.waiting_tasks(), 0);
-        assert_eq!(s.outstanding_slots(), 0);
-    }
-
-    #[test]
-    fn batched_service_preempts_earlier_batched_tasks_across_shards() {
-        let s = Arc::new(scheduler(PlatformId::Local, 1).with_queue_shards(Some(4)));
-        let hold = s
-            .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
-            .unwrap();
-        // Tasks admitted *before* the service in the same batch: the service must
-        // still place first — its priority gates every task shard.
-        let admission = s
-            .submit_batch(&[
-                (cores(8), Priority::Task),
-                (cores(8), Priority::Task),
-                (cores(8), Priority::Service),
-            ])
-            .unwrap();
-        assert_eq!(s.waiting_services(), 1);
-        assert_eq!(s.waiting_tasks(), 2);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let threads: Vec<_> = admission
-            .tickets
-            .into_iter()
-            .map(|ticket| {
-                let s = Arc::clone(&s);
-                let order = Arc::clone(&order);
-                let priority = ticket.priority();
-                thread::spawn(move || {
-                    let slot = s
-                        .allocate_admitted(ticket, Duration::from_secs(10))
-                        .unwrap();
-                    order.lock().push(priority);
-                    s.release(&slot).unwrap();
-                })
-            })
-            .collect();
-        // Let all three consumers park before opening capacity.
-        wait_until(&s, "all consumers parked", |s| {
-            s.waiting_services() == 1 && s.waiting_tasks() == 2
-        });
-        s.release(&hold).unwrap();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(order.lock()[0], Priority::Service);
         assert_eq!(s.outstanding_slots(), 0);
     }
 }

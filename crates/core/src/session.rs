@@ -30,7 +30,7 @@ use crate::pilot::PilotManager;
 use crate::records::{
     PilotHandle, PilotRecord, ServiceHandle, ServiceRecord, TaskHandle, TaskRecord,
 };
-use crate::scheduler::{Priority, Scheduler};
+use crate::scheduler::Scheduler;
 use crate::service_manager::ServiceManager;
 use crate::states::PilotState;
 use crate::task_manager::TaskManager;
@@ -50,13 +50,6 @@ pub struct SessionConfig {
     /// tasks) may be attempted out of strict FIFO order. 1 = strict FIFO; larger
     /// windows let narrow tasks through behind a blocked multi-node gang.
     pub scheduler_lookahead: usize,
-    /// Overtake budget before a parked head gang opens a backfill reservation
-    /// (drains). `None` disables overtake-triggered draining. Defaults to
-    /// [`crate::scheduler::DEFAULT_MAX_OVERTAKES`].
-    pub scheduler_max_overtakes: Option<u32>,
-    /// Parked-age threshold before a head gang drains regardless of overtakes.
-    /// `None` (the default) drains on overtakes only.
-    pub gang_drain_after: Option<Duration>,
     /// Default gang packing policy: [`GangPacking::Partial`] (the default) lets
     /// multi-node gangs best-fit across partially free nodes and lets draining gangs
     /// pin share-sized headroom; [`GangPacking::Whole`] restricts gangs (and drain
@@ -69,12 +62,6 @@ pub struct SessionConfig {
     /// (clamped to `1..=nodes`), with `Some(1)` as the compatibility escape hatch.
     /// A pilot's explicit `PilotDescription::allocator_shards` overrides this.
     pub allocator_shards: Option<usize>,
-    /// Scheduler wait-queue shard count: `None` (the default) derives it from the
-    /// host parallelism and the allocation's node count (one shard for small
-    /// allocations — the exact single-queue behaviour); `Some(n)` pins it (clamped
-    /// to at least 1), with `Some(1)` as the bit-exact legacy escape hatch
-    /// mirroring [`SessionConfig::allocator_shards`].
-    pub scheduler_queue_shards: Option<usize>,
     /// Deterministic node-failure schedule, injected against the first pilot's
     /// allocation on the session clock (times are virtual seconds after the pilot
     /// becomes active). Empty (the default) injects nothing.
@@ -89,11 +76,8 @@ impl Default for SessionConfig {
             seed: 42,
             platform: PlatformId::Local,
             scheduler_lookahead: 1,
-            scheduler_max_overtakes: Some(crate::scheduler::DEFAULT_MAX_OVERTAKES),
-            gang_drain_after: None,
             gang_packing: GangPacking::default(),
             allocator_shards: None,
-            scheduler_queue_shards: None,
             fault_plan: FaultPlan::new(),
         }
     }
@@ -142,27 +126,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Age threshold after which a parked head gang opens a backfill reservation
-    /// (flips to *draining*): newly idle nodes are pinned to the gang until its full
-    /// node span is reserved and it places atomically, while narrower requests keep
-    /// backfilling around the reservation. Ageing by overtake count is on by default
-    /// ([`crate::scheduler::DEFAULT_MAX_OVERTAKES`]); this adds a wall-clock trigger
-    /// for workloads whose gangs must place within a bounded wait even when nothing
-    /// overtakes them.
-    pub fn gang_drain_after(mut self, after: Duration) -> Self {
-        self.config.gang_drain_after = Some(after);
-        self
-    }
-
-    /// Set the overtake budget before a parked head gang drains, or `None` to
-    /// disable overtake-triggered draining (with no [`SessionBuilder::gang_drain_after`]
-    /// either, gangs never drain — the pure bounded-lookahead behaviour, which can
-    /// starve a wide gang indefinitely under a stream of narrower requests).
-    pub fn scheduler_max_overtakes(mut self, budget: Option<u32>) -> Self {
-        self.config.scheduler_max_overtakes = budget;
-        self
-    }
-
     /// Set the session's default gang packing policy. [`GangPacking::Partial`] (the
     /// default) places multi-node MPI gangs across partially free nodes by per-node
     /// best fit, so ranks-per-node shares below a whole node co-locate with other
@@ -196,31 +159,6 @@ impl SessionBuilder {
     /// ```
     pub fn allocator_shards(mut self, shards: usize) -> Self {
         self.config.allocator_shards = Some(shards.max(1));
-        self
-    }
-
-    /// Set the scheduler's wait-queue shard count: parked placements are striped
-    /// into that many independently locked FIFO shards (services always on shard
-    /// 0, which keeps their priority absolute), so admission and wakeup traffic
-    /// from many submitting threads stops serialising on one queue lock. Left
-    /// unset, the count is derived from the host parallelism and the pilot
-    /// allocation's node count — collapsing to one shard for small allocations,
-    /// which reproduces the single-queue scheduler exactly.
-    /// `scheduler_queue_shards(1)` is the explicit escape hatch pinning that
-    /// behaviour at any scale.
-    ///
-    /// ```
-    /// use hpcml_runtime::session::Session;
-    ///
-    /// // Stripe the scheduler front-end into 4 wait-queue shards…
-    /// let tuned = Session::builder("tuned").scheduler_queue_shards(4).build().unwrap();
-    /// assert_eq!(tuned.config().scheduler_queue_shards, Some(4));
-    /// // …or pin the single wait queue for bit-exact legacy placement order.
-    /// let legacy = Session::builder("legacy").scheduler_queue_shards(1).build().unwrap();
-    /// assert_eq!(legacy.config().scheduler_queue_shards, Some(1));
-    /// ```
-    pub fn scheduler_queue_shards(mut self, shards: usize) -> Self {
-        self.config.scheduler_queue_shards = Some(shards.max(1));
         self
     }
 
@@ -388,10 +326,7 @@ impl Session {
             })?;
         *self.scheduler.lock() = Some(Arc::new(
             Scheduler::with_lookahead(Arc::clone(&allocation), self.config.scheduler_lookahead)
-                .with_max_overtakes(self.config.scheduler_max_overtakes)
-                .with_gang_drain_after(self.config.gang_drain_after)
-                .with_gang_packing(self.config.gang_packing)
-                .with_queue_shards(self.config.scheduler_queue_shards),
+                .with_gang_packing(self.config.gang_packing),
         ));
         self.pilots.lock().push(Arc::clone(&record));
         self.spawn_fault_injector(&allocation);
@@ -509,87 +444,31 @@ impl Session {
         Ok(TaskHandle { record })
     }
 
-    /// Submit a batch of tasks through the scheduler's batched admission path:
-    /// dependency-free tasks with a satisfiable shape are enqueued as one burst —
-    /// one queue-shard lock round-trip per touched shard instead of one per task —
-    /// and each task's first attempt consumes its pre-admitted ticket, preserving the
-    /// batch's arrival order. Like [`Session::submit_task`], the calling thread then
-    /// advances every task to its first park. Tasks with service dependencies or
-    /// impossible shapes fall back to the one-by-one path so they fail (or wait)
-    /// individually. The
-    /// admission's fan-out shape is recorded as `task.admission.batch_size`,
-    /// `task.admission.shard_batch` and `task.admission.shard_wakeups` metrics.
+    /// Submit a batch of tasks: [`Session::submit_task`] for each description, in
+    /// order, with the scheduler and the platform resolved once. The calling thread
+    /// advances every task to its first park, so the tasks reach the scheduler's wait
+    /// queue in submission order, and each is validated, placed or parked on its own —
+    /// an impossible shape or an unpublished `after_services` fails or delays only
+    /// that task. Records the number of tasks handed in as
+    /// `task.admission.batch_size`.
     pub fn submit_tasks(
         &self,
         descriptions: impl IntoIterator<Item = TaskDescription>,
     ) -> Result<Vec<TaskHandle>, RuntimeError> {
         self.ensure_open()?;
-        let descriptions: Vec<TaskDescription> = descriptions.into_iter().collect();
         let scheduler = self.scheduler.lock().clone();
-        let Some(scheduler) = scheduler else {
-            // No active pilot: each task fails on its own, exactly as with one-by-one
-            // submission.
-            return descriptions
-                .into_iter()
-                .map(|d| self.submit_task(d))
-                .collect();
-        };
-        let batchable: Vec<bool> = descriptions
-            .iter()
-            .map(|d| d.after_services.is_empty() && scheduler.admissible(&d.resources))
-            .collect();
-        if batchable.iter().filter(|b| **b).count() < 2 {
-            return descriptions
-                .into_iter()
-                .map(|d| self.submit_task(d))
-                .collect();
-        }
-        let requests: Vec<(hpcml_platform::ResourceRequest, Priority)> = descriptions
-            .iter()
-            .zip(&batchable)
-            .filter(|(_, batch)| **batch)
-            .map(|(d, _)| (d.resources, Priority::Task))
-            .collect();
-        let admission = scheduler.submit_batch(&requests)?;
-        self.metrics
-            .record_scalar("task.admission.batch_size", admission.tickets.len() as f64);
-        for (batched, woken) in admission.shard_batches.iter().zip(&admission.shard_wakeups) {
-            if *batched > 0 {
-                self.metrics
-                    .record_scalar("task.admission.shard_batch", *batched as f64);
-            }
-            if *woken > 0 {
-                self.metrics
-                    .record_scalar("task.admission.shard_wakeups", *woken as f64);
-            }
-        }
         let platform = self.active_platform();
-        let mut tickets = admission.tickets.into_iter();
-        let mut handles = Vec::with_capacity(descriptions.len());
-        for (description, batch) in descriptions.into_iter().zip(batchable) {
-            if batch {
-                let ticket = tickets.next().expect("one ticket per batched task");
+        let handles: Vec<TaskHandle> = descriptions
+            .into_iter()
+            .map(|description| {
                 let record = self.new_task_record(description, platform);
-                self.executor.spawn_task_admitted(
-                    Arc::clone(&record),
-                    Arc::clone(&scheduler),
-                    ticket,
-                );
-                handles.push(TaskHandle { record });
-            } else {
-                match self.submit_task(description) {
-                    Ok(handle) => handles.push(handle),
-                    Err(e) => {
-                        // Return the not-yet-started tickets so they don't block
-                        // their shards' FIFOs.
-                        for ticket in tickets {
-                            scheduler.cancel_admitted(ticket);
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        }
+                self.executor
+                    .spawn_task(Arc::clone(&record), scheduler.clone());
+                TaskHandle { record }
+            })
+            .collect();
+        self.metrics
+            .record_scalar("task.admission.batch_size", handles.len() as f64);
         Ok(handles)
     }
 
@@ -788,46 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_shards_flow_from_builder_and_batched_admission_records_metrics() {
-        let s = Session::builder("queue-sharded")
-            .platform(PlatformId::Local)
-            .clock(ClockSpec::scaled(10_000.0))
-            .scheduler_queue_shards(2)
-            .build()
-            .unwrap();
-        s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(2))
-            .unwrap();
-        let scheduler = s.scheduler.lock().clone().unwrap();
-        assert_eq!(
-            scheduler.queue_shards(),
-            2,
-            "session knob reaches the scheduler"
-        );
-        // A multi-task submission goes through batched admission and completes.
-        let handles = s
-            .submit_tasks((0..6).map(|i| {
-                TaskDescription::new(format!("b{i}"))
-                    .kind(TaskKind::compute_secs(1.0))
-                    .cores(1)
-            }))
-            .unwrap();
-        s.wait_tasks(Duration::from_secs(60)).unwrap();
-        assert!(handles.iter().all(|h| h.state() == TaskState::Done));
-        assert_eq!(
-            s.metrics().scalar_values("task.admission.batch_size"),
-            vec![6.0],
-            "one batch of six tasks was admitted"
-        );
-        let per_shard: f64 = s
-            .metrics()
-            .scalar_values("task.admission.shard_batch")
-            .iter()
-            .sum();
-        assert_eq!(per_shard as usize, 6, "shard batches cover the admission");
-        s.close();
-    }
-
-    #[test]
     fn fault_plan_evicts_a_running_task_which_retries_to_done() {
         let s = Session::builder("faulty")
             .platform(PlatformId::Local)
@@ -896,40 +735,18 @@ mod tests {
         assert_eq!(cfg.platform, PlatformId::Local);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.scheduler_lookahead, 1);
-        assert_eq!(
-            cfg.scheduler_max_overtakes,
-            Some(crate::scheduler::DEFAULT_MAX_OVERTAKES)
-        );
-        assert_eq!(cfg.gang_drain_after, None);
         assert_eq!(cfg.gang_packing, GangPacking::Partial);
         assert_eq!(cfg.allocator_shards, None, "shards derived unless pinned");
-        assert_eq!(
-            cfg.scheduler_queue_shards, None,
-            "queue shards derived unless pinned"
-        );
         let tuned = Session::builder("tuned")
-            .gang_drain_after(Duration::from_secs(5))
-            .scheduler_max_overtakes(Some(4))
             .gang_packing(GangPacking::Whole)
             .allocator_shards(0)
-            .scheduler_queue_shards(0)
             .build()
             .unwrap();
-        assert_eq!(
-            tuned.config().gang_drain_after,
-            Some(Duration::from_secs(5))
-        );
-        assert_eq!(tuned.config().scheduler_max_overtakes, Some(4));
         assert_eq!(tuned.config().gang_packing, GangPacking::Whole);
         assert_eq!(
             tuned.config().allocator_shards,
             Some(1),
             "builder clamps the shard count to at least 1"
-        );
-        assert_eq!(
-            tuned.config().scheduler_queue_shards,
-            Some(1),
-            "builder clamps the queue-shard count to at least 1"
         );
         let s = Session::with_config(cfg.clone());
         assert_eq!(s.config(), &cfg);

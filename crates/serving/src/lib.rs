@@ -49,7 +49,7 @@ pub use backend::{BatchResult, ModelBackend, NoopBackend, SimLlmBackend};
 pub use batcher::{BatchAssembler, ServingConfig};
 pub use host::ModelHost;
 pub use model::{ModelKind, ModelSpec};
-pub use pool::{null_sink, MetricsSink, ReplicaPool, SharedMetricsSink};
+pub use pool::ReplicaPool;
 pub use protocol::ProtocolError;
 pub use request::{InferenceRequest, InferenceRequestView, InferenceResponse};
 pub use service::InferenceService;

@@ -24,32 +24,11 @@ use hpcml_comm::message::Message;
 use hpcml_comm::queue::{WorkQueue, WorkQueueReceiver, WorkQueueSender};
 use hpcml_comm::reqrep::Responder;
 use hpcml_sim::clock::SharedClock;
+use hpcml_sim::metrics::SharedScalarSink;
 
 use crate::host::ModelHost;
 use crate::protocol::*;
 use crate::request::InferenceRequest;
-
-/// Destination for serving-plane metrics (batch sizes, queue depths, sheds). The
-/// runtime wires this to its executor metrics sink; standalone uses pass
-/// [`null_sink`]. Implemented for any `Fn(&str, f64)` closure.
-pub trait MetricsSink: Send + Sync {
-    /// Record one named scalar observation.
-    fn record(&self, name: &str, value: f64);
-}
-
-impl<F: Fn(&str, f64) + Send + Sync> MetricsSink for F {
-    fn record(&self, name: &str, value: f64) {
-        self(name, value)
-    }
-}
-
-/// Shared handle to a metrics sink.
-pub type SharedMetricsSink = Arc<dyn MetricsSink>;
-
-/// A sink that drops every observation.
-pub fn null_sink() -> SharedMetricsSink {
-    Arc::new(|_: &str, _: f64| {})
-}
 
 /// One admitted request travelling from the batch assembler to a replica worker.
 #[derive(Debug)]
@@ -136,7 +115,7 @@ impl Drop for Replica {
 pub struct ReplicaPool {
     clock: SharedClock,
     replicas: RwLock<Vec<Arc<Replica>>>,
-    sink: SharedMetricsSink,
+    sink: SharedScalarSink,
     /// EWMA of observed per-request service seconds (f64 bits), fed by the workers
     /// and read by admission control to estimate queue delay.
     est_request_secs_bits: Arc<AtomicU64>,
@@ -154,7 +133,7 @@ impl std::fmt::Debug for ReplicaPool {
 
 impl ReplicaPool {
     /// Build a pool over pre-loaded hosts, spawning one worker thread per replica.
-    pub fn new(hosts: Vec<Arc<ModelHost>>, clock: SharedClock, sink: SharedMetricsSink) -> Self {
+    pub fn new(hosts: Vec<Arc<ModelHost>>, clock: SharedClock, sink: SharedScalarSink) -> Self {
         let pool = ReplicaPool {
             clock,
             replicas: RwLock::new(Vec::new()),
@@ -341,7 +320,7 @@ fn spawn_worker(
     rx: WorkQueueReceiver<Batch>,
     outstanding: Arc<AtomicU64>,
     clock: SharedClock,
-    sink: SharedMetricsSink,
+    sink: SharedScalarSink,
     est_request_secs_bits: Arc<AtomicU64>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {

@@ -34,10 +34,11 @@ use hpcml_comm::message::Message;
 use hpcml_comm::reqrep::{ReqRepServer, Responder, HDR_ENQUEUED_AT};
 use hpcml_sim::clock::SharedClock;
 use hpcml_sim::dist::Dist;
+use hpcml_sim::metrics::{null_sink, SharedScalarSink};
 
 use crate::batcher::{BatchAssembler, ServingConfig};
 use crate::host::ModelHost;
-use crate::pool::{null_sink, BatchItem, ReplicaPool, SharedMetricsSink};
+use crate::pool::{BatchItem, ReplicaPool};
 use crate::protocol::*;
 use crate::request::InferenceRequest;
 
@@ -59,7 +60,7 @@ pub struct InferenceService {
     handling_overhead: Dist,
     rng: Mutex<StdRng>,
     requests_served: AtomicU64,
-    sink: SharedMetricsSink,
+    sink: SharedScalarSink,
 }
 
 impl std::fmt::Debug for InferenceService {
@@ -103,7 +104,7 @@ impl InferenceService {
         clock: SharedClock,
         seed: u64,
         config: ServingConfig,
-        sink: SharedMetricsSink,
+        sink: SharedScalarSink,
     ) -> Self {
         assert!(!hosts.is_empty(), "a service needs at least one replica");
         let primary = Arc::clone(&hosts[0]);

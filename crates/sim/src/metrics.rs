@@ -7,6 +7,7 @@
 //! harness aggregates them into per-component [`Summary`] statistics.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -158,10 +159,32 @@ impl MetricRegistry {
     }
 }
 
+/// Destination for the named scalar observations a layer records on its hot paths
+/// (the comm fabric's `comm.*` series, the serving plane's `serving.*` series). The
+/// runtime wires the session's metric recorder in; standalone uses pass
+/// [`null_sink`]. Implemented for any `Fn(&str, f64)` closure.
+pub trait ScalarSink: Send + Sync {
+    /// Record one named scalar observation.
+    fn record(&self, name: &str, value: f64);
+}
+
+impl<F: Fn(&str, f64) + Send + Sync> ScalarSink for F {
+    fn record(&self, name: &str, value: f64) {
+        self(name, value)
+    }
+}
+
+/// Shared handle to a scalar sink.
+pub type SharedScalarSink = Arc<dyn ScalarSink>;
+
+/// A sink that drops every observation.
+pub fn null_sink() -> SharedScalarSink {
+    Arc::new(|_: &str, _: f64| {})
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::thread;
 
     #[test]
@@ -223,6 +246,18 @@ mod tests {
         assert!((m.summary("rt").mean - 0.15).abs() < 1e-12);
         m.clear();
         assert_eq!(m.total_count(), 0);
+    }
+
+    #[test]
+    fn closure_sink_records_and_null_sink_drops() {
+        let seen = Arc::new(MetricRegistry::new());
+        let seen2 = Arc::clone(&seen);
+        let sink: SharedScalarSink =
+            Arc::new(move |name: &str, value: f64| seen2.record(name, value));
+        sink.record("comm.fanout.width", 3.0);
+        null_sink().record("dropped", 1.0);
+        assert_eq!(seen.values("comm.fanout.width"), vec![3.0]);
+        assert_eq!(seen.total_count(), 1);
     }
 
     #[test]

@@ -25,17 +25,7 @@
 #      the host actually has: >=8 CPUs must show >=1.5x, >=4 CPUs >=1.1x, and
 #      below that the check degrades to "not pathologically slower" (>=0.8x).
 #      Override with BENCH_CHURN_MIN_SPEEDUP; or
-#   6. the scheduler/churn queue_sharded sweep (16 queue shards over the same
-#      16-shard allocator) is missing, or 8-thread queue-sharded churn fails the
-#      same hardware-aware speedup bound against the scheduler/churn/sharded
-#      point — identical allocator, one queue shard — measured in the same run.
-#      Override with BENCH_QUEUE_CHURN_MIN_SPEEDUP; or
-#   7. the scheduler/admission_batch datapoints (batched vs individual admission
-#      of a 10^4 burst) are missing from the parsed results, or the batched path
-#      stops beating one-by-one admission (>= BENCH_ADMISSION_MIN_SPEEDUP,
-#      default 1.0x — batching trades per-item lock round trips for one per
-#      shard, which pays on any host); or
-#   8. any of the four serving-plane datapoints (serving/unbatched,
+#   6. any of the four serving-plane datapoints (serving/unbatched,
 #      serving/batched/8, serving/overload_p99/shed_on, .../shed_off) is missing
 #      from the serving bench's parsed results, or continuous micro-batching
 #      stops beating the unbatched service (unbatched/batched per-request time
@@ -46,7 +36,7 @@
 #      bounds are machine-independent and flat; the env overrides exist for
 #      intentional cost-model changes, not slow hardware. Recorded in their own
 #      baseline, BENCH_serving.json; or
-#   9. any comm_fabric datapoint (comm/fanout/{encode_once,clone_each}/{1,8,64},
+#   7. any comm_fabric datapoint (comm/fanout/{encode_once,clone_each}/{1,8,64},
 #      comm/batch/roundtrip/{singleton,batched_16}, comm/registry/lookup_churn)
 #      is missing from the comm bench's parsed results, or zero-copy fan-out at
 #      64 subscribers stops beating the clone-per-subscriber baseline
@@ -227,63 +217,7 @@ if [[ -n "$CHURN_SHARDED" && -n "$CHURN_SINGLE" ]]; then
         }' || fail=1
 fi
 
-# Guard 6: the queue-shard contention sweep. Existence first, then the 8-thread
-# speedup of 16 queue shards over the 1-queue-shard configuration on the same
-# 16-shard allocator (scheduler/churn/sharded), both measured in this run. The
-# bound is hardware-aware for the same reason as guard 5.
-for point in "scheduler/churn/queue_sharded/8"; do
-    if ! echo "$RESULTS" | grep -q "^$point "; then
-        echo "bench_guard: FAILED — $point missing from parsed results" >&2
-        fail=1
-    fi
-done
-CHURN_QUEUE_SHARDED="$(lookup "$RESULTS" "scheduler/churn/queue_sharded/8")"
-if [[ -n "$CHURN_QUEUE_SHARDED" && -n "$CHURN_SHARDED" ]]; then
-    CPUS="$(nproc 2>/dev/null || echo 1)"
-    if [[ -n "${BENCH_QUEUE_CHURN_MIN_SPEEDUP:-}" ]]; then
-        QUEUE_MIN_SPEEDUP="$BENCH_QUEUE_CHURN_MIN_SPEEDUP"
-    elif [[ "$CPUS" -ge 8 ]]; then
-        QUEUE_MIN_SPEEDUP="1.5"
-    elif [[ "$CPUS" -ge 4 ]]; then
-        QUEUE_MIN_SPEEDUP="1.1"
-    else
-        QUEUE_MIN_SPEEDUP="0.8"
-    fi
-    awk -v queue="$CHURN_QUEUE_SHARDED" -v single="$CHURN_SHARDED" \
-        -v min="$QUEUE_MIN_SPEEDUP" -v cpus="$CPUS" '
-        BEGIN {
-            speedup = (queue > 0) ? single / queue : 0
-            printf "guard: churn 8-thread queue-sharded %.0f ns vs 1-queue-shard %.0f ns: %.2fx speedup (bound %.2fx on %d CPUs)\n", \
-                queue, single, speedup, min, cpus
-            exit !(speedup >= min)
-        }' || fail=1
-fi
-
-# Guard 7: batched admission. Existence first — the admission_batch group must
-# stay in the suite — then batched vs one-by-one admission of the same burst,
-# both measured in this run. Unlike the contention guards this bound is flat:
-# the batched saving is lock round trips per item, not parallelism.
-for point in "scheduler/admission_batch/batched/10000" "scheduler/admission_batch/individual/10000"; do
-    if ! echo "$RESULTS" | grep -q "^$point "; then
-        echo "bench_guard: FAILED — $point missing from parsed results" >&2
-        fail=1
-    fi
-done
-ADMIT_BATCHED="$(lookup "$RESULTS" "scheduler/admission_batch/batched/10000")"
-ADMIT_INDIVIDUAL="$(lookup "$RESULTS" "scheduler/admission_batch/individual/10000")"
-if [[ -n "$ADMIT_BATCHED" && -n "$ADMIT_INDIVIDUAL" ]]; then
-    ADMIT_MIN_SPEEDUP="${BENCH_ADMISSION_MIN_SPEEDUP:-1.0}"
-    awk -v batched="$ADMIT_BATCHED" -v individual="$ADMIT_INDIVIDUAL" \
-        -v min="$ADMIT_MIN_SPEEDUP" '
-        BEGIN {
-            speedup = (batched > 0) ? individual / batched : 0
-            printf "guard: admission 10^4 burst batched %.0f ns vs individual %.0f ns: %.2fx speedup (bound %.2fx)\n", \
-                batched, individual, speedup, min
-            exit !(speedup >= min)
-        }' || fail=1
-fi
-
-# Guard 8: the serving plane. A separate bench binary because it measures virtual
+# Guard 6: the serving plane. A separate bench binary because it measures virtual
 # (simulated) time rather than host nanoseconds: the batched/unbatched ratio and the
 # shed-on/shed-off tail ratio are properties of the serving cost model, deterministic
 # up to mild thread-interleaving effects, so the bounds are flat and the trajectory
@@ -328,7 +262,7 @@ if [[ -n "$SHED_ON_P99" && -n "$SHED_OFF_P99" ]]; then
         }' || fail=1
 fi
 
-# Guard 9: the comm fabric. Mixed measurement kinds in one binary: the fan-out and
+# Guard 7: the comm fabric. Mixed measurement kinds in one binary: the fan-out and
 # registry points are real nanoseconds of allocation-bound CPU work (host-independent
 # ratios), the batch round-trip points are virtual time from the link coalescing rule
 # (deterministic). Existence of every point first, then the two ratio bounds.

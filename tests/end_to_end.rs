@@ -271,6 +271,91 @@ fn done_means_the_slot_is_already_released() {
     }
 }
 
+/// `submit_tasks` reaches the wait queue in submission order: the submitting thread
+/// advances each task to its first park before it touches the next, so on a one-node
+/// pilot whole-node tasks start executing in exactly the order they were handed in
+/// (strict FIFO, lookahead 1), one call recording one `task.admission.batch_size`.
+#[test]
+fn submit_tasks_executes_in_submission_order() {
+    const TASKS: usize = 64;
+    let s = session(2000.0);
+    let updates = s.subscribe_updates(&["state.task"]);
+    let pilot = s
+        .submit_pilot(PilotDescription::new(PlatformId::Delta).nodes(1))
+        .expect("pilot");
+    let whole_node = pilot.free_cores();
+    let handles = s
+        .submit_tasks((0..TASKS).map(|i| {
+            TaskDescription::new(format!("t{i}"))
+                .kind(TaskKind::compute_secs(1.0))
+                .cores(whole_node)
+        }))
+        .expect("batch");
+    for h in &handles {
+        let state = h.wait_final(Duration::from_secs(60)).expect("final");
+        assert_eq!(state, TaskState::Done, "{:?}", h.error());
+    }
+    let executing: Vec<String> = updates
+        .drain()
+        .iter()
+        .filter(|m| m.header("state") == Some("Executing"))
+        .map(|m| m.header("entity").expect("entity header").to_string())
+        .collect();
+    let submitted: Vec<String> = handles.iter().map(|h| h.id().to_string()).collect();
+    assert_eq!(executing, submitted);
+    assert_eq!(
+        s.metrics().scalar_values("task.admission.batch_size"),
+        vec![TASKS as f64]
+    );
+    s.close();
+}
+
+/// Every task of a batch is validated, placed or parked on its own: an impossible
+/// shape fails that task, an `after_services` of a service nobody has published yet
+/// holds that task back, and the rest of the batch finishes meanwhile.
+#[test]
+fn submit_tasks_fails_or_delays_only_the_task_concerned() {
+    let s = session(2000.0);
+    s.submit_pilot(PilotDescription::new(PlatformId::Delta).nodes(2))
+        .expect("pilot");
+    let plain = |name: &str| {
+        TaskDescription::new(name)
+            .kind(TaskKind::compute_secs(1.0))
+            .cores(1)
+    };
+    let handles = s
+        .submit_tasks([
+            plain("a"),
+            plain("impossible").cores(4096),
+            plain("b"),
+            plain("gated").after_service("late"),
+            plain("c"),
+        ])
+        .expect("batch");
+    let [a, impossible, b, gated, c] = &handles[..] else {
+        panic!("one handle per description");
+    };
+    let long = Duration::from_secs(60);
+    assert_eq!(
+        impossible.wait_final(long).expect("final"),
+        TaskState::Failed
+    );
+    for h in [a, b, c] {
+        assert_eq!(h.wait_final(long).expect("final"), TaskState::Done);
+    }
+    assert_eq!(
+        gated.state(),
+        TaskState::Scheduling,
+        "still waiting for `late`"
+    );
+    let late = s
+        .submit_service(ServiceDescription::new("late").model(ModelSpec::noop()))
+        .expect("service");
+    late.wait_ready_timeout(long).expect("ready");
+    assert_eq!(gated.wait_final(long).expect("final"), TaskState::Done);
+    s.close();
+}
+
 #[test]
 fn session_close_is_idempotent_and_rejects_new_work() {
     let s = session(5000.0);

@@ -1437,44 +1437,39 @@ fn service_state_walks_are_legal() {
     });
 }
 
-/// The sharded wait-queue front-end preserves the legacy admission contract when
-/// racing producers admit through `Scheduler::submit_batch`. The queue-shard
-/// count comes from `QUEUE_SHARDS` (default 4; CI runs a {1, 4} matrix in
-/// release mode), so the same interleavings prove both the sharded and the
-/// single-queue front-end.
+/// The wait queue keeps its admission contract when racing producers enter it
+/// concurrently, whichever way their waiters sleep.
 ///
-/// Scenario A (exact ordering oracle): capacity is held full while the producers
-/// concurrently admit whole-node service/task mixes, so every waiter parks.
-/// Exactly one node then circulates — each consumer releases its slot only
-/// *after* appending to the completion log, so the log order equals the
-/// placement order. Oracle: every service placement precedes every task
-/// placement (the service gate is absolute across shards), and for each
-/// (producer, shard) pair the completions replay that producer's admission
-/// order (per-shard FIFO at lookahead 1).
+/// Scenario A (exact ordering oracle, polled waiters): capacity is held full while
+/// the producers concurrently park whole-node service/task mixes — each producer
+/// polls its placements in its own order, so its arrival order is its sequence
+/// order. Exactly one node then circulates — whoever polls a placement to `Ready`
+/// releases the slot only *after* appending to the completion log, so the log order
+/// equals the placement order. Oracle: every service placement precedes every task
+/// placement (service priority is absolute), and for each (class, producer) pair
+/// the completions replay that producer's arrival order (FIFO at lookahead 1).
 ///
-/// Scenario B (liveness + preemption under gang churn): producers admit mixed
-/// sub-node tasks, two-node gangs (random packing), and services; all consumers
-/// race while the held nodes are drip-released. Oracle: no admitted waiter is
-/// ever lost (every `allocate_admitted` places within its timeout — a lost
-/// wakeup parks forever and a double-wake would double-book, failing the
-/// release), a placed task never observes a parked service, and teardown leaves
-/// no waiter counted, no drain reservation, and an idle allocation.
+/// Scenario B (liveness + preemption under gang churn, blocked waiters): producers
+/// race mixed sub-node tasks, two-node gangs (random packing) and services into
+/// `allocate`, one thread each; once all are parked the held nodes are
+/// drip-released. Oracle: no waiter is ever lost (every `allocate` places within
+/// its timeout — a lost wakeup parks forever and a double-wake would double-book,
+/// failing the release), a placed task never observes a parked service, and
+/// teardown leaves no waiter counted, no drain reservation, and an idle allocation.
 ///
 /// Liveness overall: a watchdog aborts the process if a case fails to finish in
-/// bounded time — a lost wakeup or shard/gate lock-order violation hangs here.
+/// bounded time — a lost wakeup or lock-order violation hangs here.
 #[test]
-fn sharded_queue_admission_preserves_priority_and_fifo() {
-    use hpcml::runtime::scheduler::{Priority, Scheduler};
+fn queue_admission_preserves_priority_and_fifo() {
+    use hpcml::runtime::scheduler::{Placement, PlacementPoll, Priority, Scheduler};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
-    let queue_shards: usize = std::env::var("QUEUE_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
     const PRODUCERS: u64 = 3;
+    const POLLERS: usize = 2;
     const NODES: usize = 4;
+    const TIMEOUT: Duration = Duration::from_secs(60);
 
     for case in 0..8u64 {
         let seed = 0xBA7C4 ^ case.wrapping_mul(0x9E37_79B9);
@@ -1490,28 +1485,22 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                     }
                     std::thread::sleep(Duration::from_millis(100));
                 }
-                eprintln!(
-                    "sharded queue admission property: case {case} exceeded 120 s — lost wakeup?"
-                );
+                eprintln!("queue admission property: case {case} exceeded 120 s — lost wakeup?");
                 std::process::abort();
             });
         }
 
-        let setup = |lookahead: usize| {
+        let setup = || {
             let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
             let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
             let spec = alloc.node_spec();
-            let scheduler = Arc::new(
-                Scheduler::with_lookahead(Arc::clone(&alloc), lookahead)
-                    .with_queue_shards(Some(queue_shards)),
-            );
-            assert_eq!(scheduler.queue_shards(), queue_shards.max(1));
+            let scheduler = Arc::new(Scheduler::new(Arc::clone(&alloc)));
             (batch, alloc, spec, scheduler)
         };
 
         // ---- Scenario A: exact ordering under single-token circulation. ----
         {
-            let (_batch, alloc, spec, scheduler) = setup(1);
+            let (_batch, alloc, spec, scheduler) = setup();
             let whole = ResourceRequest {
                 cores: spec.cores,
                 gpus: 0,
@@ -1519,65 +1508,104 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                 nodes: 1,
                 packing: None,
             };
-            // Hold every node so admitted waiters must park...
+            // Hold every node so every arrival must park...
             let mut held: Vec<_> = (0..NODES)
                 .map(|_| alloc.allocate_slot(&whole).unwrap())
                 .collect();
 
-            let mut producers = Vec::new();
+            // Each producer's class sequence; a waiter's id is its index in `waiters`.
+            let mut waiters: Vec<(Priority, u64, usize)> = Vec::new();
+            let mut ranges = Vec::new();
             for p in 0..PRODUCERS {
-                let scheduler = Arc::clone(&scheduler);
-                producers.push(std::thread::spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed ^ (0xA0D ^ p));
-                    let len = rng.gen_range(4usize..9);
-                    let requests: Vec<(ResourceRequest, Priority)> = (0..len)
-                        .map(|_| {
-                            let priority = if rng.gen_bool(0.35) {
-                                Priority::Service
-                            } else {
-                                Priority::Task
-                            };
-                            (whole, priority)
-                        })
-                        .collect();
-                    let admission = scheduler.submit_batch(&requests).expect("admission");
-                    assert_eq!(admission.tickets.len(), requests.len());
-                    assert_eq!(
-                        admission.shard_batches.iter().sum::<usize>(),
-                        requests.len(),
-                        "case {case}: the fan-out shape must cover the batch"
-                    );
-                    admission.tickets
-                }));
-            }
-            let batches: Vec<_> = producers.into_iter().map(|h| h.join().unwrap()).collect();
-
-            // One consumer per ticket; the log push happens strictly before the
-            // release that lets the next placement happen. Entries are
-            // (priority, producer, home shard, per-producer sequence number).
-            type ServeLog = Arc<Mutex<Vec<(Priority, u64, usize, usize)>>>;
-            let log: ServeLog = Arc::new(Mutex::new(Vec::new()));
-            let mut consumers = Vec::new();
-            for (p, tickets) in batches.into_iter().enumerate() {
-                for (seq, ticket) in tickets.into_iter().enumerate() {
-                    let scheduler = Arc::clone(&scheduler);
-                    let log = Arc::clone(&log);
-                    let shard = ticket.shard();
-                    let priority = ticket.priority();
-                    consumers.push(std::thread::spawn(move || {
-                        let slot = scheduler
-                            .allocate_admitted(ticket, Duration::from_secs(60))
-                            .expect("no admitted waiter may be lost");
-                        log.lock().unwrap().push((priority, p as u64, shard, seq));
-                        scheduler.release(&slot).unwrap();
-                    }));
+                let mut rng = StdRng::seed_from_u64(seed ^ (0xA0D ^ p));
+                let len = rng.gen_range(4usize..9);
+                ranges.push(waiters.len()..waiters.len() + len);
+                for seq in 0..len {
+                    let priority = if rng.gen_bool(0.35) {
+                        Priority::Service
+                    } else {
+                        Priority::Task
+                    };
+                    waiters.push((priority, p, seq));
                 }
             }
-            // ...then let exactly one node circulate through the queues.
+            let waiters = Arc::new(waiters);
+            let placements: Arc<Vec<Mutex<Option<Placement>>>> =
+                Arc::new(waiters.iter().map(|_| Mutex::new(None)).collect());
+            let ready = ReadyQueue::new();
+
+            let producers: Vec<_> = ranges
+                .into_iter()
+                .map(|range| {
+                    let (scheduler, waiters, placements, ready) = (
+                        Arc::clone(&scheduler),
+                        Arc::clone(&waiters),
+                        Arc::clone(&placements),
+                        Arc::clone(&ready),
+                    );
+                    std::thread::spawn(move || {
+                        for id in range {
+                            let mut slot = placements[id].lock().unwrap();
+                            let mut placement = Placement::new(&whole, waiters[id].0, TIMEOUT);
+                            let poll = scheduler.poll_placed(&mut placement, &ready.waker(id));
+                            assert!(
+                                matches!(poll, PlacementPoll::Pending { .. }),
+                                "case {case}: waiter {id} must park while every node is held"
+                            );
+                            *slot = Some(placement);
+                        }
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().unwrap();
+            }
+            assert_eq!(
+                scheduler.waiting_services() + scheduler.waiting_tasks(),
+                waiters.len(),
+                "case {case}: every arrival parked"
+            );
+
+            // Whoever polls a waiter to `Ready` logs it strictly before the release
+            // that lets the next placement happen.
+            type ServeLog = Arc<Mutex<Vec<(Priority, u64, usize)>>>;
+            let log: ServeLog = Arc::new(Mutex::new(Vec::new()));
+            let pollers: Vec<_> = (0..POLLERS)
+                .map(|_| {
+                    let (scheduler, waiters, placements, ready, log) = (
+                        Arc::clone(&scheduler),
+                        Arc::clone(&waiters),
+                        Arc::clone(&placements),
+                        Arc::clone(&ready),
+                        Arc::clone(&log),
+                    );
+                    std::thread::spawn(move || {
+                        while log.lock().unwrap().len() < waiters.len() {
+                            let Some(id) = ready.pop_wait(Duration::from_millis(20)) else {
+                                continue;
+                            };
+                            let mut placement = placements[id].lock().unwrap();
+                            let Some(pending) = placement.as_mut() else {
+                                continue;
+                            };
+                            match scheduler.poll_placed(pending, &ready.waker(id)) {
+                                PlacementPoll::Pending { .. } => {}
+                                PlacementPoll::Ready(result) => {
+                                    let (slot, _) = result.expect("no waiter may be lost");
+                                    *placement = None;
+                                    log.lock().unwrap().push(waiters[id]);
+                                    scheduler.release(&slot).unwrap();
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // ...then let exactly one node circulate through the queue.
             alloc.release_slot(&held.remove(0)).unwrap();
             scheduler.notify_capacity();
-            for c in consumers {
-                c.join().unwrap();
+            for t in pollers {
+                t.join().unwrap();
             }
 
             let log = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
@@ -1591,16 +1619,15 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                     .all(|(pr, ..)| *pr == Priority::Task),
                 "case {case}: a service placed after a task: {log:?}"
             );
-            // Arrival order holds per class queue: services and tasks park in
-            // different queues even when they share a shard.
-            let mut last_seq: std::collections::HashMap<(bool, u64, usize), usize> =
+            // Arrival order holds per class queue.
+            let mut last_seq: std::collections::HashMap<(bool, u64), usize> =
                 std::collections::HashMap::new();
-            for &(pr, p, shard, seq) in &log {
-                if let Some(prev) = last_seq.insert((pr == Priority::Service, p, shard), seq) {
+            for &(pr, p, seq) in &log {
+                if let Some(prev) = last_seq.insert((pr == Priority::Service, p), seq) {
                     assert!(
                         prev < seq,
-                        "case {case}: producer {p} shard {shard} {pr:?} served seq {seq} \
-                         after {prev} — per-shard FIFO broken: {log:?}"
+                        "case {case}: producer {p} {pr:?} served seq {seq} after {prev} — \
+                         FIFO broken: {log:?}"
                     );
                 }
             }
@@ -1614,7 +1641,7 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
 
         // ---- Scenario B: liveness and preemption under gang churn. ----
         {
-            let (_batch, alloc, spec, scheduler) = setup(1);
+            let (_batch, alloc, spec, scheduler) = setup();
             let whole = ResourceRequest {
                 cores: spec.cores,
                 gpus: 0,
@@ -1632,9 +1659,9 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                 producers.push(std::thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(seed ^ (0x6A46 ^ p));
                     let len = rng.gen_range(4usize..9);
-                    let requests: Vec<(ResourceRequest, Priority)> = (0..len)
+                    (0..len)
                         .map(|_| {
-                            if rng.gen_bool(0.3) {
+                            let (req, priority) = if rng.gen_bool(0.3) {
                                 // Single-node service.
                                 (
                                     ResourceRequest {
@@ -1674,38 +1701,36 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
                                     },
                                     Priority::Task,
                                 )
-                            }
+                            };
+                            let scheduler = Arc::clone(&scheduler);
+                            std::thread::spawn(move || {
+                                let slot = scheduler
+                                    .allocate(&req, priority, TIMEOUT)
+                                    .expect("no waiter may be lost");
+                                if priority == Priority::Task {
+                                    // Every service arrived before the first node was
+                                    // freed, so a parked service here means a task
+                                    // jumped the gate.
+                                    assert_eq!(
+                                        scheduler.waiting_services(),
+                                        0,
+                                        "case {case}: a task placed while a service waited"
+                                    );
+                                }
+                                scheduler.release(&slot).unwrap();
+                            })
                         })
-                        .collect();
-                    scheduler
-                        .submit_batch(&requests)
-                        .expect("admission")
-                        .tickets
+                        .collect::<Vec<_>>()
                 }));
             }
-            let batches: Vec<_> = producers.into_iter().map(|h| h.join().unwrap()).collect();
-
-            let mut consumers = Vec::new();
-            for tickets in batches {
-                for ticket in tickets {
-                    let scheduler = Arc::clone(&scheduler);
-                    let priority = ticket.priority();
-                    consumers.push(std::thread::spawn(move || {
-                        let slot = scheduler
-                            .allocate_admitted(ticket, Duration::from_secs(60))
-                            .expect("no admitted waiter may be lost");
-                        if priority == Priority::Task {
-                            // No new services are admitted at this point, so a
-                            // parked service here means a task jumped the gate.
-                            assert_eq!(
-                                scheduler.waiting_services(),
-                                0,
-                                "case {case}: a task placed while a service waited"
-                            );
-                        }
-                        scheduler.release(&slot).unwrap();
-                    }));
-                }
+            let consumers: Vec<_> = producers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect();
+            let parked_by = Instant::now() + Duration::from_secs(30);
+            while scheduler.waiting_services() + scheduler.waiting_tasks() < consumers.len() {
+                assert!(Instant::now() < parked_by, "case {case}: arrivals stuck");
+                std::thread::sleep(Duration::from_micros(200));
             }
             for slot in &held {
                 alloc.release_slot(slot).unwrap();
@@ -1721,114 +1746,9 @@ fn sharded_queue_admission_preserves_priority_and_fifo() {
             assert_eq!(alloc.reserved_nodes(), 0, "case {case}: no drain leaked");
             assert!(alloc.drain_status().is_none(), "case {case}");
             assert!(alloc.is_idle(), "case {case}: scenario B teardown");
-            assert_eq!(
-                scheduler.shard_wakeup_counts().len(),
-                queue_shards.max(1),
-                "case {case}: one wakeup counter per shard"
-            );
         }
 
         done.store(true, Ordering::Release);
-    }
-}
-
-/// Equivalence regression for the batched admission path at the legacy setting:
-/// at `queue_shards = 1` a 10⁴-submission burst admitted through
-/// `Scheduler::submit_batch` and consumed ticket-by-ticket places on *exactly*
-/// the same node sequence as the same requests submitted one-by-one through
-/// `Scheduler::allocate` — same placement multiset, same evolving occupancy,
-/// same final state. Both paths hold a sliding window of live slots so the
-/// occupancy genuinely evolves (fragmentation included), and the window policy
-/// is identical on both sides, so any divergence is the scheduler's.
-#[test]
-fn batched_burst_matches_one_by_one_at_single_shard() {
-    use hpcml::runtime::scheduler::{Priority, Scheduler};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    const BURST: usize = 10_000;
-    // 24 live slots x at most 8 cores = 192 of the 256 cores: a 64-core node
-    // always keeps at least 8 cores free somewhere, so no request ever parks.
-    const WINDOW: usize = 24;
-
-    for case in 0..4u64 {
-        let seed = 0xEC0 ^ case.wrapping_mul(0x9E37_79B9);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let requests: Vec<ResourceRequest> = (0..BURST)
-            .map(|_| ResourceRequest {
-                cores: rng.gen_range(1u32..9),
-                gpus: 0,
-                mem_gib: 0.0,
-                nodes: 1,
-                packing: None,
-            })
-            .collect();
-
-        let fresh = || {
-            let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
-            let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
-            let scheduler = Arc::new(
-                Scheduler::with_lookahead(Arc::clone(&alloc), 1).with_queue_shards(Some(1)),
-            );
-            assert_eq!(scheduler.queue_shards(), 1);
-            (batch, alloc, scheduler)
-        };
-
-        // Path A: one-by-one submission.
-        let (_batch_a, alloc_a, sched_a) = fresh();
-        let mut live: std::collections::VecDeque<hpcml::platform::Slot> =
-            std::collections::VecDeque::new();
-        let mut nodes_a = Vec::with_capacity(BURST);
-        for req in &requests {
-            if live.len() == WINDOW {
-                sched_a.release(&live.pop_front().unwrap()).unwrap();
-            }
-            let slot = sched_a
-                .allocate(req, Priority::Task, Duration::from_secs(5))
-                .expect("window policy keeps every request satisfiable");
-            nodes_a.push(slot.members[0].node_index);
-            live.push_back(slot);
-        }
-        for slot in &live {
-            sched_a.release(slot).unwrap();
-        }
-        assert!(alloc_a.is_idle(), "case {case}: path A teardown");
-
-        // Path B: one burst through batched admission, tickets consumed in
-        // submission order.
-        let (_batch_b, alloc_b, sched_b) = fresh();
-        let batch_reqs: Vec<(ResourceRequest, Priority)> =
-            requests.iter().map(|r| (*r, Priority::Task)).collect();
-        let admission = sched_b.submit_batch(&batch_reqs).expect("admission");
-        assert_eq!(admission.tickets.len(), BURST);
-        assert_eq!(
-            admission.shard_batches,
-            vec![BURST],
-            "case {case}: a single shard takes the whole burst"
-        );
-        let mut live = std::collections::VecDeque::new();
-        let mut nodes_b = Vec::with_capacity(BURST);
-        for ticket in admission.tickets {
-            if live.len() == WINDOW {
-                sched_b.release(&live.pop_front().unwrap()).unwrap();
-            }
-            let slot = sched_b
-                .allocate_admitted(ticket, Duration::from_secs(5))
-                .expect("window policy keeps every ticket satisfiable");
-            nodes_b.push(slot.members[0].node_index);
-            live.push_back(slot);
-        }
-        for slot in &live {
-            sched_b.release(slot).unwrap();
-        }
-        assert!(alloc_b.is_idle(), "case {case}: path B teardown");
-
-        assert_eq!(
-            nodes_a, nodes_b,
-            "case {case}: batched admission diverged from one-by-one at one shard"
-        );
-        assert_eq!(alloc_a.free_cores(), alloc_b.free_cores(), "case {case}");
-        assert_eq!(alloc_a.idle_nodes(), alloc_b.idle_nodes(), "case {case}");
     }
 }
 
@@ -2020,11 +1940,11 @@ impl ReadyQueue {
 }
 
 /// Blocking and polled waits are one wait loop: the same seeded request stream —
-/// singles and two-node gangs of distinct sizes, some admitted as a batch of tickets
-/// (one of them cancelled), one arriving as a front-of-queue requeue, a service
-/// arriving mid-stream — places in the same order with the same
-/// `PlacementStats::overtakes` whether every request is a thread blocked in
-/// `allocate*` or a `Placement` polled when its waker fires, at one queue shard and
+/// singles and two-node gangs of distinct sizes, one of the early arrivals giving up
+/// its place again (a timed-out thread, a cancelled `Placement`), one arriving as a
+/// front-of-queue requeue, a service arriving mid-stream — places in the same order
+/// with the same `PlacementStats::overtakes` whether every request is a thread
+/// blocked in `allocate*` or a `Placement` polled when its waker fires, at
 /// lookahead 3.
 ///
 /// The order is made deterministic without serialising the threads: all capacity is
@@ -2036,9 +1956,8 @@ impl ReadyQueue {
 fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
     use hpcml::platform::batch::Allocation;
     use hpcml::platform::Slot;
-    use hpcml::runtime::scheduler::{
-        AdmissionTicket, Placement, PlacementPoll, Priority, Scheduler,
-    };
+    use hpcml::runtime::scheduler::{Placement, PlacementPoll, Priority, Scheduler};
+    use hpcml::runtime::RuntimeError;
     use std::collections::VecDeque;
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
@@ -2059,12 +1978,13 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
         Arrive(usize),
         Serve,
     }
-    /// One case: requests `0..tickets` are admitted as a batch, of which `cancelled`
-    /// is given back; the rest arrive one by one, interleaved with capacity events.
+    /// One case: requests `0..early` arrive before any capacity event, of which
+    /// `abandoned` leaves again at once; the rest arrive interleaved with capacity
+    /// events.
     struct Stream {
         requests: Vec<Request>,
-        tickets: usize,
-        cancelled: usize,
+        early: usize,
+        abandoned: usize,
         actions: Vec<Action>,
     }
 
@@ -2075,10 +1995,10 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
             let j = rng.gen_range(i..sizes.len());
             sizes.swap(i, j);
         }
-        let tickets = rng.gen_range(3usize..6);
-        let service = rng.gen_range(tickets + 1..n - 1);
+        let early = rng.gen_range(3usize..6);
+        let service = rng.gen_range(early + 1..n - 1);
         let requeue = loop {
-            let i = rng.gen_range(tickets..n);
+            let i = rng.gen_range(early..n);
             if i != service {
                 break i;
             }
@@ -2106,7 +2026,7 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
             })
             .collect();
         let mut actions = Vec::new();
-        let (mut next, mut parked) = (tickets, tickets - 1);
+        let (mut next, mut parked) = (early, early - 1);
         while next < n || parked > 0 {
             if next < n && (parked == 0 || rng.gen_bool(0.5)) {
                 actions.push(Action::Arrive(next));
@@ -2119,8 +2039,8 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
         }
         Stream {
             requests,
-            tickets,
-            cancelled: rng.gen_range(0usize..tickets),
+            early,
+            abandoned: rng.gen_range(0usize..early),
             actions,
         }
     }
@@ -2197,9 +2117,12 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
 
     /// One way of waiting for placements.
     trait Waiting {
-        /// Request `id` enters — consuming its ticket if it was admitted with the
-        /// batch. Returns once it holds its place: `parked` requests are queued.
-        fn enter(&mut self, id: usize, r: Request, ticket: Option<AdmissionTicket>, parked: usize);
+        /// Request `id` enters. Returns once it holds its place: `parked` requests are
+        /// queued.
+        fn enter(&mut self, id: usize, r: Request, parked: usize);
+        /// Request `r` enters behind `parked` queued requests, holds a place and gives
+        /// it up without placing.
+        fn abandon(&mut self, r: Request, parked: usize);
         /// Capacity was freed and announced. Returns once `placed` requests have
         /// placed in total.
         fn settle(&mut self, placed: usize);
@@ -2225,13 +2148,13 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
     }
 
     impl Waiting for Blocking {
-        fn enter(&mut self, id: usize, r: Request, ticket: Option<AdmissionTicket>, parked: usize) {
+        fn enter(&mut self, id: usize, r: Request, parked: usize) {
             let (scheduler, log) = (Arc::clone(&self.scheduler), Arc::clone(&self.log));
             self.threads.push(std::thread::spawn(move || {
-                let placed = match ticket {
-                    Some(ticket) => scheduler.allocate_admitted_with_stats(ticket, TIMEOUT),
-                    None if r.requeue => scheduler.requeue_with_stats(&r.req, r.priority, TIMEOUT),
-                    None => scheduler.allocate_with_stats(&r.req, r.priority, TIMEOUT),
+                let placed = if r.requeue {
+                    scheduler.requeue_with_stats(&r.req, r.priority, TIMEOUT)
+                } else {
+                    scheduler.allocate_with_stats(&r.req, r.priority, TIMEOUT)
                 };
                 let (slot, stats) = placed.expect("request places");
                 log.lock().unwrap().push((id, stats.overtakes));
@@ -2240,6 +2163,19 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
             self.wait_for("arrival parks", |w| {
                 w.scheduler.waiting_tasks() + w.scheduler.waiting_services() == parked
             });
+        }
+
+        /// A blocked thread gives up by timing out: nothing is free, so its final
+        /// attempt fails too.
+        fn abandon(&mut self, r: Request, parked: usize) {
+            let timed_out = self
+                .scheduler
+                .allocate(&r.req, r.priority, Duration::from_millis(20));
+            assert!(matches!(timed_out, Err(RuntimeError::WaitTimeout { .. })));
+            assert_eq!(
+                self.scheduler.waiting_tasks() + self.scheduler.waiting_services(),
+                parked
+            );
         }
 
         fn settle(&mut self, placed: usize) {
@@ -2289,11 +2225,11 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
     }
 
     impl Waiting for Polled {
-        fn enter(&mut self, id: usize, r: Request, ticket: Option<AdmissionTicket>, parked: usize) {
-            self.placements[id] = Some(match ticket {
-                Some(ticket) => Placement::admitted(ticket, TIMEOUT),
-                None if r.requeue => Placement::requeued(&r.req, r.priority, TIMEOUT),
-                None => Placement::new(&r.req, r.priority, TIMEOUT),
+        fn enter(&mut self, id: usize, r: Request, parked: usize) {
+            self.placements[id] = Some(if r.requeue {
+                Placement::requeued(&r.req, r.priority, TIMEOUT)
+            } else {
+                Placement::new(&r.req, r.priority, TIMEOUT)
             });
             self.poll(id);
             assert_eq!(
@@ -2301,6 +2237,18 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
                 parked,
                 "a polled arrival parks within its first poll"
             );
+        }
+
+        fn abandon(&mut self, r: Request, parked: usize) {
+            let mut placement = Placement::new(&r.req, r.priority, TIMEOUT);
+            let poll = self
+                .scheduler
+                .poll_placed(&mut placement, std::task::Waker::noop());
+            assert!(matches!(poll, PlacementPoll::Pending { .. }));
+            let waiting = |s: &Scheduler| s.waiting_tasks() + s.waiting_services();
+            assert_eq!(waiting(&self.scheduler), parked + 1);
+            self.scheduler.cancel_placement(placement);
+            assert_eq!(waiting(&self.scheduler), parked);
         }
 
         fn settle(&mut self, placed: usize) {
@@ -2320,9 +2268,7 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
         let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
         let scheduler = Arc::new(
-            Scheduler::with_lookahead(Arc::clone(&alloc), LOOKAHEAD)
-                .with_queue_shards(Some(1))
-                .with_max_overtakes(None),
+            Scheduler::with_lookahead(Arc::clone(&alloc), LOOKAHEAD).with_max_overtakes(None),
         );
         let mut held = Held::all(&alloc);
         let mut waiting = waiting(Arc::clone(&scheduler));
@@ -2331,27 +2277,14 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
             ..Model::default()
         };
 
-        // The batch is admitted — and one ticket cancelled — before any is consumed.
-        let batch_requests: Vec<(ResourceRequest, Priority)> = s.requests[..s.tickets]
-            .iter()
-            .map(|r| (r.req, r.priority))
-            .collect();
-        let mut admitted = Vec::new();
-        let tickets = scheduler
-            .submit_batch(&batch_requests)
-            .expect("admission")
-            .tickets;
-        for (id, ticket) in tickets.into_iter().enumerate() {
-            if id == s.cancelled {
-                scheduler.cancel_admitted(ticket);
+        // The early arrivals park before any capacity event; one of them leaves again.
+        for id in 0..s.early {
+            if id == s.abandoned {
+                waiting.abandon(s.requests[id], model.parked());
             } else {
                 model.arrive(id, &s.requests[id]);
-                admitted.push((id, ticket));
+                waiting.enter(id, s.requests[id], model.parked());
             }
-        }
-        let parked = model.parked();
-        for (id, ticket) in admitted {
-            waiting.enter(id, s.requests[id], Some(ticket), parked);
         }
 
         let mut expected = Log::new();
@@ -2359,7 +2292,7 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
             match *action {
                 Action::Arrive(id) => {
                     model.arrive(id, &s.requests[id]);
-                    waiting.enter(id, s.requests[id], None, model.parked());
+                    waiting.enter(id, s.requests[id], model.parked());
                 }
                 Action::Serve => {
                     let served = model.serve(&s.requests);
@@ -2407,7 +2340,7 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
         assert_eq!(blocking, polled, "case {case} (seed {seed:#x})");
         assert!(
             blocking.len() == s.requests.len() - 1,
-            "case {case}: every request but the cancelled one placed"
+            "case {case}: every request but the abandoned one placed"
         );
         overtaken += blocking.iter().map(|(_, n)| n).sum::<u32>();
     }
@@ -2415,7 +2348,7 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
 }
 
 /// Polled waiters under concurrent release, `fail_node`, `expand` and
-/// `notify_capacity`, at 1 and 4 queue shards: no unit is ever double-booked, and no
+/// `notify_capacity`: no unit is ever double-booked, and no
 /// wake-up is lost — every request places although the `notify_capacity` actor stops
 /// early, so the tail is served by release-driven wake-ups alone.
 ///
@@ -2484,195 +2417,175 @@ fn sharded_polled_waiters_never_double_book_or_lose_a_wakeup() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
 
-    for queue_shards in [1usize, 4] {
-        for case in 0..4u64 {
-            let seed = 0x901D ^ case.wrapping_mul(0x9E37_79B9) ^ (queue_shards as u64) << 40;
-            let finished = Arc::new(AtomicBool::new(false));
-            {
-                let finished = Arc::clone(&finished);
-                std::thread::spawn(move || {
-                    for _ in 0..1200 {
-                        if finished.load(Ordering::Acquire) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(100));
+    for case in 0..8u64 {
+        let seed = 0x901D ^ case.wrapping_mul(0x9E37_79B9);
+        let finished = Arc::new(AtomicBool::new(false));
+        {
+            let finished = Arc::clone(&finished);
+            std::thread::spawn(move || {
+                for _ in 0..1200 {
+                    if finished.load(Ordering::Acquire) {
+                        return;
                     }
-                    eprintln!(
-                        "polled waiters property: queue_shards {queue_shards} case {case} \
-                         exceeded 120 s — lost wakeup?"
-                    );
-                    std::process::abort();
-                });
-            }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                eprintln!("polled waiters property: case {case} exceeded 120 s — lost wakeup?");
+                std::process::abort();
+            });
+        }
 
-            let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
-            let alloc = batch
-                .submit(AllocationRequest::nodes(NODES).with_allocator_shards(alloc_shards))
-                .unwrap();
-            let spec = alloc.node_spec();
-            let scheduler = Arc::new(
-                Scheduler::with_lookahead(Arc::clone(&alloc), 2)
-                    .with_queue_shards(Some(queue_shards)),
-            );
-            let occupancy = Arc::new(Mutex::new(Occupancy::default()));
-            let ready = ReadyQueue::new();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let requests: Vec<(ResourceRequest, Priority)> = (0..REQUESTS)
-                .map(|_| {
-                    let gang = rng.gen_bool(0.25);
-                    (
-                        ResourceRequest {
-                            cores: rng.gen_range(spec.cores / 4..spec.cores + 1),
-                            gpus: 0,
-                            mem_gib: 0.0,
-                            nodes: if gang { 2 } else { 1 },
-                            packing: None,
-                        },
-                        if rng.gen_bool(0.15) {
-                            Priority::Service
-                        } else {
-                            Priority::Task
-                        },
-                    )
-                })
-                .collect();
-            // A third is admitted as one batch of tickets, the rest arrive fresh.
-            let batched = REQUESTS / 3;
-            let tickets = scheduler
-                .submit_batch(&requests[..batched])
-                .expect("admission")
-                .tickets;
-            let placements: Arc<Vec<Mutex<Option<Placement>>>> = Arc::new(
-                tickets
-                    .into_iter()
-                    .map(|t| Placement::admitted(t, TIMEOUT))
-                    .chain(
-                        requests[batched..]
-                            .iter()
-                            .map(|(req, priority)| Placement::new(req, *priority, TIMEOUT)),
-                    )
-                    .map(|p| Mutex::new(Some(p)))
-                    .collect(),
-            );
-            let placed = Arc::new(AtomicUsize::new(0));
-            let held: Arc<Mutex<Vec<(usize, Slot)>>> = Arc::new(Mutex::new(Vec::new()));
+        let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
+        let alloc = batch
+            .submit(AllocationRequest::nodes(NODES).with_allocator_shards(alloc_shards))
+            .unwrap();
+        let spec = alloc.node_spec();
+        let scheduler = Arc::new(Scheduler::with_lookahead(Arc::clone(&alloc), 2));
+        let occupancy = Arc::new(Mutex::new(Occupancy::default()));
+        let ready = ReadyQueue::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let requests: Vec<(ResourceRequest, Priority)> = (0..REQUESTS)
+            .map(|_| {
+                let gang = rng.gen_bool(0.25);
+                (
+                    ResourceRequest {
+                        cores: rng.gen_range(spec.cores / 4..spec.cores + 1),
+                        gpus: 0,
+                        mem_gib: 0.0,
+                        nodes: if gang { 2 } else { 1 },
+                        packing: None,
+                    },
+                    if rng.gen_bool(0.15) {
+                        Priority::Service
+                    } else {
+                        Priority::Task
+                    },
+                )
+            })
+            .collect();
+        let placements: Arc<Vec<Mutex<Option<Placement>>>> = Arc::new(
+            requests
+                .iter()
+                .map(|(req, priority)| Mutex::new(Some(Placement::new(req, *priority, TIMEOUT))))
+                .collect(),
+        );
+        let placed = Arc::new(AtomicUsize::new(0));
+        let held: Arc<Mutex<Vec<(usize, Slot)>>> = Arc::new(Mutex::new(Vec::new()));
 
-            let pollers: Vec<_> = (0..POLLERS)
-                .map(|_| {
-                    let (scheduler, ready, placements, placed, held, occupancy) = (
-                        Arc::clone(&scheduler),
-                        Arc::clone(&ready),
-                        Arc::clone(&placements),
-                        Arc::clone(&placed),
-                        Arc::clone(&held),
-                        Arc::clone(&occupancy),
-                    );
-                    std::thread::spawn(move || {
-                        while placed.load(Ordering::Acquire) < REQUESTS {
-                            let Some(id) = ready.pop_wait(Duration::from_millis(20)) else {
-                                continue;
-                            };
-                            let mut placement = placements[id].lock().unwrap();
-                            let Some(pending) = placement.as_mut() else {
-                                continue;
-                            };
-                            match scheduler.poll_placed(pending, &ready.waker(id)) {
-                                PlacementPoll::Pending { .. } => {}
-                                PlacementPoll::Ready(result) => {
-                                    let (slot, _) = result.unwrap_or_else(|e| {
-                                        panic!("case {case}: request {id} did not place: {e}")
-                                    });
-                                    *placement = None;
-                                    occupancy.lock().unwrap().register(&slot, case);
-                                    held.lock().unwrap().push((id, slot));
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-
-            // The releaser hands slots back through the scheduler; an evicted one
-            // sends its request around again as a front-of-queue requeue.
-            let releaser = {
-                let (scheduler, ready, placements, placed, held, occupancy, requests) = (
+        let pollers: Vec<_> = (0..POLLERS)
+            .map(|_| {
+                let (scheduler, ready, placements, placed, held, occupancy) = (
                     Arc::clone(&scheduler),
                     Arc::clone(&ready),
                     Arc::clone(&placements),
                     Arc::clone(&placed),
                     Arc::clone(&held),
                     Arc::clone(&occupancy),
-                    requests.clone(),
                 );
                 std::thread::spawn(move || {
                     while placed.load(Ordering::Acquire) < REQUESTS {
-                        let Some((id, slot)) = held.lock().unwrap().pop() else {
-                            std::thread::yield_now();
+                        let Some(id) = ready.pop_wait(Duration::from_millis(20)) else {
                             continue;
                         };
-                        occupancy.lock().unwrap().write_off(slot.id);
-                        match scheduler.release(&slot) {
-                            Ok(()) => {
-                                placed.fetch_add(1, Ordering::AcqRel);
+                        let mut placement = placements[id].lock().unwrap();
+                        let Some(pending) = placement.as_mut() else {
+                            continue;
+                        };
+                        match scheduler.poll_placed(pending, &ready.waker(id)) {
+                            PlacementPoll::Pending { .. } => {}
+                            PlacementPoll::Ready(result) => {
+                                let (slot, _) = result.unwrap_or_else(|e| {
+                                    panic!("case {case}: request {id} did not place: {e}")
+                                });
+                                *placement = None;
+                                occupancy.lock().unwrap().register(&slot, case);
+                                held.lock().unwrap().push((id, slot));
                             }
-                            Err(hpcml::runtime::RuntimeError::Resource(
-                                ResourceError::NodeFailed(_),
-                            )) => {
-                                let (req, priority) = requests[id];
-                                *placements[id].lock().unwrap() =
-                                    Some(Placement::requeued(&req, priority, TIMEOUT));
-                                ready.push(id);
-                            }
-                            Err(e) => panic!("case {case}: release failed: {e}"),
                         }
                     }
                 })
-            };
+            })
+            .collect();
 
-            // Out-of-band capacity announcements, for a while only.
-            let notifier = {
-                let scheduler = Arc::clone(&scheduler);
-                std::thread::spawn(move || {
-                    for _ in 0..200 {
-                        scheduler.notify_capacity();
+        // The releaser hands slots back through the scheduler; an evicted one
+        // sends its request around again as a front-of-queue requeue.
+        let releaser = {
+            let (scheduler, ready, placements, placed, held, occupancy, requests) = (
+                Arc::clone(&scheduler),
+                Arc::clone(&ready),
+                Arc::clone(&placements),
+                Arc::clone(&placed),
+                Arc::clone(&held),
+                Arc::clone(&occupancy),
+                requests.clone(),
+            );
+            std::thread::spawn(move || {
+                while placed.load(Ordering::Acquire) < REQUESTS {
+                    let Some((id, slot)) = held.lock().unwrap().pop() else {
                         std::thread::yield_now();
-                    }
-                })
-            };
-
-            // Everyone gets the first poll a submitter owes them.
-            for id in 0..REQUESTS {
-                ready.push(id);
-            }
-            // One node dies under the churn and a fresh one is attached.
-            let doomed = rng.gen_range(0usize..NODES);
-            while placed.load(Ordering::Acquire) < REQUESTS / 3 {
-                std::thread::yield_now();
-            }
-            {
-                let mut o = occupancy.lock().unwrap();
-                for victim in alloc.fail_node(doomed).expect("fail_node") {
-                    if !o.write_off(victim) {
-                        o.evicted_unregistered.insert(victim);
+                        continue;
+                    };
+                    occupancy.lock().unwrap().write_off(slot.id);
+                    match scheduler.release(&slot) {
+                        Ok(()) => {
+                            placed.fetch_add(1, Ordering::AcqRel);
+                        }
+                        Err(hpcml::runtime::RuntimeError::Resource(ResourceError::NodeFailed(
+                            _,
+                        ))) => {
+                            let (req, priority) = requests[id];
+                            *placements[id].lock().unwrap() =
+                                Some(Placement::requeued(&req, priority, TIMEOUT));
+                            ready.push(id);
+                        }
+                        Err(e) => panic!("case {case}: release failed: {e}"),
                     }
                 }
-            }
-            alloc.expand(1).expect("expand");
-            scheduler.notify_capacity();
+            })
+        };
 
-            for t in pollers {
-                t.join().unwrap();
-            }
-            releaser.join().unwrap();
-            notifier.join().unwrap();
-            finished.store(true, Ordering::Release);
+        // Out-of-band capacity announcements, for a while only.
+        let notifier = {
+            let scheduler = Arc::clone(&scheduler);
+            std::thread::spawn(move || {
+                for _ in 0..200 {
+                    scheduler.notify_capacity();
+                    std::thread::yield_now();
+                }
+            })
+        };
 
-            assert_eq!(scheduler.waiting_tasks() + scheduler.waiting_services(), 0);
-            assert_eq!(scheduler.outstanding_slots(), 0);
-            assert!(occupancy.lock().unwrap().live.is_empty());
-            assert_eq!(alloc.reserved_nodes(), 0, "no drain leaked");
-            assert_eq!(alloc.free_cores(), NODES as u32 * spec.cores);
+        // Everyone gets the first poll a submitter owes them.
+        for id in 0..REQUESTS {
+            ready.push(id);
         }
+        // One node dies under the churn and a fresh one is attached.
+        let doomed = rng.gen_range(0usize..NODES);
+        while placed.load(Ordering::Acquire) < REQUESTS / 3 {
+            std::thread::yield_now();
+        }
+        {
+            let mut o = occupancy.lock().unwrap();
+            for victim in alloc.fail_node(doomed).expect("fail_node") {
+                if !o.write_off(victim) {
+                    o.evicted_unregistered.insert(victim);
+                }
+            }
+        }
+        alloc.expand(1).expect("expand");
+        scheduler.notify_capacity();
+
+        for t in pollers {
+            t.join().unwrap();
+        }
+        releaser.join().unwrap();
+        notifier.join().unwrap();
+        finished.store(true, Ordering::Release);
+
+        assert_eq!(scheduler.waiting_tasks() + scheduler.waiting_services(), 0);
+        assert_eq!(scheduler.outstanding_slots(), 0);
+        assert!(occupancy.lock().unwrap().live.is_empty());
+        assert_eq!(alloc.reserved_nodes(), 0, "no drain leaked");
+        assert_eq!(alloc.free_cores(), NODES as u32 * spec.cores);
     }
 }
 
@@ -2703,7 +2616,6 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
         let alloc = batch.submit(AllocationRequest::nodes(3)).unwrap();
         let after = Duration::from_millis(40);
         let scheduler = Scheduler::with_lookahead(Arc::clone(&alloc), 2)
-            .with_queue_shards(Some(1))
             .with_max_overtakes(None)
             .with_gang_drain_after(Some(after));
         let whole = ResourceRequest::cores(alloc.node_spec().cores).unwrap();
@@ -2760,7 +2672,7 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
     {
         let batch = BatchSystem::new(PlatformId::Local.spec(), ClockSpec::Manual.build(), 1);
         let alloc = batch.submit(AllocationRequest::nodes(1)).unwrap(); // 2 GPUs
-        let scheduler = Scheduler::new(Arc::clone(&alloc)).with_queue_shards(Some(1));
+        let scheduler = Scheduler::new(Arc::clone(&alloc));
         let gpus = |n| ResourceRequest::gpus(n).unwrap();
         let hold = scheduler
             .allocate(&gpus(1), Priority::Task, Duration::from_secs(1))

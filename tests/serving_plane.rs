@@ -16,8 +16,9 @@ use hpcml::serving::protocol::{
     KIND_INFER_REPLY, KIND_SHED,
 };
 use hpcml::serving::service::{inference_request_message, inference_request_message_with_deadline};
-use hpcml::serving::{null_sink, InferenceRequest, InferenceService, ModelHost, ServingConfig};
+use hpcml::serving::{InferenceRequest, InferenceService, ModelHost, ServingConfig};
 use hpcml::sim::clock::SharedClock;
+use hpcml::sim::metrics::null_sink;
 
 fn session(scale: f64) -> Session {
     Session::builder("serving-plane")
