@@ -9,9 +9,6 @@ pub enum CommError {
     Disconnected,
     /// A blocking receive or request timed out.
     Timeout,
-    /// A bounded queue is at capacity right now (distinct from [`CommError::Timeout`]:
-    /// the operation did not wait — retrying after consumers drain can succeed).
-    Full,
     /// The message could not be encoded or decoded.
     Codec(String),
     /// A named endpoint was not found in the registry.
@@ -25,7 +22,6 @@ impl fmt::Display for CommError {
         match self {
             CommError::Disconnected => write!(f, "peer endpoint disconnected"),
             CommError::Timeout => write!(f, "operation timed out"),
-            CommError::Full => write!(f, "queue is full"),
             CommError::Codec(msg) => write!(f, "codec error: {msg}"),
             CommError::EndpointNotFound(name) => write!(f, "endpoint not found: {name}"),
             CommError::AlreadyRegistered(name) => write!(f, "endpoint already registered: {name}"),
@@ -43,7 +39,6 @@ mod tests {
     fn display_is_informative() {
         assert!(CommError::Disconnected.to_string().contains("disconnected"));
         assert!(CommError::Timeout.to_string().contains("timed out"));
-        assert!(CommError::Full.to_string().contains("full"));
         assert!(CommError::Codec("bad length".into())
             .to_string()
             .contains("bad length"));

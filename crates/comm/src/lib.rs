@@ -1,20 +1,18 @@
 //! # hpcml-comm — ZeroMQ-like messaging substrate
 //!
 //! RADICAL-Pilot wires its components together with ZeroMQ: clients talk to services over
-//! REQ/REP sockets, components publish state updates over PUB/SUB, and queues connect the
-//! pipeline of scheduler → executor → stagers. This crate rebuilds those communication
-//! patterns from scratch on top of `crossbeam` channels, with:
+//! REQ/REP sockets and components publish state updates over PUB/SUB. This crate
+//! rebuilds those communication patterns from scratch, with:
 //!
 //! * [`message`] — a self-describing message envelope with a compact binary wire codec
 //!   (no external serialisation framework needed) and reusable encode buffers;
 //! * [`reqrep`] — request/reply endpoints ([`reqrep::ReqRepServer`], [`reqrep::ReqRepClient`])
 //!   used for the service inference API, with batched requests coalescing K messages
-//!   onto one link traversal;
+//!   onto one link traversal, over a waker-armed mailbox: a server is either a thread
+//!   that blocks for requests or a resumable run the requesting thread advances;
 //! * [`pubsub`] — topic-based publish/subscribe used for state-update notification:
 //!   zero-copy fan-out (encode once, share the frame with every subscriber) over
 //!   sharded subscriber lists;
-//! * [`queue`] — work queues (PUSH/PULL) connecting runtime components, with batched
-//!   push/receive;
 //! * [`registry`] — the sharded, read-mostly endpoint registry services publish
 //!   themselves into (the `publish` component of the paper's bootstrap time);
 //!   lookups read lock-free snapshots, writes hide behind striped locks;
@@ -25,14 +23,16 @@
 //!   payload bytes ([`link::Link::traverse_batch`]).
 //!
 //! The fabric's hot paths record a small set of `comm.*` scalar series through a
-//! pluggable [`hpcml_sim::metrics::ScalarSink`] (`with_sink` on the publisher and the
-//! work queue; the runtime wires the session's metric recorder in):
+//! pluggable [`hpcml_sim::metrics::ScalarSink`] (`with_sink` on the publisher; the
+//! runtime wires the session's metric recorder in):
 //!
 //! | series                    | recorded by                  | meaning                        |
 //! |---------------------------|------------------------------|--------------------------------|
 //! | `comm.fanout.width`       | [`pubsub::Publisher`]        | subscribers hit by one publish |
 //! | `comm.publish.batch_size` | [`pubsub::Publisher`]        | messages per `publish_batch`   |
-//! | `comm.queue.depth`        | [`queue::WorkQueueSender`]   | queue depth after a push       |
+//!
+//! (`comm.queue.depth` — the depth of a serving replica's batch queue after a
+//! dispatch — is recorded where that queue now lives, in `hpcml_serving::pool`.)
 //!
 //! # Example
 //!
@@ -69,7 +69,6 @@ pub mod error;
 pub mod link;
 pub mod message;
 pub mod pubsub;
-pub mod queue;
 pub mod registry;
 pub mod reqrep;
 
@@ -77,6 +76,5 @@ pub use error::CommError;
 pub use link::Link;
 pub use message::{Message, MessageView};
 pub use pubsub::{Publisher, Subscriber};
-pub use queue::{WorkQueue, WorkQueueReceiver, WorkQueueSender};
 pub use registry::{EndpointEntry, EndpointRegistry};
-pub use reqrep::{ReqRepClient, ReqRepHandle, ReqRepServer, Responder};
+pub use reqrep::{Mailbox, ReqRepClient, ReqRepHandle, ReqRepServer, Responder};

@@ -2,9 +2,25 @@
 //!
 //! A [`ReqRepServer`] owns the receive side of an endpoint; any number of
 //! [`ReqRepClient`]s can send requests to it and block for the reply. Each request
-//! carries a one-shot reply channel (ZeroMQ would route the reply frame back over the
+//! carries a one-shot reply slot (ZeroMQ would route the reply frame back over the
 //! socket). The client optionally traverses a [`Link`] before the request is delivered
 //! and before the reply is returned, which is how local vs remote deployments differ.
+//!
+//! # Who serves an endpoint
+//!
+//! Either a thread that blocks in [`ReqRepServer::recv_timeout`] /
+//! [`ReqRepServer::recv_batch`], or — the serving plane's way — nobody in particular:
+//! [`ReqRepServer::attach`] arms the endpoint with a [`Waker`] that drains its
+//! [`Mailbox`]. Every client call that queues something calls the waker afterwards,
+//! *with no comm lock held*, so the waker may drain the mailbox and answer on the
+//! client's own thread; a request that never has to wait then crosses no thread
+//! boundary at all. Both the mailbox and the reply slot notify a condvar only when
+//! somebody sleeps on it: a reply that is ready before its requester looks costs no
+//! system call.
+//!
+//! Dropping the server closes the endpoint: whatever is still queued is discarded,
+//! which fails each of those requests with [`CommError::Disconnected`] at once rather
+//! than at its timeout, and later sends are refused.
 //!
 //! # Batched requests
 //!
@@ -12,12 +28,16 @@
 //! (the coalescing rule — see [`Link::traverse_batch`]): a single one-way latency
 //! sample plus the bandwidth term for the summed encoded bytes, and the same on the
 //! way back for the replies. Replies come back in request order. The server sees K
-//! independent requests — [`ReqRepServer::recv_batch`] on the other side completes
-//! the batched path end-to-end.
+//! independent requests, queued together and announced by one wake-up —
+//! [`ReqRepServer::recv_batch`] on the other side completes the batched path
+//! end-to-end.
 
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::task::Waker;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::CommError;
 use crate::link::Link;
@@ -27,37 +47,176 @@ use crate::message::Message;
 /// server's queue (after link traversal). Servers use it to compute queue time.
 pub const HDR_ENQUEUED_AT: &str = "comm.enqueued_at";
 
+/// The one-shot slot a reply travels through, shared by a requester and a
+/// [`Responder`].
+#[derive(Default)]
+struct ReplySlot {
+    state: Mutex<Reply>,
+    filled: Condvar,
+}
+
+#[derive(Default)]
+struct Reply {
+    msg: Option<Message>,
+    /// The responder is gone: what `msg` holds now is all there will ever be.
+    closed: bool,
+    /// The requester sleeps on `filled`.
+    waiting: bool,
+}
+
+impl ReplySlot {
+    /// Block until the reply is in, the responder is dropped without one, or real
+    /// time reaches `deadline`.
+    fn wait(&self, deadline: Instant) -> Result<Message, CommError> {
+        let mut reply = self.state.lock();
+        loop {
+            if let Some(msg) = reply.msg.take() {
+                return Ok(msg);
+            }
+            if reply.closed {
+                return Err(CommError::Disconnected);
+            }
+            reply.waiting = true;
+            let timed_out = self.filled.wait_until(&mut reply, deadline).timed_out();
+            reply.waiting = false;
+            if timed_out && reply.msg.is_none() && !reply.closed {
+                return Err(CommError::Timeout);
+            }
+        }
+    }
+}
+
+/// Handle used to reply to one received request. Dropping it without a reply fails
+/// the request with [`CommError::Disconnected`].
+pub struct Responder {
+    slot: Arc<ReplySlot>,
+}
+
+impl std::fmt::Debug for Responder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Responder { .. }")
+    }
+}
+
+impl Responder {
+    /// Send the reply. Returns an error if the requesting client has gone away.
+    pub fn reply(self, msg: Message) -> Result<(), CommError> {
+        // The requester holds the only other reference until it stops waiting.
+        if Arc::strong_count(&self.slot) == 1 {
+            return Err(CommError::Disconnected);
+        }
+        self.slot.state.lock().msg = Some(msg);
+        Ok(()) // dropping `self` closes the slot and wakes the requester
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        let waiting = {
+            let mut reply = self.slot.state.lock();
+            reply.closed = true;
+            reply.waiting
+        };
+        if waiting {
+            self.slot.filled.notify_one();
+        }
+    }
+}
+
 struct Request {
     msg: Message,
-    reply_tx: Sender<Message>,
+    responder: Responder,
+}
+
+impl Request {
+    /// A request and the slot its sender waits on.
+    fn new(msg: Message) -> (Self, Arc<ReplySlot>) {
+        let slot = Arc::new(ReplySlot::default());
+        let responder = Responder {
+            slot: Arc::clone(&slot),
+        };
+        (Request { msg, responder }, slot)
+    }
+}
+
+#[derive(Default)]
+struct Endpoint {
+    state: Mutex<Inbox>,
+    arrived: Condvar,
+}
+
+#[derive(Default)]
+struct Inbox {
+    queue: VecDeque<Request>,
+    /// The server is dropped: nothing more is accepted.
+    closed: bool,
+    /// Threads asleep in [`ReqRepServer::recv_timeout`].
+    sleepers: usize,
+    /// Called after every delivery while a server is attached.
+    waker: Option<Waker>,
+}
+
+/// The receive side of an endpoint, for a server that is *woken* when something
+/// arrives ([`ReqRepServer::attach`]) instead of blocking for it. Cloneable and
+/// `'static`, so a resumable run can keep it.
+#[derive(Clone, Default)]
+pub struct Mailbox {
+    endpoint: Arc<Endpoint>,
+}
+
+impl Mailbox {
+    /// Take the oldest waiting request, if any.
+    pub fn try_recv(&self) -> Option<(Message, Responder)> {
+        let request = self.endpoint.state.lock().queue.pop_front()?;
+        Some((request.msg, request.responder))
+    }
+
+    /// Queue `requests` in order, then — the lock released — tell whoever serves the
+    /// endpoint: receivers asleep on the condvar, the attached waker.
+    fn deliver(&self, requests: impl IntoIterator<Item = Request>) -> Result<(), CommError> {
+        let (sleepers, waker) = {
+            let mut inbox = self.endpoint.state.lock();
+            if inbox.closed {
+                return Err(CommError::Disconnected);
+            }
+            inbox.queue.extend(requests);
+            (inbox.sleepers, inbox.waker.clone())
+        };
+        if sleepers > 0 {
+            self.endpoint.arrived.notify_all();
+        }
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+        Ok(())
+    }
 }
 
 /// Server side of a request/reply endpoint.
 pub struct ReqRepServer {
     name: String,
-    rx: Receiver<Request>,
-    tx: Sender<Request>,
+    mailbox: Mailbox,
 }
 
 impl std::fmt::Debug for ReqRepServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReqRepServer")
             .field("name", &self.name)
-            .field("queued", &self.rx.len())
+            .field("queued", &self.queue_len())
             .finish()
     }
 }
 
-/// Handle used to reply to one received request.
-#[derive(Debug)]
-pub struct Responder {
-    reply_tx: Sender<Message>,
-}
-
-impl Responder {
-    /// Send the reply. Returns an error if the requesting client has gone away.
-    pub fn reply(self, msg: Message) -> Result<(), CommError> {
-        self.reply_tx.send(msg).map_err(|_| CommError::Disconnected)
+impl Drop for ReqRepServer {
+    fn drop(&mut self) {
+        // Close the endpoint; what was queued is dropped outside the lock (each
+        // responder locks its reply slot), failing those requests right away.
+        let (queued, waker) = {
+            let mut inbox = self.mailbox.endpoint.state.lock();
+            inbox.closed = true;
+            (std::mem::take(&mut inbox.queue), inbox.waker.take())
+        };
+        drop((queued, waker));
     }
 }
 
@@ -66,7 +225,7 @@ impl Responder {
 #[derive(Clone)]
 pub struct ReqRepHandle {
     endpoint: String,
-    tx: Sender<Request>,
+    mailbox: Mailbox,
 }
 
 impl std::fmt::Debug for ReqRepHandle {
@@ -87,7 +246,7 @@ impl ReqRepHandle {
     pub fn connect(&self, link: Link) -> ReqRepClient {
         ReqRepClient {
             endpoint: self.endpoint.clone(),
-            tx: self.tx.clone(),
+            mailbox: self.mailbox.clone(),
             link,
         }
     }
@@ -96,11 +255,9 @@ impl ReqRepHandle {
 impl ReqRepServer {
     /// Create a new endpoint with an unbounded request queue.
     pub fn new(name: impl Into<String>) -> Self {
-        let (tx, rx) = unbounded();
         ReqRepServer {
             name: name.into(),
-            rx,
-            tx,
+            mailbox: Mailbox::default(),
         }
     }
 
@@ -111,44 +268,75 @@ impl ReqRepServer {
 
     /// Number of requests currently waiting in the queue.
     pub fn queue_len(&self) -> usize {
-        self.rx.len()
+        self.mailbox.endpoint.state.lock().queue.len()
     }
 
     /// Create a client handle connected to this endpoint over the given link.
     pub fn client(&self, link: Link) -> ReqRepClient {
-        ReqRepClient {
-            endpoint: self.name.clone(),
-            tx: self.tx.clone(),
-            link,
-        }
+        self.handle().connect(link)
     }
 
     /// A registrable connection point for this endpoint.
     pub fn handle(&self) -> ReqRepHandle {
         ReqRepHandle {
             endpoint: self.name.clone(),
-            tx: self.tx.clone(),
+            mailbox: self.mailbox.clone(),
         }
+    }
+
+    /// The endpoint's receive side, for the server [`ReqRepServer::attach`] arms.
+    pub fn mailbox(&self) -> Mailbox {
+        self.mailbox.clone()
+    }
+
+    /// Serve the endpoint without blocking for it: from now on every client call that
+    /// queues something calls `waker` afterwards, on the client's thread and with no
+    /// comm lock held — once per call, so a batch is announced as a batch. The waker
+    /// drains [`ReqRepServer::mailbox`]. It is called once right away if requests are
+    /// already waiting: a client may send before its server attaches.
+    pub fn attach(&self, waker: Waker) {
+        let pending = {
+            let mut inbox = self.mailbox.endpoint.state.lock();
+            inbox.waker = Some(waker.clone());
+            !inbox.queue.is_empty()
+        };
+        if pending {
+            waker.wake();
+        }
+    }
+
+    /// Undo [`ReqRepServer::attach`]: deliveries stop calling the waker. A call that
+    /// read the waker just before may still be in flight.
+    pub fn detach(&self) {
+        let waker = self.mailbox.endpoint.state.lock().waker.take();
+        drop(waker);
     }
 
     /// Block until a request arrives, or until `timeout` elapses.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(Message, Responder), CommError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(req) => Ok((
-                req.msg,
-                Responder {
-                    reply_tx: req.reply_tx,
-                },
-            )),
-            Err(RecvTimeoutError::Timeout) => Err(CommError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(CommError::Disconnected),
+        let deadline = Instant::now() + timeout;
+        let endpoint = &self.mailbox.endpoint;
+        let mut inbox = endpoint.state.lock();
+        loop {
+            if let Some(request) = inbox.queue.pop_front() {
+                return Ok((request.msg, request.responder));
+            }
+            inbox.sleepers += 1;
+            let timed_out = endpoint
+                .arrived
+                .wait_until(&mut inbox, deadline)
+                .timed_out();
+            inbox.sleepers -= 1;
+            if timed_out && inbox.queue.is_empty() {
+                return Err(CommError::Timeout);
+            }
         }
     }
 
     /// Drain up to `max` queued requests in one call: block up to `timeout` for the
     /// first request, then take whatever else is already waiting without blocking
-    /// again. Batch-oriented servers (the serving front-end's admission loop) use this
-    /// to absorb request bursts in one wake-up instead of one receive per request.
+    /// again. Batch-oriented servers use this to absorb request bursts in one wake-up
+    /// instead of one receive per request.
     pub fn recv_batch(
         &self,
         max: usize,
@@ -168,14 +356,7 @@ impl ReqRepServer {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<(Message, Responder)> {
-        self.rx.try_recv().ok().map(|req| {
-            (
-                req.msg,
-                Responder {
-                    reply_tx: req.reply_tx,
-                },
-            )
-        })
+        self.mailbox.try_recv()
     }
 }
 
@@ -183,7 +364,7 @@ impl ReqRepServer {
 #[derive(Clone)]
 pub struct ReqRepClient {
     endpoint: String,
-    tx: Sender<Request>,
+    mailbox: Mailbox,
     link: Link,
 }
 
@@ -207,32 +388,37 @@ impl ReqRepClient {
         &self.link
     }
 
+    /// Cross the link with `msgs` in one traversal and stamp each with the shared
+    /// arrival time; returns the requests to queue and the slots their replies fill.
+    fn outbound(&self, msgs: Vec<Message>) -> (Vec<Request>, Vec<Arc<ReplySlot>>) {
+        let total_bytes: usize = msgs.iter().map(Message::encoded_len).sum();
+        self.link.traverse_batch(msgs.len(), total_bytes);
+        let enqueued_at = self.link.clock().now().as_secs_f64();
+        msgs.into_iter()
+            .map(|msg| Request::new(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at)))
+            .unzip()
+    }
+
     /// Send `msg` and block until the reply arrives (or the server goes away).
     ///
     /// The request traverses the link (injecting the sampled one-way latency), is
     /// stamped with its arrival time, and queues at the server; the reply traverses the
     /// link again on the way back. The total virtual time spent in this call is the
-    /// response time (RT) as defined in the paper.
+    /// response time (RT) as defined in the paper. When the endpoint has a server
+    /// attached ([`ReqRepServer::attach`]) this thread calls its waker, and may find
+    /// the reply already in when that returns.
     pub fn request(&self, msg: Message) -> Result<Message, CommError> {
         self.request_timeout(msg, Duration::from_secs(3600))
     }
 
     /// [`ReqRepClient::request`] with an explicit real-time timeout on the reply wait.
     pub fn request_timeout(&self, msg: Message, timeout: Duration) -> Result<Message, CommError> {
-        let payload_len = msg.encoded_len();
         // Outbound hop.
-        self.link.traverse(payload_len);
+        self.link.traverse(msg.encoded_len());
         let enqueued_at = self.link.clock().now().as_secs_f64();
-        let msg = msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at);
-        let (reply_tx, reply_rx) = bounded(1);
-        self.tx
-            .send(Request { msg, reply_tx })
-            .map_err(|_| CommError::Disconnected)?;
-        let reply = match reply_rx.recv_timeout(timeout) {
-            Ok(m) => m,
-            Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => return Err(CommError::Disconnected),
-        };
+        let (request, slot) = Request::new(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at));
+        self.mailbox.deliver([request])?;
+        let reply = slot.wait(Instant::now() + timeout)?;
         // Return hop.
         self.link.traverse(reply.encoded_len());
         Ok(reply)
@@ -253,49 +439,27 @@ impl ReqRepClient {
         if msgs.is_empty() {
             return Ok(Vec::new());
         }
-        let count = msgs.len();
-        let total_bytes: usize = msgs.iter().map(Message::encoded_len).sum();
         // One coalesced outbound hop for the whole batch.
-        self.link.traverse_batch(count, total_bytes);
-        let enqueued_at = self.link.clock().now().as_secs_f64();
-        let mut reply_rxs = Vec::with_capacity(count);
-        for msg in msgs {
-            let msg = msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at);
-            let (reply_tx, reply_rx) = bounded(1);
-            self.tx
-                .send(Request { msg, reply_tx })
-                .map_err(|_| CommError::Disconnected)?;
-            reply_rxs.push(reply_rx);
-        }
+        let (requests, slots) = self.outbound(msgs);
+        self.mailbox.deliver(requests)?;
         // Collect in request order; the timeout bounds the whole batch, not each reply.
-        let deadline = std::time::Instant::now() + timeout;
-        let mut replies = Vec::with_capacity(count);
-        for rx in reply_rxs {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            match rx.recv_timeout(left) {
-                Ok(m) => replies.push(m),
-                Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => return Err(CommError::Disconnected),
-            }
-        }
+        let deadline = Instant::now() + timeout;
+        let replies = slots
+            .iter()
+            .map(|slot| slot.wait(deadline))
+            .collect::<Result<Vec<Message>, CommError>>()?;
         // One coalesced return hop for all replies.
         let reply_bytes: usize = replies.iter().map(Message::encoded_len).sum();
-        self.link.traverse_batch(count, reply_bytes);
+        self.link.traverse_batch(replies.len(), reply_bytes);
         Ok(replies)
     }
 
-    /// Fire-and-forget send (no reply expected). Used for control messages. A bounded
-    /// endpoint at capacity returns [`CommError::Full`].
+    /// Fire-and-forget send (no reply expected). Used for control messages.
     pub fn send(&self, msg: Message) -> Result<(), CommError> {
         self.link.traverse(msg.encoded_len());
         let enqueued_at = self.link.clock().now().as_secs_f64();
-        let msg = msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at);
-        let (reply_tx, _reply_rx) = bounded(1);
-        match self.tx.try_send(Request { msg, reply_tx }) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Disconnected(_)) => Err(CommError::Disconnected),
-            Err(TrySendError::Full(_)) => Err(CommError::Full),
-        }
+        let (request, _unawaited) = Request::new(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at));
+        self.mailbox.deliver([request])
     }
 
     /// Fire-and-forget a batch of control messages over one coalesced link traversal.
@@ -303,20 +467,8 @@ impl ReqRepClient {
         if msgs.is_empty() {
             return Ok(());
         }
-        let count = msgs.len();
-        let total_bytes: usize = msgs.iter().map(Message::encoded_len).sum();
-        self.link.traverse_batch(count, total_bytes);
-        let enqueued_at = self.link.clock().now().as_secs_f64();
-        for msg in msgs {
-            let msg = msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at);
-            let (reply_tx, _reply_rx) = bounded(1);
-            match self.tx.try_send(Request { msg, reply_tx }) {
-                Ok(()) => {}
-                Err(TrySendError::Disconnected(_)) => return Err(CommError::Disconnected),
-                Err(TrySendError::Full(_)) => return Err(CommError::Full),
-            }
-        }
-        Ok(())
+        let (requests, _unawaited) = self.outbound(msgs);
+        self.mailbox.deliver(requests)
     }
 }
 
@@ -433,6 +585,101 @@ mod tests {
         drop(server);
         let err = client.request(Message::new("svc.gone", "req")).unwrap_err();
         assert_eq!(err, CommError::Disconnected);
+    }
+
+    #[test]
+    fn queued_request_fails_disconnected_when_the_server_is_dropped() {
+        // A request nobody will ever receive must not wait out its timeout: the
+        // endpoint going away fails it.
+        let server = ReqRepServer::new("svc.leaving");
+        let client = server.client(instant_link());
+        let dropper = thread::spawn(move || {
+            while server.queue_len() == 0 {
+                thread::yield_now();
+            }
+            thread::sleep(Duration::from_millis(20));
+            drop(server);
+        });
+        let start = std::time::Instant::now();
+        let err = client
+            .request_timeout(
+                Message::new("svc.leaving", "req"),
+                Duration::from_millis(500),
+            )
+            .unwrap_err();
+        assert_eq!(err, CommError::Disconnected);
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "failed after {:?}, at the timeout rather than at the drop",
+            start.elapsed()
+        );
+        dropper.join().unwrap();
+        assert_eq!(
+            client
+                .send(Message::new("svc.leaving", "late"))
+                .unwrap_err(),
+            CommError::Disconnected
+        );
+    }
+
+    /// A server that is its waker: drains the mailbox and echoes on whichever thread
+    /// delivered, counting how often it was called.
+    struct EchoOnWake {
+        mailbox: parking_lot::Mutex<Option<Mailbox>>,
+        wakes: std::sync::atomic::AtomicUsize,
+    }
+
+    impl std::task::Wake for EchoOnWake {
+        fn wake(self: Arc<Self>) {
+            self.wakes.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+            let mailbox = self.mailbox.lock().clone();
+            while let Some((msg, responder)) = mailbox.as_ref().and_then(Mailbox::try_recv) {
+                let _ = responder
+                    .reply(Message::new(msg.topic.clone(), "echo").with_payload(msg.payload));
+            }
+        }
+    }
+
+    #[test]
+    fn an_attached_waker_serves_requests_on_the_requesting_thread() {
+        let server = ReqRepServer::new("svc.inline");
+        let client = server.client(instant_link());
+        let echo = Arc::new(EchoOnWake {
+            mailbox: parking_lot::Mutex::new(None),
+            wakes: std::sync::atomic::AtomicUsize::new(0),
+        });
+        let wakes = || echo.wakes.load(std::sync::atomic::Ordering::Acquire);
+
+        // Sent before anybody serves: attaching to a non-empty queue wakes once.
+        client.send(Message::new("svc.inline", "early")).unwrap();
+        *echo.mailbox.lock() = Some(server.mailbox());
+        server.attach(Waker::from(Arc::clone(&echo)));
+        assert_eq!((wakes(), server.queue_len()), (1, 0));
+
+        // No other thread exists: the reply can only have been made by this one.
+        let reply = client
+            .request_timeout(
+                Message::new("svc.inline", "req").with_text("hi"),
+                Duration::from_millis(200),
+            )
+            .unwrap();
+        assert_eq!((reply.kind.as_str(), reply.text()), ("echo", Some("hi")));
+        assert_eq!(wakes(), 2);
+
+        // A batch is queued whole and announced once.
+        let batch: Vec<Message> = (0..5)
+            .map(|i| Message::new("svc.inline", "req").with_text(&i.to_string()))
+            .collect();
+        let replies = client
+            .request_batch(batch, Duration::from_millis(200))
+            .unwrap();
+        assert_eq!(replies.len(), 5);
+        assert_eq!(wakes(), 3);
+
+        // Detached: deliveries queue silently again.
+        server.detach();
+        client.send(Message::new("svc.inline", "late")).unwrap();
+        assert_eq!((wakes(), server.queue_len()), (3, 1));
     }
 
     #[test]

@@ -31,21 +31,37 @@
 //! `Session::submit_task(s)` without touching a queue or another thread, so
 //! `New → Done` latency falls with throughput instead of queueing behind a hand-off.
 //! Parked tasks are resumed by a small fixed worker pool and one timer thread
-//! (`pool.rs`), both started by the first park and sized from
-//! `available_parallelism`; a session whose tasks never park — or only block — never
-//! starts them. Wakers only enqueue (they are called under a scheduler lock); a
+//! ([`hpcml_sim::pool`]), both started by the first park and sized from
+//! `available_parallelism`; a session whose runs never park — or only block — never
+//! starts them. Task wakers only enqueue (they are called under a scheduler lock); a
 //! per-run status makes a duplicate wake-up cost one enqueue and turns a wake-up that
 //! lands mid-advance into one more advance instead of a lost one. Every stage
 //! re-checks its own condition when resumed, so early or stale wake-ups are harmless.
 //!
+//! The same rule — *the thread that makes a run runnable advances it to its first
+//! park* — serves requests. The services hosted here put two more kinds of run on the
+//! same pool (`hpcml_serving::{service, pool}`), which is handed to each service:
+//!
+//! | run | made runnable by | advanced by | parks on |
+//! |---|---|---|---|
+//! | task | `submit_task(s)` | the submitting thread, then workers | placement, timers, blocking stages (above) |
+//! | a service's admission front-end | a client queueing a message at the endpoint | that client's thread ([`Pool::advance_or_wake`]); if another thread holds the run, that one makes one more pass | the budget of a partial batch: a session-clock timer, then a worker |
+//! | a replica | the front-end dispatching a batch to it | the dispatching thread — still the client's, for a request that met no queue; whoever holds a busy replica serves its queue in dispatch order | the batch's inference time: a session-clock timer, then a worker |
+//!
+//! so a request to an idle NOOP service is admitted, batched, dispatched, computed and
+//! answered on the requesting thread, and one that waits does so on the timer heap.
+//!
 //! Thread count is therefore bounded by pool size + 1 + live services + in-flight
-//! `Blocking` stages, whatever the number of tasks; finished entity threads are joined
-//! whenever a new one is spawned.
+//! `Blocking` stages, whatever the number of tasks **and whatever the replica count**
+//! (a service's one thread runs its lifecycle and then sleeps in `serve`); finished
+//! entity threads are joined whenever a new one is spawned.
 //!
 //! **Lock order.** run state → { scheduler queue → allocation shards } and run state →
-//! { timer heaps | run queue }; the timer heaps and the run queue are leaves, taken
-//! with nothing else held beneath them, and a waker — which runs under the scheduler's
-//! queue lock — touches only the run's status and the run queue.
+//! front-end run → replica run → { reply slot | mailbox | timer heaps | run queue };
+//! the last four are leaves, taken with nothing else held beneath them. A task waker —
+//! which runs under the scheduler's queue lock — touches only the run's status and the
+//! run queue; an endpoint's waker, which advances the front-end inline, is called with
+//! no comm lock held.
 //!
 //! **`Done` means released.** The final stage releases the slot, then makes `Done`
 //! observable, then publishes it: a handle that shows `Done` has its resources back
@@ -53,8 +69,10 @@
 //!
 //! ## Services
 //!
-//! A service instance is a long-lived executable placed on specific nodes and runs on
-//! an entity thread of its own. For **local services** the executor measures the three
+//! A service instance is a long-lived executable placed on specific nodes; its
+//! *lifecycle* (placement, launch, init, publish, teardown) runs on an entity thread of
+//! its own, which sleeps in `InferenceService::serve` while the service is up — the
+//! requests themselves are served by the two runs above. For **local services** the executor measures the three
 //! bootstrap components of the paper's Fig. 3 from the service's own state timestamps:
 //! `launch` (Launching → Initializing), `init` (Initializing → Publishing) and
 //! `publish` (Publishing → Ready). For **inference-client tasks** it records one
@@ -88,12 +106,12 @@ use hpcml_serving::request::InferenceRequest;
 use hpcml_serving::service::{inference_request_message, InferenceService};
 use hpcml_sim::clock::{SharedClock, SimTime, Stopwatch};
 use hpcml_sim::dist::Dist;
+use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell};
 
 use crate::data::DataManager;
 use crate::describe::{DataDirective, ServicePlacement, ServiceSelector, TaskKind};
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeMetrics;
-use crate::pool::{Pool, Resume, RunCell};
 use crate::records::{BootstrapTimes, ServiceRecord, TaskRecord};
 use crate::scheduler::{Placement, PlacementPoll, PlacementStats, Priority, Scheduler};
 use crate::states::{ServiceState, TaskState};
@@ -232,8 +250,9 @@ pub struct Executor {
     base_seed: u64,
     /// Entity threads not yet joined: services and `Blocking` task stages.
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Resumes parked task runs; starts no thread before the first park.
-    pool: Pool,
+    /// Resumes parked runs — tasks, and the front-ends and replicas of the services
+    /// hosted here; starts no thread before the first park.
+    pool: Arc<Pool>,
     in_flight: Mutex<InFlight>,
     /// Signalled when `in_flight.runs` reaches zero while someone waits.
     drained: Condvar,
@@ -264,7 +283,7 @@ impl Executor {
         base_seed: u64,
     ) -> Arc<Self> {
         Arc::new(Executor {
-            pool: Pool::new(Arc::clone(&clock)),
+            pool: Arc::new(Pool::new(Arc::clone(&clock))),
             clock,
             metrics,
             registry,
@@ -347,8 +366,10 @@ impl Executor {
         self.drive(run, false);
     }
 
-    /// Wait until every task run has ended, stop the pool if it was started, and
-    /// join every entity thread (services must have been asked to stop).
+    /// Wait until every task run has ended, join every entity thread (services must
+    /// have been asked to stop), then stop the pool if it was started. In that order:
+    /// a service on its way out waits for its replicas' batches to end, and those park
+    /// on the pool's timers.
     pub fn join_all(&self) {
         {
             let mut in_flight = self.in_flight.lock();
@@ -358,11 +379,11 @@ impl Executor {
             }
             in_flight.waiters -= 1;
         }
-        self.pool.shutdown();
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
         for h in handles {
             let _ = h.join();
         }
+        self.pool.shutdown();
     }
 
     // ------------------------------------------------------------------ services
@@ -516,13 +537,14 @@ impl Executor {
         let metrics = Arc::clone(&self.metrics);
         let sink: hpcml_sim::metrics::SharedScalarSink =
             Arc::new(move |name: &str, value: f64| metrics.record_scalar(name, value));
-        let service = InferenceService::with_config(
+        let service = InferenceService::on_executor(
             record.description.name.clone(),
             hosts,
             Arc::clone(&self.clock),
             self.next_seed(),
             desc.serving.clone(),
             sink,
+            Arc::clone(&self.pool),
         );
         let served = service.serve(&endpoint, &record.stop);
         *record.requests_served.lock() = served;
@@ -594,11 +616,7 @@ impl Executor {
         loop {
             let stepped = catch_unwind(AssertUnwindSafe(|| self.step(run, state, may_block)))
                 .unwrap_or_else(|panic| {
-                    let what = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "unknown panic".to_string());
+                    let what = panic_message(&*panic);
                     Err(RuntimeError::InvalidState(format!("task panicked: {what}")))
                 });
             match stepped {

@@ -62,7 +62,6 @@ pub mod error;
 pub mod executor;
 pub mod metrics;
 pub mod pilot;
-mod pool;
 pub mod records;
 pub mod scheduler;
 pub mod service_manager;

@@ -5,9 +5,10 @@
 //! has waited `batch_latency_budget_secs` on the virtual clock — whichever comes first.
 //! Under load batches fill instantly (throughput mode); under light traffic a request
 //! waits at most the latency budget before dispatching in a small batch (latency
-//! mode). The assembler is a plain FIFO owned by the single front-end thread, so it
-//! needs no lock: arrival order in equals dispatch order out, which is what preserves
-//! per-client FIFO end to end.
+//! mode). The assembler is a plain FIFO owned by the service's front-end run — one
+//! pass at a time, on whichever thread holds the run — so it needs no lock of its own:
+//! arrival order in equals dispatch order out, which is what preserves per-client FIFO
+//! end to end.
 
 use std::collections::VecDeque;
 
@@ -146,9 +147,7 @@ impl<T> BatchAssembler<T> {
     ///
     /// * a full batch (`max_batch_size` entries) dispatches immediately;
     /// * otherwise a partial batch dispatches once the oldest entry has aged past the
-    ///   latency budget, or when `force` is set (shutdown flush, or the manual-clock
-    ///   liveness valve — a clock that only advances manually can never expire a
-    ///   budget from inside the serve loop).
+    ///   latency budget, or when `force` is set (the flush when a service stops).
     ///
     /// Returns `None` when nothing is due yet.
     pub fn take_ready(&mut self, now_secs: f64, force: bool) -> Option<Vec<Dispatch<T>>> {

@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 use hpcml_sim::clock::SharedClock;
 
-use crate::backend::{BatchResult, ModelBackend, NoopBackend, SimLlmBackend};
+use crate::backend::{BackendResult, BatchResult, ModelBackend, NoopBackend, SimLlmBackend};
 use crate::model::{ModelKind, ModelSpec};
 use crate::request::{InferenceRequest, InferenceResponse};
 
@@ -46,6 +46,15 @@ impl std::fmt::Display for HostError {
 }
 
 impl std::error::Error for HostError {}
+
+/// A batch between [`ModelHost::begin_batch`] and [`ModelHost::complete_batch`]: the
+/// backend has been called, the compute time is still to be spent.
+#[derive(Debug)]
+pub struct BegunBatch {
+    results: Vec<BackendResult>,
+    /// Virtual seconds the whole batch occupies the backend.
+    pub compute_secs: f64,
+}
 
 /// Hosts one model instance: load once, then serve requests sequentially.
 pub struct ModelHost {
@@ -166,7 +175,10 @@ impl ModelHost {
     /// shared batch wall time — in continuous batching all members finish when the
     /// batch's last decode step does.
     ///
-    /// Returns one response per request, in request order.
+    /// Returns one response per request, in request order. This is
+    /// [`ModelHost::begin_batch`], a sleep of the batch's compute time and
+    /// [`ModelHost::complete_batch`] under the serve lock, for callers that can block;
+    /// a replica of the serving plane parks on a timer between the two halves instead.
     pub fn handle_batch(
         &self,
         requests: &[InferenceRequest],
@@ -178,6 +190,19 @@ impl ModelHost {
             return Ok(Vec::new());
         }
         let _guard = self.serve_lock.lock();
+        let begun = self.begin_batch(requests)?;
+        self.clock
+            .sleep(std::time::Duration::from_secs_f64(begun.compute_secs));
+        Ok(self.complete_batch(requests, begun))
+    }
+
+    /// First half of a batch: make the backend call and learn what the batch costs,
+    /// without spending that time. The caller lets `compute_secs` pass on the clock —
+    /// serving one batch at a time — and then calls [`ModelHost::complete_batch`].
+    pub fn begin_batch(&self, requests: &[InferenceRequest]) -> Result<BegunBatch, HostError> {
+        if !self.is_loaded() {
+            return Err(HostError::NotLoaded);
+        }
         let BatchResult {
             results,
             batch_compute_secs,
@@ -185,24 +210,35 @@ impl ModelHost {
             let mut rng = self.rng.lock();
             self.backend.infer_batch(requests, &mut *rng)
         };
-        self.clock
-            .sleep(std::time::Duration::from_secs_f64(batch_compute_secs));
+        Ok(BegunBatch {
+            results,
+            compute_secs: batch_compute_secs,
+        })
+    }
+
+    /// Second half of a batch, once its compute time has passed: one response per
+    /// request, in request order, each carrying the shared batch time.
+    pub fn complete_batch(
+        &self,
+        requests: &[InferenceRequest],
+        begun: BegunBatch,
+    ) -> Vec<InferenceResponse> {
         self.requests_served
             .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let model = self.backend.spec().name.clone();
-        Ok(requests
+        let model = &self.backend.spec().name;
+        requests
             .iter()
-            .zip(results)
+            .zip(begun.results)
             .map(|(req, result)| InferenceResponse {
                 request_id: req.request_id.clone(),
                 text: result.text,
                 prompt_tokens: result.prompt_tokens,
                 completion_tokens: result.completion_tokens,
-                inference_secs: batch_compute_secs,
+                inference_secs: begun.compute_secs,
                 service_secs: 0.0,
                 model: model.clone(),
             })
-            .collect())
+            .collect()
     }
 
     /// The clock this host spends time on.

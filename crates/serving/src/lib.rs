@@ -20,12 +20,15 @@
 //!   latency budget expires on the virtual clock;
 //! * [`pool`] — [`ReplicaPool`]: N hosts behind one endpoint with
 //!   least-outstanding-requests routing over lock-free per-replica counters, runtime
-//!   scale-up and drain-based scale-down;
-//! * [`service`] — [`InferenceService`]: the serve loop binding a
+//!   scale-up and drain-based scale-down; a replica is a resumable run with a batch
+//!   queue, advanced by the thread that dispatches to it and parked on a timer while
+//!   a batch computes — not a thread;
+//! * [`service`] — [`InferenceService`]: the admission front-end binding a
 //!   [`hpcml_comm::ReqRepServer`] endpoint to the serving plane — zero-copy request
 //!   decode, deadline-aware admission control with load shedding, batch assembly and
 //!   replica routing — decomposing each reply into the paper's `service` and
-//!   `inference` time components;
+//!   `inference` time components; a resumable run too, advanced by the client thread
+//!   that queues a request, so a request that never waits never changes threads;
 //! * [`protocol`] — the message kinds and header keys of the service API (inference
 //!   requests/replies, readiness probes, shedding, shutdown).
 //!

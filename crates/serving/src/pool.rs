@@ -3,34 +3,54 @@
 //!
 //! The serving front-end assembles batches (see [`crate::batcher`]) and hands each one
 //! to [`ReplicaPool::dispatch`], which routes it to the live replica with the fewest
-//! outstanding requests and enqueues it on that replica's worker channel. Each replica
-//! owns a worker thread that executes batches against its [`ModelHost`] (spending the
-//! batch compute time on the virtual clock) and sends the replies. Outstanding counts
-//! are plain atomics — routing never takes a lock; the replica *list* sits behind a
-//! `RwLock` only so replicas can join (scale-up) and leave (drain) at runtime.
+//! outstanding requests, queues it there and advances the replica.
+//!
+//! **A replica is a run with a queue, not a thread.** It is a [`Resume`] on the
+//! executor's [`Pool`]: parked while it has nothing to do, it is advanced *by the thread
+//! that dispatches to it* ([`Pool::advance_or_wake`]) — it pops the next batch, makes the
+//! backend call ([`ModelHost::begin_batch`]) and, when the batch costs no compute time
+//! (NOOP), builds and sends the replies there and then, on the dispatching thread,
+//! which for a request that found its service idle is the requesting client's own. A
+//! batch that costs compute time parks the replica on the pool's session-clock timer
+//! heap until the batch ends; a worker of the pool finishes it and looks for the next.
+//! A replica that is busy is only notified by `dispatch` — whoever holds it serves the
+//! queue in dispatch order. A backend call that panics fails its batch with
+//! [`KIND_ERROR`] replies and nothing else.
+//!
+//! Outstanding counts are plain atomics — routing never takes a lock; the replica
+//! *list* sits behind a `RwLock` only so replicas can join (scale-up) and leave (drain)
+//! at runtime. `comm.queue.depth` is recorded here: the replica's queue depth after
+//! each dispatch.
 //!
 //! Scale-down is a drain, mirroring the scheduler's gang drains: [`ReplicaPool::begin_drain`]
 //! marks a replica unroutable, in-flight batches complete, and [`ReplicaPool::reap_drained`]
 //! removes it once idle.
+//!
+//! **Lock order** (continuing the executor's): front-end run → replica run (its
+//! `serving` state, locked only by whoever holds the run) → leaves { replica queue |
+//! host rng | reply slot | metric sink | timer heap | the quiesce lock }. A replica
+//! step never reaches back into the front-end, so the front-end may dispatch — and
+//! thereby advance a replica — from inside its own pass.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use hpcml_comm::message::Message;
-use hpcml_comm::queue::{WorkQueue, WorkQueueReceiver, WorkQueueSender};
 use hpcml_comm::reqrep::Responder;
-use hpcml_sim::clock::SharedClock;
+use hpcml_sim::clock::{SharedClock, SimTime};
 use hpcml_sim::metrics::SharedScalarSink;
+use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell};
 
-use crate::host::ModelHost;
+use crate::host::{BegunBatch, ModelHost};
 use crate::protocol::*;
 use crate::request::InferenceRequest;
 
-/// One admitted request travelling from the batch assembler to a replica worker.
+/// One admitted request travelling from the batch assembler to a replica.
 #[derive(Debug)]
 pub struct BatchItem {
     /// The parsed request.
@@ -40,31 +60,67 @@ pub struct BatchItem {
     /// Topic to reply on (the request message's topic).
     pub topic: String,
     /// Virtual seconds the request spent in the endpoint queue before admission
-    /// (measured at admission against the client's enqueue stamp — one thread hop of
-    /// real jitter, same as the pre-batching service, so the `service` component does
-    /// not additionally absorb the admission→worker hop).
+    /// (measured at admission against the client's enqueue stamp).
     pub admission_queue_secs: f64,
     /// Parsing/serialisation overhead already spent on this request, seconds.
     pub handling_secs: f64,
     /// Virtual seconds the request waited in the batch assembler before dispatch.
     pub batch_wait_secs: f64,
-    /// Virtual time the batch was dispatched to a replica, seconds. The worker prices
-    /// replica queueing as `max(0, previous batch's end - dispatched_secs)`, so an
-    /// idle worker contributes exactly zero instead of one thread-wake of real jitter.
+    /// Virtual time the batch was dispatched to a replica, seconds. The replica prices
+    /// its queueing as `max(0, previous batch's end - dispatched_secs)`, so an idle
+    /// replica contributes exactly zero.
     pub dispatched_secs: f64,
 }
 
 /// A batch of admitted requests dispatched as one backend call.
 pub type Batch = Vec<BatchItem>;
 
-/// One replica: a host plus its worker channel and lock-free routing state.
+/// What the replicas of one pool share.
+struct Shared {
+    clock: SharedClock,
+    sink: SharedScalarSink,
+    /// Files the replicas' compute timers. Weak, because a timer entry owns its
+    /// replica: whoever hosts the service owns the pool.
+    executor: Weak<Pool>,
+    /// EWMA of observed per-request service seconds (f64 bits), fed by the replicas
+    /// and read by admission control to estimate queue delay.
+    est_request_secs_bits: AtomicU64,
+    /// Threads in [`ReplicaPool::quiesce`]; a batch that ends with nobody there costs
+    /// no condvar notify, which is a system call.
+    quiescing: AtomicUsize,
+    quiesce_lock: Mutex<()>,
+    /// Signalled, under `quiesce_lock`, when a batch ends while someone quiesces.
+    batch_ended: Condvar,
+}
+
+/// The batch on the backend: what the backend answered and when its time is up.
+struct Running {
+    batch: Batch,
+    requests: Vec<InferenceRequest>,
+    begun: BegunBatch,
+    until: SimTime,
+}
+
+/// The state of a replica's run; locked only by the thread holding the run.
+struct Serving {
+    /// Virtual time the previous batch finished: batches dispatched while the replica
+    /// was busy are priced their genuine replica queueing, batches that found it idle
+    /// are priced zero.
+    busy_until_secs: f64,
+    running: Option<Running>,
+}
+
+/// One replica: a host, its batch queue and lock-free routing state — a resumable run.
 pub struct Replica {
     id: u64,
     host: Arc<ModelHost>,
-    outstanding: Arc<AtomicU64>,
-    draining: Arc<AtomicBool>,
-    tx: Option<WorkQueueSender<Batch>>,
-    worker: Mutex<Option<JoinHandle<()>>>,
+    outstanding: AtomicU64,
+    draining: AtomicBool,
+    shared: Arc<Shared>,
+    cell: RunCell,
+    /// Dispatched batches not begun yet, in dispatch order. A leaf lock.
+    queue: Mutex<VecDeque<Batch>>,
+    serving: Mutex<Serving>,
 }
 
 impl std::fmt::Debug for Replica {
@@ -91,34 +147,154 @@ impl Replica {
 
     /// Requests dispatched to this replica and not yet completed.
     pub fn outstanding(&self) -> u64 {
-        self.outstanding.load(Ordering::Acquire)
+        // SeqCst pairs with `finish` and `quiesce` (see there); routing only needs a
+        // recent value.
+        self.outstanding.load(Ordering::SeqCst)
     }
 
     /// Whether the replica is draining (unroutable, finishing in-flight work).
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
+
+    /// Serve until there is nothing to do right now: finish the running batch if its
+    /// time is up, begin the next queued one, and so on. Returns with the replica
+    /// either idle (queue empty) or waiting for its timer.
+    fn advance(self: &Arc<Self>) {
+        let shared = &self.shared;
+        let mut serving = self.serving.lock();
+        loop {
+            if let Some(running) = serving.running.take() {
+                if shared.clock.now() < running.until {
+                    // Advanced by a dispatch, not by the timer: its entry is still filed.
+                    serving.running = Some(running);
+                    return;
+                }
+                let Running {
+                    batch,
+                    requests,
+                    begun,
+                    ..
+                } = running;
+                self.finish(&mut serving, batch, &requests, Ok(begun));
+                continue;
+            }
+            let Some(batch) = self.queue.lock().pop_front() else {
+                return;
+            };
+            let requests: Vec<InferenceRequest> =
+                batch.iter().map(|item| item.request.clone()).collect();
+            // The backend is the one piece of foreign code on this path.
+            let begun = catch_unwind(AssertUnwindSafe(|| {
+                let begun = self
+                    .host
+                    .begin_batch(&requests)
+                    .map_err(|e| e.to_string())?;
+                let until = shared.clock.now() + Duration::from_secs_f64(begun.compute_secs);
+                Ok((begun, until))
+            }))
+            .unwrap_or_else(|panic| Err(format!("backend panicked: {}", panic_message(&*panic))));
+            match begun {
+                Ok((begun, until)) if begun.compute_secs > 0.0 => {
+                    let Some(executor) = shared.executor.upgrade() else {
+                        let gone = Err("the service's executor pool is gone".to_string());
+                        self.finish(&mut serving, batch, &requests, gone);
+                        continue;
+                    };
+                    serving.running = Some(Running {
+                        batch,
+                        requests,
+                        begun,
+                        until,
+                    });
+                    executor.wake_at_clock(self, until);
+                    return;
+                }
+                begun => self.finish(
+                    &mut serving,
+                    batch,
+                    &requests,
+                    begun.map(|(begun, _)| begun),
+                ),
+            }
+        }
+    }
+
+    /// The batch's time is up (or it failed): answer every member.
+    fn finish(
+        &self,
+        serving: &mut Serving,
+        batch: Batch,
+        requests: &[InferenceRequest],
+        begun: Result<BegunBatch, String>,
+    ) {
+        let shared = &self.shared;
+        let n = batch.len();
+        match begun {
+            Ok(begun) => {
+                let batch_secs = begun.compute_secs;
+                let responses = self.host.complete_batch(requests, begun);
+                update_estimate(&shared.est_request_secs_bits, batch_secs / n.max(1) as f64);
+                for (item, resp) in batch.into_iter().zip(responses) {
+                    // The paper's `service` component: endpoint queueing (measured
+                    // at admission), parsing overhead, the assembler wait, and
+                    // replica queueing behind earlier batches. Every term is a
+                    // virtual-time quantity with no thread wake-up inside, so
+                    // real dispatch jitter never scales into the decomposition.
+                    let replica_wait_secs =
+                        (serving.busy_until_secs - item.dispatched_secs).max(0.0);
+                    let queue_secs =
+                        item.admission_queue_secs + item.batch_wait_secs + replica_wait_secs;
+                    let service_secs = queue_secs + item.handling_secs;
+                    shared.sink.record("serving.queue.delay_secs", queue_secs);
+                    let reply = Message::new(item.topic, KIND_INFER_REPLY)
+                        .with_header(HDR_REQUEST_ID, resp.request_id)
+                        .with_header(HDR_MODEL, resp.model)
+                        .with_f64_header(HDR_SERVICE_SECS, service_secs)
+                        .with_f64_header(HDR_INFERENCE_SECS, resp.inference_secs)
+                        .with_header(HDR_PROMPT_TOKENS, resp.prompt_tokens.to_string())
+                        .with_header(HDR_COMPLETION_TOKENS, resp.completion_tokens.to_string())
+                        .with_f64_header(HDR_BATCH_WAIT_SECS, item.batch_wait_secs)
+                        .with_header(HDR_BATCH_SIZE, n.to_string())
+                        .with_text(&resp.text);
+                    let _ = item.responder.reply(reply);
+                }
+            }
+            Err(err) => {
+                for item in batch {
+                    let reply = Message::new(item.topic, KIND_ERROR)
+                        .with_header(HDR_ERROR, err.clone())
+                        .with_header(HDR_REQUEST_ID, item.request.request_id);
+                    let _ = item.responder.reply(reply);
+                }
+            }
+        }
+        serving.busy_until_secs = shared.clock.now().as_secs_f64();
+        // SeqCst on the count and on `quiescing`, here and in `quiesce`: of a batch
+        // that ends and a thread that starts to quiesce, at least one sees the other.
+        self.outstanding.fetch_sub(n as u64, Ordering::SeqCst);
+        if shared.quiescing.load(Ordering::SeqCst) > 0 {
+            let _quiescing = shared.quiesce_lock.lock();
+            shared.batch_ended.notify_all();
+        }
+    }
 }
 
-impl Drop for Replica {
-    fn drop(&mut self) {
-        // Close the worker channel, then wait for in-flight batches to finish so no
-        // admitted request is ever dropped on scale-down or pool teardown.
-        self.tx = None;
-        if let Some(handle) = self.worker.lock().take() {
-            let _ = handle.join();
-        }
+impl Resume for Replica {
+    fn cell(&self) -> &RunCell {
+        &self.cell
+    }
+
+    fn resume(self: Arc<Self>) {
+        // Again whenever a dispatch or the timer landed meanwhile.
+        self.cell.advance_until_parked(|| self.advance());
     }
 }
 
 /// N model replicas with least-outstanding-requests routing.
 pub struct ReplicaPool {
-    clock: SharedClock,
+    shared: Arc<Shared>,
     replicas: RwLock<Vec<Arc<Replica>>>,
-    sink: SharedScalarSink,
-    /// EWMA of observed per-request service seconds (f64 bits), fed by the workers
-    /// and read by admission control to estimate queue delay.
-    est_request_secs_bits: Arc<AtomicU64>,
     next_replica_id: AtomicU64,
 }
 
@@ -132,13 +308,25 @@ impl std::fmt::Debug for ReplicaPool {
 }
 
 impl ReplicaPool {
-    /// Build a pool over pre-loaded hosts, spawning one worker thread per replica.
-    pub fn new(hosts: Vec<Arc<ModelHost>>, clock: SharedClock, sink: SharedScalarSink) -> Self {
+    /// Build a pool over pre-loaded hosts whose replicas park on `executor`. Spawns
+    /// nothing; the pool is held weakly and must outlive the batches in flight.
+    pub fn new(
+        hosts: Vec<Arc<ModelHost>>,
+        clock: SharedClock,
+        sink: SharedScalarSink,
+        executor: &Arc<Pool>,
+    ) -> Self {
         let pool = ReplicaPool {
-            clock,
+            shared: Arc::new(Shared {
+                clock,
+                sink,
+                executor: Arc::downgrade(executor),
+                est_request_secs_bits: AtomicU64::new(0f64.to_bits()),
+                quiescing: AtomicUsize::new(0),
+                quiesce_lock: Mutex::new(()),
+                batch_ended: Condvar::new(),
+            }),
             replicas: RwLock::new(Vec::new()),
-            sink,
-            est_request_secs_bits: Arc::new(AtomicU64::new(0f64.to_bits())),
             next_replica_id: AtomicU64::new(0),
         };
         for host in hosts {
@@ -151,30 +339,18 @@ impl ReplicaPool {
     /// runtime places the backing slot as part of the service's gang.
     pub fn scale_up(&self, host: Arc<ModelHost>) -> u64 {
         let id = self.next_replica_id.fetch_add(1, Ordering::Relaxed);
-        // Replicas feed from the comm fabric's work queue; queue depth lands in the
-        // serving metrics as `comm.queue.depth` alongside the serving.* series.
-        let depth_sink = Arc::clone(&self.sink);
-        let (tx, rx) = WorkQueue::<Batch>::unbounded(format!("serving.replica.{id}")).split();
-        let tx = tx.with_sink(Arc::new(move |name: &str, value: f64| {
-            depth_sink.record(name, value);
-        }));
-        let outstanding = Arc::new(AtomicU64::new(0));
-        let draining = Arc::new(AtomicBool::new(false));
-        let worker = spawn_worker(
-            Arc::clone(&host),
-            rx,
-            Arc::clone(&outstanding),
-            Arc::clone(&self.clock),
-            Arc::clone(&self.sink),
-            Arc::clone(&self.est_request_secs_bits),
-        );
         let replica = Arc::new(Replica {
             id,
             host,
-            outstanding,
-            draining,
-            tx: Some(tx),
-            worker: Mutex::new(Some(worker)),
+            outstanding: AtomicU64::new(0),
+            draining: AtomicBool::new(false),
+            shared: Arc::clone(&self.shared),
+            cell: RunCell::parked(),
+            queue: Mutex::new(VecDeque::new()),
+            serving: Mutex::new(Serving {
+                busy_until_secs: f64::NEG_INFINITY,
+                running: None,
+            }),
         });
         self.replicas.write().push(replica);
         id
@@ -191,8 +367,11 @@ impl ReplicaPool {
             .cloned()
     }
 
-    /// Dispatch one batch to the least-loaded live replica and record the routing
-    /// metrics. Replies with an error to every member if no replica is routable.
+    /// Dispatch one batch to the least-loaded live replica, record the routing
+    /// metrics and advance the replica: one that is idle begins the batch on this
+    /// thread, one that is busy serves it when its turn comes. Replies with an error
+    /// to every member if no replica is routable. Call with no lock held that a
+    /// replica step takes (see the module docs).
     pub fn dispatch(&self, batch: Batch) {
         if batch.is_empty() {
             return;
@@ -207,15 +386,17 @@ impl ReplicaPool {
             return;
         };
         let n = batch.len() as u64;
-        let outstanding_after = replica.outstanding.fetch_add(n, Ordering::AcqRel) + n;
-        self.sink.record("serving.batch.size", batch.len() as f64);
-        self.sink
-            .record("serving.replica.outstanding", outstanding_after as f64);
-        if let Some(tx) = replica.tx.as_ref() {
-            if tx.push(batch).is_err() {
-                replica.outstanding.fetch_sub(n, Ordering::AcqRel);
-            }
-        }
+        let outstanding_after = replica.outstanding.fetch_add(n, Ordering::SeqCst) + n;
+        let sink = &self.shared.sink;
+        sink.record("serving.batch.size", n as f64);
+        sink.record("serving.replica.outstanding", outstanding_after as f64);
+        let depth = {
+            let mut queue = replica.queue.lock();
+            queue.push_back(batch);
+            queue.len()
+        };
+        sink.record("comm.queue.depth", depth as f64);
+        Pool::advance_or_wake(&replica);
     }
 
     /// Sum of outstanding requests across all replicas.
@@ -253,7 +434,7 @@ impl ReplicaPool {
 
     /// EWMA of observed per-request service seconds (0 until the first batch lands).
     pub fn est_request_secs(&self) -> f64 {
-        f64::from_bits(self.est_request_secs_bits.load(Ordering::Acquire))
+        f64::from_bits(self.shared.est_request_secs_bits.load(Ordering::Acquire))
     }
 
     /// Estimated queue delay for a request arriving now with `queued` requests already
@@ -280,103 +461,31 @@ impl ReplicaPool {
         true
     }
 
-    /// Remove drained replicas that have finished their in-flight work, joining their
-    /// workers. Returns how many replicas were reaped.
+    /// Remove drained replicas that have finished their in-flight work — only idle
+    /// ones, so no admitted request is dropped. Returns how many were reaped.
     pub fn reap_drained(&self) -> usize {
-        let mut drained: Vec<Arc<Replica>> = Vec::new();
-        {
-            let mut replicas = self.replicas.write();
-            let mut i = 0;
-            while i < replicas.len() {
-                if replicas[i].is_draining() && replicas[i].outstanding() == 0 {
-                    drained.push(replicas.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        // Dropping the last Arc closes the channel and joins the worker (Replica::drop)
-        // outside the replicas lock.
-        let n = drained.len();
-        drop(drained);
-        n
+        let mut replicas = self.replicas.write();
+        let before = replicas.len();
+        replicas.retain(|r| !(r.is_draining() && r.outstanding() == 0));
+        before - replicas.len()
     }
 
     /// Block until every dispatched request has completed (used on orderly shutdown so
-    /// the serve loop never abandons admitted work). Waits in small real-time steps;
-    /// the workers advance the virtual clock.
+    /// the service never abandons admitted work). Parks on a condvar the replicas
+    /// signal when a batch ends; the executor pool must be alive to end them.
     pub fn quiesce(&self) {
+        let shared = &self.shared;
+        let mut guard = shared.quiesce_lock.lock();
+        shared.quiescing.fetch_add(1, Ordering::SeqCst);
         while self.total_outstanding() > 0 {
-            std::thread::sleep(Duration::from_micros(200));
+            shared.batch_ended.wait(&mut guard);
         }
+        shared.quiescing.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// Smoothing factor of the per-request service-time EWMA.
 const EST_EWMA_ALPHA: f64 = 0.3;
-
-fn spawn_worker(
-    host: Arc<ModelHost>,
-    rx: WorkQueueReceiver<Batch>,
-    outstanding: Arc<AtomicU64>,
-    clock: SharedClock,
-    sink: SharedScalarSink,
-    est_request_secs_bits: Arc<AtomicU64>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        // Virtual time the previous batch finished: batches dispatched while the
-        // worker was busy are priced their genuine replica queueing, batches that
-        // found it idle are priced zero.
-        let mut busy_until_secs = f64::NEG_INFINITY;
-        while let Ok(batch) = rx.pop() {
-            let n = batch.len() as u64;
-            let requests: Vec<InferenceRequest> =
-                batch.iter().map(|item| item.request.clone()).collect();
-            match host.handle_batch(&requests) {
-                Ok(responses) => {
-                    let batch_secs = responses.first().map(|r| r.inference_secs).unwrap_or(0.0);
-                    update_estimate(
-                        &est_request_secs_bits,
-                        batch_secs / batch.len().max(1) as f64,
-                    );
-                    for (item, resp) in batch.into_iter().zip(responses) {
-                        // The paper's `service` component: endpoint queueing (measured
-                        // at admission), parsing overhead, the assembler wait, and
-                        // replica queueing behind earlier batches. Every term is a
-                        // virtual-time quantity with no idle thread-wake inside, so
-                        // real dispatch jitter never scales into the decomposition.
-                        let replica_wait_secs = (busy_until_secs - item.dispatched_secs).max(0.0);
-                        let queue_secs =
-                            item.admission_queue_secs + item.batch_wait_secs + replica_wait_secs;
-                        let service_secs = queue_secs + item.handling_secs;
-                        sink.record("serving.queue.delay_secs", queue_secs);
-                        let reply = Message::new(item.topic, KIND_INFER_REPLY)
-                            .with_header(HDR_REQUEST_ID, resp.request_id.clone())
-                            .with_header(HDR_MODEL, resp.model.clone())
-                            .with_f64_header(HDR_SERVICE_SECS, service_secs)
-                            .with_f64_header(HDR_INFERENCE_SECS, resp.inference_secs)
-                            .with_header(HDR_PROMPT_TOKENS, resp.prompt_tokens.to_string())
-                            .with_header(HDR_COMPLETION_TOKENS, resp.completion_tokens.to_string())
-                            .with_f64_header(HDR_BATCH_WAIT_SECS, item.batch_wait_secs)
-                            .with_header(HDR_BATCH_SIZE, requests.len().to_string())
-                            .with_text(&resp.text);
-                        let _ = item.responder.reply(reply);
-                    }
-                }
-                Err(err) => {
-                    for item in batch {
-                        let reply = Message::new(item.topic, KIND_ERROR)
-                            .with_header(HDR_ERROR, err.to_string())
-                            .with_header(HDR_REQUEST_ID, item.request.request_id);
-                        let _ = item.responder.reply(reply);
-                    }
-                }
-            }
-            busy_until_secs = clock.now().as_secs_f64();
-            outstanding.fetch_sub(n, Ordering::AcqRel);
-        }
-    })
-}
 
 fn update_estimate(bits: &AtomicU64, sample_secs: f64) {
     let prev = f64::from_bits(bits.load(Ordering::Acquire));
@@ -386,4 +495,139 @@ fn update_estimate(bits: &AtomicU64, sample_secs: f64) {
         EST_EWMA_ALPHA * sample_secs + (1.0 - EST_EWMA_ALPHA) * prev
     };
     bits.store(next.to_bits(), Ordering::Release);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::host::shared_host;
+    use crate::model::ModelSpec;
+    use hpcml_comm::link::Link;
+    use hpcml_comm::reqrep::ReqRepServer;
+    use hpcml_sim::clock::ClockSpec;
+    use hpcml_sim::metrics::MetricRegistry;
+    use std::thread;
+
+    struct Fixture {
+        clock: SharedClock,
+        executor: Arc<Pool>,
+        pool: ReplicaPool,
+        seen: Arc<MetricRegistry>,
+        endpoint: ReqRepServer,
+    }
+
+    fn fixture(spec: ModelSpec) -> Fixture {
+        let clock = ClockSpec::scaled(1000.0).build();
+        let host = shared_host(spec, Arc::clone(&clock), 3);
+        host.load();
+        let executor = Arc::new(Pool::new(Arc::clone(&clock)));
+        let seen = Arc::new(MetricRegistry::new());
+        let recorder = Arc::clone(&seen);
+        let sink: SharedScalarSink =
+            Arc::new(move |name: &str, value: f64| recorder.record(name, value));
+        let pool = ReplicaPool::new(vec![host], Arc::clone(&clock), sink, &executor);
+        Fixture {
+            clock,
+            executor,
+            pool,
+            seen,
+            endpoint: ReqRepServer::new("svc.pool"),
+        }
+    }
+
+    impl Fixture {
+        /// One request from a thread of its own, received here and wrapped as an item
+        /// that has cost nothing so far: its `service` time is its replica wait alone.
+        fn item(&self) -> (thread::JoinHandle<Message>, BatchItem) {
+            let client = self.endpoint.client(Link::instant(Arc::clone(&self.clock)));
+            let requester = thread::spawn(move || {
+                client
+                    .request(Message::new("svc.pool", KIND_INFER_REQUEST))
+                    .unwrap()
+            });
+            let (msg, responder) = self.endpoint.recv_timeout(Duration::from_secs(5)).unwrap();
+            let item = BatchItem {
+                request: InferenceRequest::new("w ".repeat(40), 64),
+                responder,
+                topic: msg.topic,
+                admission_queue_secs: 0.0,
+                handling_secs: 0.0,
+                batch_wait_secs: 0.0,
+                dispatched_secs: self.clock.now().as_secs_f64(),
+            };
+            (requester, item)
+        }
+    }
+
+    #[test]
+    fn a_busy_replica_serves_in_dispatch_order_and_prices_the_wait_an_idle_one_prices_zero() {
+        let fx = fixture(ModelSpec::sim_llama_8b());
+        let (requesters, items): (Vec<_>, Vec<_>) = (0..3).map(|_| fx.item()).unzip();
+        let ids: Vec<String> = items.iter().map(|i| i.request.request_id.clone()).collect();
+        for item in items {
+            fx.pool.dispatch(vec![item]);
+        }
+        assert!(fx.executor.is_started(), "an LLM batch parks on a timer");
+        let replies: Vec<Message> = requesters.into_iter().map(|r| r.join().unwrap()).collect();
+        fx.pool.quiesce();
+        assert_eq!(fx.pool.total_outstanding(), 0);
+
+        let waits: Vec<f64> = replies
+            .iter()
+            .map(|r| r.f64_header(HDR_SERVICE_SECS).unwrap())
+            .collect();
+        let inference = replies[0].f64_header(HDR_INFERENCE_SECS).unwrap();
+        assert_eq!(waits[0], 0.0, "dispatched to an idle replica");
+        assert!(
+            waits[1] >= inference * 0.5,
+            "the second batch waited out the first: {waits:?} vs {inference}"
+        );
+        assert!(waits[2] > waits[1], "and the third the second: {waits:?}");
+        for (reply, id) in replies.iter().zip(&ids) {
+            assert_eq!(reply.header(HDR_REQUEST_ID), Some(id.as_str()));
+        }
+        // The order the batches *ended* in is the order they were dispatched in (the
+        // header is the recorded value printed to six places).
+        let ended = fx.seen.values("serving.queue.delay_secs");
+        assert_eq!(ended.len(), 3);
+        for (recorded, replied) in ended.iter().zip(&waits) {
+            assert!((recorded - replied).abs() < 1e-5, "{ended:?} vs {waits:?}");
+        }
+        assert_eq!(
+            fx.seen.values("comm.queue.depth"),
+            vec![1.0, 1.0, 2.0],
+            "the first batch was begun by its dispatch, the others queued behind it"
+        );
+    }
+
+    #[test]
+    fn an_idle_noop_replica_answers_on_the_dispatching_thread() {
+        let fx = fixture(ModelSpec::noop());
+        let (requester, item) = fx.item();
+        fx.pool.dispatch(vec![item]);
+        // No thread but this one could have served it: the pool has none.
+        assert!(!fx.executor.is_started());
+        assert_eq!(
+            fx.pool.total_outstanding(),
+            0,
+            "answered before dispatch returned"
+        );
+        let reply = requester.join().unwrap();
+        assert_eq!(reply.kind, KIND_INFER_REPLY);
+        assert_eq!(reply.f64_header(HDR_SERVICE_SECS), Some(0.0));
+        fx.pool.quiesce(); // nothing outstanding: returns at once
+    }
+
+    #[test]
+    fn batches_of_a_pool_whose_executor_is_gone_fail_instead_of_hanging() {
+        let mut fx = fixture(ModelSpec::sim_llama_8b());
+        // Replacing the only strong reference drops the pool the replicas point at.
+        fx.executor = Arc::new(Pool::new(Arc::clone(&fx.clock)));
+        let (requester, item) = fx.item();
+        fx.pool.dispatch(vec![item]);
+        let reply = requester.join().unwrap();
+        assert_eq!(reply.kind, KIND_ERROR);
+        assert!(reply.header(HDR_ERROR).unwrap().contains("executor"));
+        fx.pool.quiesce();
+    }
 }

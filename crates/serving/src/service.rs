@@ -1,40 +1,58 @@
-//! The inference service loop: binds a replica pool to a REQ/REP endpoint.
+//! The inference service: binds a replica pool to a REQ/REP endpoint.
 //!
 //! [`InferenceService::serve`] is what runs inside a *service task* once the runtime has
-//! launched it. The loop is an admission front-end over the serving plane:
+//! launched it. The service is an admission front-end over the serving plane:
 //!
-//! 1. requests are received in bursts ([`ReqRepServer::recv_batch`]) and decoded
-//!    zero-copy ([`InferenceRequest::decode_view`]); malformed payloads get a typed
-//!    protocol error reply;
+//! 1. requests are drained from the endpoint in arrival order and decoded zero-copy
+//!    ([`InferenceRequest::decode_view`]); malformed payloads get a typed protocol
+//!    error reply;
 //! 2. admission control sheds requests when the assembler queue is full or when a
 //!    request's deadline cannot be met at the current estimated queue delay
 //!    ([`KIND_SHED`] + [`HDR_RETRY_AFTER_SECS`]);
 //! 3. admitted requests queue in a [`BatchAssembler`] which dispatches a batch when
 //!    `max_batch_size` is reached or the oldest entry's latency budget expires;
-//! 4. batches route to the least-loaded replica of a [`ReplicaPool`], whose worker
-//!    executes them and stamps the paper's `service` / `inference` time decomposition
-//!    onto each reply.
+//! 4. batches route to the least-loaded replica of a [`ReplicaPool`], which executes
+//!    them and stamps the paper's `service` / `inference` time decomposition onto each
+//!    reply.
 //!
 //! With the default [`ServingConfig`] (1 replica, batch size 1) every request
-//! dispatches immediately to a single host — the seed-era behaviour, bit for bit.
+//! dispatches immediately to a single host — the seed-era behaviour.
 //!
-//! Lock order: the serve loop owns the assembler outright (no lock); the pool's replica
-//! list lock is only ever taken *after* assembler operations complete, and replica
-//! workers take the host `serve_lock` without holding the replica-list lock.
+//! # No serve-loop thread
+//!
+//! The front-end is a resumable run ([`Resume`]) on the executor's [`Pool`], not a loop
+//! in a thread: `serve` arms the endpoint with the run as its waker
+//! ([`ReqRepServer::attach`]) and then only sleeps until it is told to stop. A client
+//! that queues a request calls the waker, which — if nobody holds the run — *advances
+//! it on the client's thread* ([`Pool::advance_or_wake`]): drain, admit, assemble,
+//! dispatch, and for an idle replica with a zero-cost batch the backend call and the
+//! reply too. A request that never has to wait crosses no thread boundary. If another
+//! thread holds the run the client only notifies it and waits for its reply; the holder
+//! makes one more pass. The run's cell is what "the single front-end thread" used to
+//! be: one pass at a time, so endpoint order = admission order = dispatch order. A
+//! pass that leaves a partial batch parks on the pool's session-clock timer heap until
+//! the oldest entry's budget expires — which a [`hpcml_sim::clock::ManualClock`] fires
+//! like any other timer.
+//!
+//! Lock order: front-end state (locked by whoever holds the run, and by `serve` when it
+//! winds down) → replica run → leaves (see [`crate::pool`]). The endpoint calls the
+//! waker with no comm lock held.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::task::{Wake, Waker};
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hpcml_comm::message::Message;
-use hpcml_comm::reqrep::{ReqRepServer, Responder, HDR_ENQUEUED_AT};
-use hpcml_sim::clock::SharedClock;
+use hpcml_comm::reqrep::{Mailbox, ReqRepServer, Responder, HDR_ENQUEUED_AT};
+use hpcml_sim::clock::{SharedClock, SimTime};
 use hpcml_sim::dist::Dist;
 use hpcml_sim::metrics::{null_sink, SharedScalarSink};
+use hpcml_sim::pool::{Pool, Resume, RunCell};
 
 use crate::batcher::{BatchAssembler, ServingConfig};
 use crate::host::ModelHost;
@@ -42,14 +60,20 @@ use crate::pool::{BatchItem, ReplicaPool};
 use crate::protocol::*;
 use crate::request::InferenceRequest;
 
-/// How long the serve loop blocks on the endpoint before re-checking its stop flag.
+/// How long `serve` sleeps before re-checking its stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
-/// Floor on the batch-deadline wait, so a near-due budget never busy-spins.
-const MIN_WAIT_SECS: f64 = 0.000_05;
-
-/// The serve loop of one service instance.
+/// One service instance: an admission front-end over a replica pool.
 pub struct InferenceService {
+    front: Arc<FrontEnd>,
+    /// Resumes the front-end and the replicas when they park: the runtime executor's
+    /// pool, or a private one — which starts no thread before the first park, and is
+    /// joined when the service is dropped.
+    _executor: Arc<Pool>,
+}
+
+/// The admission front-end: a resumable run that owns the assembler.
+struct FrontEnd {
     name: String,
     /// The first replica's host, kept for readiness probes and spec queries.
     primary: Arc<ModelHost>,
@@ -58,18 +82,40 @@ pub struct InferenceService {
     config: ServingConfig,
     /// Request parsing/serialisation overhead (the non-queue part of `service` time).
     handling_overhead: Dist,
-    rng: Mutex<StdRng>,
     requests_served: AtomicU64,
     sink: SharedScalarSink,
+    /// Files the budget timer. Weak, because a timer entry owns the run.
+    executor: Weak<Pool>,
+    cell: RunCell,
+    admission: Mutex<Admission>,
+    /// Wakes `serve`'s thread when a pass has met a shutdown message.
+    shutdown_met: Condvar,
+}
+
+/// What the front-end thread's locals used to be; locked by the holder of the run.
+struct Admission {
+    /// The endpoint being served; `None` outside `serve` and once a pass has met a
+    /// shutdown message — nothing behind it is drained.
+    mailbox: Option<Mailbox>,
+    assembler: BatchAssembler<BatchItem>,
+    rng: StdRng,
+    /// Messages handled since `serve` attached.
+    handled: u64,
+    /// A shutdown message a pass met — topic and reply handle — left for `serve`'s
+    /// thread to acknowledge.
+    shutdown: Option<(String, Responder)>,
+    /// The budget deadline (virtual seconds) the timer on the heap was filed for, so
+    /// that passes which leave the same oldest entry do not file it again.
+    armed: Option<f64>,
 }
 
 impl std::fmt::Debug for InferenceService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InferenceService")
-            .field("name", &self.name)
-            .field("model", &self.primary.spec().name)
-            .field("replicas", &self.pool.replica_count())
-            .field("max_batch_size", &self.config.max_batch_size)
+            .field("name", &self.front.name)
+            .field("model", &self.front.primary.spec().name)
+            .field("replicas", &self.front.pool.replica_count())
+            .field("max_batch_size", &self.front.config.max_batch_size)
             .field("requests_served", &self.requests_served())
             .finish()
     }
@@ -94,7 +140,8 @@ impl InferenceService {
         )
     }
 
-    /// Create a service over explicit replicas with a full serving configuration.
+    /// Create a service over explicit replicas with a full serving configuration, on
+    /// an executor pool of its own (standalone use: tests, benches).
     ///
     /// # Panics
     /// Panics when `hosts` is empty — a service needs at least one replica.
@@ -106,14 +153,33 @@ impl InferenceService {
         config: ServingConfig,
         sink: SharedScalarSink,
     ) -> Self {
+        let executor = Arc::new(Pool::new(Arc::clone(&clock)));
+        Self::on_executor(name, hosts, clock, seed, config, sink, executor)
+    }
+
+    /// [`InferenceService::with_config`] on the given executor pool — the runtime
+    /// passes the one that resumes its tasks, so a session's services add no threads
+    /// to it. The pool must run on `clock`.
+    pub fn on_executor(
+        name: impl Into<String>,
+        hosts: Vec<Arc<ModelHost>>,
+        clock: SharedClock,
+        seed: u64,
+        config: ServingConfig,
+        sink: SharedScalarSink,
+        executor: Arc<Pool>,
+    ) -> Self {
         assert!(!hosts.is_empty(), "a service needs at least one replica");
         let primary = Arc::clone(&hosts[0]);
         let pool = Arc::new(ReplicaPool::new(
             hosts,
             Arc::clone(&clock),
             Arc::clone(&sink),
+            &executor,
         ));
-        InferenceService {
+        let assembler =
+            BatchAssembler::new(config.max_batch_size, config.batch_latency_budget_secs);
+        let front = Arc::new(FrontEnd {
             name: name.into(),
             primary,
             pool,
@@ -122,100 +188,164 @@ impl InferenceService {
             // Parsing + reply serialisation: tens of microseconds, so the "service"
             // component stays below the network latency for NOOP calls (Figs. 4-5).
             handling_overhead: Dist::normal(0.00003, 0.00001),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
             requests_served: AtomicU64::new(0),
             sink,
+            executor: Arc::downgrade(&executor),
+            cell: RunCell::parked(),
+            admission: Mutex::new(Admission {
+                mailbox: None,
+                assembler,
+                rng: StdRng::seed_from_u64(seed),
+                handled: 0,
+                shutdown: None,
+                armed: None,
+            }),
+            shutdown_met: Condvar::new(),
+        });
+        InferenceService {
+            front,
+            _executor: executor,
         }
     }
 
     /// Service name (usually the service task id).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.front.name
     }
 
     /// The primary replica's model host.
     pub fn host(&self) -> &Arc<ModelHost> {
-        &self.primary
+        &self.front.primary
     }
 
     /// The replica pool behind this service.
     pub fn pool(&self) -> &Arc<ReplicaPool> {
-        &self.pool
+        &self.front.pool
     }
 
     /// The serving configuration in effect.
     pub fn config(&self) -> &ServingConfig {
-        &self.config
+        &self.front.config
     }
 
-    /// Inference requests admitted by this service loop.
+    /// Inference requests admitted by this service.
     pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
+        self.front.requests_served.load(Ordering::Relaxed)
     }
 
-    /// Run the serve loop until `stop` is set or a shutdown message arrives.
-    /// Returns the number of messages handled in this invocation. On exit the
-    /// assembler is flushed and the pool quiesced, so every admitted request is
-    /// answered before the loop returns.
+    /// Serve `endpoint` until `stop` is set or a shutdown message arrives. Returns the
+    /// number of messages handled in this invocation. On exit the assembler is flushed
+    /// and the pool quiesced, so every admitted request is answered before the call
+    /// returns.
+    ///
+    /// The calling thread serves nothing itself: it arms the endpoint with the
+    /// front-end run and sleeps (see the module docs); requests are handled on the
+    /// threads that send them and on the executor pool. One `serve` at a time per
+    /// service.
     pub fn serve(&self, endpoint: &ReqRepServer, stop: &AtomicBool) -> u64 {
-        let mut served = 0u64;
-        let mut assembler: BatchAssembler<BatchItem> = BatchAssembler::new(
-            self.config.max_batch_size,
-            self.config.batch_latency_budget_secs,
-        );
+        let front = &self.front;
+        {
+            let mut admission = front.admission.lock();
+            admission.mailbox = Some(endpoint.mailbox());
+            admission.handled = 0;
+        }
+        // Not under the lock: attaching to a non-empty queue makes a pass right here.
+        endpoint.attach(Waker::from(Arc::clone(front)));
+        let handled = {
+            let mut admission = front.admission.lock();
+            while admission.shutdown.is_none() && !stop.load(Ordering::Acquire) {
+                front.shutdown_met.wait_for(&mut admission, POLL_INTERVAL);
+            }
+            // From here on no pass drains anything.
+            admission.mailbox = None;
+            if let Some((topic, responder)) = admission.shutdown.take() {
+                let reply = Message::new(topic, KIND_PONG).with_header("stopping", "true");
+                let _ = responder.reply(reply);
+            }
+            front.flush_ready(&mut admission, true);
+            admission.handled
+        };
+        endpoint.detach();
+        front.pool.quiesce();
+        handled
+    }
+}
+
+impl Wake for FrontEnd {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    /// Called by the endpoint after a delivery, on the delivering thread.
+    fn wake_by_ref(self: &Arc<Self>) {
+        Pool::advance_or_wake(self);
+    }
+}
+
+impl Resume for FrontEnd {
+    fn cell(&self) -> &RunCell {
+        &self.cell
+    }
+
+    fn resume(self: Arc<Self>) {
+        // Again whenever something arrived, or the budget expired, during the pass.
+        self.cell.advance_until_parked(|| self.pass());
+    }
+}
+
+impl FrontEnd {
+    /// One pass of the front-end: admit what has arrived, in arrival order and in
+    /// chunks with a dispatch of whatever is due between them, then park on the oldest
+    /// entry's budget if a partial batch is left.
+    fn pass(self: &Arc<Self>) {
+        let mut admission = self.admission.lock();
         let admit_chunk = self.config.max_batch_size.max(16);
-        'serve: while !stop.load(Ordering::Acquire) {
-            self.flush_ready(&mut assembler, false);
-            match endpoint.recv_batch(admit_chunk, self.recv_timeout_for(&assembler)) {
-                Ok(burst) => {
-                    for (msg, responder) in burst {
-                        if msg.kind == KIND_SHUTDOWN {
-                            let reply = Message::new(msg.topic.clone(), KIND_PONG)
-                                .with_header("stopping", "true");
-                            let _ = responder.reply(reply);
-                            break 'serve;
-                        }
-                        self.admit(msg, responder, &mut assembler);
-                        served += 1;
-                    }
+        loop {
+            self.flush_ready(&mut admission, false);
+            let mut taken = 0;
+            while taken < admit_chunk {
+                let next = admission.mailbox.as_ref().and_then(Mailbox::try_recv);
+                let Some((msg, responder)) = next else {
+                    break;
+                };
+                taken += 1;
+                if msg.kind == KIND_SHUTDOWN {
+                    // Acknowledged by `serve`'s thread, so that whoever asked for the
+                    // stop gets its reply only once that thread is on its way out.
+                    admission.mailbox = None;
+                    admission.shutdown = Some((msg.topic, responder));
+                    self.shutdown_met.notify_one();
+                    break;
                 }
-                Err(hpcml_comm::CommError::Timeout) => {
-                    // Liveness valve: a manual clock (scale = ∞) never expires a
-                    // virtual budget from inside this loop, so an idle wait flushes
-                    // whatever is queued rather than stranding it.
-                    if self.clock.scale().is_infinite() {
-                        self.flush_ready(&mut assembler, true);
-                    }
-                }
-                Err(_) => break,
+                self.admit(msg, responder, &mut admission);
+                admission.handled += 1;
+            }
+            if taken == 0 {
+                break;
             }
         }
-        self.flush_ready(&mut assembler, true);
-        self.pool.quiesce();
-        served
-    }
-
-    /// Real-time receive timeout for the next wait: the virtual time until the oldest
-    /// assembler entry's budget expires, converted through the clock scale.
-    fn recv_timeout_for(&self, assembler: &BatchAssembler<BatchItem>) -> Duration {
-        match assembler.secs_until_due(self.clock.now().as_secs_f64()) {
-            None => POLL_INTERVAL,
-            Some(due) => {
-                let scale = self.clock.scale();
-                let real = if scale.is_finite() && scale > 0.0 {
-                    due.max(0.0) / scale
-                } else {
-                    0.0
-                };
-                Duration::from_secs_f64(real.clamp(MIN_WAIT_SECS, POLL_INTERVAL.as_secs_f64()))
+        let Some(oldest) = admission.assembler.oldest_arrival_secs() else {
+            return;
+        };
+        let due = oldest + self.config.batch_latency_budget_secs;
+        if admission.armed != Some(due) {
+            if let Some(executor) = self.executor.upgrade() {
+                admission.armed = Some(due);
+                // One tick past the deadline, so that the pass the timer causes finds
+                // the budget expired whichever way the conversions rounded.
+                let at = SimTime::from_secs_f64(due) + Duration::from_nanos(1);
+                executor.wake_at_clock(self, at);
             }
         }
     }
 
     /// Dispatch every due batch to the pool, stamping each member's assembler wait.
-    fn flush_ready(&self, assembler: &mut BatchAssembler<BatchItem>, force: bool) {
+    fn flush_ready(&self, admission: &mut Admission, force: bool) {
+        if admission.assembler.is_empty() {
+            return;
+        }
         let now = self.clock.now().as_secs_f64();
-        while let Some(batch) = assembler.take_ready(now, force) {
+        while let Some(batch) = admission.assembler.take_ready(now, force) {
             let items: Vec<BatchItem> = batch
                 .into_iter()
                 .map(|d| {
@@ -231,7 +361,7 @@ impl InferenceService {
 
     /// Handle one received message: control messages answer inline, inference
     /// requests pass admission control into the assembler.
-    fn admit(&self, msg: Message, responder: Responder, assembler: &mut BatchAssembler<BatchItem>) {
+    fn admit(&self, msg: Message, responder: Responder, admission: &mut Admission) {
         match msg.kind.as_str() {
             KIND_PING => {
                 let ready = self.primary.is_loaded();
@@ -240,7 +370,7 @@ impl InferenceService {
                     .with_header(HDR_MODEL, self.primary.spec().name.clone());
                 let _ = responder.reply(reply);
             }
-            KIND_INFER_REQUEST => self.admit_inference(msg, responder, assembler),
+            KIND_INFER_REQUEST => self.admit_inference(msg, responder, admission),
             other => {
                 let reply = Message::new(msg.topic.clone(), KIND_ERROR)
                     .with_header(HDR_ERROR, format!("unknown message kind: {other}"));
@@ -249,12 +379,8 @@ impl InferenceService {
         }
     }
 
-    fn admit_inference(
-        &self,
-        msg: Message,
-        responder: Responder,
-        assembler: &mut BatchAssembler<BatchItem>,
-    ) {
+    fn admit_inference(&self, msg: Message, responder: Responder, admission: &mut Admission) {
+        let Admission { assembler, rng, .. } = admission;
         let arrived_secs = self.clock.now().as_secs_f64();
         // Time already spent in the endpoint queue counts toward `service` time; the
         // client stamps its enqueue instant after link traversal.
@@ -302,10 +428,7 @@ impl InferenceService {
         }
 
         // Parsing / deserialisation overhead.
-        let handling_secs = {
-            let mut rng = self.rng.lock();
-            self.handling_overhead.sample(&mut *rng).max(0.0)
-        };
+        let handling_secs = self.handling_overhead.sample(rng).max(0.0);
         self.clock.sleep(Duration::from_secs_f64(handling_secs));
 
         let request = view.to_request();
@@ -719,5 +842,164 @@ mod tests {
         );
         stop.store(true, Ordering::Release);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_request_sent_before_serve_attaches_is_answered() {
+        let c = clock();
+        let host = shared_host(ModelSpec::noop(), Arc::clone(&c), 30);
+        host.load();
+        let service = InferenceService::new("svc.early", host, Arc::clone(&c), 31);
+        let endpoint = ReqRepServer::new("svc.early");
+        let client = endpoint.client(Link::instant(Arc::clone(&c)));
+        let requester = thread::spawn(move || {
+            let req = InferenceRequest::new("early bird", 1);
+            client
+                .request(inference_request_message("svc.early", &req))
+                .unwrap()
+        });
+        while endpoint.queue_len() == 0 {
+            thread::yield_now();
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let handle = thread::spawn(move || service.serve(&endpoint, &stop2));
+        assert_eq!(requester.join().unwrap().kind, KIND_INFER_REPLY);
+        stop.store(true, Ordering::Release);
+        assert_eq!(handle.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_request_queued_after_serve_returned_fails_when_the_endpoint_is_dropped() {
+        let c = clock();
+        let host = shared_host(ModelSpec::noop(), Arc::clone(&c), 32);
+        host.load();
+        let service = InferenceService::new("svc.late", host, Arc::clone(&c), 33);
+        let endpoint = ReqRepServer::new("svc.late");
+        let client = endpoint.client(Link::instant(Arc::clone(&c)));
+        assert_eq!(service.serve(&endpoint, &AtomicBool::new(true)), 0);
+
+        let requester = thread::spawn(move || {
+            let req = InferenceRequest::new("too late", 1);
+            client.request_timeout(
+                inference_request_message("svc.late", &req),
+                Duration::from_secs(30),
+            )
+        });
+        while endpoint.queue_len() == 0 {
+            thread::yield_now();
+        }
+        // Nobody serves the endpoint any more: the request sits there...
+        thread::sleep(Duration::from_millis(5));
+        assert_eq!(endpoint.queue_len(), 1);
+        assert_eq!(service.requests_served(), 0);
+        // ...until the endpoint goes, which fails it at once, not at its timeout.
+        let dropped = std::time::Instant::now();
+        drop(endpoint);
+        let err = requester.join().unwrap().unwrap_err();
+        assert_eq!(err, hpcml_comm::CommError::Disconnected);
+        assert!(dropped.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn a_partial_batch_under_a_manual_clock_dispatches_when_its_budget_expires_and_not_before() {
+        let manual = Arc::new(hpcml_sim::clock::ManualClock::new());
+        let c: SharedClock = Arc::clone(&manual) as SharedClock;
+        let config = ServingConfig::default()
+            .max_batch_size(4)
+            .batch_latency_budget_secs(0.5);
+        let (stop, handle, client) =
+            start_with_config(ModelSpec::noop(), Arc::clone(&c), 1, config);
+        let wait_for_sleepers = |n: usize| {
+            while manual.pending_sleepers() < n {
+                thread::yield_now();
+            }
+        };
+        let requester = thread::spawn(move || {
+            let req = InferenceRequest::new("alone in its batch", 1);
+            client
+                .request(inference_request_message("svc.test", &req))
+                .unwrap()
+        });
+        // Admission runs on the requester's thread and spends its handling time (tens
+        // of virtual microseconds) on the clock.
+        wait_for_sleepers(1);
+        manual.advance(Duration::from_millis(1));
+        // One of four: the front-end parks on the budget; the timer thread registers
+        // that deadline with the clock like any sleeper.
+        wait_for_sleepers(1);
+        manual.advance(Duration::from_millis(400));
+        thread::sleep(Duration::from_millis(20));
+        assert!(
+            !requester.is_finished(),
+            "0.401 s of a 0.5 s budget: nothing may dispatch — no real-time valve"
+        );
+        manual.advance(Duration::from_millis(200));
+        let reply = requester.join().unwrap();
+        assert_eq!(reply.kind, KIND_INFER_REPLY);
+        assert_eq!(reply.header(HDR_BATCH_SIZE), Some("1"));
+        let waited = reply.f64_header(HDR_BATCH_WAIT_SECS).unwrap();
+        assert!(
+            (0.5..=0.602).contains(&waited),
+            "dispatched by the budget, on the session clock: waited {waited}"
+        );
+        stop.store(true, Ordering::Release);
+        assert_eq!(handle.join().unwrap(), 1);
+    }
+
+    /// A NOOP backend that panics on a poisoned prompt.
+    struct Panicky(crate::backend::NoopBackend);
+
+    impl crate::backend::ModelBackend for Panicky {
+        fn spec(&self) -> &ModelSpec {
+            self.0.spec()
+        }
+        fn sample_load_secs<'a>(&self, rng: &mut (dyn rand::RngCore + 'a)) -> f64 {
+            self.0.sample_load_secs(rng)
+        }
+        fn infer<'a>(
+            &self,
+            request: &InferenceRequest,
+            rng: &mut (dyn rand::RngCore + 'a),
+        ) -> crate::backend::BackendResult {
+            assert!(request.prompt != "boom", "backend blew up on purpose");
+            self.0.infer(request, rng)
+        }
+    }
+
+    #[test]
+    fn a_backend_that_panics_fails_its_batch_and_nothing_else() {
+        let c = clock();
+        let backend = Box::new(Panicky(crate::backend::NoopBackend::new()));
+        let host = Arc::new(ModelHost::new(backend, Arc::clone(&c), 40));
+        host.load();
+        let service = InferenceService::new("svc.panicky", host, Arc::clone(&c), 41);
+        let endpoint = ReqRepServer::new("svc.panicky");
+        let client = endpoint.client(Link::instant(Arc::clone(&c)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let handle = thread::spawn(move || service.serve(&endpoint, &stop2));
+        let ask = |prompt: &str| {
+            let req = InferenceRequest::new(prompt, 1);
+            client
+                .request(inference_request_message("svc.panicky", &req))
+                .unwrap()
+        };
+        assert_eq!(ask("fine").kind, KIND_INFER_REPLY);
+        // The step runs — and panics — on this very thread, which must survive it.
+        let failed = ask("boom");
+        assert_eq!(failed.kind, KIND_ERROR);
+        let why = failed.header(HDR_ERROR).unwrap();
+        assert!(
+            why.contains("panicked") && why.contains("on purpose"),
+            "{why}"
+        );
+        assert_eq!(ask("fine again").kind, KIND_INFER_REPLY);
+        stop.store(true, Ordering::Release);
+        assert_eq!(
+            handle.join().unwrap(),
+            3,
+            "serve returns: nothing is left outstanding"
+        );
     }
 }

@@ -331,7 +331,12 @@ pub mod channel {
                 .unwrap_or_else(PoisonError::into_inner);
             st.receivers -= 1;
             if st.receivers == 0 {
+                // Nobody can receive what is queued: discard it, as crossbeam does
+                // when the last receiver disconnects. Dropped outside the lock — a
+                // message may own a sender of another channel, whose drop locks.
+                let discarded = std::mem::take(&mut st.queue);
                 drop(st);
+                drop(discarded);
                 // Wake blocked senders so they observe the disconnect.
                 self.chan.not_full.notify_all();
             }
@@ -413,6 +418,28 @@ pub mod channel {
             drop(rx);
             assert!(tx.send(5).is_err());
             assert!(matches!(tx.try_send(5), Err(TrySendError::Disconnected(5))));
+        }
+
+        #[test]
+        fn dropping_the_last_receiver_discards_queued_messages() {
+            // A queued message that owns the sender of a reply channel: once nobody
+            // can receive it, the party waiting for the reply must see a disconnect.
+            let (tx, rx) = unbounded::<Sender<u32>>();
+            let (reply_tx, reply_rx) = bounded::<u32>(1);
+            tx.send(reply_tx).unwrap();
+            let rx2 = rx.clone();
+            drop(rx);
+            assert_eq!(
+                reply_rx.try_recv(),
+                Err(TryRecvError::Empty),
+                "a receiver is left"
+            );
+            drop(rx2);
+            assert_eq!(tx.len(), 0, "the queue went with the last receiver");
+            assert_eq!(
+                reply_rx.recv_timeout(Duration::from_secs(5)),
+                Err(RecvTimeoutError::Disconnected)
+            );
         }
 
         #[test]

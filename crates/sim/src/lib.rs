@@ -21,6 +21,10 @@
 //!   `service.0003`, ...), mirroring the identifier scheme of pilot runtimes.
 //! * [`fault`] — deterministic fault-injection plans: seeded schedules of node
 //!   failures pinned to virtual clock times, so failure scenarios replay exactly.
+//! * [`pool`] — the bounded executor's machinery: resumable runs ([`pool::Resume`]),
+//!   a lazily started worker pool and a timer thread with session-clock and real-time
+//!   heaps. It sits this low because both the runtime's tasks and the serving plane's
+//!   admission front-end and replicas are runs on the same pool.
 //!
 //! All durations recorded through this crate are *virtual* durations: when running under
 //! a [`clock::ScaledClock`] the numbers are directly comparable with the wall-clock
@@ -33,6 +37,7 @@ pub mod dist;
 pub mod fault;
 pub mod ids;
 pub mod metrics;
+pub mod pool;
 pub mod stats;
 
 pub use clock::{

@@ -6,6 +6,7 @@
 //! [`ComponentSample`] per entity (service instance, request) from any thread, and the
 //! harness aggregates them into per-component [`Summary`] statistics.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -15,26 +16,31 @@ use serde::{Deserialize, Serialize};
 use crate::stats::Summary;
 
 /// One measured sample decomposed into named components (all in virtual seconds).
+///
+/// Samples are kept one per request for the length of a session, so a sample is two
+/// allocations — the entity and one exactly-sized component list — and component
+/// names, which are constants of the recording code, are borrowed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComponentSample {
     /// Identifier of the measured entity (service id, request id, ...).
     pub entity: String,
     /// Ordered `(component name, seconds)` pairs.
-    pub components: Vec<(String, f64)>,
+    pub components: Vec<(Cow<'static, str>, f64)>,
 }
 
 impl ComponentSample {
-    /// Create a sample for `entity` with no components yet.
+    /// Create a sample for `entity` with no components yet (room for the three both
+    /// of the paper's breakdowns have).
     pub fn new(entity: impl Into<String>) -> Self {
         ComponentSample {
             entity: entity.into(),
-            components: Vec::new(),
+            components: Vec::with_capacity(3),
         }
     }
 
     /// Append a component measurement.
-    pub fn with(mut self, name: impl Into<String>, seconds: f64) -> Self {
-        self.components.push((name.into(), seconds));
+    pub fn with(mut self, name: &'static str, seconds: f64) -> Self {
+        self.components.push((Cow::Borrowed(name), seconds));
         self
     }
 
@@ -93,15 +99,15 @@ impl BreakdownRecorder {
     /// sample are simply not counted for that sample.
     pub fn component_summaries(&self) -> BTreeMap<String, Summary> {
         let samples = self.samples.lock();
-        let mut per_component: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        let mut per_component: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
         for s in samples.iter() {
             for (name, value) in &s.components {
-                per_component.entry(name.clone()).or_default().push(*value);
+                per_component.entry(name).or_default().push(*value);
             }
         }
         per_component
             .into_iter()
-            .map(|(name, values)| (name, Summary::from_slice(&values)))
+            .map(|(name, values)| (name.to_string(), Summary::from_slice(&values)))
             .collect()
     }
 
@@ -124,13 +130,16 @@ impl MetricRegistry {
         Self::default()
     }
 
-    /// Append a value to the named series (creating it on first use).
+    /// Append a value to the named series (creating it on first use — the only time
+    /// the name is copied).
     pub fn record(&self, name: &str, value: f64) {
-        self.series
-            .lock()
-            .entry(name.to_string())
-            .or_default()
-            .push(value);
+        let mut series = self.series.lock();
+        match series.get_mut(name) {
+            Some(values) => values.push(value),
+            None => {
+                series.insert(name.to_string(), vec![value]);
+            }
+        }
     }
 
     /// All values recorded under `name` (empty if unknown).

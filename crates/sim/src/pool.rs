@@ -18,10 +18,22 @@
 //! scheduler's queue lock. Duplicate wake-ups cost one enqueue. The run-queue lock
 //! and the timer lock are leaves: no other lock is taken while one of them is held.
 //!
-//! Timers come in two kinds, one heap each: deadlines on the session clock
-//! (compute, staging and backoff sleeps) and real-time deadlines (the scheduler's
-//! request timeout and gang drain threshold). The timer thread sleeps to the earliest
-//! of both through [`hpcml_sim::clock::Clock::sleep_interruptibly`], so a manual clock works too. An
+//! [`Pool::advance_or_wake`] is the other verb: *the thread that makes a run runnable
+//! advances it*. A parked run (`Idle`) is claimed and resumed **on the calling
+//! thread**; a run somebody holds is notified exactly as [`Pool::wake`] would, so its
+//! holder advances it once more. Nothing is enqueued and no thread is woken: a request
+//! that finds its service's runs parked is served on the thread that sent it. It is
+//! legal only where running the step is — with **no lock held that the step takes**
+//! (after a mailbox push, never under a scheduler lock) — and only for runs whose
+//! `resume` is happy on a foreign thread (it may not block for long: the caller is
+//! waiting). The serving plane's two runs are built for it; tasks are not advanced this
+//! way except by the thread that submits them, which creates them held.
+//!
+//! Timers come in two kinds, one heap each: deadlines on the session clock (compute,
+//! staging and backoff sleeps of tasks; inference batches and batching budgets of
+//! services) and real-time deadlines (the scheduler's request timeout and gang drain
+//! threshold). The timer thread sleeps to the earliest of both through
+//! [`crate::clock::Clock::sleep_interruptibly`], so a manual clock works too. An
 //! entry carries the generation its run had when the entry was made; a run that has
 //! since parked on something else has a newer generation, and the stale entry is
 //! dropped when popped — never searched for. A session-clock entry owns its run: a
@@ -32,8 +44,15 @@
 //!
 //! Nothing is started eagerly: the workers and the timer thread are spawned by the
 //! first enqueue or timer, sized from `available_parallelism`, and
-//! [`Pool::shutdown`] joins them for good. A session that never parks a task never
-//! starts them.
+//! [`Pool::shutdown`] — or dropping the pool — joins them for good. A session that
+//! never parks a run never starts them.
+//!
+//! **Ownership.** A session-clock timer entry owns its run, so a run that owns the
+//! pool closes a cycle which only an explicit [`Pool::shutdown`] breaks (the executor
+//! does that for its task runs). Runs whose host may simply be dropped — a standalone
+//! service's front-end and replicas — hold the pool as a [`Weak`] and upgrade it for
+//! the length of one call; should that upgrade turn out to be the last reference, the
+//! pool is dropped on one of its own threads, which `shutdown` does not try to join.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -44,7 +63,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
-use hpcml_sim::clock::{Interrupt, SharedClock, SimTime};
+use crate::clock::{Interrupt, SharedClock, SimTime};
 
 const IDLE: u8 = 0;
 const QUEUED: u8 = 1;
@@ -53,7 +72,7 @@ const NOTIFIED: u8 = 3;
 const DONE: u8 = 4;
 
 /// Something a worker can advance to its next park.
-pub(crate) trait Resume: Send + Sync + 'static {
+pub trait Resume: Send + Sync + 'static {
     /// The scheduling state the pool keeps for this run.
     fn cell(&self) -> &RunCell;
     /// Advance until the run parks or finishes. Called by a worker that holds the run
@@ -63,25 +82,36 @@ pub(crate) trait Resume: Send + Sync + 'static {
 }
 
 /// Per-run scheduling state: who holds the run, and which timer entries still count.
-pub(crate) struct RunCell {
+pub struct RunCell {
     status: AtomicU8,
     generation: AtomicU64,
 }
 
 impl RunCell {
     /// A cell for a run its creator is about to advance.
-    pub(crate) fn held() -> Self {
+    pub fn held() -> Self {
+        Self::with_status(RUNNING)
+    }
+
+    /// A cell for a run that is created parked: its first wake-up resumes it.
+    pub fn parked() -> Self {
+        Self::with_status(IDLE)
+    }
+
+    fn with_status(status: u8) -> Self {
         RunCell {
-            status: AtomicU8::new(RUNNING),
+            status: AtomicU8::new(status),
             generation: AtomicU64::new(0),
         }
     }
 
-    /// Register a wake-up. True if the caller must put the run on the run queue.
-    fn claim_wake(&self) -> bool {
+    /// Register a wake-up: a parked run goes to `claimed` (`Queued` for a wake-up that
+    /// enqueues, `Running` for one that advances inline), a held run to `Notified`.
+    /// True if the caller took the parked run and must enqueue or advance it.
+    fn claim(&self, claimed: u8) -> bool {
         loop {
             let (seen, next) = match self.status.load(Ordering::Acquire) {
-                IDLE => (IDLE, QUEUED),
+                IDLE => (IDLE, claimed),
                 RUNNING => (RUNNING, NOTIFIED),
                 _ => return false,
             };
@@ -90,14 +120,14 @@ impl RunCell {
                 .compare_exchange(seen, next, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                return next == QUEUED;
+                return next == claimed;
             }
         }
     }
 
     /// Let go of a parked run. False if a wake-up landed meanwhile: the caller still
     /// holds the run and must advance it again.
-    pub(crate) fn release(&self) -> bool {
+    pub fn release(&self) -> bool {
         let released = self
             .status
             .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
@@ -108,8 +138,19 @@ impl RunCell {
         released
     }
 
+    /// The body of a [`Resume::resume`] that never finishes: advance the held run with
+    /// `step` until no wake-up landed during the last one, then let go of it.
+    pub fn advance_until_parked(&self, mut step: impl FnMut()) {
+        loop {
+            step();
+            if self.release() {
+                return;
+            }
+        }
+    }
+
     /// Mark the run finished; later wake-ups are ignored.
-    pub(crate) fn finish(&self) {
+    pub fn finish(&self) {
         self.status.store(DONE, Ordering::Release);
     }
 }
@@ -164,7 +205,7 @@ struct Shared {
 }
 
 /// Run queue + workers + timer thread (see the module docs).
-pub(crate) struct Pool {
+pub struct Pool {
     shared: Arc<Shared>,
     /// Empty until the first enqueue or timer.
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -173,7 +214,7 @@ pub(crate) struct Pool {
 
 impl Pool {
     /// Create a pool over `clock`; no thread is spawned yet.
-    pub(crate) fn new(clock: SharedClock) -> Self {
+    pub fn new(clock: SharedClock) -> Self {
         Pool {
             shared: Arc::new(Shared {
                 clock,
@@ -192,7 +233,7 @@ impl Pool {
     }
 
     /// Whether the workers and the timer thread are running.
-    pub(crate) fn is_started(&self) -> bool {
+    pub fn is_started(&self) -> bool {
         self.started.load(Ordering::Acquire)
     }
 
@@ -221,22 +262,32 @@ impl Pool {
     /// Wake `run`: resume it on a worker if it is parked, or make the thread that
     /// is advancing it right now advance it once more. Only enqueues — safe under a
     /// scheduler lock.
-    pub(crate) fn wake<R: Resume>(&self, run: &Arc<R>) {
-        if run.cell().claim_wake() {
+    pub fn wake<R: Resume>(&self, run: &Arc<R>) {
+        if run.cell().claim(QUEUED) {
             self.ensure_started();
             self.shared.enqueue(Arc::clone(run) as Arc<dyn Resume>);
         }
     }
 
+    /// Advance `run` on the calling thread if it is parked; otherwise as
+    /// [`Pool::wake`]: the thread that is advancing it right now advances it once
+    /// more. Never enqueues — which is why it needs no pool to call it on. See the
+    /// module docs for when this is legal: no lock the step takes may be held.
+    pub fn advance_or_wake<R: Resume>(run: &Arc<R>) {
+        if run.cell().claim(RUNNING) {
+            Arc::clone(run).resume();
+        }
+    }
+
     /// Wake `run` once the session clock reads `at`, unless it parks anew before.
-    pub(crate) fn wake_at_clock<R: Resume>(&self, run: &Arc<R>, at: SimTime) {
+    pub fn wake_at_clock<R: Resume>(&self, run: &Arc<R>, at: SimTime) {
         let held = Arc::clone(run) as Arc<dyn Resume>;
         self.add_timer(run.cell(), at, held, |timers| &mut timers.by_clock);
     }
 
     /// Wake `run` once real time reaches `at`, unless it parks anew — or ends —
     /// before. The caller keeps the run alive.
-    pub(crate) fn wake_at_wall<R: Resume>(&self, run: &Arc<R>, at: Instant) {
+    pub fn wake_at_wall<R: Resume>(&self, run: &Arc<R>, at: Instant) {
         let seen = Arc::downgrade(run) as Weak<dyn Resume>;
         self.add_timer(run.cell(), at, seen, |timers| &mut timers.by_wall);
     }
@@ -272,7 +323,7 @@ impl Pool {
     /// Stop and join the workers and the timer thread, if they were started, and
     /// drop whatever is still queued or timed. Terminal: a pool that ran does not
     /// start again.
-    pub(crate) fn shutdown(&self) {
+    pub fn shutdown(&self) {
         let threads = std::mem::take(&mut *self.threads.lock());
         if threads.is_empty() {
             return;
@@ -281,14 +332,36 @@ impl Pool {
         self.shared.work.notify_all();
         self.shared.timers.lock().shutdown = true;
         self.shared.interrupt.raise();
+        let this_thread = std::thread::current().id();
         for handle in threads {
-            let _ = handle.join();
+            // A run that upgraded its weak handle may be the pool's last holder and
+            // drop it on a worker: that worker ends by itself once the step returns.
+            if handle.thread().id() != this_thread {
+                let _ = handle.join();
+            }
         }
         self.shared.queue.lock().runs.clear();
         let mut timers = self.shared.timers.lock();
         timers.by_clock.clear();
         timers.by_wall.clear();
     }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// What a caught panic said, for the error a failed step leaves behind: a step that
+/// panics must fail its own work and not the thread — a pool worker, or a client that
+/// advanced the run inline — it happened to run on.
+pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".to_string())
 }
 
 fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
@@ -357,7 +430,7 @@ impl Shared {
             }
             for (generation, run) in due {
                 let cell = run.cell();
-                if cell.generation.load(Ordering::Acquire) == generation && cell.claim_wake() {
+                if cell.generation.load(Ordering::Acquire) == generation && cell.claim(QUEUED) {
                     self.enqueue(run);
                 }
             }
@@ -368,7 +441,7 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcml_sim::clock::ClockSpec;
+    use crate::clock::ClockSpec;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
@@ -380,12 +453,10 @@ mod tests {
 
     impl Counter {
         fn parked() -> Arc<Self> {
-            let run = Arc::new(Counter {
-                cell: RunCell::held(),
+            Arc::new(Counter {
+                cell: RunCell::parked(),
                 resumed: AtomicUsize::new(0),
-            });
-            assert!(run.cell.release());
-            run
+            })
         }
 
         fn wait_for(&self, resumes: usize) {
@@ -402,12 +473,9 @@ mod tests {
             &self.cell
         }
         fn resume(self: Arc<Self>) {
-            loop {
+            self.cell.advance_until_parked(|| {
                 self.resumed.fetch_add(1, Ordering::AcqRel);
-                if self.cell.release() {
-                    return;
-                }
-            }
+            });
         }
     }
 
@@ -427,17 +495,97 @@ mod tests {
     #[test]
     fn a_wake_during_an_advance_causes_one_more_advance_not_an_enqueue() {
         let cell = RunCell::held();
-        assert!(!cell.claim_wake(), "a held run is notified, not queued");
-        assert!(!cell.claim_wake(), "duplicates collapse");
+        assert!(!cell.claim(QUEUED), "a held run is notified, not queued");
+        assert!(!cell.claim(QUEUED), "duplicates collapse");
         assert!(!cell.release(), "the holder must advance again");
         assert!(cell.release(), "nothing landed since");
         assert!(
-            cell.claim_wake(),
+            cell.claim(QUEUED),
             "a parked run is queued by the first wake"
         );
-        assert!(!cell.claim_wake(), "and only by the first");
+        assert!(!cell.claim(QUEUED), "and only by the first");
         cell.finish();
-        assert!(!cell.claim_wake(), "a finished run ignores wake-ups");
+        assert!(!cell.claim(QUEUED), "a finished run ignores wake-ups");
+    }
+
+    #[test]
+    fn advance_or_wake_runs_a_parked_run_on_the_caller_and_notifies_a_held_one() {
+        /// Records which thread resumed it; wakes itself once from inside the first
+        /// advance, the way a request arriving mid-pass does.
+        struct Inline {
+            cell: RunCell,
+            resumed_on: Mutex<Vec<std::thread::ThreadId>>,
+        }
+        impl Resume for Inline {
+            fn cell(&self) -> &RunCell {
+                &self.cell
+            }
+            fn resume(self: Arc<Self>) {
+                loop {
+                    let first = {
+                        let mut on = self.resumed_on.lock();
+                        on.push(std::thread::current().id());
+                        on.len() == 1
+                    };
+                    if first {
+                        Pool::advance_or_wake(&self); // held: notifies, does not recurse
+                    }
+                    if self.cell.release() {
+                        return;
+                    }
+                }
+            }
+        }
+        let run = Arc::new(Inline {
+            cell: RunCell::parked(),
+            resumed_on: Mutex::new(Vec::new()),
+        });
+        Pool::advance_or_wake(&run);
+        let me = std::thread::current().id();
+        assert_eq!(
+            *run.resumed_on.lock(),
+            vec![me, me],
+            "advanced here, and once more for the wake-up that landed meanwhile"
+        );
+        // Parked again: the next call advances it again; a finished run is left alone.
+        Pool::advance_or_wake(&run);
+        assert_eq!(run.resumed_on.lock().len(), 3);
+        run.cell.finish();
+        Pool::advance_or_wake(&run);
+        assert_eq!(run.resumed_on.lock().len(), 3);
+    }
+
+    #[test]
+    fn a_pool_dropped_on_its_own_worker_does_not_join_itself() {
+        /// Holds the pool's last strong reference and lets go of it when resumed.
+        struct LastHolder {
+            cell: RunCell,
+            pool: Mutex<Option<Arc<Pool>>>,
+            dropped: AtomicBool,
+        }
+        impl Resume for LastHolder {
+            fn cell(&self) -> &RunCell {
+                &self.cell
+            }
+            fn resume(self: Arc<Self>) {
+                drop(self.pool.lock().take());
+                self.dropped.store(true, Ordering::Release);
+                self.cell.finish();
+            }
+        }
+        let pool = Arc::new(Pool::new(ClockSpec::scaled(1000.0).build()));
+        let run = Arc::new(LastHolder {
+            cell: RunCell::parked(),
+            pool: Mutex::new(Some(Arc::clone(&pool))),
+            dropped: AtomicBool::new(false),
+        });
+        pool.wake(&run);
+        drop(pool);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !run.dropped.load(Ordering::Acquire) {
+            assert!(Instant::now() < deadline, "the worker hung in its own join");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -4,9 +4,32 @@
 //! module once per binary, so every helper is `#[allow(dead_code)]`: a binary
 //! that uses only one of them must not trip `clippy -D warnings` for the rest.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hpcml::prelude::*;
+
+/// `Threads:` of `/proc/self/status`; `None` where there is no such file. Process-wide:
+/// a binary that asserts on it holds one test.
+#[allow(dead_code)]
+pub fn process_threads() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+}
+
+/// The thread count once it is back at `before`, or whatever it still is two seconds
+/// on: `Session::close` has joined every thread it started, but the kernel may take a
+/// moment longer to take a joined thread off the process's list.
+#[allow(dead_code)]
+pub fn threads_settled_at(before: Option<usize>) -> Option<usize> {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while process_threads() != before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    process_threads()
+}
 
 /// Poll `cond` on the session clock until it holds or `timeout_secs` virtual
 /// seconds elapse. Sleeping on the session clock keeps the wait proportional to

@@ -376,3 +376,45 @@ fn session_close_is_idempotent_and_rejects_new_work() {
         Err(RuntimeError::SessionClosed)
     ));
 }
+
+/// Closing a session the moment a pipeline returns: `PipelineRunner::run` has asked
+/// its services to stop, so `close` finds endpoints that are still registered but
+/// that nobody serves any more and asks again. That second shutdown message must fail
+/// when the endpoint goes away — not sit out its 500 ms timeout, which it did a few
+/// times in twenty while a dropped endpoint kept what was queued at it.
+#[test]
+fn close_right_after_a_pipeline_never_waits_out_a_shutdown_timeout() {
+    for round in 0..20 {
+        let s = session(1000.0);
+        s.submit_pilot(PilotDescription::new(PlatformId::Delta).nodes(2))
+            .expect("pilot");
+        let pipeline = Pipeline::new("serve-then-compute")
+            .stage(
+                Stage::new("serve")
+                    .service(ServiceDescription::new("noop-a").model(ModelSpec::noop()))
+                    .service(ServiceDescription::new("noop-b").model(ModelSpec::noop()))
+                    .task(
+                        TaskDescription::new("client")
+                            .kind(TaskKind::inference_client("noop-a", 4))
+                            .cores(1),
+                    )
+                    .keep_services(),
+            )
+            .stage(
+                Stage::new("compute").task(
+                    TaskDescription::new("work")
+                        .kind(TaskKind::compute_secs(1.0))
+                        .cores(1),
+                ),
+            );
+        let report = PipelineRunner::new(&s).run(&pipeline).expect("pipeline");
+        assert!(report.all_succeeded(), "round {round}: {}", report.render());
+        let closing = std::time::Instant::now();
+        s.close();
+        let took = closing.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "round {round}: close took {took:?}"
+        );
+    }
+}

@@ -10,14 +10,8 @@ use std::time::Duration;
 
 use hpcml::prelude::*;
 
-/// `Threads:` of `/proc/self/status`; `None` where there is no such file.
-fn process_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .and_then(|n| n.trim().parse().ok())
-}
+mod common;
+use common::{process_threads, threads_settled_at};
 
 #[test]
 fn one_session_runs_42000_tasks_on_a_bounded_number_of_threads() {
@@ -95,14 +89,8 @@ fn one_session_runs_42000_tasks_on_a_bounded_number_of_threads() {
 
     assert_eq!(s.task_manager().len(), NOOP_WAVES * NOOP_WAVE + QUEUED);
     s.close();
-    // `close` has joined every thread it started; the kernel may take a moment longer
-    // to take a joined thread off the process's list.
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while process_threads() != before && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
     assert_eq!(
-        process_threads(),
+        threads_settled_at(before),
         before,
         "close joins the pool: the thread count is back where it started"
     );

@@ -1835,7 +1835,6 @@ fn sharded_pubsub_churn_delivers_exactly_once_in_order() {
 #[test]
 fn batched_burst_transport_matches_singleton_semantics() {
     use hpcml::comm::link::Link;
-    use hpcml::comm::queue::WorkQueue;
     use hpcml::comm::reqrep::ReqRepServer;
     use hpcml::platform::network::LatencyProfile;
     use std::time::Duration;
@@ -1852,16 +1851,6 @@ fn batched_burst_transport_matches_singleton_semantics() {
             "k={k}: batch pays one 2 ms sample + bandwidth of the summed bytes, got {batched}"
         );
     }
-
-    // WorkQueue: recv_batch drains in FIFO order, identical to singleton pops.
-    let q = WorkQueue::unbounded("prop.queue");
-    let (tx, rx) = q.split();
-    tx.push_batch((0..100).collect()).unwrap();
-    let mut via_batch = Vec::new();
-    while let Ok(mut chunk) = rx.recv_batch(7, Duration::from_millis(5)) {
-        via_batch.append(&mut chunk);
-    }
-    assert_eq!(via_batch, (0..100).collect::<Vec<i32>>());
 
     // ReqRep: request_batch returns replies in request order through a server that
     // serves via recv_batch.
@@ -1888,6 +1877,128 @@ fn batched_burst_transport_matches_singleton_semantics() {
         .map(|m| m.text().unwrap().parse().unwrap())
         .collect();
     assert_eq!(echoed, (0..32).collect::<Vec<usize>>());
+}
+
+// ---------------------------------------------------------------- serving plane
+
+/// The serving path under interleaving: N client threads — each a seeded mix of
+/// single requests and small batches, so that requests arrive while another client's
+/// thread is mid-pass through the front-end or a replica — against batch sizes {1, 4}
+/// and {1, 2} replicas. Whichever thread ends up advancing the runs (the requester, a
+/// different requester that was notified, a pool worker after a budget timer): every
+/// request is answered exactly once and with its own `request_id`, each client gets
+/// its replies in the order it sent, the service counts every request once, and
+/// nothing is outstanding when `serve` returns.
+#[test]
+fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
+    use hpcml::comm::link::Link;
+    use hpcml::comm::reqrep::ReqRepServer;
+    use hpcml::serving::protocol::{HDR_BATCH_SIZE, HDR_REQUEST_ID, KIND_INFER_REPLY};
+    use hpcml::serving::service::inference_request_message;
+    use hpcml::serving::{InferenceRequest, InferenceService, ModelHost, ModelSpec, ServingConfig};
+    use hpcml::sim::metrics::null_sink;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Barrier};
+    use std::time::Duration;
+
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 60;
+
+    for (case, (max_batch, replicas)) in [(1usize, 1usize), (4, 1), (1, 2), (4, 2)]
+        .into_iter()
+        .enumerate()
+    {
+        let clock = ClockSpec::scaled(1000.0).build();
+        let hosts: Vec<Arc<ModelHost>> = (0..replicas)
+            .map(|i| {
+                let host = ModelHost::from_spec(ModelSpec::noop(), Arc::clone(&clock), i as u64);
+                host.load();
+                Arc::new(host)
+            })
+            .collect();
+        // A 20 ms virtual budget is 20 µs of real time: partial batches are flushed
+        // by the timer thread while clients keep sending.
+        let config = ServingConfig::default()
+            .replicas(replicas)
+            .max_batch_size(max_batch)
+            .batch_latency_budget_secs(0.02);
+        let service = Arc::new(InferenceService::with_config(
+            "prop.serving",
+            hosts,
+            Arc::clone(&clock),
+            7,
+            config,
+            null_sink(),
+        ));
+        let endpoint = ReqRepServer::new("prop.serving");
+        let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(CLIENTS));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let client = endpoint.client(Link::instant(Arc::clone(&clock)));
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0x5E21 ^ ((case * CLIENTS + c) as u64));
+                    let mut answered: Vec<String> = Vec::new();
+                    let mut largest_batch = 0usize;
+                    start.wait();
+                    while answered.len() < REQUESTS {
+                        let burst = rng.gen_range(1usize..4).min(REQUESTS - answered.len());
+                        let requests: Vec<InferenceRequest> = (0..burst)
+                            .map(|_| InferenceRequest::new("p", 1).from_client(format!("c{c}")))
+                            .collect();
+                        let mut msgs: Vec<Message> = requests
+                            .iter()
+                            .map(|r| inference_request_message("prop.serving", r))
+                            .collect();
+                        let replies = if burst == 1 && rng.gen_bool(0.5) {
+                            vec![client.request(msgs.remove(0)).unwrap()]
+                        } else {
+                            client.request_batch(msgs, Duration::from_secs(30)).unwrap()
+                        };
+                        assert_eq!(replies.len(), burst);
+                        for (sent, reply) in requests.iter().zip(&replies) {
+                            assert_eq!(reply.kind, KIND_INFER_REPLY);
+                            assert_eq!(
+                                reply.header(HDR_REQUEST_ID),
+                                Some(sent.request_id.as_str()),
+                                "client {c}: replies pair with requests in send order"
+                            );
+                            let batch: usize =
+                                reply.header(HDR_BATCH_SIZE).unwrap().parse().unwrap();
+                            largest_batch = largest_batch.max(batch);
+                            answered.push(sent.request_id.clone());
+                        }
+                        if rng.gen_bool(0.3) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    (answered, largest_batch)
+                })
+            })
+            .collect();
+        let (svc, stop2) = (Arc::clone(&service), Arc::clone(&stop));
+        let serving = std::thread::spawn(move || svc.serve(&endpoint, &stop2));
+
+        let mut all: Vec<String> = Vec::new();
+        for client in clients {
+            let (answered, largest_batch) = client.join().unwrap();
+            assert!(
+                largest_batch <= max_batch,
+                "case {case}: batch over its bound"
+            );
+            all.extend(answered);
+        }
+        stop.store(true, Ordering::Release);
+        let handled = serving.join().unwrap();
+        let total = CLIENTS * REQUESTS;
+        assert_eq!(handled, total as u64, "case {case}: messages handled");
+        assert_eq!(service.requests_served(), total as u64, "case {case}");
+        assert_eq!(service.pool().total_outstanding(), 0, "case {case}");
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), total, "case {case}: one answer per request id");
+    }
 }
 
 // ---------------------------------------------------------------- polled placement
