@@ -156,7 +156,28 @@ impl Publisher {
     /// Returns the number of subscribers that received it. Subscribers that closed
     /// are pruned from their shard in passing.
     pub fn publish(&self, msg: &Message) -> usize {
-        let delivered = self.fan_out(std::slice::from_ref(msg), &mut BytesMut::new());
+        self.publish_one(&msg.topic, || msg.encode())
+    }
+
+    /// [`Publisher::publish`] for a message that does not exist yet: `build` runs —
+    /// once — only if a live subscriber's prefix matches `topic`, which must be the
+    /// topic of the message it returns. Records the same `comm.fanout.width` sample.
+    pub fn publish_with(&self, topic: &str, build: impl FnOnce() -> Message) -> usize {
+        self.publish_one(topic, || {
+            let msg = build();
+            debug_assert_eq!(msg.topic, topic, "matched on another topic than sent");
+            msg.encode()
+        })
+    }
+
+    /// One message on `topic`, its frame made by `encode` on the first match.
+    fn publish_one(&self, topic: &str, encode: impl FnOnce() -> Bytes) -> usize {
+        let mut encode = Some(encode);
+        let delivered = self.fan_out(
+            &mut [None],
+            |_| topic,
+            |_| encode.take().expect("a frame is made once")(),
+        );
         self.inner
             .sink
             .record("comm.fanout.width", delivered as f64);
@@ -171,7 +192,11 @@ impl Publisher {
             return 0;
         }
         let mut scratch = BytesMut::new();
-        let delivered = self.fan_out(msgs, &mut scratch);
+        let delivered = self.fan_out(
+            &mut vec![None; msgs.len()],
+            |i| &msgs[i].topic,
+            |i| msgs[i].encode_into(&mut scratch),
+        );
         self.inner
             .sink
             .record("comm.publish.batch_size", msgs.len() as f64);
@@ -181,11 +206,20 @@ impl Publisher {
         delivered
     }
 
-    /// Shared fan-out core: encode each message at most once (lazily, on first
-    /// match), deliver the same frame to every matching subscriber, prune closed
-    /// entries per shard.
-    fn fan_out(&self, msgs: &[Message], scratch: &mut BytesMut) -> usize {
-        let mut frames: Vec<Option<Bytes>> = vec![None; msgs.len()];
+    /// Shared matching / fan-out core for `frames.len()` messages: match every live
+    /// subscriber's prefixes against `topic(i)`, make message `i`'s frame with
+    /// `encode(i)` on its first match (never, if nothing matches), deliver the same
+    /// frame to every matching subscriber, prune closed entries per shard. With no
+    /// subscriber at all it reads one counter and takes no lock.
+    fn fan_out<'t>(
+        &self,
+        frames: &mut [Option<Bytes>],
+        topic: impl Fn(usize) -> &'t str,
+        mut encode: impl FnMut(usize) -> Bytes,
+    ) -> usize {
+        if self.inner.live.load(Ordering::Acquire) == 0 {
+            return 0;
+        }
         let mut delivered = 0;
         for shard in &self.inner.shards {
             let mut any_closed = false;
@@ -196,13 +230,11 @@ impl Publisher {
                         any_closed = true;
                         continue;
                     }
-                    for (i, msg) in msgs.iter().enumerate() {
-                        if !sub.matches(&msg.topic) {
+                    for (i, slot) in frames.iter_mut().enumerate() {
+                        if !sub.matches(topic(i)) {
                             continue;
                         }
-                        let frame = frames[i]
-                            .get_or_insert_with(|| msg.encode_into(scratch))
-                            .clone();
+                        let frame = slot.get_or_insert_with(|| encode(i)).clone();
                         if sub.tx.send(frame).is_ok() {
                             delivered += 1;
                         } else {
@@ -367,6 +399,37 @@ mod tests {
         let publisher = Publisher::new();
         assert_eq!(publisher.publish(&Message::new("t", "k")), 0);
         assert!(!format!("{publisher:?}").is_empty());
+    }
+
+    #[test]
+    fn publish_with_builds_the_message_once_and_only_for_a_match() {
+        use std::cell::Cell;
+        let widths = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&widths);
+        let publisher = Publisher::new().with_sink(Arc::new(move |name: &str, v: f64| {
+            assert_eq!(name, "comm.fanout.width");
+            sink.lock().push(v);
+        }));
+        let built = Cell::new(0);
+        let publish = || {
+            publisher.publish_with("state.task.Done", || {
+                built.set(built.get() + 1);
+                Message::new("state.task.Done", "state.update").with_header("state", "Done")
+            })
+        };
+        assert_eq!(publish(), 0, "nobody listens");
+        let services = publisher.subscribe(&["state.service"]);
+        assert_eq!(publish(), 0, "nobody listens to tasks");
+        assert_eq!(built.get(), 0);
+        let tasks = publisher.subscribe(&["state.task"]);
+        let all = publisher.subscribe(&[]);
+        assert_eq!(publish(), 2);
+        assert_eq!(built.get(), 1, "one message for two receivers");
+        assert_eq!(services.pending(), 0);
+        let got = tasks.recv_timeout(Duration::from_millis(100)).unwrap();
+        assert_eq!(got.header("state"), Some("Done"));
+        assert_eq!(all.drain(), vec![got]);
+        assert_eq!(*widths.lock(), [0.0, 0.0, 2.0], "one sample per publish");
     }
 
     #[test]

@@ -60,8 +60,6 @@ struct Reply {
     msg: Option<Message>,
     /// The responder is gone: what `msg` holds now is all there will ever be.
     closed: bool,
-    /// The requester sleeps on `filled`.
-    waiting: bool,
 }
 
 impl ReplySlot {
@@ -76,9 +74,7 @@ impl ReplySlot {
             if reply.closed {
                 return Err(CommError::Disconnected);
             }
-            reply.waiting = true;
             let timed_out = self.filled.wait_until(&mut reply, deadline).timed_out();
-            reply.waiting = false;
             if timed_out && reply.msg.is_none() && !reply.closed {
                 return Err(CommError::Timeout);
             }
@@ -112,14 +108,8 @@ impl Responder {
 
 impl Drop for Responder {
     fn drop(&mut self) {
-        let waiting = {
-            let mut reply = self.slot.state.lock();
-            reply.closed = true;
-            reply.waiting
-        };
-        if waiting {
-            self.slot.filled.notify_one();
-        }
+        self.slot.state.lock().closed = true;
+        self.slot.filled.notify_one();
     }
 }
 
@@ -150,8 +140,6 @@ struct Inbox {
     queue: VecDeque<Request>,
     /// The server is dropped: nothing more is accepted.
     closed: bool,
-    /// Threads asleep in [`ReqRepServer::recv_timeout`].
-    sleepers: usize,
     /// Called after every delivery while a server is attached.
     waker: Option<Waker>,
 }
@@ -174,17 +162,15 @@ impl Mailbox {
     /// Queue `requests` in order, then — the lock released — tell whoever serves the
     /// endpoint: receivers asleep on the condvar, the attached waker.
     fn deliver(&self, requests: impl IntoIterator<Item = Request>) -> Result<(), CommError> {
-        let (sleepers, waker) = {
+        let waker = {
             let mut inbox = self.endpoint.state.lock();
             if inbox.closed {
                 return Err(CommError::Disconnected);
             }
             inbox.queue.extend(requests);
-            (inbox.sleepers, inbox.waker.clone())
+            inbox.waker.clone()
         };
-        if sleepers > 0 {
-            self.endpoint.arrived.notify_all();
-        }
+        self.endpoint.arrived.notify_all();
         if let Some(waker) = waker {
             waker.wake();
         }
@@ -321,12 +307,10 @@ impl ReqRepServer {
             if let Some(request) = inbox.queue.pop_front() {
                 return Ok((request.msg, request.responder));
             }
-            inbox.sleepers += 1;
             let timed_out = endpoint
                 .arrived
                 .wait_until(&mut inbox, deadline)
                 .timed_out();
-            inbox.sleepers -= 1;
             if timed_out && inbox.queue.is_empty() {
                 return Err(CommError::Timeout);
             }

@@ -112,7 +112,7 @@ use crate::data::DataManager;
 use crate::describe::{DataDirective, ServicePlacement, ServiceSelector, TaskKind};
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeMetrics;
-use crate::records::{BootstrapTimes, ServiceRecord, TaskRecord};
+use crate::records::{BootstrapTimes, ServiceRecord, StateModel, TaskRecord};
 use crate::scheduler::{Placement, PlacementPoll, PlacementStats, Priority, Scheduler};
 use crate::states::{ServiceState, TaskState};
 
@@ -194,8 +194,8 @@ enum Park {
 /// The mutable half of a task run; only the thread holding the run touches it.
 struct RunState {
     stage: Stage,
-    /// The slot this attempt holds.
-    slot: Option<Slot>,
+    /// The slot this attempt holds; `record.slot` shares it.
+    slot: Option<Arc<Slot>>,
 }
 
 /// One task's lifecycle in flight.
@@ -228,15 +228,6 @@ impl Wake for TaskRun {
     }
 }
 
-/// Task runs between spawn and their last publish, and who waits for them to end
-/// (counted so that a run ending with nobody waiting — every run of a burst — costs
-/// no condvar notify, which is a system call).
-#[derive(Default)]
-struct InFlight {
-    runs: usize,
-    waiters: usize,
-}
-
 /// The executor component.
 pub struct Executor {
     clock: SharedClock,
@@ -253,8 +244,9 @@ pub struct Executor {
     /// Resumes parked runs — tasks, and the front-ends and replicas of the services
     /// hosted here; starts no thread before the first park.
     pool: Arc<Pool>,
-    in_flight: Mutex<InFlight>,
-    /// Signalled when `in_flight.runs` reaches zero while someone waits.
+    /// Task runs between spawn and their last publish.
+    in_flight: Mutex<usize>,
+    /// Signalled when `in_flight` reaches zero.
     drained: Condvar,
 }
 
@@ -266,7 +258,7 @@ impl std::fmt::Debug for Executor {
                 &self.concurrent_launches.load(Ordering::Relaxed),
             )
             .field("entity_threads", &self.handles.lock().len())
-            .field("runs_in_flight", &self.in_flight.lock().runs)
+            .field("runs_in_flight", &*self.in_flight.lock())
             .field("pool_started", &self.pool.is_started())
             .finish()
     }
@@ -296,7 +288,7 @@ impl Executor {
             seed_counter: AtomicU64::new(1),
             base_seed,
             handles: Mutex::new(Vec::new()),
-            in_flight: Mutex::new(InFlight::default()),
+            in_flight: Mutex::new(0),
             drained: Condvar::new(),
         })
     }
@@ -307,11 +299,14 @@ impl Executor {
             .wrapping_add(self.seed_counter.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn publish_state(&self, entity_kind: &str, id: &str, state: &str) {
-        let msg = Message::new(format!("state.{entity_kind}.{state}"), "state.update")
-            .with_header("entity", id)
-            .with_header("state", state);
-        self.publisher.publish(&msg);
+    /// Publish `id`'s entry into `state`. The message is built only if a subscriber's
+    /// prefix matches the topic; a session nobody listens to pays one atomic load.
+    fn publish_state<S: StateModel>(&self, id: &str, state: S) {
+        self.publisher.publish_with(state.topic(), || {
+            Message::new(state.topic(), "state.update")
+                .with_header("entity", id)
+                .with_header("state", state.name())
+        });
     }
 
     /// The one place entity threads come from: services, and task stages that must
@@ -352,7 +347,7 @@ impl Executor {
         record: Arc<TaskRecord>,
         scheduler: Option<Arc<Scheduler>>,
     ) {
-        self.in_flight.lock().runs += 1;
+        *self.in_flight.lock() += 1;
         let run = Arc::new(TaskRun {
             executor: Arc::clone(self),
             record,
@@ -373,11 +368,9 @@ impl Executor {
     pub fn join_all(&self) {
         {
             let mut in_flight = self.in_flight.lock();
-            in_flight.waiters += 1;
-            while in_flight.runs > 0 {
+            while *in_flight > 0 {
                 self.drained.wait(&mut in_flight);
             }
-            in_flight.waiters -= 1;
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
         for h in handles {
@@ -393,7 +386,7 @@ impl Executor {
             if !record.state.current().is_final() {
                 record.state.fail(ServiceState::Failed, e.to_string());
             }
-            self.publish_state("service", &record.id, "Failed");
+            self.publish_state(&record.id, ServiceState::Failed);
         }
     }
 
@@ -408,7 +401,7 @@ impl Executor {
 
         // ② scheduling / placement.
         record.state.transition(ServiceState::Scheduling)?;
-        self.publish_state("service", &record.id, "Scheduling");
+        self.publish_state(&record.id, ServiceState::Scheduling);
         let slot = if is_local {
             let scheduler = scheduler.ok_or_else(|| {
                 RuntimeError::InvalidState("local service submitted without an active pilot".into())
@@ -428,7 +421,7 @@ impl Executor {
 
         // ③ launch the service executable on its target resources.
         record.state.transition(ServiceState::Launching)?;
-        self.publish_state("service", &record.id, "Launching");
+        self.publish_state(&record.id, ServiceState::Launching);
         let mut rng = StdRng::seed_from_u64(self.next_seed());
         let launch_watch = Stopwatch::start(Arc::clone(&self.clock));
         let in_flight = self.concurrent_launches.fetch_add(1, Ordering::AcqRel) + 1;
@@ -530,7 +523,7 @@ impl Executor {
             self.metrics.record_bootstrap(&record.id, bootstrap);
         }
         record.state.transition(ServiceState::Ready)?;
-        self.publish_state("service", &record.id, "Ready");
+        self.publish_state(&record.id, ServiceState::Ready);
 
         // Serve until asked to stop. Serving-plane metrics flow into the runtime
         // metrics store alongside the task/service scalars.
@@ -557,7 +550,7 @@ impl Executor {
         if record.state.current() == ServiceState::Stopping {
             record.state.transition(ServiceState::Stopped)?;
         }
-        self.publish_state("service", &record.id, "Stopped");
+        self.publish_state(&record.id, ServiceState::Stopped);
         if let Some((scheduler, slot)) = &slot {
             scheduler.release(slot)?;
         }
@@ -585,8 +578,8 @@ impl Executor {
                 Park::Done => {
                     run.cell.finish();
                     let mut in_flight = self.in_flight.lock();
-                    in_flight.runs -= 1;
-                    if in_flight.runs == 0 && in_flight.waiters > 0 {
+                    *in_flight -= 1;
+                    if *in_flight == 0 {
                         self.drained.notify_all();
                     }
                     return;
@@ -640,8 +633,11 @@ impl Executor {
         let RunState { stage, slot } = state;
         let next = match stage {
             Stage::Admitted => {
-                record.state.transition(TaskState::Scheduling)?;
-                self.publish_state("task", &record.id, "Scheduling");
+                // A retry comes back already in `Scheduling`: the retry edge entered
+                // and published it when the attempt failed.
+                if record.state.transition(TaskState::Scheduling)? {
+                    self.publish_state(&record.id, TaskState::Scheduling);
+                }
                 // Readiness relations: every service named in `after_services` must
                 // have published its endpoint before this task starts. Only a
                 // missing one needs a thread to wait on.
@@ -692,7 +688,8 @@ impl Executor {
                         let wait_secs = queued.wait_start.elapsed().as_secs_f64();
                         let (placed, stats) = result?;
                         self.record_placement(&placed, &stats, wait_secs);
-                        *record.slot.lock() = Some(placed.clone());
+                        let placed = Arc::new(placed);
+                        *record.slot.lock() = Some(Arc::clone(&placed));
                         *slot = Some(placed);
                         if desc.stage_in.is_empty() {
                             Stage::Executing(None)
@@ -709,7 +706,7 @@ impl Executor {
             },
             Stage::Executing(None) => {
                 record.state.transition(TaskState::Executing)?;
-                self.publish_state("task", &record.id, "Executing");
+                self.publish_state(&record.id, TaskState::Executing);
                 let started = self.clock.now();
                 let until = match &desc.kind {
                     TaskKind::Noop => Some(started),
@@ -772,7 +769,7 @@ impl Executor {
                 }
                 // Released first, observable second, published last.
                 record.state.transition(TaskState::Done)?;
-                self.publish_state("task", &record.id, "Done");
+                self.publish_state(&record.id, TaskState::Done);
                 Stage::Done
             }
             Stage::Backoff(until) => {
@@ -811,7 +808,11 @@ impl Executor {
         if evicted && retries < record.description.max_retries {
             record.retries.store(retries + 1, Ordering::Relaxed);
             self.metrics.record_scalar("task.retries", 1.0);
-            self.publish_state("task", &record.id, "Scheduling");
+            // The retry edge: the record is back in `Scheduling` for the whole backoff,
+            // and the next attempt's `Admitted` stage finds it there.
+            if matches!(record.state.transition(TaskState::Scheduling), Ok(true)) {
+                self.publish_state(&record.id, TaskState::Scheduling);
+            }
             let backoff = RETRY_BACKOFF_BASE_SECS * f64::from(1u32 << retries.min(16));
             state.stage = Stage::Backoff(self.clock.now() + Duration::from_secs_f64(backoff));
             return;
@@ -819,7 +820,7 @@ impl Executor {
         if !record.state.current().is_final() {
             record.state.fail(TaskState::Failed, err.to_string());
         }
-        self.publish_state("task", &record.id, "Failed");
+        self.publish_state(&record.id, TaskState::Failed);
         state.stage = Stage::Done;
     }
 
@@ -1365,10 +1366,16 @@ mod tests {
         }
         clock.advance(Duration::from_secs(10));
         assert_eq!(task.state.current(), TaskState::Executing, "20 s to go");
-        while clock.pending_sleepers() < 1 {
+        // After an advance the timer thread takes its deadline off the clock and files
+        // it again; in between there is no next deadline to advance to.
+        let at = loop {
+            let at = clock.advance_to_next().as_secs_f64();
+            if at > 10.0 {
+                break at;
+            }
             std::thread::yield_now();
-        }
-        assert!((clock.advance_to_next().as_secs_f64() - 30.0).abs() < 1e-9);
+        };
+        assert!((at - 30.0).abs() < 1e-9);
         task.state
             .wait_until(|s| s == TaskState::Done, Duration::from_secs(10))
             .unwrap();

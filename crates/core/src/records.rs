@@ -1,10 +1,24 @@
 //! Stateful entity records and the public handles wrapping them.
 //!
 //! A record is the runtime's bookkeeping for one submitted entity: its description, its
-//! current state, the virtual timestamp of every state it entered, its placement, and —
-//! for failures — the reason. State transitions are validated against the state models
-//! in [`crate::states`] and waiters are woken through a condition variable, which is what
-//! the public `wait_*` calls of [`TaskHandle`]/[`ServiceHandle`]/[`PilotHandle`] use.
+//! state, its placement, and — for failures — the reason. State transitions are
+//! validated against the state models in [`crate::states`] and waiters are woken through
+//! a condition variable, which is what the public `wait_*` calls of
+//! [`TaskHandle`]/[`ServiceHandle`]/[`PilotHandle`] use.
+//!
+//! ## State is an event log
+//!
+//! A [`StateCell`] stores one thing: the append-only list of `(state, virtual time)`
+//! entries, in the order the entity entered them. A transition appends one entry — no
+//! string, no map node; the first six entries live inside the record. Everything a
+//! reader asks for is derived when asked:
+//!
+//! | query | derived as |
+//! |---|---|
+//! | `current()` | the last entry's state |
+//! | `entered_at(s)` | the last entry of `s` |
+//! | `timestamps()` | name → seconds, last entry per state (names are rendered here and nowhere else) |
+//! | `history()` | every entry, in order — `Executing → Scheduling → Executing` of a retried task keeps both attempts |
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -16,7 +30,7 @@ use parking_lot::{Condvar, Mutex};
 use hpcml_platform::batch::Allocation;
 use hpcml_platform::resources::Slot;
 use hpcml_platform::PlatformId;
-use hpcml_sim::clock::SharedClock;
+use hpcml_sim::clock::{SharedClock, SimTime};
 
 use crate::describe::{PilotDescription, ServiceDescription, TaskDescription};
 use crate::error::RuntimeError;
@@ -30,43 +44,84 @@ pub trait StateModel: Copy + std::fmt::Debug + PartialEq + Send + 'static {
     fn can_go(self, next: Self) -> bool;
     /// Whether `self` is terminal.
     fn terminal(self) -> bool;
+    /// The variant's name, as `{:?}` prints it.
+    fn name(self) -> &'static str;
+    /// The topic this state's update is published on.
+    fn topic(self) -> &'static str;
 }
 
-impl StateModel for TaskState {
-    fn can_go(self, next: Self) -> bool {
-        self.can_transition_to(next)
-    }
-    fn terminal(self) -> bool {
-        self.is_final()
-    }
+/// The three state enums offer the same inherent API; the trait only names it.
+macro_rules! state_model {
+    ($($ty:ty),+) => {$(
+        impl StateModel for $ty {
+            fn can_go(self, next: Self) -> bool {
+                self.can_transition_to(next)
+            }
+            fn terminal(self) -> bool {
+                self.is_final()
+            }
+            fn name(self) -> &'static str {
+                <$ty>::name(self)
+            }
+            fn topic(self) -> &'static str {
+                <$ty>::topic(self)
+            }
+        }
+    )+};
 }
 
-impl StateModel for ServiceState {
-    fn can_go(self, next: Self) -> bool {
-        self.can_transition_to(next)
-    }
-    fn terminal(self) -> bool {
-        self.is_final()
-    }
+state_model!(TaskState, ServiceState, PilotState);
+
+/// Entries an [`EventLog`] holds in place: the six states of a staged task
+/// (`New`, `Scheduling`, `StagingInput`, `Executing`, `StagingOutput`, `Done`).
+const INLINE_EVENTS: usize = 6;
+
+/// Every state an entity entered and when, in entry order. Appending allocates only
+/// from the seventh entry on (a retried task, a service's full lifecycle).
+struct EventLog<S> {
+    /// The first `min(len, INLINE_EVENTS)` entries; the rest repeats the first entry.
+    inline: [(S, SimTime); INLINE_EVENTS],
+    len: usize,
+    /// Entry `INLINE_EVENTS` and later.
+    spill: Vec<(S, SimTime)>,
 }
 
-impl StateModel for PilotState {
-    fn can_go(self, next: Self) -> bool {
-        self.can_transition_to(next)
+impl<S: Copy> EventLog<S> {
+    fn new(first: (S, SimTime)) -> Self {
+        EventLog {
+            inline: [first; INLINE_EVENTS],
+            len: 1,
+            spill: Vec::new(),
+        }
     }
-    fn terminal(self) -> bool {
-        self.is_final()
+
+    fn push(&mut self, entry: (S, SimTime)) {
+        match self.inline.get_mut(self.len) {
+            Some(place) => *place = entry,
+            None => self.spill.push(entry),
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl DoubleEndedIterator<Item = &(S, SimTime)> {
+        self.inline[..self.len.min(INLINE_EVENTS)]
+            .iter()
+            .chain(&self.spill)
+    }
+
+    /// The state entered last. The log is never empty.
+    fn current(&self) -> S {
+        self.iter().next_back().expect("the initial entry").0
     }
 }
 
 struct StateInner<S> {
-    current: S,
-    /// Virtual time (seconds) at which each state was entered, keyed by `{:?}` name.
-    timestamps: BTreeMap<String, f64>,
+    log: EventLog<S>,
     error: Option<String>,
 }
 
-/// A validated, waitable state holder.
+/// A validated, waitable state holder: an append-only log of `(state, entry time)`
+/// from which the current state, `entered_at` and `timestamps` are all derived.
 pub struct StateCell<S: StateModel> {
     inner: Mutex<StateInner<S>>,
     cond: Condvar,
@@ -76,12 +131,9 @@ pub struct StateCell<S: StateModel> {
 impl<S: StateModel> StateCell<S> {
     /// Create a cell in the given initial state.
     pub fn new(initial: S, clock: SharedClock) -> Self {
-        let mut timestamps = BTreeMap::new();
-        timestamps.insert(format!("{initial:?}"), clock.now().as_secs_f64());
         StateCell {
             inner: Mutex::new(StateInner {
-                current: initial,
-                timestamps,
+                log: EventLog::new((initial, clock.now())),
                 error: None,
             }),
             cond: Condvar::new(),
@@ -91,7 +143,7 @@ impl<S: StateModel> StateCell<S> {
 
     /// Current state.
     pub fn current(&self) -> S {
-        self.inner.lock().current
+        self.inner.lock().log.current()
     }
 
     /// Failure reason, if the entity failed.
@@ -99,49 +151,55 @@ impl<S: StateModel> StateCell<S> {
         self.inner.lock().error.clone()
     }
 
-    /// Virtual timestamp (seconds) at which `state` was entered, if it was.
+    /// Virtual timestamp (seconds) at which `state` was entered — the last time, for
+    /// a state entered more than once — if it was.
     pub fn entered_at(&self, state: S) -> Option<f64> {
-        self.inner
-            .lock()
-            .timestamps
-            .get(&format!("{state:?}"))
-            .copied()
+        let inner = self.inner.lock();
+        let entry = inner.log.iter().rev().find(|(s, _)| *s == state);
+        entry.map(|(_, at)| at.as_secs_f64())
     }
 
-    /// All recorded `(state name, virtual seconds)` pairs.
+    /// `(state name, virtual seconds)` of every state entered; a state entered more
+    /// than once reports its last entry ([`StateCell::history`] has them all).
     pub fn timestamps(&self) -> BTreeMap<String, f64> {
-        self.inner.lock().timestamps.clone()
+        let inner = self.inner.lock();
+        inner
+            .log
+            .iter()
+            .map(|(state, at)| (state.name().to_string(), at.as_secs_f64()))
+            .collect()
     }
 
-    /// Attempt a transition; records the entry timestamp and wakes waiters.
-    pub fn transition(&self, next: S) -> Result<(), RuntimeError> {
+    /// Every state entered and when, in entry order: a retried task shows each
+    /// attempt's `Scheduling` and `Executing`.
+    pub fn history(&self) -> Vec<(S, SimTime)> {
+        self.inner.lock().log.iter().copied().collect()
+    }
+
+    /// Attempt a transition; appends the entry and wakes waiters. `Ok(false)` means
+    /// the cell already was in `next` and nothing was recorded.
+    pub fn transition(&self, next: S) -> Result<bool, RuntimeError> {
         let mut inner = self.inner.lock();
-        if inner.current == next {
-            return Ok(());
+        let current = inner.log.current();
+        if current == next {
+            return Ok(false);
         }
-        if !inner.current.can_go(next) {
+        if !current.can_go(next) {
             return Err(RuntimeError::InvalidState(format!(
-                "illegal transition {:?} -> {:?}",
-                inner.current, next
+                "illegal transition {current:?} -> {next:?}"
             )));
         }
-        inner.current = next;
-        inner
-            .timestamps
-            .insert(format!("{next:?}"), self.clock.now().as_secs_f64());
+        inner.log.push((next, self.clock.now()));
         self.cond.notify_all();
-        Ok(())
+        Ok(true)
     }
 
     /// Transition to a failure state with a reason (does not validate legality so that
     /// failures can always be recorded).
     pub fn fail(&self, failed_state: S, reason: impl Into<String>) {
         let mut inner = self.inner.lock();
-        inner.current = failed_state;
         inner.error = Some(reason.into());
-        inner
-            .timestamps
-            .insert(format!("{failed_state:?}"), self.clock.now().as_secs_f64());
+        inner.log.push((failed_state, self.clock.now()));
         self.cond.notify_all();
     }
 
@@ -154,21 +212,23 @@ impl<S: StateModel> StateCell<S> {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock();
         loop {
-            if predicate(inner.current) {
-                return Ok(inner.current);
+            let current = inner.log.current();
+            if predicate(current) {
+                return Ok(current);
             }
-            if inner.current.terminal() {
+            if current.terminal() {
                 // Terminal but not what the caller wanted: report failure.
                 let reason = inner
                     .error
                     .clone()
-                    .unwrap_or_else(|| format!("entity ended in {:?}", inner.current));
+                    .unwrap_or_else(|| format!("entity ended in {current:?}"));
                 return Err(RuntimeError::Failed(reason));
             }
             if Instant::now() >= deadline || self.cond.wait_until(&mut inner, deadline).timed_out()
             {
-                if predicate(inner.current) {
-                    return Ok(inner.current);
+                let current = inner.log.current();
+                if predicate(current) {
+                    return Ok(current);
                 }
                 return Err(RuntimeError::WaitTimeout {
                     entity: "entity".to_string(),
@@ -205,8 +265,8 @@ pub struct TaskRecord {
     pub description: TaskDescription,
     /// Validated state holder.
     pub state: StateCell<TaskState>,
-    /// Slot the task runs on, once scheduled.
-    pub slot: Mutex<Option<Slot>>,
+    /// Slot the task runs on, once scheduled (shared with the run that holds it).
+    pub slot: Mutex<Option<Arc<Slot>>>,
     /// Platform the task runs on.
     pub platform: PlatformId,
     /// Times the task was re-run after losing its slot to a node failure.
@@ -338,9 +398,15 @@ impl TaskHandle {
         self.record.state.error()
     }
 
-    /// Virtual timestamps of every state entered so far.
+    /// Virtual timestamps of every state entered so far (the last entry of a state
+    /// entered more than once).
     pub fn timestamps(&self) -> BTreeMap<String, f64> {
         self.record.state.timestamps()
+    }
+
+    /// Every state entered and when, in entry order — each attempt of a retried task.
+    pub fn history(&self) -> Vec<(TaskState, SimTime)> {
+        self.record.state.history()
     }
 
     /// Times the task was re-run after losing its slot to a node failure.
@@ -420,6 +486,11 @@ impl ServiceHandle {
     /// Virtual timestamps of every state entered so far.
     pub fn timestamps(&self) -> BTreeMap<String, f64> {
         self.record.state.timestamps()
+    }
+
+    /// Every state entered and when, in entry order.
+    pub fn history(&self) -> Vec<(ServiceState, SimTime)> {
+        self.record.state.history()
     }
 
     /// Block until the service is `Ready` (default timeout: 300 s of real time).
@@ -591,6 +662,55 @@ mod tests {
         assert!(cell.entered_at(TaskState::StagingInput).is_none());
         assert!(cell.entered_at(TaskState::Done) >= cell.entered_at(TaskState::New));
         assert_eq!(cell.timestamps().len(), 4);
+    }
+
+    #[test]
+    fn a_reentered_state_keeps_both_entries_and_reports_the_last() {
+        let clock = Arc::new(hpcml_sim::clock::ManualClock::new());
+        let cell = StateCell::new(TaskState::New, Arc::clone(&clock) as SharedClock);
+        let mut expected = vec![(TaskState::New, 0.0)];
+        for (secs, next) in [
+            (1.0, TaskState::Scheduling),
+            (2.0, TaskState::Executing),
+            (3.0, TaskState::Scheduling),
+            (4.0, TaskState::Executing),
+            (5.0, TaskState::StagingOutput),
+        ] {
+            clock.advance(Duration::from_secs(1));
+            assert!(cell.transition(next).unwrap());
+            expected.push((next, secs));
+        }
+        // The seventh entry and later leave the inline part of the log.
+        clock.advance(Duration::from_secs(1));
+        assert!(cell.transition(TaskState::Done).unwrap());
+        expected.push((TaskState::Done, 6.0));
+        clock.advance(Duration::from_secs(1));
+        cell.fail(TaskState::Failed, "late");
+        expected.push((TaskState::Failed, 7.0));
+
+        let history: Vec<(TaskState, f64)> = cell
+            .history()
+            .into_iter()
+            .map(|(state, at)| (state, at.as_secs_f64()))
+            .collect();
+        assert_eq!(history, expected);
+        assert_eq!(cell.current(), TaskState::Failed);
+        assert_eq!(cell.entered_at(TaskState::Scheduling), Some(3.0));
+        assert_eq!(cell.entered_at(TaskState::Executing), Some(4.0));
+        assert_eq!(cell.entered_at(TaskState::StagingInput), None);
+        let stamps = cell.timestamps();
+        assert_eq!(stamps.len(), 6, "one key per distinct state: {stamps:?}");
+        assert_eq!(stamps["Scheduling"], 3.0);
+        assert_eq!(stamps["Executing"], 4.0);
+        assert_eq!(stamps["Failed"], 7.0);
+    }
+
+    #[test]
+    fn a_same_state_transition_records_nothing() {
+        let cell = StateCell::new(TaskState::New, clock());
+        assert!(cell.transition(TaskState::Scheduling).unwrap());
+        assert!(!cell.transition(TaskState::Scheduling).unwrap());
+        assert_eq!(cell.history().len(), 2);
     }
 
     #[test]

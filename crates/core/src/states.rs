@@ -7,6 +7,28 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Give a state enum its variant names and state-update topics as static strings, so
+/// that neither recording a transition nor publishing it formats `{state:?}`.
+macro_rules! state_names {
+    ($ty:ident, $entity:literal, [$($variant:ident),+]) => {
+        impl $ty {
+            /// The variant's name, as `{:?}` prints it.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => stringify!($variant),)+
+                }
+            }
+
+            /// The topic this state's update is published on (`state.<entity>.<name>`).
+            pub fn topic(self) -> &'static str {
+                match self {
+                    $($ty::$variant => concat!("state.", $entity, ".", stringify!($variant)),)+
+                }
+            }
+        }
+    };
+}
+
 /// States of a compute task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum TaskState {
@@ -27,6 +49,21 @@ pub enum TaskState {
     /// Cancelled before completion.
     Canceled,
 }
+
+state_names!(
+    TaskState,
+    "task",
+    [
+        New,
+        Scheduling,
+        StagingInput,
+        Executing,
+        StagingOutput,
+        Done,
+        Failed,
+        Canceled
+    ]
+);
 
 impl TaskState {
     /// Whether this is a terminal state.
@@ -80,6 +117,22 @@ pub enum ServiceState {
     /// Failed (launch error, crash, failed liveness).
     Failed,
 }
+
+state_names!(
+    ServiceState,
+    "service",
+    [
+        New,
+        Scheduling,
+        Launching,
+        Initializing,
+        Publishing,
+        Ready,
+        Stopping,
+        Stopped,
+        Failed
+    ]
+);
 
 impl ServiceState {
     /// Whether this is a terminal state.
@@ -135,6 +188,12 @@ pub enum PilotState {
     /// Cancelled before becoming active.
     Canceled,
 }
+
+state_names!(
+    PilotState,
+    "pilot",
+    [New, Queued, Active, Done, Failed, Canceled]
+);
 
 impl PilotState {
     /// Whether this is a terminal state.
@@ -258,6 +317,24 @@ mod tests {
         assert!(!New.can_transition_to(Active));
         assert!(!Done.can_transition_to(Active));
         assert!(Canceled.is_final());
+    }
+
+    #[test]
+    fn names_and_topics_are_the_debug_names() {
+        for s in [
+            TaskState::New,
+            TaskState::StagingOutput,
+            TaskState::Canceled,
+        ] {
+            assert_eq!(s.name(), format!("{s:?}"));
+            assert_eq!(s.topic(), format!("state.task.{s:?}"));
+        }
+        for s in [ServiceState::Initializing, ServiceState::Stopped] {
+            assert_eq!(s.name(), format!("{s:?}"));
+            assert_eq!(s.topic(), format!("state.service.{s:?}"));
+        }
+        assert_eq!(PilotState::Queued.name(), "Queued");
+        assert_eq!(PilotState::Active.topic(), "state.pilot.Active");
     }
 
     #[test]

@@ -4,21 +4,34 @@
 //! reproduction it is the directory of [`TaskRecord`]s the session has accepted, with
 //! aggregate queries (state counts, bulk waiting) used both by the workflow layer and by
 //! the experiment harness to detect workload completion.
+//!
+//! Registering a task is the hot path (once per task, under one lock), looking one up by
+//! id is rare (a report at the end of a run): the directory is a `Vec` that `add`
+//! appends to and that the first `get` / `ids` after an append sorts by id.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::error::RuntimeError;
 use crate::records::TaskRecord;
 use crate::states::TaskState;
 
+#[derive(Default)]
+struct Directory {
+    /// In submission order until a lookup sorts them by id. Ids are unique (the
+    /// session's generator hands each out once).
+    records: Vec<Arc<TaskRecord>>,
+    /// Whether `records` is in id order.
+    sorted: bool,
+}
+
 /// Directory of all tasks known to a session.
 #[derive(Default)]
 pub struct TaskManager {
-    tasks: RwLock<BTreeMap<String, Arc<TaskRecord>>>,
+    tasks: RwLock<Directory>,
 }
 
 impl std::fmt::Debug for TaskManager {
@@ -37,22 +50,42 @@ impl TaskManager {
 
     /// Register a task record.
     pub fn add(&self, record: Arc<TaskRecord>) {
-        self.tasks.write().insert(record.id.clone(), record);
+        let mut tasks = self.tasks.write();
+        tasks.records.push(record);
+        tasks.sorted = false;
+    }
+
+    /// The directory in id order, sorting it first if something was appended since
+    /// the last lookup (session ids grow with submission, so that sort finds the
+    /// records all but in place).
+    fn by_id(&self) -> RwLockReadGuard<'_, Directory> {
+        loop {
+            let tasks = self.tasks.read();
+            if tasks.sorted {
+                return tasks;
+            }
+            drop(tasks);
+            let mut tasks = self.tasks.write();
+            tasks.records.sort_by(|a, b| a.id.cmp(&b.id));
+            tasks.sorted = true;
+        }
     }
 
     /// Look a task up by its runtime identifier.
     pub fn get(&self, id: &str) -> Option<Arc<TaskRecord>> {
-        self.tasks.read().get(id).cloned()
+        let tasks = self.by_id();
+        let found = tasks.records.binary_search_by(|r| r.id.as_str().cmp(id));
+        found.ok().map(|i| Arc::clone(&tasks.records[i]))
     }
 
-    /// All known task identifiers.
+    /// All known task identifiers, in id order.
     pub fn ids(&self) -> Vec<String> {
-        self.tasks.read().keys().cloned().collect()
+        self.by_id().records.iter().map(|r| r.id.clone()).collect()
     }
 
     /// Number of registered tasks.
     pub fn len(&self) -> usize {
-        self.tasks.read().len()
+        self.tasks.read().records.len()
     }
 
     /// True if no task has been registered.
@@ -63,7 +96,7 @@ impl TaskManager {
     /// Count of tasks currently in each state.
     pub fn state_counts(&self) -> BTreeMap<TaskState, usize> {
         let mut counts = BTreeMap::new();
-        for record in self.tasks.read().values() {
+        for record in &self.tasks.read().records {
             *counts.entry(record.state.current()).or_insert(0) += 1;
         }
         counts
@@ -73,7 +106,8 @@ impl TaskManager {
     pub fn finished(&self) -> usize {
         self.tasks
             .read()
-            .values()
+            .records
+            .iter()
             .filter(|r| r.state.current().is_final())
             .count()
     }
@@ -128,6 +162,21 @@ mod tests {
         assert!(tm.get("task.9").is_none());
         assert_eq!(tm.state_counts()[&TaskState::New], 2);
         assert_eq!(tm.finished(), 0);
+    }
+
+    #[test]
+    fn lookups_sort_what_was_appended_out_of_order() {
+        let tm = TaskManager::new();
+        for id in ["task.2", "task.0", "task.1"] {
+            tm.add(record(id));
+        }
+        assert_eq!(tm.ids(), ["task.0", "task.1", "task.2"]);
+        assert_eq!(tm.get("task.1").unwrap().id, "task.1");
+        // An append after a lookup is found by the next one.
+        tm.add(record("task.-1"));
+        assert_eq!(tm.get("task.-1").unwrap().id, "task.-1");
+        assert_eq!(tm.ids()[0], "task.-1");
+        assert_eq!(tm.len(), 4);
     }
 
     #[test]

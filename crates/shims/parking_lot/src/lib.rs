@@ -2,10 +2,12 @@
 //!
 //! The build environment has no access to a crates registry, so the workspace vendors
 //! a minimal, API-compatible implementation on top of `std::sync`. Poisoning is
-//! swallowed (parking_lot has none), and `Condvar` takes guards by `&mut` reference
-//! exactly like the real crate.
+//! swallowed (parking_lot has none), `Condvar` takes guards by `&mut` reference
+//! exactly like the real crate, and — also like it — a notify that finds no waiter
+//! makes no system call (see [`Condvar`]).
 
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
@@ -102,9 +104,20 @@ impl WaitTimeoutResult {
 }
 
 /// Condition variable compatible with [`Mutex`]/[`MutexGuard`].
+///
+/// Like the crate this stands in for, `notify_*` return at once when nobody waits:
+/// the std condvar underneath makes a futex system call per notify, waiter or not, so
+/// the shim counts its waiters and reads the count first. A waiter raises the count
+/// inside `wait*` *while it still holds its mutex* and drops it when the wait returns;
+/// a notifier that changed the awaited condition under that mutex — notifying before
+/// or after unlocking — has therefore either been seen by the waiter's check or sees
+/// the waiter's count. (Notifying without ever taking the mutex can lose a wake-up
+/// with any condvar, counted or not.)
 #[derive(Debug, Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads between entering and leaving `wait*`.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -112,13 +125,16 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Block until notified.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.inner.take().expect("guard taken");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(g);
     }
 
@@ -139,26 +155,34 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let g = guard.inner.take().expect("guard taken");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (g, res) = self
             .inner
             .wait_timeout(g, timeout)
             .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(g);
         WaitTimeoutResult {
             timed_out: res.timed_out(),
         }
     }
 
-    /// Wake one waiter.
+    /// Wake one waiter. Returns whether there was one to wake.
     pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
+        let waiting = self.waiters.load(Ordering::SeqCst) > 0;
+        if waiting {
+            self.inner.notify_one();
+        }
+        waiting
     }
 
-    /// Wake all waiters.
+    /// Wake all waiters. Returns how many there were.
     pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
+        let waiting = self.waiters.load(Ordering::SeqCst);
+        if waiting > 0 {
+            self.inner.notify_all();
+        }
+        waiting
     }
 }
 
@@ -244,6 +268,55 @@ mod tests {
         *pair.0.lock() = true;
         pair.1.notify_all();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn notify_without_a_waiter_wakes_nobody() {
+        let c = Condvar::new();
+        assert_eq!(c.notify_all(), 0);
+        assert!(!c.notify_one());
+        // A wait that has returned no longer counts.
+        let m = Mutex::new(());
+        assert!(c
+            .wait_for(&mut m.lock(), Duration::from_millis(1))
+            .timed_out());
+        assert_eq!(c.notify_all(), 0);
+    }
+
+    #[test]
+    fn notify_after_unlock_never_loses_a_waiter() {
+        // The ordering the waiter count relies on: the waiter checks the condition
+        // and enters `wait` under the mutex; the notifier changes the condition under
+        // the mutex and notifies after unlocking. Whichever side wins the lock, the
+        // waiter either sees the new value or is counted by the time the notifier
+        // reads the count. Both sides leave a barrier together, so the two orders mix.
+        const ROUNDS: usize = 1000;
+        let pair = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let waiter = {
+            let (pair, start) = (Arc::clone(&pair), Arc::clone(&start));
+            thread::spawn(move || {
+                let (m, c) = &*pair;
+                for round in 1..=ROUNDS {
+                    start.wait();
+                    let mut seen = m.lock();
+                    while *seen < round {
+                        let timed_out = c.wait_for(&mut seen, Duration::from_secs(10)).timed_out();
+                        assert!(
+                            !timed_out || *seen >= round,
+                            "wake-up lost in round {round}"
+                        );
+                    }
+                }
+            })
+        };
+        let (m, c) = &*pair;
+        for round in 1..=ROUNDS {
+            start.wait();
+            *m.lock() = round;
+            c.notify_all();
+        }
+        waiter.join().unwrap();
     }
 
     #[test]

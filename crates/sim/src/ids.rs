@@ -5,6 +5,7 @@
 //! names. This module provides a lock-free generator for that scheme.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -29,15 +30,23 @@ impl IdGenerator {
     /// Next numeric index within `namespace` (starts at 0).
     pub fn next_index(&self, namespace: &str) -> u64 {
         let mut map = self.counters.lock();
-        let counter = map.entry(namespace.to_string()).or_insert(0);
-        let v = *counter;
-        *counter += 1;
-        v
+        if let Some(counter) = map.get_mut(namespace) {
+            let v = *counter;
+            *counter += 1;
+            return v;
+        }
+        // Only a namespace's first call copies its name.
+        map.insert(namespace.to_string(), 1);
+        0
     }
 
     /// Next formatted identifier, e.g. `next_id("task")` → `"task.000007"`.
     pub fn next_id(&self, namespace: &str) -> String {
-        format!("{}.{:06}", namespace, self.next_index(namespace))
+        // Sized up front: `format!` sizes for the literal `.` alone and grows once.
+        let mut id = String::with_capacity(namespace.len() + 7);
+        write!(id, "{}.{:06}", namespace, self.next_index(namespace))
+            .expect("writing to a String cannot fail");
+        id
     }
 
     /// A unique integer with no namespace (monotonic across the whole process).

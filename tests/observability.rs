@@ -1,6 +1,6 @@
 //! Observability integration tests: state-update publication (paper Fig. 2 flow ⑥),
-//! state-timestamp ordering, and the consistency of the bootstrap breakdown with the
-//! service's recorded state transitions.
+//! state-timestamp ordering, the per-entity event history across a retry, and the
+//! consistency of the bootstrap breakdown with the service's recorded state transitions.
 
 use std::time::Duration;
 
@@ -108,6 +108,72 @@ fn task_timestamps_cover_every_phase() {
     // Execution must have taken at least the requested virtual 3 seconds.
     assert!(ts["StagingOutput"] - ts["Executing"] >= 2.5);
     s.close();
+}
+
+/// A 4-node gang loses a member to a seeded node failure and retries (the scenario
+/// of `failure_injection`'s elastic-gang test). Its history keeps both attempts, the
+/// bus carries each entered state exactly once and in the same order, and no message
+/// runs ahead of the handle.
+#[test]
+fn a_retried_task_keeps_both_attempts_and_publishes_each_entry_once() {
+    use TaskState::*;
+    let s = Session::builder("retry-history")
+        .platform(PlatformId::Delta)
+        .clock(ClockSpec::scaled(200.0))
+        .seed(99)
+        .fault_plan(FaultPlan::new().fail_at(5.0, 0))
+        .build()
+        .expect("session");
+    let updates = s.subscribe_updates(&["state.task"]);
+    s.submit_pilot(PilotDescription::new(PlatformId::Delta).nodes(5))
+        .expect("pilot");
+    let gang = s
+        .submit_task(
+            TaskDescription::new("gang")
+                .kind(TaskKind::compute_secs(60.0))
+                .nodes(4)
+                .gang_packing(GangPacking::Whole)
+                .max_retries(2),
+        )
+        .expect("gang");
+
+    let lifecycle = [New, Scheduling, Executing, Scheduling, Executing, Done];
+    for (entry, expected) in lifecycle.iter().enumerate().skip(1) {
+        let msg = updates
+            .recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|e| panic!("no update for entry {entry} ({expected:?}): {e}"));
+        assert_eq!(msg.topic, expected.topic());
+        assert_eq!(msg.header("state"), Some(expected.name()));
+        assert_eq!(msg.header("entity"), Some(gang.id()));
+        // The transition is recorded before it is published.
+        let history = gang.history();
+        assert_eq!(
+            history.get(entry).map(|(state, _)| state),
+            Some(expected),
+            "message {entry} ahead of the handle: {history:?}"
+        );
+    }
+    gang.wait_done_timeout(Duration::from_secs(60))
+        .expect("done");
+    assert_eq!(gang.retries(), 1);
+    s.close();
+    assert_eq!(updates.pending(), 0, "one message per entry, no more");
+
+    let history = gang.history();
+    let states: Vec<TaskState> = history.iter().map(|(state, _)| *state).collect();
+    assert_eq!(states, lifecycle);
+    assert!(
+        history.windows(2).all(|w| w[0].1 <= w[1].1),
+        "entry times must not decrease: {history:?}"
+    );
+    // The name-keyed view reports the second attempt.
+    let stamps = gang.timestamps();
+    assert_eq!(stamps["Scheduling"], history[3].1.as_secs_f64());
+    assert_eq!(stamps["Executing"], history[4].1.as_secs_f64());
+    assert!(
+        history[3].1 > history[2].1,
+        "the retry edge is an event of its own"
+    );
 }
 
 #[test]
