@@ -13,6 +13,7 @@ use hpcml_platform::batch::{AllocationRequest, BatchSystem};
 use hpcml_platform::resources::ResourceRequest;
 use hpcml_platform::PlatformId;
 use hpcml_runtime::scheduler::{Priority, Scheduler};
+use hpcml_runtime::RuntimeMetrics;
 use hpcml_sim::clock::ClockSpec;
 use hpcml_sim::stats::Summary;
 use std::collections::BTreeMap;
@@ -356,6 +357,46 @@ fn bench_noop_roundtrip(c: &mut Criterion) {
     let _ = server_thread.join();
 }
 
+/// What a scalar record costs with 1, 2 and 16 threads recording at once into one live
+/// `RuntimeMetrics` (the series mix of a task and a request): 16 is more recorders
+/// than the registry has stripes, the paper's 16-client sweep. An iteration is every
+/// thread making `RECORDS_PER_THREAD` records, thread spawn and join included.
+fn bench_metrics_record(c: &mut Criterion) {
+    let mut group = c.benchmark_group("metrics/record_scalar");
+    group.sample_size(10);
+    const RECORDS_PER_THREAD: usize = 20_000;
+    const SERIES: [&str; 6] = [
+        "task.placement_wait_secs",
+        "task.placement.shard_probes",
+        "task.exec_secs",
+        "comm.fanout.width",
+        "serving.queue.depth",
+        "comm.queue.depth",
+    ];
+    for threads in [1usize, 2, 16] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(threads),
+            &threads,
+            |b, &threads| {
+                b.iter(|| {
+                    let metrics = RuntimeMetrics::new();
+                    std::thread::scope(|s| {
+                        for _ in 0..threads {
+                            s.spawn(|| {
+                                for i in 0..RECORDS_PER_THREAD {
+                                    metrics.record_scalar(SERIES[i % SERIES.len()], i as f64);
+                                }
+                            });
+                        }
+                    });
+                    black_box(metrics.scalar_values(SERIES[0]).len())
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_stats(c: &mut Criterion) {
     let samples: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.37).sin().abs()).collect();
     c.bench_function("stats/summary_4096", |b| {
@@ -375,6 +416,7 @@ criterion_group!(
     bench_scheduler_churn,
     bench_scheduler_waitqueue,
     bench_noop_roundtrip,
+    bench_metrics_record,
     bench_stats
 );
 criterion_main!(benches);

@@ -8,8 +8,8 @@
 //!   (no external serialisation framework needed) and reusable encode buffers;
 //! * [`reqrep`] — request/reply endpoints ([`reqrep::ReqRepServer`], [`reqrep::ReqRepClient`])
 //!   used for the service inference API, with batched requests coalescing K messages
-//!   onto one link traversal, over a waker-armed mailbox: a server is either a thread
-//!   that blocks for requests or a resumable run the requesting thread advances;
+//!   onto one link traversal: a server is either a thread that blocks for requests or
+//!   a [`reqrep::Server`] whose turn the requesting thread takes, making the pass itself;
 //! * [`pubsub`] — topic-based publish/subscribe used for state-update notification:
 //!   zero-copy fan-out (encode once, share the frame with every subscriber) over
 //!   sharded subscriber lists;

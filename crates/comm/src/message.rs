@@ -2,13 +2,28 @@
 //!
 //! Every payload exchanged between runtime components, clients, and services is wrapped
 //! in a [`Message`]: a topic (what channel/queue it belongs to), a kind (what operation
-//! it represents, e.g. `inference.request`), a set of string headers (timings, entity
+//! it represents, e.g. `inference.request`), a set of headers (timings, entity
 //! identifiers), and an opaque byte payload. Messages are encoded with a small
 //! self-contained length-prefixed binary codec, standing in for ZeroMQ's multipart
 //! frames; the codec is exercised both by the in-process transports and by the codec
 //! benchmarks.
+//!
+//! # Strings exist on the wire, not in the process
+//!
+//! On the wire every field is a string. In the process a message keeps what it was
+//! given: topic, kind and header keys are `Cow<'static, str>` — a constant of the
+//! sending code is borrowed, never copied — and a header value is either text or a
+//! number. A number set with [`Message::with_f64_header`] is read back by
+//! [`Message::f64_header`] as the same `f64`, without having been printed or parsed;
+//! its `{:.9}` decimal form — the one the wire carries — is produced only by
+//! [`Message::encode`], [`Message::encoded_len`] and [`Message::header`] (which keeps
+//! it, so that it can hand out a `&str`). Headers are kept sorted by key, which is the
+//! wire order, so two messages that encode to the same frame compare equal whichever
+//! way their headers were given.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::fmt::Write;
+use std::sync::OnceLock;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -21,29 +36,161 @@ const VERSION: u8 = 1;
 /// Hard cap on any length field to catch corrupt frames early (64 MiB).
 const MAX_FIELD_LEN: usize = 64 * 1024 * 1024;
 
+/// A header value as the process holds it (see the module docs).
+#[derive(Debug, Clone)]
+enum HeaderValue {
+    Text(Cow<'static, str>),
+    /// `text` is the wire form, rendered the first time [`Message::header`] asks.
+    Number {
+        value: Number,
+        text: OnceLock<Box<str>>,
+    },
+}
+
+/// A numeric header value; its `Display` is its wire form.
+#[derive(Debug, Clone, Copy)]
+enum Number {
+    /// Nine decimals on the wire.
+    Float(f64),
+    /// Plain decimal digits on the wire.
+    Unsigned(u64),
+}
+
+impl std::fmt::Display for Number {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Number::Float(value) => write!(f, "{value:.9}"),
+            Number::Unsigned(value) => write!(f, "{value}"),
+        }
+    }
+}
+
+impl Number {
+    /// The wire form, printed into a stack buffer.
+    fn rendered(self) -> Rendered {
+        let mut rendered = Rendered::default();
+        write!(rendered, "{self}").expect("a buffer long enough for any number");
+        rendered
+    }
+
+    /// Length of the wire form: the link prices every message by its encoded length,
+    /// on paths that never encode.
+    fn wire_len(self) -> usize {
+        self.rendered().len
+    }
+}
+
+impl From<Number> for HeaderValue {
+    fn from(value: Number) -> Self {
+        let text = OnceLock::new();
+        HeaderValue::Number { value, text }
+    }
+}
+
+impl HeaderValue {
+    /// Length of the wire form of the value.
+    fn wire_len(&self) -> usize {
+        match self {
+            HeaderValue::Text(text) => text.len(),
+            HeaderValue::Number { value, text } => text
+                .get()
+                .map_or_else(|| value.wire_len(), |text| text.len()),
+        }
+    }
+
+    /// Call `f` with the wire form of the value.
+    fn with_wire_form<R>(&self, f: impl FnOnce(&str) -> R) -> R {
+        match self {
+            HeaderValue::Text(text) => f(text),
+            HeaderValue::Number { value, text } => match text.get() {
+                Some(text) => f(text),
+                None => f(value.rendered().as_str()),
+            },
+        }
+    }
+}
+
+/// Room for the wire form of any number — the longest is the `{:.9}` form of an `f64`:
+/// a sign, up to 309 integer digits, the point and nine decimals.
+const RENDERED_MAX: usize = 320;
+
+/// A stack buffer to print one number into.
+struct Rendered {
+    bytes: [u8; RENDERED_MAX],
+    len: usize,
+}
+
+impl Default for Rendered {
+    fn default() -> Self {
+        Rendered {
+            bytes: [0; RENDERED_MAX],
+            len: 0,
+        }
+    }
+}
+
+impl Rendered {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("only `str`s were written")
+    }
+}
+
+impl Write for Rendered {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        self.bytes
+            .get_mut(self.len..end)
+            .ok_or(std::fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
 /// A self-describing message envelope.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Message {
     /// Monotonic message identifier (unique per process).
     pub id: u64,
     /// Logical channel or destination (e.g. `service.llm-0`).
-    pub topic: String,
+    pub topic: Cow<'static, str>,
     /// Operation (e.g. `inference.request`, `state.update`, `control.stop`).
-    pub kind: String,
-    /// String key/value metadata (timings, entity ids, model names).
-    pub headers: BTreeMap<String, String>,
+    pub kind: Cow<'static, str>,
+    /// Key/value metadata (timings, entity ids, model names), sorted by key, one entry
+    /// per key.
+    headers: Vec<(Cow<'static, str>, HeaderValue)>,
     /// Opaque payload bytes.
     pub payload: Bytes,
 }
 
+/// Two messages are equal when they encode to the same frame: a number equals the
+/// text of its wire form.
+impl PartialEq for Message {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.topic == other.topic
+            && self.kind == other.kind
+            && self.payload == other.payload
+            && self.headers.len() == other.headers.len()
+            && self
+                .headers
+                .iter()
+                .zip(&other.headers)
+                .all(|(a, b)| a.0 == b.0 && a.1.with_wire_form(|a| b.1.with_wire_form(|b| a == b)))
+    }
+}
+
+impl Eq for Message {}
+
 impl Message {
     /// Create a message with the given topic and kind, empty headers and payload.
-    pub fn new(topic: impl Into<String>, kind: impl Into<String>) -> Self {
+    /// A `&'static str` is borrowed, a `String` is kept.
+    pub fn new(topic: impl Into<Cow<'static, str>>, kind: impl Into<Cow<'static, str>>) -> Self {
         Message {
             id: hpcml_sim::ids::next_uid(),
             topic: topic.into(),
             kind: kind.into(),
-            headers: BTreeMap::new(),
+            headers: Vec::new(),
             payload: Bytes::new(),
         }
     }
@@ -59,25 +206,66 @@ impl Message {
         self.with_payload(Bytes::copy_from_slice(text.as_bytes()))
     }
 
-    /// Add one header.
-    pub fn with_header(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.headers.insert(key.into(), value.into());
+    /// Add one header, replacing an earlier one of the same key.
+    pub fn with_header(
+        mut self,
+        key: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) -> Self {
+        self.set_header(key.into(), HeaderValue::Text(value.into()));
         self
     }
 
-    /// Add a floating-point header (stored as its `{:.9}` decimal representation).
-    pub fn with_f64_header(self, key: impl Into<String>, value: f64) -> Self {
-        self.with_header(key, format!("{value:.9}"))
+    /// Add a floating-point header. On the wire it is its `{:.9}` decimal
+    /// representation; in the process it stays the number.
+    pub fn with_f64_header(mut self, key: impl Into<Cow<'static, str>>, value: f64) -> Self {
+        self.set_header(key.into(), Number::Float(value).into());
+        self
     }
 
-    /// Read a header.
+    /// Add an integer header (a count, a size). On the wire it is its decimal digits —
+    /// what `value.to_string()` as a text header would be; in the process it stays the
+    /// number.
+    pub fn with_u64_header(mut self, key: impl Into<Cow<'static, str>>, value: u64) -> Self {
+        self.set_header(key.into(), Number::Unsigned(value).into());
+        self
+    }
+
+    fn set_header(&mut self, key: Cow<'static, str>, value: HeaderValue) {
+        match self.headers.binary_search_by(|(k, _)| (**k).cmp(&*key)) {
+            Ok(at) => self.headers[at].1 = value,
+            Err(at) => self.headers.insert(at, (key, value)),
+        }
+    }
+
+    fn header_value(&self, key: &str) -> Option<&HeaderValue> {
+        let at = self
+            .headers
+            .binary_search_by(|(k, _)| (**k).cmp(key))
+            .ok()?;
+        Some(&self.headers[at].1)
+    }
+
+    /// Read a header as text: a number reads as its wire form.
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers.get(key).map(String::as_str)
+        Some(match self.header_value(key)? {
+            HeaderValue::Text(text) => text,
+            HeaderValue::Number { value, text } => {
+                text.get_or_init(|| value.to_string().into_boxed_str())
+            }
+        })
     }
 
-    /// Read a floating-point header.
+    /// Read a floating-point header: the number it was set as, or the parse of its
+    /// text.
     pub fn f64_header(&self, key: &str) -> Option<f64> {
-        self.header(key).and_then(|v| v.parse().ok())
+        match self.header_value(key)? {
+            HeaderValue::Text(text) => text.parse().ok(),
+            HeaderValue::Number { value, .. } => Some(match *value {
+                Number::Float(value) => value,
+                Number::Unsigned(value) => value as f64,
+            }),
+        }
     }
 
     /// Interpret the payload as UTF-8 text.
@@ -97,7 +285,7 @@ impl Message {
         let headers: usize = self
             .headers
             .iter()
-            .map(|(k, v)| 8 + k.len() + v.len())
+            .map(|(k, v)| 8 + k.len() + v.wire_len())
             .sum();
         4 + 1
             + 8
@@ -113,8 +301,7 @@ impl Message {
 
     /// Encode to the binary wire format.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf)
+        self.encode_into(&mut BytesMut::new())
     }
 
     /// Encode into a caller-owned scratch buffer and detach the frame.
@@ -136,7 +323,7 @@ impl Message {
         buf.put_u32(self.headers.len() as u32);
         for (k, v) in &self.headers {
             put_str(buf, k);
-            put_str(buf, v);
+            v.with_wire_form(|v| put_str(buf, v));
         }
         buf.put_u32(self.payload.len() as u32);
         buf.put_slice(&self.payload);
@@ -167,12 +354,19 @@ impl Message {
         if n_headers > MAX_FIELD_LEN {
             return Err(CommError::Codec("header count too large".into()));
         }
-        let mut headers = BTreeMap::new();
+        let mut headers = Vec::with_capacity(n_headers.min(64));
         for _ in 0..n_headers {
             let k = get_str(&mut data)?;
             let v = get_str(&mut data)?;
-            headers.insert(k, v);
+            headers.push((k.into(), HeaderValue::Text(v.into())));
         }
+        let mut msg = Message {
+            id,
+            topic: topic.into(),
+            kind: kind.into(),
+            headers: in_key_order(headers),
+            payload: Bytes::new(),
+        };
         if data.remaining() < 4 {
             return Err(CommError::Codec("truncated payload length".into()));
         }
@@ -182,14 +376,8 @@ impl Message {
         }
         // Zero copy: the payload is a sub-view of the input buffer, not a fresh
         // allocation (`Bytes::copy_to_bytes` on `Bytes` slices the backing storage).
-        let payload = data.copy_to_bytes(payload_len);
-        Ok(Message {
-            id,
-            topic,
-            kind,
-            headers,
-            payload,
-        })
+        msg.payload = data.copy_to_bytes(payload_len);
+        Ok(msg)
     }
 
     /// Decode a borrowed, zero-allocation view of an encoded frame.
@@ -253,7 +441,7 @@ pub struct MessageView<'a> {
     /// Header key/value pairs in wire order.
     headers: Vec<(&'a str, &'a str)>,
     /// Whether the wire order was strictly key-sorted (always true for frames produced
-    /// by [`Message::encode`], which walks a `BTreeMap`).
+    /// by [`Message::encode`], which keeps its headers that way).
     sorted_headers: bool,
     /// Payload bytes.
     pub payload: &'a [u8],
@@ -296,15 +484,19 @@ impl<'a> MessageView<'a> {
 
     /// Materialise an owned [`Message`] (copies; use only off the hot path).
     pub fn to_message(&self) -> Message {
+        let headers = self
+            .headers
+            .iter()
+            .map(|(k, v)| {
+                let value = HeaderValue::Text(v.to_string().into());
+                (k.to_string().into(), value)
+            })
+            .collect();
         Message {
             id: self.id,
-            topic: self.topic.to_string(),
-            kind: self.kind.to_string(),
-            headers: self
-                .headers
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            topic: self.topic.to_string().into(),
+            kind: self.kind.to_string().into(),
+            headers: in_key_order(headers),
             payload: Bytes::copy_from_slice(self.payload),
         }
     }
@@ -360,6 +552,25 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Headers as a frame gave them, brought into a [`Message`]'s order: sorted by key,
+/// and of two with one key the later (as if each had been set in turn). A frame from
+/// [`Message::encode`] is in that order already; any other costs one sort.
+fn in_key_order(
+    mut headers: Vec<(Cow<'static, str>, HeaderValue)>,
+) -> Vec<(Cow<'static, str>, HeaderValue)> {
+    if !headers.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+        headers.sort_by(|a, b| a.0.cmp(&b.0));
+        headers.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+    }
+    headers
+}
+
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
@@ -411,6 +622,96 @@ mod tests {
         );
         let decoded = Message::decode(encoded).unwrap();
         assert_eq!(decoded, m);
+    }
+
+    #[test]
+    fn the_frame_is_the_one_string_headers_made() {
+        // Built by hand, field by field, the way the codec has always laid it out:
+        // headers in key order, a number as its `{:.9}` text.
+        let m = sample();
+        let mut buf = BytesMut::new();
+        buf.put_u32(MAGIC);
+        buf.put_u8(VERSION);
+        buf.put_u64(m.id);
+        put_str(&mut buf, "service.llm-0");
+        put_str(&mut buf, "inference.request");
+        buf.put_u32(2);
+        put_str(&mut buf, "client");
+        put_str(&mut buf, "task.000003");
+        put_str(&mut buf, "sent_at");
+        put_str(&mut buf, "12.250000000");
+        let text = "What is the effect of low-dose radiation on cell morphology?";
+        buf.put_u32(text.len() as u32);
+        buf.put_slice(text.as_bytes());
+        assert_eq!(m.encode(), buf.freeze());
+    }
+
+    #[test]
+    fn a_number_header_stays_a_number_in_the_process_and_is_text_on_the_wire() {
+        let third = 1.0 / 3.0;
+        let m = Message::new("t", "k").with_f64_header("x", third);
+        assert_eq!(m.f64_header("x"), Some(third), "neither printed nor parsed");
+        assert_eq!(m.header("x"), Some("0.333333333"));
+        let mut as_text = Message::new("t", "k").with_header("x", "0.333333333");
+        as_text.id = m.id;
+        assert_eq!(m.encode(), as_text.encode());
+        assert_eq!(m, as_text, "equal as frames");
+        assert_eq!(Message::decode(m.encode()).unwrap(), m);
+        assert_eq!(as_text.f64_header("x"), Some(0.333333333));
+        // An integer is its digits, as `to_string()` made them.
+        let mut n = Message::new("t", "k").with_u64_header("n", 16);
+        assert_eq!((n.header("n"), n.f64_header("n")), (Some("16"), Some(16.0)));
+        n.id = m.id;
+        let mut n_as_text = Message::new("t", "k").with_header("n", 16.to_string());
+        n_as_text.id = m.id;
+        assert_eq!(n.encode(), n_as_text.encode());
+        assert_eq!(n.encode().len(), n.encoded_len());
+        // Every f64 has a wire form, and `encoded_len` knows its length.
+        for value in [
+            0.0,
+            -0.0,
+            1e-12,
+            123_456_789.987_654_33,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            let m = Message::new("t", "k").with_f64_header("v", value);
+            let frame = m.encode();
+            assert_eq!(frame.len(), m.encoded_len(), "{value}");
+            let view = Message::decode_view(&frame).unwrap();
+            assert_eq!(view.header("v"), Some(format!("{value:.9}").as_str()));
+            assert_eq!(m.header("v"), view.header("v"));
+        }
+    }
+
+    #[test]
+    fn headers_are_kept_in_key_order_one_per_key() {
+        let a = Message::new("t", "k")
+            .with_header("zeta", "1")
+            .with_f64_header("mid", 2.0)
+            .with_header("alpha", "3")
+            .with_header("zeta", "4");
+        let mut b = Message::new("t", "k")
+            .with_header("alpha", "3")
+            .with_header("mid", "2.000000000")
+            .with_header("zeta", "4");
+        b.id = a.id;
+        assert_eq!(a.headers.len(), 3);
+        assert_eq!(
+            a.header("zeta"),
+            Some("4"),
+            "the later value replaced the earlier"
+        );
+        assert_eq!(a, b);
+        assert_eq!(a.encode(), b.encode());
+        let view_frame = a.encode();
+        let view = Message::decode_view(&view_frame).unwrap();
+        let keys: Vec<&str> = view.headers().iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["alpha", "mid", "zeta"]);
     }
 
     #[test]
@@ -473,11 +774,13 @@ mod tests {
         buf.put_u64(7);
         put_str(&mut buf, "t");
         put_str(&mut buf, "k");
-        buf.put_u32(2);
+        buf.put_u32(3);
         put_str(&mut buf, "zeta");
         put_str(&mut buf, "1");
         put_str(&mut buf, "alpha");
         put_str(&mut buf, "2");
+        put_str(&mut buf, "zeta");
+        put_str(&mut buf, "3");
         buf.put_u32(0);
         let raw = buf.freeze();
         let view = Message::decode_view(&raw).unwrap();
@@ -486,8 +789,17 @@ mod tests {
             Some("2"),
             "unsorted frames must still resolve keys"
         );
-        assert_eq!(view.header("zeta"), Some("1"));
+        assert_eq!(view.header("zeta"), Some("1"), "first match wins in a view");
         assert_eq!(view.header("missing"), None);
+        // An owned message keeps one entry per key, in key order: the later value, as
+        // if each header had been set in turn.
+        for owned in [Message::decode(raw.clone()).unwrap(), view.to_message()] {
+            assert_eq!(owned.header("alpha"), Some("2"));
+            assert_eq!(owned.header("zeta"), Some("3"));
+            let reencoded = owned.encode();
+            let headers = Message::decode_view(&reencoded).unwrap();
+            assert_eq!(headers.headers(), &[("alpha", "2"), ("zeta", "3")]);
+        }
     }
 
     #[test]

@@ -10,13 +10,34 @@
 //!
 //! Either a thread that blocks in [`ReqRepServer::recv_timeout`] /
 //! [`ReqRepServer::recv_batch`], or — the serving plane's way — nobody in particular:
-//! [`ReqRepServer::attach`] arms the endpoint with a [`Waker`] that drains its
-//! [`Mailbox`]. Every client call that queues something calls the waker afterwards,
-//! *with no comm lock held*, so the waker may drain the mailbox and answer on the
-//! client's own thread; a request that never has to wait then crosses no thread
-//! boundary at all. Both the mailbox and the reply slot notify a condvar only when
-//! somebody sleeps on it: a reply that is ready before its requester looks costs no
-//! system call.
+//! [`ReqRepServer::attach`] arms the endpoint with a [`Server`], something that drains
+//! the endpoint's [`Mailbox`] in *passes*, one thread at a time. Whose turn it is to
+//! make the pass is the server's to say ([`Server::try_take_turn`]); who makes it is
+//! decided here, by the sender:
+//!
+//! 1. **A sender takes the turn before it queues.** If the turn is free the sender
+//!    takes it, queues its request and makes the pass itself ([`Server::serve_turn`]), on its
+//!    own thread and its own warm cache: the request crosses no thread boundary, and
+//!    what it leaves in the mailbox is nothing.
+//! 2. **If the turn is taken, it waits for it — briefly.** Whoever holds a turn does
+//!    not wait for another sender, so the turn usually comes back within one pass;
+//!    the sender polls for it [`TURN_SPINS`] times (not at all on a one-CPU host,
+//!    where the holder cannot run while the sender spins) and then proceeds as in 1.
+//!    The wait is bounded because a holder can still be slow: pre-empted, or inside a
+//!    server that sleeps while it holds the turn (the serving plane's admission
+//!    sleeps its handling time on the session clock — a real sleep on a real-time
+//!    or manual clock). Waiting for the turn is queueing like any other: the
+//!    request's arrival stamp ([`HDR_ENQUEUED_AT`]) is taken *before* the wait.
+//! 3. **When the wait runs out** — the holder was pre-empted or sleeps, more senders
+//!    than CPUs —
+//!    the sender queues its request and tells the server ([`Server::wake`]): the holder
+//!    makes one more pass and serves it, and the sender sleeps on its reply slot until
+//!    then. This is the only case in which a reply is made by another thread than its
+//!    requester's, and the only one that can cost a futex wake.
+//!
+//! The server is called with no comm lock held. Both the mailbox and the reply slot
+//! notify a condvar only when somebody sleeps on it: a reply that is ready before its
+//! requester looks costs no system call.
 //!
 //! Dropping the server closes the endpoint: whatever is still queued is discarded,
 //! which fails each of those requests with [`CommError::Disconnected`] at once rather
@@ -33,8 +54,7 @@
 //! end-to-end.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::task::Waker;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -46,6 +66,34 @@ use crate::message::Message;
 /// Header stamped on requests with the virtual time at which the request reached the
 /// server's queue (after link traversal). Servers use it to compute queue time.
 pub const HDR_ENQUEUED_AT: &str = "comm.enqueued_at";
+
+/// How often a sender that finds the server's turn taken polls for it before it queues
+/// behind the holder instead. A poll is ≈ 10 ns and a pass over one NOOP request ≈ 2 µs
+/// on the reference host, so the wait is bounded at ≈ 20 µs, some ten passes; a holder
+/// that has not let go by then is pre-empted or asleep. Two closed-loop clients on two
+/// services (`svc_roundtrip`) wait in 1 request of 6, for 57 polls on average, and run
+/// out of polls in 1 of 4 000.
+pub const TURN_SPINS: u32 = 2_000;
+
+/// What [`ReqRepServer::attach`] arms an endpoint with: a server that drains the
+/// endpoint's [`Mailbox`] one pass at a time, on whichever thread holds its turn (see
+/// the module docs). [`Server::serve_turn`] and [`Server::wake`] are called with no
+/// comm lock held.
+pub trait Server: Send + Sync {
+    /// Take the server's turn if nobody holds it. True obliges the caller to
+    /// [`Server::serve_turn`]. It is polled, and its first call is made under the
+    /// mailbox lock: it must not block, lock or queue anything.
+    fn try_take_turn(&self) -> bool;
+
+    /// Make passes over the mailbox on the calling thread until one ends with nothing
+    /// having arrived meanwhile, then give the turn back. Only for the caller that took
+    /// the turn.
+    fn serve_turn(self: Arc<Self>);
+
+    /// Something was queued by a sender that does not hold the turn: if the turn is
+    /// free, take it and pass; if it is held, make its holder pass once more.
+    fn wake(self: Arc<Self>);
+}
 
 /// The one-shot slot a reply travels through, shared by a requester and a
 /// [`Responder`].
@@ -140,13 +188,13 @@ struct Inbox {
     queue: VecDeque<Request>,
     /// The server is dropped: nothing more is accepted.
     closed: bool,
-    /// Called after every delivery while a server is attached.
-    waker: Option<Waker>,
+    /// Whoever drains this mailbox while a server is attached.
+    server: Option<Arc<dyn Server>>,
 }
 
-/// The receive side of an endpoint, for a server that is *woken* when something
-/// arrives ([`ReqRepServer::attach`]) instead of blocking for it. Cloneable and
-/// `'static`, so a resumable run can keep it.
+/// The receive side of an endpoint, for a [`Server`] that makes passes over it
+/// ([`ReqRepServer::attach`]) instead of blocking for it. Cloneable and `'static`, so a
+/// resumable run can keep it.
 #[derive(Clone, Default)]
 pub struct Mailbox {
     endpoint: Arc<Endpoint>,
@@ -159,23 +207,59 @@ impl Mailbox {
         Some((request.msg, request.responder))
     }
 
-    /// Queue `requests` in order, then — the lock released — tell whoever serves the
-    /// endpoint: receivers asleep on the condvar, the attached waker.
+    /// Queue `requests` in order and see to it that they are served: by this thread
+    /// if it can have the attached server's turn (at once, or within the bounded
+    /// wait), else by whoever holds it; with no server attached, by the receivers
+    /// asleep on the condvar. The server is called with the lock released.
     fn deliver(&self, requests: impl IntoIterator<Item = Request>) -> Result<(), CommError> {
-        let waker = {
-            let mut inbox = self.endpoint.state.lock();
-            if inbox.closed {
-                return Err(CommError::Disconnected);
-            }
-            inbox.queue.extend(requests);
-            inbox.waker.clone()
-        };
-        self.endpoint.arrived.notify_all();
-        if let Some(waker) = waker {
-            waker.wake();
+        let mut inbox = self.endpoint.state.lock();
+        let server = inbox.server.clone();
+        // Taking the turn locks nothing, so the free turn and the push share one
+        // acquisition of the mailbox lock.
+        let mut mine = server.as_ref().is_some_and(|server| server.try_take_turn());
+        if let (false, Some(server)) = (mine, &server) {
+            drop(inbox);
+            mine = wait_for_turn(&**server);
+            inbox = self.endpoint.state.lock();
         }
-        Ok(())
+        let accepted = !inbox.closed;
+        if accepted {
+            inbox.queue.extend(requests);
+        }
+        drop(inbox);
+        match server {
+            // A turn that was taken is passed, whatever became of the push.
+            Some(server) if mine => server.serve_turn(),
+            Some(server) if accepted => server.wake(),
+            Some(_) => {}
+            None => {
+                self.endpoint.arrived.notify_all();
+            }
+        }
+        if accepted {
+            Ok(())
+        } else {
+            Err(CommError::Disconnected)
+        }
     }
+}
+
+/// Poll for a turn somebody else holds, [`TURN_SPINS`] times at most; on a host with
+/// one CPU not at all, because the holder cannot be running while this thread is.
+fn wait_for_turn(server: &dyn Server) -> bool {
+    static ONE_CPU: OnceLock<bool> = OnceLock::new();
+    let one_cpu = *ONE_CPU
+        .get_or_init(|| std::thread::available_parallelism().map_or(true, |n| n.get() == 1));
+    if one_cpu {
+        return false;
+    }
+    for _ in 0..TURN_SPINS {
+        std::hint::spin_loop();
+        if server.try_take_turn() {
+            return true;
+        }
+    }
+    false
 }
 
 /// Server side of a request/reply endpoint.
@@ -197,12 +281,12 @@ impl Drop for ReqRepServer {
     fn drop(&mut self) {
         // Close the endpoint; what was queued is dropped outside the lock (each
         // responder locks its reply slot), failing those requests right away.
-        let (queued, waker) = {
+        let (queued, server) = {
             let mut inbox = self.mailbox.endpoint.state.lock();
             inbox.closed = true;
-            (std::mem::take(&mut inbox.queue), inbox.waker.take())
+            (std::mem::take(&mut inbox.queue), inbox.server.take())
         };
-        drop((queued, waker));
+        drop((queued, server));
     }
 }
 
@@ -276,26 +360,27 @@ impl ReqRepServer {
     }
 
     /// Serve the endpoint without blocking for it: from now on every client call that
-    /// queues something calls `waker` afterwards, on the client's thread and with no
-    /// comm lock held — once per call, so a batch is announced as a batch. The waker
-    /// drains [`ReqRepServer::mailbox`]. It is called once right away if requests are
-    /// already waiting: a client may send before its server attaches.
-    pub fn attach(&self, waker: Waker) {
+    /// queues something has `server` drain [`ReqRepServer::mailbox`] — on the client's
+    /// thread whenever the turn can be had, with no comm lock held, once per call, so a
+    /// batch is served as a batch (see the module docs). The server is woken once right
+    /// away if requests are already waiting: a client may send before its server
+    /// attaches.
+    pub fn attach(&self, server: Arc<dyn Server>) {
         let pending = {
             let mut inbox = self.mailbox.endpoint.state.lock();
-            inbox.waker = Some(waker.clone());
+            inbox.server = Some(Arc::clone(&server));
             !inbox.queue.is_empty()
         };
         if pending {
-            waker.wake();
+            server.wake();
         }
     }
 
-    /// Undo [`ReqRepServer::attach`]: deliveries stop calling the waker. A call that
-    /// read the waker just before may still be in flight.
+    /// Undo [`ReqRepServer::attach`]: deliveries stop calling the server. A call that
+    /// read it just before may still be in flight.
     pub fn detach(&self) {
-        let waker = self.mailbox.endpoint.state.lock().waker.take();
-        drop(waker);
+        let server = self.mailbox.endpoint.state.lock().server.take();
+        drop(server);
     }
 
     /// Block until a request arrives, or until `timeout` elapses.
@@ -389,8 +474,8 @@ impl ReqRepClient {
     /// stamped with its arrival time, and queues at the server; the reply traverses the
     /// link again on the way back. The total virtual time spent in this call is the
     /// response time (RT) as defined in the paper. When the endpoint has a server
-    /// attached ([`ReqRepServer::attach`]) this thread calls its waker, and may find
-    /// the reply already in when that returns.
+    /// attached ([`ReqRepServer::attach`]) this thread takes its turn if it can, and
+    /// then finds the reply already in (see the module docs).
     pub fn request(&self, msg: Message) -> Result<Message, CommError> {
         self.request_timeout(msg, Duration::from_secs(3600))
     }
@@ -606,64 +691,191 @@ mod tests {
         );
     }
 
-    /// A server that is its waker: drains the mailbox and echoes on whichever thread
-    /// delivered, counting how often it was called.
-    struct EchoOnWake {
-        mailbox: parking_lot::Mutex<Option<Mailbox>>,
-        wakes: std::sync::atomic::AtomicUsize,
+    use hpcml_sim::pool::{Pool, Resume, RunCell};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A server the way the serving plane builds one — a resumable run whose cell is
+    /// the turn — that echoes, and counts what was asked of it.
+    struct Echo {
+        cell: RunCell,
+        mailbox: Mailbox,
+        /// Polls still to be refused: a holder that lets go after that many.
+        refuse: AtomicUsize,
+        polls: AtomicUsize,
+        passes: AtomicUsize,
+        wakes: AtomicUsize,
+        served_on: Mutex<Vec<thread::ThreadId>>,
     }
 
-    impl std::task::Wake for EchoOnWake {
-        fn wake(self: Arc<Self>) {
-            self.wakes.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-            let mailbox = self.mailbox.lock().clone();
-            while let Some((msg, responder)) = mailbox.as_ref().and_then(Mailbox::try_recv) {
-                let _ = responder
-                    .reply(Message::new(msg.topic.clone(), "echo").with_payload(msg.payload));
-            }
+    impl Echo {
+        fn attached_to(server: &ReqRepServer) -> Arc<Self> {
+            let echo = Arc::new(Echo {
+                cell: RunCell::parked(),
+                mailbox: server.mailbox(),
+                refuse: AtomicUsize::new(0),
+                polls: AtomicUsize::new(0),
+                passes: AtomicUsize::new(0),
+                wakes: AtomicUsize::new(0),
+                served_on: Mutex::new(Vec::new()),
+            });
+            server.attach(Arc::clone(&echo) as Arc<dyn Server>);
+            echo
+        }
+
+        fn count(counter: &AtomicUsize) -> usize {
+            counter.load(Ordering::Acquire)
         }
     }
 
+    impl Resume for Echo {
+        fn cell(&self) -> &RunCell {
+            &self.cell
+        }
+
+        fn resume(self: Arc<Self>) {
+            self.cell.advance_until_parked(|| {
+                self.passes.fetch_add(1, Ordering::AcqRel);
+                while let Some((msg, responder)) = self.mailbox.try_recv() {
+                    self.served_on.lock().push(thread::current().id());
+                    let echo = Message::new(msg.topic.clone(), "echo").with_payload(msg.payload);
+                    let _ = responder.reply(echo);
+                }
+            });
+        }
+    }
+
+    impl Server for Echo {
+        fn try_take_turn(&self) -> bool {
+            self.polls.fetch_add(1, Ordering::AcqRel);
+            let refused = self
+                .refuse
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                .is_ok();
+            !refused && self.cell.try_hold()
+        }
+
+        fn serve_turn(self: Arc<Self>) {
+            self.resume();
+        }
+
+        fn wake(self: Arc<Self>) {
+            self.wakes.fetch_add(1, Ordering::AcqRel);
+            Pool::advance_or_wake(&self);
+        }
+    }
+
+    fn ask(client: &ReqRepClient, text: &str) -> Message {
+        client
+            .request_timeout(
+                Message::new("svc.turn", "req").with_text(text),
+                Duration::from_secs(10),
+            )
+            .unwrap()
+    }
+
     #[test]
-    fn an_attached_waker_serves_requests_on_the_requesting_thread() {
-        let server = ReqRepServer::new("svc.inline");
+    fn a_sender_that_finds_the_turn_free_serves_its_own_request_and_leaves_nothing_queued() {
+        let server = ReqRepServer::new("svc.turn");
         let client = server.client(instant_link());
-        let echo = Arc::new(EchoOnWake {
-            mailbox: parking_lot::Mutex::new(None),
-            wakes: std::sync::atomic::AtomicUsize::new(0),
-        });
-        let wakes = || echo.wakes.load(std::sync::atomic::Ordering::Acquire);
 
         // Sent before anybody serves: attaching to a non-empty queue wakes once.
-        client.send(Message::new("svc.inline", "early")).unwrap();
-        *echo.mailbox.lock() = Some(server.mailbox());
-        server.attach(Waker::from(Arc::clone(&echo)));
-        assert_eq!((wakes(), server.queue_len()), (1, 0));
+        client.send(Message::new("svc.turn", "early")).unwrap();
+        let echo = Echo::attached_to(&server);
+        assert_eq!((Echo::count(&echo.wakes), server.queue_len()), (1, 0));
 
-        // No other thread exists: the reply can only have been made by this one.
-        let reply = client
-            .request_timeout(
-                Message::new("svc.inline", "req").with_text("hi"),
-                Duration::from_millis(200),
-            )
-            .unwrap();
-        assert_eq!((reply.kind.as_str(), reply.text()), ("echo", Some("hi")));
-        assert_eq!(wakes(), 2);
+        // No other thread exists: the reply can only have been made by this one — on
+        // a turn it took with its first poll, before it queued anything.
+        let reply = ask(&client, "hi");
+        assert_eq!((&*reply.kind, reply.text()), ("echo", Some("hi")));
+        assert_eq!(*echo.served_on.lock(), [thread::current().id(); 2]);
+        assert_eq!(server.queue_len(), 0);
+        assert_eq!(
+            (
+                Echo::count(&echo.polls),
+                Echo::count(&echo.passes),
+                Echo::count(&echo.wakes)
+            ),
+            (1, 2, 1),
+            "one poll, one pass, nobody woken for the request"
+        );
 
-        // A batch is queued whole and announced once.
+        // A batch is queued whole and served in one pass.
         let batch: Vec<Message> = (0..5)
-            .map(|i| Message::new("svc.inline", "req").with_text(&i.to_string()))
+            .map(|i| Message::new("svc.turn", "req").with_text(&i.to_string()))
             .collect();
         let replies = client
             .request_batch(batch, Duration::from_millis(200))
             .unwrap();
         assert_eq!(replies.len(), 5);
-        assert_eq!(wakes(), 3);
+        assert_eq!(Echo::count(&echo.passes), 3);
 
         // Detached: deliveries queue silently again.
         server.detach();
-        client.send(Message::new("svc.inline", "late")).unwrap();
-        assert_eq!((wakes(), server.queue_len()), (3, 1));
+        client.send(Message::new("svc.turn", "late")).unwrap();
+        assert_eq!((Echo::count(&echo.passes), server.queue_len()), (3, 1));
+    }
+
+    #[test]
+    fn a_sender_that_finds_the_turn_held_briefly_waits_for_it_and_serves_itself() {
+        if thread::available_parallelism().map_or(true, |n| n.get() == 1) {
+            eprintln!("skipped: one CPU, a sender does not wait for a turn there");
+            return;
+        }
+        let server = ReqRepServer::new("svc.turn");
+        let client = server.client(instant_link());
+        let echo = Echo::attached_to(&server);
+        // Somebody holds the turn and lets go of it three polls into the wait.
+        echo.refuse.store(3, Ordering::Release);
+        let reply = ask(&client, "patient");
+        assert_eq!(reply.text(), Some("patient"));
+        assert_eq!(*echo.served_on.lock(), [thread::current().id()]);
+        assert_eq!(
+            (
+                Echo::count(&echo.polls),
+                Echo::count(&echo.passes),
+                Echo::count(&echo.wakes)
+            ),
+            (4, 1, 0),
+            "taken on the fourth poll; the one pass is the sender's, nobody was woken"
+        );
+        assert_eq!(server.queue_len(), 0);
+    }
+
+    #[test]
+    fn a_sender_that_finds_the_turn_held_past_the_wait_is_answered_by_the_holder() {
+        let server = ReqRepServer::new("svc.turn");
+        let client = server.client(instant_link());
+        let echo = Echo::attached_to(&server);
+        // The holder: has the turn and keeps it until a sender has given up waiting
+        // and woken it — which, the turn being held, only notifies.
+        assert!(echo.try_take_turn());
+        let holder = {
+            let echo = Arc::clone(&echo);
+            thread::spawn(move || {
+                while Echo::count(&echo.wakes) == 0 {
+                    thread::yield_now();
+                }
+                let me = thread::current().id();
+                echo.serve_turn();
+                me
+            })
+        };
+        let reply = ask(&client, "queued");
+        assert_eq!(reply.text(), Some("queued"));
+        let holder = holder.join().unwrap();
+        assert_ne!(holder, thread::current().id());
+        assert_eq!(*echo.served_on.lock(), [holder]);
+        assert_eq!(Echo::count(&echo.wakes), 1);
+        let waited = if thread::available_parallelism().map_or(true, |n| n.get() == 1) {
+            0
+        } else {
+            TURN_SPINS as usize
+        };
+        assert_eq!(
+            Echo::count(&echo.polls),
+            1 + 1 + waited,
+            "the holder's poll, the sender's first, and the whole bounded wait"
+        );
     }
 
     #[test]

@@ -304,7 +304,7 @@ impl Executor {
     fn publish_state<S: StateModel>(&self, id: &str, state: S) {
         self.publisher.publish_with(state.topic(), || {
             Message::new(state.topic(), "state.update")
-                .with_header("entity", id)
+                .with_header("entity", id.to_string())
                 .with_header("state", state.name())
         });
     }
@@ -423,7 +423,7 @@ impl Executor {
         record.state.transition(ServiceState::Launching)?;
         self.publish_state(&record.id, ServiceState::Launching);
         let mut rng = StdRng::seed_from_u64(self.next_seed());
-        let launch_watch = Stopwatch::start(Arc::clone(&self.clock));
+        let launch_watch = Stopwatch::start(self.clock.as_ref());
         let in_flight = self.concurrent_launches.fetch_add(1, Ordering::AcqRel) + 1;
         let launch_model = platform_spec.launcher.model();
         let launch_duration = launch_model.sample_launch(in_flight, &mut rng);
@@ -433,7 +433,7 @@ impl Executor {
         // ⑤ instantiate the ML capability: load + initialise the model replicas.
         record.state.transition(ServiceState::Initializing)?;
         let init_result = (|| -> Result<(Vec<Arc<ModelHost>>, f64), RuntimeError> {
-            let init_watch = Stopwatch::start(Arc::clone(&self.clock));
+            let init_watch = Stopwatch::start(self.clock.as_ref());
             let replicas = desc.serving.replicas.max(1);
             let hosts: Vec<Arc<ModelHost>> = (0..replicas)
                 .map(|_| {
@@ -486,7 +486,7 @@ impl Executor {
 
         // ④ publish the service endpoint.
         record.state.transition(ServiceState::Publishing)?;
-        let publish_watch = Stopwatch::start(Arc::clone(&self.clock));
+        let publish_watch = Stopwatch::start(self.clock.as_ref());
         let endpoint = ReqRepServer::new(record.endpoint_name());
         let mut metadata = BTreeMap::new();
         metadata.insert(META_MODEL.to_string(), desc.model.name.clone());
@@ -967,7 +967,8 @@ impl Executor {
         };
         let (requests, prompt_words, max_tokens) = (*requests, *prompt_words, *max_tokens);
         let entries = self.resolve_targets(selector)?;
-        let mut rng = StdRng::seed_from_u64(self.next_seed());
+        let seed = self.next_seed();
+        let mut rng = StdRng::seed_from_u64(seed);
         let clients: Vec<(String, hpcml_comm::ReqRepClient)> = entries
             .iter()
             .map(|entry| {
@@ -989,17 +990,27 @@ impl Executor {
             words.join(" ")
         };
 
-        // Stagger the round-robin starting point per client so that concurrent clients
-        // do not hit the same service in lockstep (rudimentary load balancing, as in
-        // the paper's prototype).
-        let start_offset = (self.seed_counter.load(Ordering::Relaxed) as usize) % clients.len();
+        // Stagger the round-robin starting point per client, from a value this client
+        // drew itself (not from wherever the other clients' draws have got the counter
+        // to), so that clients which start together start on different services
+        // (rudimentary load balancing, as in the paper's prototype). It staggers, it
+        // does not de-phase: closed-loop clients drift into each other anyway, and a
+        // sender that meets another at a service waits for its turn there (see
+        // `hpcml_comm::reqrep`).
+        let start_offset = seed as usize % clients.len();
         let mut errors = 0u32;
+        // One request, renewed per iteration: the prompt and the client id are written
+        // once, and the identifier over the previous one.
+        let mut request = InferenceRequest {
+            request_id: String::new(),
+            prompt,
+            max_tokens,
+            client_id: record.id.clone(),
+        };
         for i in 0..requests {
             let (endpoint_name, client) = &clients[(start_offset + i as usize) % clients.len()];
-            let request =
-                InferenceRequest::new(prompt.clone(), max_tokens).from_client(record.id.clone());
-            let request_id = request.request_id.clone();
-            let watch = Stopwatch::start(Arc::clone(&self.clock));
+            let request_index = request.renew_id();
+            let watch = Stopwatch::start(self.clock.as_ref());
             let mut reply = client
                 .request(inference_request_message(endpoint_name, &request))
                 .map_err(RuntimeError::Comm)?;
@@ -1028,7 +1039,7 @@ impl Executor {
             let inference_secs = reply.f64_header(HDR_INFERENCE_SECS).unwrap_or(0.0);
             let communication_secs = (response_secs - service_secs - inference_secs).max(0.0);
             self.metrics.record_response(
-                &request_id,
+                request_index,
                 communication_secs,
                 service_secs,
                 inference_secs,

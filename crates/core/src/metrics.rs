@@ -8,11 +8,23 @@
 //! All values are virtual seconds. The recorders are shared (`Arc<RuntimeMetrics>`)
 //! between the executor, the service manager, and the client tasks that issue requests,
 //! and the experiment harness reads the summaries after the workload drains.
+//!
+//! Recording is per thread and reading merges (see [`hpcml_sim::metrics`]): every
+//! recorder keeps a few cache-line-padded stripes, a thread always records into the
+//! same one, and a read returns each thread's records in that thread's order. What is
+//! kept per response is four numbers — the request's index and its three components —
+//! in blocks that are never reallocated; the [`ComponentSample`]s the readers get, with
+//! their `request.NNNNNN` entity and named components, are built by the read.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hpcml_sim::metrics::{BreakdownRecorder, ComponentSample, MetricRegistry};
+use hpcml_serving::request::REQUEST_ID_NAMESPACE;
+use hpcml_sim::ids;
+use hpcml_sim::metrics::{
+    component_summaries, total_summary, Blocks, BreakdownRecorder, ComponentSample, MetricRegistry,
+    Striped,
+};
 use hpcml_sim::stats::Summary;
 
 use crate::records::BootstrapTimes;
@@ -30,11 +42,30 @@ pub const C_SERVICE: &str = "service";
 /// Component name: model compute time.
 pub const C_INFERENCE: &str = "inference";
 
+/// What is kept of one response: the request's index in [`REQUEST_ID_NAMESPACE`] and the
+/// three components, in the order [`RuntimeMetrics::response_samples`] names them.
+#[derive(Debug, Clone, Copy)]
+struct ResponseRow {
+    request: u64,
+    communication: f64,
+    service: f64,
+    inference: f64,
+}
+
+impl ResponseRow {
+    fn sample(&self) -> ComponentSample {
+        ComponentSample::new(ids::format_id(REQUEST_ID_NAMESPACE, self.request))
+            .with(C_COMMUNICATION, self.communication)
+            .with(C_SERVICE, self.service)
+            .with(C_INFERENCE, self.inference)
+    }
+}
+
 /// Shared collection of runtime metrics.
 #[derive(Debug, Default)]
 pub struct RuntimeMetrics {
     bootstrap: BreakdownRecorder,
-    response: BreakdownRecorder,
+    response: Striped<Blocks<ResponseRow>>,
     registry: MetricRegistry,
 }
 
@@ -54,20 +85,16 @@ impl RuntimeMetrics {
         );
     }
 
-    /// Record the response breakdown of one inference request.
-    pub fn record_response(
-        &self,
-        request_id: &str,
-        communication: f64,
-        service: f64,
-        inference: f64,
-    ) {
-        self.response.record(
-            ComponentSample::new(request_id)
-                .with(C_COMMUNICATION, communication)
-                .with(C_SERVICE, service)
-                .with(C_INFERENCE, inference),
-        );
+    /// Record the response breakdown of one inference request, named by its index in
+    /// [`REQUEST_ID_NAMESPACE`] — what [`hpcml_serving::InferenceRequest::renew_id`]
+    /// returns (request `7` reads back as `request.000007`).
+    pub fn record_response(&self, request: u64, communication: f64, service: f64, inference: f64) {
+        self.response.local().push(ResponseRow {
+            request,
+            communication,
+            service,
+            inference,
+        });
     }
 
     /// Record an arbitrary named scalar (staging durations, task durations, ...).
@@ -82,7 +109,7 @@ impl RuntimeMetrics {
 
     /// Number of response samples recorded.
     pub fn response_count(&self) -> usize {
-        self.response.len()
+        self.response.each().map(|stripe| stripe.len()).sum()
     }
 
     /// Per-component bootstrap summaries (`launch`, `init`, `publish`).
@@ -97,12 +124,12 @@ impl RuntimeMetrics {
 
     /// Per-component response summaries (`communication`, `service`, `inference`).
     pub fn response_summaries(&self) -> BTreeMap<String, Summary> {
-        self.response.component_summaries()
+        component_summaries(&self.response_samples())
     }
 
     /// Summary of total response time per request.
     pub fn response_total_summary(&self) -> Summary {
-        self.response.total_summary()
+        total_summary(&self.response_samples())
     }
 
     /// Summary of the inference component alone (the paper's IT metric).
@@ -117,9 +144,14 @@ impl RuntimeMetrics {
         self.bootstrap.samples()
     }
 
-    /// Raw response samples (for CSV export by the harness).
+    /// Raw response samples (for CSV export by the harness), built here from the rows
+    /// that were recorded: each client's in the order it made its requests.
     pub fn response_samples(&self) -> Vec<ComponentSample> {
-        self.response.samples()
+        let mut samples = Vec::with_capacity(self.response_count());
+        for stripe in self.response.each() {
+            samples.extend(stripe.iter().map(ResponseRow::sample));
+        }
+        samples
     }
 
     /// Scalar series accessor.
@@ -163,14 +195,24 @@ mod tests {
     fn response_recording_and_inference_summary() {
         let m = RuntimeMetrics::new();
         for i in 0..100 {
-            m.record_response(&format!("request.{i}"), 0.0001, 0.00005, 2.0);
+            m.record_response(i, 0.0001, 0.00005, 2.0);
         }
         assert_eq!(m.response_count(), 100);
         let s = m.response_summaries();
         assert!(s[C_INFERENCE].mean > 100.0 * s[C_COMMUNICATION].mean);
         assert!((m.inference_summary().mean - 2.0).abs() < 1e-9);
         assert!((m.response_total_summary().mean - 2.00015).abs() < 1e-6);
-        assert_eq!(m.response_samples().len(), 100);
+        let samples = m.response_samples();
+        assert_eq!(samples.len(), 100);
+        assert_eq!(samples[7].entity, "request.000007");
+        assert_eq!(
+            samples[7].components,
+            ComponentSample::new("")
+                .with(C_COMMUNICATION, 0.0001)
+                .with(C_SERVICE, 0.00005)
+                .with(C_INFERENCE, 2.0)
+                .components
+        );
     }
 
     #[test]

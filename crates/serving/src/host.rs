@@ -193,7 +193,8 @@ impl ModelHost {
         let begun = self.begin_batch(requests)?;
         self.clock
             .sleep(std::time::Duration::from_secs_f64(begun.compute_secs));
-        Ok(self.complete_batch(requests, begun))
+        let ids = requests.iter().map(|r| r.request_id.clone());
+        Ok(self.complete_batch(ids, begun))
     }
 
     /// First half of a batch: make the backend call and learn what the batch costs,
@@ -217,20 +218,22 @@ impl ModelHost {
     }
 
     /// Second half of a batch, once its compute time has passed: one response per
-    /// request, in request order, each carrying the shared batch time.
+    /// request, in request order, each carrying the shared batch time and the
+    /// identifier of its request — `request_ids`, which a caller that is done with the
+    /// requests hands over rather than copies.
     pub fn complete_batch(
         &self,
-        requests: &[InferenceRequest],
+        request_ids: impl IntoIterator<Item = String>,
         begun: BegunBatch,
     ) -> Vec<InferenceResponse> {
         self.requests_served
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
+            .fetch_add(begun.results.len() as u64, Ordering::Relaxed);
         let model = &self.backend.spec().name;
-        requests
-            .iter()
+        request_ids
+            .into_iter()
             .zip(begun.results)
-            .map(|(req, result)| InferenceResponse {
-                request_id: req.request_id.clone(),
+            .map(|(request_id, result)| InferenceResponse {
+                request_id,
                 text: result.text,
                 prompt_tokens: result.prompt_tokens,
                 completion_tokens: result.completion_tokens,

@@ -32,6 +32,7 @@
 //! step never reaches back into the front-end, so the front-end may dispatch — and
 //! thereby advance a replica — from inside its own pass.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -50,15 +51,16 @@ use crate::host::{BegunBatch, ModelHost};
 use crate::protocol::*;
 use crate::request::InferenceRequest;
 
-/// One admitted request travelling from the batch assembler to a replica.
+/// What travels with one admitted request from the batch assembler to a replica: where
+/// its reply goes and what it has waited so far. The request itself travels beside it
+/// ([`Batch::requests`]), so that the backend is handed the batch's requests as the one
+/// slice they already are — a request is parsed once, at admission, and never copied.
 #[derive(Debug)]
 pub struct BatchItem {
-    /// The parsed request.
-    pub request: InferenceRequest,
     /// Reply channel back to the requesting client.
     pub responder: Responder,
     /// Topic to reply on (the request message's topic).
-    pub topic: String,
+    pub topic: Cow<'static, str>,
     /// Virtual seconds the request spent in the endpoint queue before admission
     /// (measured at admission against the client's enqueue stamp).
     pub admission_queue_secs: f64,
@@ -73,7 +75,42 @@ pub struct BatchItem {
 }
 
 /// A batch of admitted requests dispatched as one backend call.
-pub type Batch = Vec<BatchItem>;
+#[derive(Debug, Default)]
+pub struct Batch {
+    /// The parsed requests, in admission order.
+    pub requests: Vec<InferenceRequest>,
+    /// One entry per request, in the same order.
+    pub items: Vec<BatchItem>,
+}
+
+impl Batch {
+    /// Number of requests in the batch.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether the batch holds no request.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Answer every member with a [`KIND_ERROR`] reply saying `why`.
+    fn fail(self, why: &str) {
+        for (item, request) in self.items.into_iter().zip(self.requests) {
+            let reply = Message::new(item.topic, KIND_ERROR)
+                .with_header(HDR_ERROR, why.to_string())
+                .with_header(HDR_REQUEST_ID, request.request_id);
+            let _ = item.responder.reply(reply);
+        }
+    }
+}
+
+impl FromIterator<(InferenceRequest, BatchItem)> for Batch {
+    fn from_iter<I: IntoIterator<Item = (InferenceRequest, BatchItem)>>(members: I) -> Self {
+        let (requests, items) = members.into_iter().unzip();
+        Batch { requests, items }
+    }
+}
 
 /// What the replicas of one pool share.
 struct Shared {
@@ -96,7 +133,6 @@ struct Shared {
 /// The batch on the backend: what the backend answered and when its time is up.
 struct Running {
     batch: Batch,
-    requests: Vec<InferenceRequest>,
     begun: BegunBatch,
     until: SimTime,
 }
@@ -170,25 +206,18 @@ impl Replica {
                     serving.running = Some(running);
                     return;
                 }
-                let Running {
-                    batch,
-                    requests,
-                    begun,
-                    ..
-                } = running;
-                self.finish(&mut serving, batch, &requests, Ok(begun));
+                let Running { batch, begun, .. } = running;
+                self.finish(&mut serving, batch, Ok(begun));
                 continue;
             }
             let Some(batch) = self.queue.lock().pop_front() else {
                 return;
             };
-            let requests: Vec<InferenceRequest> =
-                batch.iter().map(|item| item.request.clone()).collect();
             // The backend is the one piece of foreign code on this path.
             let begun = catch_unwind(AssertUnwindSafe(|| {
                 let begun = self
                     .host
-                    .begin_batch(&requests)
+                    .begin_batch(&batch.requests)
                     .map_err(|e| e.to_string())?;
                 let until = shared.clock.now() + Duration::from_secs_f64(begun.compute_secs);
                 Ok((begun, until))
@@ -198,44 +227,33 @@ impl Replica {
                 Ok((begun, until)) if begun.compute_secs > 0.0 => {
                     let Some(executor) = shared.executor.upgrade() else {
                         let gone = Err("the service's executor pool is gone".to_string());
-                        self.finish(&mut serving, batch, &requests, gone);
+                        self.finish(&mut serving, batch, gone);
                         continue;
                     };
                     serving.running = Some(Running {
                         batch,
-                        requests,
                         begun,
                         until,
                     });
                     executor.wake_at_clock(self, until);
                     return;
                 }
-                begun => self.finish(
-                    &mut serving,
-                    batch,
-                    &requests,
-                    begun.map(|(begun, _)| begun),
-                ),
+                begun => self.finish(&mut serving, batch, begun.map(|(begun, _)| begun)),
             }
         }
     }
 
     /// The batch's time is up (or it failed): answer every member.
-    fn finish(
-        &self,
-        serving: &mut Serving,
-        batch: Batch,
-        requests: &[InferenceRequest],
-        begun: Result<BegunBatch, String>,
-    ) {
+    fn finish(&self, serving: &mut Serving, batch: Batch, begun: Result<BegunBatch, String>) {
         let shared = &self.shared;
         let n = batch.len();
         match begun {
             Ok(begun) => {
                 let batch_secs = begun.compute_secs;
-                let responses = self.host.complete_batch(requests, begun);
+                let ids = batch.requests.into_iter().map(|r| r.request_id);
+                let responses = self.host.complete_batch(ids, begun);
                 update_estimate(&shared.est_request_secs_bits, batch_secs / n.max(1) as f64);
-                for (item, resp) in batch.into_iter().zip(responses) {
+                for (item, resp) in batch.items.into_iter().zip(responses) {
                     // The paper's `service` component: endpoint queueing (measured
                     // at admission), parsing overhead, the assembler wait, and
                     // replica queueing behind earlier batches. Every term is a
@@ -252,22 +270,15 @@ impl Replica {
                         .with_header(HDR_MODEL, resp.model)
                         .with_f64_header(HDR_SERVICE_SECS, service_secs)
                         .with_f64_header(HDR_INFERENCE_SECS, resp.inference_secs)
-                        .with_header(HDR_PROMPT_TOKENS, resp.prompt_tokens.to_string())
-                        .with_header(HDR_COMPLETION_TOKENS, resp.completion_tokens.to_string())
+                        .with_u64_header(HDR_PROMPT_TOKENS, resp.prompt_tokens.into())
+                        .with_u64_header(HDR_COMPLETION_TOKENS, resp.completion_tokens.into())
                         .with_f64_header(HDR_BATCH_WAIT_SECS, item.batch_wait_secs)
-                        .with_header(HDR_BATCH_SIZE, n.to_string())
-                        .with_text(&resp.text);
+                        .with_u64_header(HDR_BATCH_SIZE, n as u64)
+                        .with_payload(resp.text);
                     let _ = item.responder.reply(reply);
                 }
             }
-            Err(err) => {
-                for item in batch {
-                    let reply = Message::new(item.topic, KIND_ERROR)
-                        .with_header(HDR_ERROR, err.clone())
-                        .with_header(HDR_REQUEST_ID, item.request.request_id);
-                    let _ = item.responder.reply(reply);
-                }
-            }
+            Err(err) => batch.fail(&err),
         }
         serving.busy_until_secs = shared.clock.now().as_secs_f64();
         // SeqCst on the count and on `quiescing`, here and in `quiesce`: of a batch
@@ -377,12 +388,7 @@ impl ReplicaPool {
             return;
         }
         let Some(replica) = self.route() else {
-            for item in batch {
-                let reply = Message::new(item.topic, KIND_ERROR)
-                    .with_header(HDR_ERROR, "no live replicas")
-                    .with_header(HDR_REQUEST_ID, item.request.request_id);
-                let _ = item.responder.reply(reply);
-            }
+            batch.fail("no live replicas");
             return;
         };
         let n = batch.len() as u64;
@@ -538,7 +544,7 @@ mod tests {
     impl Fixture {
         /// One request from a thread of its own, received here and wrapped as an item
         /// that has cost nothing so far: its `service` time is its replica wait alone.
-        fn item(&self) -> (thread::JoinHandle<Message>, BatchItem) {
+        fn item(&self) -> (thread::JoinHandle<Message>, Batch) {
             let client = self.endpoint.client(Link::instant(Arc::clone(&self.clock)));
             let requester = thread::spawn(move || {
                 client
@@ -547,7 +553,6 @@ mod tests {
             });
             let (msg, responder) = self.endpoint.recv_timeout(Duration::from_secs(5)).unwrap();
             let item = BatchItem {
-                request: InferenceRequest::new("w ".repeat(40), 64),
                 responder,
                 topic: msg.topic,
                 admission_queue_secs: 0.0,
@@ -555,17 +560,24 @@ mod tests {
                 batch_wait_secs: 0.0,
                 dispatched_secs: self.clock.now().as_secs_f64(),
             };
-            (requester, item)
+            let batch = Batch {
+                requests: vec![InferenceRequest::new("w ".repeat(40), 64)],
+                items: vec![item],
+            };
+            (requester, batch)
         }
     }
 
     #[test]
     fn a_busy_replica_serves_in_dispatch_order_and_prices_the_wait_an_idle_one_prices_zero() {
         let fx = fixture(ModelSpec::sim_llama_8b());
-        let (requesters, items): (Vec<_>, Vec<_>) = (0..3).map(|_| fx.item()).unzip();
-        let ids: Vec<String> = items.iter().map(|i| i.request.request_id.clone()).collect();
-        for item in items {
-            fx.pool.dispatch(vec![item]);
+        let (requesters, batches): (Vec<_>, Vec<_>) = (0..3).map(|_| fx.item()).unzip();
+        let ids: Vec<String> = batches
+            .iter()
+            .map(|b| b.requests[0].request_id.clone())
+            .collect();
+        for batch in batches {
+            fx.pool.dispatch(batch);
         }
         assert!(fx.executor.is_started(), "an LLM batch parks on a timer");
         let replies: Vec<Message> = requesters.into_iter().map(|r| r.join().unwrap()).collect();
@@ -586,13 +598,16 @@ mod tests {
         for (reply, id) in replies.iter().zip(&ids) {
             assert_eq!(reply.header(HDR_REQUEST_ID), Some(id.as_str()));
         }
-        // The order the batches *ended* in is the order they were dispatched in (the
-        // header is the recorded value printed to six places).
-        let ended = fx.seen.values("serving.queue.delay_secs");
-        assert_eq!(ended.len(), 3);
-        for (recorded, replied) in ended.iter().zip(&waits) {
-            assert!((recorded - replied).abs() < 1e-5, "{ended:?} vs {waits:?}");
-        }
+        // Every batch recorded the wait it replied with. The batches end on different
+        // threads (the dispatcher's, then pool workers) and a registry keeps order per
+        // thread only, so the two are compared sorted; that they ended in dispatch
+        // order is what the strictly growing `waits` above already say.
+        let mut ended = fx.seen.values("serving.queue.delay_secs");
+        ended.sort_by(f64::total_cmp);
+        assert_eq!(
+            ended, waits,
+            "the header carries the recorded number itself"
+        );
         assert_eq!(
             fx.seen.values("comm.queue.depth"),
             vec![1.0, 1.0, 2.0],
@@ -603,8 +618,8 @@ mod tests {
     #[test]
     fn an_idle_noop_replica_answers_on_the_dispatching_thread() {
         let fx = fixture(ModelSpec::noop());
-        let (requester, item) = fx.item();
-        fx.pool.dispatch(vec![item]);
+        let (requester, batch) = fx.item();
+        fx.pool.dispatch(batch);
         // No thread but this one could have served it: the pool has none.
         assert!(!fx.executor.is_started());
         assert_eq!(
@@ -623,8 +638,8 @@ mod tests {
         let mut fx = fixture(ModelSpec::sim_llama_8b());
         // Replacing the only strong reference drops the pool the replicas point at.
         fx.executor = Arc::new(Pool::new(Arc::clone(&fx.clock)));
-        let (requester, item) = fx.item();
-        fx.pool.dispatch(vec![item]);
+        let (requester, batch) = fx.item();
+        fx.pool.dispatch(batch);
         let reply = requester.join().unwrap();
         assert_eq!(reply.kind, KIND_ERROR);
         assert!(reply.header(HDR_ERROR).unwrap().contains("executor"));

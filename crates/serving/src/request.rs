@@ -15,6 +15,10 @@ use crate::protocol::ProtocolError;
 /// Wire version of the request payload codec.
 const REQUEST_WIRE_VERSION: u8 = 1;
 
+/// The [`hpcml_sim::ids`] namespace request identifiers are drawn from: request `7` is
+/// `request.000007`.
+pub const REQUEST_ID_NAMESPACE: &str = "request";
+
 /// A single inference request submitted to a model service.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InferenceRequest {
@@ -32,7 +36,7 @@ impl InferenceRequest {
     /// Create a request with a generated identifier.
     pub fn new(prompt: impl Into<String>, max_tokens: u32) -> Self {
         InferenceRequest {
-            request_id: hpcml_sim::ids::next_id("request"),
+            request_id: hpcml_sim::ids::next_id(REQUEST_ID_NAMESPACE),
             prompt: prompt.into(),
             max_tokens,
             client_id: String::new(),
@@ -43,6 +47,17 @@ impl InferenceRequest {
     pub fn from_client(mut self, client_id: impl Into<String>) -> Self {
         self.client_id = client_id.into();
         self
+    }
+
+    /// Give the request a fresh identifier, written over the old one, and return its
+    /// index in [`REQUEST_ID_NAMESPACE`]. A closed-loop client that sends the same
+    /// prompt again renews one request instead of building the next: no prompt is
+    /// copied and no identifier allocated.
+    pub fn renew_id(&mut self) -> u64 {
+        let index = hpcml_sim::ids::next_index(REQUEST_ID_NAMESPACE);
+        self.request_id.clear();
+        hpcml_sim::ids::write_id(&mut self.request_id, REQUEST_ID_NAMESPACE, index);
+        index
     }
 
     /// Rough prompt length in tokens (whitespace tokenisation ≈ 1.3 tokens per word,
@@ -210,6 +225,22 @@ mod tests {
         assert!(r.request_id.starts_with("request."));
         // 9 words * 1.3 = 11.7 -> 12 tokens
         assert_eq!(r.prompt_tokens(), 12);
+    }
+
+    #[test]
+    fn a_renewed_request_has_the_id_a_new_one_would_have_got() {
+        let mut r = InferenceRequest::new("again", 8).from_client("task.000001");
+        let before = r.request_id.clone();
+        let index = r.renew_id();
+        assert_ne!(r.request_id, before);
+        assert_eq!(
+            r.request_id,
+            hpcml_sim::ids::format_id(REQUEST_ID_NAMESPACE, index)
+        );
+        assert_eq!(
+            (r.prompt.as_str(), r.client_id.as_str()),
+            ("again", "task.000001")
+        );
     }
 
     #[test]

@@ -21,26 +21,30 @@
 //! # No serve-loop thread
 //!
 //! The front-end is a resumable run ([`Resume`]) on the executor's [`Pool`], not a loop
-//! in a thread: `serve` arms the endpoint with the run as its waker
-//! ([`ReqRepServer::attach`]) and then only sleeps until it is told to stop. A client
-//! that queues a request calls the waker, which — if nobody holds the run — *advances
-//! it on the client's thread* ([`Pool::advance_or_wake`]): drain, admit, assemble,
-//! dispatch, and for an idle replica with a zero-cost batch the backend call and the
-//! reply too. A request that never has to wait crosses no thread boundary. If another
-//! thread holds the run the client only notifies it and waits for its reply; the holder
-//! makes one more pass. The run's cell is what "the single front-end thread" used to
-//! be: one pass at a time, so endpoint order = admission order = dispatch order. A
-//! pass that leaves a partial batch parks on the pool's session-clock timer heap until
-//! the oldest entry's budget expires — which a [`hpcml_sim::clock::ManualClock`] fires
-//! like any other timer.
+//! in a thread: `serve` arms the endpoint with the run as its [`Server`]
+//! ([`ReqRepServer::attach`]) and then only sleeps until it is told to stop. The run's
+//! cell is what "the single front-end thread" used to be — one pass at a time, so
+//! endpoint order = admission order = dispatch order — and, seen from the endpoint, it
+//! is *the service's turn*: a client takes it ([`RunCell::try_hold`]) before it queues
+//! its request and makes the pass on its own thread: drain, admit, assemble, dispatch,
+//! and for an idle replica with a zero-cost batch the backend call and the reply too.
+//! A request that never has to wait crosses no thread boundary. A client that finds the
+//! turn taken waits for it for a bounded number of polls (a holder does not wait for
+//! another sender, but admission sleeps a request's handling time on the session clock
+//! while it holds the turn, so the wait has to be bounded) and only then queues behind
+//! the holder, who makes one more pass
+//! (`Running → Notified`) while the client sleeps on its reply — see
+//! [`hpcml_comm::reqrep`] for the protocol. A pass that leaves a partial batch parks on
+//! the pool's session-clock timer heap until the oldest entry's budget expires — which
+//! a [`hpcml_sim::clock::ManualClock`] fires like any other timer.
 //!
 //! Lock order: front-end state (locked by whoever holds the run, and by `serve` when it
 //! winds down) → replica run → leaves (see [`crate::pool`]). The endpoint calls the
-//! waker with no comm lock held.
+//! server with no comm lock held.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::task::{Wake, Waker};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -48,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hpcml_comm::message::Message;
-use hpcml_comm::reqrep::{Mailbox, ReqRepServer, Responder, HDR_ENQUEUED_AT};
+use hpcml_comm::reqrep::{Mailbox, ReqRepServer, Responder, Server, HDR_ENQUEUED_AT};
 use hpcml_sim::clock::{SharedClock, SimTime};
 use hpcml_sim::dist::Dist;
 use hpcml_sim::metrics::{null_sink, SharedScalarSink};
@@ -56,7 +60,7 @@ use hpcml_sim::pool::{Pool, Resume, RunCell};
 
 use crate::batcher::{BatchAssembler, ServingConfig};
 use crate::host::ModelHost;
-use crate::pool::{BatchItem, ReplicaPool};
+use crate::pool::{Batch, BatchItem, ReplicaPool};
 use crate::protocol::*;
 use crate::request::InferenceRequest;
 
@@ -97,13 +101,13 @@ struct Admission {
     /// The endpoint being served; `None` outside `serve` and once a pass has met a
     /// shutdown message — nothing behind it is drained.
     mailbox: Option<Mailbox>,
-    assembler: BatchAssembler<BatchItem>,
+    assembler: BatchAssembler<(InferenceRequest, BatchItem)>,
     rng: StdRng,
     /// Messages handled since `serve` attached.
     handled: u64,
     /// A shutdown message a pass met — topic and reply handle — left for `serve`'s
     /// thread to acknowledge.
-    shutdown: Option<(String, Responder)>,
+    shutdown: Option<(Cow<'static, str>, Responder)>,
     /// The budget deadline (virtual seconds) the timer on the heap was filed for, so
     /// that passes which leave the same oldest entry do not file it again.
     armed: Option<f64>,
@@ -250,7 +254,7 @@ impl InferenceService {
             admission.handled = 0;
         }
         // Not under the lock: attaching to a non-empty queue makes a pass right here.
-        endpoint.attach(Waker::from(Arc::clone(front)));
+        endpoint.attach(Arc::clone(front) as Arc<dyn Server>);
         let handled = {
             let mut admission = front.admission.lock();
             while admission.shutdown.is_none() && !stop.load(Ordering::Acquire) {
@@ -271,14 +275,18 @@ impl InferenceService {
     }
 }
 
-impl Wake for FrontEnd {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
+/// The run's cell is the service's turn: whoever holds the run makes the pass.
+impl Server for FrontEnd {
+    fn try_take_turn(&self) -> bool {
+        self.cell.try_hold()
     }
 
-    /// Called by the endpoint after a delivery, on the delivering thread.
-    fn wake_by_ref(self: &Arc<Self>) {
-        Pool::advance_or_wake(self);
+    fn serve_turn(self: Arc<Self>) {
+        self.resume();
+    }
+
+    fn wake(self: Arc<Self>) {
+        Pool::advance_or_wake(&self);
     }
 }
 
@@ -346,34 +354,34 @@ impl FrontEnd {
         }
         let now = self.clock.now().as_secs_f64();
         while let Some(batch) = admission.assembler.take_ready(now, force) {
-            let items: Vec<BatchItem> = batch
+            let batch: Batch = batch
                 .into_iter()
                 .map(|d| {
-                    let mut item = d.item;
+                    let (request, mut item) = d.item;
                     item.batch_wait_secs = (now - d.arrival_secs).max(0.0);
                     item.dispatched_secs = now;
-                    item
+                    (request, item)
                 })
                 .collect();
-            self.pool.dispatch(items);
+            self.pool.dispatch(batch);
         }
     }
 
     /// Handle one received message: control messages answer inline, inference
     /// requests pass admission control into the assembler.
     fn admit(&self, msg: Message, responder: Responder, admission: &mut Admission) {
-        match msg.kind.as_str() {
+        match &*msg.kind {
             KIND_PING => {
                 let ready = self.primary.is_loaded();
-                let reply = Message::new(msg.topic.clone(), KIND_PONG)
+                let reply = Message::new(msg.topic, KIND_PONG)
                     .with_header("ready", if ready { "true" } else { "false" })
                     .with_header(HDR_MODEL, self.primary.spec().name.clone());
                 let _ = responder.reply(reply);
             }
             KIND_INFER_REQUEST => self.admit_inference(msg, responder, admission),
             other => {
-                let reply = Message::new(msg.topic.clone(), KIND_ERROR)
-                    .with_header(HDR_ERROR, format!("unknown message kind: {other}"));
+                let why = format!("unknown message kind: {other}");
+                let reply = Message::new(msg.topic, KIND_ERROR).with_header(HDR_ERROR, why);
                 let _ = responder.reply(reply);
             }
         }
@@ -392,8 +400,8 @@ impl FrontEnd {
         let view = match InferenceRequest::decode_view(&msg.payload) {
             Ok(view) => view,
             Err(err) => {
-                let reply = Message::new(msg.topic.clone(), KIND_ERROR)
-                    .with_header(HDR_ERROR, err.to_string());
+                let reply =
+                    Message::new(msg.topic, KIND_ERROR).with_header(HDR_ERROR, err.to_string());
                 let _ = responder.reply(reply);
                 return;
             }
@@ -401,12 +409,7 @@ impl FrontEnd {
 
         // Bounded admission queue: beyond capacity the request is shed, not queued.
         if assembler.len() >= self.config.queue_capacity {
-            self.shed(
-                msg.topic.clone(),
-                view.request_id,
-                responder,
-                assembler.len(),
-            );
+            self.shed(msg.topic, view.request_id, responder, assembler.len());
             return;
         }
 
@@ -416,12 +419,7 @@ impl FrontEnd {
             if let Some(deadline_secs) = msg.f64_header(HDR_DEADLINE_SECS) {
                 let est = self.pool.estimated_queue_delay_secs(assembler.len());
                 if est > deadline_secs {
-                    self.shed(
-                        msg.topic.clone(),
-                        view.request_id,
-                        responder,
-                        assembler.len(),
-                    );
+                    self.shed(msg.topic, view.request_id, responder, assembler.len());
                     return;
                 }
             }
@@ -431,31 +429,35 @@ impl FrontEnd {
         let handling_secs = self.handling_overhead.sample(rng).max(0.0);
         self.clock.sleep(Duration::from_secs_f64(handling_secs));
 
+        // The one copy of the request: from here on it is moved, never cloned.
         let request = view.to_request();
-        assembler.push(
-            BatchItem {
-                request,
-                responder,
-                topic: msg.topic.clone(),
-                admission_queue_secs,
-                handling_secs,
-                batch_wait_secs: 0.0,
-                dispatched_secs: arrived_secs,
-            },
-            arrived_secs,
-        );
+        let item = BatchItem {
+            responder,
+            topic: msg.topic,
+            admission_queue_secs,
+            handling_secs,
+            batch_wait_secs: 0.0,
+            dispatched_secs: arrived_secs,
+        };
+        assembler.push((request, item), arrived_secs);
         self.requests_served.fetch_add(1, Ordering::Relaxed);
         self.sink
             .record("serving.queue.depth", assembler.len() as f64);
     }
 
-    fn shed(&self, topic: String, request_id: &str, responder: Responder, queued: usize) {
+    fn shed(
+        &self,
+        topic: Cow<'static, str>,
+        request_id: &str,
+        responder: Responder,
+        queued: usize,
+    ) {
         let retry_after_secs = self
             .pool
             .estimated_queue_delay_secs(queued)
             .max(self.config.batch_latency_budget_secs);
         let reply = Message::new(topic, KIND_SHED)
-            .with_header(HDR_REQUEST_ID, request_id)
+            .with_header(HDR_REQUEST_ID, request_id.to_string())
             .with_f64_header(HDR_RETRY_AFTER_SECS, retry_after_secs);
         let _ = responder.reply(reply);
         self.sink.record("serving.shed", 1.0);
@@ -464,7 +466,7 @@ impl FrontEnd {
 
 /// Build the wire message for an inference request (client side helper).
 pub fn inference_request_message(endpoint: &str, request: &InferenceRequest) -> Message {
-    Message::new(endpoint, KIND_INFER_REQUEST)
+    Message::new(endpoint.to_string(), KIND_INFER_REQUEST)
         .with_header(HDR_REQUEST_ID, request.request_id.clone())
         .with_payload(request.encode_payload())
 }
@@ -867,6 +869,44 @@ mod tests {
         assert_eq!(requester.join().unwrap().kind, KIND_INFER_REPLY);
         stop.store(true, Ordering::Release);
         assert_eq!(handle.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_request_that_finds_the_turn_held_past_its_wait_is_served_by_the_holder() {
+        let c = clock();
+        let host = shared_host(ModelSpec::noop(), Arc::clone(&c), 34);
+        host.load();
+        let service = InferenceService::new("svc.held", host, Arc::clone(&c), 35);
+        let endpoint = ReqRepServer::new("svc.held");
+        let client = endpoint.client(Link::instant(Arc::clone(&c)));
+        let stop = AtomicBool::new(false);
+        thread::scope(|scope| {
+            let serving = scope.spawn(|| service.serve(&endpoint, &stop));
+            // Answered, so `serve` has attached; and served on this thread, on a turn
+            // it took and gave back.
+            let pong = client.request(Message::new("svc.held", KIND_PING)).unwrap();
+            assert_eq!(pong.kind, KIND_PONG);
+            // Hold the turn the way a client in the middle of a pass does.
+            assert!(service.front.try_take_turn());
+            let requester = scope.spawn(|| {
+                let req = InferenceRequest::new("behind the holder", 1);
+                client
+                    .request(inference_request_message("svc.held", &req))
+                    .unwrap()
+            });
+            // Its bounded wait runs out; it queues and notifies the holder.
+            while endpoint.queue_len() == 0 {
+                thread::yield_now();
+            }
+            assert_eq!(service.requests_served(), 0, "nobody else can pass");
+            // The holder lets go: the notification makes it pass once more first.
+            Arc::clone(&service.front).serve_turn();
+            assert_eq!(service.requests_served(), 1, "served by the holder");
+            assert_eq!(requester.join().unwrap().kind, KIND_INFER_REPLY);
+            assert_eq!(endpoint.queue_len(), 0);
+            stop.store(true, Ordering::Release);
+            assert_eq!(serving.join().unwrap(), 2);
+        });
     }
 
     #[test]

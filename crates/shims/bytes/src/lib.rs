@@ -2,7 +2,8 @@
 //!
 //! [`Bytes`] is an `Arc<Vec<u8>>` plus a window, so `clone`, [`Bytes::slice`] and
 //! [`Buf::copy_to_bytes`] are all O(1) reference-count bumps — the zero-copy property
-//! the message codec relies on. [`BytesMut`] is a thin `Vec<u8>` wrapper implementing
+//! the message codec relies on. An empty buffer ([`Bytes::new`]) has no storage and
+//! allocates nothing, as in the real crate. [`BytesMut`] is a thin `Vec<u8>` wrapper implementing
 //! the [`BufMut`] writer surface, frozen into [`Bytes`] without copying the bytes
 //! (the `Vec` moves behind the `Arc` as-is). [`BytesMut::split`] supports the real
 //! crate's buffer-reuse idiom (`reserve` → write → `split().freeze()`); unlike the
@@ -15,7 +16,8 @@ use std::sync::Arc;
 /// Cheaply cloneable, sliceable, immutable byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    /// `None`: the empty buffer `new` makes.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -24,7 +26,7 @@ impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
         Bytes {
-            data: Arc::new(Vec::new()),
+            data: None,
             start: 0,
             end: 0,
         }
@@ -37,11 +39,7 @@ impl Bytes {
 
     /// A buffer copied from an arbitrary slice.
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Bytes {
-            data: Arc::new(bytes.to_vec()),
-            start: 0,
-            end: bytes.len(),
-        }
+        Bytes::from(bytes.to_vec())
     }
 
     /// Number of bytes in the view.
@@ -72,7 +70,7 @@ impl Bytes {
             self.len()
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -80,7 +78,10 @@ impl Bytes {
 
     /// View as a plain byte slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 
     /// Copy the view into a fresh `Vec`.
@@ -112,7 +113,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::new(v),
+            data: Some(Arc::new(v)),
             start: 0,
             end,
         }
@@ -376,6 +377,8 @@ mod tests {
         assert_eq!(a, b);
         assert!(format!("{a:?}").contains("xy"));
         assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::new(), Bytes::from(Vec::new()));
+        assert_eq!(Bytes::new().slice(..).as_slice(), b"");
     }
 
     #[test]

@@ -444,16 +444,17 @@ impl Clock for ManualClock {
     }
 }
 
-/// Measures virtual durations against a shared clock.
+/// Measures virtual durations against a clock it borrows: starting one per request
+/// touches no reference count.
 #[derive(Clone)]
-pub struct Stopwatch {
-    clock: SharedClock,
+pub struct Stopwatch<'a> {
+    clock: &'a dyn Clock,
     start: SimTime,
 }
 
-impl Stopwatch {
+impl<'a> Stopwatch<'a> {
     /// Start a stopwatch now.
-    pub fn start(clock: SharedClock) -> Self {
+    pub fn start(clock: &'a dyn Clock) -> Self {
         let start = clock.now();
         Stopwatch { clock, start }
     }
@@ -482,7 +483,7 @@ impl Stopwatch {
     }
 }
 
-impl fmt::Debug for Stopwatch {
+impl fmt::Debug for Stopwatch<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Stopwatch")
             .field("start", &self.start)
@@ -592,7 +593,7 @@ mod tests {
     #[test]
     fn stopwatch_measures_virtual_time() {
         let clock: SharedClock = Arc::new(ScaledClock::new(1000.0));
-        let mut sw = Stopwatch::start(Arc::clone(&clock));
+        let mut sw = Stopwatch::start(clock.as_ref());
         clock.sleep(Duration::from_secs(3));
         assert!(sw.elapsed_secs() >= 2.9);
         let lap = sw.lap();

@@ -5,15 +5,124 @@
 //! RT = communication + service + inference). [`BreakdownRecorder`] collects one
 //! [`ComponentSample`] per entity (service instance, request) from any thread, and the
 //! harness aggregates them into per-component [`Summary`] statistics.
+//!
+//! # Recording is per thread, reading merges
+//!
+//! Every recorder here is [`Striped`]: a small fixed number of cache-line-padded
+//! stripes, each behind a mutex of its own, of which a recording thread always uses the
+//! same one (chosen by a thread-local index, handed out round-robin the first time a
+//! thread records anything). Two threads that record at the same time therefore share
+//! no lock and no cache line unless their indices collide (see `STRIPES`). Reads
+//! visit the stripes in index order and merge what they find, so a read sees **each
+//! thread's records in the order that thread made them, and promises nothing about
+//! the order of two threads' records relative to each other** — a reader that needs
+//! one must carry it in the value (a timestamp, an index). Counts, sums, summaries and
+//! percentiles do not depend on it.
+//!
+//! Series are kept in [`Blocks`]: appended to, never reallocated, never copied.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 
 use crate::stats::Summary;
+
+/// Stripes per recorder: few enough to merge on every read. Stripe indices are handed
+/// out process-wide to every thread that ever records (entity threads, pool workers,
+/// earlier sessions' threads), so two threads whose indices differ by a multiple of
+/// `STRIPES` share a stripe for as long as they live, and with more recorders than
+/// stripes (the paper's 16-client sweep) every stripe is shared. The count was chosen
+/// with at most two threads recording at once on a 2-vCPU host;
+/// `metrics/record_scalar/{1,2,16}` (`runtime_hotpaths` bench) reads what a record
+/// costs with more recorders than stripes.
+const STRIPES: usize = 8;
+
+/// One stripe, alone on its cache lines (two: adjacent lines are fetched in pairs).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Stripe<T>(Mutex<T>);
+
+/// `STRIPES` copies of a collector, one of which each thread records into (see the
+/// module docs). Nothing is allocated until a stripe's collector allocates.
+#[derive(Debug, Default)]
+pub struct Striped<T> {
+    stripes: [Stripe<T>; STRIPES],
+}
+
+impl<T> Striped<T> {
+    /// The calling thread's own stripe, locked.
+    pub fn local(&self) -> MutexGuard<'_, T> {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+        }
+        self.stripes[INDEX.with(|index| *index)].0.lock()
+    }
+
+    /// Every stripe in index order, each locked while it is looked at and no longer.
+    pub fn each(&self) -> impl Iterator<Item = MutexGuard<'_, T>> {
+        self.stripes.iter().map(|stripe| stripe.0.lock())
+    }
+}
+
+/// An append-only sequence kept in blocks that are never reallocated and never copied
+/// once made: the first holds 64 values, each later one twice as many as the one
+/// before, up to 4096. A series that grows for the length of a session costs one
+/// allocation per block and at most one block of slack.
+#[derive(Debug, Clone)]
+pub struct Blocks<T> {
+    blocks: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for Blocks<T> {
+    fn default() -> Self {
+        Blocks {
+            blocks: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T> Blocks<T> {
+    const FIRST_BLOCK: usize = 64;
+    const LARGEST_BLOCK: usize = 4096;
+
+    /// Append one value.
+    pub fn push(&mut self, value: T) {
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < block.capacity() => block.push(value),
+            _ => {
+                let room = self.blocks.last().map_or(Self::FIRST_BLOCK, |last| {
+                    (2 * last.capacity()).min(Self::LARGEST_BLOCK)
+                });
+                let mut block = Vec::with_capacity(room);
+                block.push(value);
+                self.blocks.push(block);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Number of values appended.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if nothing has been appended.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The values in the order they were appended.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.blocks.iter().flatten()
+    }
+}
 
 /// One measured sample decomposed into named components (all in virtual seconds).
 ///
@@ -61,7 +170,7 @@ impl ComponentSample {
 /// Thread-safe collector of [`ComponentSample`]s for one metric (e.g. "bootstrap_time").
 #[derive(Debug, Default)]
 pub struct BreakdownRecorder {
-    samples: Mutex<Vec<ComponentSample>>,
+    samples: Striped<Vec<ComponentSample>>,
 }
 
 impl BreakdownRecorder {
@@ -72,12 +181,12 @@ impl BreakdownRecorder {
 
     /// Record one sample.
     pub fn record(&self, sample: ComponentSample) {
-        self.samples.lock().push(sample);
+        self.samples.local().push(sample);
     }
 
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
-        self.samples.lock().len()
+        self.samples.each().map(|stripe| stripe.len()).sum()
     }
 
     /// True if nothing has been recorded.
@@ -85,43 +194,59 @@ impl BreakdownRecorder {
         self.len() == 0
     }
 
-    /// Snapshot of all samples recorded so far.
+    /// Snapshot of all samples recorded so far, each thread's in the order it
+    /// recorded them.
     pub fn samples(&self) -> Vec<ComponentSample> {
-        self.samples.lock().clone()
+        self.samples
+            .each()
+            .flat_map(|stripe| stripe.clone())
+            .collect()
     }
 
     /// Remove and return all samples.
     pub fn drain(&self) -> Vec<ComponentSample> {
-        std::mem::take(&mut *self.samples.lock())
+        self.samples
+            .each()
+            .flat_map(|mut stripe| std::mem::take(&mut *stripe))
+            .collect()
     }
 
     /// Per-component summary statistics across all samples. Components missing from a
     /// sample are simply not counted for that sample.
     pub fn component_summaries(&self) -> BTreeMap<String, Summary> {
-        let samples = self.samples.lock();
-        let mut per_component: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-        for s in samples.iter() {
-            for (name, value) in &s.components {
-                per_component.entry(name).or_default().push(*value);
-            }
-        }
-        per_component
-            .into_iter()
-            .map(|(name, values)| (name.to_string(), Summary::from_slice(&values)))
-            .collect()
+        component_summaries(&self.samples())
     }
 
     /// Summary of per-sample totals.
     pub fn total_summary(&self) -> Summary {
-        let totals: Vec<f64> = self.samples.lock().iter().map(|s| s.total()).collect();
-        Summary::from_slice(&totals)
+        total_summary(&self.samples())
     }
+}
+
+/// Per-component summary statistics of `samples`.
+pub fn component_summaries(samples: &[ComponentSample]) -> BTreeMap<String, Summary> {
+    let mut per_component: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+    for s in samples {
+        for (name, value) in &s.components {
+            per_component.entry(name).or_default().push(*value);
+        }
+    }
+    per_component
+        .into_iter()
+        .map(|(name, values)| (name.to_string(), Summary::from_slice(&values)))
+        .collect()
+}
+
+/// Summary of the per-sample totals of `samples`.
+pub fn total_summary(samples: &[ComponentSample]) -> Summary {
+    let totals: Vec<f64> = samples.iter().map(ComponentSample::total).collect();
+    Summary::from_slice(&totals)
 }
 
 /// Named registry of scalar metric series, shared across runtime components.
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
-    series: Mutex<BTreeMap<String, Vec<f64>>>,
+    series: Striped<BTreeMap<String, Blocks<f64>>>,
 }
 
 impl MetricRegistry {
@@ -130,21 +255,31 @@ impl MetricRegistry {
         Self::default()
     }
 
-    /// Append a value to the named series (creating it on first use — the only time
-    /// the name is copied).
+    /// Append a value to the named series, on the calling thread's stripe (creating
+    /// the series there on first use — the only time the name is copied).
     pub fn record(&self, name: &str, value: f64) {
-        let mut series = self.series.lock();
+        let mut series = self.series.local();
         match series.get_mut(name) {
             Some(values) => values.push(value),
-            None => {
-                series.insert(name.to_string(), vec![value]);
-            }
+            None => series.entry(name.to_string()).or_default().push(value),
         }
     }
 
     /// All values recorded under `name` (empty if unknown).
+    ///
+    /// **Order:** the values one thread recorded are in the order it recorded them;
+    /// values of different threads are grouped by thread, not interleaved by time (see
+    /// the module docs). Compare against a timeline only what one thread recorded, or
+    /// sort.
     pub fn values(&self, name: &str) -> Vec<f64> {
-        self.series.lock().get(name).cloned().unwrap_or_default()
+        let mut values = Vec::new();
+        for stripe in self.series.each() {
+            if let Some(series) = stripe.get(name) {
+                values.reserve(series.len());
+                values.extend(series.iter());
+            }
+        }
+        values
     }
 
     /// Summary statistics for `name`.
@@ -152,19 +287,28 @@ impl MetricRegistry {
         Summary::from_slice(&self.values(name))
     }
 
-    /// Names of all series recorded so far.
+    /// Names of all series recorded so far, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.series.lock().keys().cloned().collect()
+        let mut names = BTreeSet::new();
+        for stripe in self.series.each() {
+            names.extend(stripe.keys().cloned());
+        }
+        names.into_iter().collect()
     }
 
     /// Total number of values across all series.
     pub fn total_count(&self) -> usize {
-        self.series.lock().values().map(|v| v.len()).sum()
+        self.series
+            .each()
+            .map(|stripe| stripe.values().map(Blocks::len).sum::<usize>())
+            .sum()
     }
 
     /// Remove all series.
     pub fn clear(&self) {
-        self.series.lock().clear();
+        for mut stripe in self.series.each() {
+            stripe.clear();
+        }
     }
 }
 
@@ -267,6 +411,82 @@ mod tests {
         null_sink().record("dropped", 1.0);
         assert_eq!(seen.values("comm.fanout.width"), vec![3.0]);
         assert_eq!(seen.total_count(), 1);
+    }
+
+    #[test]
+    fn blocks_keep_order_and_never_move_what_they_hold() {
+        let mut blocks = Blocks::default();
+        assert!(blocks.is_empty());
+        blocks.push(0u64);
+        let first = blocks.iter().next().unwrap() as *const u64;
+        for i in 1..20_000u64 {
+            blocks.push(i);
+        }
+        assert_eq!(blocks.len(), 20_000);
+        assert!(blocks.iter().copied().eq(0..20_000));
+        assert_eq!(
+            blocks.iter().next().unwrap() as *const u64,
+            first,
+            "the first block is where it was 19 999 appends ago"
+        );
+        let room: usize = blocks.blocks.iter().map(Vec::capacity).sum();
+        assert!(
+            room - blocks.len() <= Blocks::<u64>::LARGEST_BLOCK,
+            "at most one block of slack: room for {room}"
+        );
+    }
+
+    #[test]
+    fn each_thread_reads_back_its_own_records_in_order() {
+        // More threads than stripes, so some share one: order within a thread holds
+        // either way, and nothing is lost or counted twice.
+        let m = Arc::new(MetricRegistry::new());
+        let r = Arc::new(BreakdownRecorder::new());
+        let threads = 2 * STRIPES;
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (m, r) = (Arc::clone(&m), Arc::clone(&r));
+                thread::spawn(move || {
+                    for i in 0..500 {
+                        m.record("x", (t * 1000 + i) as f64);
+                        if i % 100 == 0 {
+                            r.record(ComponentSample::new(format!("t{t}")).with("i", i as f64));
+                        }
+                    }
+                    m.record(if t % 2 == 0 { "even" } else { "odd" }, t as f64);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let values = m.values("x");
+        assert_eq!(values.len(), threads * 500);
+        for t in 0..threads {
+            let mine: Vec<f64> = values
+                .iter()
+                .copied()
+                .filter(|v| (*v as usize) / 1000 == t)
+                .collect();
+            let expected: Vec<f64> = (0..500).map(|i| (t * 1000 + i) as f64).collect();
+            assert_eq!(mine, expected, "thread {t}");
+        }
+        assert_eq!(m.names(), ["even", "odd", "x"]);
+        assert_eq!(m.total_count(), threads * 501);
+        assert_eq!(m.summary("even").count, threads / 2);
+        assert_eq!(r.len(), threads * 5);
+        for t in 0..threads {
+            let mine: Vec<f64> = r
+                .samples()
+                .iter()
+                .filter(|s| s.entity == format!("t{t}"))
+                .map(|s| s.component("i").unwrap())
+                .collect();
+            assert_eq!(mine, [0.0, 100.0, 200.0, 300.0, 400.0], "thread {t}");
+        }
+        assert_eq!(r.component_summaries()["i"].count, threads * 5);
+        assert_eq!(r.drain().len(), threads * 5);
+        assert!(r.is_empty());
     }
 
     #[test]

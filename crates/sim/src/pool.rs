@@ -125,6 +125,20 @@ impl RunCell {
         }
     }
 
+    /// Take a parked run without waking it: `Idle → Running` and nothing else — a run
+    /// somebody holds is left as it is, not notified. True if the caller now holds the
+    /// run and must [`Resume::resume`] it. This is how a sender takes a server's turn
+    /// *before* it queues its request (see `hpcml_comm::reqrep`).
+    pub fn try_hold(&self) -> bool {
+        // Looked at before it is written: a waiting sender polls this, and a failed
+        // compare-exchange would take the holder's cache line from it every time.
+        self.status.load(Ordering::Acquire) == IDLE
+            && self
+                .status
+                .compare_exchange(IDLE, RUNNING, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+    }
+
     /// Let go of a parked run. False if a wake-up landed meanwhile: the caller still
     /// holds the run and must advance it again.
     pub fn release(&self) -> bool {
@@ -506,6 +520,23 @@ mod tests {
         assert!(!cell.claim(QUEUED), "and only by the first");
         cell.finish();
         assert!(!cell.claim(QUEUED), "a finished run ignores wake-ups");
+        assert!(!cell.try_hold(), "and cannot be taken");
+    }
+
+    #[test]
+    fn try_hold_takes_a_parked_run_and_leaves_a_held_one_unnotified() {
+        let cell = RunCell::parked();
+        assert!(cell.try_hold());
+        assert!(!cell.try_hold(), "held: not taken twice");
+        assert!(
+            cell.release(),
+            "and the failed attempt left no wake-up behind"
+        );
+        assert!(cell.claim(QUEUED));
+        assert!(
+            !cell.try_hold(),
+            "a queued run belongs to the worker that pops it"
+        );
     }
 
     #[test]

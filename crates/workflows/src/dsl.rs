@@ -186,12 +186,13 @@ impl<'a> PipelineRunner<'a> {
 
     /// Run the pipeline to completion, returning a per-stage report.
     pub fn run(&self, pipeline: &Pipeline) -> Result<PipelineReport, RuntimeError> {
-        let total_watch = Stopwatch::start(self.session.clock());
+        let clock = self.session.clock();
+        let total_watch = Stopwatch::start(clock.as_ref());
         let mut stage_reports = Vec::with_capacity(pipeline.stages.len());
         let mut keep_alive: Vec<ServiceHandle> = Vec::new();
 
         for stage in &pipeline.stages {
-            let watch = Stopwatch::start(self.session.clock());
+            let watch = Stopwatch::start(clock.as_ref());
 
             // Bring services up first and wait for readiness — the runtime guarantees
             // this ordering anyway (service priority + after_service), but the workflow

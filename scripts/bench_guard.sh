@@ -35,7 +35,16 @@
 #      **virtual** time — the simulation's deterministic cost model — so the
 #      bounds are machine-independent and flat; the env overrides exist for
 #      intentional cost-model changes, not slow hardware. Recorded in their own
-#      baseline, BENCH_serving.json; or
+#      baseline, BENCH_serving.json. The same bench's serving/clients/{1,2} pair —
+#      real time: what one NOOP request costs a whole session with one closed-loop
+#      client and with two, against two services — must be present, and its ratio
+#      (two clients' aggregate requests per second over one client's, two numbers
+#      of this run) is printed, NOT bounded: ISSUE 20 asked for >= 1.3x on >= 2
+#      CPUs and the 2-vCPU reference host reads 0.8-1.0x (0.52-0.57x before senders
+#      took the service's turn themselves), so the bound is an open ROADMAP item
+#      rather than a check that either always fails or was fitted to the result.
+#      Below 2 CPUs the ratio is not printed. BENCH_serving.json records
+#      `host_cpus` beside the pair; or
 #   7. any comm_fabric datapoint (comm/fanout/{encode_once,clone_each}/{1,8,64},
 #      comm/batch/roundtrip/{singleton,batched_16}, comm/registry/lookup_churn)
 #      is missing from the comm bench's parsed results, or zero-copy fan-out at
@@ -262,6 +271,29 @@ if [[ -n "$SHED_ON_P99" && -n "$SHED_OFF_P99" ]]; then
         }' || fail=1
 fi
 
+# Guard 6, continued: one client vs two on the request path (real time, same run).
+# The pair must exist; its ratio is reported, not bounded (see the header).
+for point in "serving/clients/1" "serving/clients/2"; do
+    if ! echo "$SERVING_RESULTS" | grep -q "^$point "; then
+        echo "bench_guard: FAILED — $point missing from serving bench results" >&2
+        fail=1
+    fi
+done
+HOST_CPUS="$(nproc 2>/dev/null || echo 1)"
+CLIENTS_ONE="$(lookup "$SERVING_RESULTS" "serving/clients/1")"
+CLIENTS_TWO="$(lookup "$SERVING_RESULTS" "serving/clients/2")"
+if [[ "$HOST_CPUS" -lt 2 ]]; then
+    echo "report: serving/clients scaling not computed — $HOST_CPUS CPU, two clients cannot run side by side"
+elif [[ -n "$CLIENTS_ONE" && -n "$CLIENTS_TWO" ]]; then
+    awk -v one="$CLIENTS_ONE" -v two="$CLIENTS_TWO" -v cpus="$HOST_CPUS" '
+        BEGIN {
+            # ns per request of the whole session: requests per second is its inverse.
+            scaling = (two > 0) ? one / two : 0
+            printf "report: request path one client %.0f ns/request vs two clients %.0f ns/request: %.2fx requests per second on %d CPUs (ISSUE 20 target 1.3x, not enforced)\n", \
+                one, two, scaling, cpus
+        }'
+fi
+
 # Guard 7: the comm fabric. Mixed measurement kinds in one binary: the fan-out and
 # registry points are real nanoseconds of allocation-bound CPU work (host-independent
 # ratios), the batch round-trip points are virtual time from the link coalescing rule
@@ -327,8 +359,12 @@ if [[ -f "$BASELINE" ]]; then
 fi
 
 write_serving_baseline() { # write_serving_baseline <path>
-    echo "$SERVING_RESULTS" | awk '
-        BEGIN { print "{"; print "  \"unit\": \"virtual_ns_per_iter\"," }
+    echo "$SERVING_RESULTS" | awk -v cpus="$HOST_CPUS" '
+        BEGIN {
+            print "{"
+            print "  \"unit\": \"virtual_ns_per_iter (serving/clients/* real ns per request)\","
+            printf "  \"host_cpus\": %d,\n", cpus
+        }
         /^serving\// {
             if (n++) printf ",\n"
             printf "  \"%s\": %s", $1, $2

@@ -1884,11 +1884,15 @@ fn batched_burst_transport_matches_singleton_semantics() {
 /// The serving path under interleaving: N client threads — each a seeded mix of
 /// single requests and small batches, so that requests arrive while another client's
 /// thread is mid-pass through the front-end or a replica — against batch sizes {1, 4}
-/// and {1, 2} replicas. Whichever thread ends up advancing the runs (the requester, a
-/// different requester that was notified, a pool worker after a budget timer): every
-/// request is answered exactly once and with its own `request_id`, each client gets
-/// its replies in the order it sent, the service counts every request once, and
-/// nothing is outstanding when `serve` returns.
+/// and {1, 2} replicas, with 4 clients and with two more clients than the host has
+/// CPUs. With no more clients than CPUs a sender that finds the service's turn taken
+/// gets it within its bounded wait and serves itself; with more, holders are pre-empted
+/// mid-pass, waits run out and requests queue behind the holder — so every cell runs
+/// both the turn and its fallback. Whichever thread ends up advancing the runs (the
+/// requester, a different requester that was notified, a pool worker after a budget
+/// timer): every request is answered exactly once and with its own `request_id`, each
+/// client gets its replies in the order it sent, the service counts every request once,
+/// and nothing is outstanding when `serve` returns.
 #[test]
 fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
     use hpcml::comm::link::Link;
@@ -1901,13 +1905,13 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
     use std::sync::{Arc, Barrier};
     use std::time::Duration;
 
-    const CLIENTS: usize = 4;
     const REQUESTS: usize = 60;
 
-    for (case, (max_batch, replicas)) in [(1usize, 1usize), (4, 1), (1, 2), (4, 2)]
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cells = [(1usize, 1usize), (4, 1), (1, 2), (4, 2)]
         .into_iter()
-        .enumerate()
-    {
+        .flat_map(|(max_batch, replicas)| [4, cpus + 2].map(|n| (max_batch, replicas, n)));
+    for (case, (max_batch, replicas, n_clients)) in cells.enumerate() {
         let clock = ClockSpec::scaled(1000.0).build();
         let hosts: Vec<Arc<ModelHost>> = (0..replicas)
             .map(|i| {
@@ -1932,13 +1936,13 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
         ));
         let endpoint = ReqRepServer::new("prop.serving");
         let stop = Arc::new(AtomicBool::new(false));
-        let start = Arc::new(Barrier::new(CLIENTS));
-        let clients: Vec<_> = (0..CLIENTS)
+        let start = Arc::new(Barrier::new(n_clients));
+        let clients: Vec<_> = (0..n_clients)
             .map(|c| {
                 let client = endpoint.client(Link::instant(Arc::clone(&clock)));
                 let start = Arc::clone(&start);
                 std::thread::spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0x5E21 ^ ((case * CLIENTS + c) as u64));
+                    let mut rng = StdRng::seed_from_u64(0x5E21 ^ ((case * n_clients + c) as u64));
                     let mut answered: Vec<String> = Vec::new();
                     let mut largest_batch = 0usize;
                     start.wait();
@@ -1991,7 +1995,7 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
         }
         stop.store(true, Ordering::Release);
         let handled = serving.join().unwrap();
-        let total = CLIENTS * REQUESTS;
+        let total = n_clients * REQUESTS;
         assert_eq!(handled, total as u64, "case {case}: messages handled");
         assert_eq!(service.requests_served(), total as u64, "case {case}");
         assert_eq!(service.pool().total_outstanding(), 0, "case {case}");

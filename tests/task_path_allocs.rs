@@ -112,7 +112,7 @@ fn a_noop_task_stays_inside_its_allocation_budget() {
     for (handle, sent) in handles.iter().zip(frames.chunks(3)) {
         for (frame, state) in sent.iter().zip(["Scheduling", "Executing", "Done"]) {
             let mut eager = Message::new(format!("state.task.{state}"), "state.update")
-                .with_header("entity", handle.id())
+                .with_header("entity", handle.id().to_string())
                 .with_header("state", state);
             // Message ids count up process-wide; everything else must match to the byte.
             eager.id = Message::decode_view(frame).expect("a frame").id;
