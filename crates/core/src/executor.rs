@@ -835,7 +835,9 @@ impl Executor {
         if slot.is_gang() {
             // Gang placements queue for multi-node capacity, so their behaviour is
             // tracked separately from single-node placement waits — including how
-            // often narrower requests overtook the gang, how many members landed on
+            // often a later arrival was placed while the gang was parked and did not
+            // fit (`task.gang.overtakes`: passes the scheduler's walk made, never a
+            // race between requests that both fitted), how many members landed on
             // partially free nodes (co-resident with other slots), and how long the
             // gang spent in backfill-draining mode before enough nodes were reserved
             // (recorded whether the reservation completed via idle transitions or

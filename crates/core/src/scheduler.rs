@@ -11,128 +11,84 @@
 //! * service priority (pending service placements starve ordinary tasks, not vice versa),
 //! * immediate rejection of requests that could never be satisfied by the node shape,
 //! * gang placement: a multi-node MPI request (`ResourceRequest::nodes > 1`) parks in
-//!   the same FIFO queues and is granted atomically once enough idle nodes exist.
+//!   the same FIFO queues and is granted atomically once enough idle nodes exist,
+//! * a bounded backfill window, so that a blocked gang does not idle the pilot.
 //!
-//! ## Wait-queue front-end
+//! ## Capacity changes have the head serve the window
 //!
-//! There is one wait queue behind one lock and one way in (`enter`, which every
-//! blocking call and every poll goes through). The lock covers a service FIFO, a task
-//! FIFO and the single active backfill reservation. Each parked waiter owns its
-//! own *wake slot* — a condition variable for a blocked thread, a [`Waker`] for a
-//! polled placement (see "Polled placement" below) — so a release notifies the waiters
-//! in the serve window instead of `notify_all`-ing every parked waiter: a
-//! free-capacity event costs at most `lookahead` targeted wakeups regardless of queue
-//! depth (no thundering herd), and wakeup order is the arrival order. Newcomers never
-//! overtake parked waiters of their class: the fast path is only taken when no waiter
-//! of the relevant classes is parked, so arrival order is always recorded and the
-//! window below is the *only* overtaking mechanism.
+//! There is one wait queue behind one lock: a service FIFO, a task FIFO and the single
+//! active backfill reservation. A request that finds nobody of its class (and no
+//! service) parked tries the allocation at once; otherwise it parks in arrival order,
+//! so the window below is the *only* overtaking mechanism.
 //!
-//! * **Lock-free gates.** The numbers of parked services and parked tasks are mirrored
-//!   in two atomics that change only under the queue lock. A release reads them first
-//!   and takes no lock when nobody is parked — the common case of a burst whose
-//!   capacity never binds.
-//! * **Service priority.** Every task-side decision — fast path, serve window, drain
-//!   trigger, final attempt — is gated on the service FIFO being empty, and a
-//!   departure or release wakes the service window first; only when no service waits
-//!   does it wake the first `lookahead` tasks.
-//! * **Lock order.** queue → allocation, i.e. queue → drain controller → allocation
-//!   shards ascending. Wakers and condition variables are signalled under the queue
-//!   lock; a waker must therefore only enqueue.
+//! Parked waiters are placed by one walk (`serve`, placing through `place`), under the
+//! queue lock and **in arrival order**: the service FIFO first, the task FIFO only when
+//! no service is left parked, until [`Scheduler::lookahead`] waiters (default
+//! [`DEFAULT_WINDOW`]) have been denied. A waiter that fits is taken out of the queue,
+//! has its slot and [`PlacementStats`] put into its `Waiter`, and is notified — a
+//! condition variable for a blocked thread, the [`Waker`] of a polled placement, which
+//! must only enqueue. Equal requests of a class therefore place, and their blocked
+//! callers are woken, in arrival order, and nobody is woken to lose a race.
 //!
-//! ## Polled placement
+//! The walk runs in the *pass* of a waiter inside the window. Whoever changes what a
+//! waiter could get — [`Scheduler::release`], [`Scheduler::notify_capacity`], a waiter
+//! leaving the queue, a cancelled reservation — notifies the head of the serving class
+//! and places nobody itself: one wake per change, and by the time the head's owner
+//! looks, what a burst of releases frees has come together (see `serve` for what
+//! placing at once costs). Apart from walking, a pass takes what a walk left for its
+//! waiter, or — once the timeout has passed — makes one final attempt of its own (a
+//! task only when no service waits) and leaves: a waiter outside the window must not
+//! time out while capacity that fits it sits free. The blocking calls run
+//! `loop { pass; cond.wait_until(wake_at) }`, every sleep starting inside the lock
+//! hold of the pass before it; [`Scheduler::poll_placed`] runs one pass per call,
+//! `wake_at` (request timeout, gang drain threshold) going to the caller's timer.
+//! Everything else is the same code for both.
 //!
-//! The wait loop exists once, as three steps under the queue lock: *enter* (validate,
-//! fast path, park), one *pass* (window check, placement attempt, drain ageing,
-//! post-deadline final attempt — or "pending, look again by `wake_at`"), and *leave*
-//! (drain cleanup, overtake ticking, queue removal, window wake). The blocking calls
-//! run `loop { pass; cond.wait_until(wake_at) }`, every sleep starting inside the lock
-//! hold of the pass before it (a thread that wakes lets go of the lock and yields
-//! once, so that the waiter that woke it gets to return first);
-//! [`Scheduler::poll_placed`] runs one pass per call and returns, so a task can wait
-//! for a slot without owning a thread. A polled waiter's wake slot holds the caller's
-//! [`Waker`], stored when the first poll comes back pending. A notify that lands while
-//! the owner is between its pass and its park must lead to another poll — the
-//! executor's per-run status does that. The deadlines a blocked thread would have
-//! slept to (request timeout, gang drain threshold) come back as `wake_at` for the
-//! caller's timer. Everything else — service priority at every decision point,
-//! front-of-queue requeue, drain open/cancel/cleanup, overtake ageing, the exit wake —
-//! is the same code for both.
+//! * **Lock-free gate.** The numbers of parked services and tasks are mirrored in two
+//!   atomics that change only under the queue lock. A release reads them first and
+//!   takes no lock when nobody is parked — a burst whose capacity never binds. A
+//!   request that parks inside the window walks it in its first pass, under the lock
+//!   hold that recorded its arrival, so a release that read "nobody parked" a moment
+//!   earlier is not lost.
+//! * **Lock order.** queue → drain controller → allocation shards ascending.
 //!
-//! ## Bounded lookahead
+//! ## Ageing and gang backfill
 //!
-//! Strict FIFO implies head-of-line blocking: a wide gang at the head parks narrow
-//! requests behind it even when they would fit right now. A scheduler built with
-//! [`Scheduler::with_lookahead`] relaxes FIFO *within* a priority class: the first `k`
-//! parked waiters of the serving class may attempt placement, so a blocked wide gang
-//! lets smaller requests inside the window through while keeping its place at the
-//! head. Service priority stays absolute — tasks never place while any service
-//! waits, exactly as with `k = 1` — so the PR-1 guarantee that services are never
-//! starved by tasks holds for every window size. `k = 1` (the [`Scheduler::new`]
-//! default) is the strict-FIFO no-starvation behaviour.
+//! A window alone would let a wide head be passed for as long as narrower requests
+//! keep fitting. Every waiter the walk denies and then passes — a later arrival of
+//! its class fitted when it did not — has its overtake counter ticked. When the head
+//! is a gang whose counter exceeds [`Scheduler::max_overtakes`] (default
+//! [`DEFAULT_MAX_OVERTAKES`]; the walk goes back to the head the moment that happens)
+//! or whose wait exceeds [`Scheduler::gang_drain_after`], when set, the walk opens a
+//! backfill reservation for it ([`hpcml_platform::batch::Allocation::begin_drain`]):
+//! nodes are pinned to the gang as they free up, invisible to every other request,
+//! until `req.nodes` have accumulated and the walk places the gang through the
+//! reservation. The window keeps backfilling *around* the pinned nodes.
 //!
-//! ## Gang backfill with ageing
+//! Every placement resolves a [`GangPacking`] policy first: an explicit
+//! [`ResourceRequest::packing`] wins, otherwise the scheduler's default
+//! ([`GangPacking::Partial`] unless [`Scheduler::with_gang_packing`] says otherwise).
+//! Under `Partial` a gang best-fits across partially free nodes and a drain pins a
+//! node as soon as its headroom covers one member share, so sub-node churn that never
+//! idles a node cannot starve a draining gang; under `Whole` members claim, and drains
+//! pin, idle nodes only.
 //!
-//! `k > 1` alone would let a wide head be overtaken indefinitely while narrower window
-//! requests keep fitting. The scheduler therefore ages the head: every time a later
-//! arrival of the same class places first, the overtaken waiters' counters tick, and
-//! when the head is a gang whose counter exceeds [`Scheduler::max_overtakes`] (default
-//! [`DEFAULT_MAX_OVERTAKES`]) — or whose wait exceeds [`Scheduler::gang_drain_after`],
-//! when set — it flips into *draining* mode. Draining opens a backfill reservation on
-//! the allocation ([`hpcml_platform::batch::Allocation::begin_drain`]): idle nodes are
-//! pinned to the gang as they free up, invisible to every other request, until
-//! `req.nodes` have accumulated and the gang places atomically. Requests inside the
-//! lookahead window still backfill *around* the reservation on non-reserved capacity,
-//! so throughput is preserved while starvation becomes bounded: once draining, the
-//! gang places as soon as each non-reserved node has once freed enough capacity for
-//! one member share (a full idle transition under [`GangPacking::Whole`]; any
-//! share-covering headroom under [`GangPacking::Partial`] — see the packing section
-//! below). Set both knobs to `None` to restore the pure PR-2 lookahead behaviour.
-//!
-//! ## Gang packing: whole vs partial nodes
-//!
-//! Every placement resolves a [`GangPacking`] policy before touching the allocation:
-//! an explicit [`ResourceRequest::packing`] wins, otherwise the scheduler's
-//! session-level default applies ([`GangPacking::Partial`] unless
-//! [`Scheduler::with_gang_packing`] / `SessionBuilder::gang_packing` says otherwise).
-//! Under `Partial`, a gang best-fits across *partially free* nodes — each member
-//! lands beside existing slots wherever one member share of headroom is free — and a
-//! draining gang pins nodes as soon as their headroom covers a share, even while
-//! co-tenants still run (the pinned-partial reservation state). That closes the
-//! documented sub-node-churn starvation gap: a stream of sub-node tasks that never
-//! lets any node go fully idle can no longer delay a draining gang indefinitely,
-//! because pinning captures share-sized headroom, not just idle transitions. Under
-//! `Whole` the PR-3 behaviour is preserved exactly: members claim only fully idle
-//! nodes and drains pin only idle transitions. The resolved policy flows through the
-//! lookahead window's fit attempts, the drain trigger, and the reservation itself.
-//!
-//! Drain lifecycle: at most one reservation is active per allocation — only the head
-//! of the serving class drains. A draining gang that times out cancels its
-//! reservation on the way out, returning every pinned node to its headroom class.
-//! And because service priority is absolute, a *service* parking while a task-class
-//! reservation is active cancels that drain (the task head re-opens it once no
-//! service waits), so pinned nodes can never idle-block a waiting service.
-//!
-//! One further deliberate deviation: a waiter whose timeout expires makes one explicit
-//! final allocation attempt even when it is outside the window (services still shield
-//! themselves from tasks). A timing-out waiter leaving empty-handed while fitting
-//! capacity sits free would be strictly worse; the head is re-woken on the next
-//! release and keeps its place.
+//! At most one reservation is active — only the head of the serving class drains. A
+//! draining gang that times out or is cancelled returns its pinned nodes, and a
+//! *service* that parks cancels a task-class reservation (the task head re-opens it
+//! once no service waits): pinned nodes never idle-block a service.
 //!
 //! ## Node failure & requeue
 //!
 //! When a node fails, its co-resident slots are evicted by the allocation
 //! ([`hpcml_platform::batch::Allocation::fail_node`]) and their owners discover the
 //! loss through [`Scheduler::slot_lost`]. A victim re-enters placement through
-//! [`Scheduler::requeue`], which parks at the *front* of its priority-class queue:
-//! the task already waited its turn once, so the failure must not send it to the back
-//! behind arrivals it had previously beaten.
-//! [`Scheduler::release`] tolerates [`ResourceError::NodeFailed`] — the allocation
-//! already reclaimed the slot's resources on eviction, so the scheduler still
-//! decrements its outstanding count and passes the wakeup on, surfacing the error
-//! only so the caller can tell the two paths apart. [`Scheduler::notify_capacity`]
-//! lets the pilot layer re-probe parked waiters after an allocation grows
-//! ([`hpcml_platform::batch::Allocation::expand`]), which releases no slot and would
-//! otherwise wake nobody.
+//! [`Scheduler::requeue`], which parks at the *front* of its class: it already waited
+//! its turn once. [`Scheduler::release`] tolerates [`ResourceError::NodeFailed`] — the
+//! eviction already reclaimed the resources, so the slot is retired and the head
+//! notified, the error surfacing only so the caller can tell the two paths apart.
+//! [`Scheduler::notify_capacity`] notifies it after an allocation grows
+//! ([`hpcml_platform::batch::Allocation::expand`]), which releases no slot.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -142,13 +98,18 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use hpcml_platform::batch::Allocation;
+use hpcml_platform::batch::{Allocation, PlacementProbes};
 use hpcml_platform::resources::{GangPacking, ResourceError, ResourceRequest, Slot};
 
 use crate::error::RuntimeError;
 
 /// Default overtake budget before a parked head gang flips into draining mode.
 pub const DEFAULT_MAX_OVERTAKES: u32 = 16;
+
+/// How many denied waiters of the serving class a walk looks past: on the plateau of
+/// the `task_queue` sweep (1: 2 058, 2: 2 107, 3: 2 147, 4: 2 142–2 155, 8: 2 148,
+/// 16: 2 150, 32: 2 146 tasks/s), and what both callers that set a width had picked.
+pub const DEFAULT_WINDOW: usize = 4;
 
 /// How a parked waiter is resumed: a thread blocked in [`Scheduler::allocate`] and
 /// friends sleeps on a condition variable of its own; a polled placement
@@ -159,26 +120,29 @@ enum WakeSlot {
     Task(Waker),
 }
 
-/// One parked placement request with its own wake slot, so a releaser can target it:
-/// wakeups are O(1) and ordered.
+/// What a wait ends in.
+type Placed = Result<(Slot, PlacementStats), RuntimeError>;
+
+/// One parked placement request: what the walk needs to place it on its owner's
+/// behalf, and where it leaves the outcome.
 struct Waiter {
+    /// The request, its gang packing resolved.
+    req: ResourceRequest,
+    /// When the wait began (real time): the ageing clock.
+    parked_at: Instant,
     /// Armed under the queue lock when the waiter's first pass over the wait loop comes
     /// back pending. A notify before that is a no-op: that first pass is still to come
     /// and reads, under the same lock, the state the notify announced.
     wake: OnceLock<WakeSlot>,
-    /// How many later arrivals of this waiter's class placed while it stayed parked.
+    /// How many later arrivals of this waiter's class were placed while it was denied.
     /// Ticked under the queue lock; atomic only because the waiter is shared.
     overtakes: AtomicU32,
+    /// The outcome, from the walk that took this waiter out of the queue. Written and
+    /// taken under the queue lock; a mutex only because the waiter is shared.
+    served: Mutex<Option<Placed>>,
 }
 
 impl Waiter {
-    fn new() -> Arc<Self> {
-        Arc::new(Waiter {
-            wake: OnceLock::new(),
-            overtakes: AtomicU32::new(0),
-        })
-    }
-
     fn notify(&self) {
         match self.wake.get() {
             Some(WakeSlot::Thread(cond)) => {
@@ -206,6 +170,9 @@ struct ActiveDrain {
     owner: Arc<Waiter>,
     /// Class of the owner — a parking service cancels a task-class drain.
     priority: Priority,
+    /// When the drain began (real time): `drain_secs` covers only an interval that
+    /// ends in a reserved placement, so the clock goes with a cancelled reservation.
+    since: Instant,
 }
 
 /// Everything behind the queue lock: one arrival-ordered FIFO per priority class and
@@ -234,7 +201,10 @@ pub enum Priority {
 /// `task.gang.drain_secs` / `task.placement.shard_probes` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlacementStats {
-    /// How many later arrivals of the same class placed while this request waited.
+    /// How many later arrivals of the same class were placed while this request was
+    /// parked and did not fit: ticked by the walk for the waiters it denied and then
+    /// passed (and by a timed-out waiter's final attempt for those ahead of it) —
+    /// never by a race between requests that would both have fitted.
     pub overtakes: u32,
     /// Real seconds spent in draining mode before placing (`None` = never drained).
     pub drain_secs: Option<f64>,
@@ -251,7 +221,6 @@ pub struct PlacementStats {
 /// would block the FIFO behind it forever.
 #[must_use = "a placement must be polled to Ready or cancelled"]
 pub struct Placement {
-    /// The request; its gang packing is resolved on entry.
     req: ResourceRequest,
     priority: Priority,
     /// Park at the front of the class queue (node-failure requeue).
@@ -259,10 +228,8 @@ pub struct Placement {
     /// When the wait began (real time): the ageing clock and the deadline base.
     parked_at: Instant,
     deadline: Instant,
-    /// The waiter, while the request holds a queue place.
+    /// The waiter, from parking until the wait's outcome has been handed out.
     queued: Option<Arc<Waiter>>,
-    /// When this waiter began draining (real time), for the drain_secs metric.
-    drained_at: Option<Instant>,
 }
 
 impl Placement {
@@ -277,7 +244,6 @@ impl Placement {
             parked_at,
             deadline: parked_at + timeout,
             queued: None,
-            drained_at: None,
         }
     }
 
@@ -289,13 +255,9 @@ impl Placement {
             ..Placement::new(req, priority, timeout)
         }
     }
-
-    fn waiter(&self) -> &Arc<Waiter> {
-        self.queued.as_ref().expect("only a parked placement waits")
-    }
 }
 
-/// What one [`Scheduler::poll_placed`] call found.
+/// What one [`Scheduler::poll_placed`] call — one pass over the wait loop — found.
 #[derive(Debug)]
 pub enum PlacementPoll {
     /// The wait is over: the slot with its [`PlacementStats`], or why there is none.
@@ -315,14 +277,6 @@ enum Entered<'a> {
     Parked(MutexGuard<'a, QueueState>),
 }
 
-/// What one pass over the wait loop decided.
-enum Pass {
-    /// Leave the queue with this result (slot and allocator shard probes).
-    Ready(Result<(Slot, u32), RuntimeError>),
-    /// Stay parked until notified or `wake_at`.
-    Pending { wake_at: Instant },
-}
-
 /// Scheduler bound to one pilot allocation.
 ///
 /// Lock order: queue → allocation (drain controller, then allocation shards
@@ -332,13 +286,12 @@ pub struct Scheduler {
     /// The wait queue: both class FIFOs and the active drain.
     queue: Mutex<QueueState>,
     /// Parked services and parked tasks, changed only under the queue lock and read
-    /// without it by [`Scheduler::wake_windows`] and the accessors.
+    /// without it by [`Scheduler::capacity_changed`] and the accessors.
     waiting_services: AtomicUsize,
     waiting_tasks: AtomicUsize,
     /// Total slots handed out and not yet released (for observability).
     outstanding: AtomicUsize,
-    /// Serve window: how many parked waiters of the serving class may attempt a
-    /// placement. 1 = strict FIFO; service priority is absolute at every size.
+    /// Serve window: how many denied waiters of the serving class a walk looks past.
     lookahead: usize,
     /// Overtake budget before a parked head gang flips to draining (`None` = never
     /// drain on overtakes).
@@ -365,15 +318,14 @@ impl std::fmt::Debug for Scheduler {
 }
 
 impl Scheduler {
-    /// Create a strict-FIFO scheduler over the given allocation (lookahead 1).
+    /// Create a scheduler over the given allocation, with a serve window of
+    /// [`DEFAULT_WINDOW`].
     pub fn new(allocation: Arc<Allocation>) -> Self {
-        Scheduler::with_lookahead(allocation, 1)
+        Scheduler::with_lookahead(allocation, DEFAULT_WINDOW)
     }
 
-    /// Create a scheduler serving the first `lookahead` parked waiters of the
-    /// serving class that fit (head-of-line relief for mixed request widths within a
-    /// priority class; tasks still never overtake a waiting service). Clamped to at
-    /// least 1.
+    /// [`Scheduler::new`] with the serve window pinned to `lookahead` (at least 1,
+    /// which is strict FIFO within a class) — for tests that need a given width.
     pub fn with_lookahead(allocation: Arc<Allocation>, lookahead: usize) -> Self {
         Scheduler {
             allocation,
@@ -399,8 +351,7 @@ impl Scheduler {
 
     /// Set the overtake budget: a head gang overtaken more than `budget` times flips
     /// into draining mode. `None` disables overtake-triggered draining (with
-    /// [`Scheduler::with_gang_drain_after`] also `None`, gangs never drain — the pure
-    /// bounded-lookahead behaviour).
+    /// [`Scheduler::with_gang_drain_after`] also `None`, gangs never drain).
     pub fn with_max_overtakes(mut self, budget: Option<u32>) -> Self {
         self.max_overtakes = budget;
         self
@@ -419,7 +370,7 @@ impl Scheduler {
         &self.allocation
     }
 
-    /// The serve-window size (1 = strict FIFO).
+    /// The serve-window size.
     pub fn lookahead(&self) -> usize {
         self.lookahead
     }
@@ -456,97 +407,218 @@ impl Scheduler {
         self.waiting_tasks.load(Ordering::Acquire)
     }
 
-    /// Whether a parked waiter at `position` within its class queue may attempt a
-    /// placement: within the first `lookahead` entries, and — for tasks — only
-    /// while no service waits (service priority is absolute for every window size).
-    fn in_window(&self, st: &QueueState, priority: Priority, position: usize) -> bool {
-        position < self.lookahead && (priority == Priority::Service || st.services.is_empty())
+    /// The FIFO of `priority` and the atomic that mirrors its length.
+    fn class<'a>(
+        &'a self,
+        st: &'a mut QueueState,
+        priority: Priority,
+    ) -> (&'a mut VecDeque<Arc<Waiter>>, &'a AtomicUsize) {
+        match priority {
+            Priority::Service => (&mut st.services, &self.waiting_services),
+            Priority::Task => (&mut st.tasks, &self.waiting_tasks),
+        }
     }
 
-    /// Whether the parked `waiter` — eligible but just denied a placement — should
-    /// flip into draining mode: it is a gang at the head of its class, no other
-    /// drain is active, draining is enabled, and either its overtake budget is spent
-    /// or it has waited past the age threshold. A task head never opens a drain
-    /// while a service waits (the reservation would hold nodes the service must get
-    /// first).
-    fn should_drain(
-        &self,
-        st: &QueueState,
-        placement: &Placement,
-        position: Option<usize>,
-    ) -> bool {
-        if !placement.req.is_gang() || st.drain.is_some() || position != Some(0) {
-            return false;
-        }
-        if placement.priority == Priority::Task && !st.services.is_empty() {
-            return false;
-        }
-        let overtaken = self
-            .max_overtakes
-            .is_some_and(|budget| placement.waiter().overtakes.load(Ordering::Relaxed) > budget);
-        let aged = self
-            .gang_drain_after
-            .is_some_and(|after| placement.parked_at.elapsed() >= after);
-        overtaken || aged
+    /// Whether `waiter` — the head of the serving class, just denied — has aged out of
+    /// plain waiting: a gang, no drain active, draining enabled, and its overtake
+    /// budget spent or its wait past the age threshold.
+    fn should_drain(&self, st: &QueueState, waiter: &Waiter) -> bool {
+        waiter.req.is_gang()
+            && st.drain.is_none()
+            && (self
+                .max_overtakes
+                .is_some_and(|budget| waiter.overtakes.load(Ordering::Relaxed) > budget)
+                || self
+                    .gang_drain_after
+                    .is_some_and(|after| waiter.parked_at.elapsed() >= after))
     }
 
     /// Cancel the active drain when `condition` holds for it, returning its pinned
-    /// nodes to the idle bucket. The owner discovers the loss on its next wakeup
-    /// (its ownership test fails) and falls back to plain waiting.
-    fn cancel_drain_if(&self, st: &mut QueueState, condition: impl FnOnce(&ActiveDrain) -> bool) {
-        if let Some(active) = st.drain.take_if(|d| condition(d)) {
+    /// nodes to their headroom class, and say whether one was cancelled (capacity
+    /// came back: the caller has the window served).
+    fn cancel_drain_if(
+        &self,
+        st: &mut QueueState,
+        condition: impl FnOnce(&ActiveDrain) -> bool,
+    ) -> bool {
+        let cancelled = st.drain.take_if(|d| condition(d));
+        if let Some(active) = &cancelled {
             let _ = self.allocation.cancel_drain(active.id);
+        }
+        cancelled.is_some()
+    }
+
+    /// The one place a parked waiter is placed, under the queue lock: through its
+    /// reservation while it owns the drain, off the free capacity otherwise; a
+    /// denied `head` that has aged out opens a reservation, which the nodes idle
+    /// right now may complete outright.
+    fn place(
+        &self,
+        st: &mut QueueState,
+        waiter: &Arc<Waiter>,
+        priority: Priority,
+        head: bool,
+    ) -> Result<(Slot, PlacementStats), ResourceError> {
+        let placed = |(slot, probes): (Slot, PlacementProbes), drained: Option<Instant>| {
+            let stats = PlacementStats {
+                overtakes: waiter.overtakes.load(Ordering::Relaxed),
+                drain_secs: drained.map(|since| since.elapsed().as_secs_f64()),
+                shard_probes: probes.shard_probes,
+            };
+            (slot, stats)
+        };
+        let reserved = |st: &mut QueueState, id: u64, since: Instant| {
+            let found = self
+                .allocation
+                .allocate_reserved_with_stats(id, &waiter.req)?;
+            st.drain = None; // consumed with the placement
+            Ok::<_, ResourceError>(placed(found, Some(since)))
+        };
+        let mine = st.drain.as_ref().filter(|d| Arc::ptr_eq(&d.owner, waiter));
+        if let Some((id, since)) = mine.map(|d| (d.id, d.since)) {
+            match reserved(st, id, since) {
+                // Cancelled on the allocation itself (its handle is public): back to
+                // plain waiting.
+                Err(ResourceError::UnknownDrain(_)) => st.drain = None,
+                outcome => return outcome,
+            }
+        }
+        let denied = match self.allocation.allocate_slot_with_stats(&waiter.req) {
+            Ok(found) => return Ok(placed(found, None)),
+            Err(e) => e,
+        };
+        if head && denied == ResourceError::InsufficientResources && self.should_drain(st, waiter) {
+            match self.allocation.begin_drain(&waiter.req) {
+                Ok(id) => {
+                    let since = Instant::now();
+                    st.drain = Some(ActiveDrain {
+                        id,
+                        owner: Arc::clone(waiter),
+                        priority,
+                        since,
+                    });
+                    return reserved(st, id, since);
+                }
+                // Raced by another allocation user — or the pilot is currently too
+                // small for the gang; the next walk tries again.
+                Err(ResourceError::DrainActive | ResourceError::InsufficientResources) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Err(denied)
+    }
+
+    /// Serve the window, under the queue lock: in arrival order, services first and
+    /// tasks only once no service is left parked, place whoever fits until `lookahead`
+    /// waiters have been denied. A waiter that fits leaves the queue with its outcome
+    /// and is notified (unless this is its own pass — `walker` takes the outcome when the
+    /// walk is over); the ones it passed are ticked, and the walk returns to a head
+    /// gang whose budget that spent, so that its reservation opens before anyone else
+    /// passes it.
+    ///
+    /// Only the pass of a waiter inside the window walks. Whoever frees capacity
+    /// notifies the head instead of placing anybody itself, and by the time the head's
+    /// owner looks, what a burst of releases frees — a gang's nodes, equal tasks ending
+    /// together — has come together: the head has first pick, and the allocation packs
+    /// the rest instead of refilling each hole where it opened. Measured on
+    /// `task_queue`, a releaser that walks the whole window itself: 2 102 tasks/s, 0.075
+    /// of the slots idle, 23 overtakes per gang (the head's pass: 2 155, 0.038, 2.3; ten
+    /// alternating runs); one that places only up to the first denial: no different at
+    /// a window of 4, 1 901 against 2 058 at a window of 1 (one run each).
+    fn serve(&self, st: &mut QueueState, walker: &Arc<Waiter>) {
+        for priority in [Priority::Service, Priority::Task] {
+            let mut denied = 0; // waiters looked at and left parked
+            while denied < self.lookahead {
+                let (queue, _) = self.class(st, priority);
+                let Some(waiter) = queue.get(denied).cloned() else {
+                    break;
+                };
+                // Whoever asks for no less than a waiter this walk has denied cannot
+                // fit either — unless a release got in between (it frees its slot
+                // before it takes this lock), and then the earlier one fits too and is
+                // for the walk that release asks for. The owner of the reservation is
+                // tried regardless: what it waits for is pinned, not free, and a
+                // requeued narrower request may sit ahead of it.
+                let hopeless = |d: &Arc<Waiter>| asks_no_less(&waiter.req, &d.req);
+                let hopeless = queue.iter().take(denied).any(hopeless);
+                let pinned = |d: &ActiveDrain| Arc::ptr_eq(&d.owner, &waiter);
+                let outcome = if hopeless && !st.drain.as_ref().is_some_and(pinned) {
+                    Err(ResourceError::InsufficientResources)
+                } else {
+                    self.place(st, &waiter, priority, denied == 0)
+                };
+                if matches!(outcome, Err(ResourceError::InsufficientResources)) {
+                    denied += 1;
+                    continue;
+                }
+                let outcome = outcome.map_err(RuntimeError::Resource);
+                let unpinned = self.unpark(st, priority, denied);
+                if outcome.is_ok() {
+                    self.outstanding.fetch_add(1, Ordering::AcqRel);
+                }
+                if unpinned || (outcome.is_ok() && self.pass_over(st, priority, denied)) {
+                    denied = 0;
+                }
+                *waiter.served.lock() = Some(outcome);
+                if !Arc::ptr_eq(&waiter, walker) {
+                    waiter.notify();
+                }
+            }
+            if !st.services.is_empty() {
+                return; // tasks never place while a service waits
+            }
         }
     }
 
-    /// Wake the waiters in the serve window: the service window when a service
-    /// waits, the task window otherwise. With nobody parked — every release of a
-    /// burst whose capacity never binds — this takes no lock. Called with the queue
-    /// lock **not** held. Because a waiter goes to sleep only from a pass, inside the
-    /// condvar wait that gives up the queue lock that pass ran under, a notification
-    /// issued under the queue lock is never lost: it finds the waiter asleep, or a
-    /// pass still ahead.
-    fn wake_windows(&self) {
-        if self.waiting_services.load(Ordering::Acquire) == 0
-            && self.waiting_tasks.load(Ordering::Acquire) == 0
-        {
-            return;
+    /// Tick the first `passed` waiters of `priority`: a later arrival was just placed
+    /// while they were denied. True when that spent the head's budget.
+    fn pass_over(&self, st: &QueueState, priority: Priority, passed: usize) -> bool {
+        let queue = match priority {
+            Priority::Service => &st.services,
+            Priority::Task => &st.tasks,
+        };
+        for waiter in queue.iter().take(passed) {
+            waiter.overtakes.fetch_add(1, Ordering::Relaxed);
         }
-        let st = self.queue.lock();
+        passed > 0 && self.should_drain(st, &queue[0])
+    }
+
+    /// Take the waiter at `position` out of its class queue; a reservation it still
+    /// owns goes with it (true then: its pinned nodes are back).
+    fn unpark(&self, st: &mut QueueState, priority: Priority, position: usize) -> bool {
+        let (queue, waiting) = self.class(st, priority);
+        let waiter = queue.remove(position).expect("position of a parked waiter");
+        waiting.fetch_sub(1, Ordering::AcqRel);
+        self.cancel_drain_if(st, |d| Arc::ptr_eq(&d.owner, &waiter))
+    }
+
+    /// Have the head of the serving class look: something changed that its walk has
+    /// not seen.
+    fn nudge(&self, st: &QueueState) {
         let serving = if st.services.is_empty() {
             &st.tasks
         } else {
             &st.services
         };
-        for waiter in serving.iter().take(self.lookahead) {
-            waiter.notify();
+        if let Some(head) = serving.front() {
+            head.notify();
         }
     }
 
-    /// Append `waiter` to its class queue (front on requeue) and bump the waiting
-    /// counter. A parking service also cancels an active task-class drain: service
-    /// priority extends to reservations, so pinned nodes can never idle-block a
-    /// service. The task head re-opens its drain once no service waits (its
-    /// overtake count is preserved).
-    fn park(&self, st: &mut QueueState, waiter: &Arc<Waiter>, priority: Priority, requeue: bool) {
-        let (queue, waiting) = match priority {
-            Priority::Service => (&mut st.services, &self.waiting_services),
-            Priority::Task => (&mut st.tasks, &self.waiting_tasks),
-        };
-        if requeue {
-            queue.push_front(Arc::clone(waiter));
-        } else {
-            queue.push_back(Arc::clone(waiter));
+    /// Capacity appeared. With nobody parked — every release of a burst whose
+    /// capacity never binds — this takes no lock.
+    fn capacity_changed(&self) {
+        if self.waiting_services.load(Ordering::Acquire) == 0
+            && self.waiting_tasks.load(Ordering::Acquire) == 0
+        {
+            return;
         }
-        waiting.fetch_add(1, Ordering::AcqRel);
-        if priority == Priority::Service {
-            self.cancel_drain_if(st, |d| d.priority == Priority::Task);
-        }
+        self.nudge(&self.queue.lock());
     }
 
     /// Allocate a slot, blocking (up to `timeout` of real time) until resources are
     /// available. Requests are served in FIFO order within their priority class,
-    /// relaxed only by the bounded lookahead window; task-priority requests
+    /// relaxed only by the bounded serve window; task-priority requests
     /// additionally wait while any service placement is pending, so services are
     /// never starved by a flood of tasks. A gang request (`req.nodes > 1`) waits
     /// like any other request until enough idle nodes exist, then claims them
@@ -612,7 +684,7 @@ impl Scheduler {
     /// poll again rather than be dropped.
     ///
     /// This is [`Scheduler::allocate`] with the thread taken out: both run the same
-    /// entry, pass and exit code, and a blocking caller is
+    /// entry and pass, and a blocking caller is
     /// `loop { pass; cond.wait_until(wake_at) }` under the queue lock.
     pub fn poll_placed(&self, placement: &mut Placement, waker: &Waker) -> PlacementPoll {
         let mut st = match self.enter(placement) {
@@ -620,45 +692,28 @@ impl Scheduler {
             Ok(Entered::Placed(placed)) => return PlacementPoll::Ready(Ok(placed)),
             Ok(Entered::Parked(st)) => st,
         };
-        match self.pass(&mut st, placement) {
-            Pass::Ready(result) => PlacementPoll::Ready(self.leave(st, placement, result)),
-            Pass::Pending { wake_at } => {
-                placement
-                    .waiter()
-                    .wake
-                    .get_or_init(|| WakeSlot::Task(waker.clone()));
-                PlacementPoll::Pending { wake_at }
-            }
+        let poll = self.pass(&mut st, placement);
+        if let (PlacementPoll::Pending { .. }, Some(waiter)) = (&poll, &placement.queued) {
+            waiter.wake.get_or_init(|| WakeSlot::Task(waker.clone()));
         }
+        poll
     }
 
     /// Drive `placement` to its result on the calling thread, sleeping on the
     /// waiter's condition variable between passes. Every sleep begins inside the
     /// lock hold of the pass that came back pending, so a notification issued under
     /// the queue lock is never lost.
-    fn block_on(&self, mut placement: Placement) -> Result<(Slot, PlacementStats), RuntimeError> {
+    fn block_on(&self, mut placement: Placement) -> Placed {
         let mut st = match self.enter(&mut placement)? {
             Entered::Placed(placed) => return Ok(placed),
             Entered::Parked(st) => st,
         };
         loop {
             match self.pass(&mut st, &mut placement) {
-                Pass::Ready(result) => return self.leave(st, &mut placement, result),
-                Pass::Pending { wake_at } => {
-                    placement
-                        .waiter()
-                        .thread_cond()
-                        .wait_until(&mut st, wake_at);
-                    // Whoever woke this thread — usually the waiter served just before
-                    // it, passing the wake on — is often preempted by it a few
-                    // instructions short of returning (on a small VM the wakee runs
-                    // on the waker's CPU at once). Let it finish first, so that blocked
-                    // callers come back in the order they were served. A notification
-                    // that lands while the lock is dropped is covered by the pass that
-                    // follows.
-                    drop(st);
-                    std::thread::yield_now();
-                    st = self.queue.lock();
+                PlacementPoll::Ready(result) => return result,
+                PlacementPoll::Pending { wake_at } => {
+                    let waiter = placement.queued.as_ref().expect("pending means parked");
+                    waiter.thread_cond().wait_until(&mut st, wake_at);
                 }
             }
         }
@@ -681,9 +736,7 @@ impl Scheduler {
         }
 
         // Resolve the gang packing policy once, up front: an explicit request-level
-        // policy wins, otherwise the scheduler's session default applies. Every fit
-        // attempt below — fast path, lookahead window, drain, final try — uses the
-        // resolved request, so the allocation layer never guesses.
+        // policy wins, otherwise the scheduler's session default applies.
         placement.req = placement.req.or_packing(self.gang_packing);
         let priority = placement.priority;
 
@@ -694,9 +747,7 @@ impl Scheduler {
         // newcomers always queue when anyone of their class waits, so a stream of
         // arrivals can never rotate through the window without recording arrival
         // order.
-        let fast_eligible =
-            st.services.is_empty() && (priority == Priority::Service || st.tasks.is_empty());
-        if fast_eligible {
+        if st.services.is_empty() && (priority == Priority::Service || st.tasks.is_empty()) {
             match self.allocation.allocate_slot_with_stats(&placement.req) {
                 Ok((slot, probes)) => {
                     self.outstanding.fetch_add(1, Ordering::AcqRel);
@@ -714,226 +765,124 @@ impl Scheduler {
         }
 
         // Slow path: park in arrival order — or, for a node-failure requeue, at the
-        // front of the class queue (the request already waited its turn once) — and
-        // wait for a targeted wakeup.
-        let waiter = Waiter::new();
-        self.park(&mut st, &waiter, priority, placement.requeue);
+        // front of the class queue (the request already waited its turn once).
+        let waiter = Arc::new(Waiter {
+            req: placement.req,
+            parked_at: placement.parked_at,
+            wake: OnceLock::new(),
+            overtakes: AtomicU32::new(0),
+            served: Mutex::new(None),
+        });
+        let (queue, waiting) = self.class(&mut st, priority);
+        if placement.requeue {
+            queue.push_front(Arc::clone(&waiter));
+        } else {
+            queue.push_back(Arc::clone(&waiter));
+        }
+        waiting.fetch_add(1, Ordering::AcqRel);
         placement.queued = Some(waiter);
+        // Service priority extends to reservations: a parking service cancels a
+        // task-class drain, so pinned nodes never idle-block it. The task head re-opens
+        // its drain once no service waits (its overtake count is preserved).
+        let unpinned = priority == Priority::Service
+            && self.cancel_drain_if(&mut st, |d| d.priority == Priority::Task);
+        if unpinned {
+            self.nudge(&st);
+        }
         Ok(Entered::Parked(st))
     }
 
-    /// One pass of the parked-waiter wait loop, under the queue lock: attempt
-    /// placement when the waiter is inside its serve window, open or consume a
-    /// backfill reservation per the ageing rules, make the explicit final attempt
-    /// once the deadline has passed — or report when to look again.
-    fn pass(&self, st: &mut QueueState, placement: &mut Placement) -> Pass {
-        let (priority, deadline) = (placement.priority, placement.deadline);
-        let req = placement.req;
-        let waiter = placement
-            .queued
-            .as_ref()
-            .expect("pass runs on a parked placement");
-
-        // Bounded scan: the waiter can only be eligible within the first
-        // `lookahead` entries, so the position probe never walks a deep queue.
-        let queue = match priority {
-            Priority::Service => &st.services,
-            Priority::Task => &st.tasks,
-        };
-        let position = queue
-            .iter()
-            .take(self.lookahead)
-            .position(|w| Arc::ptr_eq(w, waiter));
-        let eligible = position.is_some_and(|p| self.in_window(st, priority, p));
-        let mut my_drain = st
-            .drain
-            .as_ref()
-            .filter(|d| Arc::ptr_eq(&d.owner, waiter))
-            .map(|d| d.id);
-        if my_drain.is_none() {
-            // The reservation was cancelled externally (a service parked): this
-            // waiter is back to plain waiting, so the drain clock must not keep
-            // running — `drain_secs` reports only an interval that ends in a
-            // reserved placement.
-            placement.drained_at = None;
+    /// One pass of a parked placement over the wait loop, under the queue lock: from
+    /// inside the window, serve it — the arrival itself, a notify or an ageing
+    /// threshold is what no walk has seen yet, and a release may have read "nobody
+    /// parked" since the fast path looked. Then take what a walk left for this waiter;
+    /// once the deadline has passed, make the explicit final attempt and leave;
+    /// otherwise say when to look again.
+    fn pass(&self, st: &mut QueueState, placement: &mut Placement) -> PlacementPoll {
+        let waiter = placement.queued.as_ref().expect("pass runs while parked");
+        let (queue, _) = self.class(st, placement.priority);
+        let mut window = queue.iter().take(self.lookahead);
+        if window.any(|w| Arc::ptr_eq(w, waiter)) {
+            self.serve(st, waiter);
         }
-        let placed = |(slot, probes): (Slot, hpcml_platform::batch::PlacementProbes)| {
-            Pass::Ready(Ok((slot, probes.shard_probes)))
-        };
-        if let Some(drain_id) = my_drain {
-            // Draining: place through the reservation the moment it is complete.
-            if eligible {
-                match self.allocation.allocate_reserved_with_stats(drain_id, &req) {
-                    Ok(found) => return placed(found),
-                    Err(ResourceError::InsufficientResources) => {}
-                    // Someone cancelled the reservation on the allocation itself
-                    // (its handle is public): fall back to plain waiting.
-                    Err(ResourceError::UnknownDrain(_)) => {
-                        st.drain = None;
-                        my_drain = None;
-                        placement.drained_at = None;
-                    }
-                    Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
-                }
+        let served = waiter.served.lock().take();
+        let now = Instant::now();
+        let result = match served {
+            Some(outcome) => outcome,
+            None if now < placement.deadline => {
+                // A gang that may still age into a drain looks again at its threshold.
+                let ageing = self
+                    .gang_drain_after
+                    .filter(|_| waiter.req.is_gang() && st.drain.is_none())
+                    .map(|after| waiter.parked_at + after)
+                    .filter(|threshold| *threshold > now);
+                let wake_at = ageing.map_or(placement.deadline, |t| t.min(placement.deadline));
+                return PlacementPoll::Pending { wake_at };
             }
-        } else if eligible {
-            match self.allocation.allocate_slot_with_stats(&req) {
-                Ok(found) => return placed(found),
-                Err(ResourceError::InsufficientResources) => {}
-                Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
-            }
-            // Placement denied: check whether this head gang has aged out of
-            // plain waiting and should open a backfill reservation.
-            if self.should_drain(st, placement, position) {
-                match self.allocation.begin_drain(&req) {
-                    Ok(id) => {
-                        st.drain = Some(ActiveDrain {
-                            id,
-                            owner: Arc::clone(waiter),
-                            priority,
-                        });
-                        my_drain = Some(id);
-                        placement.drained_at = Some(Instant::now());
-                        // The already-idle nodes may complete the reservation
-                        // outright.
-                        match self.allocation.allocate_reserved_with_stats(id, &req) {
-                            Ok(found) => return placed(found),
-                            Err(ResourceError::InsufficientResources) => {}
-                            Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
-                        }
-                    }
-                    // Raced by another allocation user — or the pilot is
-                    // currently too small for the gang; retry on a later wakeup.
-                    Err(ResourceError::DrainActive | ResourceError::InsufficientResources) => {}
-                    Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
-                }
-            }
-        }
-        if Instant::now() >= deadline {
-            // Explicit final attempt after the timeout: capacity may have freed
-            // while this waiter was outside the window (or between the last wait
-            // and the deadline). Service priority is still honoured — a task makes
-            // its last-gasp attempt only when no service is waiting.
-            if priority == Priority::Service || st.services.is_empty() {
-                let attempt = match my_drain {
-                    Some(id) => match self.allocation.allocate_reserved_with_stats(id, &req) {
-                        // Reservation cancelled under us: the plain path is
-                        // still worth the last try.
-                        Err(ResourceError::UnknownDrain(_)) => {
-                            self.allocation.allocate_slot_with_stats(&req)
-                        }
-                        other => other,
-                    },
-                    None => self.allocation.allocate_slot_with_stats(&req),
-                };
-                match attempt {
-                    Ok(found) => return placed(found),
-                    Err(ResourceError::InsufficientResources) => {}
-                    Err(e) => return Pass::Ready(Err(RuntimeError::Resource(e))),
-                }
-            }
-            let shape = format!("{} cores / {} gpus", req.cores, req.gpus);
-            return Pass::Ready(Err(RuntimeError::WaitTimeout {
-                entity: "scheduler".to_string(),
-                awaited: if req.nodes > 1 {
-                    format!("{} nodes x ({shape}) gang", req.nodes)
+            None => {
+                // Capacity may have freed while this waiter sat outside the window.
+                // Service priority still holds: a task tries only if no service waits.
+                let last = if placement.priority == Priority::Service || st.services.is_empty() {
+                    self.place(st, waiter, placement.priority, false)
                 } else {
-                    shape
-                },
-            }));
-        }
-        // An ageing-eligible gang that is not yet draining must wake at its drain
-        // deadline, not only on releases. Once the threshold has passed (or when
-        // draining/ineligible), wait on the request deadline alone — state
-        // changes that matter always come with a targeted wakeup.
-        let mut wake_at = deadline;
-        if st.drain.is_none() && req.is_gang() {
-            if let Some(after) = self.gang_drain_after {
-                let drain_deadline = placement.parked_at + after;
-                if drain_deadline > Instant::now() {
-                    wake_at = wake_at.min(drain_deadline);
-                }
+                    Err(ResourceError::InsufficientResources)
+                };
+                let result = match last {
+                    Err(ResourceError::InsufficientResources) => Err(timed_out(&waiter.req)),
+                    other => other.map_err(RuntimeError::Resource),
+                };
+                self.leave(st, placement.priority, waiter, result.is_ok());
+                result
             }
-        }
-        Pass::Pending { wake_at }
+        };
+        placement.queued = None;
+        PlacementPoll::Ready(result)
     }
 
-    /// Exit bookkeeping of a parked placement, with the queue still locked: drain
-    /// cleanup, overtake ticking, queue removal, then — lock dropped — the window
-    /// wake. `result` is what the last pass (or, with `E = ()`, a cancellation)
-    /// decided; a success gains its [`PlacementStats`].
-    fn leave<E>(
-        &self,
-        mut st: MutexGuard<'_, QueueState>,
-        placement: &mut Placement,
-        result: Result<(Slot, u32), E>,
-    ) -> Result<(Slot, PlacementStats), E> {
-        let priority = placement.priority;
-        let waiter = placement
-            .queued
-            .take()
-            .expect("leave runs on a parked placement");
-
-        // Drain cleanup: if this waiter still owns the reservation, release it.
-        // After a successful reserved placement the allocation side is already
-        // consumed, so the cancel inside is a no-op error that is ignored; on a
-        // timeout or error it returns every pinned node to the idle bucket.
-        self.cancel_drain_if(&mut st, |d| Arc::ptr_eq(&d.owner, &waiter));
-
-        // Leave the queue. A waiter that placed while earlier arrivals of its class
-        // stay parked ages each of them one tick (the head is what the drain trigger
-        // watches); positions ahead are within the window except on the rare
-        // post-timeout final attempt, so the scan is O(lookahead) in steady state.
-        // The departure shifts everyone behind this waiter one position forward, so
-        // a new waiter may have entered the window (a departing service can unblock
-        // tasks, a successful head may leave capacity for its successor): pass the
-        // wakeup on below, after the queue lock drops.
-        let (queue, waiting) = match priority {
-            Priority::Service => (&mut st.services, &self.waiting_services),
-            Priority::Task => (&mut st.tasks, &self.waiting_tasks),
-        };
-        if let Some(my_pos) = queue.iter().position(|w| Arc::ptr_eq(w, &waiter)) {
-            if result.is_ok() {
-                for overtaken in queue.iter().take(my_pos) {
-                    overtaken.overtakes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            queue.remove(my_pos);
-            waiting.fetch_sub(1, Ordering::AcqRel);
-        }
-        if result.is_ok() {
+    /// A waiter no walk served leaves the queue: its final attempt `placed` it (the
+    /// waiters ahead of it are passed), it timed out, or it was cancelled. The head
+    /// looks: somebody moved up into the window, or the nodes its reservation held are
+    /// back.
+    fn leave(&self, st: &mut QueueState, priority: Priority, waiter: &Arc<Waiter>, placed: bool) {
+        let (queue, _) = self.class(st, priority);
+        let position = queue
+            .iter()
+            .position(|w| Arc::ptr_eq(w, waiter))
+            .expect("an unserved waiter is in its queue");
+        self.unpark(st, priority, position);
+        if placed {
             self.outstanding.fetch_add(1, Ordering::AcqRel);
+            self.pass_over(st, priority, position);
         }
-        drop(st);
-
-        self.wake_windows();
-        result.map(|(slot, shard_probes)| {
-            (
-                slot,
-                PlacementStats {
-                    overtakes: waiter.overtakes.load(Ordering::Relaxed),
-                    drain_secs: placement.drained_at.map(|t| t.elapsed().as_secs_f64()),
-                    shard_probes,
-                },
-            )
-        })
+        self.nudge(st);
     }
 
     /// Abandon a [`Placement`] that may still hold a queue place (its last poll was
-    /// `Pending`): the exit bookkeeping of a failed wait — queue removal, drain
-    /// cleanup, window wake — without a result.
+    /// `Pending`): it leaves the queue, and a slot a walk had already handed it goes
+    /// back.
     pub fn cancel_placement(&self, mut placement: Placement) {
-        if placement.queued.is_some() {
-            let st = self.queue.lock();
-            let _ = self.leave(st, &mut placement, Err::<(Slot, u32), ()>(()));
+        let Some(waiter) = placement.queued.take() else {
+            return;
+        };
+        let mut st = self.queue.lock();
+        let served = waiter.served.lock().take();
+        match served {
+            None => self.leave(&mut st, placement.priority, &waiter, false),
+            Some(outcome) => {
+                drop(st);
+                if let Ok((slot, _)) = outcome {
+                    let _ = self.release(&slot);
+                }
+            }
         }
     }
 
-    /// Release a previously allocated slot and wake the waiters in the serve window.
+    /// Release a previously allocated slot and have the head of the wait queue look at
+    /// what it freed.
     ///
     /// A slot whose node failed ([`ResourceError::NodeFailed`]) was already reclaimed
     /// by the eviction: the scheduler still retires it from its outstanding count and
-    /// passes the wakeup on, and the error is surfaced only so the caller can tell
+    /// notifies the head, and the error is surfaced only so the caller can tell
     /// the eviction path from an ordinary release.
     pub fn release(&self, slot: &Slot) -> Result<(), RuntimeError> {
         let result = self.allocation.release_slot(slot);
@@ -944,7 +893,7 @@ impl Scheduler {
                     .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
                         Some(n.saturating_sub(1))
                     });
-                self.wake_windows();
+                self.capacity_changed();
                 result.map_err(RuntimeError::Resource)
             }
             Err(e) => Err(RuntimeError::Resource(e)),
@@ -958,11 +907,33 @@ impl Scheduler {
         self.allocation.slot_evicted(slot.id)
     }
 
-    /// Re-probe parked waiters after capacity appeared without a release — e.g. the
-    /// pilot expanded its allocation. Releases wake the window themselves; this is
-    /// for capacity that arrives out of band.
+    /// Have the head of the wait queue look after capacity appeared without a release
+    /// — e.g. the pilot expanded its allocation.
     pub fn notify_capacity(&self) {
-        self.wake_windows();
+        self.capacity_changed();
+    }
+}
+
+/// Whether `a` asks for at least what `b` asks for in every dimension, under the same
+/// packing: whatever denies `b` denies `a`.
+fn asks_no_less(a: &ResourceRequest, b: &ResourceRequest) -> bool {
+    a.nodes >= b.nodes
+        && a.cores >= b.cores
+        && a.gpus >= b.gpus
+        && a.mem_gib >= b.mem_gib
+        && a.packing == b.packing
+}
+
+/// The error of a wait that ran out of time.
+fn timed_out(req: &ResourceRequest) -> RuntimeError {
+    let shape = format!("{} cores / {} gpus", req.cores, req.gpus);
+    RuntimeError::WaitTimeout {
+        entity: "scheduler".to_string(),
+        awaited: if req.nodes > 1 {
+            format!("{} nodes x ({shape}) gang", req.nodes)
+        } else {
+            shape
+        },
     }
 }
 
@@ -975,7 +946,7 @@ mod tests {
     use std::thread;
 
     fn scheduler(platform: PlatformId, nodes: usize) -> Scheduler {
-        scheduler_with_lookahead(platform, nodes, 1)
+        scheduler_with_lookahead(platform, nodes, DEFAULT_WINDOW)
     }
 
     fn scheduler_with_lookahead(platform: PlatformId, nodes: usize, lookahead: usize) -> Scheduler {
@@ -1013,7 +984,7 @@ mod tests {
         s.release(&slot).unwrap();
         assert_eq!(s.outstanding_slots(), 0);
         assert_eq!(s.allocation().free_gpus(), 2);
-        assert_eq!(s.lookahead(), 1);
+        assert_eq!(s.lookahead(), DEFAULT_WINDOW);
     }
 
     #[test]
@@ -1071,9 +1042,9 @@ mod tests {
     fn post_timeout_final_attempt_succeeds_when_capacity_frees_late() {
         // Deterministic exercise of the explicit post-timeout attempt: one free GPU
         // exists the whole time, but the queue head (W1) needs two and never fits, so
-        // the waiter behind it (W2) can obtain the free GPU *only* through the final
-        // attempt at its deadline — never through head eligibility.
-        let s = Arc::new(scheduler(PlatformId::Local, 1)); // 2 gpus
+        // the waiter behind it (W2) — outside a window of one — can obtain the free
+        // GPU *only* through the final attempt at its deadline.
+        let s = Arc::new(scheduler_with_lookahead(PlatformId::Local, 1, 1)); // 2 gpus
         let hold = s
             .allocate(&gpus(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
@@ -1156,8 +1127,12 @@ mod tests {
 
     #[test]
     fn waiters_are_served_in_fifo_order() {
-        // One GPU cycles through three parked waiters; completion order must match
-        // arrival order (the old condvar implementation gave no such guarantee).
+        // Two GPUs come back together and cycle through three parked waiters: one walk
+        // serves the first two at once, the third gets the first GPU to be recycled.
+        // Slot ids are handed out under the queue lock, so they are the order of
+        // placement. Of the two callers served together the walking one is placed
+        // first and wakes the other — which the kernel may run at once, in the waker's
+        // place — so which of them *returns* first is not the scheduler's to decide.
         let s = Arc::new(scheduler(PlatformId::Local, 1)); // 2 gpus
         let hold = s
             .allocate(&gpus(2), Priority::Task, Duration::from_secs(5))
@@ -1175,20 +1150,26 @@ mod tests {
                 // Hold briefly so the next waiter is definitely parked, then recycle.
                 thread::sleep(Duration::from_millis(10));
                 s2.release(&slot).unwrap();
+                slot.id
             }));
             // Ensure arrival order i = park order.
             thread::sleep(Duration::from_millis(30));
         }
         assert_eq!(s.waiting_tasks(), 3);
         s.release(&hold).unwrap();
-        for w in waiters {
-            w.join().unwrap();
-        }
-        assert_eq!(
-            *order.lock(),
-            vec![0, 1, 2],
-            "FIFO wait queue must serve in arrival order"
+        let placed: Vec<u64> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+        assert!(
+            placed.is_sorted(),
+            "FIFO wait queue must place in arrival order: slot ids {placed:?}"
         );
+        let mut returned = order.lock().clone();
+        assert_eq!(
+            returned.pop(),
+            Some(2),
+            "the third waits for a recycled GPU"
+        );
+        returned.sort_unstable();
+        assert_eq!(returned, vec![0, 1]);
         assert_eq!(s.outstanding_slots(), 0);
     }
 
@@ -1310,12 +1291,11 @@ mod tests {
     }
 
     #[test]
-    fn strict_fifo_blocks_tasks_behind_a_parked_gang() {
-        // Contrast case for the lookahead test: with the default lookahead of 1, the
+    fn a_window_of_one_keeps_tasks_parked_behind_a_blocked_gang() {
+        // Contrast case for the lookahead test: with the window pinned to 1, the
         // same narrow task behind a blocked (Whole-packed) gang stays parked even
-        // while node B sits free (head-of-line blocking is the documented price of
-        // strict FIFO).
-        let s = Arc::new(scheduler(PlatformId::Local, 2));
+        // while node B sits free — the head-of-line blocking the window is there for.
+        let s = Arc::new(scheduler_with_lookahead(PlatformId::Local, 2, 1));
         let pin = s
             .allocate(&cores(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
@@ -1339,13 +1319,13 @@ mod tests {
             s.waiting_tasks() == 2
         });
         // Both waiters' deadlines are far away, so "still parked after a grace
-        // period" is a race-free way to observe that strict FIFO refuses to serve
+        // period" is a race-free way to observe that a window of one refuses to serve
         // the narrow task while node B idles behind the blocked gang.
         thread::sleep(Duration::from_millis(100));
         assert_eq!(
             s.waiting_tasks(),
             2,
-            "strict FIFO must keep the narrow task parked behind the gang"
+            "a window of one must keep the narrow task parked behind the gang"
         );
         // Unblock in order: the gang claims both nodes, then the narrow task fits.
         s.release(&pin).unwrap();
@@ -1953,7 +1933,7 @@ mod tests {
 
     #[test]
     fn requeued_victim_parks_at_the_front_of_its_class() {
-        let s = Arc::new(scheduler(PlatformId::Local, 1)); // 8 cores, strict FIFO
+        let s = Arc::new(scheduler(PlatformId::Local, 1)); // 8 cores
         let hold = s
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
@@ -1977,6 +1957,45 @@ mod tests {
         s.release(&front_slot).unwrap();
         let back_slot = back.join().unwrap().unwrap();
         s.release(&back_slot).unwrap();
+        assert_eq!(s.outstanding_slots(), 0);
+    }
+
+    #[test]
+    fn requeue_ahead_of_a_draining_gang_does_not_shut_it_out_of_its_reservation() {
+        // Both nodes are held; the gang at the head drains at once (age threshold 0),
+        // and both nodes are pinned to it as they come back — before its owner polls
+        // again, a requeued one-core victim parks in front of it and finds nothing
+        // free. The gang asks for no less than the victim just denied, and must be
+        // tried all the same: what it waits for is pinned.
+        let s = scheduler(PlatformId::Local, 2).with_gang_drain_after(Some(Duration::ZERO));
+        let long = Duration::from_secs(10);
+        let held = [(); 2].map(|()| s.allocate(&cores(8), Priority::Task, long).unwrap());
+        let mut gang = Placement::new(&cores(8).with_nodes(2), Priority::Task, long);
+        let poll = s.poll_placed(&mut gang, Waker::noop());
+        assert!(matches!(poll, PlacementPoll::Pending { .. }));
+        assert!(s.allocation().drain_status().is_some());
+        for slot in &held {
+            s.release(slot).unwrap();
+        }
+        let mut victim = Placement::requeued(&cores(1), Priority::Task, long);
+        let poll = s.poll_placed(&mut victim, Waker::noop());
+        assert!(
+            matches!(poll, PlacementPoll::Pending { .. }),
+            "every core is pinned to the gang: {poll:?}"
+        );
+        assert_eq!(s.waiting_tasks(), 1, "the victim's walk placed the gang");
+        let gang_slot = match s.poll_placed(&mut gang, Waker::noop()) {
+            PlacementPoll::Ready(Ok((slot, stats))) => {
+                assert!(stats.drain_secs.is_some(), "through its reservation");
+                slot
+            }
+            other => panic!("the gang should place: {other:?}"),
+        };
+        s.release(&gang_slot).unwrap();
+        match s.poll_placed(&mut victim, Waker::noop()) {
+            PlacementPoll::Ready(Ok((slot, _))) => s.release(&slot).unwrap(),
+            other => panic!("the victim should place: {other:?}"),
+        }
         assert_eq!(s.outstanding_slots(), 0);
     }
 
@@ -2116,14 +2135,51 @@ mod tests {
         wait_until(&s, "second waiter parked behind the head", |s| {
             s.waiting_tasks() == 2
         });
-        // The freed node wakes only the head (strict FIFO), whose owner never polls
-        // again; abandoning it must pass the wake-up on.
+        // The freed node wakes only the head, whose owner never polls again;
+        // abandoning it must pass the wake-up on.
         s.release(&hold).unwrap();
         assert_eq!(s.waiting_tasks(), 2);
         s.cancel_placement(head);
         let slot = behind.join().unwrap().unwrap();
         s.release(&slot).unwrap();
         assert_eq!(s.waiting_tasks(), 0);
+        assert_eq!(s.outstanding_slots(), 0);
+    }
+
+    #[test]
+    fn cancelling_a_served_placement_hands_its_slot_back() {
+        // Node A carries one pinned core, node B is held: a Whole-packed gang parks at
+        // the head, a whole-node task behind it. Once node B is free the gang's pass
+        // serves the task — whose owner abandons it without ever polling again.
+        let s = scheduler(PlatformId::Local, 2);
+        let long = Duration::from_secs(10);
+        let pin = s.allocate(&cores(1), Priority::Task, long).unwrap();
+        let hold_b = s.allocate(&cores(8), Priority::Task, long).unwrap();
+        let whole_gang = cores(4).with_nodes(2).with_packing(GangPacking::Whole);
+        let mut gang = Placement::new(&whole_gang, Priority::Task, long);
+        let mut narrow = Placement::new(&cores(8), Priority::Task, long);
+        for parked in [&mut gang, &mut narrow] {
+            let poll = s.poll_placed(parked, Waker::noop());
+            assert!(matches!(poll, PlacementPoll::Pending { .. }));
+        }
+        s.release(&hold_b).unwrap();
+        assert!(matches!(
+            s.poll_placed(&mut gang, Waker::noop()),
+            PlacementPoll::Pending { .. }
+        ));
+        assert_eq!(s.waiting_tasks(), 1, "the gang's walk served the task");
+        assert_eq!(s.outstanding_slots(), 2);
+        s.cancel_placement(narrow);
+        assert_eq!(s.outstanding_slots(), 1);
+        // Both nodes idle: the gang places, so node B did come back.
+        s.release(&pin).unwrap();
+        match s.poll_placed(&mut gang, Waker::noop()) {
+            PlacementPoll::Ready(Ok((slot, stats))) => {
+                assert_eq!(stats.overtakes, 1);
+                s.release(&slot).unwrap();
+            }
+            other => panic!("the gang should place: {other:?}"),
+        }
         assert_eq!(s.outstanding_slots(), 0);
     }
 }

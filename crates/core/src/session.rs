@@ -46,10 +46,6 @@ pub struct SessionConfig {
     pub seed: u64,
     /// Default platform for entities that don't specify one.
     pub platform: PlatformId,
-    /// Scheduler serve-window size: how many queued placements (services before
-    /// tasks) may be attempted out of strict FIFO order. 1 = strict FIFO; larger
-    /// windows let narrow tasks through behind a blocked multi-node gang.
-    pub scheduler_lookahead: usize,
     /// Default gang packing policy: [`GangPacking::Partial`] (the default) lets
     /// multi-node gangs best-fit across partially free nodes and lets draining gangs
     /// pin share-sized headroom; [`GangPacking::Whole`] restricts gangs (and drain
@@ -75,7 +71,6 @@ impl Default for SessionConfig {
             clock: ClockSpec::default(),
             seed: 42,
             platform: PlatformId::Local,
-            scheduler_lookahead: 1,
             gang_packing: GangPacking::default(),
             allocator_shards: None,
             fault_plan: FaultPlan::new(),
@@ -115,14 +110,6 @@ impl SessionBuilder {
     /// Set the base RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Set the scheduler's bounded-lookahead window (1 = strict FIFO). Wider windows
-    /// keep single-node tasks flowing while a multi-node MPI gang waits for idle
-    /// nodes at the head of the queue.
-    pub fn scheduler_lookahead(mut self, lookahead: usize) -> Self {
-        self.config.scheduler_lookahead = lookahead.max(1);
         self
     }
 
@@ -325,8 +312,7 @@ impl Session {
                 RuntimeError::InvalidState("pilot active without allocation".into())
             })?;
         *self.scheduler.lock() = Some(Arc::new(
-            Scheduler::with_lookahead(Arc::clone(&allocation), self.config.scheduler_lookahead)
-                .with_gang_packing(self.config.gang_packing),
+            Scheduler::new(Arc::clone(&allocation)).with_gang_packing(self.config.gang_packing),
         ));
         self.pilots.lock().push(Arc::clone(&record));
         self.spawn_fault_injector(&allocation);
@@ -734,7 +720,6 @@ mod tests {
         let cfg = SessionConfig::default();
         assert_eq!(cfg.platform, PlatformId::Local);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.scheduler_lookahead, 1);
         assert_eq!(cfg.gang_packing, GangPacking::Partial);
         assert_eq!(cfg.allocator_shards, None, "shards derived unless pinned");
         let tuned = Session::builder("tuned")

@@ -342,12 +342,11 @@ mod tests {
     #[test]
     fn runner_executes_multi_node_mpi_stage() {
         // A hybrid stage: one 2-node MPI gang plus a narrow single-node task compete
-        // for a 2-node pilot; with a lookahead window the narrow task cannot wedge the
-        // stage even when the gang parks first.
+        // for a 2-node pilot; the scheduler's serve window keeps the narrow task from
+        // wedging the stage even when the gang parks first.
         let s = Session::builder("dsl-gang")
             .platform(PlatformId::Local)
             .clock(ClockSpec::scaled(5000.0))
-            .scheduler_lookahead(4)
             .build()
             .unwrap();
         s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(2))

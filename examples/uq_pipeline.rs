@@ -26,9 +26,6 @@ fn run_variant(label: &str, config: &UqConfig) {
         .platform(PlatformId::Delta)
         .clock(ClockSpec::scaled(5000.0))
         .seed(17)
-        // Serve up to 4 queued placements out of order so single-node fine-tuning
-        // tasks keep flowing while a multi-node MPI gang waits for capacity.
-        .scheduler_lookahead(4)
         // Partial is already the default; stated here because this example is about
         // the packing contrast (the Whole variant pins its policy per task).
         .gang_packing(GangPacking::Partial)

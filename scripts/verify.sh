@@ -15,6 +15,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+echo "==> no scheduler_lookahead knob (the serve window is a constant since PR 22)"
+if grep -rn "scheduler_lookahead" crates src examples tests; then
+    echo "verify: scheduler_lookahead is gone; use the default window" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

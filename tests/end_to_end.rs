@@ -274,7 +274,8 @@ fn done_means_the_slot_is_already_released() {
 /// `submit_tasks` reaches the wait queue in submission order: the submitting thread
 /// advances each task to its first park before it touches the next, so on a one-node
 /// pilot whole-node tasks start executing in exactly the order they were handed in
-/// (strict FIFO, lookahead 1), one call recording one `task.admission.batch_size`.
+/// (the serve window places in arrival order, and passes nobody who fits), one call
+/// recording one `task.admission.batch_size`.
 #[test]
 fn submit_tasks_executes_in_submission_order() {
     const TASKS: usize = 64;
@@ -306,6 +307,61 @@ fn submit_tasks_executes_in_submission_order() {
     assert_eq!(
         s.metrics().scalar_values("task.admission.batch_size"),
         vec![TASKS as f64]
+    );
+    s.close();
+}
+
+/// A blocked gang does not idle the pilot: while a long quarter-node task keeps one
+/// of two nodes busy, the two-node gang submitted next parks — and the quarter-node
+/// tasks behind it start at once, each passing it once. The gang places when both
+/// nodes are idle. (`busy` runs for half a second of real time, so that no stall of
+/// the submitting thread lets it end before the last narrow task is in.)
+#[test]
+fn parked_gang_lets_quarter_node_tasks_start_and_still_places() {
+    const NARROW: usize = 6;
+    const BUSY_SECS: f64 = 1000.0;
+    let s = session(2000.0);
+    let pilot = s
+        .submit_pilot(PilotDescription::new(PlatformId::Delta).nodes(2))
+        .expect("pilot");
+    let node = pilot.free_cores() / 2;
+    let quarter = |name: String, secs: f64| {
+        TaskDescription::new(name)
+            .kind(TaskKind::compute_secs(secs))
+            .cores(node / 4)
+    };
+    let mut batch = vec![
+        quarter("busy".into(), BUSY_SECS),
+        TaskDescription::new("gang")
+            .kind(TaskKind::compute_secs(1.0))
+            .nodes(2)
+            .cores(node),
+    ];
+    batch.extend((0..NARROW).map(|i| quarter(format!("q{i}"), 1.0)));
+    let handles = s.submit_tasks(batch).expect("batch");
+    for h in &handles {
+        let state = h.wait_final(Duration::from_secs(60)).expect("final");
+        assert_eq!(state, TaskState::Done, "{:?}", h.error());
+    }
+    let [busy, gang, narrow @ ..] = &handles[..] else {
+        panic!("one handle per description");
+    };
+    // The slot is back (and may be handed on) before `Done` shows.
+    let busy_over = busy.timestamps()["Executing"] + BUSY_SECS;
+    assert!(
+        gang.timestamps()["Executing"] >= busy_over,
+        "the gang needs both nodes idle"
+    );
+    for q in narrow {
+        assert!(
+            q.timestamps()["Executing"] < busy_over,
+            "{} waited behind the parked gang",
+            q.id()
+        );
+    }
+    assert_eq!(
+        s.metrics().scalar_values("task.gang.overtakes"),
+        vec![NARROW as f64]
     );
     s.close();
 }

@@ -1447,7 +1447,8 @@ fn service_state_walks_are_legal() {
 /// releases the slot only *after* appending to the completion log, so the log order
 /// equals the placement order. Oracle: every service placement precedes every task
 /// placement (service priority is absolute), and for each (class, producer) pair
-/// the completions replay that producer's arrival order (FIFO at lookahead 1).
+/// the completions replay that producer's arrival order (equal requests place in
+/// arrival order, whatever the window).
 ///
 /// Scenario B (liveness + preemption under gang churn, blocked waiters): producers
 /// race mixed sub-node tasks, two-node gangs (random packing) and services into
@@ -2787,13 +2788,13 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
     {
         let batch = BatchSystem::new(PlatformId::Local.spec(), ClockSpec::Manual.build(), 1);
         let alloc = batch.submit(AllocationRequest::nodes(1)).unwrap(); // 2 GPUs
-        let scheduler = Scheduler::new(Arc::clone(&alloc));
+        let scheduler = Scheduler::with_lookahead(Arc::clone(&alloc), 1);
         let gpus = |n| ResourceRequest::gpus(n).unwrap();
         let hold = scheduler
             .allocate(&gpus(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
         // The head needs both GPUs and never fits; the free GPU is out of reach of
-        // the waiter behind it (strict FIFO) — except by its final attempt.
+        // the waiter behind it (outside a window of one) — except by its final attempt.
         let mut head = Placement::new(&gpus(2), Priority::Task, Duration::from_millis(150));
         let mut behind = Placement::new(&gpus(1), Priority::Task, Duration::from_millis(50));
         let head_deadline = wake_at(scheduler.poll_placed(&mut head, &ready.waker(1)));
@@ -2821,4 +2822,302 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
         );
         scheduler.release(&hold).unwrap();
     }
+}
+
+/// The serve window is in order: parked waiters are placed by one walk, in arrival
+/// order, so the default window relaxes FIFO only where a later arrival fits and an
+/// earlier one does not.
+///
+/// Scenario A (racing): every request of a seeded mix — quarter- and half-node tasks,
+/// whole-node two-node gangs, quarter-node services — parks while the driver holds
+/// all capacity. The driver then drips its quarters back while two pollers poll
+/// whoever is woken and hand every placed slot straight back, so releases, backfill
+/// passes and drains race. Slot ids are handed out under the queue lock, so they are
+/// the scheduler's own order of placement. Replaying it: (a) equal requests of a
+/// class place in arrival order; (c) no task places while a service is parked; every
+/// request's `PlacementStats::overtakes` is exactly the number of later arrivals of
+/// its class placed before it — passed while it did not fit, never a lost race; (d) a
+/// gang passed at the head with its budget already spent was draining by then — it
+/// places through a reservation (scenario B pins the moment: it opens at
+/// `max_overtakes` + 1 ≤ `max_overtakes` + window).
+///
+/// Scenario B (stepped): a blocked gang at the head, quarter-node tasks behind it, one
+/// quarter freed per step through `Scheduler::release`. (b) Polling whoever that
+/// release woke — the head, whose pass walks the window — and whoever that woke
+/// places exactly the next quarter-node task: backfill needs no second capacity
+/// event. (The release itself places nobody; see `Scheduler::serve` for what that
+/// would cost.) The gang ends with one overtake per task and has drained iff that
+/// spent its budget.
+#[test]
+fn in_order_window_places_in_arrival_order_and_ages_gangs_into_drains() {
+    use hpcml::platform::Slot;
+    use hpcml::runtime::scheduler::{
+        Placement, PlacementPoll, PlacementStats, Priority, Scheduler, DEFAULT_WINDOW,
+    };
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    const NODES: usize = 4;
+    const POLLERS: usize = 2;
+    const MAX_OVERTAKES: u32 = 3;
+    const TIMEOUT: Duration = Duration::from_secs(60);
+
+    let core_req = |cores: u32, nodes: usize| ResourceRequest {
+        cores,
+        gpus: 0,
+        mem_gib: 0.0,
+        nodes,
+        packing: None,
+    };
+
+    // What scenario A exercised over all cases: (passes, passes of a spent head gang).
+    let mut exercised = (0u32, 0u32);
+    for case in 0..8u64 {
+        let seed = 0x1D0E ^ case.wrapping_mul(0x9E37_79B9);
+        let done = Arc::new(AtomicBool::new(false));
+        {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                for _ in 0..1200 {
+                    if done.load(Ordering::Acquire) {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                eprintln!("in-order window property: case {case} exceeded 120 s — lost wakeup?");
+                std::process::abort();
+            });
+        }
+        let setup = || {
+            let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
+            let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
+            let scheduler = Arc::new(
+                Scheduler::new(Arc::clone(&alloc)).with_max_overtakes(Some(MAX_OVERTAKES)),
+            );
+            assert_eq!(scheduler.lookahead(), DEFAULT_WINDOW);
+            (batch, alloc, scheduler)
+        };
+
+        // ---- Scenario A: racing pollers, replayed in slot-id order. ----
+        {
+            let (_batch, alloc, scheduler) = setup();
+            let node = alloc.node_spec().cores;
+            let quarter = core_req(node / 4, 1);
+            let mut held: Vec<Slot> = (0..NODES * 4)
+                .map(|_| alloc.allocate_slot(&quarter).unwrap())
+                .collect();
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let requests: Vec<(ResourceRequest, Priority)> = (0..rng.gen_range(32usize..48))
+                .map(|_| match rng.gen_range(0u32..20) {
+                    0..=1 => (quarter, Priority::Service),
+                    2..=4 => (core_req(node, 2), Priority::Task),
+                    5..=7 => (core_req(node / 2, 1), Priority::Task),
+                    _ => (quarter, Priority::Task),
+                })
+                .collect();
+            let n = requests.len();
+            let ready = ReadyQueue::new();
+            let waker = |id: usize| ready.waker(id);
+            // One thread parks everyone: arrival order is index order.
+            let placements: Arc<Vec<Mutex<Option<Placement>>>> = Arc::new(
+                requests
+                    .iter()
+                    .enumerate()
+                    .map(|(id, (req, priority))| {
+                        let mut placement = Placement::new(req, *priority, TIMEOUT);
+                        let poll = scheduler.poll_placed(&mut placement, &waker(id));
+                        assert!(matches!(poll, PlacementPoll::Pending { .. }), "case {case}");
+                        Mutex::new(Some(placement))
+                    })
+                    .collect(),
+            );
+
+            // Per request, once placed: its slot id and how it got there.
+            let stats = Arc::new(Mutex::new(vec![None::<(u64, PlacementStats)>; n]));
+            let placed = Arc::new(AtomicUsize::new(0));
+            let pollers: Vec<_> = (0..POLLERS)
+                .map(|_| {
+                    let (scheduler, ready, placements, stats, placed) = (
+                        Arc::clone(&scheduler),
+                        Arc::clone(&ready),
+                        Arc::clone(&placements),
+                        Arc::clone(&stats),
+                        Arc::clone(&placed),
+                    );
+                    let wakers: Vec<_> = (0..n).map(&waker).collect();
+                    std::thread::spawn(move || {
+                        while placed.load(Ordering::Acquire) < n {
+                            let Some(id) = ready.pop_wait(Duration::from_millis(20)) else {
+                                continue;
+                            };
+                            let mut placement = placements[id].lock().unwrap();
+                            let Some(pending) = placement.as_mut() else {
+                                continue;
+                            };
+                            match scheduler.poll_placed(pending, &wakers[id]) {
+                                PlacementPoll::Pending { .. } => {}
+                                PlacementPoll::Ready(result) => {
+                                    let (slot, s) = result.expect("no waiter may be lost");
+                                    *placement = None;
+                                    stats.lock().unwrap()[id] = Some((slot.id, s));
+                                    scheduler.release(&slot).unwrap();
+                                    placed.fetch_add(1, Ordering::AcqRel);
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            while !held.is_empty() {
+                let slot = held.swap_remove(rng.gen_range(0usize..held.len()));
+                alloc.release_slot(&slot).unwrap();
+                scheduler.notify_capacity();
+                std::thread::yield_now();
+            }
+            for t in pollers {
+                t.join().unwrap();
+            }
+            assert_eq!(scheduler.waiting_services() + scheduler.waiting_tasks(), 0);
+            assert_eq!(scheduler.outstanding_slots(), 0, "case {case}");
+            assert!(
+                alloc.drain_status().is_none(),
+                "case {case}: no drain leaked"
+            );
+            assert!(alloc.is_idle(), "case {case}: scenario A teardown");
+
+            // Replay the placements in the order the scheduler made them.
+            let stats: Vec<(u64, PlacementStats)> = stats
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|placed| placed.expect("everyone placed"))
+                .collect();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&id| stats[id].0);
+            let mut parked: Vec<usize> = (0..n).collect(); // arrival order
+            let mut passed = vec![0u32; n];
+            for &id in &order {
+                let (req, priority) = requests[id];
+                assert!(
+                    priority == Priority::Service
+                        || parked.iter().all(|&p| requests[p].1 == Priority::Task),
+                    "case {case}: task {id} placed while a service was parked"
+                );
+                let ahead: Vec<usize> = parked
+                    .iter()
+                    .copied()
+                    .take_while(|&p| p != id)
+                    .filter(|&p| requests[p].1 == priority)
+                    .collect();
+                assert!(
+                    ahead.iter().all(|&p| requests[p].0 != req),
+                    "case {case}: {id} placed before an equal earlier arrival of {ahead:?}"
+                );
+                if let Some(&head) = ahead.first() {
+                    if requests[head].0.nodes > 1 && passed[head] > MAX_OVERTAKES {
+                        exercised.1 += 1;
+                        assert!(
+                            stats[head].1.drain_secs.is_some(),
+                            "case {case}: {id} passed head gang {head}, budget spent, no drain"
+                        );
+                    }
+                }
+                for &p in &ahead {
+                    passed[p] += 1;
+                }
+                exercised.0 += ahead.len() as u32;
+                parked.retain(|&p| p != id);
+                assert_eq!(
+                    stats[id].1.overtakes, passed[id],
+                    "case {case}: overtakes of {id} vs later arrivals placed before it"
+                );
+            }
+        }
+
+        // ---- Scenario B: one release, one backfilled task, no second event. ----
+        {
+            let (_batch, alloc, scheduler) = setup();
+            let node = alloc.node_spec().cores;
+            let quarter = core_req(node / 4, 1);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xB);
+            let mut held: Vec<Slot> = (0..NODES * 4)
+                .map(|_| {
+                    scheduler
+                        .allocate(&quarter, Priority::Task, TIMEOUT)
+                        .unwrap()
+                })
+                .collect();
+            let narrow = rng.gen_range(2usize..7);
+            let ready = ReadyQueue::new();
+            // Request 0 is the gang, 1..=narrow the quarter-node tasks behind it.
+            let mut placements: Vec<Option<Placement>> = (0..=narrow)
+                .map(|id| {
+                    let req = if id == 0 { core_req(node, 2) } else { quarter };
+                    let mut placement = Placement::new(&req, Priority::Task, TIMEOUT);
+                    let poll = scheduler.poll_placed(&mut placement, &ready.waker(id));
+                    assert!(matches!(poll, PlacementPoll::Pending { .. }), "case {case}");
+                    Some(placement)
+                })
+                .collect();
+            let mut slots: Vec<Option<(Slot, PlacementStats)>> =
+                (0..=narrow).map(|_| None).collect();
+            let settle =
+                |placements: &mut Vec<Option<Placement>>,
+                 slots: &mut Vec<Option<(Slot, PlacementStats)>>| {
+                    while let Some(id) = ready.pop() {
+                        let Some(pending) = placements[id].as_mut() else {
+                            continue;
+                        };
+                        if let PlacementPoll::Ready(result) =
+                            scheduler.poll_placed(pending, &ready.waker(id))
+                        {
+                            placements[id] = None;
+                            slots[id] = Some(result.expect("places"));
+                        }
+                    }
+                };
+            for step in 1..=narrow {
+                // The freed quarter is refilled at once, so no node ever idles and
+                // the gang stays blocked.
+                let freed = held.swap_remove(rng.gen_range(0usize..held.len()));
+                scheduler.release(&freed).unwrap();
+                settle(&mut placements, &mut slots);
+                assert!(
+                    (1..=narrow).all(|id| slots[id].is_some() == (id <= step)),
+                    "case {case} step {step}: that release places exactly task {step}"
+                );
+                assert!(slots[0].is_none(), "case {case}: the gang is still blocked");
+                assert_eq!(scheduler.waiting_tasks(), 1 + narrow - step, "case {case}");
+                assert_eq!(
+                    alloc.drain_status().is_some(),
+                    step as u32 > MAX_OVERTAKES,
+                    "case {case} step {step}: the reservation opens with the budget spent"
+                );
+            }
+            for slot in held
+                .iter()
+                .chain(slots[1..].iter().flatten().map(|(s, _)| s))
+            {
+                scheduler.release(slot).unwrap();
+            }
+            settle(&mut placements, &mut slots);
+            let (gang, stats) = slots[0].take().expect("the gang places once nodes idle");
+            assert_eq!(stats.overtakes, narrow as u32, "case {case}");
+            assert_eq!(
+                stats.drain_secs.is_some(),
+                narrow as u32 > MAX_OVERTAKES,
+                "case {case}: placed through its reservation iff it had opened one"
+            );
+            scheduler.release(&gang).unwrap();
+            assert_eq!(scheduler.outstanding_slots(), 0, "case {case}");
+            assert!(alloc.is_idle(), "case {case}: scenario B teardown");
+        }
+        done.store(true, Ordering::Release);
+    }
+    assert!(
+        exercised.0 > 0 && exercised.1 > 0,
+        "the mixes must exercise backfill and drains: {exercised:?}"
+    );
 }
