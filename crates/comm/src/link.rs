@@ -168,6 +168,17 @@ impl Link {
         &self.label
     }
 
+    /// The bytes a traversal is to be priced by: `encoded_len()` is called only when the
+    /// profile charges for bytes. Most do not (`per_kib_ms` 0), and a message's encoded
+    /// length renders every numeric header — the dearest thing a hop would do.
+    pub fn priced_bytes(&self, encoded_len: impl FnOnce() -> usize) -> usize {
+        if self.profile.per_kib_ms != 0.0 {
+            encoded_len()
+        } else {
+            0
+        }
+    }
+
     /// Traverse the link one way with a payload of `payload_bytes`, sleeping the sampled
     /// latency on the virtual clock. Returns the injected delay in seconds.
     pub fn traverse(&self, payload_bytes: usize) -> f64 {
@@ -245,6 +256,16 @@ mod tests {
             "got {singleton_total}"
         );
         assert_eq!(link.traverse_batch(0, 0), 0.0, "empty batch is free");
+    }
+
+    #[test]
+    fn bytes_are_counted_only_for_a_link_that_charges_for_them() {
+        let clock = ClockSpec::scaled(1000.0).build();
+        let free = Link::instant(Arc::clone(&clock));
+        assert_eq!(free.priced_bytes(|| unreachable!("nobody pays for it")), 0);
+        let profile = LatencyProfile::normal_ms(0.0, 0.0).with_per_kib_ms(1.0);
+        let priced = Link::new("priced", clock, profile, 1);
+        assert_eq!(priced.priced_bytes(|| 2048), 2048);
     }
 
     #[test]

@@ -3,55 +3,49 @@
 //! A [`ReqRepServer`] owns the receive side of an endpoint; any number of
 //! [`ReqRepClient`]s can send requests to it and block for the reply. Each request
 //! carries a one-shot reply slot (ZeroMQ would route the reply frame back over the
-//! socket). The client optionally traverses a [`Link`] before the request is delivered
-//! and before the reply is returned, which is how local vs remote deployments differ.
+//! socket). The client traverses a [`Link`] before the request is delivered and before
+//! the reply is returned, which is how local vs remote deployments differ; a hop
+//! prices the message's bytes only when the link charges for them
+//! ([`Link::priced_bytes`]).
 //!
-//! # Who serves an endpoint
+//! # Who serves an endpoint: carry or queue
 //!
 //! Either a thread that blocks in [`ReqRepServer::recv_timeout`] /
 //! [`ReqRepServer::recv_batch`], or — the serving plane's way — nobody in particular:
-//! [`ReqRepServer::attach`] arms the endpoint with a [`Server`], something that drains
-//! the endpoint's [`Mailbox`] in *passes*, one thread at a time. Whose turn it is to
-//! make the pass is the server's to say ([`Server::try_take_turn`]); who makes it is
-//! decided here, by the sender:
+//! [`ReqRepServer::attach`] arms the endpoint with a [`Server`], which admits requests
+//! in *passes*, one thread at a time. Whose turn it is to pass is the server's to say
+//! ([`Server::try_take_turn`]); who passes is decided by the sender, under the one
+//! acquisition of the mailbox lock a delivery makes. **The mailbox holds only what
+//! waits:**
 //!
-//! 1. **A sender takes the turn before it queues.** If the turn is free the sender
-//!    takes it, queues its request and makes the pass itself ([`Server::serve_turn`]), on its
-//!    own thread and its own warm cache: the request crosses no thread boundary, and
-//!    what it leaves in the mailbox is nothing.
-//! 2. **If the turn is taken, it waits for it — briefly.** Whoever holds a turn does
-//!    not wait for another sender, so the turn usually comes back within one pass;
-//!    the sender polls for it [`TURN_SPINS`] times (not at all on a one-CPU host,
-//!    where the holder cannot run while the sender spins) and then proceeds as in 1.
-//!    The wait is bounded because a holder can still be slow: pre-empted, or inside a
-//!    server that sleeps while it holds the turn (the serving plane's admission
-//!    sleeps its handling time on the session clock — a real sleep on a real-time
-//!    or manual clock). Waiting for the turn is queueing like any other: the
-//!    request's arrival stamp ([`HDR_ENQUEUED_AT`]) is taken *before* the wait.
-//! 3. **When the wait runs out** — the holder was pre-empted or sleeps, more senders
-//!    than CPUs —
-//!    the sender queues its request and tells the server ([`Server::wake`]): the holder
-//!    makes one more pass and serves it, and the sender sleeps on its reply slot until
-//!    then. This is the only case in which a reply is made by another thread than its
-//!    requester's, and the only one that can cost a futex wake.
+//! 1. **A sender that has the turn and finds the mailbox empty carries its request**
+//!    into the pass ([`Server::serve_turn`]), on its own thread and warm cache; nothing
+//!    is queued. Nothing older can be behind it (the mailbox was empty under the lock)
+//!    and whatever comes later queues behind the turn it holds, so endpoint order is
+//!    admission order by construction.
+//! 2. **If the turn is taken, it waits for it — briefly.** A holder does not wait for
+//!    another sender, so the turn usually comes back within one pass; the sender polls
+//!    for it [`TURN_SPINS`] times (not at all on a one-CPU host, where the holder
+//!    cannot run while the sender spins), then looks at the mailbox again: empty, it
+//!    carries as in 1; if somebody queued meanwhile it queues behind them and passes
+//!    over all of it. The wait is bounded because a holder can be slow: pre-empted, or
+//!    inside a server that sleeps while it holds the turn (admission sleeps its
+//!    handling time on the session clock). Waiting for the turn is queueing like any
+//!    other: the arrival stamp ([`HDR_ENQUEUED_AT`]) is taken *before* it.
+//! 3. **When the wait runs out** the sender queues its request and tells the server
+//!    ([`Server::wake`]): the holder makes one more pass, over the mailbox, and the
+//!    sender sleeps on its reply slot. Only here is a reply made by another thread than
+//!    its requester's, and only this can cost a futex wake.
 //!
-//! The server is called with no comm lock held. Both the mailbox and the reply slot
-//! notify a condvar only when somebody sleeps on it: a reply that is ready before its
-//! requester looks costs no system call.
+//! The server is called with no comm lock held, through the reference a client keeps
+//! from its first delivery (one count per client, not two per request). Dropping the
+//! [`ReqRepServer`] closes the endpoint: what is still queued fails with
+//! [`CommError::Disconnected`] at once, not at its timeout, and later sends are refused.
 //!
-//! Dropping the server closes the endpoint: whatever is still queued is discarded,
-//! which fails each of those requests with [`CommError::Disconnected`] at once rather
-//! than at its timeout, and later sends are refused.
-//!
-//! # Batched requests
-//!
-//! [`ReqRepClient::request_batch`] ships K requests over **one** link traversal
-//! (the coalescing rule — see [`Link::traverse_batch`]): a single one-way latency
-//! sample plus the bandwidth term for the summed encoded bytes, and the same on the
-//! way back for the replies. Replies come back in request order. The server sees K
-//! independent requests, queued together and announced by one wake-up —
-//! [`ReqRepServer::recv_batch`] on the other side completes the batched path
-//! end-to-end.
+//! [`ReqRepClient::request_batch`] ships K requests over **one** link traversal (the
+//! coalescing rule — see [`Link::traverse_batch`]) and the replies over one more, in
+//! request order. The server sees K independent requests, carried or queued together
+//! and served by one pass ([`ReqRepServer::recv_batch`] for a server that blocks).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -68,72 +62,76 @@ use crate::message::Message;
 pub const HDR_ENQUEUED_AT: &str = "comm.enqueued_at";
 
 /// How often a sender that finds the server's turn taken polls for it before it queues
-/// behind the holder instead. A poll is ≈ 10 ns and a pass over one NOOP request ≈ 2 µs
-/// on the reference host, so the wait is bounded at ≈ 20 µs, some ten passes; a holder
-/// that has not let go by then is pre-empted or asleep. Two closed-loop clients on two
-/// services (`svc_roundtrip`) wait in 1 request of 6, for 57 polls on average, and run
-/// out of polls in 1 of 4 000.
+/// behind the holder instead. A poll is ≈ 20 ns and a pass over one NOOP request
+/// 1.7 µs alone, 2.5–3.2 µs when its lines come from the other core, on the reference
+/// host, so the wait is bounded at ≈ 40 µs, a dozen passes; a holder that has not let
+/// go by then is pre-empted or asleep. Two closed-loop clients alternating over two
+/// services (`svc_roundtrip`) wait in 1 request of 3–4 (the follower of the two in 1 of
+/// 2, the leader in 1 of 12), for 32–56 polls (0.9–1.4 µs) on average, and run out of
+/// polls in 1 of 4 000–5 000.
 pub const TURN_SPINS: u32 = 2_000;
 
-/// What [`ReqRepServer::attach`] arms an endpoint with: a server that drains the
-/// endpoint's [`Mailbox`] one pass at a time, on whichever thread holds its turn (see
-/// the module docs). [`Server::serve_turn`] and [`Server::wake`] are called with no
-/// comm lock held.
+/// What [`ReqRepServer::attach`] arms an endpoint with: a server that admits requests
+/// one pass at a time, on whichever thread holds its turn (see the module docs).
+/// [`Server::serve_turn`] and [`Server::wake`] are called with no comm lock held.
 pub trait Server: Send + Sync {
     /// Take the server's turn if nobody holds it. True obliges the caller to
     /// [`Server::serve_turn`]. It is polled, and its first call is made under the
     /// mailbox lock: it must not block, lock or queue anything.
     fn try_take_turn(&self) -> bool;
 
-    /// Make passes over the mailbox on the calling thread until one ends with nothing
-    /// having arrived meanwhile, then give the turn back. Only for the caller that took
-    /// the turn.
-    fn serve_turn(self: Arc<Self>);
+    /// Admit `carried` — what the caller brought instead of queueing it, in order —
+    /// then pass again for as long as something was queued meanwhile, then give the
+    /// turn back. A pass that carried nothing drains the mailbox; one that did need not
+    /// look there: it was empty when the requests were carried, and whoever queues
+    /// behind a held turn says so ([`Server::wake`]). What a server that has stopped
+    /// serving leaves in `carried` the caller drops, which fails it. Only for the
+    /// caller that took the turn.
+    fn serve_turn(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>);
 
     /// Something was queued by a sender that does not hold the turn: if the turn is
     /// free, take it and pass; if it is held, make its holder pass once more.
-    fn wake(self: Arc<Self>);
+    fn wake(&self);
 }
 
 /// The one-shot slot a reply travels through, shared by a requester and a
 /// [`Responder`].
 #[derive(Default)]
 struct ReplySlot {
-    state: Mutex<Reply>,
+    /// `None` while the responder lives; then the reply, or `Some(None)` if it went
+    /// without one.
+    outcome: Mutex<Option<Option<Message>>>,
     filled: Condvar,
-}
-
-#[derive(Default)]
-struct Reply {
-    msg: Option<Message>,
-    /// The responder is gone: what `msg` holds now is all there will ever be.
-    closed: bool,
 }
 
 impl ReplySlot {
     /// Block until the reply is in, the responder is dropped without one, or real
     /// time reaches `deadline`.
     fn wait(&self, deadline: Instant) -> Result<Message, CommError> {
-        let mut reply = self.state.lock();
+        let mut outcome = self.outcome.lock();
         loop {
-            if let Some(msg) = reply.msg.take() {
-                return Ok(msg);
+            if let Some(reply) = outcome.take() {
+                return reply.ok_or(CommError::Disconnected);
             }
-            if reply.closed {
-                return Err(CommError::Disconnected);
-            }
-            let timed_out = self.filled.wait_until(&mut reply, deadline).timed_out();
-            if timed_out && reply.msg.is_none() && !reply.closed {
+            let timed_out = self.filled.wait_until(&mut outcome, deadline).timed_out();
+            if timed_out && outcome.is_none() {
                 return Err(CommError::Timeout);
             }
         }
+    }
+
+    /// The responder's last word, under one acquisition of the slot's lock.
+    fn close(&self, reply: Option<Message>) {
+        *self.outcome.lock() = Some(reply);
+        self.filled.notify_one();
     }
 }
 
 /// Handle used to reply to one received request. Dropping it without a reply fails
 /// the request with [`CommError::Disconnected`].
 pub struct Responder {
-    slot: Arc<ReplySlot>,
+    /// Taken by the reply; what `Drop` still finds was never answered.
+    slot: Option<Arc<ReplySlot>>,
 }
 
 impl std::fmt::Debug for Responder {
@@ -144,37 +142,33 @@ impl std::fmt::Debug for Responder {
 
 impl Responder {
     /// Send the reply. Returns an error if the requesting client has gone away.
-    pub fn reply(self, msg: Message) -> Result<(), CommError> {
+    pub fn reply(mut self, msg: Message) -> Result<(), CommError> {
+        let slot = self.slot.take().expect("a responder replies once");
         // The requester holds the only other reference until it stops waiting.
-        if Arc::strong_count(&self.slot) == 1 {
+        if Arc::strong_count(&slot) == 1 {
             return Err(CommError::Disconnected);
         }
-        self.slot.state.lock().msg = Some(msg);
-        Ok(()) // dropping `self` closes the slot and wakes the requester
+        slot.close(Some(msg));
+        Ok(())
     }
 }
 
 impl Drop for Responder {
     fn drop(&mut self) {
-        self.slot.state.lock().closed = true;
-        self.slot.filled.notify_one();
+        if let Some(unanswered) = self.slot.take() {
+            unanswered.close(None);
+        }
     }
 }
 
-struct Request {
-    msg: Message,
-    responder: Responder,
-}
-
-impl Request {
-    /// A request and the slot its sender waits on.
-    fn new(msg: Message) -> (Self, Arc<ReplySlot>) {
-        let slot = Arc::new(ReplySlot::default());
-        let responder = Responder {
-            slot: Arc::clone(&slot),
-        };
-        (Request { msg, responder }, slot)
-    }
+/// A request as it travels — the message and the handle its reply goes through — and
+/// the slot its sender waits on.
+fn request(msg: Message) -> ((Message, Responder), Arc<ReplySlot>) {
+    let slot = Arc::new(ReplySlot::default());
+    let responder = Responder {
+        slot: Some(Arc::clone(&slot)),
+    };
+    ((msg, responder), slot)
 }
 
 #[derive(Default)]
@@ -185,10 +179,11 @@ struct Endpoint {
 
 #[derive(Default)]
 struct Inbox {
-    queue: VecDeque<Request>,
+    /// What waits: requests no pass has been made over yet.
+    queue: VecDeque<(Message, Responder)>,
     /// The server is dropped: nothing more is accepted.
     closed: bool,
-    /// Whoever drains this mailbox while a server is attached.
+    /// Whoever serves this endpoint while a server is attached.
     server: Option<Arc<dyn Server>>,
 }
 
@@ -203,44 +198,7 @@ pub struct Mailbox {
 impl Mailbox {
     /// Take the oldest waiting request, if any.
     pub fn try_recv(&self) -> Option<(Message, Responder)> {
-        let request = self.endpoint.state.lock().queue.pop_front()?;
-        Some((request.msg, request.responder))
-    }
-
-    /// Queue `requests` in order and see to it that they are served: by this thread
-    /// if it can have the attached server's turn (at once, or within the bounded
-    /// wait), else by whoever holds it; with no server attached, by the receivers
-    /// asleep on the condvar. The server is called with the lock released.
-    fn deliver(&self, requests: impl IntoIterator<Item = Request>) -> Result<(), CommError> {
-        let mut inbox = self.endpoint.state.lock();
-        let server = inbox.server.clone();
-        // Taking the turn locks nothing, so the free turn and the push share one
-        // acquisition of the mailbox lock.
-        let mut mine = server.as_ref().is_some_and(|server| server.try_take_turn());
-        if let (false, Some(server)) = (mine, &server) {
-            drop(inbox);
-            mine = wait_for_turn(&**server);
-            inbox = self.endpoint.state.lock();
-        }
-        let accepted = !inbox.closed;
-        if accepted {
-            inbox.queue.extend(requests);
-        }
-        drop(inbox);
-        match server {
-            // A turn that was taken is passed, whatever became of the push.
-            Some(server) if mine => server.serve_turn(),
-            Some(server) if accepted => server.wake(),
-            Some(_) => {}
-            None => {
-                self.endpoint.arrived.notify_all();
-            }
-        }
-        if accepted {
-            Ok(())
-        } else {
-            Err(CommError::Disconnected)
-        }
+        self.endpoint.state.lock().queue.pop_front()
     }
 }
 
@@ -318,6 +276,7 @@ impl ReqRepHandle {
             endpoint: self.endpoint.clone(),
             mailbox: self.mailbox.clone(),
             link,
+            server: OnceLock::new(),
         }
     }
 }
@@ -359,12 +318,10 @@ impl ReqRepServer {
         self.mailbox.clone()
     }
 
-    /// Serve the endpoint without blocking for it: from now on every client call that
-    /// queues something has `server` drain [`ReqRepServer::mailbox`] — on the client's
-    /// thread whenever the turn can be had, with no comm lock held, once per call, so a
-    /// batch is served as a batch (see the module docs). The server is woken once right
-    /// away if requests are already waiting: a client may send before its server
-    /// attaches.
+    /// Serve the endpoint without blocking for it: from now on every client call has
+    /// `server` admit what it sends — on the client's thread whenever the turn can be
+    /// had, once per call, so a batch is served as a batch (see the module docs). The
+    /// server is woken right away if requests already wait: a client may send first.
     pub fn attach(&self, server: Arc<dyn Server>) {
         let pending = {
             let mut inbox = self.mailbox.endpoint.state.lock();
@@ -390,7 +347,7 @@ impl ReqRepServer {
         let mut inbox = endpoint.state.lock();
         loop {
             if let Some(request) = inbox.queue.pop_front() {
-                return Ok((request.msg, request.responder));
+                return Ok(request);
             }
             let timed_out = endpoint
                 .arrived
@@ -411,15 +368,9 @@ impl ReqRepServer {
         max: usize,
         timeout: Duration,
     ) -> Result<Vec<(Message, Responder)>, CommError> {
-        let first = self.recv_timeout(timeout)?;
         let mut out = Vec::with_capacity(max.clamp(1, 64));
-        out.push(first);
-        while out.len() < max {
-            match self.try_recv() {
-                Some(pair) => out.push(pair),
-                None => break,
-            }
-        }
+        out.push(self.recv_timeout(timeout)?);
+        out.extend(std::iter::from_fn(|| self.try_recv()).take(max.saturating_sub(1)));
         Ok(out)
     }
 
@@ -435,6 +386,9 @@ pub struct ReqRepClient {
     endpoint: String,
     mailbox: Mailbox,
     link: Link,
+    /// The server the first delivery found attached, kept so that calling it with the
+    /// mailbox lock released counts no reference up and down per request.
+    server: OnceLock<Arc<dyn Server>>,
 }
 
 impl std::fmt::Debug for ReqRepClient {
@@ -452,54 +406,106 @@ impl ReqRepClient {
         &self.endpoint
     }
 
-    /// The link this client traverses.
-    pub fn link(&self) -> &Link {
-        &self.link
+    /// One traversal of the link carrying `msgs`, priced by their summed encoded bytes
+    /// if the link charges for bytes.
+    fn hop(&self, msgs: &[Message]) {
+        let bytes = || msgs.iter().map(Message::encoded_len).sum();
+        self.link
+            .traverse_batch(msgs.len(), self.link.priced_bytes(bytes));
     }
 
     /// Cross the link with `msgs` in one traversal and stamp each with the shared
-    /// arrival time; returns the requests to queue and the slots their replies fill.
-    fn outbound(&self, msgs: Vec<Message>) -> (Vec<Request>, Vec<Arc<ReplySlot>>) {
-        let total_bytes: usize = msgs.iter().map(Message::encoded_len).sum();
-        self.link.traverse_batch(msgs.len(), total_bytes);
+    /// arrival time; returns the requests to deliver and the slots their replies fill.
+    fn outbound(&self, msgs: Vec<Message>) -> (Vec<(Message, Responder)>, Vec<Arc<ReplySlot>>) {
+        self.hop(&msgs);
         let enqueued_at = self.link.clock().now().as_secs_f64();
         msgs.into_iter()
-            .map(|msg| Request::new(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at)))
+            .map(|msg| request(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at)))
             .unzip()
+    }
+
+    /// See to it that `requests` are served, in order: by this thread if it can have
+    /// the attached server's turn (at once, or within the bounded wait) — carried into
+    /// the pass if nothing waits in the mailbox, queued there otherwise — else queued
+    /// for whoever holds the turn, or for the receivers asleep on the condvar.
+    fn deliver(
+        &self,
+        requests: impl IntoIterator<Item = (Message, Responder)>,
+    ) -> Result<(), CommError> {
+        let mut requests = requests.into_iter().fuse();
+        let endpoint = &self.mailbox.endpoint;
+        let mut inbox = endpoint.state.lock();
+        let attached = inbox.server.as_ref();
+        let known = attached.map(|attached| self.server.get_or_init(|| Arc::clone(attached)));
+        // Attached to another server since this client's first delivery: counted anew.
+        let other = attached.filter(|a| known.is_some_and(|known| !Arc::ptr_eq(known, a)));
+        let other = other.cloned();
+        let server = other.as_ref().or(known).map(|server| &**server);
+        // Taking the turn locks nothing, so the free turn, the look at the mailbox and
+        // the push, if any, share one acquisition of the mailbox lock.
+        let mut mine = server.is_some_and(|server| server.try_take_turn());
+        if let (false, Some(server)) = (mine, server) {
+            drop(inbox);
+            mine = wait_for_turn(server);
+            inbox = endpoint.state.lock();
+        }
+        let accepted = !inbox.closed;
+        let carried = mine && inbox.queue.is_empty();
+        if accepted && !carried {
+            inbox.queue.extend(&mut requests);
+        }
+        drop(inbox);
+        if !accepted {
+            requests.by_ref().for_each(drop);
+        }
+        match server {
+            // A turn that was taken is passed, whatever became of the requests.
+            Some(server) if mine => server.serve_turn(&mut requests),
+            Some(server) if accepted => server.wake(),
+            Some(_) => {}
+            None => {
+                endpoint.arrived.notify_all();
+            }
+        }
+        if accepted {
+            Ok(())
+        } else {
+            Err(CommError::Disconnected)
+        }
     }
 
     /// Send `msg` and block until the reply arrives (or the server goes away).
     ///
     /// The request traverses the link (injecting the sampled one-way latency), is
-    /// stamped with its arrival time, and queues at the server; the reply traverses the
-    /// link again on the way back. The total virtual time spent in this call is the
-    /// response time (RT) as defined in the paper. When the endpoint has a server
-    /// attached ([`ReqRepServer::attach`]) this thread takes its turn if it can, and
-    /// then finds the reply already in (see the module docs).
+    /// stamped with its arrival time and delivered; the reply traverses the link again
+    /// on the way back. The virtual time spent in this call is the response time (RT)
+    /// as defined in the paper. With a server attached ([`ReqRepServer::attach`]) this
+    /// thread takes its turn if it can, and then finds the reply already in.
     pub fn request(&self, msg: Message) -> Result<Message, CommError> {
         self.request_timeout(msg, Duration::from_secs(3600))
     }
 
     /// [`ReqRepClient::request`] with an explicit real-time timeout on the reply wait.
     pub fn request_timeout(&self, msg: Message, timeout: Duration) -> Result<Message, CommError> {
-        // Outbound hop.
-        self.link.traverse(msg.encoded_len());
-        let enqueued_at = self.link.clock().now().as_secs_f64();
-        let (request, slot) = Request::new(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at));
-        self.mailbox.deliver([request])?;
+        let slot = self.post(msg)?;
         let reply = slot.wait(Instant::now() + timeout)?;
-        // Return hop.
-        self.link.traverse(reply.encoded_len());
+        self.hop(std::slice::from_ref(&reply));
         Ok(reply)
     }
 
-    /// Send a batch of requests over one link traversal and block for all replies.
-    ///
-    /// The batch pays one outbound latency sample carrying the summed encoded bytes,
-    /// queues at the server as individual requests (each stamped with the shared
-    /// arrival time), and the replies pay one return traversal of their summed bytes.
-    /// Replies are returned in request order. An empty batch is free and returns
-    /// an empty vec.
+    /// The outbound half of a request: cross the link, stamp the arrival, deliver.
+    fn post(&self, msg: Message) -> Result<Arc<ReplySlot>, CommError> {
+        self.hop(std::slice::from_ref(&msg));
+        let enqueued_at = self.link.clock().now().as_secs_f64();
+        let (request, slot) = request(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at));
+        self.deliver([request])?;
+        Ok(slot)
+    }
+
+    /// Send a batch of requests over one link traversal (one latency sample carrying
+    /// the summed bytes) and block for all replies, which pay one return traversal and
+    /// come back in request order. The server sees individual requests, each stamped
+    /// with the shared arrival time. An empty batch is free.
     pub fn request_batch(
         &self,
         msgs: Vec<Message>,
@@ -508,27 +514,21 @@ impl ReqRepClient {
         if msgs.is_empty() {
             return Ok(Vec::new());
         }
-        // One coalesced outbound hop for the whole batch.
         let (requests, slots) = self.outbound(msgs);
-        self.mailbox.deliver(requests)?;
+        self.deliver(requests)?;
         // Collect in request order; the timeout bounds the whole batch, not each reply.
         let deadline = Instant::now() + timeout;
         let replies = slots
             .iter()
             .map(|slot| slot.wait(deadline))
             .collect::<Result<Vec<Message>, CommError>>()?;
-        // One coalesced return hop for all replies.
-        let reply_bytes: usize = replies.iter().map(Message::encoded_len).sum();
-        self.link.traverse_batch(replies.len(), reply_bytes);
+        self.hop(&replies);
         Ok(replies)
     }
 
     /// Fire-and-forget send (no reply expected). Used for control messages.
     pub fn send(&self, msg: Message) -> Result<(), CommError> {
-        self.link.traverse(msg.encoded_len());
-        let enqueued_at = self.link.clock().now().as_secs_f64();
-        let (request, _unawaited) = Request::new(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at));
-        self.mailbox.deliver([request])
+        self.post(msg).map(drop)
     }
 
     /// Fire-and-forget a batch of control messages over one coalesced link traversal.
@@ -537,7 +537,7 @@ impl ReqRepClient {
             return Ok(());
         }
         let (requests, _unawaited) = self.outbound(msgs);
-        self.mailbox.deliver(requests)
+        self.deliver(requests)
     }
 }
 
@@ -691,11 +691,11 @@ mod tests {
         );
     }
 
-    use hpcml_sim::pool::{Pool, Resume, RunCell};
+    use hpcml_sim::pool::RunCell;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// A server the way the serving plane builds one — a resumable run whose cell is
-    /// the turn — that echoes, and counts what was asked of it.
+    /// A server the way the serving plane builds one — its turn is the cell of a
+    /// resumable run — that echoes, and counts what was asked of it.
     struct Echo {
         cell: RunCell,
         mailbox: Mailbox,
@@ -704,6 +704,8 @@ mod tests {
         polls: AtomicUsize,
         passes: AtomicUsize,
         wakes: AtomicUsize,
+        /// Requests that reached a pass in the sender's hands, not through the mailbox.
+        carried: AtomicUsize,
         served_on: Mutex<Vec<thread::ThreadId>>,
     }
 
@@ -716,6 +718,7 @@ mod tests {
                 polls: AtomicUsize::new(0),
                 passes: AtomicUsize::new(0),
                 wakes: AtomicUsize::new(0),
+                carried: AtomicUsize::new(0),
                 served_on: Mutex::new(Vec::new()),
             });
             server.attach(Arc::clone(&echo) as Arc<dyn Server>);
@@ -724,23 +727,6 @@ mod tests {
 
         fn count(counter: &AtomicUsize) -> usize {
             counter.load(Ordering::Acquire)
-        }
-    }
-
-    impl Resume for Echo {
-        fn cell(&self) -> &RunCell {
-            &self.cell
-        }
-
-        fn resume(self: Arc<Self>) {
-            self.cell.advance_until_parked(|| {
-                self.passes.fetch_add(1, Ordering::AcqRel);
-                while let Some((msg, responder)) = self.mailbox.try_recv() {
-                    self.served_on.lock().push(thread::current().id());
-                    let echo = Message::new(msg.topic.clone(), "echo").with_payload(msg.payload);
-                    let _ = responder.reply(echo);
-                }
-            });
         }
     }
 
@@ -754,13 +740,26 @@ mod tests {
             !refused && self.cell.try_hold()
         }
 
-        fn serve_turn(self: Arc<Self>) {
-            self.resume();
+        fn serve_turn(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>) {
+            self.cell.advance_until_parked(|| {
+                self.passes.fetch_add(1, Ordering::AcqRel);
+                let brought = (&mut *carried).inspect(|_| {
+                    self.carried.fetch_add(1, Ordering::AcqRel);
+                });
+                let queued = std::iter::from_fn(|| self.mailbox.try_recv());
+                for (msg, responder) in brought.chain(queued) {
+                    self.served_on.lock().push(thread::current().id());
+                    let echo = Message::new(msg.topic.clone(), "echo").with_payload(msg.payload);
+                    let _ = responder.reply(echo);
+                }
+            });
         }
 
-        fn wake(self: Arc<Self>) {
+        fn wake(&self) {
             self.wakes.fetch_add(1, Ordering::AcqRel);
-            Pool::advance_or_wake(&self);
+            if self.cell.hold_or_notify() {
+                self.serve_turn(&mut std::iter::empty());
+            }
         }
     }
 
@@ -793,13 +792,14 @@ mod tests {
             (
                 Echo::count(&echo.polls),
                 Echo::count(&echo.passes),
-                Echo::count(&echo.wakes)
+                Echo::count(&echo.wakes),
+                Echo::count(&echo.carried)
             ),
-            (1, 2, 1),
-            "one poll, one pass, nobody woken for the request"
+            (1, 2, 1, 1),
+            "one poll, one pass over what it carried, nobody woken for the request"
         );
 
-        // A batch is queued whole and served in one pass.
+        // A batch is carried whole and served in one pass.
         let batch: Vec<Message> = (0..5)
             .map(|i| Message::new("svc.turn", "req").with_text(&i.to_string()))
             .collect();
@@ -807,12 +807,38 @@ mod tests {
             .request_batch(batch, Duration::from_millis(200))
             .unwrap();
         assert_eq!(replies.len(), 5);
-        assert_eq!(Echo::count(&echo.passes), 3);
+        assert_eq!(
+            (Echo::count(&echo.passes), Echo::count(&echo.carried)),
+            (3, 6)
+        );
 
         // Detached: deliveries queue silently again.
         server.detach();
         client.send(Message::new("svc.turn", "late")).unwrap();
         assert_eq!((Echo::count(&echo.passes), server.queue_len()), (3, 1));
+    }
+
+    #[test]
+    fn a_client_that_met_one_server_is_served_by_the_one_attached_now() {
+        let server = ReqRepServer::new("svc.turn");
+        let client = server.client(instant_link());
+        let first = Echo::attached_to(&server);
+        assert_eq!(ask(&client, "one").text(), Some("one"));
+        // The client keeps a reference to the server it met; the endpoint decides.
+        server.detach();
+        client.send(Message::new("svc.turn", "nobody's")).unwrap();
+        assert_eq!(server.queue_len(), 1, "detached: queued for a receiver");
+        let second = Echo::attached_to(&server);
+        assert_eq!(ask(&client, "two").text(), Some("two"));
+        assert_eq!(
+            (Echo::count(&first.carried), Echo::count(&second.carried)),
+            (1, 1)
+        );
+        assert_eq!(
+            Echo::count(&first.passes),
+            1,
+            "nothing since it was detached"
+        );
     }
 
     #[test]
@@ -838,6 +864,11 @@ mod tests {
             (4, 1, 0),
             "taken on the fourth poll; the one pass is the sender's, nobody was woken"
         );
+        assert_eq!(
+            Echo::count(&echo.carried),
+            1,
+            "nothing was queued meanwhile: a late turn carries too"
+        );
         assert_eq!(server.queue_len(), 0);
     }
 
@@ -856,7 +887,7 @@ mod tests {
                     thread::yield_now();
                 }
                 let me = thread::current().id();
-                echo.serve_turn();
+                echo.serve_turn(&mut std::iter::empty());
                 me
             })
         };
@@ -865,7 +896,11 @@ mod tests {
         let holder = holder.join().unwrap();
         assert_ne!(holder, thread::current().id());
         assert_eq!(*echo.served_on.lock(), [holder]);
-        assert_eq!(Echo::count(&echo.wakes), 1);
+        assert_eq!(
+            (Echo::count(&echo.wakes), Echo::count(&echo.carried)),
+            (1, 0),
+            "what waits is queued"
+        );
         let waited = if thread::available_parallelism().map_or(true, |n| n.get() == 1) {
             0
         } else {

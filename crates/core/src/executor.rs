@@ -45,11 +45,12 @@
 //! | run | made runnable by | advanced by | parks on |
 //! |---|---|---|---|
 //! | task | `submit_task(s)` | the submitting thread, then workers | placement, timers, blocking stages (above) |
-//! | a service's admission front-end | a client queueing a message at the endpoint | that client's thread ([`Pool::advance_or_wake`]); if another thread holds the run, that one makes one more pass | the budget of a partial batch: a session-clock timer, then a worker |
-//! | a replica | the front-end dispatching a batch to it | the dispatching thread — still the client's, for a request that met no queue; whoever holds a busy replica serves its queue in dispatch order | the batch's inference time: a session-clock timer, then a worker |
+//! | a service's admission front-end | a client sending a message to the endpoint | that client's thread, which takes the run and carries its message into the pass; if another thread holds the run past a bounded wait, the message queues and that one makes one more pass ([`Pool::advance_or_wake`]) | the budget of a partial batch: a session-clock timer, then a worker |
+//! | a replica | the front-end dispatching a batch to it | the dispatching thread, which begins the batch on an idle replica — still the client's, for a request that met no queue; whoever holds a busy replica serves its queue in dispatch order | the batch's inference time: a session-clock timer, then a worker |
 //!
-//! so a request to an idle NOOP service is admitted, batched, dispatched, computed and
-//! answered on the requesting thread, and one that waits does so on the timer heap.
+//! so a request to an idle NOOP service is admitted, dispatched, computed and answered
+//! on the requesting thread without having been queued anywhere, and one that waits
+//! does so in a queue or on the timer heap.
 //!
 //! Thread count is therefore bounded by pool size + 1 + live services + in-flight
 //! `Blocking` stages, whatever the number of tasks **and whatever the replica count**

@@ -5,18 +5,21 @@
 //! is responsible for spending that time on the virtual clock, which keeps backends
 //! trivially testable and deterministic under a fixed RNG seed.
 
+use bytes::Bytes;
 use rand::Rng;
 
 use hpcml_sim::dist::Dist;
 
+use crate::batcher::Batch;
 use crate::model::{ModelKind, ModelSpec};
 use crate::request::InferenceRequest;
 
 /// Outcome of one backend inference computation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendResult {
-    /// Generated text.
-    pub text: String,
+    /// Generated text, as the payload a reply carries it in: a backend that answers
+    /// every request alike (NOOP) hands out views of one buffer.
+    pub text: Bytes,
     /// Prompt tokens processed.
     pub prompt_tokens: u32,
     /// Tokens generated.
@@ -32,7 +35,7 @@ pub struct BackendResult {
 pub struct BatchResult {
     /// One result per request, in request order. `compute_secs` inside each entry is
     /// the request's *solo* cost; the batch shares [`BatchResult::batch_compute_secs`].
-    pub results: Vec<BackendResult>,
+    pub results: Batch<BackendResult>,
     /// Wall-clock GPU seconds the whole batch occupies the backend.
     pub batch_compute_secs: f64,
 }
@@ -59,15 +62,16 @@ pub trait ModelBackend: Send + Sync {
         rng: &mut (dyn rand::RngCore + 'a),
     ) -> BackendResult;
 
-    /// Compute the result of a batched dispatch. The default loops [`ModelBackend::infer`]
-    /// and sums the costs — i.e. batching buys nothing unless the backend overrides
-    /// this with a sub-linear cost model.
-    fn infer_batch<'a>(
+    /// Compute the result of a batched dispatch over `requests`, wherever the caller
+    /// keeps them. The default loops [`ModelBackend::infer`] and sums the costs — i.e.
+    /// batching buys nothing unless the backend overrides this with a sub-linear cost
+    /// model.
+    fn infer_batch<'a, 'r>(
         &self,
-        requests: &[InferenceRequest],
+        requests: &mut dyn Iterator<Item = &'r InferenceRequest>,
         rng: &mut (dyn rand::RngCore + 'a),
     ) -> BatchResult {
-        let results: Vec<BackendResult> = requests.iter().map(|r| self.infer(r, rng)).collect();
+        let results: Batch<BackendResult> = requests.map(|r| self.infer(r, rng)).collect();
         let batch_compute_secs = results.iter().map(|r| r.compute_secs).sum();
         BatchResult {
             results,
@@ -80,6 +84,8 @@ pub trait ModelBackend: Send + Sync {
 #[derive(Debug, Clone)]
 pub struct NoopBackend {
     spec: ModelSpec,
+    /// The static response.
+    text: Bytes,
 }
 
 impl NoopBackend {
@@ -87,6 +93,7 @@ impl NoopBackend {
     pub fn new() -> Self {
         NoopBackend {
             spec: ModelSpec::noop(),
+            text: Bytes::from_static(b"noop"),
         }
     }
 }
@@ -112,7 +119,7 @@ impl ModelBackend for NoopBackend {
         _rng: &mut (dyn rand::RngCore + 'a),
     ) -> BackendResult {
         BackendResult {
-            text: "noop".to_string(),
+            text: self.text.clone(),
             prompt_tokens: request.prompt_tokens(),
             completion_tokens: 0,
             compute_secs: 0.0,
@@ -194,7 +201,7 @@ impl ModelBackend for SimLlmBackend {
         let overhead = self.spec.per_request_overhead_secs.sample(rng).max(0.0);
         let compute_secs = prompt_secs + gen_secs + overhead;
         BackendResult {
-            text: synth_completion(&self.spec.name, completion_tokens),
+            text: synth_completion(&self.spec.name, completion_tokens).into(),
             prompt_tokens,
             completion_tokens,
             compute_secs,
@@ -207,16 +214,17 @@ impl ModelBackend for SimLlmBackend {
     /// [`MARGINAL_DECODE_COST`] extra per additional sequence. The batch cost is
     /// clamped to `[max solo, sum of solos]`: a batch can neither beat its slowest
     /// member nor cost more than serial dispatch.
-    fn infer_batch<'a>(
+    fn infer_batch<'a, 'r>(
         &self,
-        requests: &[InferenceRequest],
+        requests: &mut dyn Iterator<Item = &'r InferenceRequest>,
         rng: &mut (dyn rand::RngCore + 'a),
     ) -> BatchResult {
-        let results: Vec<BackendResult> = requests.iter().map(|r| self.infer(r, rng)).collect();
+        let batch: Batch<BackendResult> = requests.map(|r| self.infer(r, rng)).collect();
+        let results = &batch[..];
         if results.len() <= 1 {
             let batch_compute_secs = results.iter().map(|r| r.compute_secs).sum();
             return BatchResult {
-                results,
+                results: batch,
                 batch_compute_secs,
             };
         }
@@ -245,7 +253,7 @@ impl ModelBackend for SimLlmBackend {
         let overhead = self.spec.per_request_overhead_secs.sample(rng).max(0.0);
         let batch_compute_secs = (overhead + max_prompt_secs + gen_secs).clamp(max_solo, sum_solo);
         BatchResult {
-            results,
+            results: batch,
             batch_compute_secs,
         }
     }
@@ -287,7 +295,7 @@ mod tests {
         let res = b.infer(&request(20, 128), &mut r);
         assert_eq!(res.compute_secs, 0.0);
         assert_eq!(res.completion_tokens, 0);
-        assert_eq!(res.text, "noop");
+        assert_eq!(&res.text[..], b"noop");
         assert!(b.spec().is_noop());
     }
 
@@ -361,14 +369,11 @@ mod tests {
         let b = SimLlmBackend::llama_8b();
         let mut r = rng();
         let requests: Vec<InferenceRequest> = (0..8).map(|_| request(30, 128)).collect();
-        let batch = b.infer_batch(&requests, &mut r);
-        assert_eq!(batch.results.len(), 8);
-        let sum_solo: f64 = batch.results.iter().map(|x| x.compute_secs).sum();
-        let max_solo = batch
-            .results
-            .iter()
-            .map(|x| x.compute_secs)
-            .fold(0.0, f64::max);
+        let batch = b.infer_batch(&mut requests.iter(), &mut r);
+        let results = &batch.results[..];
+        assert_eq!(results.len(), 8);
+        let sum_solo: f64 = results.iter().map(|x| x.compute_secs).sum();
+        let max_solo = results.iter().map(|x| x.compute_secs).fold(0.0, f64::max);
         assert!(
             batch.batch_compute_secs >= max_solo,
             "a batch cannot finish before its slowest member: {} < {max_solo}",
@@ -386,9 +391,11 @@ mod tests {
         let b = SimLlmBackend::llama_8b();
         let req = [request(20, 64)];
         let mut r = rng();
-        let batch = b.infer_batch(&req, &mut r);
-        assert_eq!(batch.results.len(), 1);
-        assert!((batch.batch_compute_secs - batch.results[0].compute_secs).abs() < 1e-12);
+        let batch = b.infer_batch(&mut req.iter(), &mut r);
+        let Batch::One(only) = &batch.results else {
+            panic!("one request, one result, no allocation: {batch:?}");
+        };
+        assert!((batch.batch_compute_secs - only.compute_secs).abs() < 1e-12);
     }
 
     #[test]
@@ -397,7 +404,7 @@ mod tests {
         let b = NoopBackend::new();
         let mut r = rng();
         let requests: Vec<InferenceRequest> = (0..4).map(|_| request(3, 8)).collect();
-        let batch = b.infer_batch(&requests, &mut r);
+        let batch = b.infer_batch(&mut requests.iter(), &mut r);
         assert_eq!(batch.results.len(), 4);
         assert_eq!(batch.batch_compute_secs, 0.0);
     }

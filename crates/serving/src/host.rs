@@ -6,16 +6,19 @@
 //! implementation: "services are single-threaded, and, as such, they only handle one
 //! request at a time, queuing further incoming requests" (§IV-A).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hpcml_sim::clock::SharedClock;
+use hpcml_sim::pool::OwnLine;
 
-use crate::backend::{BackendResult, BatchResult, ModelBackend, NoopBackend, SimLlmBackend};
+use crate::backend::{BackendResult, ModelBackend, NoopBackend, SimLlmBackend};
+use crate::batcher::Batch;
 use crate::model::{ModelKind, ModelSpec};
 use crate::request::{InferenceRequest, InferenceResponse};
 
@@ -47,22 +50,28 @@ impl std::fmt::Display for HostError {
 
 impl std::error::Error for HostError {}
 
-/// A batch between [`ModelHost::begin_batch`] and [`ModelHost::complete_batch`]: the
-/// backend has been called, the compute time is still to be spent.
+/// A batch between [`ModelHost::begin_batch`] and the end of its compute time: the
+/// backend has been called, the time is still to be spent.
 #[derive(Debug)]
 pub struct BegunBatch {
-    results: Vec<BackendResult>,
+    /// What the backend answered, one result per request, in request order.
+    pub results: Batch<BackendResult>,
     /// Virtual seconds the whole batch occupies the backend.
     pub compute_secs: f64,
+}
+
+/// What a host writes per batch, behind one lock and on one cache line.
+struct Drawn {
+    rng: StdRng,
+    requests_served: u64,
 }
 
 /// Hosts one model instance: load once, then serve requests sequentially.
 pub struct ModelHost {
     backend: Box<dyn ModelBackend>,
     clock: SharedClock,
-    rng: Mutex<StdRng>,
     loaded: AtomicBool,
-    requests_served: AtomicU64,
+    drawn: OwnLine<Mutex<Drawn>>,
     /// Serialises request handling: a single-threaded backend can only run one
     /// inference at a time even if multiple serve threads share the host.
     serve_lock: Mutex<()>,
@@ -84,9 +93,11 @@ impl ModelHost {
         ModelHost {
             backend,
             clock,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
             loaded: AtomicBool::new(false),
-            requests_served: AtomicU64::new(0),
+            drawn: OwnLine(Mutex::new(Drawn {
+                rng: StdRng::seed_from_u64(seed),
+                requests_served: 0,
+            })),
             serve_lock: Mutex::new(()),
         }
     }
@@ -110,9 +121,9 @@ impl ModelHost {
         self.loaded.load(Ordering::Acquire)
     }
 
-    /// Number of requests served so far.
+    /// Number of requests handed to the backend so far.
     pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
+        self.drawn.lock().requests_served
     }
 
     /// Check that the model fits a GPU with `available_gib` of memory.
@@ -134,40 +145,19 @@ impl ModelHost {
         if self.loaded.swap(true, Ordering::AcqRel) {
             return 0.0;
         }
-        let load_secs = {
-            let mut rng = self.rng.lock();
-            self.backend.sample_load_secs(&mut *rng)
-        };
-        self.clock
-            .sleep(std::time::Duration::from_secs_f64(load_secs));
+        let load_secs = self.backend.sample_load_secs(&mut self.drawn.lock().rng);
+        self.clock.sleep(Duration::from_secs_f64(load_secs));
         load_secs
     }
 
-    /// Serve one inference request, spending its compute time on the virtual clock.
+    /// Serve one inference request, spending its compute time on the virtual clock:
+    /// [`ModelHost::handle_batch`] with a batch of one.
     ///
     /// The returned response has `service_secs = 0`; the service layer that owns the
     /// endpoint fills in queueing/parsing time.
     pub fn handle(&self, request: &InferenceRequest) -> Result<InferenceResponse, HostError> {
-        if !self.is_loaded() {
-            return Err(HostError::NotLoaded);
-        }
-        let _guard = self.serve_lock.lock();
-        let result = {
-            let mut rng = self.rng.lock();
-            self.backend.infer(request, &mut *rng)
-        };
-        self.clock
-            .sleep(std::time::Duration::from_secs_f64(result.compute_secs));
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
-        Ok(InferenceResponse {
-            request_id: request.request_id.clone(),
-            text: result.text,
-            prompt_tokens: result.prompt_tokens,
-            completion_tokens: result.completion_tokens,
-            inference_secs: result.compute_secs,
-            service_secs: 0.0,
-            model: self.backend.spec().name.clone(),
-        })
+        let mut responses = self.handle_batch(std::slice::from_ref(request))?;
+        Ok(responses.pop().expect("one response per request"))
     }
 
     /// Serve a batch of requests in one backend dispatch, spending the *batch* compute
@@ -176,9 +166,9 @@ impl ModelHost {
     /// batch's last decode step does.
     ///
     /// Returns one response per request, in request order. This is
-    /// [`ModelHost::begin_batch`], a sleep of the batch's compute time and
-    /// [`ModelHost::complete_batch`] under the serve lock, for callers that can block;
-    /// a replica of the serving plane parks on a timer between the two halves instead.
+    /// [`ModelHost::begin_batch`] and a sleep of the batch's compute time under the
+    /// serve lock, for callers that can block; a replica of the serving plane parks on
+    /// a timer instead, and answers from the [`BegunBatch`] itself.
     pub fn handle_batch(
         &self,
         requests: &[InferenceRequest],
@@ -190,58 +180,41 @@ impl ModelHost {
             return Ok(Vec::new());
         }
         let _guard = self.serve_lock.lock();
-        let begun = self.begin_batch(requests)?;
+        let begun = self.begin_batch(requests.iter())?;
         self.clock
-            .sleep(std::time::Duration::from_secs_f64(begun.compute_secs));
-        let ids = requests.iter().map(|r| r.request_id.clone());
-        Ok(self.complete_batch(ids, begun))
-    }
-
-    /// First half of a batch: make the backend call and learn what the batch costs,
-    /// without spending that time. The caller lets `compute_secs` pass on the clock —
-    /// serving one batch at a time — and then calls [`ModelHost::complete_batch`].
-    pub fn begin_batch(&self, requests: &[InferenceRequest]) -> Result<BegunBatch, HostError> {
-        if !self.is_loaded() {
-            return Err(HostError::NotLoaded);
-        }
-        let BatchResult {
-            results,
-            batch_compute_secs,
-        } = {
-            let mut rng = self.rng.lock();
-            self.backend.infer_batch(requests, &mut *rng)
-        };
-        Ok(BegunBatch {
-            results,
-            compute_secs: batch_compute_secs,
-        })
-    }
-
-    /// Second half of a batch, once its compute time has passed: one response per
-    /// request, in request order, each carrying the shared batch time and the
-    /// identifier of its request — `request_ids`, which a caller that is done with the
-    /// requests hands over rather than copies.
-    pub fn complete_batch(
-        &self,
-        request_ids: impl IntoIterator<Item = String>,
-        begun: BegunBatch,
-    ) -> Vec<InferenceResponse> {
-        self.requests_served
-            .fetch_add(begun.results.len() as u64, Ordering::Relaxed);
-        let model = &self.backend.spec().name;
-        request_ids
-            .into_iter()
-            .zip(begun.results)
-            .map(|(request_id, result)| InferenceResponse {
-                request_id,
-                text: result.text,
+            .sleep(Duration::from_secs_f64(begun.compute_secs));
+        let responses = requests.iter().zip(begun.results);
+        Ok(responses
+            .map(|(request, result)| InferenceResponse {
+                request_id: request.request_id.clone(),
+                text: String::from_utf8_lossy(&result.text).into_owned(),
                 prompt_tokens: result.prompt_tokens,
                 completion_tokens: result.completion_tokens,
                 inference_secs: begun.compute_secs,
                 service_secs: 0.0,
-                model: model.clone(),
+                model: self.backend.spec().name.clone(),
             })
-            .collect()
+            .collect())
+    }
+
+    /// Make the backend call for `requests`, wherever the caller keeps them, and learn
+    /// what the batch costs, without spending that time: the caller lets
+    /// `compute_secs` pass on the clock — serving one batch at a time — and then
+    /// answers from the results.
+    pub fn begin_batch<'r>(
+        &self,
+        mut requests: impl Iterator<Item = &'r InferenceRequest>,
+    ) -> Result<BegunBatch, HostError> {
+        if !self.is_loaded() {
+            return Err(HostError::NotLoaded);
+        }
+        let mut drawn = self.drawn.lock();
+        let batch = self.backend.infer_batch(&mut requests, &mut drawn.rng);
+        drawn.requests_served += batch.results.len() as u64;
+        Ok(BegunBatch {
+            results: batch.results,
+            compute_secs: batch.batch_compute_secs,
+        })
     }
 
     /// The clock this host spends time on.

@@ -16,19 +16,20 @@
 //!   time) and serves requests one at a time (the paper's services are single-threaded
 //!   and queue further incoming requests);
 //! * [`batcher`] — [`ServingConfig`] and the continuous micro-batching
-//!   [`BatchAssembler`]: requests dispatch when a batch fills or the oldest entry's
-//!   latency budget expires on the virtual clock;
+//!   [`BatchAssembler`]: a batch is returned by the push that fills it, a partial one
+//!   when the oldest entry's latency budget expires on the virtual clock;
 //! * [`pool`] — [`ReplicaPool`]: N hosts behind one endpoint with
 //!   least-outstanding-requests routing over lock-free per-replica counters, runtime
-//!   scale-up and drain-based scale-down; a replica is a resumable run with a batch
-//!   queue, advanced by the thread that dispatches to it and parked on a timer while
-//!   a batch computes — not a thread;
+//!   scale-up and drain-based scale-down; a replica is a resumable run — not a
+//!   thread — that begins a batch on the thread that dispatches it, queues only what
+//!   arrives while it is busy, and parks on a timer while a batch computes;
 //! * [`service`] — [`InferenceService`]: the admission front-end binding a
 //!   [`hpcml_comm::ReqRepServer`] endpoint to the serving plane — zero-copy request
 //!   decode, deadline-aware admission control with load shedding, batch assembly and
 //!   replica routing — decomposing each reply into the paper's `service` and
 //!   `inference` time components; a resumable run too, advanced by the client thread
-//!   that queues a request, so a request that never waits never changes threads;
+//!   that sends a request and carries it into the pass, so a request that never waits
+//!   is never queued and never changes threads;
 //! * [`protocol`] — the message kinds and header keys of the service API (inference
 //!   requests/replies, readiness probes, shedding, shutdown).
 //!

@@ -1,30 +1,29 @@
 //! Replica pools: N `ModelHost` replicas behind one endpoint, with
 //! least-outstanding-requests routing over lock-free per-replica counters.
 //!
-//! The serving front-end assembles batches (see [`crate::batcher`]) and hands each one
+//! The serving front-end completes batches (see [`crate::batcher`]) and hands each one
 //! to [`ReplicaPool::dispatch`], which routes it to the live replica with the fewest
-//! outstanding requests, queues it there and advances the replica.
+//! outstanding requests. There the batch is carried or queued, like a request at an
+//! endpoint: **a replica's queue holds only batches that wait.**
 //!
-//! **A replica is a run with a queue, not a thread.** It is a [`Resume`] on the
-//! executor's [`Pool`]: parked while it has nothing to do, it is advanced *by the thread
-//! that dispatches to it* ([`Pool::advance_or_wake`]) — it pops the next batch, makes the
-//! backend call ([`ModelHost::begin_batch`]) and, when the batch costs no compute time
-//! (NOOP), builds and sends the replies there and then, on the dispatching thread,
-//! which for a request that found its service idle is the requesting client's own. A
-//! batch that costs compute time parks the replica on the pool's session-clock timer
-//! heap until the batch ends; a worker of the pool finishes it and looks for the next.
-//! A replica that is busy is only notified by `dispatch` — whoever holds it serves the
-//! queue in dispatch order. A backend call that panics fails its batch with
-//! [`KIND_ERROR`] replies and nothing else.
+//! **A replica is a run, not a thread**: a [`Resume`] on the executor's [`Pool`], parked
+//! while it has nothing to do. A dispatch that finds it parked takes it and, if it is
+//! idle with nothing queued, *begins the batch it brought* — the backend call
+//! ([`ModelHost::begin_batch`]) and, when the batch costs no compute time (NOOP), the
+//! replies too — there and then, on the dispatching thread, which for a request that
+//! found its service idle is the requesting client's own. A batch that costs compute
+//! time parks the replica on the pool's session-clock timer heap until it ends; a
+//! worker of the pool finishes it and looks for the next. Only behind such a busy
+//! replica, or one somebody else is advancing at that moment, is a batch queued —
+//! whoever holds the replica serves the queue in dispatch order, and begins each batch
+//! with the same `Replica::begin` a carried one goes through. A backend call that
+//! panics fails its batch with [`KIND_ERROR`] replies and nothing else.
 //!
 //! Outstanding counts are plain atomics — routing never takes a lock; the replica
-//! *list* sits behind a `RwLock` only so replicas can join (scale-up) and leave (drain)
-//! at runtime. `comm.queue.depth` is recorded here: the replica's queue depth after
-//! each dispatch.
-//!
-//! Scale-down is a drain, mirroring the scheduler's gang drains: [`ReplicaPool::begin_drain`]
-//! marks a replica unroutable, in-flight batches complete, and [`ReplicaPool::reap_drained`]
-//! removes it once idle.
+//! *list* sits behind a `RwLock` only so replicas can join (scale-up) and leave at
+//! runtime: [`ReplicaPool::begin_drain`] marks a replica unroutable, in-flight batches
+//! complete, and [`ReplicaPool::reap_drained`] removes it once idle. `comm.queue.depth`
+//! is recorded here: how many batches deep the replica was with this one, begun or not.
 //!
 //! **Lock order** (continuing the executor's): front-end run → replica run (its
 //! `serving` state, locked only by whoever holds the run) → leaves { replica queue |
@@ -45,18 +44,20 @@ use hpcml_comm::message::Message;
 use hpcml_comm::reqrep::Responder;
 use hpcml_sim::clock::{SharedClock, SimTime};
 use hpcml_sim::metrics::SharedScalarSink;
-use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell};
+use hpcml_sim::pool::{panic_message, OwnLine, Pool, Resume, RunCell};
 
+use crate::batcher::Batch;
 use crate::host::{BegunBatch, ModelHost};
 use crate::protocol::*;
 use crate::request::InferenceRequest;
 
-/// What travels with one admitted request from the batch assembler to a replica: where
-/// its reply goes and what it has waited so far. The request itself travels beside it
-/// ([`Batch::requests`]), so that the backend is handed the batch's requests as the one
-/// slice they already are — a request is parsed once, at admission, and never copied.
+/// One admitted request on its way from admission to a replica: the request — parsed
+/// once, at admission, and never copied — where its reply goes and what it has waited
+/// so far. A batch of them is one [`Batch`].
 #[derive(Debug)]
 pub struct BatchItem {
+    /// The parsed request.
+    pub request: InferenceRequest,
     /// Reply channel back to the requesting client.
     pub responder: Responder,
     /// Topic to reply on (the request message's topic).
@@ -74,41 +75,13 @@ pub struct BatchItem {
     pub dispatched_secs: f64,
 }
 
-/// A batch of admitted requests dispatched as one backend call.
-#[derive(Debug, Default)]
-pub struct Batch {
-    /// The parsed requests, in admission order.
-    pub requests: Vec<InferenceRequest>,
-    /// One entry per request, in the same order.
-    pub items: Vec<BatchItem>,
-}
-
-impl Batch {
-    /// Number of requests in the batch.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the batch holds no request.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Answer every member with a [`KIND_ERROR`] reply saying `why`.
-    fn fail(self, why: &str) {
-        for (item, request) in self.items.into_iter().zip(self.requests) {
-            let reply = Message::new(item.topic, KIND_ERROR)
-                .with_header(HDR_ERROR, why.to_string())
-                .with_header(HDR_REQUEST_ID, request.request_id);
-            let _ = item.responder.reply(reply);
-        }
-    }
-}
-
-impl FromIterator<(InferenceRequest, BatchItem)> for Batch {
-    fn from_iter<I: IntoIterator<Item = (InferenceRequest, BatchItem)>>(members: I) -> Self {
-        let (requests, items) = members.into_iter().unzip();
-        Batch { requests, items }
+/// Answer every member of `batch` with a [`KIND_ERROR`] reply saying `why`.
+fn fail(batch: Batch<BatchItem>, why: &str) {
+    for item in batch {
+        let reply = Message::new(item.topic, KIND_ERROR)
+            .with_header(HDR_ERROR, why.to_string())
+            .with_header(HDR_REQUEST_ID, item.request.request_id);
+        let _ = item.responder.reply(reply);
     }
 }
 
@@ -132,12 +105,14 @@ struct Shared {
 
 /// The batch on the backend: what the backend answered and when its time is up.
 struct Running {
-    batch: Batch,
+    batch: Batch<BatchItem>,
     begun: BegunBatch,
     until: SimTime,
 }
 
-/// The state of a replica's run; locked only by the thread holding the run.
+/// The state of a replica's run; locked only by the thread holding the run. In
+/// declaration order, so that the end of the previous batch sits beside the lock word.
+#[repr(C)]
 struct Serving {
     /// Virtual time the previous batch finished: batches dispatched while the replica
     /// was busy are priced their genuine replica queueing, batches that found it idle
@@ -147,89 +122,119 @@ struct Serving {
 }
 
 /// One replica: a host, its batch queue and lock-free routing state — a resumable run.
-pub struct Replica {
+struct Replica {
     id: u64,
     host: Arc<ModelHost>,
-    outstanding: AtomicU64,
     draining: AtomicBool,
     shared: Arc<Shared>,
+    /// What is written per batch, kept apart from what every dispatch only reads.
+    hot: OwnLine<Hot>,
+}
+
+/// In declaration order: run, count and queue fill the first line, the lock word of
+/// `serving` and the end of the previous batch start the second — the two lines a
+/// batch that is begun and answered at once writes.
+#[repr(C)]
+struct Hot {
     cell: RunCell,
-    /// Dispatched batches not begun yet, in dispatch order. A leaf lock.
-    queue: Mutex<VecDeque<Batch>>,
+    outstanding: AtomicU64,
+    /// Dispatched batches that wait — behind a running batch, or for whoever advances
+    /// the replica right now — in dispatch order. A leaf lock.
+    queue: Mutex<VecDeque<Batch<BatchItem>>>,
     serving: Mutex<Serving>,
 }
 
-impl std::fmt::Debug for Replica {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Replica")
-            .field("id", &self.id)
-            .field("model", &self.host.spec().name)
-            .field("outstanding", &self.outstanding())
-            .field("draining", &self.is_draining())
-            .finish()
-    }
-}
-
 impl Replica {
-    /// Stable identifier of this replica within its pool.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The replica's model host.
-    pub fn host(&self) -> &Arc<ModelHost> {
-        &self.host
-    }
-
     /// Requests dispatched to this replica and not yet completed.
-    pub fn outstanding(&self) -> u64 {
+    fn outstanding(&self) -> u64 {
         // SeqCst pairs with `finish` and `quiesce` (see there); routing only needs a
         // recent value.
-        self.outstanding.load(Ordering::SeqCst)
+        self.hot.outstanding.load(Ordering::SeqCst)
     }
 
     /// Whether the replica is draining (unroutable, finishing in-flight work).
-    pub fn is_draining(&self) -> bool {
+    fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
+    }
+
+    /// Take a batch dispatched at `now`: begun at once if the replica is parked, idle
+    /// and has nothing queued; queued otherwise — and served, if this thread can have
+    /// the run, as far as things are due. Returns how many batches deep the replica
+    /// was, this one included.
+    fn accept(self: &Arc<Self>, batch: Batch<BatchItem>, now: SimTime) -> usize {
+        let hot = &*self.hot;
+        if !hot.cell.try_hold() {
+            // Somebody is advancing the replica: behind what it has, and it looks again.
+            let depth = self.enqueue(batch);
+            Pool::advance_or_wake(self);
+            return depth;
+        }
+        let mut serving = hot.serving.lock();
+        let carried = serving.running.is_none() && hot.queue.lock().is_empty();
+        let depth = if carried {
+            self.begin(&mut serving, batch, now);
+            1
+        } else {
+            self.enqueue(batch)
+        };
+        drop(serving);
+        // Nothing was queued when the run was taken, and whoever queues behind a held
+        // run notifies it: after a batch begun here there is nothing to look for
+        // unless that happened.
+        if !(carried && hot.cell.release()) {
+            hot.cell.advance_until_parked(|| self.advance());
+        }
+        depth
+    }
+
+    fn enqueue(&self, batch: Batch<BatchItem>) -> usize {
+        let mut queue = self.hot.queue.lock();
+        queue.push_back(batch);
+        queue.len()
     }
 
     /// Serve until there is nothing to do right now: finish the running batch if its
     /// time is up, begin the next queued one, and so on. Returns with the replica
     /// either idle (queue empty) or waiting for its timer.
     fn advance(self: &Arc<Self>) {
-        let shared = &self.shared;
-        let mut serving = self.serving.lock();
+        let clock = &self.shared.clock;
+        let mut serving = self.hot.serving.lock();
         loop {
             if let Some(running) = serving.running.take() {
-                if shared.clock.now() < running.until {
+                let now = clock.now();
+                if now < running.until {
                     // Advanced by a dispatch, not by the timer: its entry is still filed.
                     serving.running = Some(running);
                     return;
                 }
                 let Running { batch, begun, .. } = running;
-                self.finish(&mut serving, batch, Ok(begun));
+                self.finish(&serving, batch, Ok(begun));
+                // It has kept the replica until its replies were out: the next one's
+                // wait is priced up to here.
+                serving.busy_until_secs = clock.now().as_secs_f64();
                 continue;
             }
-            let Some(batch) = self.queue.lock().pop_front() else {
+            let Some(batch) = self.hot.queue.lock().pop_front() else {
                 return;
             };
-            // The backend is the one piece of foreign code on this path.
-            let begun = catch_unwind(AssertUnwindSafe(|| {
-                let begun = self
-                    .host
-                    .begin_batch(&batch.requests)
-                    .map_err(|e| e.to_string())?;
-                let until = shared.clock.now() + Duration::from_secs_f64(begun.compute_secs);
-                Ok((begun, until))
-            }))
-            .unwrap_or_else(|panic| Err(format!("backend panicked: {}", panic_message(&*panic))));
-            match begun {
-                Ok((begun, until)) if begun.compute_secs > 0.0 => {
-                    let Some(executor) = shared.executor.upgrade() else {
-                        let gone = Err("the service's executor pool is gone".to_string());
-                        self.finish(&mut serving, batch, gone);
-                        continue;
-                    };
+            self.begin(&mut serving, batch, clock.now());
+        }
+    }
+
+    /// Begin `batch` at `now` on the idle replica the caller holds — the one way a
+    /// batch gets onto the backend, whether it was carried here by its dispatch or
+    /// waited in the queue: make the backend call, then answer at once if the batch
+    /// costs no time, or park on the timer until its time is up.
+    fn begin(self: &Arc<Self>, serving: &mut Serving, batch: Batch<BatchItem>, now: SimTime) {
+        // The backend is the one piece of foreign code on this path.
+        let requests = batch.iter().map(|item| &item.request);
+        let begun = catch_unwind(AssertUnwindSafe(|| self.host.begin_batch(requests)))
+            .map_err(|panic| format!("backend panicked: {}", panic_message(&*panic)))
+            .and_then(|begun| begun.map_err(|e| e.to_string()));
+        let begun = match begun {
+            Ok(begun) if begun.compute_secs > 0.0 => match self.shared.executor.upgrade() {
+                Some(executor) => {
+                    let until = now + Duration::from_secs_f64(begun.compute_secs);
                     serving.running = Some(Running {
                         batch,
                         begun,
@@ -238,22 +243,29 @@ impl Replica {
                     executor.wake_at_clock(self, until);
                     return;
                 }
-                begun => self.finish(&mut serving, batch, begun.map(|(begun, _)| begun)),
-            }
-        }
+                None => Err("the service's executor pool is gone".to_string()),
+            },
+            begun => begun,
+        };
+        // Answered where it began: the replica was never busy with it.
+        self.finish(serving, batch, begun);
+        serving.busy_until_secs = now.as_secs_f64();
     }
 
     /// The batch's time is up (or it failed): answer every member.
-    fn finish(&self, serving: &mut Serving, batch: Batch, begun: Result<BegunBatch, String>) {
+    fn finish(
+        &self,
+        serving: &Serving,
+        batch: Batch<BatchItem>,
+        begun: Result<BegunBatch, String>,
+    ) {
         let shared = &self.shared;
         let n = batch.len();
         match begun {
             Ok(begun) => {
                 let batch_secs = begun.compute_secs;
-                let ids = batch.requests.into_iter().map(|r| r.request_id);
-                let responses = self.host.complete_batch(ids, begun);
                 update_estimate(&shared.est_request_secs_bits, batch_secs / n.max(1) as f64);
-                for (item, resp) in batch.items.into_iter().zip(responses) {
+                for (item, result) in batch.into_iter().zip(begun.results) {
                     // The paper's `service` component: endpoint queueing (measured
                     // at admission), parsing overhead, the assembler wait, and
                     // replica queueing behind earlier batches. Every term is a
@@ -265,25 +277,26 @@ impl Replica {
                         item.admission_queue_secs + item.batch_wait_secs + replica_wait_secs;
                     let service_secs = queue_secs + item.handling_secs;
                     shared.sink.record("serving.queue.delay_secs", queue_secs);
+                    // In key order: each header lands at the end of the table.
                     let reply = Message::new(item.topic, KIND_INFER_REPLY)
-                        .with_header(HDR_REQUEST_ID, resp.request_id)
-                        .with_header(HDR_MODEL, resp.model)
-                        .with_f64_header(HDR_SERVICE_SECS, service_secs)
-                        .with_f64_header(HDR_INFERENCE_SECS, resp.inference_secs)
-                        .with_u64_header(HDR_PROMPT_TOKENS, resp.prompt_tokens.into())
-                        .with_u64_header(HDR_COMPLETION_TOKENS, resp.completion_tokens.into())
-                        .with_f64_header(HDR_BATCH_WAIT_SECS, item.batch_wait_secs)
+                        .with_header_room(8)
                         .with_u64_header(HDR_BATCH_SIZE, n as u64)
-                        .with_payload(resp.text);
+                        .with_f64_header(HDR_BATCH_WAIT_SECS, item.batch_wait_secs)
+                        .with_u64_header(HDR_COMPLETION_TOKENS, result.completion_tokens.into())
+                        .with_f64_header(HDR_INFERENCE_SECS, batch_secs)
+                        .with_header(HDR_MODEL, self.host.spec().name.clone())
+                        .with_u64_header(HDR_PROMPT_TOKENS, result.prompt_tokens.into())
+                        .with_header(HDR_REQUEST_ID, item.request.request_id)
+                        .with_f64_header(HDR_SERVICE_SECS, service_secs)
+                        .with_payload(result.text);
                     let _ = item.responder.reply(reply);
                 }
             }
-            Err(err) => batch.fail(&err),
+            Err(err) => fail(batch, &err),
         }
-        serving.busy_until_secs = shared.clock.now().as_secs_f64();
         // SeqCst on the count and on `quiescing`, here and in `quiesce`: of a batch
         // that ends and a thread that starts to quiesce, at least one sees the other.
-        self.outstanding.fetch_sub(n as u64, Ordering::SeqCst);
+        self.hot.outstanding.fetch_sub(n as u64, Ordering::SeqCst);
         if shared.quiescing.load(Ordering::SeqCst) > 0 {
             let _quiescing = shared.quiesce_lock.lock();
             shared.batch_ended.notify_all();
@@ -293,12 +306,12 @@ impl Replica {
 
 impl Resume for Replica {
     fn cell(&self) -> &RunCell {
-        &self.cell
+        &self.hot.cell
     }
 
     fn resume(self: Arc<Self>) {
         // Again whenever a dispatch or the timer landed meanwhile.
-        self.cell.advance_until_parked(|| self.advance());
+        self.hot.cell.advance_until_parked(|| self.advance());
     }
 }
 
@@ -353,56 +366,50 @@ impl ReplicaPool {
         let replica = Arc::new(Replica {
             id,
             host,
-            outstanding: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             shared: Arc::clone(&self.shared),
-            cell: RunCell::parked(),
-            queue: Mutex::new(VecDeque::new()),
-            serving: Mutex::new(Serving {
-                busy_until_secs: f64::NEG_INFINITY,
-                running: None,
+            hot: OwnLine(Hot {
+                cell: RunCell::parked(),
+                outstanding: AtomicU64::new(0),
+                queue: Mutex::new(VecDeque::new()),
+                serving: Mutex::new(Serving {
+                    busy_until_secs: f64::NEG_INFINITY,
+                    running: None,
+                }),
             }),
         });
         self.replicas.write().push(replica);
         id
     }
 
-    /// Route to the live replica with the fewest outstanding requests (ties break on
-    /// lowest replica id). `None` when every replica is draining or the pool is empty.
-    pub fn route(&self) -> Option<Arc<Replica>> {
-        self.replicas
-            .read()
-            .iter()
-            .filter(|r| !r.is_draining())
-            .min_by_key(|r| (r.outstanding(), r.id))
-            .cloned()
+    /// The live replica with the fewest outstanding requests (ties break on lowest
+    /// replica id). `None` when every replica is draining or the pool is empty.
+    fn route(&self) -> Option<Arc<Replica>> {
+        let replicas = self.replicas.read();
+        let live = replicas.iter().filter(|r| !r.is_draining());
+        live.min_by_key(|r| (r.outstanding(), r.id)).cloned()
     }
 
-    /// Dispatch one batch to the least-loaded live replica, record the routing
-    /// metrics and advance the replica: one that is idle begins the batch on this
-    /// thread, one that is busy serves it when its turn comes. Replies with an error
-    /// to every member if no replica is routable. Call with no lock held that a
-    /// replica step takes (see the module docs).
-    pub fn dispatch(&self, batch: Batch) {
+    /// Dispatch one batch, at `now`, to the least-loaded live replica and record the
+    /// routing metrics: a replica that is idle with nothing queued begins the batch on
+    /// this thread, there and then; behind a busy one it queues and is served when its
+    /// turn comes. Replies with an error to every member if no replica is routable.
+    /// Call with no lock held that a replica step takes (see the module docs).
+    pub fn dispatch(&self, batch: Batch<BatchItem>, now: SimTime) {
         if batch.is_empty() {
             return;
         }
         let Some(replica) = self.route() else {
-            batch.fail("no live replicas");
+            fail(batch, "no live replicas");
             return;
         };
         let n = batch.len() as u64;
-        let outstanding_after = replica.outstanding.fetch_add(n, Ordering::SeqCst) + n;
+        let outstanding_after = replica.hot.outstanding.fetch_add(n, Ordering::SeqCst) + n;
         let sink = &self.shared.sink;
         sink.record("serving.batch.size", n as f64);
         sink.record("serving.replica.outstanding", outstanding_after as f64);
-        let depth = {
-            let mut queue = replica.queue.lock();
-            queue.push_back(batch);
-            queue.len()
-        };
+        let depth = replica.accept(batch, now);
         sink.record("comm.queue.depth", depth as f64);
-        Pool::advance_or_wake(&replica);
     }
 
     /// Sum of outstanding requests across all replicas.
@@ -410,22 +417,10 @@ impl ReplicaPool {
         self.replicas.read().iter().map(|r| r.outstanding()).sum()
     }
 
-    /// Outstanding counts per replica (diagnostics and tests).
-    pub fn outstanding_per_replica(&self) -> Vec<u64> {
-        self.replicas
-            .read()
-            .iter()
-            .map(|r| r.outstanding())
-            .collect()
-    }
-
     /// Number of routable (non-draining) replicas.
     pub fn live_replicas(&self) -> usize {
-        self.replicas
-            .read()
-            .iter()
-            .filter(|r| !r.is_draining())
-            .count()
+        let replicas = self.replicas.read();
+        replicas.iter().filter(|r| !r.is_draining()).count()
     }
 
     /// Total number of replicas, draining included.
@@ -438,18 +433,14 @@ impl ReplicaPool {
         self.replicas.read().first().map(|r| Arc::clone(&r.host))
     }
 
-    /// EWMA of observed per-request service seconds (0 until the first batch lands).
-    pub fn est_request_secs(&self) -> f64 {
-        f64::from_bits(self.shared.est_request_secs_bits.load(Ordering::Acquire))
-    }
-
     /// Estimated queue delay for a request arriving now with `queued` requests already
     /// waiting in the assembler: backlog divided over the live replicas, priced at the
     /// observed per-request cost. Zero until a first batch calibrates the estimate.
     pub fn estimated_queue_delay_secs(&self, queued: usize) -> f64 {
         let backlog = queued as u64 + self.total_outstanding();
         let live = self.live_replicas().max(1);
-        backlog as f64 * self.est_request_secs() / live as f64
+        let est_bits = self.shared.est_request_secs_bits.load(Ordering::Acquire);
+        backlog as f64 * f64::from_bits(est_bits) / live as f64
     }
 
     /// Begin draining the replica with the given id (scale-down). Returns `false` if
@@ -500,7 +491,11 @@ fn update_estimate(bits: &AtomicU64, sample_secs: f64) {
     } else {
         EST_EWMA_ALPHA * sample_secs + (1.0 - EST_EWMA_ALPHA) * prev
     };
-    bits.store(next.to_bits(), Ordering::Release);
+    // An estimate that stands (NOOP: 0 for ever) is not written again: every pass, on
+    // whichever core, reads the line it sits on.
+    if next != prev {
+        bits.store(next.to_bits(), Ordering::Release);
+    }
 }
 
 #[cfg(test)]
@@ -544,7 +539,7 @@ mod tests {
     impl Fixture {
         /// One request from a thread of its own, received here and wrapped as an item
         /// that has cost nothing so far: its `service` time is its replica wait alone.
-        fn item(&self) -> (thread::JoinHandle<Message>, Batch) {
+        fn item(&self) -> (thread::JoinHandle<Message>, Batch<BatchItem>) {
             let client = self.endpoint.client(Link::instant(Arc::clone(&self.clock)));
             let requester = thread::spawn(move || {
                 client
@@ -553,6 +548,7 @@ mod tests {
             });
             let (msg, responder) = self.endpoint.recv_timeout(Duration::from_secs(5)).unwrap();
             let item = BatchItem {
+                request: InferenceRequest::new("w ".repeat(40), 64),
                 responder,
                 topic: msg.topic,
                 admission_queue_secs: 0.0,
@@ -560,11 +556,7 @@ mod tests {
                 batch_wait_secs: 0.0,
                 dispatched_secs: self.clock.now().as_secs_f64(),
             };
-            let batch = Batch {
-                requests: vec![InferenceRequest::new("w ".repeat(40), 64)],
-                items: vec![item],
-            };
-            (requester, batch)
+            (requester, Batch::One(item))
         }
     }
 
@@ -574,10 +566,10 @@ mod tests {
         let (requesters, batches): (Vec<_>, Vec<_>) = (0..3).map(|_| fx.item()).unzip();
         let ids: Vec<String> = batches
             .iter()
-            .map(|b| b.requests[0].request_id.clone())
+            .map(|b| b[0].request.request_id.clone())
             .collect();
         for batch in batches {
-            fx.pool.dispatch(batch);
+            fx.pool.dispatch(batch, fx.clock.now());
         }
         assert!(fx.executor.is_started(), "an LLM batch parks on a timer");
         let replies: Vec<Message> = requesters.into_iter().map(|r| r.join().unwrap()).collect();
@@ -619,7 +611,7 @@ mod tests {
     fn an_idle_noop_replica_answers_on_the_dispatching_thread() {
         let fx = fixture(ModelSpec::noop());
         let (requester, batch) = fx.item();
-        fx.pool.dispatch(batch);
+        fx.pool.dispatch(batch, fx.clock.now());
         // No thread but this one could have served it: the pool has none.
         assert!(!fx.executor.is_started());
         assert_eq!(
@@ -639,7 +631,7 @@ mod tests {
         // Replacing the only strong reference drops the pool the replicas point at.
         fx.executor = Arc::new(Pool::new(Arc::clone(&fx.clock)));
         let (requester, batch) = fx.item();
-        fx.pool.dispatch(batch);
+        fx.pool.dispatch(batch, fx.clock.now());
         let reply = requester.join().unwrap();
         assert_eq!(reply.kind, KIND_ERROR);
         assert!(reply.header(HDR_ERROR).unwrap().contains("executor"));

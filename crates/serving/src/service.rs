@@ -3,47 +3,46 @@
 //! [`InferenceService::serve`] is what runs inside a *service task* once the runtime has
 //! launched it. The service is an admission front-end over the serving plane:
 //!
-//! 1. requests are drained from the endpoint in arrival order and decoded zero-copy
+//! 1. requests are admitted in arrival order and decoded zero-copy
 //!    ([`InferenceRequest::decode_view`]); malformed payloads get a typed protocol
 //!    error reply;
 //! 2. admission control sheds requests when the assembler queue is full or when a
 //!    request's deadline cannot be met at the current estimated queue delay
 //!    ([`KIND_SHED`] + [`HDR_RETRY_AFTER_SECS`]);
-//! 3. admitted requests queue in a [`BatchAssembler`] which dispatches a batch when
-//!    `max_batch_size` is reached or the oldest entry's latency budget expires;
+//! 3. an admitted request goes to the [`BatchAssembler`]: if it completes a batch
+//!    (`max_batch_size` together — with 1, every request) the batch is dispatched at
+//!    once, otherwise it waits until the oldest entry's latency budget expires;
 //! 4. batches route to the least-loaded replica of a [`ReplicaPool`], which executes
 //!    them and stamps the paper's `service` / `inference` time decomposition onto each
 //!    reply.
 //!
-//! With the default [`ServingConfig`] (1 replica, batch size 1) every request
-//! dispatches immediately to a single host — the seed-era behaviour.
-//!
-//! # No serve-loop thread
+//! # No serve-loop thread, and queues that hold only what waits
 //!
 //! The front-end is a resumable run ([`Resume`]) on the executor's [`Pool`], not a loop
 //! in a thread: `serve` arms the endpoint with the run as its [`Server`]
 //! ([`ReqRepServer::attach`]) and then only sleeps until it is told to stop. The run's
-//! cell is what "the single front-end thread" used to be — one pass at a time, so
-//! endpoint order = admission order = dispatch order — and, seen from the endpoint, it
-//! is *the service's turn*: a client takes it ([`RunCell::try_hold`]) before it queues
-//! its request and makes the pass on its own thread: drain, admit, assemble, dispatch,
-//! and for an idle replica with a zero-cost batch the backend call and the reply too.
-//! A request that never has to wait crosses no thread boundary. A client that finds the
-//! turn taken waits for it for a bounded number of polls (a holder does not wait for
-//! another sender, but admission sleeps a request's handling time on the session clock
-//! while it holds the turn, so the wait has to be bounded) and only then queues behind
-//! the holder, who makes one more pass
-//! (`Running → Notified`) while the client sleeps on its reply — see
-//! [`hpcml_comm::reqrep`] for the protocol. A pass that leaves a partial batch parks on
-//! the pool's session-clock timer heap until the oldest entry's budget expires — which
-//! a [`hpcml_sim::clock::ManualClock`] fires like any other timer.
+//! cell is *the service's turn* — one pass at a time, so endpoint order = admission
+//! order = dispatch order — which a client takes ([`RunCell::try_hold`]) to make the
+//! pass on its own thread; a client that finds it taken waits a bounded number of
+//! polls and then queues behind the holder (see [`hpcml_comm::reqrep`]). A request that
+//! finds the turn free and the mailbox empty is *carried* into the pass, not queued; a
+//! batch is dispatched by the push that completes it, not parked; an idle replica
+//! begins the batch it is handed, not queues it — so an idle service admits, runs and
+//! answers a request on its sender's stack under the turn alone, through the same
+//! `admit` and [`ReplicaPool::dispatch`] as a request that waited at any of the three.
+//! A pass that leaves a partial batch parks on the pool's session-clock timer heap
+//! until the oldest entry's budget expires — which a
+//! [`hpcml_sim::clock::ManualClock`] fires like any other timer.
 //!
-//! Lock order: front-end state (locked by whoever holds the run, and by `serve` when it
-//! winds down) → replica run → leaves (see [`crate::pool`]). The endpoint calls the
-//! server with no comm lock held.
+//! The turn is polled by senders that wait for it, so it has a cache line nothing else
+//! is written on; what its holder writes per request (admission state, the served
+//! count) shares another, apart from what every pass only reads. Lock order: front-end
+//! state (locked by whoever holds the run, and by `serve` when it winds down) → replica
+//! run → leaves (see [`crate::pool`]); the endpoint calls the server with no comm lock
+//! held.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -56,11 +55,11 @@ use hpcml_comm::reqrep::{Mailbox, ReqRepServer, Responder, Server, HDR_ENQUEUED_
 use hpcml_sim::clock::{SharedClock, SimTime};
 use hpcml_sim::dist::Dist;
 use hpcml_sim::metrics::{null_sink, SharedScalarSink};
-use hpcml_sim::pool::{Pool, Resume, RunCell};
+use hpcml_sim::pool::{OwnLine, Pool, Resume, RunCell};
 
-use crate::batcher::{BatchAssembler, ServingConfig};
+use crate::batcher::{Batch, BatchAssembler, ServingConfig};
 use crate::host::ModelHost;
-use crate::pool::{Batch, BatchItem, ReplicaPool};
+use crate::pool::{BatchItem, ReplicaPool};
 use crate::protocol::*;
 use crate::request::InferenceRequest;
 
@@ -86,25 +85,32 @@ struct FrontEnd {
     config: ServingConfig,
     /// Request parsing/serialisation overhead (the non-queue part of `service` time).
     handling_overhead: Dist,
-    requests_served: AtomicU64,
     sink: SharedScalarSink,
     /// Files the budget timer. Weak, because a timer entry owns the run.
     executor: Weak<Pool>,
-    cell: RunCell,
-    admission: Mutex<Admission>,
+    /// The run itself, for the timer entry: a pass has only `&self`.
+    this: Weak<FrontEnd>,
+    /// The service's turn: polled by senders that wait for it, alone on its line.
+    turn: OwnLine<RunCell>,
+    /// What the turn's holder writes per request, on lines of its own.
+    admission: OwnLine<Mutex<Admission>>,
     /// Wakes `serve`'s thread when a pass has met a shutdown message.
     shutdown_met: Condvar,
 }
 
-/// What the front-end thread's locals used to be; locked by the holder of the run.
+/// What the front-end thread's locals used to be; locked by the holder of the run. In
+/// declaration order: what every admission writes shares the lock word's line.
+#[repr(C)]
 struct Admission {
-    /// The endpoint being served; `None` outside `serve` and once a pass has met a
-    /// shutdown message — nothing behind it is drained.
-    mailbox: Option<Mailbox>,
-    assembler: BatchAssembler<(InferenceRequest, BatchItem)>,
-    rng: StdRng,
     /// Messages handled since `serve` attached.
     handled: u64,
+    /// Inference requests admitted, ever.
+    served: u64,
+    rng: StdRng,
+    /// The endpoint being served; `None` outside `serve` and once a pass has met a
+    /// shutdown message — nothing more is admitted.
+    mailbox: Option<Mailbox>,
+    assembler: BatchAssembler<BatchItem>,
     /// A shutdown message a pass met — topic and reply handle — left for `serve`'s
     /// thread to acknowledge.
     shutdown: Option<(Cow<'static, str>, Responder)>,
@@ -183,7 +189,7 @@ impl InferenceService {
         ));
         let assembler =
             BatchAssembler::new(config.max_batch_size, config.batch_latency_budget_secs);
-        let front = Arc::new(FrontEnd {
+        let front = Arc::new_cyclic(|this| FrontEnd {
             name: name.into(),
             primary,
             pool,
@@ -192,18 +198,19 @@ impl InferenceService {
             // Parsing + reply serialisation: tens of microseconds, so the "service"
             // component stays below the network latency for NOOP calls (Figs. 4-5).
             handling_overhead: Dist::normal(0.00003, 0.00001),
-            requests_served: AtomicU64::new(0),
             sink,
             executor: Arc::downgrade(&executor),
-            cell: RunCell::parked(),
-            admission: Mutex::new(Admission {
+            this: Weak::clone(this),
+            turn: OwnLine(RunCell::parked()),
+            admission: OwnLine(Mutex::new(Admission {
+                handled: 0,
+                served: 0,
+                rng: StdRng::seed_from_u64(seed),
                 mailbox: None,
                 assembler,
-                rng: StdRng::seed_from_u64(seed),
-                handled: 0,
                 shutdown: None,
                 armed: None,
-            }),
+            })),
             shutdown_met: Condvar::new(),
         });
         InferenceService {
@@ -215,11 +222,6 @@ impl InferenceService {
     /// Service name (usually the service task id).
     pub fn name(&self) -> &str {
         &self.front.name
-    }
-
-    /// The primary replica's model host.
-    pub fn host(&self) -> &Arc<ModelHost> {
-        &self.front.primary
     }
 
     /// The replica pool behind this service.
@@ -234,17 +236,14 @@ impl InferenceService {
 
     /// Inference requests admitted by this service.
     pub fn requests_served(&self) -> u64 {
-        self.front.requests_served.load(Ordering::Relaxed)
+        self.front.admission.lock().served
     }
 
     /// Serve `endpoint` until `stop` is set or a shutdown message arrives. Returns the
     /// number of messages handled in this invocation. On exit the assembler is flushed
     /// and the pool quiesced, so every admitted request is answered before the call
-    /// returns.
-    ///
-    /// The calling thread serves nothing itself: it arms the endpoint with the
-    /// front-end run and sleeps (see the module docs); requests are handled on the
-    /// threads that send them and on the executor pool. One `serve` at a time per
+    /// returns. The calling thread serves nothing itself: it arms the endpoint with the
+    /// front-end run and sleeps (see the module docs). One `serve` at a time per
     /// service.
     pub fn serve(&self, endpoint: &ReqRepServer, stop: &AtomicBool) -> u64 {
         let front = &self.front;
@@ -260,13 +259,13 @@ impl InferenceService {
             while admission.shutdown.is_none() && !stop.load(Ordering::Acquire) {
                 front.shutdown_met.wait_for(&mut admission, POLL_INTERVAL);
             }
-            // From here on no pass drains anything.
+            // From here on no pass admits anything.
             admission.mailbox = None;
             if let Some((topic, responder)) = admission.shutdown.take() {
                 let reply = Message::new(topic, KIND_PONG).with_header("stopping", "true");
                 let _ = responder.reply(reply);
             }
-            front.flush_ready(&mut admission, true);
+            front.flush_partial(&mut admission, true);
             admission.handled
         };
         endpoint.detach();
@@ -278,93 +277,97 @@ impl InferenceService {
 /// The run's cell is the service's turn: whoever holds the run makes the pass.
 impl Server for FrontEnd {
     fn try_take_turn(&self) -> bool {
-        self.cell.try_hold()
+        self.turn.try_hold()
     }
 
-    fn serve_turn(self: Arc<Self>) {
-        self.resume();
+    fn serve_turn(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>) {
+        // Again whenever something was queued, or the budget expired, during the pass.
+        self.turn.advance_until_parked(|| self.pass(carried));
     }
 
-    fn wake(self: Arc<Self>) {
-        Pool::advance_or_wake(&self);
+    fn wake(&self) {
+        if self.turn.hold_or_notify() {
+            self.serve_turn(&mut std::iter::empty());
+        }
     }
 }
 
 impl Resume for FrontEnd {
     fn cell(&self) -> &RunCell {
-        &self.cell
+        &self.turn
     }
 
     fn resume(self: Arc<Self>) {
-        // Again whenever something arrived, or the budget expired, during the pass.
-        self.cell.advance_until_parked(|| self.pass());
+        self.serve_turn(&mut std::iter::empty());
     }
 }
 
 impl FrontEnd {
-    /// One pass of the front-end: admit what has arrived, in arrival order and in
-    /// chunks with a dispatch of whatever is due between them, then park on the oldest
-    /// entry's budget if a partial batch is left.
-    fn pass(self: &Arc<Self>) {
+    /// One pass of the front-end: admit what the caller carried and — if it carried
+    /// nothing — what waits in the mailbox, in arrival order, a batch being dispatched
+    /// by the request that completes it; then park on the oldest entry's budget if a
+    /// partial batch is left.
+    fn pass(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>) {
         let mut admission = self.admission.lock();
-        let admit_chunk = self.config.max_batch_size.max(16);
+        // What was carried found the mailbox empty, and whatever is queued behind the
+        // turn notifies its holder: only a pass that carried nothing looks there.
+        let mut look = true;
         loop {
-            self.flush_ready(&mut admission, false);
-            let mut taken = 0;
-            while taken < admit_chunk {
-                let next = admission.mailbox.as_ref().and_then(Mailbox::try_recv);
-                let Some((msg, responder)) = next else {
-                    break;
-                };
-                taken += 1;
-                if msg.kind == KIND_SHUTDOWN {
-                    // Acknowledged by `serve`'s thread, so that whoever asked for the
-                    // stop gets its reply only once that thread is on its way out.
-                    admission.mailbox = None;
-                    admission.shutdown = Some((msg.topic, responder));
-                    self.shutdown_met.notify_one();
-                    break;
-                }
-                self.admit(msg, responder, &mut admission);
-                admission.handled += 1;
-            }
-            if taken == 0 {
+            self.flush_partial(&mut admission, false);
+            let next = admission.mailbox.as_ref().and_then(|mailbox| {
+                let brought = carried.next().inspect(|_| look = false);
+                brought.or_else(|| look.then(|| mailbox.try_recv()).flatten())
+            });
+            let Some((msg, responder)) = next else {
+                break;
+            };
+            if msg.kind == KIND_SHUTDOWN {
+                // Acknowledged by `serve`'s thread, so that whoever asked for the
+                // stop gets its reply only once that thread is on its way out.
+                admission.mailbox = None;
+                admission.shutdown = Some((msg.topic, responder));
+                self.shutdown_met.notify_one();
                 break;
             }
+            self.admit(msg, responder, &mut admission);
+            admission.handled += 1;
         }
         let Some(oldest) = admission.assembler.oldest_arrival_secs() else {
             return;
         };
         let due = oldest + self.config.batch_latency_budget_secs;
         if admission.armed != Some(due) {
-            if let Some(executor) = self.executor.upgrade() {
+            if let (Some(executor), Some(this)) = (self.executor.upgrade(), self.this.upgrade()) {
                 admission.armed = Some(due);
                 // One tick past the deadline, so that the pass the timer causes finds
                 // the budget expired whichever way the conversions rounded.
                 let at = SimTime::from_secs_f64(due) + Duration::from_nanos(1);
-                executor.wake_at_clock(self, at);
+                executor.wake_at_clock(&this, at);
             }
         }
     }
 
-    /// Dispatch every due batch to the pool, stamping each member's assembler wait.
-    fn flush_ready(&self, admission: &mut Admission, force: bool) {
+    /// Dispatch the partial batch if its budget has expired (or `force`: the service
+    /// stops).
+    fn flush_partial(&self, admission: &mut Admission, force: bool) {
         if admission.assembler.is_empty() {
             return;
         }
-        let now = self.clock.now().as_secs_f64();
-        while let Some(batch) = admission.assembler.take_ready(now, force) {
-            let batch: Batch = batch
-                .into_iter()
-                .map(|d| {
-                    let (request, mut item) = d.item;
-                    item.batch_wait_secs = (now - d.arrival_secs).max(0.0);
-                    item.dispatched_secs = now;
-                    (request, item)
-                })
-                .collect();
-            self.pool.dispatch(batch);
+        let now = self.clock.now();
+        if let Some(batch) = admission.assembler.take_ready(now.as_secs_f64(), force) {
+            self.dispatch(batch, now);
         }
+    }
+
+    /// Hand a complete batch to the pool at `now`, stamping each member's assembler
+    /// wait (a member carries its arrival in `dispatched_secs` until here).
+    fn dispatch(&self, mut batch: Batch<BatchItem>, now: SimTime) {
+        let now_secs = now.as_secs_f64();
+        for item in batch.iter_mut() {
+            item.batch_wait_secs = (now_secs - item.dispatched_secs).max(0.0);
+            item.dispatched_secs = now_secs;
+        }
+        self.pool.dispatch(batch, now);
     }
 
     /// Handle one received message: control messages answer inline, inference
@@ -387,8 +390,10 @@ impl FrontEnd {
         }
     }
 
+    /// Admit one inference request, carried or queued: shed it, or parse it, spend its
+    /// handling time and push it — and dispatch the batch the push completes.
     fn admit_inference(&self, msg: Message, responder: Responder, admission: &mut Admission) {
-        let Admission { assembler, rng, .. } = admission;
+        let assembler = &mut admission.assembler;
         let arrived_secs = self.clock.now().as_secs_f64();
         // Time already spent in the endpoint queue counts toward `service` time; the
         // client stamps its enqueue instant after link traversal.
@@ -407,31 +412,26 @@ impl FrontEnd {
             }
         };
 
-        // Bounded admission queue: beyond capacity the request is shed, not queued.
-        if assembler.len() >= self.config.queue_capacity {
-            self.shed(msg.topic, view.request_id, responder, assembler.len());
+        // Shed rather than queue beyond the bounded admission queue, and reject now
+        // (cheap) rather than time out later (expensive) a request whose deadline the
+        // estimated queue delay already exceeds.
+        let queued = assembler.len();
+        let late = |deadline_secs| self.pool.estimated_queue_delay_secs(queued) > deadline_secs;
+        let deadline = msg.f64_header(HDR_DEADLINE_SECS);
+        if queued >= self.config.queue_capacity
+            || (self.config.shed_deadlines && deadline.is_some_and(late))
+        {
+            self.shed(msg.topic, view.request_id, responder, queued);
             return;
         }
 
-        // Deadline-aware shedding: reject now (cheap) rather than time out later
-        // (expensive) when the estimated queue delay already exceeds the deadline.
-        if self.config.shed_deadlines {
-            if let Some(deadline_secs) = msg.f64_header(HDR_DEADLINE_SECS) {
-                let est = self.pool.estimated_queue_delay_secs(assembler.len());
-                if est > deadline_secs {
-                    self.shed(msg.topic, view.request_id, responder, assembler.len());
-                    return;
-                }
-            }
-        }
-
         // Parsing / deserialisation overhead.
-        let handling_secs = self.handling_overhead.sample(rng).max(0.0);
+        let handling_secs = self.handling_overhead.sample(&mut admission.rng).max(0.0);
         self.clock.sleep(Duration::from_secs_f64(handling_secs));
 
-        // The one copy of the request: from here on it is moved, never cloned.
-        let request = view.to_request();
         let item = BatchItem {
+            // The one copy of the request: from here on it is moved, never cloned.
+            request: view.to_request(),
             responder,
             topic: msg.topic,
             admission_queue_secs,
@@ -439,10 +439,16 @@ impl FrontEnd {
             batch_wait_secs: 0.0,
             dispatched_secs: arrived_secs,
         };
-        assembler.push((request, item), arrived_secs);
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
-        self.sink
-            .record("serving.queue.depth", assembler.len() as f64);
+        // A batch is complete, and stops waiting, at the push that completes it.
+        let completed = assembler.push(item, arrived_secs);
+        let completed = completed.map(|batch| (batch, self.clock.now()));
+        admission.served += 1;
+        // As deep as the assembler was with this request in it.
+        let depth = completed.as_ref().map_or(assembler.len(), |(b, _)| b.len());
+        self.sink.record("serving.queue.depth", depth as f64);
+        if let Some((batch, now)) = completed {
+            self.dispatch(batch, now);
+        }
     }
 
     fn shed(
@@ -900,13 +906,44 @@ mod tests {
             }
             assert_eq!(service.requests_served(), 0, "nobody else can pass");
             // The holder lets go: the notification makes it pass once more first.
-            Arc::clone(&service.front).serve_turn();
+            service.front.serve_turn(&mut std::iter::empty());
             assert_eq!(service.requests_served(), 1, "served by the holder");
             assert_eq!(requester.join().unwrap().kind, KIND_INFER_REPLY);
             assert_eq!(endpoint.queue_len(), 0);
             stop.store(true, Ordering::Release);
             assert_eq!(serving.join().unwrap(), 2);
         });
+    }
+
+    #[test]
+    fn the_turn_has_a_cache_line_to_itself_and_what_admission_writes_shares_another() {
+        let c = clock();
+        let host = shared_host(ModelSpec::noop(), Arc::clone(&c), 36);
+        let service = InferenceService::new("svc.lines", host, c, 37);
+        let front = &*service.front;
+        fn line<T>(field: &T) -> usize {
+            std::ptr::from_ref(field) as usize / 64
+        }
+        let turn = line::<RunCell>(&front.turn);
+        let admission = front.admission.lock();
+        let lock = line(&front.admission);
+        let written = [
+            line(&admission.handled),
+            line(&admission.served),
+            line(&admission.rng),
+        ];
+        assert_eq!(written, [lock; 3], "beside the lock word");
+        let others = [
+            lock,
+            line(&front.name),
+            line(&front.pool),
+            line(&front.config),
+            line(&front.handling_overhead),
+            line(&front.executor),
+            line(&front.this),
+            line(&front.shutdown_met),
+        ];
+        assert!(!others.contains(&turn), "{turn} among {others:?}");
     }
 
     #[test]

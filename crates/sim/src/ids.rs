@@ -12,6 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::pool::OwnLine;
+
 static GLOBAL: IdGenerator = IdGenerator::new();
 
 /// The namespaces the runtime draws from on its hot paths (one id per request, per
@@ -22,29 +24,28 @@ const HOT_NAMESPACES: [&str; 2] = ["request", "task"];
 pub struct IdGenerator {
     /// One counter per entry of [`HOT_NAMESPACES`], on a cache line of its own so
     /// that tasks and requests numbered at the same time do not share one.
-    hot: [HotCounter; HOT_NAMESPACES.len()],
+    hot: [OwnLine<AtomicU64>; HOT_NAMESPACES.len()],
     /// Every other namespace, created on first use.
     counters: Mutex<BTreeMap<String, u64>>,
-    fallback: AtomicU64,
+    /// The message uid, drawn twice per request by every client: a line of its own
+    /// too, away from the `counters` mutex.
+    fallback: OwnLine<AtomicU64>,
 }
-
-#[repr(align(64))]
-struct HotCounter(AtomicU64);
 
 impl IdGenerator {
     /// Create an empty generator (used for the global instance and for tests).
     pub const fn new() -> Self {
         IdGenerator {
-            hot: [const { HotCounter(AtomicU64::new(0)) }; HOT_NAMESPACES.len()],
+            hot: [const { OwnLine(AtomicU64::new(0)) }; HOT_NAMESPACES.len()],
             counters: Mutex::new(BTreeMap::new()),
-            fallback: AtomicU64::new(0),
+            fallback: OwnLine(AtomicU64::new(0)),
         }
     }
 
     /// Next numeric index within `namespace` (starts at 0).
     pub fn next_index(&self, namespace: &str) -> u64 {
         if let Some(hot) = HOT_NAMESPACES.iter().position(|ns| *ns == namespace) {
-            return self.hot[hot].0.fetch_add(1, Ordering::Relaxed);
+            return self.hot[hot].fetch_add(1, Ordering::Relaxed);
         }
         let mut map = self.counters.lock();
         if let Some(counter) = map.get_mut(namespace) {

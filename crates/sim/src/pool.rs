@@ -81,6 +81,21 @@ pub trait Resume: Send + Sync + 'static {
     fn resume(self: Arc<Self>);
 }
 
+/// `T` on a cache line of its own: aligned to one and padded to its end, so that
+/// nothing else is written on the line. For the word one thread polls while another
+/// works next to it (a service's turn), and for the state one holder writes per request,
+/// kept together and apart from what everybody reads.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub struct OwnLine<T>(pub T);
+
+impl<T> std::ops::Deref for OwnLine<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// Per-run scheduling state: who holds the run, and which timer entries still count.
 pub struct RunCell {
     status: AtomicU8,
@@ -103,6 +118,14 @@ impl RunCell {
             status: AtomicU8::new(status),
             generation: AtomicU64::new(0),
         }
+    }
+
+    /// Register a wake-up the caller will serve itself: a parked run is taken (true: the
+    /// caller holds it now and must advance it), a held one is notified, so that its
+    /// holder advances it once more. What [`Pool::advance_or_wake`] does, for a caller
+    /// that has the run but no `Arc` of it.
+    pub fn hold_or_notify(&self) -> bool {
+        self.claim(RUNNING)
     }
 
     /// Register a wake-up: a parked run goes to `claimed` (`Queued` for a wake-up that
@@ -288,7 +311,7 @@ impl Pool {
     /// more. Never enqueues — which is why it needs no pool to call it on. See the
     /// module docs for when this is legal: no lock the step takes may be held.
     pub fn advance_or_wake<R: Resume>(run: &Arc<R>) {
-        if run.cell().claim(RUNNING) {
+        if run.cell().hold_or_notify() {
             Arc::clone(run).resume();
         }
     }
@@ -491,6 +514,22 @@ mod tests {
                 self.resumed.fetch_add(1, Ordering::AcqRel);
             });
         }
+    }
+
+    #[test]
+    fn own_line_shares_its_cache_line_with_nothing() {
+        use std::mem::{align_of, size_of};
+        assert_eq!(align_of::<OwnLine<RunCell>>(), 64);
+        assert_eq!(
+            size_of::<OwnLine<RunCell>>(),
+            64,
+            "padded to the line's end"
+        );
+        assert_eq!(size_of::<OwnLine<[u8; 65]>>(), 128, "or to the next one's");
+        assert!(
+            OwnLine(RunCell::parked()).try_hold(),
+            "reads as what it holds"
+        );
     }
 
     #[test]

@@ -39,10 +39,12 @@
 #      real time: what one NOOP request costs a whole session with one closed-loop
 #      client and with two, against two services — must be present, and its ratio
 #      (two clients' aggregate requests per second over one client's, two numbers
-#      of this run) is printed, NOT bounded: ISSUE 20 asked for >= 1.3x on >= 2
-#      CPUs and the 2-vCPU reference host reads 0.8-1.0x (0.52-0.57x before senders
-#      took the service's turn themselves), so the bound is an open ROADMAP item
-#      rather than a check that either always fails or was fitted to the result.
+#      of this run) is printed, NOT bounded: ROADMAP arc 3 asks for >= 1.3x on >= 2
+#      CPUs, to be enforced once ten consecutive runs all clear it, and the 2-vCPU
+#      reference host reads 1.25-1.42x, seven of ten below 1.3 (0.8-1.0x while every
+#      request was queued and taken back three times on its way, 0.52-0.57x before
+#      senders took the service's turn themselves), so it stays a printed number
+#      rather than a check that fails on most runs or was fitted to the result.
 #      Below 2 CPUs the ratio is not printed. BENCH_serving.json records
 #      `host_cpus` beside the pair; or
 #   7. any comm_fabric datapoint (comm/fanout/{encode_once,clone_each}/{1,8,64},
@@ -50,8 +52,10 @@
 #      is missing from the comm bench's parsed results, or zero-copy fan-out at
 #      64 subscribers stops beating the clone-per-subscriber baseline
 #      (clone_each/64 / encode_once/64 >= BENCH_COMM_MIN_FANOUT_SPEEDUP, default
-#      1.5x — the saving is N-1 avoided deep clones, allocation-bound and so
-#      host-independent), or batched round trips stop beating singletons
+#      1.5x — the saving is N-1 avoided deep clones of a message that owns its
+#      run-time values, allocation-bound and so host-independent; each point is
+#      the median of seven alternating runs a side and the ratio reads 1.54-1.63x),
+#      or batched round trips stop beating singletons
 #      (singleton / batched_16 >= BENCH_COMM_MIN_BATCH_SPEEDUP, default 1.5x —
 #      virtual-time coalescing-rule pricing, machine-independent). Recorded in
 #      their own baseline, BENCH_comm.json.
@@ -289,7 +293,7 @@ elif [[ -n "$CLIENTS_ONE" && -n "$CLIENTS_TWO" ]]; then
         BEGIN {
             # ns per request of the whole session: requests per second is its inverse.
             scaling = (two > 0) ? one / two : 0
-            printf "report: request path one client %.0f ns/request vs two clients %.0f ns/request: %.2fx requests per second on %d CPUs (ISSUE 20 target 1.3x, not enforced)\n", \
+            printf "report: request path one client %.0f ns/request vs two clients %.0f ns/request: %.2fx requests per second on %d CPUs (ROADMAP arc 3 asks 1.3x; not enforced until ten runs in a row clear it)\n", \
                 one, two, scaling, cpus
         }'
 fi
@@ -378,7 +382,11 @@ fi
 
 write_comm_baseline() { # write_comm_baseline <path>
     echo "$COMM_RESULTS" | awk '
-        BEGIN { print "{"; print "  \"unit\": \"ns_per_iter (comm/batch/* virtual)\"," }
+        BEGIN {
+            print "{"
+            print "  \"unit\": \"ns_per_iter (comm/batch/* virtual)\","
+            print "  \"note\": \"comm/registry/lookup_churn is bimodal by placement: 780-960 ns when the churn thread has a CPU of its own (every lookup meets a writer swapping the snapshot), 180-210 ns when both threads share one CPU or the host is busy, because the churner then runs only while the reader is descheduled and there is no churn to race (taskset -c 0 reproduces it); a reading near 200 ns, like the 211.5 recorded before PR 23, is such a run and says nothing about the registry\","
+        }
         /^comm\// {
             if (n++) printf ",\n"
             printf "  \"%s\": %s", $1, $2

@@ -2006,6 +2006,216 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
     }
 }
 
+/// Carry or queue, decided under the mailbox lock: a sender that has the server's turn
+/// carries its request into the pass only if nothing waits in the mailbox — so a turn
+/// taken *late*, over a request somebody queued meanwhile, queues behind it.
+///
+/// First the one interleaving that matters, forced (it needs a second CPU: a sender
+/// does not wait for a turn on one): A finds the turn held, runs out of polls and
+/// queues, and is stopped just before it tells the server; B waits for the turn, gets
+/// it on its fourth poll and finds A's request in the mailbox. B must queue behind A and
+/// serve both, A first. Then a seeded storm: clients sending numbered singles and
+/// bursts at a server that refuses a third of all polls and sometimes a whole wait —
+/// every request is admitted once, each client's in the order it sent them, replies
+/// pair with requests, and both the carried and the queued way were taken.
+#[test]
+fn serving_interleavings_a_late_turn_never_carries_past_a_queued_request() {
+    use hpcml::comm::link::Link;
+    use hpcml::comm::reqrep::{Mailbox, ReqRepClient, ReqRepServer, Responder, Server};
+    use hpcml::sim::pool::RunCell;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    /// Echoes, logs what it admits (the text, and whether it came carried), refuses
+    /// polls on request and can hold back a `wake` before it has any effect.
+    struct Gate {
+        turn: RunCell,
+        mailbox: Mailbox,
+        /// Polls still to be refused.
+        refuse: AtomicUsize,
+        polls: AtomicUsize,
+        /// While set, `wake` spins before it does anything.
+        hold_wakes: AtomicBool,
+        /// While set, polls start refusals of their own (see `storm`).
+        storming: AtomicBool,
+        admitted: Mutex<Vec<(String, bool)>>,
+    }
+
+    impl Gate {
+        /// In the storm, every third poll or so that finds the turn free has the next
+        /// one refused, and one in a hundred starts a refusal longer than a sender's
+        /// whole wait.
+        fn storm(&self, poll: usize) {
+            if self.refuse.load(Ordering::Acquire) > 0 {
+                return;
+            }
+            let draw = (poll as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            if draw.is_multiple_of(100) {
+                self.refuse.store(3_000, Ordering::Release);
+            } else if draw.is_multiple_of(3) {
+                self.refuse.fetch_add(1, Ordering::AcqRel);
+            }
+        }
+    }
+
+    impl Server for Gate {
+        fn try_take_turn(&self) -> bool {
+            let poll = self.polls.fetch_add(1, Ordering::AcqRel);
+            if self.storming.load(Ordering::Acquire) {
+                self.storm(poll);
+            }
+            let refused = self
+                .refuse
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                .is_ok();
+            !refused && self.turn.try_hold()
+        }
+
+        fn serve_turn(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>) {
+            self.turn.advance_until_parked(|| {
+                let brought = (&mut *carried).map(|request| (request, true));
+                let queued = std::iter::from_fn(|| self.mailbox.try_recv());
+                for ((msg, responder), carried) in brought.chain(queued.map(|r| (r, false))) {
+                    let text = msg.text().expect("text").to_string();
+                    self.admitted.lock().unwrap().push((text.clone(), carried));
+                    let _ = responder.reply(Message::new(msg.topic, "echo").with_text(&text));
+                }
+            });
+        }
+
+        fn wake(&self) {
+            while self.hold_wakes.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            if self.turn.hold_or_notify() {
+                self.serve_turn(&mut std::iter::empty());
+            }
+        }
+    }
+
+    let clock = ClockSpec::scaled(1000.0).build();
+    let endpoint = ReqRepServer::new("prop.gate");
+    let gate = Arc::new(Gate {
+        turn: RunCell::parked(),
+        mailbox: endpoint.mailbox(),
+        refuse: AtomicUsize::new(0),
+        polls: AtomicUsize::new(0),
+        hold_wakes: AtomicBool::new(false),
+        storming: AtomicBool::new(false),
+        admitted: Mutex::new(Vec::new()),
+    });
+    endpoint.attach(Arc::clone(&gate) as Arc<dyn Server>);
+    let connect = || endpoint.client(Link::instant(Arc::clone(&clock)));
+    let ask = |client: &ReqRepClient, text: &str| {
+        let reply = client
+            .request_timeout(
+                Message::new("prop.gate", "req").with_text(text),
+                Duration::from_secs(30),
+            )
+            .unwrap();
+        assert_eq!(reply.text(), Some(text), "the reply to this very request");
+    };
+
+    // The forced interleaving.
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+        gate.refuse.store(usize::MAX, Ordering::Release);
+        gate.hold_wakes.store(true, Ordering::Release);
+        std::thread::scope(|scope| {
+            let (a, b) = (connect(), connect());
+            let first = scope.spawn(move || ask(&a, "A"));
+            // A has run out of polls and queued; its `wake` is held back.
+            while endpoint.queue_len() == 0 {
+                std::thread::yield_now();
+            }
+            // The holder lets go three polls into B's wait: B has the turn, late.
+            gate.refuse.store(3, Ordering::Release);
+            let late = scope.spawn(move || {
+                ask(&b, "B");
+                std::thread::current().id()
+            });
+            let late = late.join().unwrap();
+            // B's one pass served both, in arrival order, neither of them carried: A's
+            // request waited, so B's had to wait behind it.
+            assert_eq!(
+                *gate.admitted.lock().unwrap(),
+                [("A".to_string(), false), ("B".to_string(), false)],
+                "a request carried past a queued one"
+            );
+            assert_eq!(endpoint.queue_len(), 0);
+            gate.hold_wakes.store(false, Ordering::Release);
+            first.join().unwrap();
+            assert_ne!(late, std::thread::current().id());
+        });
+        // With nothing waiting and the turn free, the next request is carried.
+        ask(&connect(), "C");
+        assert_eq!(gate.admitted.lock().unwrap()[2], ("C".to_string(), true));
+        gate.admitted.lock().unwrap().clear();
+    }
+
+    // The storm.
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 300;
+    gate.storming.store(true, Ordering::Release);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let client = connect();
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0x6A7E ^ c as u64);
+                    let mut sent = 0;
+                    while sent < REQUESTS {
+                        let burst = rng.gen_range(1usize..4).min(REQUESTS - sent);
+                        let texts: Vec<String> =
+                            (sent..sent + burst).map(|i| format!("{c}:{i}")).collect();
+                        if burst == 1 {
+                            let reply = client
+                                .request(Message::new("prop.gate", "req").with_text(&texts[0]))
+                                .unwrap();
+                            assert_eq!(reply.text(), Some(texts[0].as_str()));
+                        } else {
+                            let msgs = texts
+                                .iter()
+                                .map(|t| Message::new("prop.gate", "req").with_text(t))
+                                .collect();
+                            let replies =
+                                client.request_batch(msgs, Duration::from_secs(30)).unwrap();
+                            let echoed: Vec<&str> =
+                                replies.iter().map(|r| r.text().unwrap()).collect();
+                            assert_eq!(echoed, texts, "client {c}: replies in request order");
+                        }
+                        sent += burst;
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+    });
+    let admitted = gate.admitted.lock().unwrap();
+    assert_eq!(admitted.len(), CLIENTS * REQUESTS, "every request once");
+    for c in 0..CLIENTS {
+        let prefix = format!("{c}:");
+        let order: Vec<usize> = admitted
+            .iter()
+            .filter_map(|(text, _)| text.strip_prefix(&prefix))
+            .map(|seq| seq.parse().unwrap())
+            .collect();
+        assert_eq!(
+            order,
+            (0..REQUESTS).collect::<Vec<_>>(),
+            "client {c}: admitted in the order it sent"
+        );
+    }
+    let carried = admitted.iter().filter(|(_, carried)| *carried).count();
+    assert!(
+        carried > 0 && carried < admitted.len(),
+        "{carried} of {} carried: the storm should take both ways",
+        admitted.len()
+    );
+}
+
 // ---------------------------------------------------------------- polled placement
 
 /// The waker of the polled-placement properties. It does what the scheduler allows

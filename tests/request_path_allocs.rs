@@ -51,9 +51,12 @@ static GLOBAL: Counting = Counting;
 const SERVICES: usize = 2;
 const REQUESTS: u32 = 20_000;
 /// Heap allocations one NOOP request may make, client loop to recorded sample.
-/// Measured: 19.0 (debug and release) where string headers, a request cloned three
-/// times and a `ComponentSample` per request made 55.0.
-const ALLOCATIONS_PER_REQUEST: f64 = 24.0;
+/// Measured: 11.0 (debug and release) — topic, id header, payload (2) and header table
+/// of the request message, its reply slot, the parsed request's three strings, the
+/// reply's model name and header table — where a batch, its results and its responses
+/// in a `Vec` or two each, a header table grown twice and a NOOP text copied per reply
+/// made 19.0. The budget is the measurement + 2.
+const ALLOCATIONS_PER_REQUEST: f64 = 13.0;
 /// Live bytes one answered request may leave behind. What it must leave is 72: five
 /// scalar records of 8 bytes (`serving.queue.depth`, `serving.batch.size`,
 /// `serving.replica.outstanding`, `comm.queue.depth`, `serving.queue.delay_secs`) and

@@ -363,3 +363,132 @@ fn default_config_is_unbatched_single_replica() {
     h.stop.store(true, Ordering::Release);
     h.serve_thread.join().unwrap();
 }
+
+/// Carried or queued, a request is priced alike. On a manual clock, where time moves
+/// only when the test moves it: the first request finds the replica idle and its batch
+/// is begun by its own dispatch; the second is dispatched while that batch computes and
+/// waits in the replica's queue. Both satisfy `service = admission queue + handling +
+/// batch wait + replica wait` term by term, and both leave the same five scalar
+/// records.
+#[test]
+fn a_batch_begun_directly_and_one_that_queued_are_priced_and_recorded_alike() {
+    use hpcml::serving::protocol::HDR_BATCH_WAIT_SECS;
+    use hpcml::sim::clock::ManualClock;
+    use hpcml::sim::metrics::{MetricRegistry, SharedScalarSink};
+
+    let manual = Arc::new(ManualClock::new());
+    let clock: SharedClock = Arc::clone(&manual) as SharedClock;
+    let seen = Arc::new(MetricRegistry::new());
+    let recorder = Arc::clone(&seen);
+    let sink: SharedScalarSink =
+        Arc::new(move |name: &str, value: f64| recorder.record(name, value));
+    let wait_until = |what: &str, met: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !met() {
+            assert!(std::time::Instant::now() < deadline, "never: {what}");
+            thread::yield_now();
+        }
+    };
+    // Loading sleeps the model's load time on the clock too.
+    let loader = {
+        let clock = Arc::clone(&clock);
+        thread::spawn(move || loaded_hosts(1, &clock, 91))
+    };
+    wait_until("the model loads", &|| manual.pending_sleepers() == 1);
+    manual.advance(Duration::from_secs(600));
+    let service = Arc::new(InferenceService::with_config(
+        "svc.plane",
+        loader.join().unwrap(),
+        Arc::clone(&clock),
+        92,
+        ServingConfig::default(),
+        sink,
+    ));
+    let endpoint = ReqRepServer::new("svc.plane");
+    let client = endpoint.client(Link::instant(Arc::clone(&clock)));
+    let stop = Arc::new(AtomicBool::new(false));
+    let (svc, stop2) = (Arc::clone(&service), Arc::clone(&stop));
+    let serve_thread = thread::spawn(move || svc.serve(&endpoint, &stop2));
+    let ask = || {
+        let client = client.clone();
+        thread::spawn(move || {
+            let req = InferenceRequest::new("w ".repeat(40), 64);
+            client
+                .request(inference_request_message("svc.plane", &req))
+                .unwrap()
+        })
+    };
+    let pool = Arc::clone(service.pool());
+
+    // Admission sleeps the handling time (tens of virtual µs) on the clock, on the
+    // requester's thread; the millisecond that ends the sleep is the request's whole
+    // wait until its batch is dispatched.
+    let direct = ask();
+    wait_until("the first request is in admission", &|| {
+        manual.pending_sleepers() == 1
+    });
+    manual.advance(Duration::from_millis(1));
+    // Its batch computes: the replica is parked on the timer, which sleeps on the clock.
+    wait_until("the first batch is on the backend", &|| {
+        pool.total_outstanding() == 1 && manual.pending_sleepers() == 1
+    });
+    let queued = ask();
+    wait_until("the second request is in admission", &|| {
+        manual.pending_sleepers() == 2
+    });
+    manual.advance(Duration::from_millis(1));
+    wait_until("the second batch waits behind the first", &|| {
+        pool.total_outstanding() == 2 && manual.pending_sleepers() == 1
+    });
+    // A minute later the first batch has long ended (a few virtual seconds): it is
+    // finished 60.002 s after the first request was sent, and the second, dispatched
+    // at 0.002 s, begun there.
+    manual.advance(Duration::from_secs(60));
+    let direct = direct.join().unwrap();
+    while !queued.is_finished() {
+        manual.advance(Duration::from_secs(60));
+        thread::sleep(Duration::from_millis(1));
+    }
+    let queued = queued.join().unwrap();
+    stop.store(true, Ordering::Release);
+    assert_eq!(serve_thread.join().unwrap(), 2);
+
+    // Per thread in order, grouped by thread: compared sorted.
+    let sorted = |name: &str| {
+        let mut values = seen.values(name);
+        values.sort_by(f64::total_cmp);
+        values
+    };
+    let delays = sorted("serving.queue.delay_secs");
+    let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+    for (reply, delay, replica_wait) in [(&direct, delays[0], 0.0), (&queued, delays[1], 60.0)] {
+        assert_eq!(
+            reply.kind,
+            KIND_INFER_REPLY,
+            "{:?}",
+            reply.header(HDR_ERROR)
+        );
+        let batch_wait = reply.f64_header(HDR_BATCH_WAIT_SECS).unwrap();
+        assert!(close(batch_wait, 0.001), "the millisecond: {batch_wait}");
+        // Stamped and admitted at one virtual instant: no admission queue.
+        assert!(
+            close(delay, 0.0 + batch_wait + replica_wait),
+            "queue delay {delay} vs batch wait {batch_wait} + replica wait {replica_wait}"
+        );
+        let handling = reply.f64_header(HDR_SERVICE_SECS).unwrap() - delay;
+        assert!(
+            handling > 0.0 && handling < 0.001,
+            "what is left of `service` is the handling time: {handling}"
+        );
+    }
+    assert_eq!(delays.len(), 2);
+    assert_eq!(sorted("serving.queue.depth"), [1.0, 1.0]);
+    assert_eq!(sorted("serving.batch.size"), [1.0, 1.0]);
+    assert_eq!(sorted("serving.replica.outstanding"), [1.0, 2.0]);
+    assert_eq!(
+        sorted("comm.queue.depth"),
+        [1.0, 1.0],
+        "one batch deep each: the first begun at once, the second alone in the queue"
+    );
+    assert_eq!(seen.names().len(), 5, "{:?}", seen.names());
+}
