@@ -12,6 +12,7 @@ use hpcml_comm::reqrep::ReqRepServer;
 use hpcml_platform::batch::{AllocationRequest, BatchSystem};
 use hpcml_platform::resources::ResourceRequest;
 use hpcml_platform::PlatformId;
+use hpcml_runtime::prelude::{PilotDescription, Session, TaskDescription};
 use hpcml_runtime::scheduler::{Priority, Scheduler};
 use hpcml_runtime::RuntimeMetrics;
 use hpcml_sim::clock::ClockSpec;
@@ -397,6 +398,53 @@ fn bench_metrics_record(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one read of the session clock costs on this host: `real` is `clock_gettime`
+/// behind an `Arc<dyn Clock>`, `scaled` adds the scaling — every timestamp a task
+/// publishes is one of these.
+fn bench_clock_now(c: &mut Criterion) {
+    let mut group = c.benchmark_group("clock/now");
+    for (name, spec) in [
+        ("real", ClockSpec::Real),
+        ("scaled", ClockSpec::scaled(1000.0)),
+    ] {
+        let clock = spec.build();
+        group.bench_function(name, |b| b.iter(|| black_box(clock.now())));
+    }
+    group.finish();
+}
+
+/// The `task_burst` wave of the repo benchmark without its harness: 2 000 1-core NOOP
+/// tasks submitted at once to a 64-node pilot that never fills, each handle then waited
+/// for. Divide by 2 000 for what a NOOP task costs from `submit_tasks` to `wait_final`.
+fn bench_noop_wave(c: &mut Criterion) {
+    const WAVE: usize = 2000;
+    let session = Session::builder("noop-wave")
+        .platform(PlatformId::Frontier)
+        .clock(ClockSpec::scaled(1000.0))
+        .seed(42)
+        .build()
+        .expect("session");
+    session
+        .submit_pilot(PilotDescription::new(PlatformId::Frontier).nodes(64))
+        .expect("pilot");
+    let wave: Vec<TaskDescription> = (0..WAVE)
+        .map(|i| TaskDescription::new(format!("burst-{i}")).cores(1))
+        .collect();
+    let mut group = c.benchmark_group("task/noop_wave");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter(WAVE), |b| {
+        b.iter(|| {
+            let handles = session.submit_tasks(wave.clone()).expect("wave");
+            for handle in &handles {
+                handle.wait_final(Duration::from_secs(60)).expect("final");
+            }
+            black_box(handles.len())
+        })
+    });
+    group.finish();
+    session.close();
+}
+
 fn bench_stats(c: &mut Criterion) {
     let samples: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.37).sin().abs()).collect();
     c.bench_function("stats/summary_4096", |b| {
@@ -417,6 +465,8 @@ criterion_group!(
     bench_scheduler_waitqueue,
     bench_noop_roundtrip,
     bench_metrics_record,
+    bench_clock_now,
+    bench_noop_wave,
     bench_stats
 );
 criterion_main!(benches);

@@ -82,7 +82,7 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
@@ -112,7 +112,7 @@ use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell};
 use crate::data::DataManager;
 use crate::describe::{DataDirective, ServicePlacement, ServiceSelector, TaskKind};
 use crate::error::RuntimeError;
-use crate::metrics::RuntimeMetrics;
+use crate::metrics::{RuntimeMetrics, TaskRow};
 use crate::records::{BootstrapTimes, ServiceRecord, StateModel, TaskRecord};
 use crate::scheduler::{Placement, PlacementPoll, PlacementStats, Priority, Scheduler};
 use crate::states::{ServiceState, TaskState};
@@ -163,8 +163,6 @@ enum Stage {
 /// A task's place in the scheduler's wait queue.
 struct Queued {
     placement: Placement,
-    /// When the wait began (real time), for `task.placement_wait_secs`.
-    wait_start: Instant,
     /// The `wake_at` already on the timer heap, so that re-polls which come back with
     /// the same deadline do not file it again.
     armed: Option<Instant>,
@@ -197,6 +195,8 @@ struct RunState {
     stage: Stage,
     /// The slot this attempt holds; `record.slot` shares it.
     slot: Option<Arc<Slot>>,
+    /// What this attempt has measured since it was placed, until it is recorded.
+    row: Option<TaskRow>,
 }
 
 /// One task's lifecycle in flight.
@@ -246,9 +246,11 @@ pub struct Executor {
     /// hosted here; starts no thread before the first park.
     pool: Arc<Pool>,
     /// Task runs between spawn and their last publish.
-    in_flight: Mutex<usize>,
-    /// Signalled when `in_flight` reaches zero.
+    in_flight: AtomicUsize,
+    /// Signalled under `drain_lock` by the run that brings `in_flight` to zero;
+    /// `join_all` checks the count under it too, so the signal is never lost.
     drained: Condvar,
+    drain_lock: Mutex<()>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -259,7 +261,7 @@ impl std::fmt::Debug for Executor {
                 &self.concurrent_launches.load(Ordering::Relaxed),
             )
             .field("entity_threads", &self.handles.lock().len())
-            .field("runs_in_flight", &*self.in_flight.lock())
+            .field("runs_in_flight", &self.in_flight.load(Ordering::Relaxed))
             .field("pool_started", &self.pool.is_started())
             .finish()
     }
@@ -289,8 +291,9 @@ impl Executor {
             seed_counter: AtomicU64::new(1),
             base_seed,
             handles: Mutex::new(Vec::new()),
-            in_flight: Mutex::new(0),
+            in_flight: AtomicUsize::new(0),
             drained: Condvar::new(),
+            drain_lock: Mutex::new(()),
         })
     }
 
@@ -348,7 +351,7 @@ impl Executor {
         record: Arc<TaskRecord>,
         scheduler: Option<Arc<Scheduler>>,
     ) {
-        *self.in_flight.lock() += 1;
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
         let run = Arc::new(TaskRun {
             executor: Arc::clone(self),
             record,
@@ -357,6 +360,7 @@ impl Executor {
             state: Mutex::new(RunState {
                 stage: Stage::Admitted,
                 slot: None,
+                row: None,
             }),
         });
         self.drive(run, false);
@@ -367,12 +371,11 @@ impl Executor {
     /// a service on its way out waits for its replicas' batches to end, and those park
     /// on the pool's timers.
     pub fn join_all(&self) {
-        {
-            let mut in_flight = self.in_flight.lock();
-            while *in_flight > 0 {
-                self.drained.wait(&mut in_flight);
-            }
+        let mut lock = self.drain_lock.lock();
+        while self.in_flight.load(Ordering::Acquire) > 0 {
+            self.drained.wait(&mut lock);
         }
+        drop(lock);
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
         for h in handles {
             let _ = h.join();
@@ -407,13 +410,13 @@ impl Executor {
             let scheduler = scheduler.ok_or_else(|| {
                 RuntimeError::InvalidState("local service submitted without an active pilot".into())
             })?;
-            let wait_start = std::time::Instant::now();
-            let slot =
-                scheduler.allocate(&desc.resources, Priority::Service, DEPENDENCY_TIMEOUT)?;
-            self.metrics.record_scalar(
-                "service.placement_wait_secs",
-                wait_start.elapsed().as_secs_f64(),
-            );
+            let (slot, stats) = scheduler.allocate_with_stats(
+                &desc.resources,
+                Priority::Service,
+                DEPENDENCY_TIMEOUT,
+            )?;
+            self.metrics
+                .record_scalar("service.placement_wait_secs", stats.wait_secs);
             *record.slot.lock() = Some(slot.clone());
             Some((scheduler, slot))
         } else {
@@ -578,9 +581,8 @@ impl Executor {
             match park {
                 Park::Done => {
                     run.cell.finish();
-                    let mut in_flight = self.in_flight.lock();
-                    *in_flight -= 1;
-                    if *in_flight == 0 {
+                    if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        let _lock = self.drain_lock.lock();
                         self.drained.notify_all();
                     }
                     return;
@@ -631,12 +633,12 @@ impl Executor {
     ) -> Result<Option<Park>, RuntimeError> {
         let record = &run.record;
         let desc = &record.description;
-        let RunState { stage, slot } = state;
+        let RunState { stage, slot, row } = state;
         let next = match stage {
             Stage::Admitted => {
                 // A retry comes back already in `Scheduling`: the retry edge entered
                 // and published it when the attempt failed.
-                if record.state.transition(TaskState::Scheduling)? {
+                if record.state.transition(TaskState::Scheduling)?.is_some() {
                     self.publish_state(&record.id, TaskState::Scheduling);
                 }
                 // Readiness relations: every service named in `after_services` must
@@ -675,7 +677,6 @@ impl Executor {
                     } else {
                         Placement::new(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)
                     },
-                    wait_start: Instant::now(),
                     armed: None,
                 });
                 let waker = Waker::from(Arc::clone(run));
@@ -686,9 +687,13 @@ impl Executor {
                         return Ok(Some(Park::Placement { arm }));
                     }
                     PlacementPoll::Ready(result) => {
-                        let wait_secs = queued.wait_start.elapsed().as_secs_f64();
                         let (placed, stats) = result?;
-                        self.record_placement(&placed, &stats, wait_secs);
+                        *row = Some(TaskRow {
+                            placement_wait_secs: stats.wait_secs,
+                            exec_secs: f64::NAN,
+                            shard_probes: stats.shard_probes,
+                        });
+                        self.record_gang_placement(&placed, &stats);
                         let placed = Arc::new(placed);
                         *record.slot.lock() = Some(Arc::clone(&placed));
                         *slot = Some(placed);
@@ -706,9 +711,10 @@ impl Executor {
                 None => Stage::Executing(None),
             },
             Stage::Executing(None) => {
-                record.state.transition(TaskState::Executing)?;
+                // Execution began when the state was entered: nobody reads that twice.
+                let entered = record.state.transition(TaskState::Executing)?;
+                let started = entered.expect("an attempt enters `Executing` once");
                 self.publish_state(&record.id, TaskState::Executing);
-                let started = self.clock.now();
                 let until = match &desc.kind {
                     TaskKind::Noop => Some(started),
                     TaskKind::Compute { duration_secs } => {
@@ -721,17 +727,17 @@ impl Executor {
             }
             Stage::Executing(Some((started, until))) => {
                 let result = match until {
-                    Some(until) if self.clock.now() < *until => {
+                    // An end that is not in the future — every NOOP — is not waited for.
+                    Some(until) if *until > *started && self.clock.now() < *until => {
                         return Ok(Some(Park::Timer(*until)))
                     }
                     Some(_) => Ok(()),
                     None if !may_block => return Ok(Some(Park::Blocking)),
                     None => self.run_inference_client(record, &desc.kind),
                 };
-                self.metrics.record_scalar(
-                    "task.exec_secs",
-                    self.clock.now().since(*started).as_secs_f64(),
-                );
+                let mut row = row.take().expect("an executing task was placed");
+                row.exec_secs = self.clock.now().since(*started).as_secs_f64();
+                self.metrics.record_task(row);
                 let held = slot.as_ref().expect("an executing task holds a slot");
                 let scheduler = run.scheduler.as_ref().expect("placed by a scheduler");
                 if result.is_err() {
@@ -792,6 +798,9 @@ impl Executor {
     /// with its one terminal message.
     fn attempt_failed(&self, run: &TaskRun, state: &mut RunState, err: RuntimeError) {
         let record = &run.record;
+        if let Some(row) = state.row.take() {
+            self.metrics.record_task(row);
+        }
         if let Some(scheduler) = run.scheduler.as_ref() {
             if let Some(held) = state.slot.take() {
                 let _ = scheduler.release(&held);
@@ -811,7 +820,7 @@ impl Executor {
             self.metrics.record_scalar("task.retries", 1.0);
             // The retry edge: the record is back in `Scheduling` for the whole backoff,
             // and the next attempt's `Admitted` stage finds it there.
-            if matches!(record.state.transition(TaskState::Scheduling), Ok(true)) {
+            if matches!(record.state.transition(TaskState::Scheduling), Ok(Some(_))) {
                 self.publish_state(&record.id, TaskState::Scheduling);
             }
             let backoff = RETRY_BACKOFF_BASE_SECS * f64::from(1u32 << retries.min(16));
@@ -825,14 +834,7 @@ impl Executor {
         state.stage = Stage::Done;
     }
 
-    fn record_placement(&self, slot: &Slot, placement: &PlacementStats, wait_secs: f64) {
-        self.metrics
-            .record_scalar("task.placement_wait_secs", wait_secs);
-        // Shard-probe cost of the successful placement: 1 means the two-choice
-        // probe hit on its first allocator shard; values toward the allocation's
-        // shard count mean summary misses, a fallback sweep, or a cross-shard gang.
-        self.metrics
-            .record_scalar("task.placement.shard_probes", placement.shard_probes as f64);
+    fn record_gang_placement(&self, slot: &Slot, placement: &PlacementStats) {
         if slot.is_gang() {
             // Gang placements queue for multi-node capacity, so their behaviour is
             // tracked separately from single-node placement waits — including how
@@ -844,7 +846,7 @@ impl Executor {
             // (recorded whether the reservation completed via idle transitions or
             // via partial-headroom pinning).
             self.metrics
-                .record_scalar("task.gang.placement_wait_secs", wait_secs);
+                .record_scalar("task.gang.placement_wait_secs", placement.wait_secs);
             self.metrics
                 .record_scalar("task.gang.nodes", slot.num_nodes() as f64);
             self.metrics
@@ -1078,7 +1080,10 @@ mod tests {
     }
 
     fn fixture(platform: PlatformId, nodes: usize, scale: f64) -> Fixture {
-        let clock = ClockSpec::scaled(scale).build();
+        fixture_on(ClockSpec::scaled(scale).build(), platform, nodes)
+    }
+
+    fn fixture_on(clock: SharedClock, platform: PlatformId, nodes: usize) -> Fixture {
         let metrics = RuntimeMetrics::new();
         let registry = Arc::new(EndpointRegistry::new());
         let data = Arc::new(DataManager::new(
@@ -1348,24 +1353,12 @@ mod tests {
     fn timers_follow_a_manual_clock() {
         let clock = Arc::new(hpcml_sim::clock::ManualClock::new());
         let shared: SharedClock = Arc::clone(&clock) as SharedClock;
-        let metrics = RuntimeMetrics::new();
-        let data = Arc::new(DataManager::new(
-            Arc::clone(&shared),
-            Arc::clone(&metrics),
-            1,
-        ));
-        let executor = Executor::new(
-            Arc::clone(&shared),
-            Arc::clone(&metrics),
-            Arc::new(EndpointRegistry::new()),
-            data,
-            Publisher::new(),
-            42,
-        );
-        let batch = BatchSystem::new(PlatformId::Local.spec(), Arc::clone(&shared), 2);
-        let scheduler = Arc::new(Scheduler::new(
-            batch.submit(AllocationRequest::nodes(1)).unwrap(),
-        ));
+        let Fixture {
+            metrics,
+            executor,
+            scheduler,
+            ..
+        } = fixture_on(Arc::clone(&shared), PlatformId::Local, 1);
         let task = TaskRecord::new(
             "task.manual".into(),
             TaskDescription::new("compute").kind(TaskKind::compute_secs(30.0)),
@@ -1395,6 +1388,106 @@ mod tests {
             .unwrap();
         executor.join_all();
         assert_eq!(metrics.scalar_values("task.exec_secs"), vec![30.0]);
+    }
+
+    /// A session clock on which time passes by being read: a read returns the number
+    /// of reads before it as virtual seconds, so every stamp says how many reads came
+    /// first. `task_reads` counts those made off the pool's timer thread, which polls
+    /// for as long as a deadline is pending, whatever the tasks do.
+    #[derive(Default)]
+    struct TickingClock {
+        ticks: AtomicU64,
+        task_reads: AtomicUsize,
+    }
+
+    impl hpcml_sim::clock::Clock for TickingClock {
+        fn now(&self) -> SimTime {
+            if std::thread::current().name() != Some("executor-timer") {
+                self.task_reads.fetch_add(1, Ordering::Relaxed);
+            }
+            SimTime::from_duration(Duration::from_secs(
+                self.ticks.fetch_add(1, Ordering::Relaxed),
+            ))
+        }
+
+        fn sleep(&self, _: Duration) {}
+
+        fn sleep_interruptibly(
+            &self,
+            deadline: Option<SimTime>,
+            real_deadline: Option<Instant>,
+            interrupt: &Arc<hpcml_sim::clock::Interrupt>,
+        ) {
+            match deadline {
+                Some(_) => std::thread::yield_now(), // look again: that is what moves time
+                None => interrupt.wait_until(real_deadline),
+            }
+        }
+    }
+
+    #[test]
+    fn a_task_reads_the_session_clock_once_per_event() {
+        use TaskState::{Done, Executing, New, Scheduling};
+        let ticking = Arc::new(TickingClock::default());
+        let clock: SharedClock = Arc::clone(&ticking) as SharedClock;
+        let Fixture {
+            metrics,
+            executor,
+            scheduler,
+            ..
+        } = fixture_on(Arc::clone(&clock), PlatformId::Local, 1);
+        let reads = || ticking.task_reads.load(Ordering::Relaxed);
+        let secs = |history: Vec<(TaskState, SimTime)>| -> Vec<(TaskState, u64)> {
+            let in_secs = |(state, at): (TaskState, SimTime)| (state, at.as_duration().as_secs());
+            history.into_iter().map(in_secs).collect()
+        };
+
+        // A NOOP task: New, Scheduling, Executing, the end of execution, Done.
+        let (before, t0) = (reads(), ticking.ticks.load(Ordering::Relaxed));
+        let noop = TaskRecord::new(
+            "task.noop".into(),
+            TaskDescription::new("noop"),
+            PlatformId::Local,
+            Arc::clone(&clock),
+        );
+        executor.spawn_task(Arc::clone(&noop), Some(Arc::clone(&scheduler)));
+        assert_eq!(reads() - before, 5, "one read per event of a NOOP task");
+        assert_eq!(
+            secs(noop.state.history()),
+            [
+                (New, t0),
+                (Scheduling, t0 + 1),
+                (Executing, t0 + 2),
+                (Done, t0 + 4)
+            ],
+        );
+        // Measured from the `Executing` stamp itself (read t0 + 2) to read t0 + 3.
+        assert_eq!(metrics.scalar_values("task.exec_secs"), [1.0]);
+
+        // A 10 s compute task adds its two timer checks: one parks it, one finds it over.
+        let before = reads();
+        let compute = TaskRecord::new(
+            "task.compute".into(),
+            TaskDescription::new("compute").kind(TaskKind::compute_secs(10.0)),
+            PlatformId::Local,
+            Arc::clone(&clock),
+        );
+        executor.spawn_task(Arc::clone(&compute), Some(Arc::clone(&scheduler)));
+        compute
+            .state
+            .wait_until(|s| s == Done, Duration::from_secs(30))
+            .unwrap();
+        executor.join_all();
+        assert!(reads() - before <= 7, "{} reads", reads() - before);
+        let history = secs(compute.state.history());
+        assert!(history.windows(2).all(|w| w[0].1 <= w[1].1), "{history:?}");
+        let exec_secs = metrics.scalar_values("task.exec_secs")[1];
+        let (executing, done) = (history[2].1, history[3].1);
+        assert_eq!((history[2].0, history[3].0), (Executing, Done));
+        assert!(
+            exec_secs >= 10.0 && exec_secs < (done - executing) as f64,
+            "{exec_secs} s of execution between {executing} and {done}"
+        );
     }
 
     #[test]

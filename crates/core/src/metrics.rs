@@ -15,6 +15,8 @@
 //! kept per response is four numbers — the request's index and its three components —
 //! in blocks that are never reallocated; the [`ComponentSample`]s the readers get, with
 //! their `request.NNNNNN` entity and named components, are built by the read.
+//! A placed task attempt is one row as well (`TaskRow`: 24 bytes, one stripe lock, no
+//! name look-up); [`RuntimeMetrics::scalar_values`] derives its three series from the rows.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -61,11 +63,21 @@ impl ResponseRow {
     }
 }
 
+/// What one placed task attempt measured, recorded once: where its execution ends, or
+/// — `exec_secs` still NaN — where the attempt ends before that.
+#[derive(Debug)]
+pub(crate) struct TaskRow {
+    pub(crate) placement_wait_secs: f64,
+    pub(crate) exec_secs: f64,
+    pub(crate) shard_probes: u32,
+}
+
 /// Shared collection of runtime metrics.
 #[derive(Debug, Default)]
 pub struct RuntimeMetrics {
     bootstrap: BreakdownRecorder,
     response: Striped<Blocks<ResponseRow>>,
+    tasks: Striped<Blocks<TaskRow>>,
     registry: MetricRegistry,
 }
 
@@ -95,6 +107,11 @@ impl RuntimeMetrics {
             service,
             inference,
         });
+    }
+
+    /// Record what one placed task attempt measured.
+    pub(crate) fn record_task(&self, row: TaskRow) {
+        self.tasks.local().push(row);
     }
 
     /// Record an arbitrary named scalar (staging durations, task durations, ...).
@@ -147,21 +164,25 @@ impl RuntimeMetrics {
     /// Raw response samples (for CSV export by the harness), built here from the rows
     /// that were recorded: each client's in the order it made its requests.
     pub fn response_samples(&self) -> Vec<ComponentSample> {
-        let mut samples = Vec::with_capacity(self.response_count());
-        for stripe in self.response.each() {
-            samples.extend(stripe.iter().map(ResponseRow::sample));
-        }
-        samples
+        self.response.read(|row| Some(row.sample()))
     }
 
     /// Scalar series accessor.
     pub fn scalar_summary(&self, name: &str) -> Summary {
-        self.registry.summary(name)
+        Summary::from_slice(&self.scalar_values(name))
     }
 
-    /// Scalar series values.
+    /// Scalar series values; the three series of a `TaskRow` are its columns.
     pub fn scalar_values(&self, name: &str) -> Vec<f64> {
-        self.registry.values(name)
+        let mut values = self.registry.values(name);
+        let column: fn(&TaskRow) -> Option<f64> = match name {
+            "task.placement_wait_secs" => |row| Some(row.placement_wait_secs),
+            "task.placement.shard_probes" => |row| Some(f64::from(row.shard_probes)),
+            "task.exec_secs" => |row| Some(row.exec_secs).filter(|secs| !secs.is_nan()),
+            _ => return values,
+        };
+        values.extend(self.tasks.read(column));
+        values
     }
 }
 

@@ -10,8 +10,9 @@
 //!
 //! A [`StateCell`] stores one thing: the append-only list of `(state, virtual time)`
 //! entries, in the order the entity entered them. A transition appends one entry — no
-//! string, no map node; the first six entries live inside the record. Everything a
-//! reader asks for is derived when asked:
+//! string, no map node; the first six entries live inside the record — and hands its
+//! stamp back, so whoever else needs the instant of the event does not read the clock
+//! again. Everything a reader asks for is derived when asked:
 //!
 //! | query | derived as |
 //! |---|---|
@@ -176,22 +177,24 @@ impl<S: StateModel> StateCell<S> {
         self.inner.lock().log.iter().copied().collect()
     }
 
-    /// Attempt a transition; appends the entry and wakes waiters. `Ok(false)` means
-    /// the cell already was in `next` and nothing was recorded.
-    pub fn transition(&self, next: S) -> Result<bool, RuntimeError> {
+    /// Attempt a transition; appends the entry and wakes waiters. `Ok(Some(at))` is the
+    /// stamp of the entry just made (the event's one clock read); `Ok(None)` means the
+    /// cell already was in `next` and nothing was recorded.
+    pub fn transition(&self, next: S) -> Result<Option<SimTime>, RuntimeError> {
         let mut inner = self.inner.lock();
         let current = inner.log.current();
         if current == next {
-            return Ok(false);
+            return Ok(None);
         }
         if !current.can_go(next) {
             return Err(RuntimeError::InvalidState(format!(
                 "illegal transition {current:?} -> {next:?}"
             )));
         }
-        inner.log.push((next, self.clock.now()));
+        let at = self.clock.now();
+        inner.log.push((next, at));
         self.cond.notify_all();
-        Ok(true)
+        Ok(Some(at))
     }
 
     /// Transition to a failure state with a reason (does not validate legality so that
@@ -203,13 +206,14 @@ impl<S: StateModel> StateCell<S> {
         self.cond.notify_all();
     }
 
-    /// Block until `predicate(state)` holds or the real-time `timeout` elapses.
+    /// Block until `predicate(state)` holds or the real-time `timeout` elapses: from
+    /// the first look that has to wait, and without end if the deadline is unrepresentable.
     pub fn wait_until<F: Fn(S) -> bool>(
         &self,
         predicate: F,
         timeout: Duration,
     ) -> Result<S, RuntimeError> {
-        let deadline = Instant::now() + timeout;
+        let (mut deadline, mut timed_out) = (None, false);
         let mut inner = self.inner.lock();
         loop {
             let current = inner.log.current();
@@ -224,16 +228,15 @@ impl<S: StateModel> StateCell<S> {
                     .unwrap_or_else(|| format!("entity ended in {current:?}"));
                 return Err(RuntimeError::Failed(reason));
             }
-            if Instant::now() >= deadline || self.cond.wait_until(&mut inner, deadline).timed_out()
-            {
-                let current = inner.log.current();
-                if predicate(current) {
-                    return Ok(current);
-                }
+            if timed_out {
                 return Err(RuntimeError::WaitTimeout {
                     entity: "entity".to_string(),
                     awaited: "requested state".to_string(),
                 });
+            }
+            match *deadline.get_or_insert_with(|| Instant::now().checked_add(timeout)) {
+                Some(at) => timed_out = self.cond.wait_until(&mut inner, at).timed_out(),
+                None => self.cond.wait(&mut inner),
             }
         }
     }
@@ -677,12 +680,12 @@ mod tests {
             (5.0, TaskState::StagingOutput),
         ] {
             clock.advance(Duration::from_secs(1));
-            assert!(cell.transition(next).unwrap());
+            assert!(cell.transition(next).unwrap().is_some());
             expected.push((next, secs));
         }
         // The seventh entry and later leave the inline part of the log.
         clock.advance(Duration::from_secs(1));
-        assert!(cell.transition(TaskState::Done).unwrap());
+        assert!(cell.transition(TaskState::Done).unwrap().is_some());
         expected.push((TaskState::Done, 6.0));
         clock.advance(Duration::from_secs(1));
         cell.fail(TaskState::Failed, "late");
@@ -708,8 +711,13 @@ mod tests {
     #[test]
     fn a_same_state_transition_records_nothing() {
         let cell = StateCell::new(TaskState::New, clock());
-        assert!(cell.transition(TaskState::Scheduling).unwrap());
-        assert!(!cell.transition(TaskState::Scheduling).unwrap());
+        let entered = cell.transition(TaskState::Scheduling).unwrap();
+        assert_eq!(
+            entered,
+            cell.history().last().map(|(_, at)| *at),
+            "the entry's own stamp"
+        );
+        assert_eq!(cell.transition(TaskState::Scheduling).unwrap(), None);
         assert_eq!(cell.history().len(), 2);
     }
 
@@ -769,6 +777,33 @@ mod tests {
             .wait_until(|s| s == TaskState::Done, Duration::from_millis(20))
             .unwrap_err();
         assert!(matches!(err, RuntimeError::WaitTimeout { .. }));
+    }
+
+    #[test]
+    fn an_unbounded_timeout_waits_without_a_deadline() {
+        // `Instant::now() + Duration::MAX` would panic: there is no such deadline.
+        let task = |state| TaskHandle {
+            record: Arc::new(TaskRecord {
+                id: "task.000000".into(),
+                description: TaskDescription::new("t"),
+                state: StateCell::new(state, clock()),
+                slot: Mutex::new(None),
+                platform: PlatformId::Local,
+                retries: AtomicU32::new(0),
+            }),
+        };
+        let done = task(TaskState::Done);
+        assert_eq!(done.wait_final(Duration::MAX).unwrap(), TaskState::Done);
+        let running = task(TaskState::Executing);
+        let finisher = {
+            let running = running.clone();
+            thread::spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                running.record.state.transition(TaskState::Done).unwrap();
+            })
+        };
+        assert_eq!(running.wait_final(Duration::MAX).unwrap(), TaskState::Done);
+        finisher.join().unwrap();
     }
 
     #[test]

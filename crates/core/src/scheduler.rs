@@ -212,6 +212,8 @@ pub struct PlacementStats {
     /// probe hit its first shard; values toward the allocation's shard count mean
     /// summary misses, a fallback sweep, or a cross-shard gang claim.
     pub shard_probes: u32,
+    /// Real seconds from [`Placement::new`] to the pass that gave its owner the slot.
+    pub wait_secs: f64,
 }
 
 /// A placement request in progress: what [`Scheduler::poll_placed`] advances and
@@ -225,9 +227,10 @@ pub struct Placement {
     priority: Priority,
     /// Park at the front of the class queue (node-failure requeue).
     requeue: bool,
-    /// When the wait began (real time): the ageing clock and the deadline base.
+    /// When the request arrived (real time): ageing, deadline and wait count from it.
     parked_at: Instant,
-    deadline: Instant,
+    /// `None`: too long a timeout to have one — it waits on, looking every ten minutes.
+    deadline: Option<Instant>,
     /// The waiter, from parking until the wait's outcome has been handed out.
     queued: Option<Arc<Waiter>>,
 }
@@ -242,7 +245,7 @@ impl Placement {
             priority,
             requeue: false,
             parked_at,
-            deadline: parked_at + timeout,
+            deadline: parked_at.checked_add(timeout),
             queued: None,
         }
     }
@@ -464,6 +467,7 @@ impl Scheduler {
                 overtakes: waiter.overtakes.load(Ordering::Relaxed),
                 drain_secs: drained.map(|since| since.elapsed().as_secs_f64()),
                 shard_probes: probes.shard_probes,
+                wait_secs: 0.0, // known to the pass that hands the slot to its owner
             };
             (slot, stats)
         };
@@ -755,6 +759,7 @@ impl Scheduler {
                         slot,
                         PlacementStats {
                             shard_probes: probes.shard_probes,
+                            wait_secs: placement.parked_at.elapsed().as_secs_f64(),
                             ..PlacementStats::default()
                         },
                     )));
@@ -807,16 +812,17 @@ impl Scheduler {
         }
         let served = waiter.served.lock().take();
         let now = Instant::now();
+        let deadline = placement.deadline.unwrap_or(now + Duration::from_secs(600));
         let result = match served {
             Some(outcome) => outcome,
-            None if now < placement.deadline => {
+            None if now < deadline => {
                 // A gang that may still age into a drain looks again at its threshold.
                 let ageing = self
                     .gang_drain_after
                     .filter(|_| waiter.req.is_gang() && st.drain.is_none())
                     .map(|after| waiter.parked_at + after)
                     .filter(|threshold| *threshold > now);
-                let wake_at = ageing.map_or(placement.deadline, |t| t.min(placement.deadline));
+                let wake_at = ageing.map_or(deadline, |t| t.min(deadline));
                 return PlacementPoll::Pending { wake_at };
             }
             None => {
@@ -836,7 +842,10 @@ impl Scheduler {
             }
         };
         placement.queued = None;
-        PlacementPoll::Ready(result)
+        let wait_secs = now.duration_since(placement.parked_at).as_secs_f64();
+        PlacementPoll::Ready(
+            result.map(|(slot, stats)| (slot, PlacementStats { wait_secs, ..stats })),
+        )
     }
 
     /// A waiter no walk served leaves the queue: its final attempt `placed` it (the
@@ -1036,6 +1045,24 @@ mod tests {
             0,
             "timed-out waiter must leave the queue"
         );
+    }
+
+    #[test]
+    fn an_unbounded_timeout_has_no_deadline_to_overflow() {
+        // `parked_at + Duration::MAX` would panic: there is no such deadline.
+        let s = Arc::new(scheduler(PlatformId::Local, 1));
+        let held = s
+            .allocate(&gpus(2), Priority::Task, Duration::MAX)
+            .expect("free capacity: placed at once");
+        let s2 = Arc::clone(&s);
+        let waiter =
+            thread::spawn(move || s2.allocate_with_stats(&gpus(1), Priority::Task, Duration::MAX));
+        wait_until(&s, "the second request to park", |s| s.waiting_tasks() == 1);
+        thread::sleep(Duration::from_millis(20));
+        s.release(&held).unwrap();
+        let (slot, stats) = waiter.join().unwrap().expect("placed by the release");
+        assert!(stats.wait_secs >= 0.02, "waited {} s", stats.wait_secs);
+        s.release(&slot).unwrap();
     }
 
     #[test]

@@ -550,6 +550,9 @@ pub struct Allocation {
     /// such a slot reports [`ResourceError::NodeFailed`] (resources were already
     /// reclaimed at eviction) exactly once, then forgets the id.
     failed_slots: Mutex<HashMap<u64, usize>>,
+    /// Slots ever put into `failed_slots`; never decreases. While it reads zero — an
+    /// allocation that never lost a node — [`Allocation::slot_evicted`] takes no lock.
+    evictions: AtomicU64,
     /// Cross-shard drain controller: the one active backfill reservation.
     drain: Mutex<Option<DrainReservation>>,
     /// Lock-free mirror of `drain.is_some()`, so releases skip the controller lock
@@ -1587,6 +1590,8 @@ impl Allocation {
             for slot in &victims {
                 failed_map.insert(slot.id, node);
             }
+            self.evictions
+                .fetch_add(victims.len() as u64, Ordering::Release);
         }
         for slot in &victims {
             for member in &slot.members {
@@ -1629,7 +1634,7 @@ impl Allocation {
     /// yet been observed through [`Allocation::release_slot`]. A peek: the id is
     /// only forgotten when the release reports it.
     pub fn slot_evicted(&self, id: u64) -> bool {
-        self.failed_slots.lock().contains_key(&id)
+        self.evictions.load(Ordering::Acquire) > 0 && self.failed_slots.lock().contains_key(&id)
     }
 
     /// Health of global node `node`, or `None` when the index was never part of
@@ -1772,6 +1777,7 @@ impl BatchSystem {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             failed_slots: Mutex::new(HashMap::new()),
+            evictions: AtomicU64::new(0),
             drain: Mutex::new(None),
             drain_active: std::sync::atomic::AtomicBool::new(false),
             probe_cursor: AtomicU64::new(0),

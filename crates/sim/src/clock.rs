@@ -264,13 +264,17 @@ impl ScaledClock {
             scale,
         }
     }
+
+    /// Virtual time after `real` since the epoch, in integer nanoseconds: monotone,
+    /// exact below 2⁵³ ns, saturating at `u64::MAX` ns (≈ 584 virtual years).
+    fn scaled(real: Duration, scale: f64) -> Duration {
+        Duration::from_nanos((real.as_nanos() as u64 as f64 * scale) as u64)
+    }
 }
 
 impl Clock for ScaledClock {
     fn now(&self) -> SimTime {
-        SimTime(Duration::from_secs_f64(
-            self.epoch.elapsed().as_secs_f64() * self.scale,
-        ))
+        SimTime(Self::scaled(self.epoch.elapsed(), self.scale))
     }
 
     fn sleep(&self, d: Duration) {
@@ -534,6 +538,43 @@ mod tests {
             "real elapsed {real_elapsed:?}"
         );
         assert!(c.now().as_secs_f64() >= 1.9);
+    }
+
+    #[test]
+    fn integer_scaling_is_monotone_and_agrees_with_the_float_form() {
+        let float_form =
+            |real: Duration, scale: f64| Duration::from_secs_f64(real.as_secs_f64() * scale);
+        let month_ns = 30 * 24 * 3600 * 1_000_000_000u64;
+        for scale in [0.25f64, 1.0, 100.0, 1000.0, 6000.0] {
+            // Every magnitude from nanoseconds to 30 days, a seeded spread of values in
+            // between, and neighbours 1 ns apart at both ends.
+            let mut reals: Vec<u64> = (0..=51).map(|bit| (1u64 << bit).min(month_ns)).collect();
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for _ in 0..20_000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                reals.push((x >> 11) % (month_ns + 1));
+            }
+            reals.extend((0..2_000).flat_map(|i| [i, month_ns - i]));
+            reals.sort_unstable();
+            let tolerance = Duration::from_nanos(scale.max(1.0) as u64);
+            let mut previous = Duration::ZERO;
+            for real in reals.into_iter().map(Duration::from_nanos) {
+                let scaled = ScaledClock::scaled(real, scale);
+                assert!(scaled >= previous, "x{scale}: not monotone at {real:?}");
+                let float = float_form(real, scale);
+                let apart = scaled.max(float) - scaled.min(float);
+                assert!(
+                    apart <= tolerance,
+                    "x{scale} at {real:?}: {scaled:?} vs {float:?}"
+                );
+                previous = scaled;
+            }
+        }
+        // Past what fits: saturates, where the float form panicked.
+        let forever = ScaledClock::scaled(Duration::from_secs(400 * 365 * 24 * 3600), 6000.0);
+        assert_eq!(forever, Duration::from_nanos(u64::MAX));
     }
 
     #[test]

@@ -124,6 +124,20 @@ impl<T> Blocks<T> {
     }
 }
 
+impl<T> Striped<Blocks<T>> {
+    /// `read` of every value that has one: each thread's in the order it appended them
+    /// (see the module docs for what that promises), in one allocation sized for all —
+    /// a 60 000-sample read that grew its buffer instead moved glibc's consolidation of
+    /// the samples' freed chunks into the next session's set-up (+1.5 ms per session).
+    pub fn read<U>(&self, read: impl Fn(&T) -> Option<U>) -> Vec<U> {
+        let mut out = Vec::with_capacity(self.each().map(|stripe| stripe.len()).sum());
+        for stripe in self.each() {
+            out.extend(stripe.iter().filter_map(&read));
+        }
+        out
+    }
+}
+
 /// One measured sample decomposed into named components (all in virtual seconds).
 ///
 /// Samples are kept one per request for the length of a session, so a sample is two

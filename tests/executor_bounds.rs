@@ -94,4 +94,42 @@ fn one_session_runs_42000_tasks_on_a_bounded_number_of_threads() {
         before,
         "close joins the pool: the thread count is back where it started"
     );
+
+    // Here, not in a test of its own: nothing may run beside the thread counts above.
+    closing_at_once_never_misses_the_last_run();
+}
+
+/// `close()` waits for the count of runs in flight to reach zero, and the run that
+/// brings it there signals without having held a lock while it counted down. A close
+/// that races the last runs of 200 sessions must hear every one of those signals.
+fn closing_at_once_never_misses_the_last_run() {
+    for round in 0..200 {
+        let s = Session::builder("close-at-once")
+            .platform(PlatformId::Local)
+            .clock(ClockSpec::scaled(1000.0))
+            .seed(round)
+            .build()
+            .expect("session");
+        s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(1))
+            .expect("pilot");
+        let handles = s
+            .submit_tasks(
+                (0..64).map(|i| {
+                    TaskDescription::new(format!("c{i}")).kind(TaskKind::compute_secs(0.5))
+                }),
+            )
+            .expect("tasks");
+        let (closed, wait) = std::sync::mpsc::channel();
+        let closer = std::thread::spawn(move || {
+            s.close();
+            let _ = closed.send(());
+        });
+        wait.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("round {round}: close() did not return within 5 s"));
+        closer.join().expect("closer");
+        assert!(
+            handles.iter().all(|h| h.state() == TaskState::Done),
+            "round {round}: close returned before every run had ended"
+        );
+    }
 }

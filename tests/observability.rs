@@ -233,3 +233,100 @@ fn metrics_scalars_track_task_execution() {
     );
     s.close();
 }
+
+/// `task.placement_wait_secs`, `task.placement.shard_probes` and `task.exec_secs` are
+/// columns of one row per placed attempt; read back they are the series they were while
+/// each was recorded on its own: one placement value per placed attempt — a retried
+/// task's evicted attempt included — one execution time per attempt whose execution
+/// ended, and the gang's own series beside them, untouched.
+#[test]
+fn row_backed_series_read_as_they_did_when_recorded_one_by_one() {
+    use TaskState::{Executing, Scheduling};
+    let s = Session::builder("rows")
+        .platform(PlatformId::Delta)
+        .clock(ClockSpec::scaled(200.0))
+        .seed(11)
+        .fault_plan(FaultPlan::new().fail_at(5.0, 0))
+        .build()
+        .expect("session");
+    s.submit_pilot(PilotDescription::new(PlatformId::Delta).nodes(4))
+        .expect("pilot");
+    // A three-node gang and plain tasks on the fourth node, all of them running when
+    // node 0 fails: whoever holds it is evicted and retried.
+    let compute = |name: &str, secs: f64| {
+        TaskDescription::new(name)
+            .kind(TaskKind::compute_secs(secs))
+            .max_retries(2)
+    };
+    let mut descriptions = vec![compute("gang", 30.0)
+        .nodes(3)
+        .gang_packing(GangPacking::Whole)];
+    descriptions.extend((0..6).map(|i| compute(&format!("plain-{i}"), 8.0 + i as f64).cores(1)));
+    let handles = s.submit_tasks(descriptions).expect("tasks");
+    s.wait_tasks(Duration::from_secs(120)).expect("all final");
+    assert!(handles.iter().all(|h| h.state() == TaskState::Done));
+    let retries: u32 = handles.iter().map(TaskHandle::retries).sum();
+    assert!(retries >= 1, "node 0 failed under a running task");
+    let attempts = handles.len() + retries as usize;
+    let gang_attempts = 1 + handles[0].retries() as usize;
+
+    let m = s.metrics();
+    let waits = m.scalar_values("task.placement_wait_secs");
+    let probes = m.scalar_values("task.placement.shard_probes");
+    let mut execs = m.scalar_values("task.exec_secs");
+    assert_eq!(waits.len(), attempts, "one wait per placed attempt");
+    assert_eq!(probes.len(), attempts, "one probe count per placed attempt");
+    assert_eq!(execs.len(), attempts, "every placed attempt ran to its end");
+    assert!(
+        probes.iter().all(|p| *p >= 1.0 && p.fract() == 0.0),
+        "{probes:?}"
+    );
+
+    // Each execution time is one attempt's `Executing` entry to just before its next
+    // entry (`Done`, or `Scheduling` on the retry edge), and at least its kernel.
+    let mut gaps: Vec<f64> = Vec::new();
+    for h in &handles {
+        let history = h.history();
+        for (entry, (state, at)) in history.iter().enumerate() {
+            if *state == Executing {
+                let (next, until) = history[entry + 1];
+                assert!(next == TaskState::Done || next == Scheduling, "{history:?}");
+                gaps.push((until - *at).as_secs_f64());
+            }
+        }
+    }
+    assert_eq!(gaps.len(), attempts);
+    gaps.sort_by(f64::total_cmp);
+    execs.sort_by(f64::total_cmp);
+    assert!(execs[0] >= 8.0, "the shortest kernel is 8 s: {execs:?}");
+    for (exec, gap) in execs.iter().zip(&gaps) {
+        assert!(
+            exec <= gap,
+            "execution {execs:?} within Executing → next {gaps:?}"
+        );
+    }
+
+    // The gang's series are recorded as ever; its wait is the same number in both.
+    let gang_waits = m.scalar_values("task.gang.placement_wait_secs");
+    assert_eq!(gang_waits.len(), gang_attempts);
+    assert_eq!(m.scalar_values("task.gang.nodes"), vec![3.0; gang_attempts]);
+    assert!(
+        gang_waits.iter().all(|w| waits.contains(w)),
+        "{gang_waits:?}"
+    );
+
+    for name in [
+        "task.placement_wait_secs",
+        "task.placement.shard_probes",
+        "task.exec_secs",
+        "task.gang.nodes",
+    ] {
+        let values = m.scalar_values(name);
+        assert_eq!(
+            m.scalar_summary(name),
+            hpcml::sim::stats::Summary::from_slice(&values),
+            "{name}"
+        );
+    }
+    s.close();
+}
