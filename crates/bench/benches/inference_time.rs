@@ -16,7 +16,7 @@ fn config(deployment: Deployment) -> ScalingConfig {
         deployment,
         clock_scale: 20_000.0,
         max_tokens: 64,
-        serving: ServingConfig::default(),
+        serving: ServingConfig::default().max_batch_size(1),
         seed: 42,
     }
 }
@@ -39,14 +39,12 @@ fn bench_inference_time(c: &mut Criterion) {
             },
         );
     }
-    // The serving-plane variant of the same topology: up to 4 requests batched per
-    // backend dispatch. Amortised decode cost shows up as a lower mean inference
+    // The serving-plane variant of the same topology: up to 4 waiting requests batched
+    // per backend dispatch. Amortised decode cost shows up as a lower mean inference
     // component; the guarded throughput trajectory lives in benches/serving_plane.rs.
     group.bench_function("local_batched_4", |b| {
         let mut cfg = config(Deployment::Local);
-        cfg.serving = ServingConfig::default()
-            .max_batch_size(4)
-            .batch_latency_budget_secs(0.5);
+        cfg.serving = ServingConfig::default().max_batch_size(4);
         b.iter(|| {
             let r = run_one(2, 2, &cfg);
             assert!(r.components["inference"].mean > 0.1);

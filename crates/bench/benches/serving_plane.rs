@@ -36,8 +36,8 @@ use hpcml_sim::metrics::null_sink;
 
 /// Compression factor: virtual seconds per real second. High enough that a full run
 /// finishes in a fraction of a second of real time, low enough that real scheduling
-/// jitter (tens of µs) stays small against the virtual batching budgets — at 50 000x,
-/// 20 µs of thread wake-up latency would already be a full virtual second.
+/// jitter (tens of µs) stays small against virtual inference times — at 50 000x, 20 µs
+/// of thread wake-up latency would already be a full virtual second.
 const CLOCK_SCALE: f64 = 2_000.0;
 
 /// Print one result in the bench harness line format (same shape as the criterion
@@ -208,40 +208,29 @@ fn p99(samples: &mut [f64]) -> f64 {
 
 fn main() {
     // Throughput: 8 concurrent clients, 4 requests each, one replica. The unbatched
-    // service serialises all 32 inferences; continuous batching amortises decode cost
-    // across up to 8 in-flight requests. Reported value: virtual seconds per request.
-    let unbatched = drive(ServingConfig::default(), 8, 4, None, 1);
+    // service serialises all 32 inferences; the default one begins whatever queued
+    // behind its running batch, up to 8, as the next one, amortising decode cost.
+    // Reported value: virtual seconds per request.
+    let unbatched = drive(ServingConfig::default().max_batch_size(1), 8, 4, None, 1);
     report(
         "serving/unbatched",
         unbatched.elapsed_secs / unbatched.response_secs.len().max(1) as f64,
         unbatched.response_secs.len(),
     );
-    let batched = drive(
-        // A generous 1 s budget (vs ~2.7 s inference) lets every 8-wide wave fill
-        // before dispatch; throughput is dominated by batch amortisation, not the
-        // wait.
-        ServingConfig::default()
-            .max_batch_size(8)
-            .batch_latency_budget_secs(1.0),
-        8,
-        4,
-        None,
-        1,
-    );
+    let batched = drive(ServingConfig::default().max_batch_size(8), 8, 4, None, 1);
     report(
         "serving/batched/8",
         batched.elapsed_secs / batched.response_secs.len().max(1) as f64,
         batched.response_secs.len(),
     );
 
-    // Overload tail: 24 one-shot clients flood a single unbatched-width replica pool
-    // (batch 4) at once, each with a 10 s deadline. With shedding on, admission
+    // Overload tail: 24 one-shot clients flood a single replica (batch 4) at once,
+    // each with a 10 s deadline. With shedding on, admission
     // rejects what it cannot serve in time and the admitted tail stays near the
     // deadline; with shedding off, the queue grows without bound and the p99 response
     // time is the whole backlog. Reported value: p99 virtual response time.
     let overload_cfg = ServingConfig::default()
         .max_batch_size(4)
-        .batch_latency_budget_secs(0.05)
         .queue_capacity(64);
     let mut shed_on = drive(
         overload_cfg.clone().shed_deadlines(true),

@@ -70,9 +70,9 @@ pub struct ScalingConfig {
     pub clock_scale: f64,
     /// Generation budget per request (relevant for LLM models only).
     pub max_tokens: u32,
-    /// Serving-plane shape for every service in the sweep: replicas, batch size,
-    /// latency budget, shedding. The default (1 replica, batch 1) is the paper's
-    /// one-request-one-call service.
+    /// Serving-plane shape for every service in the sweep: replicas, batch cap,
+    /// shedding. The paper's services are single-threaded and queue further requests
+    /// (§IV-A), so its configurations pin `max_batch_size(1)`.
     pub serving: ServingConfig,
     /// RNG seed.
     pub seed: u64,
@@ -91,7 +91,7 @@ impl ScalingConfig {
             // (scaled-down) real scheduling jitter.
             clock_scale: 0.25,
             max_tokens: 1,
-            serving: ServingConfig::default(),
+            serving: ServingConfig::default().max_batch_size(1),
             seed: 42,
         }
     }
@@ -113,7 +113,7 @@ impl ScalingConfig {
             deployment,
             clock_scale: 800.0,
             max_tokens: 128,
-            serving: ServingConfig::default(),
+            serving: ServingConfig::default().max_batch_size(1),
             seed: 42,
         }
     }
@@ -312,9 +312,7 @@ mod tests {
     #[test]
     fn batched_serving_config_flows_through_the_sweep() {
         let mut config = tiny(Deployment::Local);
-        config.serving = ServingConfig::default()
-            .max_batch_size(4)
-            .batch_latency_budget_secs(0.001);
+        config.serving = ServingConfig::default().max_batch_size(4);
         let r = run_one(2, 1, &config);
         assert_eq!(r.components["communication"].count, 24);
     }

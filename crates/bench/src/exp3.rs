@@ -39,7 +39,7 @@ mod tests {
             // communication component well below the seconds of inference time.
             clock_scale: 200.0,
             max_tokens: 64,
-            serving: ServingConfig::default(),
+            serving: ServingConfig::default().max_batch_size(1),
             seed: 5,
         }
     }
@@ -75,14 +75,13 @@ mod tests {
 
     #[test]
     fn batching_amortises_the_scarce_service_queue() {
-        // The same 2-clients-1-service crunch as above, but the service batches up to
-        // 2 requests per backend dispatch: amortised decode cost must beat the
-        // serial one-request-one-call path end to end.
+        // The same 2-clients-1-service crunch as above, but the service has the default
+        // serving plane, which begins what queued behind a busy replica as one backend
+        // call: amortised decode cost must beat the paper's one-request-one-call path
+        // end to end.
         let unbatched = run_one(2, 1, &tiny_llm(Deployment::Local));
         let mut config = tiny_llm(Deployment::Local);
-        config.serving = ServingConfig::default()
-            .max_batch_size(2)
-            .batch_latency_budget_secs(1.0);
+        config.serving = ServingConfig::default();
         let batched = run_one(2, 1, &config);
         assert!(
             batched.total.mean < unbatched.total.mean,

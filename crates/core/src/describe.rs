@@ -260,9 +260,10 @@ pub struct ServiceDescription {
     pub placement: ServicePlacement,
     /// Seconds to wait for readiness before giving up.
     pub startup_timeout_secs: f64,
-    /// Serving-plane configuration: replica count, continuous-batching thresholds and
-    /// admission control. The default (1 replica, batch size 1) is the legacy
-    /// one-request-at-a-time service.
+    /// Serving-plane configuration: replica count, batch cap and admission control.
+    /// The default is one replica that begins what queued behind it, up to 8 requests,
+    /// as one backend call; `max_batch_size(1)` is the paper's one-request-at-a-time
+    /// service.
     #[serde(default)]
     pub serving: ServingConfig,
     /// Free-form tags.
@@ -293,16 +294,9 @@ impl ServiceDescription {
         self
     }
 
-    /// Enable continuous micro-batching up to `n` requests per backend dispatch.
+    /// Begin at most `n` waiting requests per backend call (1: one at a time).
     pub fn max_batch_size(mut self, n: usize) -> Self {
         self.serving.max_batch_size = n.max(1);
-        self
-    }
-
-    /// Virtual seconds a request may wait for its batch to fill before a partial batch
-    /// dispatches anyway.
-    pub fn batch_latency_budget_secs(mut self, secs: f64) -> Self {
-        self.serving.batch_latency_budget_secs = secs.max(0.0);
         self
     }
 

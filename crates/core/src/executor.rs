@@ -39,14 +39,15 @@
 //! re-checks its own condition when resumed, so early or stale wake-ups are harmless.
 //!
 //! The same rule — *the thread that makes a run runnable advances it to its first
-//! park* — serves requests. The services hosted here put two more kinds of run on the
-//! same pool (`hpcml_serving::{service, pool}`), which is handed to each service:
+//! park* — serves requests. The services hosted here add two more kinds of run
+//! (`hpcml_serving::{service, pool}`); the pool, handed to each service, resumes the
+//! replicas:
 //!
 //! | run | made runnable by | advanced by | parks on |
 //! |---|---|---|---|
 //! | task | `submit_task(s)` | the submitting thread, then workers | placement, timers, blocking stages (above) |
-//! | a service's admission front-end | a client sending a message to the endpoint | that client's thread, which takes the run and carries its message into the pass; if another thread holds the run past a bounded wait, the message queues and that one makes one more pass ([`Pool::advance_or_wake`]) | the budget of a partial batch: a session-clock timer, then a worker |
-//! | a replica | the front-end dispatching a batch to it | the dispatching thread, which begins the batch on an idle replica — still the client's, for a request that met no queue; whoever holds a busy replica serves its queue in dispatch order | the batch's inference time: a session-clock timer, then a worker |
+//! | a service's admission front-end | a client sending a message to the endpoint | that client's thread, which takes the run and carries its message into the pass; if another thread holds the run past a bounded wait, the message queues and that one makes one more pass ([`Pool::advance_or_wake`]) | nothing: a pass ends when nothing waits |
+//! | a replica | the front-end dispatching a request to it | the dispatching thread, which begins the request on an idle replica — still the client's, for a request that met no queue; whoever holds a busy replica begins what queued, in dispatch order, as its next batch | the batch's inference time: a session-clock timer, then a worker |
 //!
 //! so a request to an idle NOOP service is admitted, dispatched, computed and answered
 //! on the requesting thread without having been queued anywhere, and one that waits
@@ -242,8 +243,8 @@ pub struct Executor {
     base_seed: u64,
     /// Entity threads not yet joined: services and `Blocking` task stages.
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Resumes parked runs — tasks, and the front-ends and replicas of the services
-    /// hosted here; starts no thread before the first park.
+    /// Resumes parked runs — tasks, and the replicas of the services hosted here;
+    /// starts no thread before the first park.
     pool: Arc<Pool>,
     /// Task runs between spawn and their last publish.
     in_flight: AtomicUsize,

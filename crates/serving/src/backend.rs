@@ -47,6 +47,10 @@ pub struct BatchResult {
 /// batch size 8 reported for vLLM-class servers.
 pub const MARGINAL_DECODE_COST: f64 = 0.15;
 
+/// The batch size [`MARGINAL_DECODE_COST`] is calibrated at, and so the default cap on
+/// the requests a replica begins as one backend call.
+pub const CALIBRATED_BATCH_SIZE: usize = 8;
+
 /// A servable model implementation.
 pub trait ModelBackend: Send + Sync {
     /// The model specification this backend implements.

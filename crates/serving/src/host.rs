@@ -2,9 +2,11 @@
 //!
 //! A [`ModelHost`] owns one [`ModelBackend`], loads it (spending the load time on the
 //! virtual clock — this is the `init` component of the paper's bootstrap time), and then
-//! serves inference requests **one at a time**, exactly like the paper's current
-//! implementation: "services are single-threaded, and, as such, they only handle one
-//! request at a time, queuing further incoming requests" (§IV-A).
+//! serves **one batch at a time**: the requests that queued behind the previous batch,
+//! as one backend call. With `ServingConfig::max_batch_size(1)` that is one request at
+//! a time, exactly like the paper's current implementation: "services are
+//! single-threaded, and, as such, they only handle one request at a time, queuing
+//! further incoming requests" (§IV-A).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -13,20 +13,22 @@
 //!   prompt-processing + auto-regressive generation);
 //! * [`host`] — [`ModelHost`]: the Ollama stand-in. Loads a model (sleeping the sampled
 //!   load time on the virtual clock — the `init` component of the paper's bootstrap
-//!   time) and serves requests one at a time (the paper's services are single-threaded
-//!   and queue further incoming requests);
-//! * [`batcher`] — [`ServingConfig`] and the continuous micro-batching
-//!   [`BatchAssembler`]: a batch is returned by the push that fills it, a partial one
-//!   when the oldest entry's latency budget expires on the virtual clock;
+//!   time) and runs one *batch* at a time (the paper's services are single-threaded
+//!   and queue further incoming requests: one request at a time is
+//!   `ServingConfig::max_batch_size(1)`);
+//! * [`batcher`] — [`ServingConfig`] and [`batcher::Batch`]: requests batch where they
+//!   already wait, up to `max_batch_size` (by default the batch size the backend's cost
+//!   model is calibrated at), and never wait for company;
 //! * [`pool`] — [`ReplicaPool`]: N hosts behind one endpoint with
 //!   least-outstanding-requests routing over lock-free per-replica counters, runtime
 //!   scale-up and drain-based scale-down; a replica is a resumable run — not a
-//!   thread — that begins a batch on the thread that dispatches it, queues only what
-//!   arrives while it is busy, and parks on a timer while a batch computes;
+//!   thread — that begins a request on the thread that dispatches it, queues only what
+//!   arrives while it is busy, begins all of that as one batch when it frees, and parks
+//!   on a timer while a batch computes;
 //! * [`service`] — [`InferenceService`]: the admission front-end binding a
 //!   [`hpcml_comm::ReqRepServer`] endpoint to the serving plane — zero-copy request
-//!   decode, deadline-aware admission control with load shedding, batch assembly and
-//!   replica routing — decomposing each reply into the paper's `service` and
+//!   decode, deadline-aware admission control with load shedding and replica
+//!   routing — decomposing each reply into the paper's `service` and
 //!   `inference` time components; a resumable run too, advanced by the client thread
 //!   that sends a request and carries it into the pass, so a request that never waits
 //!   is never queued and never changes threads;
@@ -50,7 +52,7 @@ pub mod request;
 pub mod service;
 
 pub use backend::{BatchResult, ModelBackend, NoopBackend, SimLlmBackend};
-pub use batcher::{BatchAssembler, ServingConfig};
+pub use batcher::ServingConfig;
 pub use host::ModelHost;
 pub use model::{ModelKind, ModelSpec};
 pub use pool::ReplicaPool;

@@ -1,29 +1,36 @@
 //! Replica pools: N `ModelHost` replicas behind one endpoint, with
-//! least-outstanding-requests routing over lock-free per-replica counters.
+//! least-outstanding-requests routing over lock-free per-replica counters — and the
+//! one place where requests wait for a backend, and so where they batch.
 //!
-//! The serving front-end completes batches (see [`crate::batcher`]) and hands each one
-//! to [`ReplicaPool::dispatch`], which routes it to the live replica with the fewest
-//! outstanding requests. There the batch is carried or queued, like a request at an
-//! endpoint: **a replica's queue holds only batches that wait.**
+//! The serving front-end hands each admitted request to [`ReplicaPool::dispatch`],
+//! which routes it to the live replica with the fewest outstanding requests. There it
+//! is carried or queued, like a request at an endpoint: **a replica's queue holds only
+//! requests that wait**, and a batch is what waited. A replica that frees takes
+//! everything queued behind it, in dispatch order and up to `max_batch_size`, as one
+//! [`Batch`] and one backend call: it never idles while a request waits, and never
+//! waits for company.
 //!
 //! **A replica is a run, not a thread**: a [`Resume`] on the executor's [`Pool`], parked
 //! while it has nothing to do. A dispatch that finds it parked takes it and, if it is
-//! idle with nothing queued, *begins the batch it brought* — the backend call
-//! ([`ModelHost::begin_batch`]) and, when the batch costs no compute time (NOOP), the
-//! replies too — there and then, on the dispatching thread, which for a request that
-//! found its service idle is the requesting client's own. A batch that costs compute
-//! time parks the replica on the pool's session-clock timer heap until it ends; a
-//! worker of the pool finishes it and looks for the next. Only behind such a busy
-//! replica, or one somebody else is advancing at that moment, is a batch queued —
-//! whoever holds the replica serves the queue in dispatch order, and begins each batch
-//! with the same `Replica::begin` a carried one goes through. A backend call that
-//! panics fails its batch with [`KIND_ERROR`] replies and nothing else.
+//! idle with nothing queued, *begins the request it brought* as a batch of one — the
+//! backend call ([`ModelHost::begin_batch`]) and, when the batch costs no compute time
+//! (NOOP), the replies too — there and then, on the dispatching thread, which for a
+//! request that found its service idle is the requesting client's own. A batch that
+//! costs compute time parks the replica on the pool's session-clock timer heap until it
+//! ends; a worker of the pool finishes it and begins what queued meanwhile. Only behind
+//! such a busy replica, or one somebody else is advancing at that moment, is a request
+//! queued — and every batch, carried or queued, goes onto the backend through the same
+//! `Replica::begin`. A backend call that panics fails its batch with [`KIND_ERROR`]
+//! replies and nothing else.
 //!
 //! Outstanding counts are plain atomics — routing never takes a lock; the replica
 //! *list* sits behind a `RwLock` only so replicas can join (scale-up) and leave at
 //! runtime: [`ReplicaPool::begin_drain`] marks a replica unroutable, in-flight batches
-//! complete, and [`ReplicaPool::reap_drained`] removes it once idle. `comm.queue.depth`
-//! is recorded here: how many batches deep the replica was with this one, begun or not.
+//! complete, and [`ReplicaPool::reap_drained`] removes it once idle. Recorded here:
+//! `serving.replica.outstanding` and `comm.queue.depth` per dispatch (the replica's
+//! unanswered requests, and how many requests deep its queue was with this one — 1 for
+//! a request begun at once), `serving.batch.size` per begun batch and
+//! `serving.queue.delay_secs` per answered request.
 //!
 //! **Lock order** (continuing the executor's): front-end run → replica run (its
 //! `serving` state, locked only by whoever holds the run) → leaves { replica queue |
@@ -53,7 +60,7 @@ use crate::request::InferenceRequest;
 
 /// One admitted request on its way from admission to a replica: the request — parsed
 /// once, at admission, and never copied — where its reply goes and what it has waited
-/// so far. A batch of them is one [`Batch`].
+/// so far. A replica's queue holds these; a batch of them is one [`Batch`].
 #[derive(Debug)]
 pub struct BatchItem {
     /// The parsed request.
@@ -67,11 +74,12 @@ pub struct BatchItem {
     pub admission_queue_secs: f64,
     /// Parsing/serialisation overhead already spent on this request, seconds.
     pub handling_secs: f64,
-    /// Virtual seconds the request waited in the batch assembler before dispatch.
+    /// Virtual seconds from admission to dispatch: what the request's handling took
+    /// on the clock.
     pub batch_wait_secs: f64,
-    /// Virtual time the batch was dispatched to a replica, seconds. The replica prices
-    /// its queueing as `max(0, previous batch's end - dispatched_secs)`, so an idle
-    /// replica contributes exactly zero.
+    /// Virtual time the request was dispatched to a replica, seconds. The replica
+    /// prices its queueing as `max(0, previous batch's end - dispatched_secs)`, so a
+    /// request that found its replica idle contributes exactly zero.
     pub dispatched_secs: f64,
 }
 
@@ -89,6 +97,8 @@ fn fail(batch: Batch<BatchItem>, why: &str) {
 struct Shared {
     clock: SharedClock,
     sink: SharedScalarSink,
+    /// Most requests a replica begins as one backend call.
+    max_batch_size: usize,
     /// Files the replicas' compute timers. Weak, because a timer entry owns its
     /// replica: whoever hosts the service owns the pool.
     executor: Weak<Pool>,
@@ -114,14 +124,15 @@ struct Running {
 /// declaration order, so that the end of the previous batch sits beside the lock word.
 #[repr(C)]
 struct Serving {
-    /// Virtual time the previous batch finished: batches dispatched while the replica
-    /// was busy are priced their genuine replica queueing, batches that found it idle
+    /// Virtual time the previous batch finished: requests dispatched while the replica
+    /// was busy are priced their genuine replica queueing, requests that found it idle
     /// are priced zero.
     busy_until_secs: f64,
     running: Option<Running>,
 }
 
-/// One replica: a host, its batch queue and lock-free routing state — a resumable run.
+/// One replica: a host, its request queue and lock-free routing state — a resumable
+/// run.
 struct Replica {
     id: u64,
     host: Arc<ModelHost>,
@@ -138,9 +149,9 @@ struct Replica {
 struct Hot {
     cell: RunCell,
     outstanding: AtomicU64,
-    /// Dispatched batches that wait — behind a running batch, or for whoever advances
+    /// Dispatched requests that wait — behind a running batch, or for whoever advances
     /// the replica right now — in dispatch order. A leaf lock.
-    queue: Mutex<VecDeque<Batch<BatchItem>>>,
+    queue: Mutex<VecDeque<BatchItem>>,
     serving: Mutex<Serving>,
 }
 
@@ -157,25 +168,25 @@ impl Replica {
         self.draining.load(Ordering::Acquire)
     }
 
-    /// Take a batch dispatched at `now`: begun at once if the replica is parked, idle
-    /// and has nothing queued; queued otherwise — and served, if this thread can have
-    /// the run, as far as things are due. Returns how many batches deep the replica
-    /// was, this one included.
-    fn accept(self: &Arc<Self>, batch: Batch<BatchItem>, now: SimTime) -> usize {
+    /// Take a request dispatched at `now`: begun at once, as a batch of one, if the
+    /// replica is parked, idle and has nothing queued; queued otherwise — and served,
+    /// if this thread can have the run, as far as things are due. Returns how many
+    /// requests deep the replica's queue was with this one (1: begun at once).
+    fn accept(self: &Arc<Self>, item: BatchItem, now: SimTime) -> usize {
         let hot = &*self.hot;
         if !hot.cell.try_hold() {
             // Somebody is advancing the replica: behind what it has, and it looks again.
-            let depth = self.enqueue(batch);
+            let depth = self.enqueue(item);
             Pool::advance_or_wake(self);
             return depth;
         }
         let mut serving = hot.serving.lock();
         let carried = serving.running.is_none() && hot.queue.lock().is_empty();
         let depth = if carried {
-            self.begin(&mut serving, batch, now);
+            self.begin(&mut serving, Batch::One(item), now);
             1
         } else {
-            self.enqueue(batch)
+            self.enqueue(item)
         };
         drop(serving);
         // Nothing was queued when the run was taken, and whoever queues behind a held
@@ -187,15 +198,15 @@ impl Replica {
         depth
     }
 
-    fn enqueue(&self, batch: Batch<BatchItem>) -> usize {
+    fn enqueue(&self, item: BatchItem) -> usize {
         let mut queue = self.hot.queue.lock();
-        queue.push_back(batch);
+        queue.push_back(item);
         queue.len()
     }
 
     /// Serve until there is nothing to do right now: finish the running batch if its
-    /// time is up, begin the next queued one, and so on. Returns with the replica
-    /// either idle (queue empty) or waiting for its timer.
+    /// time is up, begin what queued behind it as the next, and so on. Returns with the
+    /// replica either idle (queue empty) or waiting for its timer.
     fn advance(self: &Arc<Self>) {
         let clock = &self.shared.clock;
         let mut serving = self.hot.serving.lock();
@@ -214,18 +225,27 @@ impl Replica {
                 serving.busy_until_secs = clock.now().as_secs_f64();
                 continue;
             }
-            let Some(batch) = self.hot.queue.lock().pop_front() else {
-                return;
+            // Free: whatever queued meanwhile is the next batch.
+            let batch: Batch<BatchItem> = {
+                let mut queue = self.hot.queue.lock();
+                let n = queue.len().min(self.shared.max_batch_size);
+                queue.drain(..n).collect()
             };
+            if batch.is_empty() {
+                return;
+            }
             self.begin(&mut serving, batch, clock.now());
         }
     }
 
     /// Begin `batch` at `now` on the idle replica the caller holds — the one way a
-    /// batch gets onto the backend, whether it was carried here by its dispatch or
-    /// waited in the queue: make the backend call, then answer at once if the batch
-    /// costs no time, or park on the timer until its time is up.
+    /// batch gets onto the backend, whether its dispatch carried it here or it waited
+    /// in the queue: make the backend call, then answer at once if the batch costs no
+    /// time, or park on the timer until its time is up.
     fn begin(self: &Arc<Self>, serving: &mut Serving, batch: Batch<BatchItem>, now: SimTime) {
+        self.shared
+            .sink
+            .record("serving.batch.size", batch.len() as f64);
         // The backend is the one piece of foreign code on this path.
         let requests = batch.iter().map(|item| &item.request);
         let begun = catch_unwind(AssertUnwindSafe(|| self.host.begin_batch(requests)))
@@ -267,8 +287,8 @@ impl Replica {
                 update_estimate(&shared.est_request_secs_bits, batch_secs / n.max(1) as f64);
                 for (item, result) in batch.into_iter().zip(begun.results) {
                     // The paper's `service` component: endpoint queueing (measured
-                    // at admission), parsing overhead, the assembler wait, and
-                    // replica queueing behind earlier batches. Every term is a
+                    // at admission), parsing overhead, admission to dispatch, and
+                    // replica queueing behind the previous batch. Every term is a
                     // virtual-time quantity with no thread wake-up inside, so
                     // real dispatch jitter never scales into the decomposition.
                     let replica_wait_secs =
@@ -332,18 +352,21 @@ impl std::fmt::Debug for ReplicaPool {
 }
 
 impl ReplicaPool {
-    /// Build a pool over pre-loaded hosts whose replicas park on `executor`. Spawns
-    /// nothing; the pool is held weakly and must outlive the batches in flight.
+    /// Build a pool over pre-loaded hosts whose replicas park on `executor` and begin
+    /// up to `max_batch_size` waiting requests as one backend call. Spawns nothing; the
+    /// pool is held weakly and must outlive the batches in flight.
     pub fn new(
         hosts: Vec<Arc<ModelHost>>,
         clock: SharedClock,
         sink: SharedScalarSink,
         executor: &Arc<Pool>,
+        max_batch_size: usize,
     ) -> Self {
         let pool = ReplicaPool {
             shared: Arc::new(Shared {
                 clock,
                 sink,
+                max_batch_size: max_batch_size.max(1),
                 executor: Arc::downgrade(executor),
                 est_request_secs_bits: AtomicU64::new(0f64.to_bits()),
                 quiescing: AtomicUsize::new(0),
@@ -390,26 +413,34 @@ impl ReplicaPool {
         live.min_by_key(|r| (r.outstanding(), r.id)).cloned()
     }
 
-    /// Dispatch one batch, at `now`, to the least-loaded live replica and record the
-    /// routing metrics: a replica that is idle with nothing queued begins the batch on
-    /// this thread, there and then; behind a busy one it queues and is served when its
-    /// turn comes. Replies with an error to every member if no replica is routable.
+    /// Dispatch one request, at `now`, to the least-loaded live replica and record the
+    /// routing metrics: a replica that is idle with nothing queued begins it on this
+    /// thread, there and then; behind a busy one it queues and joins the batch that
+    /// replica begins when it frees. Replies with an error if no replica is routable.
     /// Call with no lock held that a replica step takes (see the module docs).
-    pub fn dispatch(&self, batch: Batch<BatchItem>, now: SimTime) {
-        if batch.is_empty() {
-            return;
-        }
+    pub fn dispatch(&self, item: BatchItem, now: SimTime) {
         let Some(replica) = self.route() else {
-            fail(batch, "no live replicas");
+            fail(Batch::One(item), "no live replicas");
             return;
         };
-        let n = batch.len() as u64;
-        let outstanding_after = replica.hot.outstanding.fetch_add(n, Ordering::SeqCst) + n;
+        let outstanding_after = replica.hot.outstanding.fetch_add(1, Ordering::SeqCst) + 1;
         let sink = &self.shared.sink;
-        sink.record("serving.batch.size", n as f64);
         sink.record("serving.replica.outstanding", outstanding_after as f64);
-        let depth = replica.accept(batch, now);
+        let depth = replica.accept(item, now);
         sink.record("comm.queue.depth", depth as f64);
+    }
+
+    /// Requests queued at a replica with no batch on its backend — 0 whenever every
+    /// replica has parked, for a pool that never idles while a request waits. Takes
+    /// each replica's `serving` lock, which otherwise only the thread holding the
+    /// replica takes: a check for tests, not for the request path.
+    pub fn queued_at_idle_replicas(&self) -> usize {
+        let replicas = self.replicas.read();
+        let idle = replicas.iter().filter_map(|r| {
+            let serving = r.hot.serving.lock();
+            serving.running.is_none().then(|| r.hot.queue.lock().len())
+        });
+        idle.sum()
     }
 
     /// Sum of outstanding requests across all replicas.
@@ -433,14 +464,18 @@ impl ReplicaPool {
         self.replicas.read().first().map(|r| Arc::clone(&r.host))
     }
 
-    /// Estimated queue delay for a request arriving now with `queued` requests already
-    /// waiting in the assembler: backlog divided over the live replicas, priced at the
-    /// observed per-request cost. Zero until a first batch calibrates the estimate.
-    pub fn estimated_queue_delay_secs(&self, queued: usize) -> f64 {
-        let backlog = queued as u64 + self.total_outstanding();
+    /// Estimated queue delay for a request admitted behind `backlog` unanswered ones
+    /// (see [`ReplicaPool::total_outstanding`]): the backlog divided over the live
+    /// replicas, priced at [`ReplicaPool::estimated_request_secs`].
+    pub fn estimated_queue_delay_secs(&self, backlog: u64) -> f64 {
         let live = self.live_replicas().max(1);
-        let est_bits = self.shared.est_request_secs_bits.load(Ordering::Acquire);
-        backlog as f64 * f64::from_bits(est_bits) / live as f64
+        backlog as f64 * self.estimated_request_secs() / live as f64
+    }
+
+    /// Observed per-request service seconds (an EWMA over answered batches, each
+    /// batch's time shared by its members). Zero until a first batch calibrates it.
+    pub fn estimated_request_secs(&self) -> f64 {
+        f64::from_bits(self.shared.est_request_secs_bits.load(Ordering::Acquire))
     }
 
     /// Begin draining the replica with the given id (scale-down). Returns `false` if
@@ -517,7 +552,7 @@ mod tests {
         endpoint: ReqRepServer,
     }
 
-    fn fixture(spec: ModelSpec) -> Fixture {
+    fn fixture(spec: ModelSpec, max_batch_size: usize) -> Fixture {
         let clock = ClockSpec::scaled(1000.0).build();
         let host = shared_host(spec, Arc::clone(&clock), 3);
         host.load();
@@ -526,7 +561,8 @@ mod tests {
         let recorder = Arc::clone(&seen);
         let sink: SharedScalarSink =
             Arc::new(move |name: &str, value: f64| recorder.record(name, value));
-        let pool = ReplicaPool::new(vec![host], Arc::clone(&clock), sink, &executor);
+        let hosts = vec![host];
+        let pool = ReplicaPool::new(hosts, Arc::clone(&clock), sink, &executor, max_batch_size);
         Fixture {
             clock,
             executor,
@@ -539,7 +575,7 @@ mod tests {
     impl Fixture {
         /// One request from a thread of its own, received here and wrapped as an item
         /// that has cost nothing so far: its `service` time is its replica wait alone.
-        fn item(&self) -> (thread::JoinHandle<Message>, Batch<BatchItem>) {
+        fn item(&self) -> (thread::JoinHandle<Message>, BatchItem) {
             let client = self.endpoint.client(Link::instant(Arc::clone(&self.clock)));
             let requester = thread::spawn(move || {
                 client
@@ -556,62 +592,97 @@ mod tests {
                 batch_wait_secs: 0.0,
                 dispatched_secs: self.clock.now().as_secs_f64(),
             };
-            (requester, Batch::One(item))
+            (requester, item)
+        }
+
+        /// Dispatch three requests back to back to the one LLM replica and collect the
+        /// replies, in dispatch order, once every batch has ended.
+        fn three_back_to_back(&self) -> Vec<Message> {
+            let (requesters, items): (Vec<_>, Vec<_>) = (0..3).map(|_| self.item()).unzip();
+            let ids: Vec<String> = items.iter().map(|i| i.request.request_id.clone()).collect();
+            for item in items {
+                self.pool.dispatch(item, self.clock.now());
+            }
+            assert!(self.executor.is_started(), "an LLM batch parks on a timer");
+            let replies: Vec<Message> = requesters.into_iter().map(|r| r.join().unwrap()).collect();
+            self.pool.quiesce();
+            assert_eq!(self.pool.total_outstanding(), 0);
+            for (reply, id) in replies.iter().zip(&ids) {
+                assert_eq!(reply.header(HDR_REQUEST_ID), Some(id.as_str()));
+            }
+            // Every request recorded the wait it replied with. Batches end on different
+            // threads (the dispatcher's, then pool workers) and a registry keeps order
+            // per thread only, so the two are compared sorted.
+            let mut waits: Vec<f64> = replies
+                .iter()
+                .map(|r| r.f64_header(HDR_SERVICE_SECS).unwrap())
+                .collect();
+            waits.sort_by(f64::total_cmp);
+            let mut ended = self.seen.values("serving.queue.delay_secs");
+            ended.sort_by(f64::total_cmp);
+            assert_eq!(
+                ended, waits,
+                "the header carries the recorded number itself"
+            );
+            replies
         }
     }
 
-    #[test]
-    fn a_busy_replica_serves_in_dispatch_order_and_prices_the_wait_an_idle_one_prices_zero() {
-        let fx = fixture(ModelSpec::sim_llama_8b());
-        let (requesters, batches): (Vec<_>, Vec<_>) = (0..3).map(|_| fx.item()).unzip();
-        let ids: Vec<String> = batches
+    fn f64s(replies: &[Message], header: &str) -> Vec<f64> {
+        replies
             .iter()
-            .map(|b| b[0].request.request_id.clone())
-            .collect();
-        for batch in batches {
-            fx.pool.dispatch(batch, fx.clock.now());
-        }
-        assert!(fx.executor.is_started(), "an LLM batch parks on a timer");
-        let replies: Vec<Message> = requesters.into_iter().map(|r| r.join().unwrap()).collect();
-        fx.pool.quiesce();
-        assert_eq!(fx.pool.total_outstanding(), 0);
+            .map(|r| r.f64_header(header).unwrap())
+            .collect()
+    }
 
-        let waits: Vec<f64> = replies
-            .iter()
-            .map(|r| r.f64_header(HDR_SERVICE_SECS).unwrap())
-            .collect();
+    #[test]
+    fn unbatched_a_busy_replica_serves_in_dispatch_order_and_an_idle_one_prices_zero() {
+        let fx = fixture(ModelSpec::sim_llama_8b(), 1);
+        let replies = fx.three_back_to_back();
+        let waits = f64s(&replies, HDR_SERVICE_SECS);
         let inference = replies[0].f64_header(HDR_INFERENCE_SECS).unwrap();
         assert_eq!(waits[0], 0.0, "dispatched to an idle replica");
         assert!(
             waits[1] >= inference * 0.5,
-            "the second batch waited out the first: {waits:?} vs {inference}"
+            "the second request waited out the first: {waits:?} vs {inference}"
         );
         assert!(waits[2] > waits[1], "and the third the second: {waits:?}");
-        for (reply, id) in replies.iter().zip(&ids) {
-            assert_eq!(reply.header(HDR_REQUEST_ID), Some(id.as_str()));
-        }
-        // Every batch recorded the wait it replied with. The batches end on different
-        // threads (the dispatcher's, then pool workers) and a registry keeps order per
-        // thread only, so the two are compared sorted; that they ended in dispatch
-        // order is what the strictly growing `waits` above already say.
-        let mut ended = fx.seen.values("serving.queue.delay_secs");
-        ended.sort_by(f64::total_cmp);
-        assert_eq!(
-            ended, waits,
-            "the header carries the recorded number itself"
-        );
+        assert_eq!(fx.seen.values("serving.batch.size"), [1.0; 3]);
         assert_eq!(
             fx.seen.values("comm.queue.depth"),
             vec![1.0, 1.0, 2.0],
-            "the first batch was begun by its dispatch, the others queued behind it"
+            "the first request was begun by its dispatch, the others queued behind it"
         );
     }
 
     #[test]
+    fn a_replica_that_frees_begins_everything_queued_behind_it_as_one_batch() {
+        let fx = fixture(ModelSpec::sim_llama_8b(), 8);
+        let replies = fx.three_back_to_back();
+        let sizes: Vec<&str> = replies
+            .iter()
+            .map(|r| r.header(HDR_BATCH_SIZE).unwrap())
+            .collect();
+        assert_eq!(sizes, ["1", "2", "2"]);
+        let inference = f64s(&replies, HDR_INFERENCE_SECS);
+        assert_eq!(inference[1], inference[2], "one backend call for both");
+        let waits = f64s(&replies, HDR_SERVICE_SECS);
+        assert_eq!(waits[0], 0.0, "dispatched to an idle replica");
+        assert!(
+            waits[1] >= inference[0] * 0.5 && waits[2] >= inference[0] * 0.5,
+            "both waited out the first batch: {waits:?} vs {inference:?}"
+        );
+        let mut sizes = fx.seen.values("serving.batch.size");
+        sizes.sort_by(f64::total_cmp);
+        assert_eq!(sizes, [1.0, 2.0], "recorded per begun batch");
+        assert_eq!(fx.seen.values("comm.queue.depth"), vec![1.0, 1.0, 2.0]);
+    }
+
+    #[test]
     fn an_idle_noop_replica_answers_on_the_dispatching_thread() {
-        let fx = fixture(ModelSpec::noop());
-        let (requester, batch) = fx.item();
-        fx.pool.dispatch(batch, fx.clock.now());
+        let fx = fixture(ModelSpec::noop(), 8);
+        let (requester, item) = fx.item();
+        fx.pool.dispatch(item, fx.clock.now());
         // No thread but this one could have served it: the pool has none.
         assert!(!fx.executor.is_started());
         assert_eq!(
@@ -627,11 +698,11 @@ mod tests {
 
     #[test]
     fn batches_of_a_pool_whose_executor_is_gone_fail_instead_of_hanging() {
-        let mut fx = fixture(ModelSpec::sim_llama_8b());
+        let mut fx = fixture(ModelSpec::sim_llama_8b(), 8);
         // Replacing the only strong reference drops the pool the replicas point at.
         fx.executor = Arc::new(Pool::new(Arc::clone(&fx.clock)));
-        let (requester, batch) = fx.item();
-        fx.pool.dispatch(batch, fx.clock.now());
+        let (requester, item) = fx.item();
+        fx.pool.dispatch(item, fx.clock.now());
         let reply = requester.join().unwrap();
         assert_eq!(reply.kind, KIND_ERROR);
         assert!(reply.header(HDR_ERROR).unwrap().contains("executor"));

@@ -45,8 +45,8 @@ pub const HDR_DEADLINE_SECS: &str = "svc.deadline_secs";
 pub const HDR_RETRY_AFTER_SECS: &str = "svc.retry_after_secs";
 /// Header (reply): number of requests in the batch this request was served in.
 pub const HDR_BATCH_SIZE: &str = "svc.batch_size";
-/// Header (reply): virtual seconds the request waited in the batch assembler before
-/// dispatch — bounded by the configured batch latency budget.
+/// Header (reply): virtual seconds from the request's admission to its dispatch to a
+/// replica — its handling, as it passed on the clock.
 pub const HDR_BATCH_WAIT_SECS: &str = "svc.batch_wait_secs";
 
 /// A malformed wire payload, decoded into a typed error instead of a silent `None`.

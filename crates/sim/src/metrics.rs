@@ -296,11 +296,6 @@ impl MetricRegistry {
         values
     }
 
-    /// Summary statistics for `name`.
-    pub fn summary(&self, name: &str) -> Summary {
-        Summary::from_slice(&self.values(name))
-    }
-
     /// Names of all series recorded so far, sorted.
     pub fn names(&self) -> Vec<String> {
         let mut names = BTreeSet::new();
@@ -410,7 +405,6 @@ mod tests {
         assert_eq!(m.values("unknown"), Vec::<f64>::new());
         assert_eq!(m.names(), vec!["it".to_string(), "rt".to_string()]);
         assert_eq!(m.total_count(), 3);
-        assert!((m.summary("rt").mean - 0.15).abs() < 1e-12);
         m.clear();
         assert_eq!(m.total_count(), 0);
     }
@@ -487,7 +481,7 @@ mod tests {
         }
         assert_eq!(m.names(), ["even", "odd", "x"]);
         assert_eq!(m.total_count(), threads * 501);
-        assert_eq!(m.summary("even").count, threads / 2);
+        assert_eq!(m.values("even").len(), threads / 2);
         assert_eq!(r.len(), threads * 5);
         for t in 0..threads {
             let mine: Vec<f64> = r

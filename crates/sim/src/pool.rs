@@ -30,9 +30,8 @@
 //! way except by the thread that submits them, which creates them held.
 //!
 //! Timers come in two kinds, one heap each: deadlines on the session clock (compute,
-//! staging and backoff sleeps of tasks; inference batches and batching budgets of
-//! services) and real-time deadlines (the scheduler's request timeout and gang drain
-//! threshold). The timer thread sleeps to the earliest of both through
+//! staging and backoff sleeps of tasks; inference batches of services) and real-time
+//! deadlines (the scheduler's request timeout and gang drain threshold). The timer thread sleeps to the earliest of both through
 //! [`crate::clock::Clock::sleep_interruptibly`], so a manual clock works too. An
 //! entry carries the generation its run had when the entry was made; a run that has
 //! since parked on something else has a newer generation, and the stale entry is

@@ -1,12 +1,13 @@
 //! Serving-plane walkthrough: continuous micro-batching, replica pools and
 //! deadline-aware admission control.
 //!
-//! The same llama-8b model is deployed twice — once in the legacy unbatched
+//! The same llama-8b model is deployed twice — once in the paper's unbatched
 //! single-replica shape, once as a batched two-replica pool — and both serve the same
-//! concurrent client load. The batched pool amortises decode cost across batch members
-//! and splits the load over its replicas, so its clients finish in a fraction of the
-//! unbatched wall time; the serving metrics recorded by the runtime show the batch
-//! sizes and queue depths behind that difference.
+//! concurrent client load. The batched pool begins what queues behind a busy replica
+//! as one backend call, amortising decode cost across batch members, and splits the
+//! load over its replicas, so its clients finish in a fraction of the unbatched wall
+//! time; the serving metrics recorded by the runtime show the batch sizes and queue
+//! depths behind that difference.
 //!
 //! Run with: `cargo run --example serving`
 
@@ -50,26 +51,24 @@ fn main() {
         )
         .expect("pilot");
 
-    // Legacy shape: one replica, one request per backend dispatch (the default
-    // ServingConfig — exactly the seed-era service).
+    // The paper's shape: one replica, one request per backend dispatch.
     let unbatched = session
         .submit_service(
             ServiceDescription::new("llm-unbatched")
                 .model(ModelSpec::sim_llama_8b())
-                .gpus(1),
+                .gpus(1)
+                .max_batch_size(1),
         )
         .expect("unbatched service");
 
-    // Serving plane: up to 8 requests per dispatch, 100 ms of batching budget, two
+    // Serving plane: up to 8 waiting requests per dispatch (the default), two
     // replicas behind one endpoint with least-outstanding-requests routing.
     let batched = session
         .submit_service(
             ServiceDescription::new("llm-batched")
                 .model(ModelSpec::sim_llama_8b())
                 .gpus(1)
-                .replicas(2)
-                .max_batch_size(8)
-                .batch_latency_budget_secs(0.1),
+                .replicas(2),
         )
         .expect("batched service");
 
@@ -95,7 +94,7 @@ fn main() {
         batch.mean, batch.max
     );
     println!(
-        "assembler queue depth : mean {:.2}, max {:.0}",
+        "unanswered requests   : mean {:.2}, max {:.0}",
         depth.mean, depth.max
     );
     println!(

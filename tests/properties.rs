@@ -1890,10 +1890,11 @@ fn batched_burst_transport_matches_singleton_semantics() {
 /// gets it within its bounded wait and serves itself; with more, holders are pre-empted
 /// mid-pass, waits run out and requests queue behind the holder — so every cell runs
 /// both the turn and its fallback. Whichever thread ends up advancing the runs (the
-/// requester, a different requester that was notified, a pool worker after a budget
-/// timer): every request is answered exactly once and with its own `request_id`, each
-/// client gets its replies in the order it sent, the service counts every request once,
-/// and nothing is outstanding when `serve` returns.
+/// requester, or a different requester that was notified): every request is answered
+/// exactly once and with its own `request_id`, each client gets its replies in the
+/// order it sent, no batch exceeds its bound, no request is left queued at a replica
+/// that has nothing on its backend once the runs have parked, the service counts every
+/// request once, and nothing is outstanding when `serve` returns.
 #[test]
 fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
     use hpcml::comm::link::Link;
@@ -1921,12 +1922,9 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
                 Arc::new(host)
             })
             .collect();
-        // A 20 ms virtual budget is 20 µs of real time: partial batches are flushed
-        // by the timer thread while clients keep sending.
         let config = ServingConfig::default()
             .replicas(replicas)
-            .max_batch_size(max_batch)
-            .batch_latency_budget_secs(0.02);
+            .max_batch_size(max_batch);
         let service = Arc::new(InferenceService::with_config(
             "prop.serving",
             hosts,
@@ -1942,6 +1940,7 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
             .map(|c| {
                 let client = endpoint.client(Link::instant(Arc::clone(&clock)));
                 let start = Arc::clone(&start);
+                let pool = Arc::clone(service.pool());
                 std::thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0x5E21 ^ ((case * n_clients + c) as u64));
                     let mut answered: Vec<String> = Vec::new();
@@ -1973,6 +1972,18 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
                                 reply.header(HDR_BATCH_SIZE).unwrap().parse().unwrap();
                             largest_batch = largest_batch.max(batch);
                             answered.push(sent.request_id.clone());
+                        }
+                        // A replica never idles while a request waits: whatever queues
+                        // behind one is begun by whoever holds it before it parks. A
+                        // dispatcher queues a moment before it takes or notifies the
+                        // replica, so a request may be seen there — never for long.
+                        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                        while pool.queued_at_idle_replicas() > 0 {
+                            assert!(
+                                std::time::Instant::now() < deadline,
+                                "case {case}: a request stays queued at an idle replica"
+                            );
+                            std::thread::yield_now();
                         }
                         if rng.gen_bool(0.3) {
                             std::thread::yield_now();

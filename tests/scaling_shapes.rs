@@ -20,7 +20,7 @@ fn noop_config(deployment: Deployment) -> ScalingConfig {
         // runner can inject ~1 ms of wall noise into the local measurement.
         clock_scale: 0.25,
         max_tokens: 1,
-        serving: hpcml::serving::ServingConfig::default(),
+        serving: hpcml::serving::ServingConfig::default().max_batch_size(1),
         seed: 77,
     }
 }
@@ -36,7 +36,7 @@ fn llm_config(deployment: Deployment) -> ScalingConfig {
         // relative to the seconds of inference time being asserted on.
         clock_scale: 100.0,
         max_tokens: 64,
-        serving: hpcml::serving::ServingConfig::default(),
+        serving: hpcml::serving::ServingConfig::default().max_batch_size(1),
         seed: 77,
     }
 }

@@ -29,9 +29,10 @@ fn session(scale: f64) -> Session {
         .expect("session")
 }
 
-/// End to end through the runtime: a batched service answers a burst of concurrent
-/// clients, the batch assembler actually groups requests, and the serving metrics show
-/// up in the runtime metrics store next to the task/service scalars.
+/// End to end through the runtime: a service with the default serving plane answers a
+/// burst of concurrent clients, requests that wait behind its busy replica actually
+/// batch, and the serving metrics show up in the runtime metrics store next to the
+/// task/service scalars.
 #[test]
 fn batched_service_serves_concurrent_clients_through_the_session() {
     let s = session(200.0);
@@ -46,9 +47,7 @@ fn batched_service_serves_concurrent_clients_through_the_session() {
         .submit_service(
             ServiceDescription::new("batched-llm")
                 .model(ModelSpec::sim_llama_8b())
-                .gpus(1)
-                .max_batch_size(8)
-                .batch_latency_budget_secs(0.2),
+                .gpus(1),
         )
         .expect("service");
     svc.wait_ready_timeout(Duration::from_secs(120))
@@ -185,7 +184,6 @@ fn overload_sheds_and_admitted_requests_keep_bounded_delay() {
     let clock: SharedClock = ClockSpec::scaled(500.0).build();
     let config = ServingConfig::default()
         .max_batch_size(4)
-        .batch_latency_budget_secs(0.05)
         .queue_capacity(64)
         .shed_deadlines(true);
     let h = start(&clock, 1, config);
@@ -260,10 +258,7 @@ fn overload_sheds_and_admitted_requests_keep_bounded_delay() {
 #[test]
 fn batched_dispatch_preserves_per_client_order_and_batches() {
     let clock: SharedClock = ClockSpec::scaled(500.0).build();
-    let config = ServingConfig::default()
-        .max_batch_size(8)
-        .batch_latency_budget_secs(0.1);
-    let h = start(&clock, 1, config);
+    let h = start(&clock, 1, ServingConfig::default());
 
     let handles: Vec<_> = (0..6)
         .map(|c| {
@@ -345,10 +340,10 @@ fn pool_scale_up_and_drain_down() {
     h.serve_thread.join().unwrap();
 }
 
-/// The legacy single-replica, unbatched configuration still reports batch size 1 on
-/// every reply — the escape hatch reproduces seed behaviour.
+/// Nothing waits for company: a lone closed-loop client's every request finds the
+/// replica idle and is begun alone, whatever batch size the default would allow.
 #[test]
-fn default_config_is_unbatched_single_replica() {
+fn a_lone_closed_loop_client_is_never_batched() {
     let clock: SharedClock = ClockSpec::scaled(1000.0).build();
     let h = start(&clock, 1, ServingConfig::default());
     for _ in 0..3 {
@@ -364,15 +359,79 @@ fn default_config_is_unbatched_single_replica() {
     h.serve_thread.join().unwrap();
 }
 
-/// Carried or queued, a request is priced alike. On a manual clock, where time moves
-/// only when the test moves it: the first request finds the replica idle and its batch
-/// is begun by its own dispatch; the second is dispatched while that batch computes and
-/// waits in the replica's queue. Both satisfy `service = admission queue + handling +
-/// batch wait + replica wait` term by term, and both leave the same five scalar
-/// records.
-#[test]
-fn a_batch_begun_directly_and_one_that_queued_are_priced_and_recorded_alike() {
-    use hpcml::serving::protocol::HDR_BATCH_WAIT_SECS;
+/// What three requests sent to one busy LLM replica on a manual clock replied with, and
+/// what the pool recorded; see the two tests below.
+struct ThreeRequests {
+    /// In send order.
+    replies: Vec<Message>,
+    seen: Arc<hpcml::sim::metrics::MetricRegistry>,
+}
+
+impl ThreeRequests {
+    /// `serving.*` / `comm.*` values, sorted: a registry groups them by thread.
+    fn sorted(&self, name: &str) -> Vec<f64> {
+        let mut values = self.seen.values(name);
+        values.sort_by(f64::total_cmp);
+        values
+    }
+
+    fn headers(&self, name: &str) -> Vec<&str> {
+        self.replies
+            .iter()
+            .map(|r| r.header(name).unwrap())
+            .collect()
+    }
+
+    /// `service = admission queue + handling + batch wait + replica wait`, term by term,
+    /// for replica waits of `replica_waits` (in send order): stamped and admitted at one
+    /// virtual instant, a request has no admission queue; its batch wait is the
+    /// millisecond that ended its handling sleep; and what is left is the handling.
+    fn assert_priced(&self, replica_waits: [f64; 3]) {
+        use hpcml::serving::protocol::HDR_BATCH_WAIT_SECS;
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        let mut delays = Vec::new();
+        for (reply, replica_wait) in self.replies.iter().zip(replica_waits) {
+            assert_eq!(
+                reply.kind,
+                KIND_INFER_REPLY,
+                "{:?}",
+                reply.header(HDR_ERROR)
+            );
+            let batch_wait = reply.f64_header(HDR_BATCH_WAIT_SECS).unwrap();
+            assert!(close(batch_wait, 0.001), "the millisecond: {batch_wait}");
+            let delay = batch_wait + replica_wait;
+            let handling = reply.f64_header(HDR_SERVICE_SECS).unwrap() - delay;
+            assert!(
+                handling > 0.0 && handling < 0.001,
+                "what is left of `service` is the handling time: {handling}"
+            );
+            delays.push(delay);
+        }
+        delays.sort_by(f64::total_cmp);
+        let recorded = self.sorted("serving.queue.delay_secs");
+        assert_eq!(recorded.len(), 3);
+        for (recorded, delay) in recorded.into_iter().zip(delays) {
+            assert!(close(recorded, delay), "queue delay {recorded} vs {delay}");
+        }
+        // One `serving.queue.depth` per admission: the pool's unanswered requests,
+        // this one included.
+        assert_eq!(self.sorted("serving.queue.depth"), [1.0, 2.0, 3.0]);
+        assert_eq!(self.sorted("serving.replica.outstanding"), [1.0, 2.0, 3.0]);
+        assert_eq!(
+            self.sorted("comm.queue.depth"),
+            [1.0, 1.0, 2.0],
+            "the first request begun by its dispatch, the others queued behind it"
+        );
+        assert_eq!(self.seen.names().len(), 5, "{:?}", self.seen.names());
+    }
+}
+
+/// On a manual clock, where time moves only when the test moves it: the first request
+/// finds the replica idle and is begun by its own dispatch; the second and third are
+/// dispatched, a virtual millisecond apart, while that batch computes, and wait in the
+/// replica's queue. The first batch ends when the clock jumps a minute; whatever comes
+/// next is begun there and then, and every later jump ends one more batch.
+fn three_requests_to_a_busy_replica(max_batch_size: usize) -> ThreeRequests {
     use hpcml::sim::clock::ManualClock;
     use hpcml::sim::metrics::{MetricRegistry, SharedScalarSink};
 
@@ -401,7 +460,7 @@ fn a_batch_begun_directly_and_one_that_queued_are_priced_and_recorded_alike() {
         loader.join().unwrap(),
         Arc::clone(&clock),
         92,
-        ServingConfig::default(),
+        ServingConfig::default().max_batch_size(max_batch_size),
         sink,
     ));
     let endpoint = ReqRepServer::new("svc.plane");
@@ -409,86 +468,72 @@ fn a_batch_begun_directly_and_one_that_queued_are_priced_and_recorded_alike() {
     let stop = Arc::new(AtomicBool::new(false));
     let (svc, stop2) = (Arc::clone(&service), Arc::clone(&stop));
     let serve_thread = thread::spawn(move || svc.serve(&endpoint, &stop2));
-    let ask = || {
-        let client = client.clone();
-        thread::spawn(move || {
-            let req = InferenceRequest::new("w ".repeat(40), 64);
-            client
-                .request(inference_request_message("svc.plane", &req))
-                .unwrap()
-        })
-    };
     let pool = Arc::clone(service.pool());
-
-    // Admission sleeps the handling time (tens of virtual µs) on the clock, on the
-    // requester's thread; the millisecond that ends the sleep is the request's whole
-    // wait until its batch is dispatched.
-    let direct = ask();
-    wait_until("the first request is in admission", &|| {
-        manual.pending_sleepers() == 1
-    });
-    manual.advance(Duration::from_millis(1));
-    // Its batch computes: the replica is parked on the timer, which sleeps on the clock.
-    wait_until("the first batch is on the backend", &|| {
-        pool.total_outstanding() == 1 && manual.pending_sleepers() == 1
-    });
-    let queued = ask();
-    wait_until("the second request is in admission", &|| {
-        manual.pending_sleepers() == 2
-    });
-    manual.advance(Duration::from_millis(1));
-    wait_until("the second batch waits behind the first", &|| {
-        pool.total_outstanding() == 2 && manual.pending_sleepers() == 1
-    });
-    // A minute later the first batch has long ended (a few virtual seconds): it is
-    // finished 60.002 s after the first request was sent, and the second, dispatched
-    // at 0.002 s, begun there.
-    manual.advance(Duration::from_secs(60));
-    let direct = direct.join().unwrap();
-    while !queued.is_finished() {
-        manual.advance(Duration::from_secs(60));
-        thread::sleep(Duration::from_millis(1));
-    }
-    let queued = queued.join().unwrap();
-    stop.store(true, Ordering::Release);
-    assert_eq!(serve_thread.join().unwrap(), 2);
-
-    // Per thread in order, grouped by thread: compared sorted.
-    let sorted = |name: &str| {
-        let mut values = seen.values(name);
-        values.sort_by(f64::total_cmp);
-        values
+    // Once `outstanding` requests are unanswered, the one batch on the backend has
+    // filed its timer, and the timer thread sleeps on it: nothing else sleeps then.
+    let settled = |outstanding: u64| {
+        pool.total_outstanding() == outstanding
+            && (outstanding == 0 || manual.pending_sleepers() == 1)
     };
-    let delays = sorted("serving.queue.delay_secs");
-    let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
-    for (reply, delay, replica_wait) in [(&direct, delays[0], 0.0), (&queued, delays[1], 60.0)] {
-        assert_eq!(
-            reply.kind,
-            KIND_INFER_REPLY,
-            "{:?}",
-            reply.header(HDR_ERROR)
-        );
-        let batch_wait = reply.f64_header(HDR_BATCH_WAIT_SECS).unwrap();
-        assert!(close(batch_wait, 0.001), "the millisecond: {batch_wait}");
-        // Stamped and admitted at one virtual instant: no admission queue.
-        assert!(
-            close(delay, 0.0 + batch_wait + replica_wait),
-            "queue delay {delay} vs batch wait {batch_wait} + replica wait {replica_wait}"
-        );
-        let handling = reply.f64_header(HDR_SERVICE_SECS).unwrap() - delay;
-        assert!(
-            handling > 0.0 && handling < 0.001,
-            "what is left of `service` is the handling time: {handling}"
-        );
+
+    let requesters: Vec<_> = (1..=3)
+        .map(|sent| {
+            let client = client.clone();
+            let requester = thread::spawn(move || {
+                let req = InferenceRequest::new("w ".repeat(40), 64);
+                client
+                    .request(inference_request_message("svc.plane", &req))
+                    .unwrap()
+            });
+            // Admission sleeps the handling time (tens of virtual µs) on the clock, on
+            // the requester's thread; the millisecond that ends the sleep is the
+            // request's whole wait until it is dispatched.
+            wait_until("the request is in admission", &|| {
+                manual.pending_sleepers() == if sent == 1 { 1 } else { 2 }
+            });
+            manual.advance(Duration::from_millis(1));
+            wait_until("the request is dispatched", &|| settled(sent));
+            requester
+        })
+        .collect();
+    // A batch takes a few virtual seconds: each jump of a minute ends the one on the
+    // backend, 60.003 s after the first request was sent for the first batch.
+    while pool.total_outstanding() > 0 {
+        let before = pool.total_outstanding();
+        manual.advance(Duration::from_secs(60));
+        wait_until("a batch ends and the next begins", &|| {
+            (0..before).any(&settled)
+        });
     }
-    assert_eq!(delays.len(), 2);
-    assert_eq!(sorted("serving.queue.depth"), [1.0, 1.0]);
-    assert_eq!(sorted("serving.batch.size"), [1.0, 1.0]);
-    assert_eq!(sorted("serving.replica.outstanding"), [1.0, 2.0]);
-    assert_eq!(
-        sorted("comm.queue.depth"),
-        [1.0, 1.0],
-        "one batch deep each: the first begun at once, the second alone in the queue"
-    );
-    assert_eq!(seen.names().len(), 5, "{:?}", seen.names());
+    let replies = requesters.into_iter().map(|r| r.join().unwrap()).collect();
+    stop.store(true, Ordering::Release);
+    assert_eq!(serve_thread.join().unwrap(), 3);
+    ThreeRequests { replies, seen }
+}
+
+/// Requests batch where they wait: the two that queued behind the first batch are begun
+/// together when it ends — one backend call, so both replies carry batch size 2 and the
+/// same inference time — and both are priced their replica wait from that end.
+#[test]
+fn requests_queued_behind_a_busy_replica_are_begun_together_when_it_frees() {
+    use hpcml::serving::protocol::HDR_INFERENCE_SECS;
+    let three = three_requests_to_a_busy_replica(8);
+    assert_eq!(three.headers(HDR_BATCH_SIZE), ["1", "2", "2"]);
+    let inference = three.headers(HDR_INFERENCE_SECS);
+    assert_eq!(inference[1], inference[2], "one backend call");
+    assert_eq!(three.sorted("serving.batch.size"), [1.0, 2.0], "two begun");
+    // Dispatched at 0.002 and 0.003 s; the first batch ended at 60.003 s.
+    three.assert_priced([0.0, 60.001, 60.0]);
+}
+
+/// With `max_batch_size(1)` the same three requests are begun one at a time — the
+/// paper's service: carried or queued, a request is priced and recorded alike.
+#[test]
+fn a_batch_begun_directly_and_one_that_queued_are_priced_and_recorded_alike() {
+    let three = three_requests_to_a_busy_replica(1);
+    assert_eq!(three.headers(HDR_BATCH_SIZE), ["1", "1", "1"]);
+    assert_eq!(three.sorted("serving.batch.size"), [1.0, 1.0, 1.0]);
+    // The second began when the first ended, at 60.003 s; the third when the second
+    // did, a minute later.
+    three.assert_priced([0.0, 60.001, 120.0]);
 }
