@@ -227,8 +227,7 @@ fn bench_gang_backfill(c: &mut Criterion) {
 /// slot, so the freshly appended node is the only idle one and each shrink retires
 /// exactly it — the cycle is stationary (retired entries accumulate but the
 /// no-failure shrink path never scans them). Recorded as a trajectory datapoint in
-/// `BENCH_scheduler.json`; not flatness-guarded, since the cycle's shard-lock walk
-/// legitimately grows with the derived shard count.
+/// `BENCH_scheduler.json`; not flatness-guarded.
 fn bench_resize(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler/resize");
     for nodes in [4usize, 256, 4096] {
@@ -254,32 +253,24 @@ fn bench_resize(c: &mut Criterion) {
 }
 
 /// Multi-thread allocate/release churn on a 256-node allocation, swept across
-/// thread counts (1/2/4/8/16), contrasting the sharded allocator against its
-/// single-lock baseline. `sharded` pins 16 allocator shards — what the default
-/// derivation yields for 256 nodes on a ≥16-core host, pinned explicitly so the
-/// sweep measures the same structure on any machine; `single` pins
-/// `allocator_shards = 1` (the pre-sharding allocator, bit for bit). Capacity
-/// always exceeds demand, so every allocation takes the queueless fast path;
-/// parked-waiter wakeups are measured separately by `bench_scheduler_waitqueue`.
-/// `scripts/bench_guard.sh` asserts the group's existence and that 8-thread
-/// sharded churn beats the 1-shard baseline.
+/// thread counts (1/2/4/8/16). Capacity always exceeds demand, so every allocation
+/// takes the queueless fast path; parked-waiter wakeups are measured separately by
+/// `bench_scheduler_waitqueue`.
 fn bench_scheduler_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler/churn");
     group.sample_size(10);
     const NODES: usize = 256;
-    // High enough that per-iteration thread spawn/join overhead (identical in both
-    // configurations) does not dilute the lock-contention signal the speedup
-    // guard measures.
+    // High enough that per-iteration thread spawn/join overhead does not dilute
+    // the lock-contention signal.
     const OPS_PER_THREAD: usize = 1024;
-    for (label, alloc_shards) in [("sharded", 16usize), ("single", 1)] {
-        for threads in [1usize, 2, 4, 8, 16] {
-            let batch = BatchSystem::new(wide_spec(NODES), ClockSpec::Manual.build(), 1);
-            let alloc = batch
-                .submit(AllocationRequest::nodes(NODES).with_allocator_shards(alloc_shards))
-                .unwrap();
-            assert_eq!(alloc.num_shards(), alloc_shards);
-            let scheduler = Arc::new(Scheduler::new(alloc));
-            group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &threads| {
+    for threads in [1usize, 2, 4, 8, 16] {
+        let batch = BatchSystem::new(wide_spec(NODES), ClockSpec::Manual.build(), 1);
+        let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
+        let scheduler = Arc::new(Scheduler::new(alloc));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(threads),
+            &threads,
+            |b, &threads| {
                 b.iter(|| {
                     let mut handles = Vec::new();
                     for _ in 0..threads {
@@ -298,8 +289,8 @@ fn bench_scheduler_churn(c: &mut Criterion) {
                         h.join().unwrap();
                     }
                 })
-            });
-        }
+            },
+        );
     }
     group.finish();
 }
@@ -368,7 +359,7 @@ fn bench_metrics_record(c: &mut Criterion) {
     const RECORDS_PER_THREAD: usize = 20_000;
     const SERIES: [&str; 6] = [
         "task.placement_wait_secs",
-        "task.placement.shard_probes",
+        "task.gang.overtakes",
         "task.exec_secs",
         "comm.fanout.width",
         "serving.queue.depth",

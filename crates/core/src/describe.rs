@@ -364,10 +364,6 @@ pub struct PilotDescription {
     pub runtime_secs: f64,
     /// Whether to model batch-queue waiting time.
     pub model_queue_wait: bool,
-    /// Allocator shard count for this pilot's allocation (`None` inherits the
-    /// session default, which itself derives from the host parallelism and the
-    /// node count; `Some(1)` pins the single-lock allocator).
-    pub allocator_shards: Option<usize>,
 }
 
 impl PilotDescription {
@@ -378,16 +374,7 @@ impl PilotDescription {
             nodes: 1,
             runtime_secs: 3600.0,
             model_queue_wait: false,
-            allocator_shards: None,
         }
-    }
-
-    /// Pin the allocator shard count for this pilot's allocation (overrides the
-    /// session-level `SessionBuilder::allocator_shards` default; clamped to
-    /// `1..=nodes` at resolution time).
-    pub fn allocator_shards(mut self, shards: usize) -> Self {
-        self.allocator_shards = Some(shards);
-        self
     }
 
     /// Set the node count.

@@ -58,7 +58,7 @@
 //! (a service's one thread runs its lifecycle and then sleeps in `serve`); finished
 //! entity threads are joined whenever a new one is spawned.
 //!
-//! **Lock order.** run state → { scheduler queue → allocation shards } and run state →
+//! **Lock order.** run state → { scheduler queue → allocation state } and run state →
 //! front-end run → replica run → { reply slot | mailbox | timer heaps | run queue };
 //! the last four are leaves, taken with nothing else held beneath them. A task waker —
 //! which runs under the scheduler's queue lock — touches only the run's status and the
@@ -411,11 +411,11 @@ impl Executor {
             let scheduler = scheduler.ok_or_else(|| {
                 RuntimeError::InvalidState("local service submitted without an active pilot".into())
             })?;
-            let (slot, stats) = scheduler.allocate_with_stats(
+            let (slot, stats) = scheduler.block_on(Placement::new(
                 &desc.resources,
                 Priority::Service,
                 DEPENDENCY_TIMEOUT,
-            )?;
+            ))?;
             self.metrics
                 .record_scalar("service.placement_wait_secs", stats.wait_secs);
             *record.slot.lock() = Some(slot.clone());
@@ -692,7 +692,6 @@ impl Executor {
                         *row = Some(TaskRow {
                             placement_wait_secs: stats.wait_secs,
                             exec_secs: f64::NAN,
-                            shard_probes: stats.shard_probes,
                         });
                         self.record_gang_placement(&placed, &stats);
                         let placed = Arc::new(placed);

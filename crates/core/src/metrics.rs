@@ -15,8 +15,8 @@
 //! kept per response is four numbers — the request's index and its three components —
 //! in blocks that are never reallocated; the [`ComponentSample`]s the readers get, with
 //! their `request.NNNNNN` entity and named components, are built by the read.
-//! A placed task attempt is one row as well (`TaskRow`: 24 bytes, one stripe lock, no
-//! name look-up); [`RuntimeMetrics::scalar_values`] derives its three series from the rows.
+//! A placed task attempt is one row as well (`TaskRow`: 16 bytes, one stripe lock, no
+//! name look-up); [`RuntimeMetrics::scalar_values`] derives its two series from the rows.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -69,7 +69,6 @@ impl ResponseRow {
 pub(crate) struct TaskRow {
     pub(crate) placement_wait_secs: f64,
     pub(crate) exec_secs: f64,
-    pub(crate) shard_probes: u32,
 }
 
 /// Shared collection of runtime metrics.
@@ -172,12 +171,11 @@ impl RuntimeMetrics {
         Summary::from_slice(&self.scalar_values(name))
     }
 
-    /// Scalar series values; the three series of a `TaskRow` are its columns.
+    /// Scalar series values; the two series of a `TaskRow` are its columns.
     pub fn scalar_values(&self, name: &str) -> Vec<f64> {
         let mut values = self.registry.values(name);
         let column: fn(&TaskRow) -> Option<f64> = match name {
             "task.placement_wait_secs" => |row| Some(row.placement_wait_secs),
-            "task.placement.shard_probes" => |row| Some(f64::from(row.shard_probes)),
             "task.exec_secs" => |row| Some(row.exec_secs).filter(|secs| !secs.is_nan()),
             _ => return values,
         };

@@ -70,10 +70,9 @@ impl PilotManager {
         let desc = record.description;
         record.state.transition(PilotState::Queued)?;
         let batch = self.batch_system(desc.platform);
-        let mut request = AllocationRequest::nodes(desc.nodes)
+        let request = AllocationRequest::nodes(desc.nodes)
             .with_walltime_secs(desc.runtime_secs)
             .with_queue_wait(desc.model_queue_wait);
-        request.config.shards = desc.allocator_shards;
         match batch.submit(request) {
             Ok(allocation) => {
                 *record.allocation.lock() = Some(allocation);

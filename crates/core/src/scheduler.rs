@@ -23,12 +23,12 @@
 //!
 //! Parked waiters are placed by one walk (`serve`, placing through `place`), under the
 //! queue lock and **in arrival order**: the service FIFO first, the task FIFO only when
-//! no service is left parked, until [`Scheduler::lookahead`] waiters (default
-//! [`DEFAULT_WINDOW`]) have been denied. A waiter that fits is taken out of the queue,
-//! has its slot and [`PlacementStats`] put into its `Waiter`, and is notified — a
-//! condition variable for a blocked thread, the [`Waker`] of a polled placement, which
-//! must only enqueue. Equal requests of a class therefore place, and their blocked
-//! callers are woken, in arrival order, and nobody is woken to lose a race.
+//! no service is left parked, until [`DEFAULT_WINDOW`] waiters have been denied. A
+//! waiter that fits is taken out of the queue, has its slot and [`PlacementStats`] put
+//! into its `Waiter`, and is notified — a condition variable for a blocked thread, the
+//! [`Waker`] of a polled placement, which must only enqueue. Equal requests of a class
+//! therefore place, and their blocked callers are woken, in arrival order, and nobody
+//! is woken to lose a race.
 //!
 //! The walk runs in the *pass* of a waiter inside the window. Whoever changes what a
 //! waiter could get — [`Scheduler::release`], [`Scheduler::notify_capacity`], a waiter
@@ -50,7 +50,7 @@
 //!   request that parks inside the window walks it in its first pass, under the lock
 //!   hold that recorded its arrival, so a release that read "nobody parked" a moment
 //!   earlier is not lost.
-//! * **Lock order.** queue → drain controller → allocation shards ascending.
+//! * **Lock order.** queue → allocation state.
 //!
 //! ## Ageing and gang backfill
 //!
@@ -98,7 +98,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use hpcml_platform::batch::{Allocation, PlacementProbes};
+use hpcml_platform::batch::Allocation;
 use hpcml_platform::resources::{GangPacking, ResourceError, ResourceRequest, Slot};
 
 use crate::error::RuntimeError;
@@ -196,9 +196,9 @@ pub enum Priority {
     Task,
 }
 
-/// How a placement was obtained, alongside the slot: overtake, drain, and
-/// shard-probe telemetry the executor turns into `task.gang.overtakes` /
-/// `task.gang.drain_secs` / `task.placement.shard_probes` metrics.
+/// How a placement was obtained, alongside the slot: the wait, overtake and drain
+/// telemetry the executor turns into `task.placement_wait_secs` /
+/// `task.gang.overtakes` / `task.gang.drain_secs` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlacementStats {
     /// How many later arrivals of the same class were placed while this request was
@@ -208,10 +208,6 @@ pub struct PlacementStats {
     pub overtakes: u32,
     /// Real seconds spent in draining mode before placing (`None` = never drained).
     pub drain_secs: Option<f64>,
-    /// Allocator shard locks the successful placement took: 1 = the two-choice
-    /// probe hit its first shard; values toward the allocation's shard count mean
-    /// summary misses, a fallback sweep, or a cross-shard gang claim.
-    pub shard_probes: u32,
     /// Real seconds from [`Placement::new`] to the pass that gave its owner the slot.
     pub wait_secs: f64,
 }
@@ -282,8 +278,7 @@ enum Entered<'a> {
 
 /// Scheduler bound to one pilot allocation.
 ///
-/// Lock order: queue → allocation (drain controller, then allocation shards
-/// ascending).
+/// Lock order: queue → allocation state.
 pub struct Scheduler {
     allocation: Arc<Allocation>,
     /// The wait queue: both class FIFOs and the active drain.
@@ -324,22 +319,26 @@ impl Scheduler {
     /// Create a scheduler over the given allocation, with a serve window of
     /// [`DEFAULT_WINDOW`].
     pub fn new(allocation: Arc<Allocation>) -> Self {
-        Scheduler::with_lookahead(allocation, DEFAULT_WINDOW)
-    }
-
-    /// [`Scheduler::new`] with the serve window pinned to `lookahead` (at least 1,
-    /// which is strict FIFO within a class) — for tests that need a given width.
-    pub fn with_lookahead(allocation: Arc<Allocation>, lookahead: usize) -> Self {
         Scheduler {
             allocation,
             queue: Mutex::new(QueueState::default()),
             waiting_services: AtomicUsize::new(0),
             waiting_tasks: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
-            lookahead: lookahead.max(1),
+            lookahead: DEFAULT_WINDOW,
             max_overtakes: Some(DEFAULT_MAX_OVERTAKES),
             gang_drain_after: None,
             gang_packing: GangPacking::default(),
+        }
+    }
+
+    /// [`Scheduler::new`] with the serve window pinned to `lookahead` (at least 1,
+    /// which is strict FIFO within a class).
+    #[cfg(test)]
+    fn with_lookahead(allocation: Arc<Allocation>, lookahead: usize) -> Self {
+        Scheduler {
+            lookahead: lookahead.max(1),
+            ..Scheduler::new(allocation)
         }
     }
 
@@ -354,7 +353,9 @@ impl Scheduler {
 
     /// Set the overtake budget: a head gang overtaken more than `budget` times flips
     /// into draining mode. `None` disables overtake-triggered draining (with
-    /// [`Scheduler::with_gang_drain_after`] also `None`, gangs never drain).
+    /// [`Scheduler::with_gang_drain_after`] also `None`, gangs never drain). Only tests
+    /// pin it: a budget below [`DEFAULT_MAX_OVERTAKES`] makes drains reachable in a
+    /// short request stream.
     pub fn with_max_overtakes(mut self, budget: Option<u32>) -> Self {
         self.max_overtakes = budget;
         self
@@ -374,7 +375,8 @@ impl Scheduler {
     }
 
     /// The serve-window size.
-    pub fn lookahead(&self) -> usize {
+    #[cfg(test)]
+    fn lookahead(&self) -> usize {
         self.lookahead
     }
 
@@ -462,19 +464,16 @@ impl Scheduler {
         priority: Priority,
         head: bool,
     ) -> Result<(Slot, PlacementStats), ResourceError> {
-        let placed = |(slot, probes): (Slot, PlacementProbes), drained: Option<Instant>| {
+        let placed = |slot: Slot, drained: Option<Instant>| {
             let stats = PlacementStats {
                 overtakes: waiter.overtakes.load(Ordering::Relaxed),
                 drain_secs: drained.map(|since| since.elapsed().as_secs_f64()),
-                shard_probes: probes.shard_probes,
                 wait_secs: 0.0, // known to the pass that hands the slot to its owner
             };
             (slot, stats)
         };
         let reserved = |st: &mut QueueState, id: u64, since: Instant| {
-            let found = self
-                .allocation
-                .allocate_reserved_with_stats(id, &waiter.req)?;
+            let found = self.allocation.allocate_reserved(id, &waiter.req)?;
             st.drain = None; // consumed with the placement
             Ok::<_, ResourceError>(placed(found, Some(since)))
         };
@@ -487,7 +486,7 @@ impl Scheduler {
                 outcome => return outcome,
             }
         }
-        let denied = match self.allocation.allocate_slot_with_stats(&waiter.req) {
+        let denied = match self.allocation.allocate_slot(&waiter.req) {
             Ok(found) => return Ok(placed(found, None)),
             Err(e) => e,
         };
@@ -634,20 +633,8 @@ impl Scheduler {
         priority: Priority,
         timeout: Duration,
     ) -> Result<Slot, RuntimeError> {
-        self.allocate_with_stats(req, priority, timeout)
-            .map(|(slot, _)| slot)
-    }
-
-    /// [`Scheduler::allocate`], additionally returning [`PlacementStats`]: how often
-    /// the request was overtaken and how long it spent draining, for the executor's
-    /// gang metrics.
-    pub fn allocate_with_stats(
-        &self,
-        req: &ResourceRequest,
-        priority: Priority,
-        timeout: Duration,
-    ) -> Result<(Slot, PlacementStats), RuntimeError> {
         self.block_on(Placement::new(req, priority, timeout))
+            .map(|(slot, _)| slot)
     }
 
     /// Re-enter placement after losing a slot to a node failure: parks at the
@@ -661,18 +648,8 @@ impl Scheduler {
         priority: Priority,
         timeout: Duration,
     ) -> Result<Slot, RuntimeError> {
-        self.requeue_with_stats(req, priority, timeout)
-            .map(|(slot, _)| slot)
-    }
-
-    /// [`Scheduler::requeue`], additionally returning [`PlacementStats`].
-    pub fn requeue_with_stats(
-        &self,
-        req: &ResourceRequest,
-        priority: Priority,
-        timeout: Duration,
-    ) -> Result<(Slot, PlacementStats), RuntimeError> {
         self.block_on(Placement::requeued(req, priority, timeout))
+            .map(|(slot, _)| slot)
     }
 
     /// Advance a [`Placement`] without blocking: enter the queue if it has not yet
@@ -704,10 +681,14 @@ impl Scheduler {
     }
 
     /// Drive `placement` to its result on the calling thread, sleeping on the
-    /// waiter's condition variable between passes. Every sleep begins inside the
-    /// lock hold of the pass that came back pending, so a notification issued under
-    /// the queue lock is never lost.
-    fn block_on(&self, mut placement: Placement) -> Placed {
+    /// waiter's condition variable between passes, and return the slot with its
+    /// [`PlacementStats`] — what [`Scheduler::allocate`] and [`Scheduler::requeue`]
+    /// run. Every sleep begins inside the lock hold of the pass that came back
+    /// pending, so a notification issued under the queue lock is never lost.
+    pub fn block_on(
+        &self,
+        mut placement: Placement,
+    ) -> Result<(Slot, PlacementStats), RuntimeError> {
         let mut st = match self.enter(&mut placement)? {
             Entered::Placed(placed) => return Ok(placed),
             Entered::Parked(st) => st,
@@ -752,13 +733,12 @@ impl Scheduler {
         // arrivals can never rotate through the window without recording arrival
         // order.
         if st.services.is_empty() && (priority == Priority::Service || st.tasks.is_empty()) {
-            match self.allocation.allocate_slot_with_stats(&placement.req) {
-                Ok((slot, probes)) => {
+            match self.allocation.allocate_slot(&placement.req) {
+                Ok(slot) => {
                     self.outstanding.fetch_add(1, Ordering::AcqRel);
                     return Ok(Entered::Placed((
                         slot,
                         PlacementStats {
-                            shard_probes: probes.shard_probes,
                             wait_secs: placement.parked_at.elapsed().as_secs_f64(),
                             ..PlacementStats::default()
                         },
@@ -1055,8 +1035,9 @@ mod tests {
             .allocate(&gpus(2), Priority::Task, Duration::MAX)
             .expect("free capacity: placed at once");
         let s2 = Arc::clone(&s);
-        let waiter =
-            thread::spawn(move || s2.allocate_with_stats(&gpus(1), Priority::Task, Duration::MAX));
+        let waiter = thread::spawn(move || {
+            s2.block_on(Placement::new(&gpus(1), Priority::Task, Duration::MAX))
+        });
         wait_until(&s, "the second request to park", |s| s.waiting_tasks() == 1);
         thread::sleep(Duration::from_millis(20));
         s.release(&held).unwrap();
@@ -1385,7 +1366,11 @@ mod tests {
         );
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.allocate_with_stats(&gang_req, Priority::Task, Duration::from_secs(30))
+            s_gang.block_on(Placement::new(
+                &gang_req,
+                Priority::Task,
+                Duration::from_secs(30),
+            ))
         });
         wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
 
@@ -1539,7 +1524,11 @@ mod tests {
         let gang_req = cores(32).with_nodes(4);
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.allocate_with_stats(&gang_req, Priority::Task, Duration::from_secs(30))
+            s_gang.block_on(Placement::new(
+                &gang_req,
+                Priority::Task,
+                Duration::from_secs(30),
+            ))
         });
         wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
 
@@ -1629,7 +1618,11 @@ mod tests {
         let gang_req = cores(32).with_nodes(4).with_packing(GangPacking::Whole);
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.allocate_with_stats(&gang_req, Priority::Task, Duration::from_secs(30))
+            s_gang.block_on(Placement::new(
+                &gang_req,
+                Priority::Task,
+                Duration::from_secs(30),
+            ))
         });
         wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
 
@@ -1723,11 +1716,11 @@ mod tests {
             .unwrap();
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.allocate_with_stats(
+            s_gang.block_on(Placement::new(
                 &cores(8).with_nodes(2),
                 Priority::Task,
                 Duration::from_secs(30),
-            )
+            ))
         });
         // Wait for the age trigger to pin the idle node.
         wait_until(&s, "task gang draining", |s| {
@@ -1756,20 +1749,16 @@ mod tests {
         assert_eq!(s.allocation().idle_nodes(), 2);
     }
 
-    /// The sharded allocator's "pin before any waiter wakes" guarantee, exercised
-    /// under concurrency (and backed by a `debug_assert` in `release_slot`): when a
-    /// draining gang and a parked narrow waiter race for a node freed on the same
-    /// shard, the drain's pin must win — the release pins the node inside its own
-    /// critical section, before the scheduler can wake anyone. Seeded repeats shake
-    /// the thread interleaving.
+    /// The allocator's "pin before any waiter wakes" guarantee, exercised under
+    /// concurrency (and backed by a `debug_assert` in `release_slot`): when a draining
+    /// gang and a parked narrow waiter race for a freed node, the drain's pin must
+    /// win — the release pins the node inside its own critical section, before the
+    /// scheduler can wake anyone. Seeded repeats shake the thread interleaving.
     #[test]
-    fn drain_pin_wins_over_concurrent_same_shard_waiter_wakeup() {
+    fn drain_pin_wins_over_concurrent_waiter_wakeup() {
         for seed in 0..4u64 {
             let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), seed);
-            let alloc = batch
-                .submit(AllocationRequest::nodes(4).with_allocator_shards(2))
-                .unwrap();
-            assert_eq!(alloc.num_shards(), 2);
+            let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
             let s = Arc::new(
                 Scheduler::with_lookahead(Arc::clone(&alloc), 2)
                     .with_max_overtakes(None)
@@ -1821,33 +1810,6 @@ mod tests {
             assert_eq!(alloc.idle_nodes(), 4);
             assert_eq!(alloc.reserved_nodes(), 0);
         }
-    }
-
-    /// Placement stats surface the allocator's shard-probe count: 1-ish for
-    /// single-node placements (two-choice probe), the spanned shard count for a
-    /// cross-shard gang.
-    #[test]
-    fn placement_stats_report_shard_probes() {
-        let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 3);
-        let alloc = batch
-            .submit(AllocationRequest::nodes(4).with_allocator_shards(2))
-            .unwrap();
-        let s = Scheduler::new(alloc);
-        let (slot, stats) = s
-            .allocate_with_stats(&cores(4), Priority::Task, Duration::from_secs(1))
-            .unwrap();
-        assert!((1..=2).contains(&stats.shard_probes), "{stats:?}");
-        let (gang, gang_stats) = s
-            .allocate_with_stats(
-                &cores(32).with_nodes(4),
-                Priority::Task,
-                Duration::from_secs(1),
-            )
-            .unwrap();
-        assert_eq!(gang_stats.shard_probes, 2, "gang locks every shard");
-        s.release(&slot).unwrap();
-        s.release(&gang).unwrap();
-        assert_eq!(s.outstanding_slots(), 0);
     }
 
     #[test]
@@ -2088,7 +2050,11 @@ mod tests {
             let s_gang = Arc::clone(&s);
             let gang_req = cores(cores_per_node).with_nodes(4);
             let gang_waiter = thread::spawn(move || {
-                s_gang.requeue_with_stats(&gang_req, Priority::Task, Duration::from_secs(30))
+                s_gang.block_on(Placement::requeued(
+                    &gang_req,
+                    Priority::Task,
+                    Duration::from_secs(30),
+                ))
             });
             wait_until(&s, "requeued gang parked at the head", |s| {
                 s.waiting_tasks() == 1

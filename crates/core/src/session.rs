@@ -52,12 +52,6 @@ pub struct SessionConfig {
     /// pinning) to fully idle nodes. A task's explicit
     /// [`hpcml_platform::ResourceRequest::packing`] overrides this default.
     pub gang_packing: GangPacking,
-    /// Allocator shard count for pilot allocations: `None` (the default) derives it
-    /// from the host parallelism and the allocation's node count (one shard for
-    /// small allocations — the exact single-lock behaviour); `Some(n)` pins it
-    /// (clamped to `1..=nodes`), with `Some(1)` as the compatibility escape hatch.
-    /// A pilot's explicit `PilotDescription::allocator_shards` overrides this.
-    pub allocator_shards: Option<usize>,
     /// Deterministic node-failure schedule, injected against the first pilot's
     /// allocation on the session clock (times are virtual seconds after the pilot
     /// becomes active). Empty (the default) injects nothing.
@@ -72,7 +66,6 @@ impl Default for SessionConfig {
             seed: 42,
             platform: PlatformId::Local,
             gang_packing: GangPacking::default(),
-            allocator_shards: None,
             fault_plan: FaultPlan::new(),
         }
     }
@@ -122,30 +115,6 @@ impl SessionBuilder {
     /// may override per request via `TaskDescription::gang_packing`.
     pub fn gang_packing(mut self, packing: GangPacking) -> Self {
         self.config.gang_packing = packing;
-        self
-    }
-
-    /// Set the allocator shard count for pilot allocations: the allocation's
-    /// mutable state (nodes + capacity index) is striped into that many
-    /// independently locked shards, so concurrent placement traffic from many
-    /// submitting threads stops serialising on one lock. Left unset, the count is
-    /// derived from the host parallelism and the allocation's node count —
-    /// collapsing to one shard for small allocations, which reproduces the
-    /// single-lock allocator exactly. `allocator_shards(1)` is the explicit
-    /// escape hatch pinning that behaviour at any scale.
-    ///
-    /// ```
-    /// use hpcml_runtime::session::Session;
-    ///
-    /// // Stripe pilot allocations into 8 allocator shards…
-    /// let tuned = Session::builder("tuned").allocator_shards(8).build().unwrap();
-    /// assert_eq!(tuned.config().allocator_shards, Some(8));
-    /// // …or pin the single-lock allocator for bit-exact legacy placement order.
-    /// let legacy = Session::builder("legacy").allocator_shards(1).build().unwrap();
-    /// assert_eq!(legacy.config().allocator_shards, Some(1));
-    /// ```
-    pub fn allocator_shards(mut self, shards: usize) -> Self {
-        self.config.allocator_shards = Some(shards.max(1));
         self
     }
 
@@ -300,11 +269,6 @@ impl Session {
     /// Submit a pilot and block until it is active (its allocation is granted).
     pub fn submit_pilot(&self, description: PilotDescription) -> Result<PilotHandle, RuntimeError> {
         self.ensure_open()?;
-        let mut description = description;
-        // Session-level allocator sharding applies unless the pilot pins its own.
-        if description.allocator_shards.is_none() {
-            description.allocator_shards = self.config.allocator_shards;
-        }
         let record = PilotRecord::new(ids::next_id("pilot"), description, Arc::clone(&self.clock));
         self.pilot_manager.activate(&record)?;
         let allocation =
@@ -610,49 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn allocator_shards_flow_from_builder_to_the_pilot_allocation() {
-        let s = Session::builder("sharded")
-            .platform(PlatformId::Local)
-            .clock(ClockSpec::scaled(10_000.0))
-            .allocator_shards(2)
-            .build()
-            .unwrap();
-        let pilot = s
-            .submit_pilot(PilotDescription::new(PlatformId::Local).nodes(2))
-            .unwrap();
-        let alloc = pilot.record.allocation.lock().clone().unwrap();
-        assert_eq!(alloc.num_shards(), 2, "session knob reaches the allocation");
-        // Tasks still place and complete against the sharded allocator.
-        let handles = s
-            .submit_tasks((0..4).map(|i| {
-                TaskDescription::new(format!("t{i}"))
-                    .kind(TaskKind::compute_secs(1.0))
-                    .cores(1)
-            }))
-            .unwrap();
-        s.wait_tasks(Duration::from_secs(60)).unwrap();
-        assert!(handles.iter().all(|h| h.state() == TaskState::Done));
-        s.close();
-        // A pilot-level override beats the session default.
-        let s2 = Session::builder("pilot-override")
-            .platform(PlatformId::Local)
-            .clock(ClockSpec::scaled(10_000.0))
-            .allocator_shards(2)
-            .build()
-            .unwrap();
-        let pilot2 = s2
-            .submit_pilot(
-                PilotDescription::new(PlatformId::Local)
-                    .nodes(2)
-                    .allocator_shards(1),
-            )
-            .unwrap();
-        let alloc2 = pilot2.record.allocation.lock().clone().unwrap();
-        assert_eq!(alloc2.num_shards(), 1);
-        s2.close();
-    }
-
-    #[test]
     fn fault_plan_evicts_a_running_task_which_retries_to_done() {
         let s = Session::builder("faulty")
             .platform(PlatformId::Local)
@@ -721,18 +642,11 @@ mod tests {
         assert_eq!(cfg.platform, PlatformId::Local);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.gang_packing, GangPacking::Partial);
-        assert_eq!(cfg.allocator_shards, None, "shards derived unless pinned");
         let tuned = Session::builder("tuned")
             .gang_packing(GangPacking::Whole)
-            .allocator_shards(0)
             .build()
             .unwrap();
         assert_eq!(tuned.config().gang_packing, GangPacking::Whole);
-        assert_eq!(
-            tuned.config().allocator_shards,
-            Some(1),
-            "builder clamps the shard count to at least 1"
-        );
         let s = Session::with_config(cfg.clone());
         assert_eq!(s.config(), &cfg);
         assert!(s.id().starts_with("session."));

@@ -25,27 +25,15 @@
 //! request racing nodes whose cores/GPUs are free but whose memory is not (memory is
 //! continuous and not bucketed).
 //!
-//! ## Sharded state
+//! ## One lock
 //!
-//! One lock over nodes + index caps task throughput once several threads hammer
-//! placement concurrently (asynchronous ML/HPC pipelines drive exactly that
-//! pattern). The allocation therefore stripes its state into
-//! [`AllocationConfig`]-many shards — node `g` lives in shard `g % shards`, each
-//! shard owning its node slice plus its *own* capacity index behind its own lock —
-//! so a single-node allocate/release touches exactly one shard lock. Placement
-//! steers with lock-free per-shard headroom summaries (`AtomicU64`: idle-node
-//! count + best headroom class): two rotor-picked shards are ranked
-//! (power-of-two-choices, preferring a shard whose non-idle headroom covers the
-//! share — the best-fit spirit), probed in order, and only a miss on both falls
-//! back to a full ascending sweep, so exhaustion is always decided by inspecting
-//! every shard under its lock, never by a stale summary. Gangs and drains take all
-//! (or all involved) shard locks in **ascending shard-id order** and merge
-//! per-shard candidates into global best-fit order; the cross-shard drain
-//! controller lock is ordered *before* shard locks, and a lock-free `drain_active`
-//! flag keeps it off the no-drain release hot path. With `shards = 1` (the
-//! derived default for small allocations, or explicit via
-//! [`AllocationRequest::with_allocator_shards`]) every path reduces to the
-//! pre-sharding single-lock behaviour exactly.
+//! The nodes, the capacity index, the active backfill reservation and the live-slot
+//! map sit behind one mutex, so every placement is one best fit over the whole
+//! allocation and a release pins the nodes it frees for a draining gang inside its own
+//! critical section. The scheduler's queue lock already serialises every placement
+//! (its fast path and every parked pass), so two placements never overlap and only a
+//! release can meet one. Lock order: **scheduler queue → allocation state →
+//! failed-slot map**.
 //!
 //! ## Gang placement
 //!
@@ -90,7 +78,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -99,8 +87,7 @@ use hpcml_sim::clock::SharedClock;
 use hpcml_sim::dist::Dist;
 
 use crate::resources::{
-    AllocationConfig, GangPacking, NodeHealth, NodeSpec, NodeState, ResourceError, ResourceRequest,
-    Slot, SlotMember,
+    GangPacking, NodeHealth, NodeSpec, NodeState, ResourceError, ResourceRequest, Slot, SlotMember,
 };
 use crate::spec::PlatformSpec;
 
@@ -152,8 +139,6 @@ pub struct AllocationRequest {
     /// Whether to model the batch-queue wait (true for realism, false for experiments
     /// that start measuring once the pilot is active — as the paper does).
     pub model_queue_wait: bool,
-    /// Allocator-level configuration (state sharding; see [`AllocationConfig`]).
-    pub config: AllocationConfig,
 }
 
 impl AllocationRequest {
@@ -163,7 +148,6 @@ impl AllocationRequest {
             nodes,
             walltime_secs: 3600.0,
             model_queue_wait: false,
-            config: AllocationConfig::default(),
         }
     }
 
@@ -176,15 +160,6 @@ impl AllocationRequest {
     /// Enable queue-wait modelling.
     pub fn with_queue_wait(mut self, enable: bool) -> Self {
         self.model_queue_wait = enable;
-        self
-    }
-
-    /// Pin the allocator shard count (clamped to `1..=nodes` at resolution time);
-    /// `allocator_shards(1)` reproduces the single-lock allocator exactly. Without
-    /// this, the count is derived from the host parallelism and the node count
-    /// (see [`AllocationConfig::resolve_shards`]).
-    pub fn with_allocator_shards(mut self, shards: usize) -> Self {
-        self.config.shards = Some(shards);
         self
     }
 }
@@ -291,14 +266,14 @@ impl CapacityIndex {
         self.pos[node] = (usize::MAX, usize::MAX);
     }
 
-    /// Append one fresh, fully idle node at the next local index (an
+    /// Append one fresh, fully idle node at the next index (an
     /// [`crate::batch::Allocation::expand`] arrival), returning that index. The
     /// back-reference vector grows by one *before* `insert` writes it.
     fn push_idle(&mut self) -> usize {
-        let local = self.pos.len();
+        let node = self.pos.len();
         self.pos.push((usize::MAX, usize::MAX));
-        self.insert(local, self.spec.gpus, self.spec.cores);
-        local
+        self.insert(node, self.spec.gpus, self.spec.cores);
+        node
     }
 
     /// Move `node` to the bucket matching its current free capacity.
@@ -376,47 +351,17 @@ impl CapacityIndex {
         picked
     }
 
-    /// The nodes currently in the dedicated idle bucket (gang fast path, drains).
-    /// Membership proves idleness exactly, so taking the first `n` entries is the
-    /// O(n) `find_idle` of the pre-sharding allocator.
+    /// The nodes currently in the dedicated idle bucket (gang fast path, drains,
+    /// shrink). Membership proves idleness exactly, so taking the first `n` entries
+    /// is an O(n) idle-node claim.
     fn idle_nodes(&self) -> &[usize] {
         &self.buckets[self.idle_bucket()]
     }
-
-    /// Lock-free headroom summary of this index, published per shard as an
-    /// `AtomicU64`: high 32 bits = idle-node count, low 32 bits = the *best
-    /// headroom class key* (`free_gpus << 8 | core class`) over all indexed
-    /// non-idle nodes (0 when none). A node fits a request only if its own key is
-    /// component-wise — and therefore numerically — ≥ the request's key, so a
-    /// summary whose best key is below the request key *and* whose idle count is
-    /// zero proves the shard cannot host it; the converse is only a hint (the
-    /// best-keyed node may be short on the other dimension or on memory), which
-    /// is why probing falls back to a locked sweep before reporting exhaustion.
-    fn summary(&self) -> u64 {
-        let idle = self.idle_nodes().len() as u64;
-        let mut best = 0u64;
-        for fg in (0..self.gpu_levels).rev() {
-            let word = self.nonempty[fg];
-            if word != 0 {
-                best = ((fg as u64) << 8) | (127 - word.leading_zeros()) as u64;
-                break;
-            }
-        }
-        (idle << 32) | best
-    }
-}
-
-/// The class key a request (or node headroom) occupies in a shard summary:
-/// `free_gpus << 8 | capped core class`. Component-wise coverage implies numeric ≥.
-fn summary_key(gpus: u32, cores: u32) -> u64 {
-    ((gpus as u64) << 8) | cores.min(CORE_CLASS_CAP) as u64
 }
 
 /// The one active backfill reservation: nodes pinned for a draining gang.
-/// Pinned nodes are *removed from their shard's capacity index*, which is what
-/// excludes them from every placement probe without any per-probe filtering cost.
-/// Guarded by the allocation's cross-shard drain-controller lock, which is always
-/// acquired *before* any shard lock (see the locking section of the module docs).
+/// Pinned nodes are *removed from the capacity index*, which is what excludes them
+/// from every placement probe without any per-probe filtering cost.
 struct DrainReservation {
     id: u64,
     /// The draining gang's request: `req.nodes` is the pin target and the
@@ -427,8 +372,8 @@ struct DrainReservation {
     /// and all (the pinned-partial state — occupancy on a pinned node can only
     /// shrink, so the coverage invariant holds until placement).
     packing: GangPacking,
-    /// Global indices of nodes pinned so far; grows monotonically until
-    /// `req.nodes` via release events, never beyond it.
+    /// Indices of nodes pinned so far; grows monotonically until `req.nodes` via
+    /// release events, never beyond it.
     pinned: Vec<usize>,
 }
 
@@ -472,67 +417,105 @@ impl DrainStatus {
     }
 }
 
-/// One shard's mutable state: the node slice it owns plus its own capacity index
-/// over *local* node indices, guarded by the shard's lock. Node `g` (global) lives
-/// in shard `g % num_shards` at local index `g / num_shards` (striped partition),
-/// so consecutive nodes spread across shards and a hammering thread mix lands on
-/// different locks.
-struct ShardState {
+/// Everything behind the allocation's lock. Node `g` is `nodes[g]`: every node ever
+/// attached, failed and retired ones included, so indices are never reused and a
+/// slot on a dead node still names a node.
+struct State {
     nodes: Vec<NodeState>,
     index: CapacityIndex,
+    /// The one active backfill reservation, if any.
+    drain: Option<DrainReservation>,
+    /// Slots handed out and not yet released, keyed id → slot (the stored copy is
+    /// what [`Allocation::fail_node`] uses to evict co-resident slots). Releasing a
+    /// slot that is not registered is rejected, so a double release can never
+    /// re-credit resources (memory in particular has no per-unit occupancy bit to
+    /// catch it otherwise).
+    live: HashMap<u64, Slot>,
+    next_slot_id: u64,
+    next_drain_id: u64,
 }
 
-/// Stripes for the live-slot id sets: slot liveness is orthogonal to node
-/// partitioning, so it gets its own small striped registry instead of riding on a
-/// shard lock (a gang's id cannot belong to "a" shard).
-const LIVE_SLOT_STRIPES: usize = 8;
+impl State {
+    /// Register a freshly claimed slot in the live-slot map.
+    fn register(&mut self, members: Vec<SlotMember>) -> Slot {
+        let slot = Slot {
+            id: self.next_slot_id,
+            members,
+        };
+        self.next_slot_id += 1;
+        self.live.insert(slot.id, slot.clone());
+        slot
+    }
 
-/// Placement cost telemetry returned next to a slot: how many shard locks the
-/// placement had to take (1 = the two-choice probe hit on its first shard; values
-/// toward the shard count mean summary misses or a full fallback sweep). Feeds the
-/// executor's `task.placement.shard_probes` metric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlacementProbes {
-    /// Distinct shard locks acquired to place the slot.
-    pub shard_probes: u32,
+    /// Up to `want` distinct nodes able to host one member share of `req` under its
+    /// (resolved-by-default) packing policy, in best-fit order: straight off the idle
+    /// bucket for whole-node shares and [`GangPacking::Whole`], the index's k-best
+    /// `find_fit` otherwise. May return fewer than `want`; callers needing
+    /// all-or-nothing check the length.
+    fn pick_gang_nodes(&self, req: &ResourceRequest, want: usize) -> Vec<usize> {
+        let spec = self.index.spec;
+        // A whole-node member share (all cores and all GPUs of each member) can only
+        // be hosted by fully idle nodes, so the idle bucket *is* the exact candidate
+        // set — the fast path, shared with explicit Whole packing.
+        let whole_share = req.cores == spec.cores && req.gpus == spec.gpus;
+        if req.packing.unwrap_or_default() == GangPacking::Whole || whole_share {
+            return self.index.idle_nodes().iter().take(want).copied().collect();
+        }
+        self.index.find_fit(req, want, &self.nodes)
+    }
+
+    /// Return a pinned `node` to the capacity index at its current headroom class.
+    fn unpin(&mut self, node: usize) {
+        let state = &mut self.nodes[node];
+        state.set_health(NodeHealth::Healthy);
+        let (free_gpus, free_cores) = (state.free_gpus(), state.free_cores());
+        self.index.insert(node, free_gpus, free_cores);
+    }
+
+    /// Backfill reservation hook, run inside the critical section that freed capacity
+    /// on `node` (a release, an eviction, an expansion): a node now able to cover one
+    /// member share (fully idle for Whole drains, share-sized headroom for Partial
+    /// ones) is pinned to the draining gang *before* the scheduler can wake any other
+    /// waiter, so a lookahead request can never race the drain for it.
+    fn pin_if_covered(&mut self, node: usize) {
+        let Some(drain) = self.drain.as_mut() else {
+            return;
+        };
+        if drain.pinned.len() < drain.req.nodes
+            && self.index.contains(node)
+            && drain.covers(&self.nodes[node])
+        {
+            self.index.remove(node);
+            self.nodes[node].set_health(NodeHealth::Draining);
+            drain.pinned.push(node);
+        }
+        // The pin-wins guarantee, stated as a postcondition: while the reservation
+        // is short of its target, no node this release made share-covering may
+        // remain visible to other placements.
+        debug_assert!(
+            drain.pinned.len() >= drain.req.nodes
+                || !(self.index.contains(node) && drain.covers(&self.nodes[node])),
+            "release left a share-covering node unpinned under an active drain"
+        );
+    }
 }
 
 /// A granted allocation: a set of whole nodes owned by one pilot.
 ///
-/// The mutable state is partitioned into [`AllocationConfig`]-many shards, each
-/// guarded by its own lock, so concurrent single-node allocate/release traffic on
-/// different shards never serialises. Aggregate counters (free cores/GPUs,
-/// non-idle nodes) are lock-free atomics updated under the owning shard's lock;
-/// per-shard headroom summaries (idle count + best class key) are published the
-/// same way and steer the two-choice placement probe without any locking.
-///
-/// Lock order (deadlock freedom): **drain controller → shard locks in ascending
-/// shard id**. Paths that never touch the drain take shard locks only; paths that
-/// might pin (release with an active drain) or mutate the reservation take the
-/// drain-controller lock first. `drain_active` is a lock-free flag releases use to
-/// skip the controller when no drain exists; a release that observes the flag flip
-/// *after* taking its shard locks restarts once with the controller held, so a
-/// concurrent `begin_drain` can never miss a node freed under its feet.
+/// Its mutable state is one `State` behind one lock (see the module docs for why and
+/// for the lock order). Aggregate counters (free cores/GPUs, non-idle nodes, healthy
+/// and failed node counts) are atomics written under that lock and read without it.
 pub struct Allocation {
     id: u64,
     platform: PlatformSpec,
-    /// Healthy in-service node count (excludes failed and retired nodes). Written
-    /// only under the full shard-lock set (expand/shrink/fail_node), read lock-free.
+    /// Healthy in-service node count (excludes failed and retired nodes).
     num_nodes: AtomicU64,
     /// Nodes lost to [`Allocation::fail_node`] and not yet retired by a shrink.
     /// `num_nodes + failed_nodes` is the *attached* count the batch system still
     /// charges this allocation for.
     failed_nodes: AtomicU64,
-    num_shards: usize,
-    shards: Vec<Mutex<ShardState>>,
-    /// Lock-free per-shard headroom summaries (see [`CapacityIndex::summary`]),
-    /// republished after every mutation under the owning shard's lock.
-    summaries: Vec<AtomicU64>,
-    /// Global node-index → hostname map for slot validation. Append-only (expand
-    /// appends; fail/shrink keep the entry so slots on dead nodes still validate).
-    /// Readers must never hold this lock while acquiring a shard or stripe lock.
-    node_names: RwLock<Vec<Arc<str>>>,
-    /// Cached aggregates, updated under the owning shard's lock, read lock-free.
+    state: Mutex<State>,
+    /// Cached aggregates, updated under the state lock, read lock-free.
     /// Relaxed ordering throughout: each update is an atomic RMW (totals stay
     /// exact), and every reader that needs a consistent snapshot (tests after a
     /// join, the scheduler after a release) is already ordered by lock or join
@@ -540,12 +523,6 @@ pub struct Allocation {
     free_cores: AtomicU64,
     free_gpus: AtomicU64,
     non_idle_nodes: AtomicU64,
-    /// Slots handed out and not yet released, striped by id and keyed id → slot
-    /// (the stored copy is what [`Allocation::fail_node`] uses to evict co-resident
-    /// slots). Releasing a slot that is not registered is rejected, so a double
-    /// release can never re-credit resources (memory in particular has no per-unit
-    /// occupancy bit to catch it otherwise).
-    live_slots: Vec<Mutex<HashMap<u64, Slot>>>,
     /// Slots evicted by a node failure, keyed id → failed node index. A release of
     /// such a slot reports [`ResourceError::NodeFailed`] (resources were already
     /// reclaimed at eviction) exactly once, then forgets the id.
@@ -553,27 +530,9 @@ pub struct Allocation {
     /// Slots ever put into `failed_slots`; never decreases. While it reads zero — an
     /// allocation that never lost a node — [`Allocation::slot_evicted`] takes no lock.
     evictions: AtomicU64,
-    /// Cross-shard drain controller: the one active backfill reservation.
-    drain: Mutex<Option<DrainReservation>>,
-    /// Lock-free mirror of `drain.is_some()`, so releases skip the controller lock
-    /// entirely while no drain is active (the common case on the hot path).
-    drain_active: std::sync::atomic::AtomicBool,
-    /// Rotor for the two-choice probe's shard picks.
-    probe_cursor: AtomicU64,
-    next_slot_id: AtomicU64,
-    next_drain_id: AtomicU64,
     /// Seconds spent waiting in the batch queue (0 if not modelled).
     queue_wait_secs: f64,
     walltime_secs: f64,
-}
-
-/// SplitMix64 finaliser: decorrelates the probe rotor so the second choice is not
-/// always the neighbouring shard.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x
 }
 
 impl std::fmt::Debug for Allocation {
@@ -583,7 +542,6 @@ impl std::fmt::Debug for Allocation {
             .field("platform", &self.platform.id)
             .field("nodes", &self.num_nodes.load(Ordering::Relaxed))
             .field("failed", &self.failed_nodes.load(Ordering::Relaxed))
-            .field("shards", &self.num_shards)
             .field("walltime_secs", &self.walltime_secs)
             .finish()
     }
@@ -652,26 +610,6 @@ impl Allocation {
             .saturating_sub(self.non_idle_nodes.load(Ordering::Relaxed) as usize)
     }
 
-    /// Number of independently locked state shards this allocation runs with.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// The shard owning global node index `node` (striped partition).
-    pub fn shard_of(&self, node: usize) -> usize {
-        node % self.num_shards
-    }
-
-    /// The node's index within its shard's local node slice.
-    fn local_of(&self, node: usize) -> usize {
-        node / self.num_shards
-    }
-
-    /// Global index of `local` within shard `shard`.
-    fn global_of(&self, shard: usize, local: usize) -> usize {
-        local * self.num_shards + shard
-    }
-
     /// Seconds this allocation waited in the batch queue before becoming active.
     pub fn queue_wait_secs(&self) -> f64 {
         self.queue_wait_secs
@@ -706,29 +644,17 @@ impl Allocation {
         Ok(())
     }
 
-    /// Publish shard `shard`'s lock-free headroom summary from its current index
-    /// state. Called after every mutation, while the shard lock is still held, so a
-    /// summary read after acquiring any lock the mutator released is never stale.
-    /// With a single shard the summary has no reader (the two-choice probe
-    /// short-circuits), so the single-lock configuration skips the bookkeeping.
-    fn publish_summary(&self, shard: usize, st: &ShardState) {
-        if self.num_shards > 1 {
-            self.summaries[shard].store(st.index.summary(), Ordering::Relaxed);
-        }
-    }
-
-    /// Reserve one member node's share of `req` on global node `node_index` inside
-    /// its (locked) shard, keeping the cached aggregates and the shard index in
-    /// sync. Returns the membership record, flagged `co_resident` when the node
-    /// already carried other live slots (a partial-packing co-location).
+    /// Reserve one member node's share of `req` on node `node_index`, keeping the
+    /// cached aggregates and the capacity index in sync. Returns the membership
+    /// record, flagged `co_resident` when the node already carried other live slots
+    /// (a partial-packing co-location).
     fn reserve_member_in(
         &self,
-        st: &mut ShardState,
+        st: &mut State,
         node_index: usize,
         req: &ResourceRequest,
     ) -> Result<SlotMember, ResourceError> {
-        let local = self.local_of(node_index);
-        let node = &mut st.nodes[local];
+        let node = &mut st.nodes[node_index];
         let was_idle = node.is_idle();
         let (core_ids, gpu_ids, mem_gib) = node.try_reserve(req)?;
         self.free_cores
@@ -740,7 +666,7 @@ impl Allocation {
         }
         let (free_gpus, free_cores, name) =
             (node.free_gpus(), node.free_cores(), Arc::clone(&node.name));
-        st.index.update(local, free_gpus, free_cores);
+        st.index.update(node_index, free_gpus, free_cores);
         Ok(SlotMember {
             node_index,
             node_name: name,
@@ -751,14 +677,12 @@ impl Allocation {
         })
     }
 
-    /// Return one membership's resources to its node inside its (locked) shard,
-    /// keeping the cached aggregates and the shard index in sync. A node pinned by
-    /// the active drain is *not* re-indexed: it stays invisible to other
-    /// placements, with only its occupancy shrinking (the pinned-partial state
-    /// relies on exactly this).
-    fn release_member_in(&self, st: &mut ShardState, member: &SlotMember) {
-        let local = self.local_of(member.node_index);
-        let node = &mut st.nodes[local];
+    /// Return one membership's resources to its node, keeping the cached aggregates
+    /// and the capacity index in sync. A node pinned by the active drain is *not*
+    /// re-indexed: it stays invisible to other placements, with only its occupancy
+    /// shrinking (the pinned-partial state relies on exactly this).
+    fn release_member_in(&self, st: &mut State, member: &SlotMember) {
+        let node = &mut st.nodes[member.node_index];
         let was_idle = node.is_idle();
         // Deltas, not slot sizes: NodeState::release ignores double-released indices.
         let (cores_before, gpus_before) = (node.free_cores(), node.free_gpus());
@@ -770,282 +694,67 @@ impl Allocation {
         if !was_idle && node.is_idle() {
             self.non_idle_nodes.fetch_sub(1, Ordering::Relaxed);
         }
-        if st.index.contains(local) {
+        if st.index.contains(member.node_index) {
             let (free_gpus, free_cores) = (node.free_gpus(), node.free_cores());
-            st.index.update(local, free_gpus, free_cores);
+            st.index.update(member.node_index, free_gpus, free_cores);
         }
-    }
-
-    /// Lock the given (ascending, deduplicated) shard ids, returning a slot per
-    /// shard so callers can address guards by shard id. Ascending acquisition is
-    /// the global shard-lock order — every multi-shard path goes through here.
-    fn lock_shards(&self, ids: &[usize]) -> Vec<Option<parking_lot::MutexGuard<'_, ShardState>>> {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending shard ids");
-        let mut guards: Vec<Option<parking_lot::MutexGuard<'_, ShardState>>> =
-            (0..self.num_shards).map(|_| None).collect();
-        for &s in ids {
-            guards[s] = Some(self.shards[s].lock());
-        }
-        guards
-    }
-
-    /// The ascending, deduplicated shard ids owning the given global node indices.
-    fn shard_ids_of(&self, nodes: impl Iterator<Item = usize>) -> Vec<usize> {
-        let mut ids: Vec<usize> = nodes.map(|n| self.shard_of(n)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Register a freshly claimed slot in the striped live-slot registry (keyed by
-    /// id; the stored copy is what `fail_node` consults to evict co-residents).
-    fn register_slot(&self, slot: &Slot) {
-        self.live_slots[slot.id as usize % LIVE_SLOT_STRIPES]
-            .lock()
-            .insert(slot.id, slot.clone());
     }
 
     /// Try to carve a slot satisfying `req` out of the allocation.
     ///
-    /// Single-node placement locks exactly one shard in the common case: a
-    /// power-of-two-choices probe ranks two rotor-picked shards by their lock-free
-    /// headroom summaries (a shard whose best non-idle class covers the request
-    /// beats one that would have to break an idle node, matching the single-lock
-    /// allocator's best-fit preference), probes the winner's capacity index, then
-    /// the loser's, and only then sweeps the remaining shards in ascending id
-    /// order — so exhaustion is decided by inspecting every shard, never by a
-    /// stale summary. Within a shard the capacity-index best-fit order is exactly
-    /// the pre-sharding behaviour, and a single-shard allocation reproduces it
-    /// globally. A gang request (`req.nodes > 1`) atomically claims distinct nodes
-    /// across shards — all shard locks taken in ascending order, candidates merged
-    /// in global best-fit order, all-or-nothing with full rollback on a mid-claim
-    /// conflict (see [`GangPacking`]).
+    /// A single-node request takes the capacity index's best fit over the whole
+    /// allocation. A gang request (`req.nodes > 1`) atomically claims distinct nodes
+    /// in best-fit order, all-or-nothing with full rollback on a mid-claim conflict
+    /// (see [`GangPacking`]).
     /// Returns [`ResourceError::InsufficientResources`] when nothing currently fits
     /// and [`ResourceError::NeverSatisfiable`] when the allocation shape could never
     /// satisfy it.
     pub fn allocate_slot(&self, req: &ResourceRequest) -> Result<Slot, ResourceError> {
-        self.allocate_slot_with_stats(req).map(|(slot, _)| slot)
-    }
-
-    /// [`Allocation::allocate_slot`], additionally reporting how many shard locks
-    /// the placement took ([`PlacementProbes`] — the scheduler turns this into the
-    /// `task.placement.shard_probes` metric).
-    pub fn allocate_slot_with_stats(
-        &self,
-        req: &ResourceRequest,
-    ) -> Result<(Slot, PlacementProbes), ResourceError> {
         self.check_satisfiable(req)?;
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         if req.nodes > 1 {
-            return self.allocate_gang(req);
-        }
-        self.allocate_single(req)
-    }
-
-    /// Single-node placement: two-choice probe, then full sweep (see
-    /// [`Allocation::allocate_slot`]).
-    fn allocate_single(
-        &self,
-        req: &ResourceRequest,
-    ) -> Result<(Slot, PlacementProbes), ResourceError> {
-        let mut probes = PlacementProbes::default();
-        let (first, second) = self.probe_choices(req);
-        if let Some(slot) = self.try_claim_single(first, req, &mut probes)? {
-            return Ok((slot, probes));
-        }
-        if let Some(second) = second {
-            if let Some(slot) = self.try_claim_single(second, req, &mut probes)? {
-                return Ok((slot, probes));
+            let mut picked = st.pick_gang_nodes(req, req.nodes);
+            if picked.len() < req.nodes {
+                return Err(ResourceError::InsufficientResources);
             }
+            // Rank order: member i of the slot is the i-th lowest claimed node index.
+            picked.sort_unstable();
+            return self.claim_gang(st, &picked, req);
         }
-        // Fallback sweep: inspect every remaining shard under its lock before
-        // reporting exhaustion — summaries are hints, never the basis for failure.
-        for shard in 0..self.num_shards {
-            if shard == first || Some(shard) == second {
-                continue;
-            }
-            if let Some(slot) = self.try_claim_single(shard, req, &mut probes)? {
-                return Ok((slot, probes));
-            }
-        }
-        Err(ResourceError::InsufficientResources)
-    }
-
-    /// Pick the two shards the probe visits first, best ranked first. With one
-    /// shard the choice is trivial (and the sweep is empty), reproducing the
-    /// single-lock allocator exactly.
-    fn probe_choices(&self, req: &ResourceRequest) -> (usize, Option<usize>) {
-        if self.num_shards == 1 {
-            return (0, None);
-        }
-        let h = self.probe_cursor.fetch_add(1, Ordering::Relaxed);
-        let a = (h % self.num_shards as u64) as usize;
-        let b = (a + 1 + (mix64(h) % (self.num_shards as u64 - 1)) as usize) % self.num_shards;
-        let need = summary_key(req.gpus, req.cores);
-        // Rank 0: a non-idle class covers the share (pack beside existing work —
-        // the best-fit preference). Rank 1: only idle headroom. Rank 2: summary
-        // proves nothing fits (still swept last — summaries are hints).
-        let rank = |s: usize| {
-            let summary = self.summaries[s].load(Ordering::Relaxed);
-            if summary & 0xFFFF_FFFF >= need {
-                0
-            } else if summary >> 32 > 0 {
-                1
-            } else {
-                2
-            }
-        };
-        if rank(b) < rank(a) {
-            (b, Some(a))
-        } else {
-            (a, Some(b))
-        }
-    }
-
-    /// Probe one shard for a single-node placement: lock it, best-fit within its
-    /// index, reserve on success. `Ok(None)` means this shard cannot host the
-    /// share right now.
-    fn try_claim_single(
-        &self,
-        shard: usize,
-        req: &ResourceRequest,
-        probes: &mut PlacementProbes,
-    ) -> Result<Option<Slot>, ResourceError> {
-        let mut st = self.shards[shard].lock();
-        probes.shard_probes += 1;
-        let Some(local) = st.index.find(req, &st.nodes) else {
-            return Ok(None);
-        };
-        let member = self.reserve_member_in(&mut st, self.global_of(shard, local), req)?;
-        self.publish_summary(shard, &st);
-        drop(st);
-        let id = self.next_slot_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Slot::single(id, member);
-        self.register_slot(&slot);
-        Ok(Some(slot))
-    }
-
-    /// Gang placement: take every shard lock in ascending id order, merge per-shard
-    /// candidates into global best-fit order, claim all-or-nothing.
-    fn allocate_gang(
-        &self,
-        req: &ResourceRequest,
-    ) -> Result<(Slot, PlacementProbes), ResourceError> {
-        let all: Vec<usize> = (0..self.num_shards).collect();
-        let mut guards = self.lock_shards(&all);
-        let mut picked = self.pick_gang_nodes(&guards, req, req.nodes);
-        if picked.len() < req.nodes {
-            return Err(ResourceError::InsufficientResources);
-        }
-        // Rank order: member i of the slot is the i-th lowest claimed node index.
-        picked.sort_unstable();
-        let slot = self.claim_gang_locked(&mut guards, &picked, req)?;
-        for (shard, guard) in guards.iter().enumerate() {
-            if let Some(st) = guard {
-                self.publish_summary(shard, st);
-            }
-        }
-        Ok((
-            slot,
-            PlacementProbes {
-                shard_probes: self.num_shards as u32,
-            },
-        ))
-    }
-
-    /// Collect up to `want` distinct nodes able to host one member share of `req`
-    /// under its (resolved-by-default) packing policy, across all locked shards, in
-    /// *global* best-fit order: ascending headroom-class key (smallest sufficient
-    /// free-GPU level, then core class — exactly the per-shard probe order), fully
-    /// idle nodes last, ties broken by shard-ascending enumeration. With one shard
-    /// this degenerates to the pre-sharding `find_fit`/`find_idle` pick. May return
-    /// fewer than `want`; callers needing all-or-nothing check the length.
-    fn pick_gang_nodes(
-        &self,
-        guards: &[Option<parking_lot::MutexGuard<'_, ShardState>>],
-        req: &ResourceRequest,
-        want: usize,
-    ) -> Vec<usize> {
-        let packing = req.packing.unwrap_or_default();
-        let spec = self.platform.node;
-        // A whole-node member share (all cores and all GPUs of each member) can only
-        // be hosted by fully idle nodes, so the idle buckets *are* the exact
-        // candidate set — the fast path, shared with explicit Whole packing.
-        let whole_share = req.cores == spec.cores && req.gpus == spec.gpus;
-        if packing == GangPacking::Whole || whole_share {
-            let mut picked = Vec::with_capacity(want);
-            for (shard, guard) in guards.iter().enumerate() {
-                let Some(st) = guard else { continue };
-                for &local in st.index.idle_nodes() {
-                    picked.push(self.global_of(shard, local));
-                    if picked.len() == want {
-                        return picked;
-                    }
-                }
-            }
-            return picked;
-        }
-        // Partial packing: per-shard k-best candidates, merged by class key. The
-        // per-shard enumeration is already ascending in key, so a stable sort by
-        // (key, enumeration order) preserves each shard's best-fit order and
-        // interleaves shards fairly.
-        let mut candidates: Vec<(u64, usize, usize)> = Vec::new();
-        let mut seq = 0usize;
-        for (shard, guard) in guards.iter().enumerate() {
-            let Some(st) = guard else { continue };
-            for local in st.index.find_fit(req, want, &st.nodes) {
-                let node = &st.nodes[local];
-                let key = if node.is_idle() {
-                    u64::MAX
-                } else {
-                    summary_key(node.free_gpus(), node.free_cores())
-                };
-                candidates.push((key, seq, self.global_of(shard, local)));
-                seq += 1;
-            }
-        }
-        candidates.sort_unstable();
-        candidates
-            .into_iter()
-            .take(want)
-            .map(|(_, _, node)| node)
-            .collect()
+        let node = st
+            .index
+            .find(req, &st.nodes)
+            .ok_or(ResourceError::InsufficientResources)?;
+        let member = self.reserve_member_in(st, node, req)?;
+        Ok(st.register(vec![member]))
     }
 
     /// Reserve one member share of `req` on each of the (sorted, distinct, indexed)
-    /// global nodes in `picked` — whose shards the caller has locked —
-    /// all-or-nothing, and register the resulting gang slot.
-    fn claim_gang_locked(
+    /// nodes in `picked`, all-or-nothing, and register the resulting gang slot.
+    fn claim_gang(
         &self,
-        guards: &mut [Option<parking_lot::MutexGuard<'_, ShardState>>],
+        st: &mut State,
         picked: &[usize],
         req: &ResourceRequest,
     ) -> Result<Slot, ResourceError> {
         let mut members: Vec<SlotMember> = Vec::with_capacity(picked.len());
         for &node_index in picked {
-            let shard = self.shard_of(node_index);
-            let st = guards[shard]
-                .as_mut()
-                .expect("caller locked every shard of picked");
             match self.reserve_member_in(st, node_index, req) {
                 Ok(member) => members.push(member),
                 Err(e) => {
-                    // Unreachable while the shard locks are held (every candidate was
+                    // Unreachable while the state lock is held (every candidate was
                     // proven to fit, and occupancy cannot grow underneath us), but
                     // keep the claim all-or-nothing: roll back every reservation
                     // made so far.
                     for member in &members {
-                        let shard = self.shard_of(member.node_index);
-                        let st = guards[shard].as_mut().expect("shard still locked");
                         self.release_member_in(st, member);
                     }
                     return Err(e);
                 }
             }
         }
-        let id = self.next_slot_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Slot { id, members };
-        self.register_slot(&slot);
-        Ok(slot)
+        Ok(st.register(members))
     }
 
     /// Open a backfill reservation for a gang-shaped `req`: every node whose current
@@ -1062,41 +771,27 @@ impl Allocation {
     /// a second `begin_drain` fails with [`ResourceError::DrainActive`].
     pub fn begin_drain(&self, req: &ResourceRequest) -> Result<u64, ResourceError> {
         self.check_satisfiable(req)?;
-        // Lock order: drain controller first, then every shard ascending.
-        let mut drain = self.drain.lock();
-        if drain.is_some() {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if st.drain.is_some() {
             return Err(ResourceError::DrainActive);
         }
-        let all: Vec<usize> = (0..self.num_shards).collect();
-        let mut guards = self.lock_shards(&all);
-        let id = self.next_drain_id.fetch_add(1, Ordering::Relaxed);
-        let packing = req.packing.unwrap_or_default();
+        let id = st.next_drain_id;
+        st.next_drain_id += 1;
         // Pin what already covers a member share: idle nodes straight off the idle
-        // buckets for Whole, the merged best-fit candidate set for Partial —
-        // O(target) either way (see `pick_gang_nodes`).
-        let pinned = self.pick_gang_nodes(&guards, req, req.nodes);
+        // bucket for Whole, the best-fit candidate set for Partial — O(target)
+        // either way (see `pick_gang_nodes`).
+        let pinned = st.pick_gang_nodes(req, req.nodes);
         for &node in &pinned {
-            let shard = self.shard_of(node);
-            let st = guards[shard].as_mut().expect("all shards locked");
-            let local = self.local_of(node);
-            st.index.remove(local);
-            st.nodes[local].set_health(NodeHealth::Draining);
+            st.index.remove(node);
+            st.nodes[node].set_health(NodeHealth::Draining);
         }
-        for (shard, guard) in guards.iter().enumerate() {
-            if let Some(st) = guard {
-                self.publish_summary(shard, st);
-            }
-        }
-        *drain = Some(DrainReservation {
+        st.drain = Some(DrainReservation {
             id,
             req: *req,
-            packing,
+            packing: req.packing.unwrap_or_default(),
             pinned,
         });
-        // Set while every shard lock is still held: a releaser that never saw this
-        // flag can only have run its release before we scanned its shard, so the
-        // scan above (or a later flagged release) pins every eligible node.
-        self.drain_active.store(true, Ordering::SeqCst);
         Ok(id)
     }
 
@@ -1107,28 +802,15 @@ impl Allocation {
     /// consumed by its placement (or never begun) fails with
     /// [`ResourceError::UnknownDrain`].
     pub fn cancel_drain(&self, drain_id: u64) -> Result<usize, ResourceError> {
-        let mut drain = self.drain.lock();
-        match &*drain {
-            Some(d) if d.id == drain_id => {}
-            _ => return Err(ResourceError::UnknownDrain(drain_id)),
+        let mut st = self.state.lock();
+        let reservation = st
+            .drain
+            .take_if(|d| d.id == drain_id)
+            .ok_or(ResourceError::UnknownDrain(drain_id))?;
+        for &node in &reservation.pinned {
+            st.unpin(node);
         }
-        let reservation = drain.take().expect("checked above");
-        self.drain_active.store(false, Ordering::SeqCst);
-        let released = reservation.pinned.len();
-        let shard_ids = self.shard_ids_of(reservation.pinned.iter().copied());
-        let mut guards = self.lock_shards(&shard_ids);
-        for node in reservation.pinned {
-            let shard = self.shard_of(node);
-            let st = guards[shard].as_mut().expect("pinned shard locked");
-            let local = self.local_of(node);
-            st.nodes[local].set_health(NodeHealth::Healthy);
-            let (fg, fc) = (st.nodes[local].free_gpus(), st.nodes[local].free_cores());
-            st.index.insert(local, fg, fc);
-        }
-        for &shard in &shard_ids {
-            self.publish_summary(shard, guards[shard].as_ref().expect("locked"));
-        }
-        Ok(released)
+        Ok(reservation.pinned.len())
     }
 
     /// Place the draining gang on its reserved nodes, atomically consuming the
@@ -1143,21 +825,10 @@ impl Allocation {
         drain_id: u64,
         req: &ResourceRequest,
     ) -> Result<Slot, ResourceError> {
-        self.allocate_reserved_with_stats(drain_id, req)
-            .map(|(slot, _)| slot)
-    }
-
-    /// [`Allocation::allocate_reserved`], additionally reporting how many shard
-    /// locks the reserved claim took ([`PlacementProbes`]) — the shards actually
-    /// locked for the pinned set, not a re-derivation from the returned slot.
-    pub fn allocate_reserved_with_stats(
-        &self,
-        drain_id: u64,
-        req: &ResourceRequest,
-    ) -> Result<(Slot, PlacementProbes), ResourceError> {
         self.check_satisfiable(req)?;
-        let mut drain = self.drain.lock();
-        match &*drain {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        match &st.drain {
             Some(d) if d.id == drain_id => {
                 if d.req.nodes != req.nodes {
                     return Err(ResourceError::NeverSatisfiable {
@@ -1173,58 +844,35 @@ impl Allocation {
             }
             _ => return Err(ResourceError::UnknownDrain(drain_id)),
         }
-        let reservation = drain.take().expect("checked above");
-        self.drain_active.store(false, Ordering::SeqCst);
-        let mut picked = reservation.pinned;
-        // Rank order, and back into the shard indexes so the shared claim path (and
-        // any undo) keeps them consistent.
+        let mut picked = st.drain.take().expect("checked above").pinned;
+        // Rank order, and back into the index so the shared claim path (and any
+        // undo) keeps it consistent.
         picked.sort_unstable();
-        let shard_ids = self.shard_ids_of(picked.iter().copied());
-        let mut guards = self.lock_shards(&shard_ids);
         for &node in &picked {
-            let shard = self.shard_of(node);
-            let st = guards[shard].as_mut().expect("pinned shard locked");
-            let local = self.local_of(node);
-            st.nodes[local].set_health(NodeHealth::Healthy);
-            let (fg, fc) = (st.nodes[local].free_gpus(), st.nodes[local].free_cores());
-            st.index.insert(local, fg, fc);
+            st.unpin(node);
         }
         // On the unreachable failure path the nodes stay indexed and the reservation
         // is gone — a failed reserved claim cancels the drain rather than leaking it.
-        let result = self.claim_gang_locked(&mut guards, &picked, req);
-        for &shard in &shard_ids {
-            self.publish_summary(shard, guards[shard].as_ref().expect("locked"));
-        }
-        let probes = PlacementProbes {
-            shard_probes: shard_ids.len() as u32,
-        };
-        result.map(|slot| (slot, probes))
+        self.claim_gang(st, &picked, req)
     }
 
     /// Number of nodes currently pinned by the active backfill reservation
     /// (0 when no drain is active), idle and pinned-partial alike.
     pub fn reserved_nodes(&self) -> usize {
-        self.drain.lock().as_ref().map_or(0, |d| d.pinned.len())
+        self.state
+            .lock()
+            .drain
+            .as_ref()
+            .map_or(0, |d| d.pinned.len())
     }
 
     /// Status of the active backfill reservation, if any: how many pinned nodes are
     /// fully idle vs still occupied by residual slots (pinned-partial), against the
-    /// reservation's node target. O(pinned nodes), locking only the pinned shards.
+    /// reservation's node target. O(pinned nodes).
     pub fn drain_status(&self) -> Option<DrainStatus> {
-        let drain = self.drain.lock();
-        let d = drain.as_ref()?;
-        let shard_ids = self.shard_ids_of(d.pinned.iter().copied());
-        let guards = self.lock_shards(&shard_ids);
-        let pinned_idle = d
-            .pinned
-            .iter()
-            .filter(|&&n| {
-                let st = guards[self.shard_of(n)]
-                    .as_ref()
-                    .expect("pinned shard locked");
-                st.nodes[self.local_of(n)].is_idle()
-            })
-            .count();
+        let st = self.state.lock();
+        let d = st.drain.as_ref()?;
+        let pinned_idle = d.pinned.iter().filter(|&&n| st.nodes[n].is_idle()).count();
         Some(DrainStatus {
             pinned_idle,
             pinned_partial: d.pinned.len() - pinned_idle,
@@ -1234,34 +882,25 @@ impl Allocation {
 
     /// Release a previously allocated slot, updating the capacity index incrementally
     /// — O(1) for single-node slots, O(gang size) for gangs, whose member nodes all
-    /// return to the idle bucket as a unit. Unknown, foreign, and already-released
-    /// slots are all rejected. A slot that was evicted by [`Allocation::fail_node`]
-    /// (or whose node failed in the claim/registration window) reports
-    /// [`ResourceError::NodeFailed`] instead: its resources were already reclaimed,
-    /// so the caller must treat it as released, not as a bug.
+    /// return to their headroom classes as a unit. Unknown, foreign, and
+    /// already-released slots are all rejected. A slot that was evicted by
+    /// [`Allocation::fail_node`] reports [`ResourceError::NodeFailed`] instead: its
+    /// resources were already reclaimed, so the caller must treat it as released,
+    /// not as a bug.
     pub fn release_slot(&self, slot: &Slot) -> Result<(), ResourceError> {
         if slot.members.is_empty() {
             return Err(ResourceError::UnknownSlot(slot.id));
         }
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         // Validate every membership before mutating anything, so a foreign or corrupt
-        // gang slot cannot be half-released. The name map is append-only (fail/shrink
-        // never remove entries), so slots on dead nodes still validate; the read
-        // guard is dropped before any stripe or shard lock is acquired (expand holds
-        // shard locks while appending names — never the reverse order).
-        {
-            let names = self.node_names.read();
-            for member in &slot.members {
-                match names.get(member.node_index) {
-                    Some(name) if *name == member.node_name => {}
-                    _ => return Err(ResourceError::UnknownSlot(slot.id)),
-                }
-            }
+        // gang slot cannot be half-released. Dead nodes keep their entries, so slots
+        // on them still validate.
+        let named = |m: &SlotMember| st.nodes.get(m.node_index).map(|n| &n.name);
+        if !slot.members.iter().all(|m| named(m) == Some(&m.node_name)) {
+            return Err(ResourceError::UnknownSlot(slot.id));
         }
-        if self.live_slots[slot.id as usize % LIVE_SLOT_STRIPES]
-            .lock()
-            .remove(&slot.id)
-            .is_none()
-        {
+        if st.live.remove(&slot.id).is_none() {
             // Not live. Either a node failure evicted it (report that exactly once,
             // forgetting the id) or it was already released / never issued — which
             // must not re-credit cores, GPUs, or — crucially — memory, which has no
@@ -1271,112 +910,13 @@ impl Allocation {
             }
             return Err(ResourceError::UnknownSlot(slot.id));
         }
-        // Drain-aware locking: when a drain is (or may be) active, the controller
-        // lock must be held *before* the shard locks so freed nodes can be pinned in
-        // the same critical section. The lock-free flag keeps the controller off the
-        // no-drain hot path; if it flips between our check and the shard-lock
-        // acquisition (a concurrent `begin_drain` that scanned this shard before the
-        // release landed), restart once with the controller held — so the "pin
-        // before any waiter wakes" guarantee survives sharding.
-        let mut take_drain = self.drain_active.load(Ordering::SeqCst);
-        if let [member] = slot.members.as_slice() {
-            // Single-node fast path: exactly one shard lock, no intermediate
-            // allocations — the release half of the placement hot path.
-            let shard = self.shard_of(member.node_index);
-            loop {
-                let mut drain_guard = if take_drain {
-                    Some(self.drain.lock())
-                } else {
-                    None
-                };
-                let mut st = self.shards[shard].lock();
-                if drain_guard.is_none() && self.drain_active.load(Ordering::SeqCst) {
-                    drop(st);
-                    take_drain = true;
-                    continue;
-                }
-                if node_written_off(&st.nodes[self.local_of(member.node_index)]) {
-                    // The node failed inside the claim/registration window, so
-                    // `fail_node` could not see this slot: its resources died with
-                    // the node (already written off) — nothing to re-credit.
-                    return Err(ResourceError::NodeFailed(member.node_index));
-                }
-                self.release_member_in(&mut st, member);
-                if let Some(drain) = drain_guard.as_mut().and_then(|g| g.as_mut()) {
-                    self.pin_after_release(drain, &mut st, member.node_index);
-                }
-                self.publish_summary(shard, &st);
-                return Ok(());
-            }
+        // A live slot has no member on a failed node: `fail_node` evicts every slot
+        // on its node under this same lock.
+        for member in &slot.members {
+            self.release_member_in(st, member);
+            st.pin_if_covered(member.node_index);
         }
-        let shard_ids = self.shard_ids_of(slot.node_indices());
-        loop {
-            let mut drain_guard = if take_drain {
-                Some(self.drain.lock())
-            } else {
-                None
-            };
-            let mut guards = self.lock_shards(&shard_ids);
-            if drain_guard.is_none() && self.drain_active.load(Ordering::SeqCst) {
-                drop(guards);
-                take_drain = true;
-                continue;
-            }
-            // Members on written-off (failed) nodes are skipped: their resources
-            // died with the node. Healthy members release normally either way.
-            let mut failed_member_node = None;
-            for member in &slot.members {
-                let shard = self.shard_of(member.node_index);
-                let st = guards[shard].as_mut().expect("member shard locked");
-                if node_written_off(&st.nodes[self.local_of(member.node_index)]) {
-                    failed_member_node.get_or_insert(member.node_index);
-                    continue;
-                }
-                self.release_member_in(st, member);
-            }
-            if let Some(drain) = drain_guard.as_mut().and_then(|g| g.as_mut()) {
-                for member in &slot.members {
-                    let shard = self.shard_of(member.node_index);
-                    let st = guards[shard].as_mut().expect("member shard locked");
-                    if node_written_off(&st.nodes[self.local_of(member.node_index)]) {
-                        continue;
-                    }
-                    self.pin_after_release(drain, st, member.node_index);
-                }
-            }
-            for &shard in &shard_ids {
-                self.publish_summary(shard, guards[shard].as_ref().expect("locked"));
-            }
-            return match failed_member_node {
-                Some(node) => Err(ResourceError::NodeFailed(node)),
-                None => Ok(()),
-            };
-        }
-    }
-
-    /// Backfill reservation hook, run inside the release's critical section: a node
-    /// this release made able to cover one member share (fully idle for Whole
-    /// drains, share-sized headroom for Partial ones) is pinned to the draining
-    /// gang *before* the scheduler can wake any other waiter, so a lookahead
-    /// request can never race the drain for the freed capacity.
-    fn pin_after_release(&self, drain: &mut DrainReservation, st: &mut ShardState, node: usize) {
-        let local = self.local_of(node);
-        if drain.pinned.len() < drain.req.nodes
-            && st.index.contains(local)
-            && drain.covers(&st.nodes[local])
-        {
-            st.index.remove(local);
-            st.nodes[local].set_health(NodeHealth::Draining);
-            drain.pinned.push(node);
-        }
-        // The pin-wins guarantee, stated as a postcondition: while the reservation
-        // is short of its target, no node this release made share-covering may
-        // remain visible to other placements.
-        debug_assert!(
-            drain.pinned.len() >= drain.req.nodes
-                || !(st.index.contains(local) && drain.covers(&st.nodes[local])),
-            "release left a share-covering node unpinned under an active drain"
-        );
+        Ok(())
     }
 
     /// True when no slot is currently allocated (O(1), lock-free: cached
@@ -1386,134 +926,81 @@ impl Allocation {
     }
 
     /// Append `n` fresh, fully idle nodes to the allocation (a pilot growing at
-    /// runtime), returning their global indices.
+    /// runtime), returning their indices.
     ///
-    /// The striped partition is append-friendly: a new global index `g` lands in
-    /// shard `g % shards` at local index `g / shards`, which is exactly the end of
-    /// that shard's node slice — so expansion appends into the shards without
-    /// moving any existing node or invalidating any outstanding slot. An active
-    /// backfill reservation still short of its target pins eligible new nodes
-    /// before any other placement can see them (same guarantee as
-    /// [`Allocation::release_slot`]'s pin hook).
+    /// New nodes take the next indices, so expansion moves no existing node and
+    /// invalidates no outstanding slot. An active backfill reservation still short of
+    /// its target pins eligible new nodes before any other placement can see them
+    /// (same guarantee as [`Allocation::release_slot`]'s pin hook).
     pub fn expand(&self, n: usize) -> Result<Vec<usize>, ResourceError> {
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        // Lock order: drain controller → all shard locks ascending → name-map
-        // write. Holding the controller lets the drain pin fresh capacity in the
-        // same critical section and orders expansion against fail/shrink.
-        let mut drain_guard = self.drain.lock();
-        let all: Vec<usize> = (0..self.num_shards).collect();
-        let mut guards = self.lock_shards(&all);
-        let mut names = self.node_names.write();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let spec = self.platform.node;
-        let mut new_nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            // Physical index = every name ever minted (healthy + failed + retired):
-            // dead nodes keep their slots in the shard vectors, so the striped
-            // mapping stays bijective across the allocation's whole history.
-            let g = names.len();
-            let shard = g % self.num_shards;
-            let st = guards[shard].as_mut().expect("all shards locked");
-            debug_assert_eq!(self.local_of(g), st.nodes.len(), "striped append");
-            let node = NodeState::new(self.platform.node_name(g), spec);
-            names.push(Arc::clone(&node.name));
-            st.nodes.push(node);
-            let local = st.index.push_idle();
-            debug_assert_eq!(local, self.local_of(g));
-            new_nodes.push(g);
+        // Every node ever attached (healthy + failed + retired) keeps its index.
+        let first = st.nodes.len();
+        for g in first..first + n {
+            st.nodes
+                .push(NodeState::new(self.platform.node_name(g), spec));
+            let indexed = st.index.push_idle();
+            debug_assert_eq!(indexed, g);
+            st.pin_if_covered(g);
         }
-        drop(names);
         self.num_nodes.fetch_add(n as u64, Ordering::Relaxed);
         self.free_cores
             .fetch_add(n as u64 * spec.cores as u64, Ordering::Relaxed);
         self.free_gpus
             .fetch_add(n as u64 * spec.gpus as u64, Ordering::Relaxed);
-        if let Some(drain) = drain_guard.as_mut() {
-            for &g in &new_nodes {
-                let shard = self.shard_of(g);
-                let st = guards[shard].as_mut().expect("all shards locked");
-                self.pin_after_release(drain, st, g);
-            }
-        }
-        for (shard, guard) in guards.iter().enumerate() {
-            if let Some(st) = guard {
-                self.publish_summary(shard, st);
-            }
-        }
-        Ok(new_nodes)
+        Ok((first..first + n).collect())
     }
 
     /// Retire `n` nodes from the allocation (a pilot shrinking at runtime),
-    /// returning the retired global indices. Shrink is a drain with no waiting
-    /// gang: it runs under the drain-controller lock (so it can never race a
-    /// backfill reservation's pin hook — an active reservation wins and shrink
-    /// reports [`ResourceError::DrainActive`]) and only takes nodes that carry no
-    /// slot. Failed nodes retire first — they are already written off, so
-    /// retiring them costs no capacity — then fully idle healthy ones. All or
-    /// nothing: when fewer than `n` nodes are currently retirable the allocation
-    /// is left untouched and [`ResourceError::InsufficientResources`] is returned
-    /// (the caller retries once load has drained).
+    /// returning the retired indices. Shrink is a drain with no waiting gang: an
+    /// active backfill reservation wins and shrink reports
+    /// [`ResourceError::DrainActive`], and it only takes nodes that carry no slot.
+    /// Failed nodes retire first — they are already written off, so retiring them
+    /// costs no capacity — then fully idle healthy ones. All or nothing: when fewer
+    /// than `n` nodes are currently retirable the allocation is left untouched and
+    /// [`ResourceError::InsufficientResources`] is returned (the caller retries once
+    /// load has drained).
     pub fn shrink(&self, n: usize) -> Result<Vec<usize>, ResourceError> {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let drain_guard = self.drain.lock();
-        if drain_guard.is_some() {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if st.drain.is_some() {
             return Err(ResourceError::DrainActive);
         }
-        let all: Vec<usize> = (0..self.num_shards).collect();
-        let mut guards = self.lock_shards(&all);
         // Candidate pass first, so failure mutates nothing. The failed scan walks
         // every node entry ever attached (retired ones included), so skip it
         // entirely on the common no-failure resize path — the counter is exact
-        // under the drain + shard locks we hold.
+        // under the state lock we hold.
         let mut retire_failed: Vec<usize> = Vec::new();
-        let any_failed = self.failed_nodes.load(Ordering::Relaxed) > 0;
-        'failed: for (shard, guard) in guards.iter().enumerate() {
-            if !any_failed {
-                break;
-            }
-            let st = guard.as_ref().expect("all shards locked");
-            for (local, node) in st.nodes.iter().enumerate() {
-                if node.health() == NodeHealth::Failed {
-                    retire_failed.push(self.global_of(shard, local));
-                    if retire_failed.len() == n {
-                        break 'failed;
-                    }
-                }
-            }
+        if self.failed_nodes.load(Ordering::Relaxed) > 0 {
+            let failed = |(_, node): &(usize, &NodeState)| node.health() == NodeHealth::Failed;
+            retire_failed.extend(
+                st.nodes
+                    .iter()
+                    .enumerate()
+                    .filter(failed)
+                    .map(|(g, _)| g)
+                    .take(n),
+            );
         }
-        let mut retire_idle: Vec<usize> = Vec::new();
-        if retire_failed.len() < n {
-            let want = n - retire_failed.len();
-            'idle: for (shard, guard) in guards.iter().enumerate() {
-                let st = guard.as_ref().expect("all shards locked");
-                for &local in st.index.idle_nodes() {
-                    retire_idle.push(self.global_of(shard, local));
-                    if retire_idle.len() == want {
-                        break 'idle;
-                    }
-                }
-            }
-            if retire_idle.len() < want {
-                return Err(ResourceError::InsufficientResources);
-            }
+        let want = n - retire_failed.len();
+        if st.index.idle_nodes().len() < want {
+            return Err(ResourceError::InsufficientResources);
         }
+        let retire_idle: Vec<usize> = st.index.idle_nodes()[..want].to_vec();
         for &g in &retire_failed {
-            let shard = self.shard_of(g);
-            let st = guards[shard].as_mut().expect("locked");
-            st.nodes[self.local_of(g)].set_health(NodeHealth::Retired);
+            st.nodes[g].set_health(NodeHealth::Retired);
         }
         self.failed_nodes
             .fetch_sub(retire_failed.len() as u64, Ordering::Relaxed);
         let spec = self.platform.node;
         for &g in &retire_idle {
-            let shard = self.shard_of(g);
-            let st = guards[shard].as_mut().expect("locked");
-            let local = self.local_of(g);
-            st.index.remove(local);
-            st.nodes[local].set_health(NodeHealth::Retired);
+            st.index.remove(g);
+            st.nodes[g].set_health(NodeHealth::Retired);
         }
         self.num_nodes
             .fetch_sub(retire_idle.len() as u64, Ordering::Relaxed);
@@ -1525,109 +1012,75 @@ impl Allocation {
             retire_idle.len() as u64 * spec.gpus as u64,
             Ordering::Relaxed,
         );
-        for (shard, guard) in guards.iter().enumerate() {
-            if let Some(st) = guard {
-                self.publish_summary(shard, st);
-            }
-        }
         retire_failed.extend(retire_idle);
         Ok(retire_failed)
     }
 
     /// Fail node `node` at runtime: atomically mark it [`NodeHealth::Failed`],
-    /// remove it from its shard's capacity index and headroom summary, unpin it
-    /// from any active backfill reservation, evict every live slot with a member
-    /// on it (co-resident members on healthy nodes return to their headroom
-    /// classes; the failed node's capacity is written off the allocation's
-    /// aggregates), and return the evicted slot ids so the scheduler can requeue
-    /// their owners. Each victim's eventual [`Allocation::release_slot`] reports
-    /// [`ResourceError::NodeFailed`] instead of double-crediting. Failing a node
-    /// that already failed (or was retired) is a no-op returning no victims.
+    /// remove it from the capacity index, unpin it from any active backfill
+    /// reservation, evict every live slot with a member on it (co-resident members
+    /// on healthy nodes return to their headroom classes; the failed node's capacity
+    /// is written off the allocation's aggregates), and return the evicted slot ids
+    /// so the scheduler can requeue their owners. Each victim's eventual
+    /// [`Allocation::release_slot`] reports [`ResourceError::NodeFailed`] instead of
+    /// double-crediting. Failing a node that already failed (or was retired) is a
+    /// no-op returning no victims.
     pub fn fail_node(&self, node: usize) -> Result<Vec<u64>, ResourceError> {
-        // Lock order: drain controller → all shard locks ascending → live-slot
-        // stripes (the gang-claim order; release only takes a stripe lock as a
-        // dropped temporary before its shard locks, so no cycle exists).
-        let mut drain_guard = self.drain.lock();
-        let all: Vec<usize> = (0..self.num_shards).collect();
-        let mut guards = self.lock_shards(&all);
-        let shard = self.shard_of(node);
-        let local = self.local_of(node);
-        {
-            let st = guards[shard].as_ref().expect("all shards locked");
-            match st.nodes.get(local).map(|n| n.health()) {
-                None => return Err(ResourceError::UnknownNode(node)),
-                Some(NodeHealth::Failed) | Some(NodeHealth::Retired) => return Ok(Vec::new()),
-                Some(_) => {}
-            }
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        match st.nodes.get(node).map(|n| n.health()) {
+            None => return Err(ResourceError::UnknownNode(node)),
+            Some(NodeHealth::Failed) | Some(NodeHealth::Retired) => return Ok(Vec::new()),
+            Some(_) => {}
         }
-        if let Some(drain) = drain_guard.as_mut() {
+        if let Some(drain) = st.drain.as_mut() {
             drain.pinned.retain(|&p| p != node);
         }
-        {
-            let st = guards[shard].as_mut().expect("locked");
-            if st.index.contains(local) {
-                st.index.remove(local);
-            }
+        if st.index.contains(node) {
+            st.index.remove(node);
         }
-        // Evict every live slot with a member on the node. Registered slots are
-        // fully visible here (gang claims register under the shard locks we hold;
-        // single claims registered before our stripe scan are seen, later ones
-        // carry reservations the write-off below accounts for).
-        let mut victims: Vec<Slot> = Vec::new();
-        for stripe in &self.live_slots {
-            let mut stripe = stripe.lock();
-            let ids: Vec<u64> = stripe
-                .iter()
-                .filter(|(_, slot)| slot.members.iter().any(|m| m.node_index == node))
-                .map(|(&id, _)| id)
-                .collect();
-            for id in ids {
-                victims.push(stripe.remove(&id).expect("just listed"));
-            }
-        }
+        // Evict every live slot with a member on the node.
+        let ids: Vec<u64> = st
+            .live
+            .iter()
+            .filter(|(_, slot)| slot.members.iter().any(|m| m.node_index == node))
+            .map(|(&id, _)| id)
+            .collect();
+        let victims: Vec<Slot> = ids
+            .iter()
+            .map(|id| st.live.remove(id).expect("just listed"))
+            .collect();
         {
             let mut failed_map = self.failed_slots.lock();
-            for slot in &victims {
-                failed_map.insert(slot.id, node);
+            for &id in &ids {
+                failed_map.insert(id, node);
             }
             self.evictions
-                .fetch_add(victims.len() as u64, Ordering::Release);
+                .fetch_add(ids.len() as u64, Ordering::Release);
         }
         for slot in &victims {
             for member in &slot.members {
-                let member_shard = self.shard_of(member.node_index);
-                let st = guards[member_shard].as_mut().expect("locked");
                 self.release_member_in(st, member);
                 if member.node_index != node {
-                    if let Some(drain) = drain_guard.as_mut() {
-                        self.pin_after_release(drain, st, member.node_index);
-                    }
+                    st.pin_if_covered(member.node_index);
                 }
             }
         }
-        // Write the node off the books. Units still reserved by a slot in the
-        // claim/registration window die with the node: its eventual release
-        // reports NodeFailed and credits nothing.
-        {
-            let st = guards[shard].as_mut().expect("locked");
-            let node_state = &mut st.nodes[local];
-            if !node_state.is_idle() {
-                self.non_idle_nodes.fetch_sub(1, Ordering::Relaxed);
-            }
-            self.free_cores
-                .fetch_sub(node_state.free_cores() as u64, Ordering::Relaxed);
-            self.free_gpus
-                .fetch_sub(node_state.free_gpus() as u64, Ordering::Relaxed);
-            node_state.set_health(NodeHealth::Failed);
-        }
+        // Write the node off the books: every slot on it was live and is evicted, so
+        // it is idle and its whole capacity leaves the aggregates.
+        let node_state = &mut st.nodes[node];
+        debug_assert!(
+            node_state.is_idle(),
+            "a slot on the failed node was not live"
+        );
+        self.free_cores
+            .fetch_sub(node_state.free_cores() as u64, Ordering::Relaxed);
+        self.free_gpus
+            .fetch_sub(node_state.free_gpus() as u64, Ordering::Relaxed);
+        node_state.set_health(NodeHealth::Failed);
         self.num_nodes.fetch_sub(1, Ordering::Relaxed);
         self.failed_nodes.fetch_add(1, Ordering::Relaxed);
-        for (shard, guard) in guards.iter().enumerate() {
-            if let Some(st) = guard {
-                self.publish_summary(shard, st);
-            }
-        }
-        Ok(victims.into_iter().map(|s| s.id).collect())
+        Ok(ids)
     }
 
     /// True when slot `id` was evicted by a node failure and that eviction has not
@@ -1637,20 +1090,11 @@ impl Allocation {
         self.evictions.load(Ordering::Acquire) > 0 && self.failed_slots.lock().contains_key(&id)
     }
 
-    /// Health of global node `node`, or `None` when the index was never part of
-    /// the allocation. O(1) under one shard lock (test/oracle introspection).
+    /// Health of node `node`, or `None` when the index was never part of the
+    /// allocation (test/oracle introspection).
     pub fn node_health(&self, node: usize) -> Option<NodeHealth> {
-        let shard = self.shard_of(node);
-        let local = self.local_of(node);
-        let st = self.shards[shard].lock();
-        st.nodes.get(local).map(|n| n.health())
+        self.state.lock().nodes.get(node).map(|n| n.health())
     }
-}
-
-/// True when the node's capacity has been written off the allocation's books
-/// (failed, or retired after failing): a release must not re-credit it.
-fn node_written_off(node: &NodeState) -> bool {
-    matches!(node.health(), NodeHealth::Failed | NodeHealth::Retired)
 }
 
 /// The platform's batch / resource manager.
@@ -1740,49 +1184,27 @@ impl BatchSystem {
         };
 
         let id = self.next_alloc_id.fetch_add(1, Ordering::Relaxed);
-        let num_shards = req.config.resolve_shards(req.nodes);
-        // Striped partition: global node g lives in shard g % num_shards at local
-        // index g / num_shards (push order below preserves exactly that mapping).
-        let mut shard_nodes: Vec<Vec<NodeState>> = vec![Vec::new(); num_shards];
-        let mut node_names = Vec::with_capacity(req.nodes);
-        for g in 0..req.nodes {
-            let node = NodeState::new(self.spec.node_name(g), self.spec.node);
-            node_names.push(Arc::clone(&node.name));
-            shard_nodes[g % num_shards].push(node);
-        }
-        let shards: Vec<Mutex<ShardState>> = shard_nodes
-            .into_iter()
-            .map(|nodes| {
-                let index = CapacityIndex::new(self.spec.node, nodes.len());
-                Mutex::new(ShardState { nodes, index })
-            })
-            .collect();
-        let summaries = shards
-            .iter()
-            .map(|shard| AtomicU64::new(shard.lock().index.summary()))
+        let nodes: Vec<NodeState> = (0..req.nodes)
+            .map(|g| NodeState::new(self.spec.node_name(g), self.spec.node))
             .collect();
         Ok(Arc::new(Allocation {
             id,
             platform: self.spec.clone(),
             num_nodes: AtomicU64::new(req.nodes as u64),
             failed_nodes: AtomicU64::new(0),
-            num_shards,
-            shards,
-            summaries,
-            node_names: RwLock::new(node_names),
+            state: Mutex::new(State {
+                nodes,
+                index: CapacityIndex::new(self.spec.node, req.nodes),
+                drain: None,
+                live: HashMap::new(),
+                next_slot_id: 0,
+                next_drain_id: 0,
+            }),
             free_cores: AtomicU64::new(req.nodes as u64 * self.spec.node.cores as u64),
             free_gpus: AtomicU64::new(req.nodes as u64 * self.spec.node.gpus as u64),
             non_idle_nodes: AtomicU64::new(0),
-            live_slots: (0..LIVE_SLOT_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
             failed_slots: Mutex::new(HashMap::new()),
             evictions: AtomicU64::new(0),
-            drain: Mutex::new(None),
-            drain_active: std::sync::atomic::AtomicBool::new(false),
-            probe_cursor: AtomicU64::new(0),
-            next_slot_id: AtomicU64::new(0),
-            next_drain_id: AtomicU64::new(0),
             queue_wait_secs,
             walltime_secs: req.walltime_secs,
         }))
@@ -2071,6 +1493,31 @@ mod tests {
         let whole = alloc.allocate_slot(&cores(8)).unwrap();
         assert_ne!(whole.node_index(), first.node_index());
         assert_eq!(alloc.idle_nodes(), 0);
+    }
+
+    #[test]
+    fn single_node_placement_is_global_best_fit_on_a_64_node_pilot() {
+        // The `task_burst` pilot size. A 40-core hold leaves node 0 loose (24 cores
+        // free); a 60-core hold cannot join it and leaves an odd-indexed node tight
+        // (4 free). A 1-core request must take the tight node, wherever the loose one
+        // sits.
+        let b = batch(PlatformId::Frontier); // 64 cores per node
+        let alloc = b.submit(AllocationRequest::nodes(64)).unwrap();
+        let loose = alloc.allocate_slot(&cores(40)).unwrap();
+        let tight = alloc.allocate_slot(&cores(60)).unwrap();
+        assert_eq!(
+            loose.node_index() % 2,
+            0,
+            "the looser node sits at an even index"
+        );
+        assert_eq!(tight.node_index() % 2, 1);
+        let small = alloc.allocate_slot(&cores(1)).unwrap();
+        assert_eq!(small.node_index(), tight.node_index(), "tightest fit first");
+        for slot in [&small, &tight, &loose] {
+            alloc.release_slot(slot).unwrap();
+        }
+        assert!(alloc.is_idle());
+        assert_eq!(alloc.idle_nodes(), 64);
     }
 
     #[test]
@@ -2542,76 +1989,10 @@ mod tests {
     }
 
     #[test]
-    fn small_allocations_resolve_to_one_shard_by_default() {
-        let b = batch(PlatformId::Local);
-        let alloc = b.submit(AllocationRequest::nodes(2)).unwrap();
-        assert_eq!(
-            alloc.num_shards(),
-            1,
-            "below MIN_NODES_PER_SHARD the derived shard count must be 1 \
-             (single-lock behavioural compatibility on every host)"
-        );
-        assert!(format!("{alloc:?}").contains("shards"));
-    }
-
-    #[test]
-    fn sharded_allocation_stripes_nodes_and_conserves_capacity() {
-        let b = batch(PlatformId::Delta); // 64 cores, 4 gpus per node
-        let alloc = b
-            .submit(AllocationRequest::nodes(8).with_allocator_shards(4))
-            .unwrap();
-        assert_eq!(alloc.num_shards(), 4);
-        for g in 0..8 {
-            assert_eq!(alloc.shard_of(g), g % 4, "striped partition");
-        }
-        // Exhaust every core across all shards: the sweep fallback must find the
-        // last fitting node wherever it lives.
-        let mut slots = Vec::new();
-        for _ in 0..8 * 4 {
-            slots.push(alloc.allocate_slot(&cores(16)).unwrap());
-        }
-        assert_eq!(alloc.free_cores(), 0);
-        assert_eq!(
-            alloc.allocate_slot(&cores(1)).unwrap_err(),
-            ResourceError::InsufficientResources
-        );
-        // Node indices handed out are global and cover all 8 nodes.
-        let nodes_touched: std::collections::HashSet<usize> =
-            slots.iter().map(|s| s.node_index()).collect();
-        assert_eq!(nodes_touched.len(), 8);
-        for slot in &slots {
-            alloc.release_slot(slot).unwrap();
-        }
-        assert!(alloc.is_idle());
-        assert_eq!(alloc.free_cores(), 8 * 64);
-        assert_eq!(alloc.idle_nodes(), 8);
-    }
-
-    #[test]
-    fn sharded_probe_stats_are_bounded_by_the_shard_count() {
+    fn whole_share_gang_takes_distinct_nodes_in_rank_order() {
         let b = batch(PlatformId::Delta);
-        let alloc = b
-            .submit(AllocationRequest::nodes(8).with_allocator_shards(4))
-            .unwrap();
-        let (slot, probes) = alloc.allocate_slot_with_stats(&cores(4)).unwrap();
-        assert!((1..=4).contains(&probes.shard_probes));
-        alloc.release_slot(&slot).unwrap();
-        // Gangs lock every shard.
-        let (gang, probes) = alloc
-            .allocate_slot_with_stats(&cores(8).with_nodes(3))
-            .unwrap();
-        assert_eq!(probes.shard_probes, 4);
-        alloc.release_slot(&gang).unwrap();
-        assert!(alloc.is_idle());
-    }
-
-    #[test]
-    fn sharded_gang_spans_shards_in_rank_order_with_distinct_nodes() {
-        let b = batch(PlatformId::Delta);
-        let alloc = b
-            .submit(AllocationRequest::nodes(6).with_allocator_shards(3))
-            .unwrap();
-        // A 5-node whole-share gang must span all three shards.
+        let alloc = b.submit(AllocationRequest::nodes(6)).unwrap();
+        // A 5-node whole-share gang, straight off the idle bucket.
         let spec = alloc.node_spec();
         let gang = alloc
             .allocate_slot(
@@ -2629,43 +2010,17 @@ mod tests {
         let mut sorted = indices.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(sorted, indices, "members must be in global rank order");
+        assert_eq!(sorted, indices, "members must be in rank order");
         assert_eq!(sorted.len(), 5, "members must be distinct nodes");
-        let shards: std::collections::HashSet<usize> =
-            indices.iter().map(|&n| alloc.shard_of(n)).collect();
-        assert_eq!(shards.len(), 3, "a 5-of-6 gang must span all 3 shards");
         alloc.release_slot(&gang).unwrap();
         assert!(alloc.is_idle());
         assert_eq!(alloc.idle_nodes(), 6);
     }
 
     #[test]
-    fn sharded_partial_gang_still_best_fits_before_idle_nodes() {
-        let b = batch(PlatformId::Delta); // 4 nodes x 64 cores
-        let alloc = b
-            .submit(AllocationRequest::nodes(4).with_allocator_shards(2))
-            .unwrap();
-        // Load two nodes (whichever shards they land in); a sub-node gang must
-        // co-locate beside them and leave the idle pair alone — the global
-        // best-fit merge across shards.
-        let hold_a = alloc.allocate_slot(&cores(33)).unwrap();
-        let hold_b = alloc.allocate_slot(&cores(33)).unwrap();
-        assert_ne!(hold_a.node_index(), hold_b.node_index());
-        let gang = alloc.allocate_slot(&cores(31).with_nodes(2)).unwrap();
-        assert_eq!(gang.partial_nodes(), 2, "both members co-resident");
-        assert_eq!(alloc.idle_nodes(), 2, "idle nodes are the last resort");
-        for slot in [&gang, &hold_a, &hold_b] {
-            alloc.release_slot(slot).unwrap();
-        }
-        assert!(alloc.is_idle());
-    }
-
-    #[test]
-    fn sharded_drain_pins_across_shards_and_places_reserved() {
+    fn drain_pins_every_freed_node_and_places_reserved() {
         let b = batch(PlatformId::Delta);
-        let alloc = b
-            .submit(AllocationRequest::nodes(4).with_allocator_shards(2))
-            .unwrap();
+        let alloc = b.submit(AllocationRequest::nodes(4)).unwrap();
         // Occupy every node so nothing can be pinned up front.
         let holds: Vec<_> = (0..4)
             .map(|_| alloc.allocate_slot(&cores(64)).unwrap())
@@ -2673,15 +2028,15 @@ mod tests {
         let gang_req = cores(64).with_nodes(4);
         let id = alloc.begin_drain(&gang_req).unwrap();
         assert_eq!(alloc.reserved_nodes(), 0);
-        // Each release pins its node to the drain — across both shards — before
-        // any other placement can see it.
+        // Each release pins its node to the drain before any other placement can
+        // see it.
         for (i, hold) in holds.iter().enumerate() {
             alloc.release_slot(hold).unwrap();
             assert_eq!(alloc.reserved_nodes(), i + 1, "release must pin its node");
             assert_eq!(
                 alloc.allocate_slot(&cores(1)).unwrap_err(),
                 ResourceError::InsufficientResources,
-                "pinned capacity stays invisible on every shard"
+                "pinned capacity stays invisible"
             );
         }
         let status = alloc.drain_status().unwrap();
@@ -2689,24 +2044,19 @@ mod tests {
         assert_eq!(status.pinned_idle, 4);
         let gang = alloc.allocate_reserved(id, &gang_req).unwrap();
         assert_eq!(gang.num_nodes(), 4);
-        let shards: std::collections::HashSet<usize> =
-            gang.node_indices().map(|n| alloc.shard_of(n)).collect();
-        assert_eq!(shards.len(), 2, "the reserved gang spans both shards");
         alloc.release_slot(&gang).unwrap();
         assert!(alloc.is_idle());
     }
 
     #[test]
-    fn sharded_cancel_drain_restores_every_shard() {
+    fn cancel_drain_restores_every_pinned_node() {
         let b = batch(PlatformId::Delta);
-        let alloc = b
-            .submit(AllocationRequest::nodes(4).with_allocator_shards(2))
-            .unwrap();
+        let alloc = b.submit(AllocationRequest::nodes(4)).unwrap();
         let gang_req = cores(32).with_nodes(4);
         let id = alloc.begin_drain(&gang_req).unwrap();
         assert_eq!(alloc.reserved_nodes(), 4);
         assert_eq!(alloc.cancel_drain(id).unwrap(), 4);
-        // All four nodes placeable again, across both shards.
+        // All four nodes placeable again.
         let gang = alloc.allocate_slot(&cores(64).with_nodes(4)).unwrap();
         assert_eq!(gang.num_nodes(), 4);
         alloc.release_slot(&gang).unwrap();
@@ -2721,8 +2071,6 @@ mod tests {
         assert_eq!(r.nodes, 3);
         assert_eq!(r.walltime_secs, 120.0);
         assert!(r.model_queue_wait);
-        assert_eq!(r.config.shards, None, "shards derived unless pinned");
-        assert_eq!(r.with_allocator_shards(2).config.shards, Some(2));
     }
 
     #[test]
@@ -2740,11 +2088,9 @@ mod tests {
     }
 
     #[test]
-    fn expand_appends_striped_nodes_without_moving_existing_ones() {
+    fn expand_appends_nodes_without_moving_existing_ones() {
         let b = batch(PlatformId::Delta); // 64 cores, 4 gpus per node
-        let alloc = b
-            .submit(AllocationRequest::nodes(6).with_allocator_shards(4))
-            .unwrap();
+        let alloc = b.submit(AllocationRequest::nodes(6)).unwrap();
         // Occupy a node so expansion provably leaves existing occupancy alone.
         let held = alloc.allocate_slot(&gpus(1)).unwrap();
         let new_nodes = alloc.expand(3).unwrap();
@@ -2771,9 +2117,7 @@ mod tests {
     #[test]
     fn shrink_retires_idle_nodes_all_or_nothing() {
         let b = batch(PlatformId::Delta);
-        let alloc = b
-            .submit(AllocationRequest::nodes(4).with_allocator_shards(2))
-            .unwrap();
+        let alloc = b.submit(AllocationRequest::nodes(4)).unwrap();
         // Occupy one unit on every node: nothing is retirable.
         let gang = alloc.allocate_slot(&cores(1).with_nodes(4)).unwrap();
         assert_eq!(
@@ -2811,9 +2155,7 @@ mod tests {
     #[test]
     fn fail_node_evicts_co_residents_and_writes_off_capacity() {
         let b = batch(PlatformId::Delta);
-        let alloc = b
-            .submit(AllocationRequest::nodes(4).with_allocator_shards(2))
-            .unwrap();
+        let alloc = b.submit(AllocationRequest::nodes(4)).unwrap();
         // A 4-node gang plus a single-node slot: failing one node must evict the
         // gang and the co-resident single if it shares the node.
         let gang = alloc.allocate_slot(&cores(2).with_nodes(4)).unwrap();
@@ -2871,9 +2213,7 @@ mod tests {
     #[test]
     fn shrink_retires_failed_nodes_first_and_expand_restores() {
         let b = batch(PlatformId::Delta);
-        let alloc = b
-            .submit(AllocationRequest::nodes(5).with_allocator_shards(4))
-            .unwrap();
+        let alloc = b.submit(AllocationRequest::nodes(5)).unwrap();
         alloc.fail_node(2).unwrap();
         // Shrinking by one retires the failed node, costing no healthy capacity.
         let retired = alloc.shrink(1).unwrap();

@@ -105,61 +105,6 @@ pub enum GangPacking {
     Partial,
 }
 
-/// Minimum nodes per allocator shard when the shard count is derived rather than
-/// set explicitly: sharding pays off only when each shard still owns enough nodes
-/// for its capacity index to absorb placements without constant cross-shard
-/// fallbacks, and small (test-sized) allocations must resolve to exactly one shard
-/// so single-lock behaviour is reproduced bit-for-bit.
-pub const MIN_NODES_PER_SHARD: usize = 16;
-
-/// Allocator-level configuration carried by an allocation request: how the
-/// allocation's mutable state (nodes + capacity index) is partitioned into
-/// independently locked shards.
-///
-/// `shards: None` (the default) derives the count from the host:
-/// `min(available_parallelism, num_nodes / MIN_NODES_PER_SHARD)`, clamped to at
-/// least 1 — so a laptop-sized or test-sized allocation gets exactly one shard
-/// (today's single-lock behaviour, byte for byte), while a 256-node allocation on
-/// a many-core host gets up to 16. An explicit `Some(n)` pins the count (clamped
-/// to `1..=num_nodes`); `Some(1)` is the compatibility escape hatch.
-///
-/// Because the derived count depends on the host's parallelism, the *placement
-/// order* of a seeded run (which concrete nodes a request lands on) can differ
-/// between machines with different core counts; recorded timings do not (they
-/// come from the seeded virtual-clock models). Experiments that must reproduce
-/// exact placements across hosts should pin an explicit shard count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AllocationConfig {
-    /// Number of allocator shards, or `None` to derive from the host parallelism
-    /// and the allocation's node count.
-    pub shards: Option<usize>,
-}
-
-impl AllocationConfig {
-    /// Pin an explicit shard count (clamped to at least 1 at resolution time).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Resolve the concrete shard count for an allocation of `num_nodes` nodes.
-    /// Always in `1..=max(num_nodes, 1)`.
-    pub fn resolve_shards(&self, num_nodes: usize) -> usize {
-        let cap = num_nodes.max(1);
-        match self.shards {
-            Some(explicit) => explicit.clamp(1, cap),
-            None => {
-                let parallelism = std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1);
-                parallelism
-                    .min(num_nodes / MIN_NODES_PER_SHARD)
-                    .clamp(1, cap)
-            }
-        }
-    }
-}
-
 /// Shape of a compute node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeSpec {
@@ -882,42 +827,6 @@ mod tests {
             third, first,
             "trailing-zeros picking reuses the lowest free indices"
         );
-    }
-
-    #[test]
-    fn allocation_config_resolves_shards() {
-        // Explicit counts are clamped into 1..=nodes.
-        assert_eq!(
-            AllocationConfig::default()
-                .with_shards(4)
-                .resolve_shards(256),
-            4
-        );
-        assert_eq!(
-            AllocationConfig::default()
-                .with_shards(0)
-                .resolve_shards(256),
-            1
-        );
-        assert_eq!(
-            AllocationConfig::default()
-                .with_shards(99)
-                .resolve_shards(8),
-            8
-        );
-        assert_eq!(
-            AllocationConfig::default().with_shards(3).resolve_shards(0),
-            1
-        );
-        // Derived counts collapse to one shard below MIN_NODES_PER_SHARD nodes, so
-        // test-sized allocations reproduce single-lock behaviour on any host.
-        let derived = AllocationConfig::default();
-        assert_eq!(derived.resolve_shards(MIN_NODES_PER_SHARD - 1), 1);
-        assert_eq!(derived.resolve_shards(1), 1);
-        // Larger allocations derive at most nodes/MIN_NODES_PER_SHARD shards,
-        // bounded by the host parallelism (≥1 everywhere).
-        let wide = derived.resolve_shards(4096);
-        assert!((1..=4096 / MIN_NODES_PER_SHARD).contains(&wide));
     }
 
     #[test]

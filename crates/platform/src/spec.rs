@@ -213,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn node_names_are_indexed() {
+    fn node_name_carries_the_index() {
         let d = PlatformSpec::delta();
         assert_eq!(d.node_name(3), "delta-00003");
         assert_ne!(d.node_name(1), d.node_name(2));

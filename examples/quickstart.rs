@@ -13,19 +13,10 @@ use hpcml::prelude::*;
 fn main() {
     // Compress virtual time 2000x so the llama-8b load (~30 virtual seconds) and the
     // inference calls finish in well under a second of real time.
-    //
-    // `allocator_shards` stripes the pilot allocation's placement state into that
-    // many independently locked shards, so placements from many submitting threads
-    // stop serialising on one allocator lock (the number is clamped to the node
-    // count — this 2-node pilot gets 2). Left unset, the count is derived from the
-    // host parallelism and the allocation size; `allocator_shards(1)` is the
-    // escape hatch that pins the classic single-lock allocator and its exact
-    // placement order.
     let session = Session::builder("quickstart")
         .platform(PlatformId::Local)
         .clock(ClockSpec::scaled(2000.0))
         .seed(7)
-        .allocator_shards(4)
         .build()
         .expect("session");
 

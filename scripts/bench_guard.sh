@@ -17,14 +17,6 @@
 #   4. scheduler/gang_backfill stops being flat across the same sweep — the
 #      backfill-reservation cycle (begin_drain + allocate_reserved + release) must
 #      stay O(gang size + pinned nodes), independent of allocation width; or
-#   5. the scheduler/churn thread sweep (1/2/4/8/16 threads on 256 nodes, sharded
-#      16-shard allocator vs the allocator_shards=1 baseline) is missing from the
-#      parsed results, or 8-thread sharded churn fails its speedup bound against
-#      the 1-shard configuration measured in the same run. The bound is
-#      hardware-aware because lock sharding can only buy wall-clock parallelism
-#      the host actually has: >=8 CPUs must show >=1.5x, >=4 CPUs >=1.1x, and
-#      below that the check degrades to "not pathologically slower" (>=0.8x).
-#      Override with BENCH_CHURN_MIN_SPEEDUP; or
 #   6. any of the four serving-plane datapoints (serving/unbatched,
 #      serving/batched/8, serving/overload_p99/shed_on, .../shed_off) is missing
 #      from the serving bench's parsed results, or continuous micro-batching
@@ -59,6 +51,8 @@
 #      (singleton / batched_16 >= BENCH_COMM_MIN_BATCH_SPEEDUP, default 1.5x —
 #      virtual-time coalescing-rule pricing, machine-independent). Recorded in
 #      their own baseline, BENCH_comm.json.
+#
+# Guard numbers stay stable when a guard is retired, so there is no guard 5.
 #
 # Every run also writes its raw criterion output, the parsed results, and the
 # candidate baseline JSON under target/bench-guard/ so CI can upload them as a
@@ -196,39 +190,6 @@ fi
 flatness_guard "gang_allocate" || fail=1
 flatness_guard "gang_partial" || fail=1
 flatness_guard "gang_backfill" || fail=1
-
-# Guard 5: the contention-scaling churn sweep. Existence first — a refactor that
-# renames or drops the sharded-vs-single sweep must fail loudly — then the
-# 8-thread speedup of the sharded allocator over the 1-shard baseline, both
-# measured in this run on this machine.
-for point in "scheduler/churn/sharded/8" "scheduler/churn/single/8"; do
-    if ! echo "$RESULTS" | grep -q "^$point "; then
-        echo "bench_guard: FAILED — $point missing from parsed results" >&2
-        fail=1
-    fi
-done
-CHURN_SHARDED="$(lookup "$RESULTS" "scheduler/churn/sharded/8")"
-CHURN_SINGLE="$(lookup "$RESULTS" "scheduler/churn/single/8")"
-if [[ -n "$CHURN_SHARDED" && -n "$CHURN_SINGLE" ]]; then
-    CPUS="$(nproc 2>/dev/null || echo 1)"
-    if [[ -n "${BENCH_CHURN_MIN_SPEEDUP:-}" ]]; then
-        MIN_SPEEDUP="$BENCH_CHURN_MIN_SPEEDUP"
-    elif [[ "$CPUS" -ge 8 ]]; then
-        MIN_SPEEDUP="1.5"
-    elif [[ "$CPUS" -ge 4 ]]; then
-        MIN_SPEEDUP="1.1"
-    else
-        MIN_SPEEDUP="0.8"
-    fi
-    awk -v sharded="$CHURN_SHARDED" -v single="$CHURN_SINGLE" \
-        -v min="$MIN_SPEEDUP" -v cpus="$CPUS" '
-        BEGIN {
-            speedup = (sharded > 0) ? single / sharded : 0
-            printf "guard: churn 8-thread sharded %.0f ns vs 1-shard %.0f ns: %.2fx speedup (bound %.2fx on %d CPUs)\n", \
-                sharded, single, speedup, min, cpus
-            exit !(speedup >= min)
-        }' || fail=1
-fi
 
 # Guard 6: the serving plane. A separate bench binary because it measures virtual
 # (simulated) time rather than host nanoseconds: the batched/unbatched ratio and the

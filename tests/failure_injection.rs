@@ -150,12 +150,12 @@ fn oversubscribed_gpus_serialize_but_complete() {
 /// completes within its retry budget; the pilot then sheds the failed node and
 /// grows back to size. The occupancy oracle at the end confirms nothing leaked
 /// across the eviction, requeue, shrink, and expand.
-fn elastic_gang_survives_node_failure(shards: usize) {
+#[test]
+fn gang_survives_node_failure_and_pilot_resizes() {
     let s = Session::builder("elastic")
         .platform(PlatformId::Delta)
         .clock(ClockSpec::scaled(200.0))
         .seed(99)
-        .allocator_shards(shards)
         // Node 0 fails 5 virtual seconds after the pilot becomes active, while
         // the gang (which spans it — placement is seeded) is mid-execution.
         .fault_plan(FaultPlan::new().fail_at(5.0, 0))
@@ -198,16 +198,6 @@ fn elastic_gang_survives_node_failure(shards: usize) {
     assert_eq!(pilot.free_cores(), 5 * 64);
     assert_eq!(pilot.reserved_nodes(), 0);
     s.close();
-}
-
-#[test]
-fn gang_survives_node_failure_and_pilot_resizes_single_shard() {
-    elastic_gang_survives_node_failure(1);
-}
-
-#[test]
-fn gang_survives_node_failure_and_pilot_resizes_four_shards() {
-    elastic_gang_survives_node_failure(4);
 }
 
 /// Names of this process's threads (`/proc/self/task/*/comm`); empty elsewhere.

@@ -782,8 +782,7 @@ fn drain_timeout_mid_reservation_leaks_nothing() {
         let alloc = batch.submit(AllocationRequest::nodes(nodes)).unwrap();
         let spec = alloc.node_spec();
         let scheduler = Arc::new(
-            Scheduler::with_lookahead(Arc::clone(&alloc), 2)
-                .with_max_overtakes(None)
+            Scheduler::new(Arc::clone(&alloc))
                 .with_gang_drain_after(Some(Duration::from_millis(1))),
         );
         // Occupy a random non-empty subset of nodes so the reservation can only pin
@@ -853,36 +852,27 @@ fn drain_timeout_mid_reservation_leaks_nothing() {
     });
 }
 
-/// Random walks through the task state machine only ever follow legal transitions and
-/// always terminate in a final state within a bounded number of steps.
-/// Randomized multi-thread interleavings against a *sharded* allocation: worker
-/// threads mix single-node allocations, Partial- and Whole-packed gang claims
-/// spanning shards, and releases, while a drain actor cycles backfill
-/// reservations (begin → bounded wait for the reserved placement → cancel on
-/// timeout). The shard count comes from `ALLOC_SHARDS` (default 4; CI runs a
-/// {1, 4} matrix in release mode), so the same interleavings prove both the
-/// sharded and the single-lock configuration.
+/// Randomized multi-thread interleavings against one allocation: worker threads mix
+/// single-node allocations, Partial- and Whole-packed gang claims, and releases,
+/// while a drain actor cycles backfill reservations (begin → bounded wait for the
+/// reserved placement → cancel on timeout). CI runs it in release mode.
 ///
-/// Safety oracle: a shared cross-shard occupancy set of (node, core) and
-/// (node, gpu) pairs — inserted *after* every successful claim (a collision means
-/// the allocator double-booked a unit across shard locks) and drained *before*
-/// the release reaches the allocator (so a racing re-claim of the freed unit can
-/// never false-positive). Liveness: a watchdog aborts the process if a case fails
-/// to finish in bounded time — a shard/drain lock-order violation would deadlock
-/// exactly here. Teardown: full release must restore the idle count, the free
-/// totals, and every per-shard headroom class (proven by a whole-allocation
-/// whole-node-share gang fitting again), with no reservation left behind.
+/// Safety oracle: a shared occupancy set of (node, core) and (node, gpu) pairs —
+/// inserted *after* every successful claim (a collision means the allocator
+/// double-booked a unit) and drained *before* the release reaches the allocator (so
+/// a racing re-claim of the freed unit can never false-positive). Liveness: a
+/// watchdog aborts the process if a case fails to finish in bounded time — a
+/// lock-order violation would deadlock exactly here. Teardown: full release must
+/// restore the idle count, the free totals, and every headroom class (proven by a
+/// whole-allocation whole-node-share gang fitting again), with no reservation left
+/// behind.
 #[test]
-fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
+fn concurrent_gang_and_drain_interleavings_never_double_book() {
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
-    let shards: usize = std::env::var("ALLOC_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
     const THREADS: u64 = 4;
     const OPS: usize = 60;
     const NODES: usize = 32;
@@ -890,14 +880,11 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
     for case in 0..8u64 {
         let seed = 0x5A4D ^ (case.wrapping_mul(0x9E37_79B9));
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
-        let alloc = batch
-            .submit(AllocationRequest::nodes(NODES).with_allocator_shards(shards))
-            .unwrap();
-        assert_eq!(alloc.num_shards(), shards.clamp(1, NODES));
+        let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
         let spec = alloc.node_spec();
         let total_cores = alloc.total_cores();
         let total_gpus = alloc.total_gpus();
-        // The cross-shard occupancy oracle.
+        // The occupancy oracle.
         let live_units: Arc<Mutex<HashSet<(usize, bool, u32)>>> =
             Arc::new(Mutex::new(HashSet::new()));
         let claim = move |oracle: &Mutex<HashSet<(usize, bool, u32)>>,
@@ -913,14 +900,14 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
                 for &c in &m.core_ids {
                     assert!(
                         live.insert((m.node_index, false, c)),
-                        "case {case}: core {c} on node {} double-booked across shards",
+                        "case {case}: core {c} on node {} double-booked",
                         m.node_index
                     );
                 }
                 for &g in &m.gpu_ids {
                     assert!(
                         live.insert((m.node_index, true, g)),
-                        "case {case}: gpu {g} on node {} double-booked across shards",
+                        "case {case}: gpu {g} on node {} double-booked",
                         m.node_index
                     );
                 }
@@ -939,8 +926,8 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
             }
         };
 
-        // Bounded-time guarantee: a deadlock in the shard/drain lock protocol
-        // would hang the threads below; abort loudly instead of hanging CI.
+        // Bounded-time guarantee: a deadlock in the lock protocol would hang the
+        // threads below; abort loudly instead of hanging CI.
         let done = Arc::new(AtomicBool::new(false));
         {
             let done = Arc::clone(&done);
@@ -951,7 +938,9 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
                     }
                     std::thread::sleep(Duration::from_millis(100));
                 }
-                eprintln!("sharded interleaving property: case {case} exceeded 120 s — deadlock?");
+                eprintln!(
+                    "allocator interleaving property: case {case} exceeded 120 s — deadlock?"
+                );
                 std::process::abort();
             });
         }
@@ -1053,7 +1042,7 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
         }
         done.store(true, Ordering::Release);
 
-        // Teardown restored everything, across every shard.
+        // Teardown restored everything.
         assert!(live_units.lock().unwrap().is_empty(), "case {case}");
         assert!(alloc.is_idle(), "case {case}");
         assert_eq!(
@@ -1065,8 +1054,8 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
         assert_eq!(alloc.free_gpus(), total_gpus, "case {case}");
         assert_eq!(alloc.reserved_nodes(), 0, "case {case}: no drain leaked");
         assert!(alloc.drain_status().is_none(), "case {case}");
-        // Per-shard headroom classes restored exactly: a whole-allocation gang of
-        // whole-node shares (idle buckets) must fit again.
+        // Headroom classes restored exactly: a whole-allocation gang of whole-node
+        // shares (the idle bucket) must fit again.
         let all = alloc
             .allocate_slot(&ResourceRequest {
                 cores: spec.cores,
@@ -1075,7 +1064,7 @@ fn sharded_concurrent_gang_and_drain_interleavings_never_double_book() {
                 nodes: NODES,
                 packing: None,
             })
-            .expect("teardown must restore every shard's headroom classes");
+            .expect("teardown must restore every headroom class");
         assert_eq!(all.num_nodes(), NODES);
         assert_eq!(all.partial_nodes(), 0, "case {case}: all nodes idle again");
         alloc.release_slot(&all).unwrap();
@@ -1164,10 +1153,6 @@ fn node_failure_during_gang_claim_and_drain_never_double_books_or_leaks() {
         }
     }
 
-    let shards: usize = std::env::var("ALLOC_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
     let fault_seed: u64 = std::env::var("FAULT_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -1180,9 +1165,7 @@ fn node_failure_during_gang_claim_and_drain_never_double_books_or_leaks() {
     for case in 0..6u64 {
         let seed = fault_seed ^ (case.wrapping_mul(0x9E37_79B9));
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
-        let alloc = batch
-            .submit(AllocationRequest::nodes(NODES).with_allocator_shards(shards))
-            .unwrap();
+        let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
         let spec = alloc.node_spec();
         let oracle: Arc<Mutex<Oracle>> = Arc::new(Mutex::new(Oracle::default()));
 
@@ -2281,8 +2264,8 @@ impl ReadyQueue {
 /// its place again (a timed-out thread, a cancelled `Placement`), one arriving as a
 /// front-of-queue requeue, a service arriving mid-stream — places in the same order
 /// with the same `PlacementStats::overtakes` whether every request is a thread
-/// blocked in `allocate*` or a `Placement` polled when its waker fires, at
-/// lookahead 3.
+/// blocked in `block_on` or a `Placement` polled when its waker fires, at the
+/// default window.
 ///
 /// The order is made deterministic without serialising the threads: all capacity is
 /// held by the driver, and each step frees exactly as many cores as the *smallest*
@@ -2293,14 +2276,16 @@ impl ReadyQueue {
 fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
     use hpcml::platform::batch::Allocation;
     use hpcml::platform::Slot;
-    use hpcml::runtime::scheduler::{Placement, PlacementPoll, Priority, Scheduler};
+    use hpcml::runtime::scheduler::{
+        Placement, PlacementPoll, Priority, Scheduler, DEFAULT_WINDOW,
+    };
     use hpcml::runtime::RuntimeError;
     use std::collections::VecDeque;
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
     const NODES: usize = 4;
-    const LOOKAHEAD: usize = 3;
+    const LOOKAHEAD: usize = DEFAULT_WINDOW;
     const TIMEOUT: Duration = Duration::from_secs(60);
 
     #[derive(Clone, Copy, Debug)]
@@ -2467,7 +2452,7 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
         fn finish(self: Box<Self>) -> (Log, Vec<Slot>);
     }
 
-    /// Every request is a thread blocked in `allocate*`.
+    /// Every request is a thread blocked in `block_on`.
     struct Blocking {
         scheduler: Arc<Scheduler>,
         log: Arc<Mutex<Log>>,
@@ -2488,11 +2473,11 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
         fn enter(&mut self, id: usize, r: Request, parked: usize) {
             let (scheduler, log) = (Arc::clone(&self.scheduler), Arc::clone(&self.log));
             self.threads.push(std::thread::spawn(move || {
-                let placed = if r.requeue {
-                    scheduler.requeue_with_stats(&r.req, r.priority, TIMEOUT)
+                let placed = scheduler.block_on(if r.requeue {
+                    Placement::requeued(&r.req, r.priority, TIMEOUT)
                 } else {
-                    scheduler.allocate_with_stats(&r.req, r.priority, TIMEOUT)
-                };
+                    Placement::new(&r.req, r.priority, TIMEOUT)
+                });
                 let (slot, stats) = placed.expect("request places");
                 log.lock().unwrap().push((id, stats.overtakes));
                 slot
@@ -2604,9 +2589,8 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
     fn run(s: &Stream, waiting: impl FnOnce(Arc<Scheduler>) -> Box<dyn Waiting>) -> Log {
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
         let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
-        let scheduler = Arc::new(
-            Scheduler::with_lookahead(Arc::clone(&alloc), LOOKAHEAD).with_max_overtakes(None),
-        );
+        // A stream of at most 12 requests never spends the default overtake budget.
+        let scheduler = Arc::new(Scheduler::new(Arc::clone(&alloc)));
         let mut held = Held::all(&alloc);
         let mut waiting = waiting(Arc::clone(&scheduler));
         let mut model = Model {
@@ -2694,7 +2678,7 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
 /// placement under its own lock — so a wake-up that lands during a poll leads to
 /// another poll. A request evicted by the node failure re-enters as a requeue.
 #[test]
-fn sharded_polled_waiters_never_double_book_or_lose_a_wakeup() {
+fn polled_waiters_never_double_book_or_lose_a_wakeup() {
     use hpcml::platform::Slot;
     use hpcml::runtime::scheduler::{Placement, PlacementPoll, Priority, Scheduler};
     use std::collections::{HashMap, HashSet};
@@ -2749,11 +2733,6 @@ fn sharded_polled_waiters_never_double_book_or_lose_a_wakeup() {
         }
     }
 
-    let alloc_shards: usize = std::env::var("ALLOC_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-
     for case in 0..8u64 {
         let seed = 0x901D ^ case.wrapping_mul(0x9E37_79B9);
         let finished = Arc::new(AtomicBool::new(false));
@@ -2772,11 +2751,9 @@ fn sharded_polled_waiters_never_double_book_or_lose_a_wakeup() {
         }
 
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
-        let alloc = batch
-            .submit(AllocationRequest::nodes(NODES).with_allocator_shards(alloc_shards))
-            .unwrap();
+        let alloc = batch.submit(AllocationRequest::nodes(NODES)).unwrap();
         let spec = alloc.node_spec();
-        let scheduler = Arc::new(Scheduler::with_lookahead(Arc::clone(&alloc), 2));
+        let scheduler = Arc::new(Scheduler::new(Arc::clone(&alloc)));
         let occupancy = Arc::new(Mutex::new(Occupancy::default()));
         let ready = ReadyQueue::new();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -2932,7 +2909,9 @@ fn sharded_polled_waiters_never_double_book_or_lose_a_wakeup() {
 /// makes its explicit final attempt when its timeout has passed.
 #[test]
 fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
-    use hpcml::runtime::scheduler::{Placement, PlacementPoll, Priority, Scheduler};
+    use hpcml::runtime::scheduler::{
+        Placement, PlacementPoll, Priority, Scheduler, DEFAULT_WINDOW,
+    };
     use hpcml::runtime::RuntimeError;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -2952,9 +2931,7 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
         let alloc = batch.submit(AllocationRequest::nodes(3)).unwrap();
         let after = Duration::from_millis(40);
-        let scheduler = Scheduler::with_lookahead(Arc::clone(&alloc), 2)
-            .with_max_overtakes(None)
-            .with_gang_drain_after(Some(after));
+        let scheduler = Scheduler::new(Arc::clone(&alloc)).with_gang_drain_after(Some(after));
         let whole = ResourceRequest::cores(alloc.node_spec().cores).unwrap();
         // Two nodes busy, one idle: the two-node gang cannot place.
         let busy: Vec<_> = (0..2)
@@ -3009,32 +2986,40 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
     {
         let batch = BatchSystem::new(PlatformId::Local.spec(), ClockSpec::Manual.build(), 1);
         let alloc = batch.submit(AllocationRequest::nodes(1)).unwrap(); // 2 GPUs
-        let scheduler = Scheduler::with_lookahead(Arc::clone(&alloc), 1);
+        let scheduler = Scheduler::new(Arc::clone(&alloc));
         let gpus = |n| ResourceRequest::gpus(n).unwrap();
         let hold = scheduler
             .allocate(&gpus(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        // The head needs both GPUs and never fits; the free GPU is out of reach of
-        // the waiter behind it (outside a window of one) — except by its final attempt.
-        let mut head = Placement::new(&gpus(2), Priority::Task, Duration::from_millis(150));
+        // A window's worth of heads need both GPUs and never fit; the free GPU is out
+        // of reach of the waiter behind them (outside the window) — except by its
+        // final attempt.
+        let mut heads: Vec<Placement> = (0..DEFAULT_WINDOW)
+            .map(|_| Placement::new(&gpus(2), Priority::Task, Duration::from_millis(150)))
+            .collect();
         let mut behind = Placement::new(&gpus(1), Priority::Task, Duration::from_millis(50));
-        let head_deadline = wake_at(scheduler.poll_placed(&mut head, &ready.waker(1)));
-        let behind_deadline = wake_at(scheduler.poll_placed(&mut behind, &ready.waker(2)));
-        assert!(behind_deadline < head_deadline);
-        assert_eq!(scheduler.waiting_tasks(), 2);
+        let head_deadlines: Vec<Instant> = (heads.iter_mut().enumerate())
+            .map(|(i, head)| wake_at(scheduler.poll_placed(head, &ready.waker(1 + i))))
+            .collect();
+        let behind_waker = ready.waker(1 + DEFAULT_WINDOW);
+        let behind_deadline = wake_at(scheduler.poll_placed(&mut behind, &behind_waker));
+        assert!(head_deadlines.iter().all(|&head| behind_deadline < head));
+        assert_eq!(scheduler.waiting_tasks(), DEFAULT_WINDOW + 1);
         sleep_until(behind_deadline);
-        match scheduler.poll_placed(&mut behind, &ready.waker(2)) {
+        match scheduler.poll_placed(&mut behind, &behind_waker) {
             PlacementPoll::Ready(Ok((slot, _))) => {
                 assert_eq!(slot.num_gpus(), 1);
                 scheduler.release(&slot).unwrap();
             }
             other => panic!("the final attempt should take the free GPU: {other:?}"),
         }
-        // Nothing is left for the head: its final attempt fails and it times out.
-        sleep_until(head_deadline);
-        match scheduler.poll_placed(&mut head, &ready.waker(1)) {
-            PlacementPoll::Ready(Err(RuntimeError::WaitTimeout { .. })) => {}
-            other => panic!("the head should time out: {other:?}"),
+        // Nothing is left for the heads: their final attempts fail and they time out.
+        sleep_until(*head_deadlines.iter().max().expect("a window of heads"));
+        for (i, head) in heads.iter_mut().enumerate() {
+            match scheduler.poll_placed(head, &ready.waker(1 + i)) {
+                PlacementPoll::Ready(Err(RuntimeError::WaitTimeout { .. })) => {}
+                other => panic!("head {i} should time out: {other:?}"),
+            }
         }
         assert_eq!(
             scheduler.waiting_tasks(),
@@ -3073,7 +3058,7 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
 fn in_order_window_places_in_arrival_order_and_ages_gangs_into_drains() {
     use hpcml::platform::Slot;
     use hpcml::runtime::scheduler::{
-        Placement, PlacementPoll, PlacementStats, Priority, Scheduler, DEFAULT_WINDOW,
+        Placement, PlacementPoll, PlacementStats, Priority, Scheduler,
     };
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
@@ -3116,7 +3101,6 @@ fn in_order_window_places_in_arrival_order_and_ages_gangs_into_drains() {
             let scheduler = Arc::new(
                 Scheduler::new(Arc::clone(&alloc)).with_max_overtakes(Some(MAX_OVERTAKES)),
             );
-            assert_eq!(scheduler.lookahead(), DEFAULT_WINDOW);
             (batch, alloc, scheduler)
         };
 
