@@ -389,6 +389,12 @@ impl ManualClock {
     pub fn pending_sleepers(&self) -> usize {
         self.state.lock().pending.len()
     }
+
+    /// The earliest deadline a blocked thread waits for, if any. A sleeper that an
+    /// advance has woken keeps its passed deadline here until it runs again.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.state.lock().pending.peek().map(|w| w.deadline)
+    }
 }
 
 impl Clock for ManualClock {

@@ -432,7 +432,7 @@ impl ThreeRequests {
 /// replica's queue. The first batch ends when the clock jumps a minute; whatever comes
 /// next is begun there and then, and every later jump ends one more batch.
 fn three_requests_to_a_busy_replica(max_batch_size: usize) -> ThreeRequests {
-    use hpcml::sim::clock::ManualClock;
+    use hpcml::sim::clock::{Clock, ManualClock};
     use hpcml::sim::metrics::{MetricRegistry, SharedScalarSink};
 
     let manual = Arc::new(ManualClock::new());
@@ -470,10 +470,15 @@ fn three_requests_to_a_busy_replica(max_batch_size: usize) -> ThreeRequests {
     let serve_thread = thread::spawn(move || svc.serve(&endpoint, &stop2));
     let pool = Arc::clone(service.pool());
     // Once `outstanding` requests are unanswered, the one batch on the backend has
-    // filed its timer, and the timer thread sleeps on it: nothing else sleeps then.
+    // filed its timer, and the timer thread sleeps on it: nothing else sleeps then,
+    // and the deadline is still ahead. A timer thread the last jump woke, and that has
+    // not run yet, still holds its passed deadline; whoever finishes the old batch
+    // meanwhile must not begin the next one after the clock jumps again.
     let settled = |outstanding: u64| {
         pool.total_outstanding() == outstanding
-            && (outstanding == 0 || manual.pending_sleepers() == 1)
+            && (outstanding == 0
+                || (manual.pending_sleepers() == 1
+                    && manual.next_deadline().is_some_and(|at| at > manual.now())))
     };
 
     let requesters: Vec<_> = (1..=3)
@@ -492,7 +497,11 @@ fn three_requests_to_a_busy_replica(max_batch_size: usize) -> ThreeRequests {
                 manual.pending_sleepers() == if sent == 1 { 1 } else { 2 }
             });
             manual.advance(Duration::from_millis(1));
-            wait_until("the request is dispatched", &|| settled(sent));
+            // A request counts as outstanding before it reaches its replica; its
+            // `comm.queue.depth` is recorded once the dispatch has returned.
+            wait_until("the request is dispatched", &|| {
+                settled(sent) && seen.values("comm.queue.depth").len() == sent as usize
+            });
             requester
         })
         .collect();
