@@ -1,36 +1,23 @@
-//! Comm-fabric benchmark family: zero-copy fan-out vs per-subscriber cloning,
-//! batched vs singleton request round trips, and registry lookup under
-//! registration churn.
+//! Comm-fabric benchmark family: zero-copy fan-out vs per-subscriber cloning, and
+//! registry lookup under registration churn.
 //!
-//! Two kinds of measurement share one binary:
-//!
-//! * **Real-time** points (`comm/fanout/*`, `comm/registry/*`) measure nanoseconds of
-//!   CPU work per operation — the fan-out comparison is allocation-bound, so the
-//!   encode-once/clone-each ratio holds on any host regardless of core count.
-//! * **Virtual-time** points (`comm/batch/*`) measure the deterministic link-pricing
-//!   model on the scaled clock, like the serving-plane bench: the batched/singleton
-//!   ratio is a property of the coalescing rule, not of the machine.
+//! Every point measures nanoseconds of CPU work per operation. The fan-out comparison
+//! is allocation-bound, so the encode-once/clone-each ratio holds on any host
+//! regardless of core count.
 //!
 //! All results print in the harness line format (`name  time: [...]`) consumed by
 //! `scripts/bench_guard.sh` and recorded in `BENCH_comm.json`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hpcml_comm::link::Link;
 use hpcml_comm::message::Message;
 use hpcml_comm::pubsub::Publisher;
 use hpcml_comm::registry::EndpointRegistry;
 use hpcml_comm::reqrep::ReqRepServer;
-use hpcml_platform::network::LatencyProfile;
-use hpcml_sim::clock::ClockSpec;
-
-/// Virtual seconds per real second for the virtual-time points. Low enough that
-/// real scheduling jitter (tens of µs) stays small against the 500 ms virtual hops.
-const CLOCK_SCALE: f64 = 1_000.0;
 
 /// Print one result in the bench harness line format (same shape as the criterion
 /// shim: `name  time: [  value unit/iter]  samples: N`).
@@ -86,27 +73,29 @@ fn bench_fanout_encode_once(subscribers: usize, iters: usize) -> f64 {
 }
 
 /// The pre-fabric baseline, reconstructed: deep-clone the `Message` once per
-/// subscriber and send the owned copies — N clones instead of one encode.
+/// subscriber and queue the owned copies — N clones instead of one encode. Each queue
+/// has the shape of a subscriber's inbox (a locked `VecDeque`), so the two points
+/// differ in what they deliver, not in how they queue it.
 fn bench_fanout_clone_each(subscribers: usize, iters: usize) -> f64 {
-    let channels: Vec<_> = (0..subscribers)
-        .map(|_| crossbeam::channel::unbounded::<Message>())
+    let queues: Vec<Mutex<VecDeque<Message>>> = (0..subscribers)
+        .map(|_| Mutex::new(VecDeque::new()))
         .collect();
     let msg = update_message();
     let mut total = Duration::ZERO;
     for _ in 0..iters {
         let t0 = Instant::now();
-        for (tx, _) in &channels {
-            tx.send(msg.clone()).unwrap();
+        for queue in &queues {
+            queue.lock().unwrap().push_back(msg.clone());
         }
         total += t0.elapsed();
-        for (_, rx) in &channels {
-            while rx.try_recv().is_ok() {}
+        for queue in &queues {
+            queue.lock().unwrap().clear();
         }
     }
     total.as_secs_f64() / iters as f64
 }
 
-/// Registry lookups racing registration churn on the other shards.
+/// Registry lookups racing registration churn on other names.
 fn bench_registry_lookup_churn(iters: usize) -> f64 {
     let registry = Arc::new(EndpointRegistry::new());
     let servers: Vec<ReqRepServer> = (0..64)
@@ -144,48 +133,6 @@ fn bench_registry_lookup_churn(iters: usize) -> f64 {
     per_iter
 }
 
-/// Virtual response time per request for `n` requests over a 500 ms hop, sent either
-/// one round trip at a time or as one coalesced batch.
-fn bench_roundtrip(n: usize, batched: bool) -> f64 {
-    let clock = ClockSpec::scaled(CLOCK_SCALE).build();
-    let profile = LatencyProfile::normal_ms(500.0, 0.0).with_per_kib_ms(1.0);
-    let link = Link::new("bench", Arc::clone(&clock), profile, 17);
-    let server = ReqRepServer::new("svc.rt");
-    let client = server.client(link);
-    let serve = thread::spawn(move || {
-        let mut served = 0;
-        while served < n {
-            let batch = server
-                .recv_batch(n, Duration::from_secs(30))
-                .expect("bench server");
-            for (msg, r) in batch {
-                served += 1;
-                r.reply(Message::new(msg.topic, "reply").with_text("ok"))
-                    .unwrap();
-            }
-        }
-    });
-    let t0 = clock.now();
-    if batched {
-        let reqs: Vec<Message> = (0..n)
-            .map(|i| Message::new("svc.rt", "req").with_text(&i.to_string()))
-            .collect();
-        let replies = client
-            .request_batch(reqs, Duration::from_secs(30))
-            .expect("batched replies");
-        assert_eq!(replies.len(), n);
-    } else {
-        for i in 0..n {
-            client
-                .request(Message::new("svc.rt", "req").with_text(&i.to_string()))
-                .expect("singleton reply");
-        }
-    }
-    let elapsed = clock.now().since(t0).as_secs_f64();
-    serve.join().unwrap();
-    elapsed / n as f64
-}
-
 fn main() {
     // Fan-out sweep: the encode-once path must beat the clone-per-subscriber
     // baseline, and the gap must widen with subscriber count. Each point is the
@@ -210,20 +157,6 @@ fn main() {
         let samples = FANOUT_RUNS * FANOUT_ITERS;
         report(&format!("comm/fanout/{name}/{subscribers}"), secs, samples);
     }
-
-    // Batched vs singleton round trips, priced on the virtual clock: 16 requests over
-    // a 500 ms hop cost one latency sample per direction when coalesced, 16 when not.
-    const BATCH_N: usize = 16;
-    report(
-        "comm/batch/roundtrip/singleton",
-        bench_roundtrip(BATCH_N, false),
-        BATCH_N,
-    );
-    report(
-        "comm/batch/roundtrip/batched_16",
-        bench_roundtrip(BATCH_N, true),
-        BATCH_N,
-    );
 
     // Registry lookups stay fast while churn hammers registration on other names.
     const LOOKUP_ITERS: usize = 50_000;

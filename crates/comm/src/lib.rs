@@ -7,29 +7,28 @@
 //! * [`message`] — a self-describing message envelope with a compact binary wire codec
 //!   (no external serialisation framework needed) and reusable encode buffers;
 //! * [`reqrep`] — request/reply endpoints ([`reqrep::ReqRepServer`], [`reqrep::ReqRepClient`])
-//!   used for the service inference API, with batched requests coalescing K messages
-//!   onto one link traversal: a server is either a thread that blocks for requests or
-//!   a [`reqrep::Server`] whose turn the requesting thread takes, making the pass itself;
+//!   used for the service inference API, one request per call: a server is either a
+//!   thread that blocks for requests or a [`reqrep::Server`] whose turn the requesting
+//!   thread takes, making the pass itself;
 //! * [`pubsub`] — topic-based publish/subscribe used for state-update notification:
-//!   zero-copy fan-out (encode once, share the frame with every subscriber) over
-//!   sharded subscriber lists;
-//! * [`registry`] — the sharded, read-mostly endpoint registry services publish
-//!   themselves into (the `publish` component of the paper's bootstrap time);
-//!   lookups read lock-free snapshots, writes hide behind striped locks;
+//!   zero-copy fan-out (encode once, share the frame with every subscriber) from one
+//!   subscriber list into one inbox per subscriber;
+//! * [`registry`] — the read-mostly endpoint registry services publish themselves
+//!   into (the `publish` component of the paper's bootstrap time): lookups read a
+//!   lock-free snapshot, writers replace it, and every lookup that has to wait waits
+//!   on one predicate;
 //! * [`link`] — latency injection: every hop between two endpoints samples the
 //!   appropriate [`hpcml_platform::LatencyProfile`] (local vs remote) on the shared
 //!   virtual clock, so the response-time experiments see the paper's measured
-//!   0.063 ms / 0.47 ms link characteristics; batches traverse once with summed
-//!   payload bytes ([`link::Link::traverse_batch`]).
+//!   0.063 ms / 0.47 ms link characteristics.
 //!
 //! The fabric's hot paths record a small set of `comm.*` scalar series through a
 //! pluggable [`hpcml_sim::metrics::ScalarSink`] (`with_sink` on the publisher; the
 //! runtime wires the session's metric recorder in):
 //!
-//! | series                    | recorded by                  | meaning                        |
-//! |---------------------------|------------------------------|--------------------------------|
-//! | `comm.fanout.width`       | [`pubsub::Publisher`]        | subscribers hit by one publish |
-//! | `comm.publish.batch_size` | [`pubsub::Publisher`]        | messages per `publish_batch`   |
+//! | series              | recorded by           | meaning                        |
+//! |---------------------|-----------------------|--------------------------------|
+//! | `comm.fanout.width` | [`pubsub::Publisher`] | subscribers hit by one publish |
 //!
 //! (`comm.queue.depth` — the depth of a serving replica's batch queue after a
 //! dispatch — is recorded where that queue now lives, in `hpcml_serving::pool`.)
@@ -78,3 +77,19 @@ pub use message::{Message, MessageView};
 pub use pubsub::{Publisher, Subscriber};
 pub use registry::{EndpointEntry, EndpointRegistry};
 pub use reqrep::{Mailbox, ReqRepClient, ReqRepHandle, ReqRepServer, Responder};
+
+use std::time::Instant;
+
+use parking_lot::{Condvar, MutexGuard};
+
+/// Wait on `cond` until notified or until `deadline`; `None` waits without a deadline
+/// (a timeout too long to add to `Instant::now()`). True if the deadline passed.
+fn wait_until<T>(cond: &Condvar, guard: &mut MutexGuard<'_, T>, deadline: Option<Instant>) -> bool {
+    match deadline {
+        Some(at) => cond.wait_until(guard, at).timed_out(),
+        None => {
+            cond.wait(guard);
+            false
+        }
+    }
+}

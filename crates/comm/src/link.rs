@@ -6,14 +6,8 @@
 //! measure communication time exactly the way the paper does — as part of the observed
 //! round trip, not as a synthetic constant.
 //!
-//! # Batched traversal (message coalescing)
-//!
-//! [`Link::traverse_batch`] prices a batch of K messages as **one** traversal carrying
-//! the summed payload bytes: a single one-way latency sample plus the bandwidth term
-//! for the total size. This is the coalescing rule ZeroMQ applies when it packs
-//! adjacent messages into one TCP segment — per-message latency is paid once per
-//! batch, while the bandwidth cost still scales with the bytes actually moved. A
-//! batch of one is exactly [`Link::traverse`].
+//! A traversal carries one message: one latency sample plus, when the profile charges
+//! for bytes, the bandwidth term for that message's size.
 //!
 //! # Determinism
 //!
@@ -182,21 +176,10 @@ impl Link {
     /// Traverse the link one way with a payload of `payload_bytes`, sleeping the sampled
     /// latency on the virtual clock. Returns the injected delay in seconds.
     pub fn traverse(&self, payload_bytes: usize) -> f64 {
-        self.traverse_batch(1, payload_bytes)
-    }
-
-    /// Traverse the link once carrying a batch of `count` messages whose payloads sum
-    /// to `total_payload_bytes` (the coalescing rule — see the module docs): one
-    /// latency sample, the bandwidth term for the summed bytes. `count == 0` is free.
-    /// Returns the injected delay in seconds.
-    pub fn traverse_batch(&self, count: usize, total_payload_bytes: usize) -> f64 {
-        if count == 0 {
-            return 0.0;
-        }
         // Lock-free sample: the stream state advances via `fetch_add`, so concurrent
         // traversals of a shared link interleave draws instead of serialising.
         let mut rng = self.rng.stream();
-        let delay = self.profile.sample_one_way(total_payload_bytes, &mut rng);
+        let delay = self.profile.sample_one_way(payload_bytes, &mut rng);
         self.clock.sleep(delay);
         delay.as_secs_f64()
     }
@@ -241,21 +224,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_traversal_pays_one_latency_sample() {
+    fn a_traversal_pays_its_latency_and_its_bytes() {
         let clock = ClockSpec::scaled(100_000.0).build();
         // Zero-sigma latency plus a bandwidth term, so the pricing is exact.
         let profile = LatencyProfile::normal_ms(4.0, 0.0).with_per_kib_ms(1.0);
-        let link = Link::new("batch", Arc::clone(&clock), profile, 3);
-        let batched = link.traverse_batch(16, 16 * 1024);
+        let link = Link::new("priced", Arc::clone(&clock), profile, 3);
         // One 4 ms latency sample + 16 KiB * 1 ms/KiB of bandwidth.
-        assert!((batched - (0.004 + 0.016)).abs() < 1e-9, "got {batched}");
-        // Sixteen singletons pay the latency sample sixteen times.
-        let singleton_total: f64 = (0..16).map(|_| link.traverse(1024)).sum();
-        assert!(
-            (singleton_total - 16.0 * 0.005).abs() < 1e-9,
-            "got {singleton_total}"
-        );
-        assert_eq!(link.traverse_batch(0, 0), 0.0, "empty batch is free");
+        let delay = link.traverse(16 * 1024);
+        assert!((delay - (0.004 + 0.016)).abs() < 1e-9, "got {delay}");
+        assert!((link.traverse(0) - 0.004).abs() < 1e-9, "latency alone");
     }
 
     #[test]

@@ -15,35 +15,76 @@
 //! frame through untouched for consumers that route on
 //! [`Message::decode_view`] without paying an owned decode.
 //!
-//! # Sharded subscriber lists
+//! # One subscriber list, one inbox per subscriber
 //!
-//! Subscribers are striped over independent reader-writer-locked shards
-//! ([`Publisher::with_shards`]); subscribe/unsubscribe churn write-locks exactly one
-//! shard, so publishers (shared readers on every shard) keep fanning out instead of
-//! serialising behind membership changes. Per-subscriber delivery order equals
-//! publish order for any single publisher regardless of the shard count: a publish
-//! walks the shards in index order and a subscriber lives in exactly one shard.
+//! The publisher keeps its subscribers in one reader-writer-locked list: a publish
+//! reads it, subscribing writes it, and a subscriber that went away is pruned by the
+//! next publish that finds it. Each subscriber's frames wait in an inbox of its own (a
+//! queue, a condvar and a closed flag), so per-subscriber delivery order is publish
+//! order for any single publisher. Either end closes the inbox: the subscriber by
+//! dropping it, or the last [`Publisher`] clone by going away — after which a receive
+//! that finds nothing fails with [`CommError::Disconnected`] at once.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::RwLock;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use hpcml_sim::metrics::{null_sink, SharedScalarSink};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::error::CommError;
 use crate::message::Message;
 
-/// Default number of subscriber shards.
-const DEFAULT_SHARDS: usize = 4;
+/// One subscriber's queue of frames, shared by the subscriber and its entry in the
+/// publisher's list.
+#[derive(Default)]
+struct Inbox {
+    frames: Mutex<VecDeque<Bytes>>,
+    arrived: Condvar,
+    /// Set, under the `frames` lock, by whichever end goes first: the subscriber (the
+    /// publisher prunes the entry) or the last publisher (receives stop waiting).
+    closed: AtomicBool,
+}
+
+impl Inbox {
+    fn push(&self, frame: Bytes) {
+        self.frames.lock().push_back(frame);
+        self.arrived.notify_one();
+    }
+
+    fn close(&self) {
+        let frames = self.frames.lock();
+        self.closed.store(true, Ordering::Release);
+        drop(frames);
+        self.arrived.notify_all();
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
+    /// The oldest frame, waiting for one until `deadline` (`None`: without a deadline).
+    fn pop(&self, deadline: Option<Instant>) -> Result<Bytes, CommError> {
+        let mut frames = self.frames.lock();
+        loop {
+            if let Some(frame) = frames.pop_front() {
+                return Ok(frame);
+            }
+            if self.is_closed() {
+                return Err(CommError::Disconnected);
+            }
+            if crate::wait_until(&self.arrived, &mut frames, deadline) && frames.is_empty() {
+                return Err(CommError::Timeout);
+            }
+        }
+    }
+}
 
 struct SubscriberEntry {
     prefixes: Vec<String>,
-    tx: Sender<Bytes>,
-    /// Set by the subscriber's drop/close; the publisher prunes flagged entries.
-    closed: Arc<AtomicBool>,
+    inbox: Arc<Inbox>,
 }
 
 impl SubscriberEntry {
@@ -53,12 +94,29 @@ impl SubscriberEntry {
 }
 
 struct Inner {
-    shards: Vec<RwLock<Vec<SubscriberEntry>>>,
-    /// Round-robin rotor assigning new subscribers to shards.
-    next_shard: AtomicUsize,
+    subscribers: RwLock<Vec<SubscriberEntry>>,
     /// Live subscriber count (kept exact across subscribe/close/prune).
     live: AtomicUsize,
     sink: SharedScalarSink,
+}
+
+impl Inner {
+    fn new(sink: SharedScalarSink) -> Self {
+        Inner {
+            subscribers: RwLock::new(Vec::new()),
+            live: AtomicUsize::new(0),
+            sink,
+        }
+    }
+}
+
+impl Drop for Inner {
+    /// The last publisher is gone: nothing more will arrive for anybody.
+    fn drop(&mut self) {
+        for sub in self.subscribers.write().iter() {
+            sub.inbox.close();
+        }
+    }
 }
 
 /// Publishing side of a PUB/SUB channel.
@@ -69,7 +127,7 @@ pub struct Publisher {
 
 impl Default for Publisher {
     fn default() -> Self {
-        Publisher::with_shards(DEFAULT_SHARDS)
+        Publisher::new()
     }
 }
 
@@ -77,56 +135,30 @@ impl std::fmt::Debug for Publisher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Publisher")
             .field("subscribers", &self.subscriber_count())
-            .field("shards", &self.inner.shards.len())
             .finish()
     }
 }
 
 impl Publisher {
-    /// Create a publisher with the default shard count and no subscribers.
+    /// Create a publisher with no subscribers.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create a publisher with an explicit subscriber-shard count (min 1). Shard
-    /// count 1 serialises all membership changes on one lock — the pre-sharding
-    /// behaviour, useful as a comparison baseline.
-    pub fn with_shards(shards: usize) -> Self {
         Publisher {
-            inner: Arc::new(Inner {
-                shards: (0..shards.max(1))
-                    .map(|_| RwLock::new(Vec::new()))
-                    .collect(),
-                next_shard: AtomicUsize::new(0),
-                live: AtomicUsize::new(0),
-                sink: null_sink(),
-            }),
+            inner: Arc::new(Inner::new(null_sink())),
         }
     }
 
-    /// Builder: attach a metrics sink recording `comm.fanout.width` per publish and
-    /// `comm.publish.batch_size` per batch. Call at construction, before any
-    /// subscriber joins — the runtime wires this in when the session is built.
+    /// Builder: attach a metrics sink recording `comm.fanout.width` per publish. Call
+    /// at construction, before any subscriber joins — the runtime wires this in when
+    /// the session is built.
     pub fn with_sink(self, sink: SharedScalarSink) -> Self {
         debug_assert_eq!(
             self.subscriber_count(),
             0,
             "attach the sink before subscribers join"
         );
-        let shard_count = self.inner.shards.len();
         Publisher {
-            inner: Arc::new(Inner {
-                shards: (0..shard_count).map(|_| RwLock::new(Vec::new())).collect(),
-                next_shard: AtomicUsize::new(0),
-                live: AtomicUsize::new(0),
-                sink,
-            }),
+            inner: Arc::new(Inner::new(sink)),
         }
-    }
-
-    /// Number of subscriber shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
     }
 
     /// Number of live subscribers.
@@ -135,26 +167,22 @@ impl Publisher {
     }
 
     /// Create a subscription for the given topic prefixes (empty prefix = everything).
-    /// Write-locks exactly one shard.
     pub fn subscribe(&self, prefixes: &[&str]) -> Subscriber {
-        let (tx, rx) = unbounded();
-        let closed = Arc::new(AtomicBool::new(false));
+        let inbox = Arc::new(Inbox::default());
         let entry = SubscriberEntry {
             prefixes: prefixes.iter().map(|s| s.to_string()).collect(),
-            tx,
-            closed: Arc::clone(&closed),
+            inbox: Arc::clone(&inbox),
         };
-        let shard = self.inner.next_shard.fetch_add(1, Ordering::Relaxed) % self.inner.shards.len();
-        self.inner.shards[shard].write().push(entry);
+        self.inner.subscribers.write().push(entry);
         self.inner.live.fetch_add(1, Ordering::AcqRel);
-        Subscriber { rx, closed }
+        Subscriber { inbox }
     }
 
     /// Publish a message to every subscriber whose prefix matches the message topic.
     ///
     /// The message is encoded once; every delivery shares the same frozen frame.
     /// Returns the number of subscribers that received it. Subscribers that closed
-    /// are pruned from their shard in passing.
+    /// are pruned in passing.
     pub fn publish(&self, msg: &Message) -> usize {
         self.publish_one(&msg.topic, || msg.encode())
     }
@@ -172,86 +200,40 @@ impl Publisher {
 
     /// One message on `topic`, its frame made by `encode` on the first match.
     fn publish_one(&self, topic: &str, encode: impl FnOnce() -> Bytes) -> usize {
-        let mut encode = Some(encode);
-        let delivered = self.fan_out(
-            &mut [None],
-            |_| topic,
-            |_| encode.take().expect("a frame is made once")(),
-        );
+        let delivered = self.fan_out(topic, encode);
         self.inner
             .sink
             .record("comm.fanout.width", delivered as f64);
         delivered
     }
 
-    /// Publish a batch of messages in one pass: each message is encoded once (through
-    /// one reusable scratch buffer), and each shard lock is taken once for the whole
-    /// batch rather than once per message. Returns total deliveries.
-    pub fn publish_batch(&self, msgs: &[Message]) -> usize {
-        if msgs.is_empty() {
-            return 0;
-        }
-        let mut scratch = BytesMut::new();
-        let delivered = self.fan_out(
-            &mut vec![None; msgs.len()],
-            |i| &msgs[i].topic,
-            |i| msgs[i].encode_into(&mut scratch),
-        );
-        self.inner
-            .sink
-            .record("comm.publish.batch_size", msgs.len() as f64);
-        self.inner
-            .sink
-            .record("comm.fanout.width", delivered as f64 / msgs.len() as f64);
-        delivered
-    }
-
-    /// Shared matching / fan-out core for `frames.len()` messages: match every live
-    /// subscriber's prefixes against `topic(i)`, make message `i`'s frame with
-    /// `encode(i)` on its first match (never, if nothing matches), deliver the same
-    /// frame to every matching subscriber, prune closed entries per shard. With no
-    /// subscriber at all it reads one counter and takes no lock.
-    fn fan_out<'t>(
-        &self,
-        frames: &mut [Option<Bytes>],
-        topic: impl Fn(usize) -> &'t str,
-        mut encode: impl FnMut(usize) -> Bytes,
-    ) -> usize {
+    /// Match every live subscriber's prefixes against `topic`, make the frame with
+    /// `encode` on the first match (never, if nothing matches), deliver the same frame
+    /// to every matching subscriber, prune closed entries. With no subscriber at all it
+    /// reads one counter and takes no lock.
+    fn fan_out(&self, topic: &str, encode: impl FnOnce() -> Bytes) -> usize {
         if self.inner.live.load(Ordering::Acquire) == 0 {
             return 0;
         }
+        let (mut encode, mut frame) = (Some(encode), None::<Bytes>);
         let mut delivered = 0;
-        for shard in &self.inner.shards {
-            let mut any_closed = false;
-            {
-                let subs = shard.read();
-                for sub in subs.iter() {
-                    if sub.closed.load(Ordering::Acquire) {
-                        any_closed = true;
-                        continue;
-                    }
-                    for (i, slot) in frames.iter_mut().enumerate() {
-                        if !sub.matches(topic(i)) {
-                            continue;
-                        }
-                        let frame = slot.get_or_insert_with(|| encode(i)).clone();
-                        if sub.tx.send(frame).is_ok() {
-                            delivered += 1;
-                        } else {
-                            any_closed = true;
-                        }
-                    }
-                }
+        let mut any_closed = false;
+        for sub in self.inner.subscribers.read().iter() {
+            if sub.inbox.is_closed() {
+                any_closed = true;
+            } else if sub.matches(topic) {
+                let frame = frame.get_or_insert_with(|| encode.take().expect("encoded once")());
+                sub.inbox.push(frame.clone());
+                delivered += 1;
             }
-            if any_closed {
-                let mut subs = shard.write();
-                let before = subs.len();
-                subs.retain(|s| !s.closed.load(Ordering::Acquire));
-                let pruned = before - subs.len();
-                if pruned > 0 {
-                    self.inner.live.fetch_sub(pruned, Ordering::AcqRel);
-                }
-            }
+        }
+        if any_closed {
+            let mut subs = self.inner.subscribers.write();
+            let before = subs.len();
+            subs.retain(|s| !s.inbox.is_closed());
+            self.inner
+                .live
+                .fetch_sub(before - subs.len(), Ordering::AcqRel);
         }
         delivered
     }
@@ -260,20 +242,19 @@ impl Publisher {
 /// Receiving side of a PUB/SUB channel. Dropping (or [`Subscriber::close`]-ing) the
 /// subscriber unsubscribes it: the publisher stops delivering and prunes the entry.
 pub struct Subscriber {
-    rx: Receiver<Bytes>,
-    closed: Arc<AtomicBool>,
+    inbox: Arc<Inbox>,
 }
 
 impl Drop for Subscriber {
     fn drop(&mut self) {
-        self.closed.store(true, Ordering::Release);
+        self.inbox.close();
     }
 }
 
 impl std::fmt::Debug for Subscriber {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Subscriber")
-            .field("pending", &self.rx.len())
+            .field("pending", &self.pending())
             .finish()
     }
 }
@@ -282,10 +263,10 @@ impl Subscriber {
     /// Stop receiving. Equivalent to dropping the subscriber; already-delivered
     /// frames stay readable.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.inbox.close();
     }
 
-    /// Block for the next message, up to `timeout`.
+    /// Block for the next message, up to `timeout` (`Duration::MAX`: without one).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, CommError> {
         self.recv_frame_timeout(timeout).and_then(Message::decode)
     }
@@ -294,34 +275,17 @@ impl Subscriber {
     /// `timeout`. Zero-copy: decode with [`Message::decode_view`] to route without
     /// materialising an owned message.
     pub fn recv_frame_timeout(&self, timeout: Duration) -> Result<Bytes, CommError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => CommError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => CommError::Disconnected,
-        })
+        self.inbox.pop(Instant::now().checked_add(timeout))
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<Option<Message>, CommError> {
-        match self.rx.try_recv() {
-            Ok(frame) => Message::decode(frame).map(Some),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(CommError::Disconnected),
+        let frame = self.inbox.frames.lock().pop_front();
+        match frame {
+            Some(frame) => Message::decode(frame).map(Some),
+            None if self.inbox.is_closed() => Err(CommError::Disconnected),
+            None => Ok(None),
         }
-    }
-
-    /// Receive up to `max` messages in one call: block up to `timeout` for the first,
-    /// then take whatever else is already waiting. Order matches publish order.
-    pub fn recv_batch(&self, max: usize, timeout: Duration) -> Result<Vec<Message>, CommError> {
-        let first = self.recv_timeout(timeout)?;
-        let mut out = Vec::with_capacity(max.clamp(1, 64));
-        out.push(first);
-        while out.len() < max {
-            match self.try_recv()? {
-                Some(m) => out.push(m),
-                None => break,
-            }
-        }
-        Ok(out)
     }
 
     /// Drain everything currently pending as owned messages.
@@ -335,16 +299,12 @@ impl Subscriber {
 
     /// Drain everything currently pending as shared frames (no decode at all).
     pub fn drain_frames(&self) -> Vec<Bytes> {
-        let mut out = Vec::new();
-        while let Ok(frame) = self.rx.try_recv() {
-            out.push(frame);
-        }
-        out
+        self.inbox.frames.lock().drain(..).collect()
     }
 
     /// Number of messages waiting.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.inbox.frames.lock().len()
     }
 }
 
@@ -434,7 +394,7 @@ mod tests {
 
     #[test]
     fn fanout_shares_one_encoded_frame() {
-        let publisher = Publisher::with_shards(2);
+        let publisher = Publisher::new();
         let subs: Vec<Subscriber> = (0..4).map(|_| publisher.subscribe(&[])).collect();
         let msg = Message::new("events", "tick").with_text("shared payload");
         publisher.publish(&msg);
@@ -457,7 +417,7 @@ mod tests {
 
     #[test]
     fn dropping_a_subscriber_unsubscribes_it() {
-        let publisher = Publisher::with_shards(1);
+        let publisher = Publisher::new();
         let keep = publisher.subscribe(&[]);
         let gone = publisher.subscribe(&[]);
         assert_eq!(publisher.subscriber_count(), 2);
@@ -469,24 +429,64 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_delivers_in_order() {
-        let publisher = Publisher::with_shards(4);
+    fn delivery_follows_publish_order() {
+        let publisher = Publisher::new();
         let sub = publisher.subscribe(&["seq"]);
         let other = publisher.subscribe(&["other"]);
-        let msgs: Vec<Message> = (0..10)
-            .map(|i| Message::new("seq", "tick").with_text(&i.to_string()))
+        for i in 0..10 {
+            publisher.publish(&Message::new("seq", "tick").with_text(&i.to_string()));
+        }
+        let texts: Vec<String> = sub
+            .drain()
+            .iter()
+            .map(|m| m.text().unwrap().to_string())
             .collect();
-        let delivered = publisher.publish_batch(&msgs);
-        assert_eq!(delivered, 10);
-        let got = sub.recv_batch(64, Duration::from_millis(100)).unwrap();
-        let texts: Vec<&str> = got.iter().map(|m| m.text().unwrap()).collect();
-        assert_eq!(
-            texts,
-            (0..10).map(|i| i.to_string()).collect::<Vec<_>>(),
-            "batch order equals publish order"
-        );
+        assert_eq!(texts, (0..10).map(|i| i.to_string()).collect::<Vec<_>>());
         assert_eq!(other.pending(), 0);
-        assert_eq!(publisher.publish_batch(&[]), 0);
+    }
+
+    #[test]
+    fn a_receive_without_a_deadline_waits_for_the_next_message() {
+        let publisher = Publisher::new();
+        let sub = publisher.subscribe(&[]);
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            publisher.publish(&Message::new("late", "k"));
+            publisher
+        });
+        // `Duration::MAX` overflows an `Instant`: it means no deadline at all.
+        assert_eq!(sub.recv_timeout(Duration::MAX).unwrap().topic, "late");
+        drop(late.join().unwrap());
+    }
+
+    #[test]
+    fn dropping_every_publisher_disconnects_a_blocked_subscriber_at_once() {
+        let publisher = Publisher::new();
+        let sub = publisher.subscribe(&[]);
+        publisher.publish(&Message::new("t", "k"));
+        let last = publisher.clone();
+        drop(publisher);
+        assert_eq!(
+            sub.try_recv().unwrap().unwrap().topic,
+            "t",
+            "delivered stays"
+        );
+        assert_eq!(sub.try_recv(), Ok(None), "one clone still publishes");
+        let dropper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(last);
+        });
+        let start = std::time::Instant::now();
+        assert_eq!(
+            sub.recv_timeout(Duration::from_secs(10)).unwrap_err(),
+            CommError::Disconnected
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "woken by the drop after {:?}, not by the timeout",
+            start.elapsed()
+        );
+        dropper.join().unwrap();
     }
 
     #[test]
@@ -516,9 +516,6 @@ mod tests {
         let _a = publisher.subscribe(&[]);
         let _b = publisher.subscribe(&[]);
         publisher.publish(&Message::new("t", "k"));
-        publisher.publish_batch(&[Message::new("t", "k"), Message::new("t", "k")]);
-        let seen = seen.lock();
-        assert!(seen.contains(&("comm.fanout.width".to_string(), 2.0)));
-        assert!(seen.contains(&("comm.publish.batch_size".to_string(), 2.0)));
+        assert_eq!(*seen.lock(), [("comm.fanout.width".to_string(), 2.0)]);
     }
 }

@@ -7,21 +7,20 @@
 //! name, node, GPUs); clients look the handle up (optionally blocking until it appears)
 //! and connect to it over a [`crate::link::Link`] appropriate to their locality.
 //!
-//! # Sharded, read-mostly design
+//! # One snapshot, one wait
 //!
 //! The registry is lookup-heavy: every client task resolves its service endpoint, but
-//! registrations happen only when instances start or stop. Names are striped over
-//! independent shards by hash; each shard keeps its entries behind an
+//! registrations happen only when instances start or stop. The entries are one
 //! `RwLock<Arc<BTreeMap>>` **snapshot** — a reader takes the lock just long enough to
-//! clone the `Arc` (no contention with other readers, and writers hold it only for a
-//! pointer swap), then walks the snapshot entirely lock-free. Writers copy the map,
-//! mutate the copy, and publish it as a fresh snapshot; registration churn on one
-//! shard never slows lookups on another.
+//! clone the `Arc` (writers hold it only for a pointer swap), then walks the snapshot
+//! lock-free. Writers serialise on one version mutex, copy the map, mutate the copy,
+//! and publish it as a fresh snapshot.
 //!
-//! Blocking [`EndpointRegistry::wait_for`] uses a per-shard version counter under a
-//! mutex with a condvar: writers bump the version after publishing a new snapshot and
-//! notify, waiters re-check the snapshot on every bump. Lock order within a shard is
-//! always `waiters` mutex → snapshot `RwLock` write, never the reverse.
+//! A lookup that has to wait says what it waits for as a predicate over entries
+//! ([`EndpointRegistry::wait_matching`]; [`EndpointRegistry::wait_for`] a name is one
+//! such predicate): writers bump the version after publishing and notify, waiters
+//! re-check the snapshot under the version mutex on every bump. Lock order is always
+//! version mutex → snapshot `RwLock` write, never the reverse.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -31,9 +30,6 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::error::CommError;
 use crate::reqrep::ReqRepHandle;
-
-/// Default number of name shards.
-const DEFAULT_SHARDS: usize = 8;
 
 /// A registered endpoint: connection handle plus descriptive metadata.
 #[derive(Debug, Clone)]
@@ -48,25 +44,30 @@ pub struct EndpointEntry {
 
 type Snapshot = Arc<BTreeMap<String, EndpointEntry>>;
 
-struct Shard {
+/// Thread-safe endpoint registry with blocking lookup.
+#[derive(Default)]
+pub struct EndpointRegistry {
     /// Published snapshot; readers clone the Arc and walk it lock-free.
     snapshot: RwLock<Snapshot>,
     /// Version counter bumped on every publish; guards the condvar for waiters.
     version: Mutex<u64>,
-    cond: Condvar,
+    changed: Condvar,
 }
 
-impl Default for Shard {
-    fn default() -> Self {
-        Shard {
-            snapshot: RwLock::new(Arc::new(BTreeMap::new())),
-            version: Mutex::new(0),
-            cond: Condvar::new(),
-        }
+impl std::fmt::Debug for EndpointRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EndpointRegistry")
+            .field("len", &self.len())
+            .finish()
     }
 }
 
-impl Shard {
+impl EndpointRegistry {
+    /// Create an empty registry.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     fn read(&self) -> Snapshot {
         Arc::clone(&self.snapshot.read())
     }
@@ -74,69 +75,15 @@ impl Shard {
     /// Copy-on-write mutation: `f` edits a private copy of the map; a changed copy is
     /// published as the new snapshot and waiters are notified. Returns `f`'s payload.
     fn mutate<R>(&self, f: impl FnOnce(&mut BTreeMap<String, EndpointEntry>) -> (bool, R)) -> R {
-        // Serialise writers on the version mutex (lock order: waiters → snapshot).
         let mut version = self.version.lock();
         let mut copy = (**self.snapshot.read()).clone();
         let (changed, result) = f(&mut copy);
         if changed {
             *self.snapshot.write() = Arc::new(copy);
             *version += 1;
-            self.cond.notify_all();
+            self.changed.notify_all();
         }
         result
-    }
-}
-
-/// Thread-safe, sharded endpoint registry with blocking lookup.
-pub struct EndpointRegistry {
-    shards: Vec<Shard>,
-}
-
-impl Default for EndpointRegistry {
-    fn default() -> Self {
-        EndpointRegistry::with_shards(DEFAULT_SHARDS)
-    }
-}
-
-impl std::fmt::Debug for EndpointRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EndpointRegistry")
-            .field("len", &self.len())
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
-/// FNV-1a name hash for shard selection.
-fn shard_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-impl EndpointRegistry {
-    /// Create an empty registry with the default shard count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create an empty registry with an explicit shard count (min 1).
-    pub fn with_shards(shards: usize) -> Self {
-        EndpointRegistry {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
-        }
-    }
-
-    /// Number of name shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for(&self, name: &str) -> &Shard {
-        &self.shards[(shard_hash(name) % self.shards.len() as u64) as usize]
     }
 
     /// Register an endpoint. Fails if the name is already taken.
@@ -147,7 +94,7 @@ impl EndpointRegistry {
         metadata: BTreeMap<String, String>,
     ) -> Result<(), CommError> {
         let name = name.into();
-        self.shard_for(&name).mutate(|entries| {
+        self.mutate(|entries| {
             if entries.contains_key(&name) {
                 return (false, Err(CommError::AlreadyRegistered(name.clone())));
             }
@@ -165,7 +112,7 @@ impl EndpointRegistry {
 
     /// Remove an endpoint. Returns the removed entry if it existed.
     pub fn unregister(&self, name: &str) -> Option<EndpointEntry> {
-        self.shard_for(name).mutate(|entries| {
+        self.mutate(|entries| {
             let removed = entries.remove(name);
             (removed.is_some(), removed)
         })
@@ -174,68 +121,60 @@ impl EndpointRegistry {
     /// Look up an endpoint without blocking. Snapshot read: never contends with
     /// other readers, and with writers only for the duration of an `Arc` clone.
     pub fn lookup(&self, name: &str) -> Option<EndpointEntry> {
-        self.shard_for(name).read().get(name).cloned()
+        self.read().get(name).cloned()
     }
 
-    /// Block until the endpoint appears or `timeout` (real time) elapses.
+    /// Block until the endpoint appears or `timeout` (real time) elapses
+    /// (`Duration::MAX`: without a deadline).
     pub fn wait_for(&self, name: &str, timeout: Duration) -> Result<EndpointEntry, CommError> {
-        let deadline = Instant::now() + timeout;
-        let shard = self.shard_for(name);
+        self.wait_matching(|entry| entry.name == name, timeout)
+            .pop()
+            .ok_or_else(|| CommError::EndpointNotFound(name.to_string()))
+    }
+
+    /// Block until some entry satisfies `matches`, or until `timeout` (real time)
+    /// elapses (`Duration::MAX`: without a deadline). Returns every entry that does,
+    /// sorted by name — none if the time ran out.
+    pub fn wait_matching(
+        &self,
+        matches: impl Fn(&EndpointEntry) -> bool,
+        timeout: Duration,
+    ) -> Vec<EndpointEntry> {
+        let deadline = Instant::now().checked_add(timeout);
+        let mut version = self.version.lock();
+        let mut timed_out = false;
         loop {
-            // Check the current snapshot before touching the waiter mutex.
-            if let Some(entry) = shard.read().get(name) {
-                return Ok(entry.clone());
+            // Looked at under the version lock, which every publish holds: none is missed.
+            let found = self.matching(&matches);
+            if !found.is_empty() || timed_out {
+                return found;
             }
-            let mut version = shard.version.lock();
-            // Re-check under the version lock: a writer may have published between
-            // the snapshot read and the lock acquisition.
-            if let Some(entry) = shard.read().get(name) {
-                return Ok(entry.clone());
-            }
-            if Instant::now() >= deadline {
-                return Err(CommError::EndpointNotFound(name.to_string()));
-            }
-            if shard.cond.wait_until(&mut version, deadline).timed_out() {
-                drop(version);
-                return match shard.read().get(name) {
-                    Some(entry) => Ok(entry.clone()),
-                    None => Err(CommError::EndpointNotFound(name.to_string())),
-                };
-            }
+            timed_out = crate::wait_until(&self.changed, &mut version, deadline);
         }
+    }
+
+    /// Entries that satisfy `matches`, sorted by name.
+    fn matching(&self, matches: impl Fn(&EndpointEntry) -> bool) -> Vec<EndpointEntry> {
+        self.read()
+            .values()
+            .filter(|e| matches(e))
+            .cloned()
+            .collect()
     }
 
     /// Names of all registered endpoints (sorted).
     pub fn names(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().keys().cloned().collect::<Vec<_>>())
-            .collect();
-        out.sort();
-        out
+        self.read().keys().cloned().collect()
     }
 
-    /// All entries whose metadata key `key` equals `value`.
+    /// All entries whose metadata key `key` equals `value`, sorted by name.
     pub fn find_by_metadata(&self, key: &str, value: &str) -> Vec<EndpointEntry> {
-        let mut out: Vec<EndpointEntry> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .values()
-                    .filter(|e| e.metadata.get(key).map(String::as_str) == Some(value))
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+        self.matching(|e| e.metadata.get(key).map(String::as_str) == Some(value))
     }
 
     /// Number of registered endpoints.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.read().len()
     }
 
     /// True if no endpoint is registered.
@@ -311,6 +250,9 @@ mod tests {
             .wait_for("svc.never", Duration::from_millis(20))
             .unwrap_err();
         assert!(matches!(err, CommError::EndpointNotFound(_)));
+        assert!(reg
+            .wait_matching(|_| true, Duration::from_millis(20))
+            .is_empty());
     }
 
     #[test]
@@ -349,37 +291,53 @@ mod tests {
     }
 
     #[test]
-    fn sharded_views_agree_with_single_shard() {
-        let sharded = EndpointRegistry::with_shards(8);
-        let single = EndpointRegistry::with_shards(1);
-        assert_eq!(sharded.shard_count(), 8);
-        for reg in [&sharded, &single] {
-            for i in 0..32 {
-                let name = format!("svc.{i:02}");
-                let server = ReqRepServer::new(name.clone());
-                let group = if i % 2 == 0 { "even" } else { "odd" };
-                reg.register(name, server.handle(), meta(&[("group", group)]))
-                    .unwrap();
-            }
+    fn views_are_name_sorted() {
+        let reg = EndpointRegistry::new();
+        for i in (0..32).rev() {
+            let name = format!("svc.{i:02}");
+            let server = ReqRepServer::new(name.clone());
+            let group = if i % 2 == 0 { "even" } else { "odd" };
+            reg.register(name, server.handle(), meta(&[("group", group)]))
+                .unwrap();
         }
-        assert_eq!(sharded.names(), single.names(), "sorted global view");
-        assert_eq!(sharded.len(), 32);
-        let evens = sharded.find_by_metadata("group", "even");
-        assert_eq!(evens.len(), 16);
-        let names: Vec<&str> = evens.iter().map(|e| e.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "metadata scan output is name-sorted");
+        let names = reg.names();
+        assert_eq!(
+            names,
+            (0..32).map(|i| format!("svc.{i:02}")).collect::<Vec<_>>()
+        );
+        let evens = reg.find_by_metadata("group", "even");
+        let even_names: Vec<&str> = evens.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(
+            even_names,
+            names
+                .iter()
+                .step_by(2)
+                .map(String::as_str)
+                .collect::<Vec<_>>()
+        );
         for i in (0..32).step_by(3) {
-            assert!(sharded.unregister(&format!("svc.{i:02}")).is_some());
+            assert!(reg.unregister(&format!("svc.{i:02}")).is_some());
         }
-        assert_eq!(sharded.len(), 32 - 11);
-        assert!(!format!("{sharded:?}").is_empty());
+        assert_eq!(reg.len(), 32 - 11);
+        assert!(!format!("{reg:?}").is_empty());
+    }
+
+    #[test]
+    fn a_wait_without_a_deadline_returns_what_registers_later() {
+        let reg = Arc::new(EndpointRegistry::new());
+        let reg2 = Arc::clone(&reg);
+        // `Duration::MAX` overflows an `Instant`: it means no deadline at all.
+        let waiter = thread::spawn(move || reg2.wait_for("svc.later", Duration::MAX));
+        thread::sleep(Duration::from_millis(20));
+        let server = ReqRepServer::new("svc.later");
+        reg.register("svc.later", server.handle(), BTreeMap::new())
+            .unwrap();
+        assert_eq!(waiter.join().unwrap().unwrap().name, "svc.later");
     }
 
     #[test]
     fn lookups_race_registration_churn() {
-        let reg = Arc::new(EndpointRegistry::with_shards(4));
+        let reg = Arc::new(EndpointRegistry::new());
         let stable = ReqRepServer::new("svc.stable");
         reg.register("svc.stable", stable.handle(), BTreeMap::new())
             .unwrap();

@@ -10,8 +10,8 @@
 //!
 //! # Who serves an endpoint: carry or queue
 //!
-//! Either a thread that blocks in [`ReqRepServer::recv_timeout`] /
-//! [`ReqRepServer::recv_batch`], or — the serving plane's way — nobody in particular:
+//! Either a thread that blocks in [`ReqRepServer::recv_timeout`], or — the serving
+//! plane's way — nobody in particular:
 //! [`ReqRepServer::attach`] arms the endpoint with a [`Server`], which admits requests
 //! in *passes*, one thread at a time. Whose turn it is to pass is the server's to say
 //! ([`Server::try_take_turn`]); who passes is decided by the sender, under the one
@@ -41,11 +41,6 @@
 //! from its first delivery (one count per client, not two per request). Dropping the
 //! [`ReqRepServer`] closes the endpoint: what is still queued fails with
 //! [`CommError::Disconnected`] at once, not at its timeout, and later sends are refused.
-//!
-//! [`ReqRepClient::request_batch`] ships K requests over **one** link traversal (the
-//! coalescing rule — see [`Link::traverse_batch`]) and the replies over one more, in
-//! request order. The server sees K independent requests, carried or queued together
-//! and served by one pass ([`ReqRepServer::recv_batch`] for a server that blocks).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -80,14 +75,13 @@ pub trait Server: Send + Sync {
     /// mailbox lock: it must not block, lock or queue anything.
     fn try_take_turn(&self) -> bool;
 
-    /// Admit `carried` — what the caller brought instead of queueing it, in order —
-    /// then pass again for as long as something was queued meanwhile, then give the
-    /// turn back. A pass that carried nothing drains the mailbox; one that did need not
-    /// look there: it was empty when the requests were carried, and whoever queues
-    /// behind a held turn says so ([`Server::wake`]). What a server that has stopped
-    /// serving leaves in `carried` the caller drops, which fails it. Only for the
-    /// caller that took the turn.
-    fn serve_turn(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>);
+    /// Admit `carried` — the request the caller brought instead of queueing it — then
+    /// pass again for as long as something was queued meanwhile, then give the turn
+    /// back. A pass that carried nothing drains the mailbox; one that did need not look
+    /// there: it was empty when the request was carried, and whoever queues behind a
+    /// held turn says so ([`Server::wake`]). A server that has stopped serving drops
+    /// what it carried, which fails it. Only for the caller that took the turn.
+    fn serve_turn(&self, carried: Option<(Message, Responder)>);
 
     /// Something was queued by a sender that does not hold the turn: if the turn is
     /// free, take it and pass; if it is held, make its holder pass once more.
@@ -106,14 +100,14 @@ struct ReplySlot {
 
 impl ReplySlot {
     /// Block until the reply is in, the responder is dropped without one, or real
-    /// time reaches `deadline`.
-    fn wait(&self, deadline: Instant) -> Result<Message, CommError> {
+    /// time reaches `deadline` (`None`: without a deadline).
+    fn wait(&self, deadline: Option<Instant>) -> Result<Message, CommError> {
         let mut outcome = self.outcome.lock();
         loop {
             if let Some(reply) = outcome.take() {
                 return reply.ok_or(CommError::Disconnected);
             }
-            let timed_out = self.filled.wait_until(&mut outcome, deadline).timed_out();
+            let timed_out = crate::wait_until(&self.filled, &mut outcome, deadline);
             if timed_out && outcome.is_none() {
                 return Err(CommError::Timeout);
             }
@@ -320,8 +314,8 @@ impl ReqRepServer {
 
     /// Serve the endpoint without blocking for it: from now on every client call has
     /// `server` admit what it sends — on the client's thread whenever the turn can be
-    /// had, once per call, so a batch is served as a batch (see the module docs). The
-    /// server is woken right away if requests already wait: a client may send first.
+    /// had (see the module docs). The server is woken right away if requests already
+    /// wait: a client may send first.
     pub fn attach(&self, server: Arc<dyn Server>) {
         let pending = {
             let mut inbox = self.mailbox.endpoint.state.lock();
@@ -340,38 +334,21 @@ impl ReqRepServer {
         drop(server);
     }
 
-    /// Block until a request arrives, or until `timeout` elapses.
+    /// Block until a request arrives, or until `timeout` elapses (`Duration::MAX`:
+    /// without a deadline).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(Message, Responder), CommError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let endpoint = &self.mailbox.endpoint;
         let mut inbox = endpoint.state.lock();
         loop {
             if let Some(request) = inbox.queue.pop_front() {
                 return Ok(request);
             }
-            let timed_out = endpoint
-                .arrived
-                .wait_until(&mut inbox, deadline)
-                .timed_out();
+            let timed_out = crate::wait_until(&endpoint.arrived, &mut inbox, deadline);
             if timed_out && inbox.queue.is_empty() {
                 return Err(CommError::Timeout);
             }
         }
-    }
-
-    /// Drain up to `max` queued requests in one call: block up to `timeout` for the
-    /// first request, then take whatever else is already waiting without blocking
-    /// again. Batch-oriented servers use this to absorb request bursts in one wake-up
-    /// instead of one receive per request.
-    pub fn recv_batch(
-        &self,
-        max: usize,
-        timeout: Duration,
-    ) -> Result<Vec<(Message, Responder)>, CommError> {
-        let mut out = Vec::with_capacity(max.clamp(1, 64));
-        out.push(self.recv_timeout(timeout)?);
-        out.extend(std::iter::from_fn(|| self.try_recv()).take(max.saturating_sub(1)));
-        Ok(out)
     }
 
     /// Non-blocking receive.
@@ -406,33 +383,18 @@ impl ReqRepClient {
         &self.endpoint
     }
 
-    /// One traversal of the link carrying `msgs`, priced by their summed encoded bytes
-    /// if the link charges for bytes.
-    fn hop(&self, msgs: &[Message]) {
-        let bytes = || msgs.iter().map(Message::encoded_len).sum();
+    /// One traversal of the link carrying `msg`, priced by its encoded bytes if the
+    /// link charges for bytes.
+    fn hop(&self, msg: &Message) {
         self.link
-            .traverse_batch(msgs.len(), self.link.priced_bytes(bytes));
+            .traverse(self.link.priced_bytes(|| msg.encoded_len()));
     }
 
-    /// Cross the link with `msgs` in one traversal and stamp each with the shared
-    /// arrival time; returns the requests to deliver and the slots their replies fill.
-    fn outbound(&self, msgs: Vec<Message>) -> (Vec<(Message, Responder)>, Vec<Arc<ReplySlot>>) {
-        self.hop(&msgs);
-        let enqueued_at = self.link.clock().now().as_secs_f64();
-        msgs.into_iter()
-            .map(|msg| request(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at)))
-            .unzip()
-    }
-
-    /// See to it that `requests` are served, in order: by this thread if it can have
-    /// the attached server's turn (at once, or within the bounded wait) — carried into
-    /// the pass if nothing waits in the mailbox, queued there otherwise — else queued
-    /// for whoever holds the turn, or for the receivers asleep on the condvar.
-    fn deliver(
-        &self,
-        requests: impl IntoIterator<Item = (Message, Responder)>,
-    ) -> Result<(), CommError> {
-        let mut requests = requests.into_iter().fuse();
+    /// See to it that `request` is served: by this thread if it can have the attached
+    /// server's turn (at once, or within the bounded wait) — carried into the pass if
+    /// nothing waits in the mailbox, queued there otherwise — else queued for whoever
+    /// holds the turn, or for a receiver asleep on the condvar.
+    fn deliver(&self, request: (Message, Responder)) -> Result<(), CommError> {
         let endpoint = &self.mailbox.endpoint;
         let mut inbox = endpoint.state.lock();
         let attached = inbox.server.as_ref();
@@ -450,21 +412,22 @@ impl ReqRepClient {
             inbox = endpoint.state.lock();
         }
         let accepted = !inbox.closed;
-        let carried = mine && inbox.queue.is_empty();
-        if accepted && !carried {
-            inbox.queue.extend(&mut requests);
+        let mut carried = Some(request);
+        if accepted && !(mine && inbox.queue.is_empty()) {
+            inbox.queue.extend(carried.take());
         }
         drop(inbox);
         if !accepted {
-            requests.by_ref().for_each(drop);
+            // Refused: its responder fails it on drop, with the mailbox lock released.
+            carried = None;
         }
         match server {
-            // A turn that was taken is passed, whatever became of the requests.
-            Some(server) if mine => server.serve_turn(&mut requests),
+            // A turn that was taken is passed, whatever became of the request.
+            Some(server) if mine => server.serve_turn(carried),
             Some(server) if accepted => server.wake(),
             Some(_) => {}
             None => {
-                endpoint.arrived.notify_all();
+                endpoint.arrived.notify_one();
             }
         }
         if accepted {
@@ -485,59 +448,27 @@ impl ReqRepClient {
         self.request_timeout(msg, Duration::from_secs(3600))
     }
 
-    /// [`ReqRepClient::request`] with an explicit real-time timeout on the reply wait.
+    /// [`ReqRepClient::request`] with an explicit real-time timeout on the reply wait
+    /// (`Duration::MAX`: without a deadline).
     pub fn request_timeout(&self, msg: Message, timeout: Duration) -> Result<Message, CommError> {
         let slot = self.post(msg)?;
-        let reply = slot.wait(Instant::now() + timeout)?;
-        self.hop(std::slice::from_ref(&reply));
+        let reply = slot.wait(Instant::now().checked_add(timeout))?;
+        self.hop(&reply);
         Ok(reply)
     }
 
     /// The outbound half of a request: cross the link, stamp the arrival, deliver.
     fn post(&self, msg: Message) -> Result<Arc<ReplySlot>, CommError> {
-        self.hop(std::slice::from_ref(&msg));
+        self.hop(&msg);
         let enqueued_at = self.link.clock().now().as_secs_f64();
         let (request, slot) = request(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at));
-        self.deliver([request])?;
+        self.deliver(request)?;
         Ok(slot)
-    }
-
-    /// Send a batch of requests over one link traversal (one latency sample carrying
-    /// the summed bytes) and block for all replies, which pay one return traversal and
-    /// come back in request order. The server sees individual requests, each stamped
-    /// with the shared arrival time. An empty batch is free.
-    pub fn request_batch(
-        &self,
-        msgs: Vec<Message>,
-        timeout: Duration,
-    ) -> Result<Vec<Message>, CommError> {
-        if msgs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (requests, slots) = self.outbound(msgs);
-        self.deliver(requests)?;
-        // Collect in request order; the timeout bounds the whole batch, not each reply.
-        let deadline = Instant::now() + timeout;
-        let replies = slots
-            .iter()
-            .map(|slot| slot.wait(deadline))
-            .collect::<Result<Vec<Message>, CommError>>()?;
-        self.hop(&replies);
-        Ok(replies)
     }
 
     /// Fire-and-forget send (no reply expected). Used for control messages.
     pub fn send(&self, msg: Message) -> Result<(), CommError> {
         self.post(msg).map(drop)
-    }
-
-    /// Fire-and-forget a batch of control messages over one coalesced link traversal.
-    pub fn send_batch(&self, msgs: Vec<Message>) -> Result<(), CommError> {
-        if msgs.is_empty() {
-            return Ok(());
-        }
-        let (requests, _unawaited) = self.outbound(msgs);
-        self.deliver(requests)
     }
 }
 
@@ -615,36 +546,18 @@ mod tests {
     }
 
     #[test]
-    fn recv_batch_drains_a_burst_in_one_call() {
-        let server = ReqRepServer::new("svc.batch");
-        let clients: Vec<ReqRepClient> = (0..5).map(|_| server.client(instant_link())).collect();
-        let handles: Vec<_> = clients
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| {
-                thread::spawn(move || {
-                    c.request(Message::new("svc.batch", "req").with_text(&i.to_string()))
-                        .unwrap()
-                })
-            })
-            .collect();
-        let mut got = 0;
-        while got < 5 {
-            let batch = server.recv_batch(3, Duration::from_secs(5)).unwrap();
-            assert!(!batch.is_empty() && batch.len() <= 3, "len {}", batch.len());
-            got += batch.len();
-            for (msg, r) in batch {
-                r.reply(Message::new(msg.topic.clone(), "reply")).unwrap();
-            }
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Empty queue: recv_batch times out like recv_timeout.
-        assert_eq!(
-            server.recv_batch(3, Duration::from_millis(5)).unwrap_err(),
-            CommError::Timeout
-        );
+    fn receives_and_replies_without_a_deadline_wait_for_what_comes_later() {
+        // `Duration::MAX` overflows an `Instant`: it means no deadline at all.
+        let server = ReqRepServer::new("svc.forever");
+        let client = server.client(instant_link());
+        let asker = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            client.request_timeout(Message::new("svc.forever", "req"), Duration::MAX)
+        });
+        let (msg, responder) = server.recv_timeout(Duration::MAX).unwrap();
+        thread::sleep(Duration::from_millis(20));
+        responder.reply(Message::new(msg.topic, "reply")).unwrap();
+        assert_eq!(asker.join().unwrap().unwrap().kind, "reply");
     }
 
     #[test]
@@ -740,14 +653,14 @@ mod tests {
             !refused && self.cell.try_hold()
         }
 
-        fn serve_turn(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>) {
+        fn serve_turn(&self, mut carried: Option<(Message, Responder)>) {
             self.cell.advance_until_parked(|| {
                 self.passes.fetch_add(1, Ordering::AcqRel);
-                let brought = (&mut *carried).inspect(|_| {
+                let brought = carried.take().inspect(|_| {
                     self.carried.fetch_add(1, Ordering::AcqRel);
                 });
                 let queued = std::iter::from_fn(|| self.mailbox.try_recv());
-                for (msg, responder) in brought.chain(queued) {
+                for (msg, responder) in brought.into_iter().chain(queued) {
                     self.served_on.lock().push(thread::current().id());
                     let echo = Message::new(msg.topic.clone(), "echo").with_payload(msg.payload);
                     let _ = responder.reply(echo);
@@ -758,7 +671,7 @@ mod tests {
         fn wake(&self) {
             self.wakes.fetch_add(1, Ordering::AcqRel);
             if self.cell.hold_or_notify() {
-                self.serve_turn(&mut std::iter::empty());
+                self.serve_turn(None);
             }
         }
     }
@@ -799,17 +712,11 @@ mod tests {
             "one poll, one pass over what it carried, nobody woken for the request"
         );
 
-        // A batch is carried whole and served in one pass.
-        let batch: Vec<Message> = (0..5)
-            .map(|i| Message::new("svc.turn", "req").with_text(&i.to_string()))
-            .collect();
-        let replies = client
-            .request_batch(batch, Duration::from_millis(200))
-            .unwrap();
-        assert_eq!(replies.len(), 5);
+        // The next one is carried too, in a pass of its own.
+        assert_eq!(ask(&client, "again").text(), Some("again"));
         assert_eq!(
             (Echo::count(&echo.passes), Echo::count(&echo.carried)),
-            (3, 6)
+            (3, 2)
         );
 
         // Detached: deliveries queue silently again.
@@ -887,7 +794,7 @@ mod tests {
                     thread::yield_now();
                 }
                 let me = thread::current().id();
-                echo.serve_turn(&mut std::iter::empty());
+                echo.serve_turn(None);
                 me
             })
         };
@@ -949,77 +856,6 @@ mod tests {
             "round trip {rt} should include both link traversals"
         );
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn request_batch_pays_one_round_trip_and_preserves_order() {
-        // Real-time scale: a scaled clock would amplify thread-scheduling time into
-        // virtual seconds and swamp the 10 ms hops this test prices.
-        let clock = ClockSpec::scaled(1.0).build();
-        // Deterministic pricing: zero sigma, no bandwidth term.
-        let link = Link::new(
-            "batch",
-            Arc::clone(&clock),
-            LatencyProfile::normal_ms(10.0, 0.0),
-            7,
-        );
-        let server = ReqRepServer::new("svc.reqbatch");
-        let client = server.client(link);
-        let handle = thread::spawn(move || {
-            let mut served = 0;
-            while served < 8 {
-                let batch = server.recv_batch(8, Duration::from_secs(10)).unwrap();
-                for (msg, r) in batch {
-                    served += 1;
-                    let n: u64 = msg.text().unwrap().parse().unwrap();
-                    assert!(msg.f64_header(HDR_ENQUEUED_AT).is_some());
-                    r.reply(Message::new("svc.reqbatch", "reply").with_text(&(n * 3).to_string()))
-                        .unwrap();
-                }
-            }
-        });
-        let reqs: Vec<Message> = (0..8)
-            .map(|i| Message::new("svc.reqbatch", "req").with_text(&i.to_string()))
-            .collect();
-        let t0 = clock.now();
-        let replies = client.request_batch(reqs, Duration::from_secs(10)).unwrap();
-        let rt = clock.now().since(t0).as_secs_f64();
-        handle.join().unwrap();
-        let vals: Vec<u64> = replies
-            .iter()
-            .map(|m| m.text().unwrap().parse().unwrap())
-            .collect();
-        assert_eq!(
-            vals,
-            (0..8).map(|i| i * 3).collect::<Vec<u64>>(),
-            "replies in request order"
-        );
-        // One 10 ms hop out + one back, NOT 8 of each. Allow slack for wall-clock
-        // scheduling between the virtual-time reads.
-        assert!(
-            rt < 0.08,
-            "batched round trip {rt} must not pay per-request latency (8x would be 0.16)"
-        );
-        assert!(rt >= 0.019, "round trip {rt} includes both hops");
-        assert!(client
-            .request_batch(Vec::new(), Duration::from_secs(1))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn send_batch_delivers_all_control_messages() {
-        let server = ReqRepServer::new("svc.ctrlbatch");
-        let client = server.client(instant_link());
-        let msgs: Vec<Message> = (0..4)
-            .map(|i| Message::new("svc.ctrlbatch", "control.cmd").with_text(&i.to_string()))
-            .collect();
-        client.send_batch(msgs).unwrap();
-        client.send_batch(Vec::new()).unwrap();
-        assert_eq!(server.queue_len(), 4);
-        let batch = server.recv_batch(8, Duration::from_secs(1)).unwrap();
-        let texts: Vec<&str> = batch.iter().map(|(m, _)| m.text().unwrap()).collect();
-        assert_eq!(texts, ["0", "1", "2", "3"], "FIFO through the batch path");
     }
 
     #[test]

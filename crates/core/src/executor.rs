@@ -879,56 +879,41 @@ impl Executor {
         }
     }
 
+    /// The endpoints `selector` names, waiting up to `DEPENDENCY_TIMEOUT` for them to
+    /// register.
     fn resolve_targets(
         &self,
         selector: &ServiceSelector,
     ) -> Result<Vec<EndpointEntry>, RuntimeError> {
-        match selector {
+        let (entries, missing) = match selector {
             ServiceSelector::Named(names) => {
-                let mut entries = Vec::with_capacity(names.len());
-                for name in names {
-                    let entry = self
-                        .registry
-                        .wait_for(&format!("service.{name}"), DEPENDENCY_TIMEOUT)
-                        .map_err(RuntimeError::Comm)?;
-                    entries.push(entry);
-                }
-                Ok(entries)
+                return names
+                    .iter()
+                    .map(|name| {
+                        self.registry
+                            .wait_for(&format!("service.{name}"), DEPENDENCY_TIMEOUT)
+                            .map_err(RuntimeError::Comm)
+                    })
+                    .collect();
             }
-            ServiceSelector::ByModel(model) => {
-                let deadline = std::time::Instant::now() + DEPENDENCY_TIMEOUT;
-                loop {
-                    let entries = self.registry.find_by_metadata(META_MODEL, model);
-                    if !entries.is_empty() {
-                        return Ok(entries);
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        return Err(RuntimeError::Comm(hpcml_comm::CommError::EndpointNotFound(
-                            format!("no service hosting model {model}"),
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-            ServiceSelector::Any => {
-                let deadline = std::time::Instant::now() + DEPENDENCY_TIMEOUT;
-                loop {
-                    let names = self.registry.names();
-                    if !names.is_empty() {
-                        return Ok(names
-                            .iter()
-                            .filter_map(|n| self.registry.lookup(n))
-                            .collect());
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        return Err(RuntimeError::Comm(hpcml_comm::CommError::EndpointNotFound(
-                            "no service registered".to_string(),
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
+            ServiceSelector::ByModel(model) => (
+                self.registry.wait_matching(
+                    |entry| entry.metadata.get(META_MODEL).map(String::as_str) == Some(model),
+                    DEPENDENCY_TIMEOUT,
+                ),
+                format!("no service hosting model {model}"),
+            ),
+            ServiceSelector::Any => (
+                self.registry.wait_matching(|_| true, DEPENDENCY_TIMEOUT),
+                "no service registered".to_string(),
+            ),
+        };
+        if entries.is_empty() {
+            return Err(RuntimeError::Comm(hpcml_comm::CommError::EndpointNotFound(
+                missing,
+            )));
         }
+        Ok(entries)
     }
 
     /// The network link between a client task and a service endpoint: intra-platform
@@ -1294,6 +1279,32 @@ mod tests {
         a.request_stop();
         b.request_stop();
         fx.executor.join_all();
+    }
+
+    #[test]
+    fn selectors_wait_for_a_service_that_registers_later() {
+        let fx = fixture(PlatformId::Local, 1, 10_000.0);
+        let waiters: Vec<_> = [
+            ServiceSelector::ByModel("noop".into()),
+            ServiceSelector::Any,
+        ]
+        .into_iter()
+        .map(|selector| {
+            let executor = Arc::clone(&fx.executor);
+            std::thread::spawn(move || executor.resolve_targets(&selector))
+        })
+        .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        let server = ReqRepServer::new("service.late");
+        let metadata = BTreeMap::from([(META_MODEL.to_string(), "noop".to_string())]);
+        fx.registry
+            .register("service.late", server.handle(), metadata)
+            .unwrap();
+        for waiter in waiters {
+            let entries = waiter.join().unwrap().unwrap();
+            let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
+            assert_eq!(names, ["service.late"]);
+        }
     }
 
     #[test]

@@ -260,30 +260,31 @@ impl Server for FrontEnd {
         self.turn.try_hold()
     }
 
-    fn serve_turn(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>) {
+    fn serve_turn(&self, mut carried: Option<(Message, Responder)>) {
         // Again whenever something was queued during the pass.
-        self.turn.advance_until_parked(|| self.pass(carried));
+        self.turn.advance_until_parked(|| self.pass(carried.take()));
     }
 
     fn wake(&self) {
         if self.turn.hold_or_notify() {
-            self.serve_turn(&mut std::iter::empty());
+            self.serve_turn(None);
         }
     }
 }
 
 impl FrontEnd {
-    /// One pass of the front-end: admit what the caller carried and — if it carried
+    /// One pass of the front-end: admit what the caller carried or — if it carried
     /// nothing — what waits in the mailbox, in arrival order.
-    fn pass(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>) {
+    fn pass(&self, mut carried: Option<(Message, Responder)>) {
         let mut admission = self.admission.lock();
         // What was carried found the mailbox empty, and whatever is queued behind the
         // turn notifies its holder: only a pass that carried nothing looks there.
-        let mut look = true;
+        let look = carried.is_none();
         loop {
             let next = admission.mailbox.as_ref().and_then(|mailbox| {
-                let brought = carried.next().inspect(|_| look = false);
-                brought.or_else(|| look.then(|| mailbox.try_recv()).flatten())
+                carried
+                    .take()
+                    .or_else(|| look.then(|| mailbox.try_recv()).flatten())
             });
             let Some((msg, responder)) = next else {
                 break;
@@ -864,7 +865,7 @@ mod tests {
             }
             assert_eq!(service.requests_served(), 0, "nobody else can pass");
             // The holder lets go: the notification makes it pass once more first.
-            service.front.serve_turn(&mut std::iter::empty());
+            service.front.serve_turn(None);
             assert_eq!(service.requests_served(), 1, "served by the holder");
             assert_eq!(requester.join().unwrap().kind, KIND_INFER_REPLY);
             assert_eq!(endpoint.queue_len(), 0);

@@ -40,17 +40,13 @@
 #      Below 2 CPUs the ratio is not printed. BENCH_serving.json records
 #      `host_cpus` beside the pair; or
 #   7. any comm_fabric datapoint (comm/fanout/{encode_once,clone_each}/{1,8,64},
-#      comm/batch/roundtrip/{singleton,batched_16}, comm/registry/lookup_churn)
-#      is missing from the comm bench's parsed results, or zero-copy fan-out at
-#      64 subscribers stops beating the clone-per-subscriber baseline
-#      (clone_each/64 / encode_once/64 >= BENCH_COMM_MIN_FANOUT_SPEEDUP, default
-#      1.5x — the saving is N-1 avoided deep clones of a message that owns its
-#      run-time values, allocation-bound and so host-independent; each point is
-#      the median of seven alternating runs a side and the ratio reads 1.54-1.63x),
-#      or batched round trips stop beating singletons
-#      (singleton / batched_16 >= BENCH_COMM_MIN_BATCH_SPEEDUP, default 1.5x —
-#      virtual-time coalescing-rule pricing, machine-independent). Recorded in
-#      their own baseline, BENCH_comm.json.
+#      comm/registry/lookup_churn) is missing from the comm bench's parsed
+#      results, or zero-copy fan-out at 64 subscribers stops beating the
+#      clone-per-subscriber baseline (clone_each/64 / encode_once/64 >=
+#      BENCH_COMM_MIN_FANOUT_SPEEDUP, default 1.5x — the saving is N-1 avoided
+#      deep clones of a message that owns its run-time values, allocation-bound
+#      and so host-independent; each point is the median of seven alternating
+#      runs a side). Recorded in their own baseline, BENCH_comm.json.
 #
 # Guard numbers stay stable when a guard is retired, so there is no guard 5.
 #
@@ -259,10 +255,9 @@ elif [[ -n "$CLIENTS_ONE" && -n "$CLIENTS_TWO" ]]; then
         }'
 fi
 
-# Guard 7: the comm fabric. Mixed measurement kinds in one binary: the fan-out and
-# registry points are real nanoseconds of allocation-bound CPU work (host-independent
-# ratios), the batch round-trip points are virtual time from the link coalescing rule
-# (deterministic). Existence of every point first, then the two ratio bounds.
+# Guard 7: the comm fabric. The fan-out and registry points are real nanoseconds of
+# allocation-bound CPU work (host-independent ratios). Existence of every point
+# first, then the fan-out ratio bound.
 echo "==> cargo bench -p hpcml-bench --bench comm_fabric"
 COMM_RAW="$(cargo bench -p hpcml-bench --bench comm_fabric 2>&1)"
 echo "$COMM_RAW"
@@ -273,7 +268,6 @@ echo "$COMM_RESULTS" > "$ARTIFACTS/comm-parsed.txt"
 for point in \
     "comm/fanout/encode_once/1" "comm/fanout/encode_once/8" "comm/fanout/encode_once/64" \
     "comm/fanout/clone_each/1" "comm/fanout/clone_each/8" "comm/fanout/clone_each/64" \
-    "comm/batch/roundtrip/singleton" "comm/batch/roundtrip/batched_16" \
     "comm/registry/lookup_churn"; do
     if ! echo "$COMM_RESULTS" | grep -q "^$point "; then
         echo "bench_guard: FAILED — $point missing from comm bench results" >&2
@@ -290,19 +284,6 @@ if [[ -n "$FANOUT_ENCODE_ONCE" && -n "$FANOUT_CLONE_EACH" ]]; then
             speedup = (once > 0) ? clone / once : 0
             printf "guard: fan-out to 64 encode-once %.0f ns vs clone-each %.0f ns: %.2fx speedup (bound %.2fx)\n", \
                 once, clone, speedup, min
-            exit !(speedup >= min)
-        }' || fail=1
-fi
-BATCH_SINGLETON="$(lookup "$COMM_RESULTS" "comm/batch/roundtrip/singleton")"
-BATCH_BATCHED="$(lookup "$COMM_RESULTS" "comm/batch/roundtrip/batched_16")"
-if [[ -n "$BATCH_SINGLETON" && -n "$BATCH_BATCHED" ]]; then
-    COMM_MIN_BATCH="${BENCH_COMM_MIN_BATCH_SPEEDUP:-1.5}"
-    awk -v batched="$BATCH_BATCHED" -v singleton="$BATCH_SINGLETON" \
-        -v min="$COMM_MIN_BATCH" '
-        BEGIN {
-            speedup = (batched > 0) ? singleton / batched : 0
-            printf "guard: 16-request round trips singleton %.0f ns vs batched %.0f ns (virtual): %.2fx speedup (bound %.2fx)\n", \
-                singleton, batched, speedup, min
             exit !(speedup >= min)
         }' || fail=1
 fi
@@ -345,7 +326,7 @@ write_comm_baseline() { # write_comm_baseline <path>
     echo "$COMM_RESULTS" | awk '
         BEGIN {
             print "{"
-            print "  \"unit\": \"ns_per_iter (comm/batch/* virtual)\","
+            print "  \"unit\": \"ns_per_iter\","
             print "  \"note\": \"comm/registry/lookup_churn is bimodal by placement: 780-960 ns when the churn thread has a CPU of its own (every lookup meets a writer swapping the snapshot), 180-210 ns when both threads share one CPU or the host is busy, because the churner then runs only while the reader is descheduled and there is no churn to race (taskset -c 0 reproduces it); a reading near 200 ns, like the 211.5 recorded before PR 23, is such a run and says nothing about the registry\","
         }
         /^comm\// {

@@ -1738,135 +1738,82 @@ fn queue_admission_preserves_priority_and_fifo() {
 
 /// Zero-copy PUB/SUB fan-out under concurrent subscribe/unsubscribe churn: every
 /// message reaches every subscriber that is alive for its whole publish window,
-/// exactly once and in per-topic publish order — at subscriber-shard counts 1 and 4.
+/// exactly once and in publish order.
 #[test]
-fn sharded_pubsub_churn_delivers_exactly_once_in_order() {
+fn pubsub_churn_delivers_exactly_once_in_order() {
     use hpcml::comm::pubsub::Publisher;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    for shards in [1usize, 4] {
-        let publisher = Publisher::with_shards(shards);
-        assert_eq!(publisher.shard_count(), shards);
-        const MESSAGES: u64 = 200;
-        const STABLE_SUBS: usize = 6;
+    let publisher = Publisher::new();
+    const MESSAGES: u64 = 200;
+    const STABLE_SUBS: usize = 6;
 
-        // Stable subscribers join before the first publish and live past the last.
-        let stable: Vec<_> = (0..STABLE_SUBS)
-            .map(|_| publisher.subscribe(&["churn.topic"]))
-            .collect();
+    // Stable subscribers join before the first publish and live past the last.
+    let stable: Vec<_> = (0..STABLE_SUBS)
+        .map(|_| publisher.subscribe(&["churn.topic"]))
+        .collect();
 
-        // Churning threads subscribe and unsubscribe continuously while the
-        // publisher runs; their deliveries are incidental — the property under test
-        // is that churn never corrupts the stable subscribers' streams.
-        let stop = Arc::new(AtomicBool::new(false));
-        let churners: Vec<_> = (0..3)
-            .map(|_| {
-                let publisher = publisher.clone();
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut joined = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let sub = publisher.subscribe(&["churn.topic"]);
-                        let _ = sub.try_recv();
-                        drop(sub);
-                        joined += 1;
-                        // Keep the churn loop from starving the publisher on small hosts.
-                        std::thread::yield_now();
-                    }
-                    joined
-                })
+    // Churning threads subscribe and unsubscribe continuously while the publisher
+    // runs; their deliveries are incidental — the property under test is that churn
+    // never corrupts the stable subscribers' streams.
+    let stop = Arc::new(AtomicBool::new(false));
+    let churners: Vec<_> = (0..3)
+        .map(|_| {
+            let publisher = publisher.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut joined = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let sub = publisher.subscribe(&["churn.topic"]);
+                    let _ = sub.try_recv();
+                    drop(sub);
+                    joined += 1;
+                    // Keep the churn loop from starving the publisher on small hosts.
+                    std::thread::yield_now();
+                }
+                joined
             })
-            .collect();
+        })
+        .collect();
 
-        let pub2 = publisher.clone();
-        let publisher_thread = std::thread::spawn(move || {
-            for i in 0..MESSAGES {
-                pub2.publish(&Message::new("churn.topic", "seq").with_text(&i.to_string()));
-            }
-        });
-        publisher_thread.join().unwrap();
-        stop.store(true, Ordering::Relaxed);
-        let churn_rounds: u64 = churners.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(churn_rounds > 0, "churners made progress");
-        // Pruning is publish-driven: one non-matching publish sweeps out every
-        // subscriber the churners dropped.
-        assert_eq!(publisher.publish(&Message::new("other.topic", "sweep")), 0);
-
-        for (s, sub) in stable.iter().enumerate() {
-            let got = sub.drain();
-            let seqs: Vec<u64> = got
-                .iter()
-                .map(|m| m.text().unwrap().parse().unwrap())
-                .collect();
-            assert_eq!(
-                seqs,
-                (0..MESSAGES).collect::<Vec<u64>>(),
-                "shards={shards} subscriber {s}: exactly once, publish order"
-            );
-        }
-        assert_eq!(
-            publisher.subscriber_count(),
-            STABLE_SUBS,
-            "shards={shards}: dropped churn subscribers were pruned"
-        );
-    }
-}
-
-/// Batched transport equivalence: a batch of K requests observes the coalescing rule
-/// on the virtual clock (one latency sample each way, bandwidth for the summed bytes),
-/// and batched receive paths never reorder items relative to singleton receives.
-#[test]
-fn batched_burst_transport_matches_singleton_semantics() {
-    use hpcml::comm::link::Link;
-    use hpcml::comm::reqrep::ReqRepServer;
-    use hpcml::platform::network::LatencyProfile;
-    use std::time::Duration;
-
-    // Coalescing-rule pricing, checked exactly with a zero-sigma profile.
-    let clock = ClockSpec::scaled(100_000.0).build();
-    let profile = LatencyProfile::normal_ms(2.0, 0.0).with_per_kib_ms(0.5);
-    let link = Link::new("prop", std::sync::Arc::clone(&clock), profile, 11);
-    for k in [1usize, 4, 16] {
-        let batched = link.traverse_batch(k, k * 2048);
-        let expected = 0.002 + (k as f64 * 2.0) * 0.5e-3;
-        assert!(
-            (batched - expected).abs() < 1e-9,
-            "k={k}: batch pays one 2 ms sample + bandwidth of the summed bytes, got {batched}"
-        );
-    }
-
-    // ReqRep: request_batch returns replies in request order through a server that
-    // serves via recv_batch.
-    let server = ReqRepServer::new("prop.svc");
-    let client = server.client(Link::instant(ClockSpec::scaled(100_000.0).build()));
-    let serve = std::thread::spawn(move || {
-        let mut served = 0;
-        while served < 32 {
-            let batch = server.recv_batch(8, Duration::from_secs(10)).unwrap();
-            for (msg, r) in batch {
-                served += 1;
-                r.reply(Message::new("prop.svc", "reply").with_text(msg.text().unwrap()))
-                    .unwrap();
-            }
+    let pub2 = publisher.clone();
+    let publisher_thread = std::thread::spawn(move || {
+        for i in 0..MESSAGES {
+            pub2.publish(&Message::new("churn.topic", "seq").with_text(&i.to_string()));
         }
     });
-    let reqs: Vec<Message> = (0..32)
-        .map(|i| Message::new("prop.svc", "req").with_text(&i.to_string()))
-        .collect();
-    let replies = client.request_batch(reqs, Duration::from_secs(10)).unwrap();
-    serve.join().unwrap();
-    let echoed: Vec<usize> = replies
-        .iter()
-        .map(|m| m.text().unwrap().parse().unwrap())
-        .collect();
-    assert_eq!(echoed, (0..32).collect::<Vec<usize>>());
+    publisher_thread.join().unwrap();
+    stop.store(true, Ordering::Relaxed);
+    let churn_rounds: u64 = churners.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(churn_rounds > 0, "churners made progress");
+    // Pruning is publish-driven: one non-matching publish sweeps out every
+    // subscriber the churners dropped.
+    assert_eq!(publisher.publish(&Message::new("other.topic", "sweep")), 0);
+
+    for (s, sub) in stable.iter().enumerate() {
+        let got = sub.drain();
+        let seqs: Vec<u64> = got
+            .iter()
+            .map(|m| m.text().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(
+            seqs,
+            (0..MESSAGES).collect::<Vec<u64>>(),
+            "subscriber {s}: exactly once, publish order"
+        );
+    }
+    assert_eq!(
+        publisher.subscriber_count(),
+        STABLE_SUBS,
+        "dropped churn subscribers were pruned"
+    );
 }
 
 // ---------------------------------------------------------------- serving plane
 
-/// The serving path under interleaving: N client threads — each a seeded mix of
-/// single requests and small batches, so that requests arrive while another client's
+/// The serving path under interleaving: N client threads — each sending single
+/// requests with seeded pauses, so that requests arrive while another client's
 /// thread is mid-pass through the front-end or a replica — against batch sizes {1, 4}
 /// and {1, 2} replicas, with 4 clients and with two more clients than the host has
 /// CPUs. With no more clients than CPUs a sender that finds the service's turn taken
@@ -1930,32 +1877,22 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
                     let mut largest_batch = 0usize;
                     start.wait();
                     while answered.len() < REQUESTS {
-                        let burst = rng.gen_range(1usize..4).min(REQUESTS - answered.len());
-                        let requests: Vec<InferenceRequest> = (0..burst)
-                            .map(|_| InferenceRequest::new("p", 1).from_client(format!("c{c}")))
-                            .collect();
-                        let mut msgs: Vec<Message> = requests
-                            .iter()
-                            .map(|r| inference_request_message("prop.serving", r))
-                            .collect();
-                        let replies = if burst == 1 && rng.gen_bool(0.5) {
-                            vec![client.request(msgs.remove(0)).unwrap()]
-                        } else {
-                            client.request_batch(msgs, Duration::from_secs(30)).unwrap()
-                        };
-                        assert_eq!(replies.len(), burst);
-                        for (sent, reply) in requests.iter().zip(&replies) {
-                            assert_eq!(reply.kind, KIND_INFER_REPLY);
-                            assert_eq!(
-                                reply.header(HDR_REQUEST_ID),
-                                Some(sent.request_id.as_str()),
-                                "client {c}: replies pair with requests in send order"
-                            );
-                            let batch: usize =
-                                reply.header(HDR_BATCH_SIZE).unwrap().parse().unwrap();
-                            largest_batch = largest_batch.max(batch);
-                            answered.push(sent.request_id.clone());
-                        }
+                        let sent = InferenceRequest::new("p", 1).from_client(format!("c{c}"));
+                        let reply = client
+                            .request_timeout(
+                                inference_request_message("prop.serving", &sent),
+                                Duration::from_secs(30),
+                            )
+                            .unwrap();
+                        assert_eq!(reply.kind, KIND_INFER_REPLY);
+                        assert_eq!(
+                            reply.header(HDR_REQUEST_ID),
+                            Some(sent.request_id.as_str()),
+                            "client {c}: the reply to this very request"
+                        );
+                        let batch: usize = reply.header(HDR_BATCH_SIZE).unwrap().parse().unwrap();
+                        largest_batch = largest_batch.max(batch);
+                        answered.push(sent.request_id);
                         // A replica never idles while a request waits: whatever queues
                         // behind one is begun by whoever holds it before it parks. A
                         // dispatcher queues a moment before it takes or notifies the
@@ -2008,8 +1945,8 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
 /// does not wait for a turn on one): A finds the turn held, runs out of polls and
 /// queues, and is stopped just before it tells the server; B waits for the turn, gets
 /// it on its fourth poll and finds A's request in the mailbox. B must queue behind A and
-/// serve both, A first. Then a seeded storm: clients sending numbered singles and
-/// bursts at a server that refuses a third of all polls and sometimes a whole wait —
+/// serve both, A first. Then a seeded storm: clients sending numbered requests at a
+/// server that refuses a third of all polls and sometimes a whole wait —
 /// every request is admitted once, each client's in the order it sent them, replies
 /// pair with requests, and both the carried and the queued way were taken.
 #[test]
@@ -2066,11 +2003,12 @@ fn serving_interleavings_a_late_turn_never_carries_past_a_queued_request() {
             !refused && self.turn.try_hold()
         }
 
-        fn serve_turn(&self, carried: &mut dyn Iterator<Item = (Message, Responder)>) {
+        fn serve_turn(&self, mut carried: Option<(Message, Responder)>) {
             self.turn.advance_until_parked(|| {
-                let brought = (&mut *carried).map(|request| (request, true));
+                let brought = carried.take().map(|request| (request, true));
                 let queued = std::iter::from_fn(|| self.mailbox.try_recv());
-                for ((msg, responder), carried) in brought.chain(queued.map(|r| (r, false))) {
+                let admitted = brought.into_iter().chain(queued.map(|r| (r, false)));
+                for ((msg, responder), carried) in admitted {
                     let text = msg.text().expect("text").to_string();
                     self.admitted.lock().unwrap().push((text.clone(), carried));
                     let _ = responder.reply(Message::new(msg.topic, "echo").with_text(&text));
@@ -2083,7 +2021,7 @@ fn serving_interleavings_a_late_turn_never_carries_past_a_queued_request() {
                 std::thread::yield_now();
             }
             if self.turn.hold_or_notify() {
-                self.serve_turn(&mut std::iter::empty());
+                self.serve_turn(None);
             }
         }
     }
@@ -2156,29 +2094,8 @@ fn serving_interleavings_a_late_turn_never_carries_past_a_queued_request() {
             .map(|c| {
                 let client = connect();
                 scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0x6A7E ^ c as u64);
-                    let mut sent = 0;
-                    while sent < REQUESTS {
-                        let burst = rng.gen_range(1usize..4).min(REQUESTS - sent);
-                        let texts: Vec<String> =
-                            (sent..sent + burst).map(|i| format!("{c}:{i}")).collect();
-                        if burst == 1 {
-                            let reply = client
-                                .request(Message::new("prop.gate", "req").with_text(&texts[0]))
-                                .unwrap();
-                            assert_eq!(reply.text(), Some(texts[0].as_str()));
-                        } else {
-                            let msgs = texts
-                                .iter()
-                                .map(|t| Message::new("prop.gate", "req").with_text(t))
-                                .collect();
-                            let replies =
-                                client.request_batch(msgs, Duration::from_secs(30)).unwrap();
-                            let echoed: Vec<&str> =
-                                replies.iter().map(|r| r.text().unwrap()).collect();
-                            assert_eq!(echoed, texts, "client {c}: replies in request order");
-                        }
-                        sent += burst;
+                    for i in 0..REQUESTS {
+                        ask(&client, &format!("{c}:{i}"));
                     }
                 })
             })
