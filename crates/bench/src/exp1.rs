@@ -257,6 +257,7 @@ mod tests {
 
     #[test]
     fn bootstrap_components_have_paper_shape_at_small_scale() {
+        let _serial = crate::serial();
         let config = BootstrapConfig {
             instance_counts: vec![4],
             clock_scale: 2000.0,
@@ -275,6 +276,7 @@ mod tests {
 
     #[test]
     fn resize_cycles_are_size_neutral_and_measured() {
+        let _serial = crate::serial();
         let config = ResizeConfig {
             node_counts: vec![4, 16],
             delta: 2,
@@ -295,6 +297,7 @@ mod tests {
 
     #[test]
     fn launch_grows_with_concurrency_past_the_knee() {
+        let _serial = crate::serial();
         let config = BootstrapConfig {
             instance_counts: vec![8, 320],
             clock_scale: 6000.0,

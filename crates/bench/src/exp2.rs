@@ -276,6 +276,7 @@ mod tests {
 
     #[test]
     fn local_noop_rt_is_dominated_by_communication() {
+        let _serial = crate::serial();
         let r = run_one(2, 2, &tiny(Deployment::Local));
         assert_eq!(r.components["communication"].count, 24);
         assert!(
@@ -299,6 +300,7 @@ mod tests {
 
     #[test]
     fn remote_noop_rt_exceeds_local() {
+        let _serial = crate::serial();
         let local = run_one(2, 2, &tiny(Deployment::Local));
         let remote = run_one(2, 2, &tiny(Deployment::Remote));
         assert!(
@@ -311,6 +313,7 @@ mod tests {
 
     #[test]
     fn batched_serving_config_flows_through_the_sweep() {
+        let _serial = crate::serial();
         let mut config = tiny(Deployment::Local);
         config.serving = ServingConfig::default().max_batch_size(4);
         let r = run_one(2, 1, &config);
@@ -319,6 +322,7 @@ mod tests {
 
     #[test]
     fn weak_scaling_sweep_runs_all_configurations() {
+        let _serial = crate::serial();
         let config = tiny(Deployment::Local);
         let results = run_sweep(Scaling::Weak, &config);
         assert_eq!(results.len(), 2);

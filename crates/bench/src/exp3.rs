@@ -46,6 +46,7 @@ mod tests {
 
     #[test]
     fn inference_dominates_response_time() {
+        let _serial = crate::serial();
         let r = run_one(2, 2, &tiny_llm(Deployment::Remote));
         let inference = r.components["inference"].mean;
         let communication = r.components["communication"].mean;
@@ -61,6 +62,7 @@ mod tests {
 
     #[test]
     fn queueing_grows_when_services_are_scarce() {
+        let _serial = crate::serial();
         // 2 clients hammering 1 single-threaded service vs 2 services: the queueing
         // (service) component must shrink when more services are available.
         let scarce = run_one(2, 1, &tiny_llm(Deployment::Local));
@@ -75,24 +77,28 @@ mod tests {
 
     #[test]
     fn batching_amortises_the_scarce_service_queue() {
+        let _serial = crate::serial();
         // The same 2-clients-1-service crunch as above, but the service has the default
-        // serving plane, which begins what queued behind a busy replica as one backend
-        // call: amortised decode cost must beat the paper's one-request-one-call path
+        // serving plane, where a request that finds the replica busy joins its running
+        // batch: amortised decode cost must beat the paper's one-request-at-a-time path
         // end to end.
         let unbatched = run_one(2, 1, &tiny_llm(Deployment::Local));
         let mut config = tiny_llm(Deployment::Local);
         config.serving = ServingConfig::default();
         let batched = run_one(2, 1, &config);
+        let margin = unbatched.total.mean - batched.total.mean;
         assert!(
             batched.total.mean < unbatched.total.mean,
-            "batched RT ({:.3}s) must beat unbatched RT ({:.3}s)",
+            "batched RT ({:.3}s) must beat unbatched RT ({:.3}s): margin {margin:.3}s ({:.1}%)",
             batched.total.mean,
-            unbatched.total.mean
+            unbatched.total.mean,
+            100.0 * margin / unbatched.total.mean
         );
     }
 
     #[test]
     fn local_and_remote_inference_times_are_comparable() {
+        let _serial = crate::serial();
         let local = run_one(1, 1, &tiny_llm(Deployment::Local));
         let remote = run_one(1, 1, &tiny_llm(Deployment::Remote));
         let ratio = remote.components["inference"].mean / local.components["inference"].mean;

@@ -23,6 +23,18 @@ pub mod exp3;
 pub mod report;
 pub mod tables;
 
+/// Runs the `exp1`–`exp3` unit tests one at a time: each drives whole sessions on a
+/// scaled clock, and one test's 320-service bootstrap landing on another's publish
+/// sleeps skews the timing shapes both assert.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed under the lock poisons it; the next one still runs alone.
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Returns true when the harness should run at full paper scale (set `HPCML_FULL=1`).
 /// The default is a reduced scale that finishes in seconds while preserving the shapes.
 pub fn full_scale() -> bool {

@@ -261,9 +261,9 @@ pub struct ServiceDescription {
     /// Seconds to wait for readiness before giving up.
     pub startup_timeout_secs: f64,
     /// Serving-plane configuration: replica count, batch cap and admission control.
-    /// The default is one replica that begins what queued behind it, up to 8 requests,
-    /// as one backend call; `max_batch_size(1)` is the paper's one-request-at-a-time
-    /// service.
+    /// The default is one replica that runs up to 8 requests on its backend at once,
+    /// each joining the running batch when it is dispatched; `max_batch_size(1)` is the
+    /// paper's one-request-at-a-time service.
     #[serde(default)]
     pub serving: ServingConfig,
     /// Free-form tags.

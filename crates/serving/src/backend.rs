@@ -1,16 +1,16 @@
 //! Model backends: the pure duration/token model behind a hosted capability.
 //!
 //! A [`ModelBackend`] does not sleep or touch the clock; it only *computes* what an
-//! inference would cost (tokens produced, seconds of GPU time). The [`crate::host::ModelHost`]
-//! is responsible for spending that time on the virtual clock, which keeps backends
-//! trivially testable and deterministic under a fixed RNG seed.
+//! inference would cost alone (tokens produced, seconds of GPU time). A replica of the
+//! serving plane spends that time on the virtual clock, at [`progress_rate`] of the
+//! sequences sharing the backend with it, which keeps backends trivially testable and
+//! deterministic under a fixed RNG seed.
 
 use bytes::Bytes;
 use rand::Rng;
 
 use hpcml_sim::dist::Dist;
 
-use crate::batcher::Batch;
 use crate::model::{ModelKind, ModelSpec};
 use crate::request::InferenceRequest;
 
@@ -28,18 +28,6 @@ pub struct BackendResult {
     pub compute_secs: f64,
 }
 
-/// Outcome of one batched backend dispatch: the per-request results plus the wall-clock
-/// compute cost of the batch as a whole (which a batching backend makes sub-linear in
-/// the batch size).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchResult {
-    /// One result per request, in request order. `compute_secs` inside each entry is
-    /// the request's *solo* cost; the batch shares [`BatchResult::batch_compute_secs`].
-    pub results: Batch<BackendResult>,
-    /// Wall-clock GPU seconds the whole batch occupies the backend.
-    pub batch_compute_secs: f64,
-}
-
 /// Marginal decode-step cost of each additional sequence in a continuous batch,
 /// relative to a solo sequence. Auto-regressive decoding is memory-bandwidth-bound, so
 /// adding a sequence to a decode step costs far less than a full extra step — this
@@ -48,8 +36,16 @@ pub struct BatchResult {
 pub const MARGINAL_DECODE_COST: f64 = 0.15;
 
 /// The batch size [`MARGINAL_DECODE_COST`] is calibrated at, and so the default cap on
-/// the requests a replica begins as one backend call.
+/// the sequences a replica runs at once.
 pub const CALIBRATED_BATCH_SIZE: usize = 8;
+
+/// How fast each of `width` sequences sharing the backend progresses, in solo seconds
+/// per second: every decode step serves all of them, at [`MARGINAL_DECODE_COST`] extra
+/// per sequence beyond the first. A sequence alone runs at its solo cost; eight of
+/// equal cost end together 3.9× sooner than one after another would.
+pub fn progress_rate(width: usize) -> f64 {
+    1.0 / (1.0 + MARGINAL_DECODE_COST * width.saturating_sub(1) as f64)
+}
 
 /// A servable model implementation.
 pub trait ModelBackend: Send + Sync {
@@ -65,23 +61,6 @@ pub trait ModelBackend: Send + Sync {
         request: &InferenceRequest,
         rng: &mut (dyn rand::RngCore + 'a),
     ) -> BackendResult;
-
-    /// Compute the result of a batched dispatch over `requests`, wherever the caller
-    /// keeps them. The default loops [`ModelBackend::infer`] and sums the costs — i.e.
-    /// batching buys nothing unless the backend overrides this with a sub-linear cost
-    /// model.
-    fn infer_batch<'a, 'r>(
-        &self,
-        requests: &mut dyn Iterator<Item = &'r InferenceRequest>,
-        rng: &mut (dyn rand::RngCore + 'a),
-    ) -> BatchResult {
-        let results: Batch<BackendResult> = requests.map(|r| self.infer(r, rng)).collect();
-        let batch_compute_secs = results.iter().map(|r| r.compute_secs).sum();
-        BatchResult {
-            results,
-            batch_compute_secs,
-        }
-    }
 }
 
 /// The NOOP backend: replies immediately with a static response (experiment 2).
@@ -211,56 +190,6 @@ impl ModelBackend for SimLlmBackend {
             compute_secs,
         }
     }
-
-    /// Continuous-batching cost model. Prefill of the member sequences overlaps with
-    /// decode steps of the others, so the prompt phase costs the *longest* member's
-    /// prefill rather than the sum; decode steps serve every live sequence at once at
-    /// [`MARGINAL_DECODE_COST`] extra per additional sequence. The batch cost is
-    /// clamped to `[max solo, sum of solos]`: a batch can neither beat its slowest
-    /// member nor cost more than serial dispatch.
-    fn infer_batch<'a, 'r>(
-        &self,
-        requests: &mut dyn Iterator<Item = &'r InferenceRequest>,
-        rng: &mut (dyn rand::RngCore + 'a),
-    ) -> BatchResult {
-        let batch: Batch<BackendResult> = requests.map(|r| self.infer(r, rng)).collect();
-        let results = &batch[..];
-        if results.len() <= 1 {
-            let batch_compute_secs = results.iter().map(|r| r.compute_secs).sum();
-            return BatchResult {
-                results: batch,
-                batch_compute_secs,
-            };
-        }
-        let sum_solo: f64 = results.iter().map(|r| r.compute_secs).sum();
-        let max_solo = results.iter().map(|r| r.compute_secs).fold(0.0, f64::max);
-        let prompt_rate = self.spec.prompt_tokens_per_sec;
-        let max_prompt_secs = if prompt_rate > 0.0 && prompt_rate.is_finite() {
-            results
-                .iter()
-                .map(|r| r.prompt_tokens as f64 / prompt_rate)
-                .fold(0.0, f64::max)
-        } else {
-            0.0
-        };
-        let max_gen_tokens = results
-            .iter()
-            .map(|r| r.completion_tokens)
-            .max()
-            .unwrap_or(0) as f64;
-        let gen_secs = if self.spec.gen_tokens_per_sec.is_finite() {
-            (max_gen_tokens / self.spec.gen_tokens_per_sec)
-                * (1.0 + (results.len() - 1) as f64 * MARGINAL_DECODE_COST)
-        } else {
-            0.0
-        };
-        let overhead = self.spec.per_request_overhead_secs.sample(rng).max(0.0);
-        let batch_compute_secs = (overhead + max_prompt_secs + gen_secs).clamp(max_solo, sum_solo);
-        BatchResult {
-            results: batch,
-            batch_compute_secs,
-        }
-    }
 }
 
 /// Deterministic synthetic completion text of roughly `tokens` tokens.
@@ -368,48 +297,49 @@ mod tests {
         let _ = SimLlmBackend::new(ModelSpec::noop());
     }
 
-    #[test]
-    fn batched_dispatch_is_sublinear_for_llm() {
-        let b = SimLlmBackend::llama_8b();
-        let mut r = rng();
-        let requests: Vec<InferenceRequest> = (0..8).map(|_| request(30, 128)).collect();
-        let batch = b.infer_batch(&mut requests.iter(), &mut r);
-        let results = &batch.results[..];
-        assert_eq!(results.len(), 8);
-        let sum_solo: f64 = results.iter().map(|x| x.compute_secs).sum();
-        let max_solo = results.iter().map(|x| x.compute_secs).fold(0.0, f64::max);
-        assert!(
-            batch.batch_compute_secs >= max_solo,
-            "a batch cannot finish before its slowest member: {} < {max_solo}",
-            batch.batch_compute_secs
-        );
-        assert!(
-            sum_solo / batch.batch_compute_secs >= 1.5,
-            "8-wide continuous batch must be >= 1.5x serial: {sum_solo} vs {}",
-            batch.batch_compute_secs
-        );
+    /// When `solos` sequences begun together end, each progressing at
+    /// [`progress_rate`] of the width still live: the shortest ends first and frees its
+    /// share for the rest.
+    fn all_ended_secs(mut solos: Vec<f64>) -> f64 {
+        solos.sort_by(f64::total_cmp);
+        let (mut done, mut elapsed) = (0.0, 0.0);
+        for (ended, solo) in solos.iter().enumerate() {
+            elapsed += (solo - done) / progress_rate(solos.len() - ended);
+            done = *solo;
+        }
+        elapsed
     }
 
     #[test]
-    fn singleton_batch_costs_the_solo_price() {
+    fn sequences_sharing_the_backend_are_sublinear_and_bounded_by_serial() {
         let b = SimLlmBackend::llama_8b();
-        let req = [request(20, 64)];
         let mut r = rng();
-        let batch = b.infer_batch(&mut req.iter(), &mut r);
-        let Batch::One(only) = &batch.results else {
-            panic!("one request, one result, no allocation: {batch:?}");
-        };
-        assert!((batch.batch_compute_secs - only.compute_secs).abs() < 1e-12);
-    }
-
-    #[test]
-    fn default_batch_impl_is_serial() {
-        // NoopBackend does not override infer_batch: the default loops infer and sums.
-        let b = NoopBackend::new();
-        let mut r = rng();
-        let requests: Vec<InferenceRequest> = (0..4).map(|_| request(3, 8)).collect();
-        let batch = b.infer_batch(&mut requests.iter(), &mut r);
-        assert_eq!(batch.results.len(), 4);
-        assert_eq!(batch.batch_compute_secs, 0.0);
+        assert_eq!(
+            progress_rate(1),
+            1.0,
+            "a sequence alone runs at its solo cost"
+        );
+        for width in [2, 3, 8] {
+            let solos: Vec<f64> = (0..width)
+                .map(|_| b.infer(&request(30, 128), &mut r).compute_secs)
+                .collect();
+            let serial: f64 = solos.iter().sum();
+            let slowest = solos.iter().copied().fold(0.0, f64::max);
+            let together = all_ended_secs(solos);
+            assert!(
+                together >= slowest,
+                "{width} wide: no earlier than the slowest solo ({together} < {slowest})"
+            );
+            assert!(
+                together <= serial,
+                "{width} wide: no later than one after another ({together} > {serial})"
+            );
+            if width == 8 {
+                assert!(
+                    serial / together >= 1.5,
+                    "8-wide must be >= 1.5x serial: {serial} vs {together}"
+                );
+            }
+        }
     }
 }

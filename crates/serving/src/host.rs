@@ -2,11 +2,13 @@
 //!
 //! A [`ModelHost`] owns one [`ModelBackend`], loads it (spending the load time on the
 //! virtual clock — this is the `init` component of the paper's bootstrap time), and then
-//! serves **one batch at a time**: the requests that queued behind the previous batch,
-//! as one backend call. With `ServingConfig::max_batch_size(1)` that is one request at
-//! a time, exactly like the paper's current implementation: "services are
-//! single-threaded, and, as such, they only handle one request at a time, queuing
-//! further incoming requests" (§IV-A).
+//! begins requests on it one at a time ([`ModelHost::begin`]): the backend call that
+//! says what a request costs alone. A replica of the serving plane spends that cost on
+//! the clock while the request shares the backend in a batch of up to `max_batch_size`,
+//! each member joining when it is dispatched and leaving when its own time is up. With
+//! `ServingConfig::max_batch_size(1)` that is one request at a time, exactly like the
+//! paper's current implementation: "services are single-threaded, and, as such, they
+//! only handle one request at a time, queuing further incoming requests" (§IV-A).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +22,6 @@ use hpcml_sim::clock::SharedClock;
 use hpcml_sim::pool::OwnLine;
 
 use crate::backend::{BackendResult, ModelBackend, NoopBackend, SimLlmBackend};
-use crate::batcher::Batch;
 use crate::model::{ModelKind, ModelSpec};
 use crate::request::{InferenceRequest, InferenceResponse};
 
@@ -52,17 +53,7 @@ impl std::fmt::Display for HostError {
 
 impl std::error::Error for HostError {}
 
-/// A batch between [`ModelHost::begin_batch`] and the end of its compute time: the
-/// backend has been called, the time is still to be spent.
-#[derive(Debug)]
-pub struct BegunBatch {
-    /// What the backend answered, one result per request, in request order.
-    pub results: Batch<BackendResult>,
-    /// Virtual seconds the whole batch occupies the backend.
-    pub compute_secs: f64,
-}
-
-/// What a host writes per batch, behind one lock and on one cache line.
+/// What a host writes per request, behind one lock and on one cache line.
 struct Drawn {
     rng: StdRng,
     requests_served: u64,
@@ -152,71 +143,38 @@ impl ModelHost {
         load_secs
     }
 
-    /// Serve one inference request, spending its compute time on the virtual clock:
-    /// [`ModelHost::handle_batch`] with a batch of one.
+    /// Serve one inference request, spending its compute time on the virtual clock
+    /// under the serve lock: [`ModelHost::begin`] and a sleep, for callers that can
+    /// block. A replica of the serving plane parks on a timer instead.
     ///
     /// The returned response has `service_secs = 0`; the service layer that owns the
     /// endpoint fills in queueing/parsing time.
     pub fn handle(&self, request: &InferenceRequest) -> Result<InferenceResponse, HostError> {
-        let mut responses = self.handle_batch(std::slice::from_ref(request))?;
-        Ok(responses.pop().expect("one response per request"))
-    }
-
-    /// Serve a batch of requests in one backend dispatch, spending the *batch* compute
-    /// time on the virtual clock exactly once. Every member's `inference_secs` is the
-    /// shared batch wall time — in continuous batching all members finish when the
-    /// batch's last decode step does.
-    ///
-    /// Returns one response per request, in request order. This is
-    /// [`ModelHost::begin_batch`] and a sleep of the batch's compute time under the
-    /// serve lock, for callers that can block; a replica of the serving plane parks on
-    /// a timer instead, and answers from the [`BegunBatch`] itself.
-    pub fn handle_batch(
-        &self,
-        requests: &[InferenceRequest],
-    ) -> Result<Vec<InferenceResponse>, HostError> {
-        if !self.is_loaded() {
-            return Err(HostError::NotLoaded);
-        }
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
         let _guard = self.serve_lock.lock();
-        let begun = self.begin_batch(requests.iter())?;
+        let result = self.begin(request)?;
         self.clock
-            .sleep(Duration::from_secs_f64(begun.compute_secs));
-        let responses = requests.iter().zip(begun.results);
-        Ok(responses
-            .map(|(request, result)| InferenceResponse {
-                request_id: request.request_id.clone(),
-                text: String::from_utf8_lossy(&result.text).into_owned(),
-                prompt_tokens: result.prompt_tokens,
-                completion_tokens: result.completion_tokens,
-                inference_secs: begun.compute_secs,
-                service_secs: 0.0,
-                model: self.backend.spec().name.clone(),
-            })
-            .collect())
+            .sleep(Duration::from_secs_f64(result.compute_secs));
+        Ok(InferenceResponse {
+            request_id: request.request_id.clone(),
+            text: String::from_utf8_lossy(&result.text).into_owned(),
+            prompt_tokens: result.prompt_tokens,
+            completion_tokens: result.completion_tokens,
+            inference_secs: result.compute_secs,
+            service_secs: 0.0,
+            model: self.backend.spec().name.clone(),
+        })
     }
 
-    /// Make the backend call for `requests`, wherever the caller keeps them, and learn
-    /// what the batch costs, without spending that time: the caller lets
-    /// `compute_secs` pass on the clock — serving one batch at a time — and then
-    /// answers from the results.
-    pub fn begin_batch<'r>(
-        &self,
-        mut requests: impl Iterator<Item = &'r InferenceRequest>,
-    ) -> Result<BegunBatch, HostError> {
+    /// Make the backend call for `request` and learn what it costs alone, without
+    /// spending that time: the caller lets it pass on the clock and then answers from
+    /// the result.
+    pub fn begin(&self, request: &InferenceRequest) -> Result<BackendResult, HostError> {
         if !self.is_loaded() {
             return Err(HostError::NotLoaded);
         }
         let mut drawn = self.drawn.lock();
-        let batch = self.backend.infer_batch(&mut requests, &mut drawn.rng);
-        drawn.requests_served += batch.results.len() as u64;
-        Ok(BegunBatch {
-            results: batch.results,
-            compute_secs: batch.batch_compute_secs,
-        })
+        drawn.requests_served += 1;
+        Ok(self.backend.infer(request, &mut drawn.rng))
     }
 
     /// The clock this host spends time on.
@@ -290,41 +248,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_handle_spends_batch_time_once() {
-        // Moderate compression so scheduler jitter (tens of µs real = tens of ms
-        // virtual) stays far below the asserted bound of ~2x the batch seconds.
-        let c = ClockSpec::scaled(1000.0).build();
-        let host = ModelHost::from_spec(ModelSpec::sim_llama_8b(), std::sync::Arc::clone(&c), 11);
-        host.load();
-        let requests: Vec<InferenceRequest> = (0..6)
-            .map(|_| InferenceRequest::new("b ".repeat(40), 96))
-            .collect();
-        let t0 = c.now();
-        let responses = host.handle_batch(&requests).unwrap();
-        let elapsed = c.now().since(t0).as_secs_f64();
-        assert_eq!(responses.len(), 6);
-        let batch_secs = responses[0].inference_secs;
-        assert!(responses.iter().all(|r| r.inference_secs == batch_secs));
-        // The clock advanced once by the batch cost, not 6x by the solo cost.
-        assert!(elapsed >= batch_secs * 0.5);
-        assert!(
-            elapsed < batch_secs * 3.0,
-            "elapsed {elapsed} vs {batch_secs}"
-        );
-        assert_eq!(host.requests_served(), 6);
-        // Responses preserve request order.
-        for (req, resp) in requests.iter().zip(&responses) {
-            assert_eq!(req.request_id, resp.request_id);
-        }
-    }
-
-    #[test]
-    fn batch_handle_requires_load_and_tolerates_empty() {
-        let host = ModelHost::from_spec(ModelSpec::noop(), clock(), 12);
-        let reqs = vec![InferenceRequest::new("x", 1)];
-        assert_eq!(host.handle_batch(&reqs).unwrap_err(), HostError::NotLoaded);
-        host.load();
-        assert!(host.handle_batch(&[]).unwrap().is_empty());
+    fn begin_draws_what_handle_spends() {
+        let c = clock();
+        let request = InferenceRequest::new("b ".repeat(40), 96);
+        let begun = ModelHost::from_spec(ModelSpec::sim_llama_8b(), Arc::clone(&c), 11);
+        assert_eq!(begun.begin(&request).unwrap_err(), HostError::NotLoaded);
+        let handled = ModelHost::from_spec(ModelSpec::sim_llama_8b(), Arc::clone(&c), 11);
+        begun.load();
+        handled.load();
+        let result = begun.begin(&request).unwrap();
+        let response = handled.handle(&request).unwrap();
+        assert_eq!(response.inference_secs, result.compute_secs);
+        assert_eq!(response.completion_tokens, result.completion_tokens);
+        assert_eq!(begun.requests_served(), 1);
     }
 
     #[test]

@@ -13,18 +13,20 @@
 //!   prompt-processing + auto-regressive generation);
 //! * [`host`] — [`ModelHost`]: the Ollama stand-in. Loads a model (sleeping the sampled
 //!   load time on the virtual clock — the `init` component of the paper's bootstrap
-//!   time) and runs one *batch* at a time (the paper's services are single-threaded
-//!   and queue further incoming requests: one request at a time is
+//!   time) and begins requests on its backend one at a time (the paper's services are
+//!   single-threaded and queue further incoming requests: one request at a time is
 //!   `ServingConfig::max_batch_size(1)`);
-//! * [`batcher`] — [`ServingConfig`] and [`batcher::Batch`]: requests batch where they
-//!   already wait, up to `max_batch_size` (by default the batch size the backend's cost
-//!   model is calibrated at), and never wait for company;
+//! * [`config`] — [`ServingConfig`]: replicas, the batch cap (by default the batch size
+//!   the backend's cost model is calibrated at), the admission bound and shedding;
 //! * [`pool`] — [`ReplicaPool`]: N hosts behind one endpoint with
 //!   least-outstanding-requests routing over lock-free per-replica counters, runtime
 //!   scale-up and drain-based scale-down; a replica is a resumable run — not a
-//!   thread — that begins a request on the thread that dispatches it, queues only what
-//!   arrives while it is busy, begins all of that as one batch when it frees, and parks
-//!   on a timer while a batch computes;
+//!   thread — that admits requests at decode-step granularity: one dispatched to a
+//!   replica with fewer than `max_batch_size` live sequences joins the running batch
+//!   at once, on the thread that dispatches it, every live sequence progresses at
+//!   [`backend::progress_rate`] of the batch's width, each is answered when its own
+//!   time is up, only requests beyond the cap queue, and the replica parks on a timer
+//!   until the next sequence ends;
 //! * [`service`] — [`InferenceService`]: the admission front-end binding a
 //!   [`hpcml_comm::ReqRepServer`] endpoint to the serving plane — zero-copy request
 //!   decode, deadline-aware admission control with load shedding and replica
@@ -43,7 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod batcher;
+pub mod config;
 pub mod host;
 pub mod model;
 pub mod pool;
@@ -51,8 +53,8 @@ pub mod protocol;
 pub mod request;
 pub mod service;
 
-pub use backend::{BatchResult, ModelBackend, NoopBackend, SimLlmBackend};
-pub use batcher::ServingConfig;
+pub use backend::{ModelBackend, NoopBackend, SimLlmBackend};
+pub use config::ServingConfig;
 pub use host::ModelHost;
 pub use model::{ModelKind, ModelSpec};
 pub use pool::ReplicaPool;

@@ -1,36 +1,39 @@
 //! Replica pools: N `ModelHost` replicas behind one endpoint, with
 //! least-outstanding-requests routing over lock-free per-replica counters — and the
-//! one place where requests wait for a backend, and so where they batch.
+//! one place where requests share a backend, and so where they batch.
 //!
 //! The serving front-end hands each admitted request to [`ReplicaPool::dispatch`],
-//! which routes it to the live replica with the fewest outstanding requests. There it
-//! is carried or queued, like a request at an endpoint: **a replica's queue holds only
-//! requests that wait**, and a batch is what waited. A replica that frees takes
-//! everything queued behind it, in dispatch order and up to `max_batch_size`, as one
-//! [`Batch`] and one backend call: it never idles while a request waits, and never
-//! waits for company.
+//! which routes it to the live replica with the fewest outstanding requests. A replica
+//! admits requests at decode-step granularity, as in Orca's iteration-level scheduling:
+//! **a request dispatched to a replica with fewer than `max_batch_size` live sequences
+//! joins the running batch there and then.** Every live sequence progresses at
+//! [`progress_rate`] of the batch's width, in solo seconds per second, and is answered
+//! when its own time is up; only requests beyond the cap queue, and each joins when a
+//! sequence ends and frees its width. A replica never idles while a request waits,
+//! never waits for company, and never holds a short request back for a long one.
 //!
 //! **A replica is a run, not a thread**: a [`Resume`] on the executor's [`Pool`], parked
-//! while it has nothing to do. A dispatch that finds it parked takes it and, if it is
-//! idle with nothing queued, *begins the request it brought* as a batch of one — the
-//! backend call ([`ModelHost::begin_batch`]) and, when the batch costs no compute time
-//! (NOOP), the replies too — there and then, on the dispatching thread, which for a
-//! request that found its service idle is the requesting client's own. A batch that
-//! costs compute time parks the replica on the pool's session-clock timer heap until it
-//! ends; a worker of the pool finishes it and begins what queued meanwhile. Only behind
-//! such a busy replica, or one somebody else is advancing at that moment, is a request
-//! queued — and every batch, carried or queued, goes onto the backend through the same
-//! `Replica::begin`. A backend call that panics fails its batch with [`KIND_ERROR`]
-//! replies and nothing else.
+//! while it has nothing to do. A dispatch that finds it parked takes it and, if its
+//! batch has room and nothing is queued, *begins the request it brought* — the backend
+//! call ([`ModelHost::begin`]) and, when the request costs no compute time (NOOP), the
+//! reply too — there and then, on the dispatching thread, which for a request that found
+//! its service idle is the requesting client's own. While sequences are live the
+//! replica parks on the pool's session-clock timer heap until the earliest of them ends,
+//! and files that one timer again whenever the width changes (the new entry supersedes
+//! the stale one); a worker of the pool answers what ended and admits what waits. Only
+//! behind a full batch, or a replica somebody else is advancing at that moment, is a
+//! request queued — and every request, carried or queued, goes onto the backend through
+//! the same `Replica::begin`. A backend call that panics fails its request with a
+//! [`KIND_ERROR`] reply and nothing else.
 //!
 //! Outstanding counts are plain atomics — routing never takes a lock; the replica
 //! *list* sits behind a `RwLock` only so replicas can join (scale-up) and leave at
-//! runtime: [`ReplicaPool::begin_drain`] marks a replica unroutable, in-flight batches
+//! runtime: [`ReplicaPool::begin_drain`] marks a replica unroutable, in-flight requests
 //! complete, and [`ReplicaPool::reap_drained`] removes it once idle. Recorded here:
 //! `serving.replica.outstanding` and `comm.queue.depth` per dispatch (the replica's
 //! unanswered requests, and how many requests deep its queue was with this one — 1 for
-//! a request begun at once), `serving.batch.size` per begun batch and
-//! `serving.queue.delay_secs` per answered request.
+//! a request begun at once), `serving.batch.size` per begun request (the width it
+//! joined, itself included) and `serving.queue.delay_secs` per answered request.
 //!
 //! **Lock order** (continuing the executor's): front-end run → replica run (its
 //! `serving` state, locked only by whoever holds the run) → leaves { replica queue |
@@ -53,14 +56,14 @@ use hpcml_sim::clock::{SharedClock, SimTime};
 use hpcml_sim::metrics::SharedScalarSink;
 use hpcml_sim::pool::{panic_message, OwnLine, Pool, Resume, RunCell};
 
-use crate::batcher::Batch;
-use crate::host::{BegunBatch, ModelHost};
+use crate::backend::{progress_rate, BackendResult};
+use crate::host::ModelHost;
 use crate::protocol::*;
 use crate::request::InferenceRequest;
 
 /// One admitted request on its way from admission to a replica: the request — parsed
 /// once, at admission, and never copied — where its reply goes and what it has waited
-/// so far. A replica's queue holds these; a batch of them is one [`Batch`].
+/// so far. A replica's queue holds these; a live sequence owns one.
 #[derive(Debug)]
 pub struct BatchItem {
     /// The parsed request.
@@ -78,26 +81,24 @@ pub struct BatchItem {
     /// on the clock.
     pub batch_wait_secs: f64,
     /// Virtual time the request was dispatched to a replica, seconds. The replica
-    /// prices its queueing as `max(0, previous batch's end - dispatched_secs)`, so a
-    /// request that found its replica idle contributes exactly zero.
+    /// prices a queued request's wait as `max(0, join - dispatched_secs)`; a request
+    /// that joined the batch at dispatch waited for nothing.
     pub dispatched_secs: f64,
 }
 
-/// Answer every member of `batch` with a [`KIND_ERROR`] reply saying `why`.
-fn fail(batch: Batch<BatchItem>, why: &str) {
-    for item in batch {
-        let reply = Message::new(item.topic, KIND_ERROR)
-            .with_header(HDR_ERROR, why.to_string())
-            .with_header(HDR_REQUEST_ID, item.request.request_id);
-        let _ = item.responder.reply(reply);
-    }
+/// Answer `item` with a [`KIND_ERROR`] reply saying `why`.
+fn reply_error(item: BatchItem, why: &str) {
+    let reply = Message::new(item.topic, KIND_ERROR)
+        .with_header(HDR_ERROR, why.to_string())
+        .with_header(HDR_REQUEST_ID, item.request.request_id);
+    let _ = item.responder.reply(reply);
 }
 
 /// What the replicas of one pool share.
 struct Shared {
     clock: SharedClock,
     sink: SharedScalarSink,
-    /// Most requests a replica begins as one backend call.
+    /// Most sequences a replica runs on its backend at once.
     max_batch_size: usize,
     /// Files the replicas' compute timers. Weak, because a timer entry owns its
     /// replica: whoever hosts the service owns the pool.
@@ -105,30 +106,66 @@ struct Shared {
     /// EWMA of observed per-request service seconds (f64 bits), fed by the replicas
     /// and read by admission control to estimate queue delay.
     est_request_secs_bits: AtomicU64,
-    /// Threads in [`ReplicaPool::quiesce`]; a batch that ends with nobody there costs
+    /// Threads in [`ReplicaPool::quiesce`]; a request answered with nobody there costs
     /// no condvar notify, which is a system call.
     quiescing: AtomicUsize,
     quiesce_lock: Mutex<()>,
-    /// Signalled, under `quiesce_lock`, when a batch ends while someone quiesces.
-    batch_ended: Condvar,
+    /// Signalled, under `quiesce_lock`, when a request is answered while someone
+    /// quiesces.
+    answered: Condvar,
 }
 
-/// The batch on the backend: what the backend answered and when its time is up.
-struct Running {
-    batch: Batch<BatchItem>,
-    begun: BegunBatch,
-    until: SimTime,
+/// A request on the backend: what the backend answered for it and how far along it is.
+struct Sequence {
+    item: BatchItem,
+    result: BackendResult,
+    /// Solo seconds still to compute.
+    remaining_secs: f64,
+    /// Virtual seconds on the backend since it joined.
+    inference_secs: f64,
+    /// Virtual seconds from its dispatch to its join.
+    replica_wait_secs: f64,
+    /// The width of the batch it joined, itself included.
+    width: usize,
 }
 
 /// The state of a replica's run; locked only by the thread holding the run. In
-/// declaration order, so that the end of the previous batch sits beside the lock word.
+/// declaration order, so that the live count a dispatch reads sits beside the lock word.
 #[repr(C)]
 struct Serving {
-    /// Virtual time the previous batch finished: requests dispatched while the replica
-    /// was busy are priced their genuine replica queueing, requests that found it idle
-    /// are priced zero.
-    busy_until_secs: f64,
-    running: Option<Running>,
+    /// In join order; at most `max_batch_size`.
+    live: Vec<Sequence>,
+    /// Virtual time the live sequences' progress is accounted up to.
+    stepped_at: SimTime,
+    /// The instant the replica's filed timer entry is for, if one is.
+    filed: Option<SimTime>,
+}
+
+impl Serving {
+    /// Advance every live sequence by `secs`, to `to`, at the rate of the width they
+    /// share. `secs` is passed exactly rather than taken from the nanosecond instants,
+    /// so that a sequence alone is on the backend for exactly its solo cost.
+    fn progress(&mut self, secs: f64, to: SimTime) {
+        let rate = progress_rate(self.live.len());
+        for sequence in &mut self.live {
+            sequence.remaining_secs -= secs * rate;
+            sequence.inference_secs += secs;
+        }
+        self.stepped_at = to;
+    }
+
+    /// The live sequence that ends first, when, and in how many seconds from
+    /// `stepped_at`, at the width they share now.
+    fn next_end(&self) -> Option<(usize, SimTime, f64)> {
+        let rate = progress_rate(self.live.len());
+        let (first, sequence) = self
+            .live
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.remaining_secs.total_cmp(&b.1.remaining_secs))?;
+        let secs = sequence.remaining_secs.max(0.0) / rate;
+        Some((first, self.stepped_at + Duration::from_secs_f64(secs), secs))
+    }
 }
 
 /// One replica: a host, its request queue and lock-free routing state — a resumable
@@ -138,18 +175,18 @@ struct Replica {
     host: Arc<ModelHost>,
     draining: AtomicBool,
     shared: Arc<Shared>,
-    /// What is written per batch, kept apart from what every dispatch only reads.
+    /// What is written per request, kept apart from what every dispatch only reads.
     hot: OwnLine<Hot>,
 }
 
 /// In declaration order: run, count and queue fill the first line, the lock word of
-/// `serving` and the end of the previous batch start the second — the two lines a
-/// batch that is begun and answered at once writes.
+/// `serving` and the live count start the second — the two lines a request that is
+/// begun and answered at once writes.
 #[repr(C)]
 struct Hot {
     cell: RunCell,
     outstanding: AtomicU64,
-    /// Dispatched requests that wait — behind a running batch, or for whoever advances
+    /// Dispatched requests that wait — for room in the batch, or for whoever advances
     /// the replica right now — in dispatch order. A leaf lock.
     queue: Mutex<VecDeque<BatchItem>>,
     serving: Mutex<Serving>,
@@ -158,7 +195,7 @@ struct Hot {
 impl Replica {
     /// Requests dispatched to this replica and not yet completed.
     fn outstanding(&self) -> u64 {
-        // SeqCst pairs with `finish` and `quiesce` (see there); routing only needs a
+        // SeqCst pairs with `settle` and `quiesce` (see there); routing only needs a
         // recent value.
         self.hot.outstanding.load(Ordering::SeqCst)
     }
@@ -168,10 +205,11 @@ impl Replica {
         self.draining.load(Ordering::Acquire)
     }
 
-    /// Take a request dispatched at `now`: begun at once, as a batch of one, if the
-    /// replica is parked, idle and has nothing queued; queued otherwise — and served,
-    /// if this thread can have the run, as far as things are due. Returns how many
-    /// requests deep the replica's queue was with this one (1: begun at once).
+    /// Take a request dispatched at `now`: begun at once, joining the running batch, if
+    /// the replica is parked, its batch has room and nothing is queued; queued
+    /// otherwise — and served, if this thread can have the run, as far as things are
+    /// due. Returns how many requests deep the replica's queue was with this one (1:
+    /// begun at once).
     fn accept(self: &Arc<Self>, item: BatchItem, now: SimTime) -> usize {
         let hot = &*self.hot;
         if !hot.cell.try_hold() {
@@ -181,16 +219,19 @@ impl Replica {
             return depth;
         }
         let mut serving = hot.serving.lock();
-        let carried = serving.running.is_none() && hot.queue.lock().is_empty();
+        self.step(&mut serving, now);
+        let carried =
+            serving.live.len() < self.shared.max_batch_size && hot.queue.lock().is_empty();
         let depth = if carried {
-            self.begin(&mut serving, Batch::One(item), now);
+            self.begin(&mut serving, item, now, 0.0);
+            self.file_timer(&mut serving);
             1
         } else {
             self.enqueue(item)
         };
         drop(serving);
         // Nothing was queued when the run was taken, and whoever queues behind a held
-        // run notifies it: after a batch begun here there is nothing to look for
+        // run notifies it: after a request begun here there is nothing to look for
         // unless that happened.
         if !(carried && hot.cell.release()) {
             hot.cell.advance_until_parked(|| self.advance());
@@ -204,122 +245,146 @@ impl Replica {
         queue.len()
     }
 
-    /// Serve until there is nothing to do right now: finish the running batch if its
-    /// time is up, begin what queued behind it as the next, and so on. Returns with the
-    /// replica either idle (queue empty) or waiting for its timer.
+    /// Serve until there is nothing to do right now: answer every sequence whose time
+    /// is up, admit what queued into the width that frees, and file the timer for the
+    /// next end. Returns with the replica either idle or waiting for its timer.
     fn advance(self: &Arc<Self>) {
-        let clock = &self.shared.clock;
         let mut serving = self.hot.serving.lock();
-        loop {
-            if let Some(running) = serving.running.take() {
-                let now = clock.now();
-                if now < running.until {
-                    // Advanced by a dispatch, not by the timer: its entry is still filed.
-                    serving.running = Some(running);
-                    return;
-                }
-                let Running { batch, begun, .. } = running;
-                self.finish(&serving, batch, Ok(begun));
-                // It has kept the replica until its replies were out: the next one's
-                // wait is priced up to here.
-                serving.busy_until_secs = clock.now().as_secs_f64();
-                continue;
-            }
-            // Free: whatever queued meanwhile is the next batch.
-            let batch: Batch<BatchItem> = {
-                let mut queue = self.hot.queue.lock();
-                let n = queue.len().min(self.shared.max_batch_size);
-                queue.drain(..n).collect()
+        let now = self.shared.clock.now();
+        self.step(&mut serving, now);
+        while serving.live.len() < self.shared.max_batch_size {
+            let Some(item) = self.hot.queue.lock().pop_front() else {
+                break;
             };
-            if batch.is_empty() {
+            let waited_secs = (now.as_secs_f64() - item.dispatched_secs).max(0.0);
+            self.begin(&mut serving, item, now, waited_secs);
+        }
+        self.file_timer(&mut serving);
+    }
+
+    /// Answer, in the order they end, the live sequences whose time is up by `now`:
+    /// each one that ends frees its share of the backend for the rest from that instant.
+    fn step(&self, serving: &mut Serving, now: SimTime) {
+        while let Some((first, end, secs)) = serving.next_end() {
+            if end > now {
                 return;
             }
-            self.begin(&mut serving, batch, clock.now());
+            serving.progress(secs, end);
+            let ended = serving.live.remove(first);
+            self.answer(ended);
         }
     }
 
-    /// Begin `batch` at `now` on the idle replica the caller holds — the one way a
-    /// batch gets onto the backend, whether its dispatch carried it here or it waited
-    /// in the queue: make the backend call, then answer at once if the batch costs no
-    /// time, or park on the timer until its time is up.
-    fn begin(self: &Arc<Self>, serving: &mut Serving, batch: Batch<BatchItem>, now: SimTime) {
-        self.shared
-            .sink
-            .record("serving.batch.size", batch.len() as f64);
+    /// Begin `item` at `now`, after `waited_secs` in the queue, on the replica the
+    /// caller holds — the one way a request gets onto the backend, whether its dispatch
+    /// carried it here or it waited: make the backend call, then answer at once if the
+    /// request costs no time, or join the live sequences until its time is up.
+    fn begin(&self, serving: &mut Serving, item: BatchItem, now: SimTime, waited_secs: f64) {
+        let width = serving.live.len() + 1;
+        self.shared.sink.record("serving.batch.size", width as f64);
         // The backend is the one piece of foreign code on this path.
-        let requests = batch.iter().map(|item| &item.request);
-        let begun = catch_unwind(AssertUnwindSafe(|| self.host.begin_batch(requests)))
+        let begun = catch_unwind(AssertUnwindSafe(|| self.host.begin(&item.request)))
             .map_err(|panic| format!("backend panicked: {}", panic_message(&*panic)))
             .and_then(|begun| begun.map_err(|e| e.to_string()));
-        let begun = match begun {
-            Ok(begun) if begun.compute_secs > 0.0 => match self.shared.executor.upgrade() {
-                Some(executor) => {
-                    let until = now + Duration::from_secs_f64(begun.compute_secs);
-                    serving.running = Some(Running {
-                        batch,
-                        begun,
-                        until,
-                    });
-                    executor.wake_at_clock(self, until);
-                    return;
-                }
-                None => Err("the service's executor pool is gone".to_string()),
-            },
-            begun => begun,
+        let result = match begun {
+            Ok(result) => result,
+            Err(err) => return self.fail(item, &err),
         };
-        // Answered where it began: the replica was never busy with it.
-        self.finish(serving, batch, begun);
-        serving.busy_until_secs = now.as_secs_f64();
+        // The live sequences ran at the old width until now, and run at the new one on.
+        let joined = now.max(serving.stepped_at);
+        serving.progress(joined.since(serving.stepped_at).as_secs_f64(), joined);
+        let sequence = Sequence {
+            item,
+            remaining_secs: result.compute_secs,
+            result,
+            inference_secs: 0.0,
+            replica_wait_secs: waited_secs,
+            width,
+        };
+        if sequence.remaining_secs > 0.0 {
+            serving.live.push(sequence);
+        } else {
+            // Answered where it began: the backend was never busy with it.
+            self.answer(sequence);
+        }
     }
 
-    /// The batch's time is up (or it failed): answer every member.
-    fn finish(
-        &self,
-        serving: &Serving,
-        batch: Batch<BatchItem>,
-        begun: Result<BegunBatch, String>,
-    ) {
-        let shared = &self.shared;
-        let n = batch.len();
-        match begun {
-            Ok(begun) => {
-                let batch_secs = begun.compute_secs;
-                update_estimate(&shared.est_request_secs_bits, batch_secs / n.max(1) as f64);
-                for (item, result) in batch.into_iter().zip(begun.results) {
-                    // The paper's `service` component: endpoint queueing (measured
-                    // at admission), parsing overhead, admission to dispatch, and
-                    // replica queueing behind the previous batch. Every term is a
-                    // virtual-time quantity with no thread wake-up inside, so
-                    // real dispatch jitter never scales into the decomposition.
-                    let replica_wait_secs =
-                        (serving.busy_until_secs - item.dispatched_secs).max(0.0);
-                    let queue_secs =
-                        item.admission_queue_secs + item.batch_wait_secs + replica_wait_secs;
-                    let service_secs = queue_secs + item.handling_secs;
-                    shared.sink.record("serving.queue.delay_secs", queue_secs);
-                    // In key order: each header lands at the end of the table.
-                    let reply = Message::new(item.topic, KIND_INFER_REPLY)
-                        .with_header_room(8)
-                        .with_u64_header(HDR_BATCH_SIZE, n as u64)
-                        .with_f64_header(HDR_BATCH_WAIT_SECS, item.batch_wait_secs)
-                        .with_u64_header(HDR_COMPLETION_TOKENS, result.completion_tokens.into())
-                        .with_f64_header(HDR_INFERENCE_SECS, batch_secs)
-                        .with_header(HDR_MODEL, self.host.spec().name.clone())
-                        .with_u64_header(HDR_PROMPT_TOKENS, result.prompt_tokens.into())
-                        .with_header(HDR_REQUEST_ID, item.request.request_id)
-                        .with_f64_header(HDR_SERVICE_SECS, service_secs)
-                        .with_payload(result.text);
-                    let _ = item.responder.reply(reply);
+    /// File the replica's one timer for the earliest end of its live sequences, unless
+    /// the entry filed already is for that instant. Without an executor nothing ends:
+    /// the live sequences fail.
+    fn file_timer(self: &Arc<Self>, serving: &mut Serving) {
+        let next = serving.next_end().map(|(_, end, _)| end);
+        if next == serving.filed {
+            return;
+        }
+        serving.filed = next;
+        let Some(end) = next else {
+            return;
+        };
+        match self.shared.executor.upgrade() {
+            Some(executor) => executor.wake_at_clock(self, end),
+            None => {
+                serving.filed = None;
+                for sequence in serving.live.drain(..) {
+                    self.fail(sequence.item, "the service's executor pool is gone");
                 }
             }
-            Err(err) => fail(batch, &err),
         }
-        // SeqCst on the count and on `quiescing`, here and in `quiesce`: of a batch
-        // that ends and a thread that starts to quiesce, at least one sees the other.
-        self.hot.outstanding.fetch_sub(n as u64, Ordering::SeqCst);
+    }
+
+    /// `sequence`'s time is up: answer it.
+    fn answer(&self, sequence: Sequence) {
+        let Sequence {
+            item,
+            result,
+            inference_secs,
+            replica_wait_secs,
+            width,
+            ..
+        } = sequence;
+        let shared = &self.shared;
+        // What the request cost its replica: its time on the backend, shared with the
+        // batch it joined.
+        update_estimate(&shared.est_request_secs_bits, inference_secs / width as f64);
+        // The paper's `service` component: endpoint queueing (measured at admission),
+        // parsing overhead, admission to dispatch, and replica queueing until the
+        // request joined the batch. Every term is a virtual-time quantity with no
+        // thread wake-up inside, so real dispatch jitter never scales into the
+        // decomposition.
+        let queue_secs = item.admission_queue_secs + item.batch_wait_secs + replica_wait_secs;
+        let service_secs = queue_secs + item.handling_secs;
+        shared.sink.record("serving.queue.delay_secs", queue_secs);
+        // In key order: each header lands at the end of the table.
+        let reply = Message::new(item.topic, KIND_INFER_REPLY)
+            .with_header_room(8)
+            .with_u64_header(HDR_BATCH_SIZE, width as u64)
+            .with_f64_header(HDR_BATCH_WAIT_SECS, item.batch_wait_secs)
+            .with_u64_header(HDR_COMPLETION_TOKENS, result.completion_tokens.into())
+            .with_f64_header(HDR_INFERENCE_SECS, inference_secs)
+            .with_header(HDR_MODEL, self.host.spec().name.clone())
+            .with_u64_header(HDR_PROMPT_TOKENS, result.prompt_tokens.into())
+            .with_header(HDR_REQUEST_ID, item.request.request_id)
+            .with_f64_header(HDR_SERVICE_SECS, service_secs)
+            .with_payload(result.text);
+        let _ = item.responder.reply(reply);
+        self.settle();
+    }
+
+    fn fail(&self, item: BatchItem, why: &str) {
+        reply_error(item, why);
+        self.settle();
+    }
+
+    /// One request of this replica's is answered.
+    fn settle(&self) {
+        // SeqCst on the count and on `quiescing`, here and in `quiesce`: of a request
+        // that is answered and a thread that starts to quiesce, at least one sees the
+        // other.
+        self.hot.outstanding.fetch_sub(1, Ordering::SeqCst);
+        let shared = &self.shared;
         if shared.quiescing.load(Ordering::SeqCst) > 0 {
             let _quiescing = shared.quiesce_lock.lock();
-            shared.batch_ended.notify_all();
+            shared.answered.notify_all();
         }
     }
 }
@@ -352,9 +417,9 @@ impl std::fmt::Debug for ReplicaPool {
 }
 
 impl ReplicaPool {
-    /// Build a pool over pre-loaded hosts whose replicas park on `executor` and begin
-    /// up to `max_batch_size` waiting requests as one backend call. Spawns nothing; the
-    /// pool is held weakly and must outlive the batches in flight.
+    /// Build a pool over pre-loaded hosts whose replicas park on `executor` and run up
+    /// to `max_batch_size` requests on their backends at once. Spawns nothing; the pool
+    /// is held weakly and must outlive the requests in flight.
     pub fn new(
         hosts: Vec<Arc<ModelHost>>,
         clock: SharedClock,
@@ -371,7 +436,7 @@ impl ReplicaPool {
                 est_request_secs_bits: AtomicU64::new(0f64.to_bits()),
                 quiescing: AtomicUsize::new(0),
                 quiesce_lock: Mutex::new(()),
-                batch_ended: Condvar::new(),
+                answered: Condvar::new(),
             }),
             replicas: RwLock::new(Vec::new()),
             next_replica_id: AtomicU64::new(0),
@@ -396,8 +461,9 @@ impl ReplicaPool {
                 outstanding: AtomicU64::new(0),
                 queue: Mutex::new(VecDeque::new()),
                 serving: Mutex::new(Serving {
-                    busy_until_secs: f64::NEG_INFINITY,
-                    running: None,
+                    live: Vec::new(),
+                    stepped_at: SimTime::ZERO,
+                    filed: None,
                 }),
             }),
         });
@@ -414,13 +480,13 @@ impl ReplicaPool {
     }
 
     /// Dispatch one request, at `now`, to the least-loaded live replica and record the
-    /// routing metrics: a replica that is idle with nothing queued begins it on this
-    /// thread, there and then; behind a busy one it queues and joins the batch that
-    /// replica begins when it frees. Replies with an error if no replica is routable.
+    /// routing metrics: a replica whose batch has room and nothing queued begins it on
+    /// this thread, there and then, in its running batch; behind a full one it queues
+    /// and joins when a sequence ends. Replies with an error if no replica is routable.
     /// Call with no lock held that a replica step takes (see the module docs).
     pub fn dispatch(&self, item: BatchItem, now: SimTime) {
         let Some(replica) = self.route() else {
-            fail(Batch::One(item), "no live replicas");
+            reply_error(item, "no live replicas");
             return;
         };
         let outstanding_after = replica.hot.outstanding.fetch_add(1, Ordering::SeqCst) + 1;
@@ -430,17 +496,29 @@ impl ReplicaPool {
         sink.record("comm.queue.depth", depth as f64);
     }
 
-    /// Requests queued at a replica with no batch on its backend — 0 whenever every
-    /// replica has parked, for a pool that never idles while a request waits. Takes
-    /// each replica's `serving` lock, which otherwise only the thread holding the
-    /// replica takes: a check for tests, not for the request path.
-    pub fn queued_at_idle_replicas(&self) -> usize {
+    /// Requests queued at a replica with fewer than `max_batch_size` live sequences —
+    /// 0 whenever every replica has parked, for a pool whose batches admit what waits
+    /// as soon as they have room. Takes each replica's `serving` lock, which otherwise
+    /// only the thread holding the replica takes: a check for tests, not for the
+    /// request path.
+    pub fn queued_below_the_cap(&self) -> usize {
         let replicas = self.replicas.read();
-        let idle = replicas.iter().filter_map(|r| {
+        let open = replicas.iter().filter_map(|r| {
             let serving = r.hot.serving.lock();
-            serving.running.is_none().then(|| r.hot.queue.lock().len())
+            (serving.live.len() < self.shared.max_batch_size).then(|| r.hot.queue.lock().len())
         });
-        idle.sum()
+        open.sum()
+    }
+
+    /// The earliest instant a replica's timer is filed for: when its next live sequence
+    /// ends. Takes each replica's `serving` lock like [`ReplicaPool::queued_below_the_cap`]:
+    /// a check for tests that move a manual clock from one end to the next.
+    pub fn next_timer(&self) -> Option<SimTime> {
+        let replicas = self.replicas.read();
+        replicas
+            .iter()
+            .filter_map(|r| r.hot.serving.lock().filed)
+            .min()
     }
 
     /// Sum of outstanding requests across all replicas.
@@ -472,8 +550,9 @@ impl ReplicaPool {
         backlog as f64 * self.estimated_request_secs() / live as f64
     }
 
-    /// Observed per-request service seconds (an EWMA over answered batches, each
-    /// batch's time shared by its members). Zero until a first batch calibrates it.
+    /// Observed per-request service seconds: an EWMA over answered requests of each
+    /// one's time on the backend divided by the width of the batch it joined. Zero
+    /// until a first request calibrates it.
     pub fn estimated_request_secs(&self) -> f64 {
         f64::from_bits(self.shared.est_request_secs_bits.load(Ordering::Acquire))
     }
@@ -504,13 +583,13 @@ impl ReplicaPool {
 
     /// Block until every dispatched request has completed (used on orderly shutdown so
     /// the service never abandons admitted work). Parks on a condvar the replicas
-    /// signal when a batch ends; the executor pool must be alive to end them.
+    /// signal when they answer; the executor pool must be alive to end requests.
     pub fn quiesce(&self) {
         let shared = &self.shared;
         let mut guard = shared.quiesce_lock.lock();
         shared.quiescing.fetch_add(1, Ordering::SeqCst);
         while self.total_outstanding() > 0 {
-            shared.batch_ended.wait(&mut guard);
+            shared.answered.wait(&mut guard);
         }
         shared.quiescing.fetch_sub(1, Ordering::SeqCst);
     }
@@ -596,21 +675,24 @@ mod tests {
         }
 
         /// Dispatch three requests back to back to the one LLM replica and collect the
-        /// replies, in dispatch order, once every batch has ended.
+        /// replies, in dispatch order, once every request has ended.
         fn three_back_to_back(&self) -> Vec<Message> {
             let (requesters, items): (Vec<_>, Vec<_>) = (0..3).map(|_| self.item()).unzip();
             let ids: Vec<String> = items.iter().map(|i| i.request.request_id.clone()).collect();
             for item in items {
                 self.pool.dispatch(item, self.clock.now());
             }
-            assert!(self.executor.is_started(), "an LLM batch parks on a timer");
+            assert!(
+                self.executor.is_started(),
+                "an LLM request parks on a timer"
+            );
             let replies: Vec<Message> = requesters.into_iter().map(|r| r.join().unwrap()).collect();
             self.pool.quiesce();
             assert_eq!(self.pool.total_outstanding(), 0);
             for (reply, id) in replies.iter().zip(&ids) {
                 assert_eq!(reply.header(HDR_REQUEST_ID), Some(id.as_str()));
             }
-            // Every request recorded the wait it replied with. Batches end on different
+            // Every request recorded the wait it replied with. Requests end on different
             // threads (the dispatcher's, then pool workers) and a registry keeps order
             // per thread only, so the two are compared sorted.
             let mut waits: Vec<f64> = replies
@@ -656,26 +738,25 @@ mod tests {
     }
 
     #[test]
-    fn a_replica_that_frees_begins_everything_queued_behind_it_as_one_batch() {
+    fn a_request_dispatched_to_a_busy_replica_joins_its_running_batch() {
         let fx = fixture(ModelSpec::sim_llama_8b(), 8);
         let replies = fx.three_back_to_back();
         let sizes: Vec<&str> = replies
             .iter()
             .map(|r| r.header(HDR_BATCH_SIZE).unwrap())
             .collect();
-        assert_eq!(sizes, ["1", "2", "2"]);
-        let inference = f64s(&replies, HDR_INFERENCE_SECS);
-        assert_eq!(inference[1], inference[2], "one backend call for both");
+        assert_eq!(sizes, ["1", "2", "3"], "the width of the batch each joined");
         let waits = f64s(&replies, HDR_SERVICE_SECS);
-        assert_eq!(waits[0], 0.0, "dispatched to an idle replica");
-        assert!(
-            waits[1] >= inference[0] * 0.5 && waits[2] >= inference[0] * 0.5,
-            "both waited out the first batch: {waits:?} vs {inference:?}"
-        );
-        let mut sizes = fx.seen.values("serving.batch.size");
-        sizes.sort_by(f64::total_cmp);
-        assert_eq!(sizes, [1.0, 2.0], "recorded per begun batch");
-        assert_eq!(fx.seen.values("comm.queue.depth"), vec![1.0, 1.0, 2.0]);
+        assert_eq!(waits, [0.0; 3], "none waited for another to end");
+        // Begun one after another, all on this thread, and nothing queued.
+        assert_eq!(fx.seen.values("serving.batch.size"), [1.0, 2.0, 3.0]);
+        assert_eq!(fx.seen.values("comm.queue.depth"), vec![1.0, 1.0, 1.0]);
+        // Each ran slower than alone while it shared the backend, but the batch of
+        // three still took less than the three one after another would have.
+        let inference = f64s(&replies, HDR_INFERENCE_SECS);
+        let longest = inference.iter().copied().fold(0.0, f64::max);
+        assert!(inference.iter().all(|&secs| secs > 0.0), "{inference:?}");
+        assert!(longest < inference.iter().sum::<f64>(), "{inference:?}");
     }
 
     #[test]

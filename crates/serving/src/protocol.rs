@@ -26,7 +26,8 @@ pub const KIND_SHED: &str = "service.shed";
 
 /// Header: time spent queued + parsing + serialising at the service, seconds.
 pub const HDR_SERVICE_SECS: &str = "svc.service_secs";
-/// Header: pure model compute time, seconds.
+/// Header: the request's own time on the backend, from joining the running batch to
+/// its end, seconds.
 pub const HDR_INFERENCE_SECS: &str = "svc.inference_secs";
 /// Header: name of the model that served the request.
 pub const HDR_MODEL: &str = "svc.model";
@@ -43,7 +44,7 @@ pub const HDR_ERROR: &str = "svc.error";
 pub const HDR_DEADLINE_SECS: &str = "svc.deadline_secs";
 /// Header ([`KIND_SHED`] reply): suggested virtual seconds to wait before retrying.
 pub const HDR_RETRY_AFTER_SECS: &str = "svc.retry_after_secs";
-/// Header (reply): number of requests in the batch this request was served in.
+/// Header (reply): width of the running batch this request joined, itself included.
 pub const HDR_BATCH_SIZE: &str = "svc.batch_size";
 /// Header (reply): virtual seconds from the request's admission to its dispatch to a
 /// replica — its handling, as it passed on the clock.

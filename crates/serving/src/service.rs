@@ -10,7 +10,7 @@
 //!    admitted and unanswered, or when a request's deadline cannot be met at the
 //!    current estimated queue delay ([`KIND_SHED`] + [`HDR_RETRY_AFTER_SECS`]);
 //! 3. an admitted request is dispatched at once to the least-loaded replica of a
-//!    [`ReplicaPool`] — where requests that wait behind a busy replica batch — which
+//!    [`ReplicaPool`] — where it joins the replica's running batch — which
 //!    executes it and stamps the paper's `service` / `inference` time decomposition
 //!    onto its reply.
 //!
@@ -52,7 +52,7 @@ use hpcml_sim::dist::Dist;
 use hpcml_sim::metrics::{null_sink, SharedScalarSink};
 use hpcml_sim::pool::{OwnLine, Pool, RunCell};
 
-use crate::batcher::ServingConfig;
+use crate::config::ServingConfig;
 use crate::host::ModelHost;
 use crate::pool::{BatchItem, ReplicaPool};
 use crate::protocol::*;
@@ -588,45 +588,86 @@ mod tests {
     }
 
     #[test]
-    fn queueing_shows_up_in_service_time() {
-        // One single-threaded service, two clients racing: the second's reply must
-        // include queue time roughly equal to the first request's inference time.
-        let c = clock();
-        let host = shared_host(ModelSpec::sim_llama_8b(), Arc::clone(&c), 20);
-        host.load();
-        let service = Arc::new(InferenceService::new("svc.q", host, Arc::clone(&c), 21));
-        let endpoint = ReqRepServer::new("svc.q");
-        let client_a = endpoint.client(Link::instant(Arc::clone(&c)));
-        let client_b = endpoint.client(Link::instant(Arc::clone(&c)));
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let svc = Arc::clone(&service);
-        let server_thread = thread::spawn(move || svc.serve(&endpoint, &stop2));
-
-        let send = |client: hpcml_comm::ReqRepClient| {
-            thread::spawn(move || {
-                let req = InferenceRequest::new("w ".repeat(40), 64);
-                client
-                    .request(inference_request_message("svc.q", &req))
-                    .unwrap()
-            })
+    fn queueing_shows_up_in_service_time_only_beyond_the_cap() {
+        // A second request dispatched, a virtual millisecond after the first, while the
+        // first computes on the one replica — on a manual clock, so nothing ends before
+        // the test moves time. One request at a time, it waits out the first's
+        // inference; under the default cap it joins the running batch instead. Returns
+        // its reply.
+        let second_request = |max_batch_size: usize| {
+            let manual = Arc::new(hpcml_sim::clock::ManualClock::new());
+            let c: SharedClock = Arc::clone(&manual) as SharedClock;
+            let sleepers = |n: usize| {
+                while manual.pending_sleepers() != n {
+                    thread::yield_now();
+                }
+            };
+            let host = shared_host(ModelSpec::sim_llama_8b(), Arc::clone(&c), 20);
+            let loader = {
+                let host = Arc::clone(&host);
+                thread::spawn(move || host.load())
+            };
+            sleepers(1);
+            manual.advance(Duration::from_secs(600));
+            loader.join().unwrap();
+            let config = ServingConfig::default().max_batch_size(max_batch_size);
+            let service = Arc::new(InferenceService::with_config(
+                "svc.q",
+                vec![host],
+                Arc::clone(&c),
+                21,
+                config,
+                null_sink(),
+            ));
+            let endpoint = ReqRepServer::new("svc.q");
+            let client = endpoint.client(Link::instant(Arc::clone(&c)));
+            let stop = Arc::new(AtomicBool::new(false));
+            let (svc, stop2) = (Arc::clone(&service), Arc::clone(&stop));
+            let server_thread = thread::spawn(move || svc.serve(&endpoint, &stop2));
+            let send = |n: u64| {
+                let client = client.clone();
+                let requester = thread::spawn(move || {
+                    let req = InferenceRequest::new("w ".repeat(40), 64);
+                    client
+                        .request(inference_request_message("svc.q", &req))
+                        .unwrap()
+                });
+                // Its handling sleep, beside the first's timer if there is one.
+                sleepers(n as usize);
+                manual.advance(Duration::from_millis(1));
+                while service.pool().total_outstanding() < n || manual.pending_sleepers() != 1 {
+                    thread::yield_now();
+                }
+                requester
+            };
+            let (first, second) = (send(1), send(2));
+            while !(first.is_finished() && second.is_finished()) {
+                manual.advance(Duration::from_secs(60));
+                thread::sleep(Duration::from_millis(1));
+            }
+            first.join().unwrap();
+            stop.store(true, Ordering::Release);
+            server_thread.join().unwrap();
+            second.join().unwrap()
         };
-        let h1 = send(client_a);
-        let h2 = send(client_b);
-        let r1 = h1.join().unwrap();
-        let r2 = h2.join().unwrap();
-        let max_service = r1
-            .f64_header(HDR_SERVICE_SECS)
-            .unwrap()
-            .max(r2.f64_header(HDR_SERVICE_SECS).unwrap());
-        // One of the two requests must have waited for the other's inference.
+        let queued = second_request(1);
+        let waited = queued.f64_header(HDR_SERVICE_SECS).unwrap();
+        let inference = queued.f64_header(HDR_INFERENCE_SECS).unwrap();
         assert!(
-            max_service > 0.3,
-            "queued request should show queue time, got {max_service}"
+            waited > inference,
+            "it waited out the first's inference: {waited} vs its own {inference}"
         );
-        assert_eq!(service.requests_served(), 2);
-        stop.store(true, Ordering::Release);
-        server_thread.join().unwrap();
+        let joined = second_request(ServingConfig::default().max_batch_size);
+        assert_eq!(
+            joined.header(HDR_BATCH_SIZE),
+            Some("2"),
+            "it joined the first"
+        );
+        let admitted = joined.f64_header(HDR_SERVICE_SECS).unwrap();
+        assert!(
+            admitted < 0.002,
+            "its millisecond of admission and its handling: {admitted}"
+        );
     }
 
     #[test]
@@ -669,9 +710,9 @@ mod tests {
 
     #[test]
     fn capacity_overflow_sheds_with_retry_after() {
-        // Room for two unanswered requests: one on the backend, one queued behind it.
-        // On a manual clock neither is answered before the test moves time, so a third
-        // is shed — by a pool no batch has calibrated yet, with a retry-after all the
+        // Room for two unanswered requests, both on the backend: the second joins the
+        // first. On a manual clock neither is answered before the test moves time, so a third
+        // is shed — by a pool no request has calibrated yet, with a retry-after all the
         // same.
         let manual = Arc::new(hpcml_sim::clock::ManualClock::new());
         let c: SharedClock = Arc::clone(&manual) as SharedClock;

@@ -3,11 +3,11 @@
 //!
 //! The same llama-8b model is deployed twice — once in the paper's unbatched
 //! single-replica shape, once as a batched two-replica pool — and both serve the same
-//! concurrent client load. The batched pool begins what queues behind a busy replica
-//! as one backend call, amortising decode cost across batch members, and splits the
-//! load over its replicas, so its clients finish in a fraction of the unbatched wall
-//! time; the serving metrics recorded by the runtime show the batch sizes and queue
-//! depths behind that difference.
+//! concurrent client load. In the batched pool a request that finds its replica busy
+//! joins the running batch, amortising decode cost across batch members, and the pool
+//! splits the load over its replicas, so its clients finish in a fraction of the
+//! unbatched wall time; the serving metrics recorded by the runtime show the batch
+//! sizes and queue depths behind that difference.
 //!
 //! Run with: `cargo run --example serving`
 

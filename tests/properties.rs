@@ -1822,9 +1822,9 @@ fn pubsub_churn_delivers_exactly_once_in_order() {
 /// both the turn and its fallback. Whichever thread ends up advancing the runs (the
 /// requester, or a different requester that was notified): every request is answered
 /// exactly once and with its own `request_id`, each client gets its replies in the
-/// order it sent, no batch exceeds its bound, no request is left queued at a replica
-/// that has nothing on its backend once the runs have parked, the service counts every
-/// request once, and nothing is outstanding when `serve` returns.
+/// order it sent, no reply reports a batch wider than the cap, no request is left
+/// queued at a replica whose batch has room once the runs have parked, the service
+/// counts every request once, and nothing is outstanding when `serve` returns.
 #[test]
 fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
     use hpcml::comm::link::Link;
@@ -1874,7 +1874,6 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
                 std::thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0x5E21 ^ ((case * n_clients + c) as u64));
                     let mut answered: Vec<String> = Vec::new();
-                    let mut largest_batch = 0usize;
                     start.wait();
                     while answered.len() < REQUESTS {
                         let sent = InferenceRequest::new("p", 1).from_client(format!("c{c}"));
@@ -1891,17 +1890,21 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
                             "client {c}: the reply to this very request"
                         );
                         let batch: usize = reply.header(HDR_BATCH_SIZE).unwrap().parse().unwrap();
-                        largest_batch = largest_batch.max(batch);
+                        assert!(
+                            (1..=max_batch).contains(&batch),
+                            "case {case}: a batch of {batch} against a cap of {max_batch}"
+                        );
                         answered.push(sent.request_id);
-                        // A replica never idles while a request waits: whatever queues
-                        // behind one is begun by whoever holds it before it parks. A
-                        // dispatcher queues a moment before it takes or notifies the
-                        // replica, so a request may be seen there — never for long.
+                        // A request waits only for room in the batch: whatever queues at
+                        // a replica with room is begun by whoever holds it before it
+                        // parks. A dispatcher queues a moment before it takes or
+                        // notifies the replica, so a request may be seen there — never
+                        // for long.
                         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-                        while pool.queued_at_idle_replicas() > 0 {
+                        while pool.queued_below_the_cap() > 0 {
                             assert!(
                                 std::time::Instant::now() < deadline,
-                                "case {case}: a request stays queued at an idle replica"
+                                "case {case}: a request stays queued at a replica with room"
                             );
                             std::thread::yield_now();
                         }
@@ -1909,7 +1912,7 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
                             std::thread::yield_now();
                         }
                     }
-                    (answered, largest_batch)
+                    answered
                 })
             })
             .collect();
@@ -1918,12 +1921,7 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
 
         let mut all: Vec<String> = Vec::new();
         for client in clients {
-            let (answered, largest_batch) = client.join().unwrap();
-            assert!(
-                largest_batch <= max_batch,
-                "case {case}: batch over its bound"
-            );
-            all.extend(answered);
+            all.extend(client.join().unwrap());
         }
         stop.store(true, Ordering::Release);
         let handled = serving.join().unwrap();

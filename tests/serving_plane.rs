@@ -17,7 +17,7 @@ use hpcml::serving::protocol::{
 };
 use hpcml::serving::service::{inference_request_message, inference_request_message_with_deadline};
 use hpcml::serving::{InferenceRequest, InferenceService, ModelHost, ServingConfig};
-use hpcml::sim::clock::SharedClock;
+use hpcml::sim::clock::{SharedClock, SimTime};
 use hpcml::sim::metrics::null_sink;
 
 fn session(scale: f64) -> Session {
@@ -360,11 +360,20 @@ fn a_lone_closed_loop_client_is_never_batched() {
 }
 
 /// What three requests sent to one busy LLM replica on a manual clock replied with, and
-/// what the pool recorded; see the two tests below.
+/// what the pool recorded; see the tests below.
 struct ThreeRequests {
     /// In send order.
     replies: Vec<Message>,
+    /// When each was dispatched, in send order.
+    dispatched: Vec<SimTime>,
+    /// The clock at each jump that ended a request.
+    ended_at: Vec<SimTime>,
     seen: Arc<hpcml::sim::metrics::MetricRegistry>,
+}
+
+/// The request each of the three sends.
+fn the_request() -> InferenceRequest {
+    InferenceRequest::new("w ".repeat(40), 64)
 }
 
 impl ThreeRequests {
@@ -382,11 +391,18 @@ impl ThreeRequests {
             .collect()
     }
 
+    /// [`ThreeRequests::assert_priced_queued`] for a replica that queued the third
+    /// request behind the second.
+    fn assert_priced(&self, replica_waits: [f64; 3]) {
+        self.assert_priced_queued(replica_waits, [1.0, 1.0, 2.0]);
+    }
+
     /// `service = admission queue + handling + batch wait + replica wait`, term by term,
     /// for replica waits of `replica_waits` (in send order): stamped and admitted at one
     /// virtual instant, a request has no admission queue; its batch wait is the
     /// millisecond that ended its handling sleep; and what is left is the handling.
-    fn assert_priced(&self, replica_waits: [f64; 3]) {
+    /// `queue_depths` are the `comm.queue.depth` values, sorted.
+    fn assert_priced_queued(&self, replica_waits: [f64; 3], queue_depths: [f64; 3]) {
         use hpcml::serving::protocol::HDR_BATCH_WAIT_SECS;
         let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
         let mut delays = Vec::new();
@@ -419,19 +435,85 @@ impl ThreeRequests {
         assert_eq!(self.sorted("serving.replica.outstanding"), [1.0, 2.0, 3.0]);
         assert_eq!(
             self.sorted("comm.queue.depth"),
-            [1.0, 1.0, 2.0],
-            "the first request begun by its dispatch, the others queued behind it"
+            queue_depths,
+            "how deep the replica's queue was with each request: 1 for one begun at once"
         );
         assert_eq!(self.seen.names().len(), 5, "{:?}", self.seen.names());
     }
+
+    /// Each request ended when the rate law says, for requests that joined the batch at
+    /// `joins`: from its join to its end it progressed by exactly its solo cost, at
+    /// `progress_rate` of the width it shared, stretch by stretch — and it was answered
+    /// the moment the clock reached that end.
+    fn assert_rate_law(&self, joins: [f64; 3]) {
+        use hpcml::serving::backend::progress_rate;
+        use hpcml::serving::protocol::HDR_INFERENCE_SECS;
+        use hpcml::serving::{ModelBackend, SimLlmBackend};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // The solo costs as the replica's host drew them: its seed, its load, then the
+        // three requests in the order they were begun.
+        let backend = SimLlmBackend::llama_8b();
+        let mut rng = StdRng::seed_from_u64(91);
+        backend.sample_load_secs(&mut rng);
+        let solos = [(); 3].map(|_| backend.infer(&the_request(), &mut rng).compute_secs);
+
+        let ends: Vec<f64> = joins
+            .iter()
+            .zip(&self.replies)
+            .map(|(join, reply)| join + reply.f64_header(HDR_INFERENCE_SECS).unwrap())
+            .collect();
+        let mut instants: Vec<f64> = joins.iter().chain(&ends).copied().collect();
+        instants.sort_by(f64::total_cmp);
+        for (k, solo) in solos.into_iter().enumerate() {
+            let progressed: f64 = instants
+                .windows(2)
+                .filter(|stretch| stretch[0] >= joins[k] && stretch[1] <= ends[k])
+                .map(|stretch| {
+                    let width = (0..3)
+                        .filter(|&j| joins[j] <= stretch[0] && ends[j] >= stretch[1])
+                        .count();
+                    (stretch[1] - stretch[0]) * progress_rate(width)
+                })
+                .sum();
+            assert!(
+                (progressed - solo).abs() < 1e-6,
+                "request {k} progressed {progressed} s of its solo {solo} s"
+            );
+            assert!(
+                self.ended_at
+                    .iter()
+                    .any(|at| (at.as_secs_f64() - ends[k]).abs() < 1e-6),
+                "request {k} ended at {} s, answered at {:?}",
+                ends[k],
+                self.ended_at
+            );
+        }
+    }
+}
+
+/// How the test moves the clock once the three requests are dispatched.
+#[derive(Clone, Copy, PartialEq)]
+enum Jump {
+    /// A minute at a time: each jump ends what is on the backend, late.
+    Minute,
+    /// To the next timer of the replica: each sequence ends, and whatever waits joins,
+    /// exactly when the rate law says.
+    NextEnd,
+}
+
+/// [`three_requests`], the clock moving a minute at a time.
+fn three_requests_to_a_busy_replica(max_batch_size: usize) -> ThreeRequests {
+    three_requests(max_batch_size, Jump::Minute)
 }
 
 /// On a manual clock, where time moves only when the test moves it: the first request
 /// finds the replica idle and is begun by its own dispatch; the second and third are
-/// dispatched, a virtual millisecond apart, while that batch computes, and wait in the
-/// replica's queue. The first batch ends when the clock jumps a minute; whatever comes
-/// next is begun there and then, and every later jump ends one more batch.
-fn three_requests_to_a_busy_replica(max_batch_size: usize) -> ThreeRequests {
+/// dispatched, a virtual millisecond apart, while it computes, and join it or wait in
+/// the replica's queue as `max_batch_size` allows. Then the clock moves by `jump` until
+/// every request is answered.
+fn three_requests(max_batch_size: usize, jump: Jump) -> ThreeRequests {
     use hpcml::sim::clock::{Clock, ManualClock};
     use hpcml::sim::metrics::{MetricRegistry, SharedScalarSink};
 
@@ -469,25 +551,32 @@ fn three_requests_to_a_busy_replica(max_batch_size: usize) -> ThreeRequests {
     let (svc, stop2) = (Arc::clone(&service), Arc::clone(&stop));
     let serve_thread = thread::spawn(move || svc.serve(&endpoint, &stop2));
     let pool = Arc::clone(service.pool());
-    // Once `outstanding` requests are unanswered, the one batch on the backend has
-    // filed its timer, and the timer thread sleeps on it: nothing else sleeps then,
-    // and the deadline is still ahead. A timer thread the last jump woke, and that has
-    // not run yet, still holds its passed deadline; whoever finishes the old batch
-    // meanwhile must not begin the next one after the clock jumps again.
+    // Once `outstanding` requests are unanswered, the replica has filed its timer for
+    // the next end and the timer thread sleeps: nothing else sleeps then, and the
+    // deadline it sleeps on is still ahead and no later than the filed one. A timer
+    // thread the last jump woke, and that has not run yet, still holds its passed
+    // deadline; one a new, earlier entry interrupted may still hold the later one it
+    // slept on. Jumping to either would end a request late, or begin the next one
+    // after the clock jumped again. (An earlier deadline is an entry a join made
+    // stale: the jump to it ends nothing.)
     let settled = |outstanding: u64| {
         pool.total_outstanding() == outstanding
             && (outstanding == 0
                 || (manual.pending_sleepers() == 1
-                    && manual.next_deadline().is_some_and(|at| at > manual.now())))
+                    && pool.next_timer().is_some_and(|filed| {
+                        manual
+                            .next_deadline()
+                            .is_some_and(|at| at > manual.now() && at <= filed)
+                    })))
     };
 
+    let mut dispatched = Vec::new();
     let requesters: Vec<_> = (1..=3)
         .map(|sent| {
             let client = client.clone();
             let requester = thread::spawn(move || {
-                let req = InferenceRequest::new("w ".repeat(40), 64);
                 client
-                    .request(inference_request_message("svc.plane", &req))
+                    .request(inference_request_message("svc.plane", &the_request()))
                     .unwrap()
             });
             // Admission sleeps the handling time (tens of virtual µs) on the clock, on
@@ -502,37 +591,85 @@ fn three_requests_to_a_busy_replica(max_batch_size: usize) -> ThreeRequests {
             wait_until("the request is dispatched", &|| {
                 settled(sent) && seen.values("comm.queue.depth").len() == sent as usize
             });
+            dispatched.push(manual.now());
             requester
         })
         .collect();
-    // A batch takes a few virtual seconds: each jump of a minute ends the one on the
-    // backend, 60.003 s after the first request was sent for the first batch.
+    // A request takes a few virtual seconds: a jump of a minute ends whatever is on the
+    // backend, 60.003 s after the first request was sent for the first jump; a jump to
+    // the next timer ends the sequence it is filed for, or nothing if a join made it
+    // stale.
+    let mut ended_at = Vec::new();
     while pool.total_outstanding() > 0 {
         let before = pool.total_outstanding();
-        manual.advance(Duration::from_secs(60));
-        wait_until("a batch ends and the next begins", &|| {
-            (0..before).any(&settled)
+        let ends = match jump {
+            Jump::Minute => {
+                manual.advance(Duration::from_secs(60));
+                0..before
+            }
+            Jump::NextEnd => {
+                manual.advance_to_next();
+                0..before + 1
+            }
+        };
+        wait_until("a request ends and what waits begins", &|| {
+            ends.clone().any(&settled)
         });
+        if pool.total_outstanding() < before {
+            ended_at.push(manual.now());
+        }
     }
     let replies = requesters.into_iter().map(|r| r.join().unwrap()).collect();
     stop.store(true, Ordering::Release);
     assert_eq!(serve_thread.join().unwrap(), 3);
-    ThreeRequests { replies, seen }
+    ThreeRequests {
+        replies,
+        dispatched,
+        ended_at,
+        seen,
+    }
 }
 
-/// Requests batch where they wait: the two that queued behind the first batch are begun
-/// together when it ends — one backend call, so both replies carry batch size 2 and the
-/// same inference time — and both are priced their replica wait from that end.
+/// Requests join the running batch: at the default cap the second and third requests
+/// are begun by their own dispatches while the first computes, so none is priced any
+/// replica wait, and every sequence ends exactly when the rate law says.
 #[test]
-fn requests_queued_behind_a_busy_replica_are_begun_together_when_it_frees() {
-    use hpcml::serving::protocol::HDR_INFERENCE_SECS;
-    let three = three_requests_to_a_busy_replica(8);
+fn requests_sent_to_a_busy_replica_join_its_running_batch() {
+    let three = three_requests(8, Jump::NextEnd);
+    assert_eq!(three.headers(HDR_BATCH_SIZE), ["1", "2", "3"]);
+    assert_eq!(
+        three.sorted("serving.batch.size"),
+        [1.0, 2.0, 3.0],
+        "the width each joined"
+    );
+    three.assert_priced_queued([0.0; 3], [1.0; 3]);
+    let joins = [0, 1, 2].map(|k| three.dispatched[k].as_secs_f64());
+    three.assert_rate_law(joins);
+    assert_eq!(three.ended_at.len(), 3, "one end at a time");
+}
+
+/// Only requests beyond the cap queue, and only until the first sequence ends: at cap 2
+/// the second request joins the first, and the third waits in the queue until the
+/// moment the first of the two ends, joins there and then, and is priced exactly that
+/// wait.
+#[test]
+fn a_request_beyond_the_cap_waits_only_until_the_first_sequence_ends() {
+    let three = three_requests(2, Jump::NextEnd);
     assert_eq!(three.headers(HDR_BATCH_SIZE), ["1", "2", "2"]);
-    let inference = three.headers(HDR_INFERENCE_SECS);
-    assert_eq!(inference[1], inference[2], "one backend call");
-    assert_eq!(three.sorted("serving.batch.size"), [1.0, 2.0], "two begun");
-    // Dispatched at 0.002 and 0.003 s; the first batch ended at 60.003 s.
-    three.assert_priced([0.0, 60.001, 60.0]);
+    assert_eq!(
+        three.sorted("serving.batch.size"),
+        [1.0, 2.0, 2.0],
+        "the width each joined"
+    );
+    let first_end = three.ended_at[0].as_secs_f64();
+    let waited = first_end - three.dispatched[2].as_secs_f64();
+    three.assert_priced_queued([0.0, 0.0, waited], [1.0; 3]);
+    let joins = [
+        three.dispatched[0].as_secs_f64(),
+        three.dispatched[1].as_secs_f64(),
+        first_end,
+    ];
+    three.assert_rate_law(joins);
 }
 
 /// With `max_batch_size(1)` the same three requests are begun one at a time — the
