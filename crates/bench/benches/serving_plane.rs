@@ -14,10 +14,11 @@
 //! means anything across hosts; their ratio, taken within one run, is what
 //! `scripts/bench_guard.sh` prints: two clients' aggregate requests per second over
 //! one client's. It is reported, not bounded: ROADMAP arc 3 asks for ≥ 1.3×, enforced
-//! once ten runs in a row clear it, and on two CPUs the pair reads 1.25–1.42×, seven of
-//! ten below 1.3 — the lines a pass writes still change cores when two clients alternate
-//! over two services (0.8–1× while every request was also queued three times on its
-//! way; 0.55× with a front-end that handed requests over).
+//! once ten runs in a row clear it, and on two CPUs the pair reads 1.13–1.77×, four of
+//! ten below 1.3, with each client sending where fewer requests are in flight, so that
+//! the two seldom meet at one service (1.09–1.42× in the same host hour while they
+//! alternated over both services; 0.8–1× while every request was also queued three
+//! times on its way; 0.55× with a front-end that handed requests over).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -204,7 +204,8 @@ pub fn run_one(clients: usize, services: usize, config: &ScalingConfig) -> Scali
             .expect("service ready");
     }
 
-    // Launch the clients; each spreads its requests round-robin over all services.
+    // Launch the clients; each sends every request to the least-loaded of all
+    // services, in rotation among equally loaded ones.
     let client_handles: Vec<_> = (0..clients)
         .map(|i| {
             session

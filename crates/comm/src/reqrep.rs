@@ -43,6 +43,7 @@
 //! [`CommError::Disconnected`] at once, not at its timeout, and later sends are refused.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -60,10 +61,9 @@ pub const HDR_ENQUEUED_AT: &str = "comm.enqueued_at";
 /// behind the holder instead. A poll is ≈ 20 ns and a pass over one NOOP request
 /// 1.7 µs alone, 2.5–3.2 µs when its lines come from the other core, on the reference
 /// host, so the wait is bounded at ≈ 40 µs, a dozen passes; a holder that has not let
-/// go by then is pre-empted or asleep. Two closed-loop clients alternating over two
-/// services (`svc_roundtrip`) wait in 1 request of 3–4 (the follower of the two in 1 of
-/// 2, the leader in 1 of 12), for 32–56 polls (0.9–1.4 µs) on average, and run out of
-/// polls in 1 of 4 000–5 000.
+/// go by then is pre-empted or asleep. Two closed-loop clients routed by load over two
+/// services (`svc_roundtrip`) seldom meet at one: a sender waits in 1 request of 67–70,
+/// for ≈ 82 polls on average, and runs out of polls in 1 of 190 000–230 000.
 pub const TURN_SPINS: u32 = 2_000;
 
 /// What [`ReqRepServer::attach`] arms an endpoint with: a server that admits requests
@@ -169,6 +169,26 @@ fn request(msg: Message) -> ((Message, Responder), Arc<ReplySlot>) {
 struct Endpoint {
     state: Mutex<Inbox>,
     arrived: Condvar,
+    /// Requests of every client of the endpoint between their post and the end of
+    /// their wait for the reply ([`ReqRepClient::in_flight`]).
+    in_flight: AtomicUsize,
+}
+
+/// One request counted in flight at its endpoint, until dropped: on the reply, a
+/// timeout or a refused send alike.
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicUsize) -> Self {
+        count.fetch_add(1, Ordering::Relaxed);
+        InFlight(count)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 #[derive(Default)]
@@ -451,6 +471,7 @@ impl ReqRepClient {
     /// [`ReqRepClient::request`] with an explicit real-time timeout on the reply wait
     /// (`Duration::MAX`: without a deadline).
     pub fn request_timeout(&self, msg: Message, timeout: Duration) -> Result<Message, CommError> {
+        let _in_flight = InFlight::enter(&self.mailbox.endpoint.in_flight);
         let slot = self.post(msg)?;
         let reply = slot.wait(Instant::now().checked_add(timeout))?;
         self.hop(&reply);
@@ -464,6 +485,13 @@ impl ReqRepClient {
         let (request, slot) = request(msg.with_f64_header(HDR_ENQUEUED_AT, enqueued_at));
         self.deliver(request)?;
         Ok(slot)
+    }
+
+    /// Requests in flight at this client's endpoint, sent by this client or any other
+    /// and not yet answered, timed out or refused: the endpoint's load as its senders
+    /// see it. A fire-and-forget [`ReqRepClient::send`] is not counted.
+    pub fn in_flight(&self) -> usize {
+        self.mailbox.endpoint.in_flight.load(Ordering::Relaxed)
     }
 
     /// Fire-and-forget send (no reply expected). Used for control messages.
@@ -605,7 +633,6 @@ mod tests {
     }
 
     use hpcml_sim::pool::RunCell;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A server the way the serving plane builds one — its turn is the cell of a
     /// resumable run — that echoes, and counts what was asked of it.
@@ -830,6 +857,51 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, CommError::Timeout);
         assert_eq!(server.queue_len(), 1);
+    }
+
+    #[test]
+    fn in_flight_counts_each_request_from_post_to_reply_for_every_client_of_the_endpoint() {
+        let server = ReqRepServer::new("svc.load");
+        let clients: Vec<ReqRepClient> = (0..2).map(|_| server.client(instant_link())).collect();
+        let loads = || {
+            clients
+                .iter()
+                .map(ReqRepClient::in_flight)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(loads(), [0, 0]);
+        let mut held = Vec::new();
+        let mut askers = Vec::new();
+        for (n, client) in clients.iter().enumerate() {
+            let client = client.clone();
+            askers.push(thread::spawn(move || {
+                client.request(Message::new("svc.load", "req")).unwrap()
+            }));
+            held.push(server.recv_timeout(Duration::from_secs(5)).unwrap());
+            assert_eq!(loads(), [n + 1; 2], "received, not yet answered");
+        }
+        for (msg, responder) in held {
+            responder.reply(Message::new(msg.topic, "reply")).unwrap();
+        }
+        for asker in askers {
+            asker.join().unwrap();
+        }
+        assert_eq!(loads(), [0, 0], "answered");
+    }
+
+    #[test]
+    fn in_flight_returns_to_zero_after_a_timeout_and_after_a_refused_send() {
+        let server = ReqRepServer::new("svc.load");
+        let client = server.client(instant_link());
+        let err = client
+            .request_timeout(Message::new("svc.load", "req"), Duration::from_millis(20))
+            .unwrap_err();
+        assert_eq!((err, client.in_flight()), (CommError::Timeout, 0));
+        drop(server);
+        let err = client.request(Message::new("svc.load", "req")).unwrap_err();
+        assert_eq!((err, client.in_flight()), (CommError::Disconnected, 0));
+        client.send(Message::new("svc.load", "late")).unwrap_err();
+        assert_eq!(client.in_flight(), 0);
     }
 
     #[test]

@@ -68,8 +68,9 @@ pub enum TaskKind {
         /// Duration distribution, seconds.
         duration_secs: Dist,
     },
-    /// A client that sends inference requests to one or more model services
-    /// (round-robin), recording response/inference time metrics.
+    /// A client that sends inference requests to one or more model services (each to
+    /// the one with the fewest requests in flight, in rotation among equals),
+    /// recording response/inference time metrics.
     InferenceClient {
         /// Which services to send to.
         selector: ServiceSelector,

@@ -980,14 +980,12 @@ impl Executor {
             words.join(" ")
         };
 
-        // Stagger the round-robin starting point per client, from a value this client
-        // drew itself (not from wherever the other clients' draws have got the counter
-        // to), so that clients which start together start on different services
-        // (rudimentary load balancing, as in the paper's prototype). It staggers, it
-        // does not de-phase: closed-loop clients drift into each other anyway, and a
-        // sender that meets another at a service waits for its turn there (see
-        // `hpcml_comm::reqrep`).
-        let start_offset = seed as usize % clients.len();
+        // Each request goes to the target with the fewest requests in flight (those of
+        // every client that talks to it), the first such from the cursor on; the cursor
+        // then moves past it. With loads equal this is the paper prototype's round
+        // robin (a lone closed-loop client visits its targets in strict rotation); a
+        // client that finds a target busy with other clients' requests passes it by.
+        let mut cursor = 0;
         let mut errors = 0u32;
         // One request, renewed per iteration: the prompt and the client id are written
         // once, and the identifier over the previous one.
@@ -997,8 +995,13 @@ impl Executor {
             max_tokens,
             client_id: record.id.clone(),
         };
-        for i in 0..requests {
-            let (endpoint_name, client) = &clients[(start_offset + i as usize) % clients.len()];
+        for _ in 0..requests {
+            let target = (cursor..cursor + clients.len())
+                .map(|i| i % clients.len())
+                .min_by_key(|&i| clients[i].1.in_flight())
+                .expect("at least one target");
+            cursor = target + 1;
+            let (endpoint_name, client) = &clients[target];
             let request_index = request.renew_id();
             let watch = Stopwatch::start(self.clock.as_ref());
             let mut reply = client

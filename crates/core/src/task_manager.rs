@@ -112,21 +112,32 @@ impl TaskManager {
             .count()
     }
 
-    /// Block (polling every few milliseconds of real time) until every registered task
-    /// reached a terminal state or `timeout` elapses. Returns the per-state counts.
+    /// Block until every registered task reached a terminal state or `timeout`
+    /// elapses. Returns the per-state counts. Waits on each task's state in turn, then
+    /// again over the directory if tasks were registered meanwhile.
     pub fn wait_all(&self, timeout: Duration) -> Result<BTreeMap<TaskState, usize>, RuntimeError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
-            if self.finished() == self.len() {
+            let records = self.tasks.read().records.clone();
+            for record in &records {
+                let remaining = deadline.map_or(Duration::MAX, |at| {
+                    at.saturating_duration_since(Instant::now())
+                });
+                // Every terminal task state is final: the one error is the timeout.
+                if record
+                    .state
+                    .wait_until(TaskState::is_final, remaining)
+                    .is_err()
+                {
+                    return Err(RuntimeError::WaitTimeout {
+                        entity: "task manager".to_string(),
+                        awaited: "all tasks final".to_string(),
+                    });
+                }
+            }
+            if self.len() == records.len() {
                 return Ok(self.state_counts());
             }
-            if Instant::now() >= deadline {
-                return Err(RuntimeError::WaitTimeout {
-                    entity: "task manager".to_string(),
-                    awaited: "all tasks final".to_string(),
-                });
-            }
-            std::thread::sleep(Duration::from_millis(2));
         }
     }
 }

@@ -11,6 +11,7 @@ use hpcml::comm::link::Link;
 use hpcml::comm::message::Message;
 use hpcml::comm::ReqRepServer;
 use hpcml::prelude::*;
+use hpcml::runtime::describe::ServiceSelector;
 use hpcml::serving::protocol::{
     HDR_BATCH_SIZE, HDR_ERROR, HDR_REQUEST_ID, HDR_RETRY_AFTER_SECS, HDR_SERVICE_SECS,
     KIND_INFER_REPLY, KIND_SHED,
@@ -18,6 +19,7 @@ use hpcml::serving::protocol::{
 use hpcml::serving::service::{inference_request_message, inference_request_message_with_deadline};
 use hpcml::serving::{InferenceRequest, InferenceService, ModelHost, ServingConfig};
 use hpcml::sim::clock::{SharedClock, SimTime};
+use hpcml::sim::dist::Dist;
 use hpcml::sim::metrics::null_sink;
 
 fn session(scale: f64) -> Session {
@@ -127,6 +129,179 @@ fn replicated_service_places_a_gang_and_splits_load() {
         "replica routing recorded outstanding counts"
     );
     s.close();
+}
+
+/// A closed-loop client of every service in `names`, sending `requests` requests.
+fn client_of(name: &str, names: &[String], requests: u32, max_tokens: u32) -> TaskDescription {
+    TaskDescription::new(name)
+        .kind(TaskKind::InferenceClient {
+            selector: ServiceSelector::Named(names.to_vec()),
+            requests,
+            prompt_words: 48,
+            max_tokens,
+            think_time_secs: Dist::constant(0.0),
+        })
+        .cores(1)
+}
+
+/// Services `names` with `model`, ready.
+fn ready_services(s: &Session, names: &[String], model: ModelSpec) {
+    let services: Vec<_> = names
+        .iter()
+        .map(|name| {
+            s.submit_service(
+                ServiceDescription::new(name.clone())
+                    .model(model.clone())
+                    .gpus(1),
+            )
+            .expect("service")
+        })
+        .collect();
+    for svc in &services {
+        svc.wait_ready_timeout(Duration::from_secs(120))
+            .expect("ready");
+    }
+}
+
+fn run_to_done(s: &Session, tasks: impl IntoIterator<Item = TaskDescription>) {
+    let handles: Vec<_> = tasks
+        .into_iter()
+        .map(|t| s.submit_task(t).expect("task"))
+        .collect();
+    for t in &handles {
+        assert_eq!(
+            t.wait_done_timeout(Duration::from_secs(600)).expect("done"),
+            TaskState::Done
+        );
+    }
+}
+
+/// Requests each service answered; written when the service stops, so after `close`.
+fn served(s: &Session, names: &[String]) -> Vec<u64> {
+    names
+        .iter()
+        .map(|name| {
+            *s.service_manager()
+                .get(name)
+                .expect("record")
+                .requests_served
+                .lock()
+        })
+        .collect()
+}
+
+fn names(prefix: &str, n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("{prefix}-{i}")).collect()
+}
+
+/// Eight closed-loop clients over four LLM services (the serving half of the
+/// `hybrid_campaign` benchmark) keep each service near the balanced two sequences:
+/// every request goes to the service with the fewest requests in flight. A fixed
+/// rotation per client lets closed-loop clients pile three or four onto some services
+/// while others run one (mean outstanding ≈ 2.5).
+#[test]
+fn inference_clients_spread_requests_over_services_by_load() {
+    let s = session(100.0);
+    s.submit_pilot(
+        PilotDescription::new(PlatformId::Delta)
+            .nodes(1)
+            .runtime_secs(7200.0),
+    )
+    .expect("pilot");
+    let llms = names("llm", 4);
+    ready_services(&s, &llms, ModelSpec::sim_llama_8b());
+    run_to_done(
+        &s,
+        (0..8).map(|i| client_of(&format!("client-{i}"), &llms, 16, 64)),
+    );
+    let outstanding = s.metrics().scalar_values("serving.replica.outstanding");
+    assert_eq!(outstanding.len(), 8 * 16, "one record per dispatch");
+    let mean = outstanding.iter().sum::<f64>() / outstanding.len() as f64;
+    assert!(mean <= 2.2, "mean outstanding {mean:.2}, balanced is 2.0");
+    s.close();
+    let served = served(&s, &llms);
+    assert_eq!(served.iter().sum::<u64>(), 8 * 16);
+    assert!(
+        served.iter().all(|&n| n > 0),
+        "every service serves: {served:?}"
+    );
+}
+
+/// A lone client finds every target idle at each pick and so visits them in strict
+/// rotation, the paper prototype's round robin.
+#[test]
+fn a_lone_client_serves_its_targets_in_strict_rotation() {
+    let s = session(1000.0);
+    s.submit_pilot(
+        PilotDescription::new(PlatformId::Delta)
+            .nodes(1)
+            .runtime_secs(7200.0),
+    )
+    .expect("pilot");
+    let noops = names("noop", 3);
+    ready_services(&s, &noops, ModelSpec::noop());
+    run_to_done(&s, [client_of("client", &noops, 3 * 7, 1)]);
+    s.close();
+    assert_eq!(served(&s, &noops), [7; 3]);
+}
+
+/// A client passes by a target busy with another client's request: the first client's
+/// request is held unanswered at one endpoint, and every request of the second goes to
+/// the other.
+#[test]
+fn a_second_client_avoids_a_service_the_first_holds_busy() {
+    let s = session(1000.0);
+    s.submit_pilot(
+        PilotDescription::new(PlatformId::Delta)
+            .nodes(1)
+            .runtime_secs(7200.0),
+    )
+    .expect("pilot");
+    // The busy endpoint is served by this test: it holds the first request it gets
+    // and answers any later one at once, counting it.
+    let busy = ReqRepServer::new("service.held");
+    s.endpoint_registry()
+        .register("service.held", busy.handle(), Default::default())
+        .expect("register");
+    let idle = names("idle", 1);
+    ready_services(&s, &idle, ModelSpec::noop());
+
+    let first = s
+        .submit_task(client_of("first", &["held".to_string()], 1, 1))
+        .expect("task");
+    let (held, responder) = busy.recv_timeout(Duration::from_secs(60)).expect("held");
+    let stop = AtomicBool::new(false);
+    let answered = thread::scope(|scope| {
+        let answerer = scope.spawn(|| {
+            let mut answered = 0;
+            while !stop.load(Ordering::Acquire) {
+                if let Ok((msg, r)) = busy.recv_timeout(Duration::from_millis(5)) {
+                    answered += 1;
+                    r.reply(Message::new(msg.topic, KIND_INFER_REPLY))
+                        .expect("reply");
+                }
+            }
+            answered
+        });
+        let both = ["held".to_string(), idle[0].clone()];
+        run_to_done(&s, [client_of("second", &both, 6, 1)]);
+        stop.store(true, Ordering::Release);
+        answerer.join().expect("answerer")
+    });
+    assert_eq!(answered, 0, "requests sent to the busy endpoint");
+
+    responder
+        .reply(Message::new(held.topic, KIND_INFER_REPLY))
+        .expect("reply");
+    assert_eq!(
+        first
+            .wait_done_timeout(Duration::from_secs(60))
+            .expect("done"),
+        TaskState::Done
+    );
+    s.endpoint_registry().unregister("service.held");
+    s.close();
+    assert_eq!(served(&s, &idle), [6]);
 }
 
 // ---------------------------------------------------------------- crate-level tests
