@@ -21,7 +21,7 @@
 //!
 //! | park | waits for | resumed by |
 //! |---|---|---|
-//! | `Placement` | a slot: the task keeps a place in the scheduler's wait queue ([`Scheduler::poll_placed`]) | the scheduler calling the task's waker on a release, plus a real-time timer at the poll's `wake_at` (request timeout, gang drain threshold) |
+//! | `Placement` | a slot: the task keeps a place in the scheduler's wait queue ([`Scheduler::poll_placed`]) | the scheduler calling the task's waker on a release, plus a real-time timer at the poll's `wake_at` (request timeout, gang drain threshold), one per waiting task, taken out when the wait ends |
 //! | `Timer(t)` | the session clock to read `t`: compute, each staging transfer, retry backoff | the timer thread |
 //! | `Blocking` | something that can only be waited for by blocking: `after_services` not yet published, the inference-client request loop | a dedicated entity thread, for that stage only — it goes on advancing the task until the next park |
 //! | `Done` | — | — |
@@ -87,7 +87,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
@@ -108,7 +108,7 @@ use hpcml_serving::request::InferenceRequest;
 use hpcml_serving::service::{inference_request_message, InferenceService};
 use hpcml_sim::clock::{SharedClock, SimTime, Stopwatch};
 use hpcml_sim::dist::Dist;
-use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell};
+use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell, WallTimer};
 
 use crate::data::DataManager;
 use crate::describe::{DataDirective, ServicePlacement, ServiceSelector, TaskKind};
@@ -164,9 +164,19 @@ enum Stage {
 /// A task's place in the scheduler's wait queue.
 struct Queued {
     placement: Placement,
-    /// The `wake_at` already on the timer heap, so that re-polls which come back with
-    /// the same deadline do not file it again.
-    armed: Option<Instant>,
+    /// The run's one real-time timer entry, at the last poll's `wake_at`: re-polls that
+    /// come back with the same deadline keep it, a new deadline replaces it, and the
+    /// end of the wait takes it out.
+    armed: Option<WallTimer>,
+}
+
+impl Queued {
+    /// Take the timer entry out: its wait is over, or has a new deadline.
+    fn disarm(&mut self, pool: &Pool) {
+        if let Some(armed) = self.armed.take() {
+            pool.disarm(armed);
+        }
+    }
 }
 
 /// Progress through a list of staging directives.
@@ -180,9 +190,9 @@ struct Staging {
 
 /// Why `advance` returned.
 enum Park {
-    /// Waiting in the scheduler's queue; poll again when woken, and at `arm` if that
-    /// deadline is not on the timer heap yet.
-    Placement { arm: Option<Instant> },
+    /// Waiting in the scheduler's queue, with the real-time deadline filed: poll again
+    /// when woken.
+    Placement,
     /// Nothing to do until the session clock reads this.
     Timer(SimTime),
     /// The next stage must block: continue on an entity thread.
@@ -194,8 +204,9 @@ enum Park {
 /// The mutable half of a task run; only the thread holding the run touches it.
 struct RunState {
     stage: Stage,
-    /// The slot this attempt holds; `record.slot` shares it.
-    slot: Option<Arc<Slot>>,
+    /// The slot this attempt holds, from placement to release: nothing else keeps it,
+    /// so a finished task keeps no slot.
+    slot: Option<Slot>,
     /// What this attempt has measured since it was placed, until it is recorded.
     row: Option<TaskRow>,
 }
@@ -564,18 +575,17 @@ impl Executor {
 
     // ------------------------------------------------------------------ tasks
 
-    /// Advance `run` — which the calling thread holds — until it parks, file what the
-    /// park needs, and let go of it; or finish it. `may_block` says the caller is an
-    /// entity thread that may run blocking stages itself.
+    /// Advance `run` — which the calling thread holds — until it parks, file the timer
+    /// a `Timer` park needs (a placement wait files and takes out its own), and let go
+    /// of it; or finish it. `may_block` says the caller is an entity thread that may
+    /// run blocking stages itself.
     fn drive(self: &Arc<Self>, run: Arc<TaskRun>, may_block: bool) {
         loop {
             let park = {
                 let mut state = run.state.lock();
                 let park = self.advance(&run, &mut state, may_block);
-                match park {
-                    Park::Timer(at) => self.pool.wake_at_clock(&run, at),
-                    Park::Placement { arm: Some(at) } => self.pool.wake_at_wall(&run, at),
-                    Park::Placement { arm: None } | Park::Blocking | Park::Done => {}
+                if let Park::Timer(at) = park {
+                    self.pool.wake_at_clock(&run, at);
                 }
                 park
             };
@@ -595,7 +605,7 @@ impl Executor {
                     self.spawn_entity(&name, move || this.drive(run, true));
                     return;
                 }
-                Park::Timer(_) | Park::Placement { .. } => {
+                Park::Timer(_) | Park::Placement => {
                     if run.cell.release() {
                         return;
                     }
@@ -683,19 +693,20 @@ impl Executor {
                 let waker = Waker::from(Arc::clone(run));
                 match scheduler.poll_placed(&mut queued.placement, &waker) {
                     PlacementPoll::Pending { wake_at } => {
-                        let arm = (queued.armed != Some(wake_at)).then_some(wake_at);
-                        queued.armed = Some(wake_at);
-                        return Ok(Some(Park::Placement { arm }));
+                        if queued.armed.is_none_or(|armed| armed.at() != wake_at) {
+                            queued.disarm(&self.pool);
+                            queued.armed = Some(self.pool.wake_at_wall(run, wake_at));
+                        }
+                        return Ok(Some(Park::Placement));
                     }
                     PlacementPoll::Ready(result) => {
+                        queued.disarm(&self.pool);
                         let (placed, stats) = result?;
                         *row = Some(TaskRow {
                             placement_wait_secs: stats.wait_secs,
                             exec_secs: f64::NAN,
                         });
                         self.record_gang_placement(&placed, &stats);
-                        let placed = Arc::new(placed);
-                        *record.slot.lock() = Some(Arc::clone(&placed));
                         *slot = Some(placed);
                         if desc.stage_in.is_empty() {
                             Stage::Executing(None)
@@ -807,9 +818,10 @@ impl Executor {
             }
             // A placement that still holds a queue place (only a panic gets here with
             // one) must leave it, or it would block the FIFO behind it forever.
-            if let Stage::Scheduling(Some(pending)) =
+            if let Stage::Scheduling(Some(mut pending)) =
                 std::mem::replace(&mut state.stage, Stage::Done)
             {
+                pending.disarm(&self.pool);
                 scheduler.cancel_placement(pending.placement);
             }
         }
@@ -1055,9 +1067,11 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::describe::{ServiceDescription, TaskDescription};
-    use hpcml_platform::batch::{AllocationRequest, BatchSystem};
+    use hpcml_platform::batch::{Allocation, AllocationRequest, BatchSystem};
+    use hpcml_platform::resources::NodeHealth;
     use hpcml_serving::ModelSpec;
-    use hpcml_sim::clock::ClockSpec;
+    use hpcml_sim::clock::{ClockSpec, ManualClock};
+    use std::time::Instant;
 
     struct Fixture {
         clock: SharedClock,
@@ -1504,9 +1518,44 @@ mod tests {
         );
     }
 
+    /// The node `task`'s attempt runs on, read off the allocation: the one healthy
+    /// node that a probe for the task's resources cannot get. Only for a task that
+    /// asks for a whole node and runs alone.
+    fn busy_node(allocation: &Allocation, task: &TaskRecord) -> usize {
+        let probes: Vec<Slot> =
+            std::iter::from_fn(|| allocation.allocate_slot(&task.description.resources).ok())
+                .collect();
+        let free: Vec<usize> = probes.iter().map(Slot::node_index).collect();
+        for probe in &probes {
+            allocation.release_slot(probe).unwrap();
+        }
+        let mut busy = (0..)
+            .map_while(|node| Some(node).zip(allocation.node_health(node)))
+            .filter(|(node, health)| *health == NodeHealth::Healthy && !free.contains(node))
+            .map(|(node, _)| node);
+        let node = busy.next().expect("the attempt holds a node");
+        assert_eq!(busy.next(), None, "and only the attempt");
+        node
+    }
+
+    /// Move a manual clock to the first deadline after `secs` that the pool's timer
+    /// thread waits for, once it has filed one, and return it.
+    fn advance_past(clock: &ManualClock, secs: f64) -> f64 {
+        loop {
+            let at = clock.advance_to_next().as_secs_f64();
+            if at > secs {
+                return at;
+            }
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn task_evicted_by_node_failure_retries_and_completes() {
-        let fx = fixture(PlatformId::Local, 2, 1000.0);
+        // On a manual clock an attempt holds its node until the test moves time on,
+        // so the node each attempt runs on can be read off the allocation.
+        let clock = Arc::new(ManualClock::new());
+        let fx = fixture_on(Arc::clone(&clock) as SharedClock, PlatformId::Local, 2);
         let task = TaskRecord::new(
             "task.retry".into(),
             TaskDescription::new("retry")
@@ -1518,13 +1567,30 @@ mod tests {
         );
         fx.executor
             .spawn_task(Arc::clone(&task), Some(Arc::clone(&fx.scheduler)));
+        assert_eq!(task.state.current(), TaskState::Executing);
+        let allocation = fx.scheduler.allocation();
+        let node = busy_node(allocation, &task);
+        allocation.fail_node(node).unwrap();
+        // The attempt ends at 60 s and finds its slot evicted; the retry waits out its
+        // 0.5 s backoff and is placed again.
+        assert_eq!(advance_past(&clock, 0.0), 60.0);
+        assert_eq!(advance_past(&clock, 60.0), 60.5);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while task
+            .state
+            .history()
+            .iter()
+            .filter(|(state, _)| *state == TaskState::Executing)
+            .count()
+            < 2
+        {
+            assert!(Instant::now() < deadline, "the retry never executed");
+            std::thread::yield_now();
+        }
+        let placed = busy_node(allocation, &task);
+        assert_eq!(advance_past(&clock, 60.5), 120.5);
         task.state
-            .wait_until(|s| s == TaskState::Executing, Duration::from_secs(10))
-            .unwrap();
-        let node = task.slot.lock().as_ref().unwrap().node_index();
-        fx.scheduler.allocation().fail_node(node).unwrap();
-        task.state
-            .wait_until(|s| s == TaskState::Done, Duration::from_secs(60))
+            .wait_until(|s| s == TaskState::Done, Duration::from_secs(10))
             .unwrap();
         fx.executor.join_all();
         assert_eq!(
@@ -1535,7 +1601,6 @@ mod tests {
         assert_eq!(fx.metrics.scalar_values("task.retries").len(), 1);
         assert_eq!(fx.scheduler.outstanding_slots(), 0);
         // The replacement attempt must have avoided the failed node.
-        let placed = task.slot.lock().as_ref().unwrap().node_index();
         assert_ne!(placed, node);
     }
 
@@ -1555,8 +1620,9 @@ mod tests {
         task.state
             .wait_until(|s| s == TaskState::Executing, Duration::from_secs(10))
             .unwrap();
-        let node = task.slot.lock().as_ref().unwrap().node_index();
-        fx.scheduler.allocation().fail_node(node).unwrap();
+        let allocation = fx.scheduler.allocation();
+        let node = busy_node(allocation, &task);
+        allocation.fail_node(node).unwrap();
         let _ = task
             .state
             .wait_until(|s| s.is_final(), Duration::from_secs(60));

@@ -268,8 +268,6 @@ pub struct TaskRecord {
     pub description: TaskDescription,
     /// Validated state holder.
     pub state: StateCell<TaskState>,
-    /// Slot the task runs on, once scheduled (shared with the run that holds it).
-    pub slot: Mutex<Option<Arc<Slot>>>,
     /// Platform the task runs on.
     pub platform: PlatformId,
     /// Times the task was re-run after losing its slot to a node failure.
@@ -288,7 +286,6 @@ impl TaskRecord {
             id,
             description,
             state: StateCell::new(TaskState::New, clock),
-            slot: Mutex::new(None),
             platform,
             retries: AtomicU32::new(0),
         })
@@ -787,7 +784,6 @@ mod tests {
                 id: "task.000000".into(),
                 description: TaskDescription::new("t"),
                 state: StateCell::new(state, clock()),
-                slot: Mutex::new(None),
                 platform: PlatformId::Local,
                 retries: AtomicU32::new(0),
             }),
