@@ -1,8 +1,8 @@
-//! Comm-fabric benchmark family: zero-copy fan-out vs per-subscriber cloning, and
+//! Comm-fabric benchmark family: shared fan-out vs per-subscriber cloning, and
 //! registry lookup under registration churn.
 //!
 //! Every point measures nanoseconds of CPU work per operation. The fan-out comparison
-//! is allocation-bound, so the encode-once/clone-each ratio holds on any host
+//! is allocation-bound, so the share/clone-each ratio holds on any host
 //! regardless of core count.
 //!
 //! All results print in the harness line format (`name  time: [...]`) consumed by
@@ -51,8 +51,9 @@ fn update_message() -> Message {
         .with_text(&"task state payload ".repeat(54))
 }
 
-/// Zero-copy fan-out: encode once, hand the same frozen frame to all N subscribers.
-fn bench_fanout_encode_once(subscribers: usize, iters: usize) -> f64 {
+/// Shared fan-out: one `Arc<Message>` for all N subscribers, a reference-count bump
+/// each.
+fn bench_fanout_share(subscribers: usize, iters: usize) -> f64 {
     let publisher = Publisher::new();
     let subs: Vec<_> = (0..subscribers)
         .map(|_| publisher.subscribe(&["state."]))
@@ -66,14 +67,14 @@ fn bench_fanout_encode_once(subscribers: usize, iters: usize) -> f64 {
         assert_eq!(delivered, subscribers);
         // Drain outside the timed window so queue growth never skews later iterations.
         for sub in &subs {
-            sub.drain_frames();
+            sub.drain();
         }
     }
     total.as_secs_f64() / iters as f64
 }
 
 /// The pre-fabric baseline, reconstructed: deep-clone the `Message` once per
-/// subscriber and queue the owned copies — N clones instead of one encode. Each queue
+/// subscriber and queue the owned copies — N clones instead of one share. Each queue
 /// has the shape of a subscriber's inbox (a locked `VecDeque`), so the two points
 /// differ in what they deliver, not in how they queue it.
 fn bench_fanout_clone_each(subscribers: usize, iters: usize) -> f64 {
@@ -134,7 +135,7 @@ fn bench_registry_lookup_churn(iters: usize) -> f64 {
 }
 
 fn main() {
-    // Fan-out sweep: the encode-once path must beat the clone-per-subscriber
+    // Fan-out sweep: the shared path must beat the clone-per-subscriber
     // baseline, and the gap must widen with subscriber count. Each point is the
     // median of seven alternating runs a side, so that a host hiccup or speed phase
     // moves neither number: the guard bounds their ratio.
@@ -142,17 +143,17 @@ fn main() {
     const FANOUT_RUNS: usize = 7;
     let mut points = Vec::new();
     for subscribers in [1usize, 8, 64] {
-        let (mut once, mut each) = (Vec::new(), Vec::new());
+        let (mut share, mut each) = (Vec::new(), Vec::new());
         for _ in 0..FANOUT_RUNS {
-            once.push(bench_fanout_encode_once(subscribers, FANOUT_ITERS));
+            share.push(bench_fanout_share(subscribers, FANOUT_ITERS));
             each.push(bench_fanout_clone_each(subscribers, FANOUT_ITERS));
         }
-        for (name, mut runs) in [("encode_once", once), ("clone_each", each)] {
+        for (name, mut runs) in [("share", share), ("clone_each", each)] {
             runs.sort_by(f64::total_cmp);
             points.push((name, subscribers, runs[FANOUT_RUNS / 2]));
         }
     }
-    points.sort_by_key(|(name, ..)| *name != "encode_once");
+    points.sort_by_key(|(name, ..)| *name != "share");
     for (name, subscribers, secs) in points {
         let samples = FANOUT_RUNS * FANOUT_ITERS;
         report(&format!("comm/fanout/{name}/{subscribers}"), secs, samples);

@@ -1,6 +1,5 @@
-//! Micro-benchmarks of the runtime's hot paths: message codec, endpoint registry
-//! lookup, scheduler allocate/release, NOOP request round trip, and statistics
-//! summarisation. These are the operations that sit on the critical path of every
+//! Micro-benchmarks of the runtime's hot paths: endpoint registry lookup, scheduler
+//! allocate/release, NOOP request round trip, and statistics summarisation. These are the operations that sit on the critical path of every
 //! figure in the paper's evaluation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,24 +19,6 @@ use hpcml_sim::stats::Summary;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn bench_codec(c: &mut Criterion) {
-    let msg = Message::new("service.llm-0", "inference.request")
-        .with_header("client", "task.000123")
-        .with_f64_header("sent_at", 123.456)
-        .with_text(&"low dose radiation effects on cell morphology ".repeat(8));
-    c.bench_function("codec/encode", |b| b.iter(|| black_box(msg.encode())));
-    let encoded = msg.encode();
-    // `Bytes::clone` is a reference-count bump, so the owned-decode bench measures
-    // decoding, not buffer duplication.
-    c.bench_function("codec/decode", |b| {
-        b.iter(|| Message::decode(black_box(encoded.clone())).unwrap())
-    });
-    // Borrowed decode: no clone, no per-field allocation.
-    c.bench_function("codec/decode_view", |b| {
-        b.iter(|| Message::decode_view(black_box(&encoded)).unwrap())
-    });
-}
 
 fn bench_registry(c: &mut Criterion) {
     let registry = EndpointRegistry::new();
@@ -445,7 +426,6 @@ fn bench_stats(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_codec,
     bench_registry,
     bench_scheduler,
     bench_gang_allocate,

@@ -9,8 +9,6 @@ pub enum CommError {
     Disconnected,
     /// A blocking receive or request timed out.
     Timeout,
-    /// The message could not be encoded or decoded.
-    Codec(String),
     /// A named endpoint was not found in the registry.
     EndpointNotFound(String),
     /// The endpoint name is already registered.
@@ -22,7 +20,6 @@ impl fmt::Display for CommError {
         match self {
             CommError::Disconnected => write!(f, "peer endpoint disconnected"),
             CommError::Timeout => write!(f, "operation timed out"),
-            CommError::Codec(msg) => write!(f, "codec error: {msg}"),
             CommError::EndpointNotFound(name) => write!(f, "endpoint not found: {name}"),
             CommError::AlreadyRegistered(name) => write!(f, "endpoint already registered: {name}"),
         }
@@ -39,9 +36,6 @@ mod tests {
     fn display_is_informative() {
         assert!(CommError::Disconnected.to_string().contains("disconnected"));
         assert!(CommError::Timeout.to_string().contains("timed out"));
-        assert!(CommError::Codec("bad length".into())
-            .to_string()
-            .contains("bad length"));
         assert!(CommError::EndpointNotFound("svc".into())
             .to_string()
             .contains("svc"));

@@ -4,14 +4,14 @@
 //! REQ/REP sockets and components publish state updates over PUB/SUB. This crate
 //! rebuilds those communication patterns from scratch, with:
 //!
-//! * [`message`] — a self-describing message envelope with a compact binary wire codec
-//!   (no external serialisation framework needed) and reusable encode buffers;
+//! * [`message`] — a self-describing message envelope that keeps numbers as numbers
+//!   and knows its size on a length-prefixed wire, which the link prices hops by;
 //! * [`reqrep`] — request/reply endpoints ([`reqrep::ReqRepServer`], [`reqrep::ReqRepClient`])
 //!   used for the service inference API, one request per call: a server is either a
 //!   thread that blocks for requests or a [`reqrep::Server`] whose turn the requesting
 //!   thread takes, making the pass itself;
 //! * [`pubsub`] — topic-based publish/subscribe used for state-update notification:
-//!   zero-copy fan-out (encode once, share the frame with every subscriber) from one
+//!   shared fan-out (one `Arc<Message>` for every matching subscriber) from one
 //!   subscriber list into one inbox per subscriber;
 //! * [`registry`] — the read-mostly endpoint registry services publish themselves
 //!   into (the `publish` component of the paper's bootstrap time): lookups read a
@@ -35,8 +35,7 @@
 //!
 //! # Example
 //!
-//! A request/reply round trip over a zero-latency link, using the binary message
-//! codec end to end:
+//! A request/reply round trip over a zero-latency link:
 //!
 //! ```
 //! use hpcml_comm::link::Link;
@@ -73,7 +72,7 @@ pub mod reqrep;
 
 pub use error::CommError;
 pub use link::Link;
-pub use message::{Message, MessageView};
+pub use message::Message;
 pub use pubsub::{Publisher, Subscriber};
 pub use registry::{EndpointEntry, EndpointRegistry};
 pub use reqrep::{Mailbox, ReqRepClient, ReqRepHandle, ReqRepServer, Responder};

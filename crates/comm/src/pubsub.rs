@@ -5,21 +5,20 @@
 //! the topics they care about (paper Fig. 2, flow ⑥). Subscriptions are prefix matches
 //! like ZeroMQ's, so `state.task` receives `state.task.running` and `state.task.done`.
 //!
-//! # Zero-copy fan-out
+//! # Shared fan-out
 //!
-//! A publish encodes the message **once** into a frozen [`Bytes`] frame and hands the
-//! same buffer to every matching subscriber — delivery to N subscribers is one encode
-//! plus N reference-count bumps, never N clones or re-encodes. Subscribers decode
-//! lazily: [`Subscriber::recv_timeout`] materialises an owned [`Message`],
-//! [`Subscriber::recv_frame_timeout`] / [`Subscriber::drain_frames`] hand the shared
-//! frame through untouched for consumers that route on
-//! [`Message::decode_view`] without paying an owned decode.
+//! Subscribers live in the publisher's process, so a publish hands them the message
+//! itself, never an encoding of it: on the first match the message goes into an
+//! [`Arc`] (moved by [`Publisher::publish_with`], cloned once by
+//! [`Publisher::publish`]), and every matching subscriber gets a reference-count bump
+//! of that `Arc` — delivery to N subscribers is one allocation plus N increments,
+//! never N clones. Receives hand out the `Arc<Message>`.
 //!
 //! # One subscriber list, one inbox per subscriber
 //!
 //! The publisher keeps its subscribers in one reader-writer-locked list: a publish
 //! reads it, subscribing writes it, and a subscriber that went away is pruned by the
-//! next publish that finds it. Each subscriber's frames wait in an inbox of its own (a
+//! next publish that finds it. Each subscriber's messages wait in an inbox of its own (a
 //! queue, a condvar and a closed flag), so per-subscriber delivery order is publish
 //! order for any single publisher. Either end closes the inbox: the subscriber by
 //! dropping it, or the last [`Publisher`] clone by going away — after which a receive
@@ -30,34 +29,33 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use hpcml_sim::metrics::{null_sink, SharedScalarSink};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::error::CommError;
 use crate::message::Message;
 
-/// One subscriber's queue of frames, shared by the subscriber and its entry in the
+/// One subscriber's queue of messages, shared by the subscriber and its entry in the
 /// publisher's list.
 #[derive(Default)]
 struct Inbox {
-    frames: Mutex<VecDeque<Bytes>>,
+    messages: Mutex<VecDeque<Arc<Message>>>,
     arrived: Condvar,
-    /// Set, under the `frames` lock, by whichever end goes first: the subscriber (the
+    /// Set, under the `messages` lock, by whichever end goes first: the subscriber (the
     /// publisher prunes the entry) or the last publisher (receives stop waiting).
     closed: AtomicBool,
 }
 
 impl Inbox {
-    fn push(&self, frame: Bytes) {
-        self.frames.lock().push_back(frame);
+    fn push(&self, msg: Arc<Message>) {
+        self.messages.lock().push_back(msg);
         self.arrived.notify_one();
     }
 
     fn close(&self) {
-        let frames = self.frames.lock();
+        let messages = self.messages.lock();
         self.closed.store(true, Ordering::Release);
-        drop(frames);
+        drop(messages);
         self.arrived.notify_all();
     }
 
@@ -65,17 +63,18 @@ impl Inbox {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// The oldest frame, waiting for one until `deadline` (`None`: without a deadline).
-    fn pop(&self, deadline: Option<Instant>) -> Result<Bytes, CommError> {
-        let mut frames = self.frames.lock();
+    /// The oldest message, waiting for one until `deadline` (`None`: without a
+    /// deadline).
+    fn pop(&self, deadline: Option<Instant>) -> Result<Arc<Message>, CommError> {
+        let mut messages = self.messages.lock();
         loop {
-            if let Some(frame) = frames.pop_front() {
-                return Ok(frame);
+            if let Some(msg) = messages.pop_front() {
+                return Ok(msg);
             }
             if self.is_closed() {
                 return Err(CommError::Disconnected);
             }
-            if crate::wait_until(&self.arrived, &mut frames, deadline) && frames.is_empty() {
+            if crate::wait_until(&self.arrived, &mut messages, deadline) && messages.is_empty() {
                 return Err(CommError::Timeout);
             }
         }
@@ -180,50 +179,52 @@ impl Publisher {
 
     /// Publish a message to every subscriber whose prefix matches the message topic.
     ///
-    /// The message is encoded once; every delivery shares the same frozen frame.
-    /// Returns the number of subscribers that received it. Subscribers that closed
-    /// are pruned in passing.
+    /// The message is cloned once, into the `Arc` every delivery shares. Returns the
+    /// number of subscribers that received it. Subscribers that closed are pruned in
+    /// passing.
     pub fn publish(&self, msg: &Message) -> usize {
-        self.publish_one(&msg.topic, || msg.encode())
+        self.publish_one(&msg.topic, || msg.clone())
     }
 
     /// [`Publisher::publish`] for a message that does not exist yet: `build` runs —
     /// once — only if a live subscriber's prefix matches `topic`, which must be the
-    /// topic of the message it returns. Records the same `comm.fanout.width` sample.
+    /// topic of the message it returns, and the message it builds moves into the
+    /// shared `Arc`. Records the same `comm.fanout.width` sample.
     pub fn publish_with(&self, topic: &str, build: impl FnOnce() -> Message) -> usize {
         self.publish_one(topic, || {
             let msg = build();
             debug_assert_eq!(msg.topic, topic, "matched on another topic than sent");
-            msg.encode()
+            msg
         })
     }
 
-    /// One message on `topic`, its frame made by `encode` on the first match.
-    fn publish_one(&self, topic: &str, encode: impl FnOnce() -> Bytes) -> usize {
-        let delivered = self.fan_out(topic, encode);
+    /// One message on `topic`, made by `build` on the first match.
+    fn publish_one(&self, topic: &str, build: impl FnOnce() -> Message) -> usize {
+        let delivered = self.fan_out(topic, build);
         self.inner
             .sink
             .record("comm.fanout.width", delivered as f64);
         delivered
     }
 
-    /// Match every live subscriber's prefixes against `topic`, make the frame with
-    /// `encode` on the first match (never, if nothing matches), deliver the same frame
-    /// to every matching subscriber, prune closed entries. With no subscriber at all it
+    /// Match every live subscriber's prefixes against `topic`, make the message with
+    /// `build` on the first match (never, if nothing matches), deliver a share of it to
+    /// every matching subscriber, prune closed entries. With no subscriber at all it
     /// reads one counter and takes no lock.
-    fn fan_out(&self, topic: &str, encode: impl FnOnce() -> Bytes) -> usize {
+    fn fan_out(&self, topic: &str, build: impl FnOnce() -> Message) -> usize {
         if self.inner.live.load(Ordering::Acquire) == 0 {
             return 0;
         }
-        let (mut encode, mut frame) = (Some(encode), None::<Bytes>);
+        let (mut build, mut shared) = (Some(build), None::<Arc<Message>>);
         let mut delivered = 0;
         let mut any_closed = false;
         for sub in self.inner.subscribers.read().iter() {
             if sub.inbox.is_closed() {
                 any_closed = true;
             } else if sub.matches(topic) {
-                let frame = frame.get_or_insert_with(|| encode.take().expect("encoded once")());
-                sub.inbox.push(frame.clone());
+                let shared =
+                    shared.get_or_insert_with(|| Arc::new(build.take().expect("built once")()));
+                sub.inbox.push(Arc::clone(shared));
                 delivered += 1;
             }
         }
@@ -261,50 +262,39 @@ impl std::fmt::Debug for Subscriber {
 
 impl Subscriber {
     /// Stop receiving. Equivalent to dropping the subscriber; already-delivered
-    /// frames stay readable.
+    /// messages stay readable.
     pub fn close(&self) {
         self.inbox.close();
     }
 
     /// Block for the next message, up to `timeout` (`Duration::MAX`: without one).
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, CommError> {
-        self.recv_frame_timeout(timeout).and_then(Message::decode)
-    }
-
-    /// Block for the next raw frame (the publisher's shared encoded buffer), up to
-    /// `timeout`. Zero-copy: decode with [`Message::decode_view`] to route without
-    /// materialising an owned message.
-    pub fn recv_frame_timeout(&self, timeout: Duration) -> Result<Bytes, CommError> {
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Arc<Message>, CommError> {
         self.inbox.pop(Instant::now().checked_add(timeout))
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&self) -> Result<Option<Message>, CommError> {
-        let frame = self.inbox.frames.lock().pop_front();
-        match frame {
-            Some(frame) => Message::decode(frame).map(Some),
+    pub fn try_recv(&self) -> Result<Option<Arc<Message>>, CommError> {
+        let msg = self.inbox.messages.lock().pop_front();
+        match msg {
+            Some(msg) => Ok(Some(msg)),
             None if self.inbox.is_closed() => Err(CommError::Disconnected),
             None => Ok(None),
         }
     }
 
-    /// Drain everything currently pending as owned messages.
-    pub fn drain(&self) -> Vec<Message> {
-        let mut out = Vec::new();
-        while let Ok(Some(m)) = self.try_recv() {
-            out.push(m);
-        }
-        out
+    /// Drain everything currently pending.
+    pub fn drain(&self) -> Vec<Arc<Message>> {
+        self.inbox.messages.lock().drain(..).collect()
     }
 
-    /// Drain everything currently pending as shared frames (no decode at all).
-    pub fn drain_frames(&self) -> Vec<Bytes> {
-        self.inbox.frames.lock().drain(..).collect()
+    /// [`Subscriber::drain`] under the name the benchmark harness reads it by.
+    pub fn drain_frames(&self) -> Vec<Arc<Message>> {
+        self.drain()
     }
 
     /// Number of messages waiting.
     pub fn pending(&self) -> usize {
-        self.inbox.frames.lock().len()
+        self.inbox.messages.lock().len()
     }
 }
 
@@ -388,31 +378,30 @@ mod tests {
         assert_eq!(services.pending(), 0);
         let got = tasks.recv_timeout(Duration::from_millis(100)).unwrap();
         assert_eq!(got.header("state"), Some("Done"));
-        assert_eq!(all.drain(), vec![got]);
+        let all = all.drain();
+        assert_eq!(all.len(), 1);
+        assert!(Arc::ptr_eq(&all[0], &got), "one message for two receivers");
         assert_eq!(*widths.lock(), [0.0, 0.0, 2.0], "one sample per publish");
     }
 
     #[test]
-    fn fanout_shares_one_encoded_frame() {
+    fn fanout_shares_one_message() {
         let publisher = Publisher::new();
         let subs: Vec<Subscriber> = (0..4).map(|_| publisher.subscribe(&[])).collect();
         let msg = Message::new("events", "tick").with_text("shared payload");
-        publisher.publish(&msg);
-        let frames: Vec<Bytes> = subs
+        assert_eq!(publisher.publish(&msg), 4);
+        let got: Vec<Arc<Message>> = subs
             .iter()
-            .map(|s| s.recv_frame_timeout(Duration::from_millis(100)).unwrap())
+            .map(|s| s.recv_timeout(Duration::from_millis(100)).unwrap())
             .collect();
-        let first_ptr = frames[0].as_ref().as_ptr();
-        for frame in &frames {
-            assert_eq!(
-                frame.as_ref().as_ptr(),
-                first_ptr,
-                "all subscribers share the same backing buffer"
+        for share in &got {
+            assert!(
+                Arc::ptr_eq(share, &got[0]),
+                "all subscribers share one allocation"
             );
-            let view = Message::decode_view(frame).unwrap();
-            assert_eq!(view.topic, "events");
-            assert_eq!(view.text(), Some("shared payload"));
         }
+        assert_eq!(Arc::strong_count(&got[0]), 4, "one share per subscriber");
+        assert_eq!(*got[0], msg);
     }
 
     #[test]

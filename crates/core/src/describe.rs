@@ -202,11 +202,10 @@ impl TaskDescription {
         self
     }
 
-    /// Pin this task's gang packing policy, overriding the session default
-    /// (`SessionBuilder::gang_packing`, itself [`GangPacking::Partial`] unless
-    /// configured): `Partial` best-fits gang members across partially free nodes,
-    /// `Whole` claims only fully idle nodes. Meaningful for multi-node tasks; a
-    /// single-node placement ignores it.
+    /// Pin this task's gang packing policy, overriding the default,
+    /// [`GangPacking::Partial`]: `Partial` best-fits gang members across partially
+    /// free nodes, `Whole` claims only fully idle nodes. Meaningful for multi-node
+    /// tasks; a single-node placement ignores it.
     pub fn gang_packing(mut self, packing: GangPacking) -> Self {
         self.resources.packing = Some(packing);
         self
@@ -436,7 +435,7 @@ mod tests {
         let inherit = TaskDescription::new("mpi").cores(8).nodes(4);
         assert_eq!(
             inherit.resources.packing, None,
-            "unset policy inherits the session default"
+            "unset policy is the default, Partial"
         );
         let pinned = TaskDescription::new("mpi-whole")
             .cores(8)

@@ -316,10 +316,13 @@ impl Executor {
     }
 
     /// Publish `id`'s entry into `state`. The message is built only if a subscriber's
-    /// prefix matches the topic; a session nobody listens to pays one atomic load.
+    /// prefix matches the topic; a session nobody listens to pays one atomic load. It
+    /// may wait in an inbox until its subscriber drains, so its two headers get a
+    /// `Vec` of two, not the four a `Vec` grown one push at a time would keep.
     fn publish_state<S: StateModel>(&self, id: &str, state: S) {
         self.publisher.publish_with(state.topic(), || {
             Message::new(state.topic(), "state.update")
+                .with_header_room(2)
                 .with_header("entity", id.to_string())
                 .with_header("state", state.name())
         });

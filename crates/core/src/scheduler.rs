@@ -65,9 +65,8 @@
 //! until `req.nodes` have accumulated and the walk places the gang through the
 //! reservation. The window keeps backfilling *around* the pinned nodes.
 //!
-//! Every placement resolves a [`GangPacking`] policy first: an explicit
-//! [`ResourceRequest::packing`] wins, otherwise the scheduler's default
-//! ([`GangPacking::Partial`] unless [`Scheduler::with_gang_packing`] says otherwise).
+//! Every gang placement follows a [`GangPacking`](hpcml_platform::GangPacking) policy:
+//! its request's [`ResourceRequest::packing`], `Partial` when that is unset.
 //! Under `Partial` a gang best-fits across partially free nodes and a drain pins a
 //! node as soon as its headroom covers one member share, so sub-node churn that never
 //! idles a node cannot starve a draining gang; under `Whole` members claim, and drains
@@ -99,7 +98,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use hpcml_platform::batch::Allocation;
-use hpcml_platform::resources::{GangPacking, ResourceError, ResourceRequest, Slot};
+use hpcml_platform::resources::{ResourceError, ResourceRequest, Slot};
 
 use crate::error::RuntimeError;
 
@@ -297,9 +296,6 @@ pub struct Scheduler {
     /// Age threshold before a parked head gang flips to draining (`None` = never
     /// drain on age alone).
     gang_drain_after: Option<Duration>,
-    /// Session-level default gang packing, applied to every request that does not
-    /// pin its own [`ResourceRequest::packing`].
-    gang_packing: GangPacking,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -328,7 +324,6 @@ impl Scheduler {
             lookahead: DEFAULT_WINDOW,
             max_overtakes: Some(DEFAULT_MAX_OVERTAKES),
             gang_drain_after: None,
-            gang_packing: GangPacking::default(),
         }
     }
 
@@ -340,15 +335,6 @@ impl Scheduler {
             lookahead: lookahead.max(1),
             ..Scheduler::new(allocation)
         }
-    }
-
-    /// Set the session-level default gang packing policy: [`GangPacking::Partial`]
-    /// (the default) lets gangs span partially free nodes and drains pin share-sized
-    /// headroom; [`GangPacking::Whole`] restores the idle-nodes-only behaviour. A
-    /// request's explicit [`ResourceRequest::packing`] always overrides this default.
-    pub fn with_gang_packing(mut self, packing: GangPacking) -> Self {
-        self.gang_packing = packing;
-        self
     }
 
     /// Set the overtake budget: a head gang overtaken more than `budget` times flips
@@ -390,11 +376,6 @@ impl Scheduler {
     /// triggers a drain).
     pub fn gang_drain_after(&self) -> Option<Duration> {
         self.gang_drain_after
-    }
-
-    /// The session-level default gang packing policy.
-    pub fn gang_packing(&self) -> GangPacking {
-        self.gang_packing
     }
 
     /// Number of slots currently handed out.
@@ -720,9 +701,6 @@ impl Scheduler {
             Err(e) => return Err(RuntimeError::Resource(e)),
         }
 
-        // Resolve the gang packing policy once, up front: an explicit request-level
-        // policy wins, otherwise the scheduler's session default applies.
-        placement.req = placement.req.or_packing(self.gang_packing);
         let priority = placement.priority;
 
         let mut st = self.queue.lock();
@@ -910,7 +888,7 @@ fn asks_no_less(a: &ResourceRequest, b: &ResourceRequest) -> bool {
         && a.cores >= b.cores
         && a.gpus >= b.gpus
         && a.mem_gib >= b.mem_gib
-        && a.packing == b.packing
+        && a.packing.unwrap_or_default() == b.packing.unwrap_or_default()
 }
 
 /// The error of a wait that ran out of time.
@@ -930,6 +908,7 @@ fn timed_out(req: &ResourceRequest) -> RuntimeError {
 mod tests {
     use super::*;
     use hpcml_platform::batch::{AllocationRequest, BatchSystem};
+    use hpcml_platform::resources::GangPacking;
     use hpcml_platform::PlatformId;
     use hpcml_sim::clock::ClockSpec;
     use std::thread;
@@ -1516,7 +1495,6 @@ mod tests {
             Scheduler::with_lookahead(Arc::clone(&alloc), 2)
                 .with_max_overtakes(Some(MAX_OVERTAKES)),
         );
-        assert_eq!(s.gang_packing(), GangPacking::Partial, "session default");
         let (residents, mut churn) = subnode_churn_fixture(&s);
         // Half-node member shares: 32 ≤ 40 (free once a churn slot leaves a node),
         // but > 16 (free while both pair slots run) — the gang can never place while

@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use hpcml_comm::pubsub::{Publisher, Subscriber};
 use hpcml_comm::registry::EndpointRegistry;
 use hpcml_platform::batch::Allocation;
-use hpcml_platform::{GangPacking, PlatformId};
+use hpcml_platform::PlatformId;
 use hpcml_sim::clock::{ClockSpec, SharedClock};
 use hpcml_sim::fault::FaultPlan;
 use hpcml_sim::ids;
@@ -46,12 +46,6 @@ pub struct SessionConfig {
     pub seed: u64,
     /// Default platform for entities that don't specify one.
     pub platform: PlatformId,
-    /// Default gang packing policy: [`GangPacking::Partial`] (the default) lets
-    /// multi-node gangs best-fit across partially free nodes and lets draining gangs
-    /// pin share-sized headroom; [`GangPacking::Whole`] restricts gangs (and drain
-    /// pinning) to fully idle nodes. A task's explicit
-    /// [`hpcml_platform::ResourceRequest::packing`] overrides this default.
-    pub gang_packing: GangPacking,
     /// Deterministic node-failure schedule, injected against the first pilot's
     /// allocation on the session clock (times are virtual seconds after the pilot
     /// becomes active). Empty (the default) injects nothing.
@@ -65,7 +59,6 @@ impl Default for SessionConfig {
             clock: ClockSpec::default(),
             seed: 42,
             platform: PlatformId::Local,
-            gang_packing: GangPacking::default(),
             fault_plan: FaultPlan::new(),
         }
     }
@@ -103,18 +96,6 @@ impl SessionBuilder {
     /// Set the base RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Set the session's default gang packing policy. [`GangPacking::Partial`] (the
-    /// default) places multi-node MPI gangs across partially free nodes by per-node
-    /// best fit, so ranks-per-node shares below a whole node co-locate with other
-    /// work instead of waiting for idle nodes — and a draining gang pins a node as
-    /// soon as one member share of headroom frees, closing the sub-node-churn
-    /// starvation gap. [`GangPacking::Whole`] restores whole-idle-node gangs. Tasks
-    /// may override per request via `TaskDescription::gang_packing`.
-    pub fn gang_packing(mut self, packing: GangPacking) -> Self {
-        self.config.gang_packing = packing;
         self
     }
 
@@ -275,9 +256,7 @@ impl Session {
             record.allocation.lock().clone().ok_or_else(|| {
                 RuntimeError::InvalidState("pilot active without allocation".into())
             })?;
-        *self.scheduler.lock() = Some(Arc::new(
-            Scheduler::new(Arc::clone(&allocation)).with_gang_packing(self.config.gang_packing),
-        ));
+        *self.scheduler.lock() = Some(Arc::new(Scheduler::new(Arc::clone(&allocation))));
         self.pilots.lock().push(Arc::clone(&record));
         self.spawn_fault_injector(&allocation);
         Ok(PilotHandle {
@@ -641,12 +620,8 @@ mod tests {
         let cfg = SessionConfig::default();
         assert_eq!(cfg.platform, PlatformId::Local);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.gang_packing, GangPacking::Partial);
-        let tuned = Session::builder("tuned")
-            .gang_packing(GangPacking::Whole)
-            .build()
-            .unwrap();
-        assert_eq!(tuned.config().gang_packing, GangPacking::Whole);
+        let tuned = Session::builder("tuned").seed(7).build().unwrap();
+        assert_eq!(tuned.config().seed, 7);
         let s = Session::with_config(cfg.clone());
         assert_eq!(s.config(), &cfg);
         assert!(s.id().starts_with("session."));

@@ -88,7 +88,6 @@ impl std::error::Error for ResourceError {}
 /// How a multi-node gang's members may be packed onto nodes.
 ///
 /// The policy travels with the request ([`ResourceRequest::packing`], `None` =
-/// inherit the scheduler's session-level default, which itself defaults to
 /// [`GangPacking::Partial`]) and governs both direct gang placement and what a
 /// backfill drain is allowed to pin.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -149,9 +148,8 @@ pub struct ResourceRequest {
     /// Number of whole nodes spanned (1 = single-node; >1 = MPI gang placed on that
     /// many *distinct* nodes, each hosting one member share).
     pub nodes: usize,
-    /// Gang packing policy: `None` inherits the scheduler's default (itself
-    /// [`GangPacking::Partial`] unless configured otherwise); `Some` pins the policy
-    /// for this request. Ignored for single-node requests.
+    /// Gang packing policy: `None` is [`GangPacking::Partial`]; `Some` pins the
+    /// policy for this request. Ignored for single-node requests.
     pub packing: Option<GangPacking>,
 }
 
@@ -205,17 +203,10 @@ impl ResourceRequest {
         self
     }
 
-    /// Pin the gang packing policy for this request (overrides the scheduler's
-    /// session-level default).
+    /// Pin the gang packing policy for this request (overrides the default,
+    /// [`GangPacking::Partial`]).
     pub fn with_packing(mut self, packing: GangPacking) -> Self {
         self.packing = Some(packing);
-        self
-    }
-
-    /// A copy of this request with an unset packing policy resolved to `default`
-    /// (an explicit `Some` policy on the request always wins).
-    pub fn or_packing(mut self, default: GangPacking) -> Self {
-        self.packing.get_or_insert(default);
         self
     }
 
@@ -734,21 +725,12 @@ mod tests {
     }
 
     #[test]
-    fn packing_resolution_prefers_the_explicit_request_policy() {
+    fn packing_is_unset_until_a_request_pins_it() {
         let inherit = ResourceRequest::cores(4).unwrap().with_nodes(2);
         assert_eq!(inherit.packing, None);
-        // Unset packing resolves to the supplied default…
-        assert_eq!(
-            inherit.or_packing(GangPacking::Whole).packing,
-            Some(GangPacking::Whole)
-        );
-        // …while an explicit request-level policy always wins.
-        let pinned = inherit.with_packing(GangPacking::Partial);
-        assert_eq!(
-            pinned.or_packing(GangPacking::Whole).packing,
-            Some(GangPacking::Partial)
-        );
-        assert_eq!(GangPacking::default(), GangPacking::Partial);
+        assert_eq!(inherit.packing.unwrap_or_default(), GangPacking::Partial);
+        let pinned = inherit.with_packing(GangPacking::Whole);
+        assert_eq!(pinned.packing, Some(GangPacking::Whole));
     }
 
     #[test]

@@ -166,6 +166,12 @@ pub trait Clock: Send + Sync {
     fn describe(&self) -> String {
         format!("clock(scale={})", self.scale())
     }
+
+    /// This clock as a [`ManualClock`], for a test that moves time itself (a session
+    /// built on [`ClockSpec::Manual`] hands out only its [`SharedClock`]).
+    fn as_manual(&self) -> Option<&ManualClock> {
+        None
+    }
 }
 
 /// Shared, dynamically dispatched clock handle.
@@ -452,6 +458,10 @@ impl Clock for ManualClock {
     fn describe(&self) -> String {
         "manual".to_string()
     }
+
+    fn as_manual(&self) -> Option<&ManualClock> {
+        Some(self)
+    }
 }
 
 /// Measures virtual durations against a clock it borrows: starting one per request
@@ -634,6 +644,8 @@ mod tests {
         assert_eq!(ClockSpec::Real.build().scale(), 1.0);
         assert_eq!(ClockSpec::scaled(250.0).build().scale(), 250.0);
         assert!(ClockSpec::Manual.build().scale().is_infinite());
+        assert!(ClockSpec::Manual.build().as_manual().is_some());
+        assert!(ClockSpec::scaled(250.0).build().as_manual().is_none());
         assert_eq!(ClockSpec::default(), ClockSpec::Scaled(1000.0));
     }
 

@@ -57,10 +57,10 @@ pub struct UqConfig {
     pub mpi_ranks_per_node: u32,
     /// Mean duration of one MPI simulation member, virtual seconds.
     pub mpi_sim_secs: f64,
-    /// Gang packing policy pinned on the MPI simulation members (`None` inherits the
-    /// session default, itself [`GangPacking::Partial`]): `Partial` lets half-node
-    /// ensemble members co-locate with fine-tuning tasks on shared nodes; `Whole`
-    /// reserves fully idle nodes per member.
+    /// Gang packing policy pinned on the MPI simulation members (`None` is the
+    /// default, [`GangPacking::Partial`]): `Partial` lets half-node ensemble members
+    /// co-locate with fine-tuning tasks on shared nodes; `Whole` reserves fully idle
+    /// nodes per member.
     pub mpi_sim_packing: Option<GangPacking>,
 }
 
@@ -108,7 +108,7 @@ impl UqConfig {
 
     /// Prefix the pipeline with `tasks` MPI ensemble-simulation members, each
     /// spanning `nodes` distinct nodes and running for roughly `secs` virtual
-    /// seconds. Under the default [`GangPacking::Partial`] session policy a member
+    /// seconds. Under the default [`GangPacking::Partial`] policy a member
     /// whose ranks-per-node share is below a whole node co-locates with other work;
     /// pin [`UqConfig::with_mpi_packing`] to override.
     pub fn with_mpi_simulation(mut self, tasks: usize, nodes: usize, secs: f64) -> Self {
@@ -119,7 +119,7 @@ impl UqConfig {
     }
 
     /// Pin the gang packing policy of the MPI simulation members (overriding the
-    /// session default).
+    /// default, [`GangPacking::Partial`]).
     pub fn with_mpi_packing(mut self, packing: GangPacking) -> Self {
         self.mpi_sim_packing = Some(packing);
         self
@@ -298,7 +298,7 @@ mod tests {
             assert!(t.resources.is_gang());
             assert_eq!(
                 t.resources.packing, None,
-                "members inherit the session packing unless pinned"
+                "members take the default packing unless pinned"
             );
             assert!(t.tags.iter().any(|(k, v)| k == "mpi_nodes" && v == "3"));
         }

@@ -26,9 +26,6 @@ fn run_variant(label: &str, config: &UqConfig) {
         .platform(PlatformId::Delta)
         .clock(ClockSpec::scaled(5000.0))
         .seed(17)
-        // Partial is already the default; stated here because this example is about
-        // the packing contrast (the Whole variant pins its policy per task).
-        .gang_packing(GangPacking::Partial)
         .build()
         .expect("session");
     session

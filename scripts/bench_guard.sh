@@ -41,10 +41,10 @@
 #      rather than a check that fails on most runs or was fitted to the result.
 #      Below 2 CPUs the ratio is not printed. BENCH_serving.json records
 #      `host_cpus` beside the pair; or
-#   7. any comm_fabric datapoint (comm/fanout/{encode_once,clone_each}/{1,8,64},
+#   7. any comm_fabric datapoint (comm/fanout/{share,clone_each}/{1,8,64},
 #      comm/registry/lookup_churn) is missing from the comm bench's parsed
-#      results, or zero-copy fan-out at 64 subscribers stops beating the
-#      clone-per-subscriber baseline (clone_each/64 / encode_once/64 >=
+#      results, or shared fan-out at 64 subscribers stops beating the
+#      clone-per-subscriber baseline (clone_each/64 / share/64 >=
 #      BENCH_COMM_MIN_FANOUT_SPEEDUP, default 1.5x — the saving is N-1 avoided
 #      deep clones of a message that owns its run-time values, allocation-bound
 #      and so host-independent; each point is the median of seven alternating
@@ -268,7 +268,7 @@ COMM_RESULTS="$(parse_results "$COMM_RAW")"
 echo "$COMM_RESULTS" > "$ARTIFACTS/comm-parsed.txt"
 
 for point in \
-    "comm/fanout/encode_once/1" "comm/fanout/encode_once/8" "comm/fanout/encode_once/64" \
+    "comm/fanout/share/1" "comm/fanout/share/8" "comm/fanout/share/64" \
     "comm/fanout/clone_each/1" "comm/fanout/clone_each/8" "comm/fanout/clone_each/64" \
     "comm/registry/lookup_churn"; do
     if ! echo "$COMM_RESULTS" | grep -q "^$point "; then
@@ -276,16 +276,16 @@ for point in \
         fail=1
     fi
 done
-FANOUT_ENCODE_ONCE="$(lookup "$COMM_RESULTS" "comm/fanout/encode_once/64")"
+FANOUT_SHARE="$(lookup "$COMM_RESULTS" "comm/fanout/share/64")"
 FANOUT_CLONE_EACH="$(lookup "$COMM_RESULTS" "comm/fanout/clone_each/64")"
-if [[ -n "$FANOUT_ENCODE_ONCE" && -n "$FANOUT_CLONE_EACH" ]]; then
+if [[ -n "$FANOUT_SHARE" && -n "$FANOUT_CLONE_EACH" ]]; then
     COMM_MIN_FANOUT="${BENCH_COMM_MIN_FANOUT_SPEEDUP:-1.5}"
-    awk -v once="$FANOUT_ENCODE_ONCE" -v clone="$FANOUT_CLONE_EACH" \
+    awk -v share="$FANOUT_SHARE" -v clone="$FANOUT_CLONE_EACH" \
         -v min="$COMM_MIN_FANOUT" '
         BEGIN {
-            speedup = (once > 0) ? clone / once : 0
-            printf "guard: fan-out to 64 encode-once %.0f ns vs clone-each %.0f ns: %.2fx speedup (bound %.2fx)\n", \
-                once, clone, speedup, min
+            speedup = (share > 0) ? clone / share : 0
+            printf "guard: fan-out to 64 share %.0f ns vs clone-each %.0f ns: %.2fx speedup (bound %.2fx)\n", \
+                share, clone, speedup, min
             exit !(speedup >= min)
         }' || fail=1
 fi

@@ -6,7 +6,7 @@
 //! Kept in a test binary of its own: it reads the process-wide thread count, which
 //! tests running beside it would disturb.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hpcml::prelude::*;
 
@@ -23,9 +23,11 @@ fn one_session_runs_42000_tasks_on_a_bounded_number_of_threads() {
     let allowance = pool + 1 + 2;
 
     let before = process_threads();
+    // Time moves only when the test moves it, so what `submit_tasks` leaves parked is
+    // a count, not the outcome of a race with the slots draining.
     let s = Session::builder("bounds")
         .platform(PlatformId::Local)
-        .clock(ClockSpec::scaled(1000.0))
+        .clock(ClockSpec::Manual)
         .seed(5)
         .build()
         .expect("session");
@@ -55,7 +57,9 @@ fn one_session_runs_42000_tasks_on_a_bounded_number_of_threads() {
         "tasks that never park never start the pool"
     );
 
-    // 2 000 one-second tasks for 8 cores: all but 8 park in the scheduler's queue.
+    // 2 000 one-second tasks for the pilot's cores, on a clock that stands still:
+    // one task per core is placed and executes, every other one parks in the
+    // scheduler's queue, and none can end before the clock moves.
     let handles = s
         .submit_tasks((0..QUEUED).map(|i| {
             TaskDescription::new(format!("q{i}"))
@@ -63,18 +67,32 @@ fn one_session_runs_42000_tasks_on_a_bounded_number_of_threads() {
                 .cores(1)
         }))
         .expect("queued batch");
-    let parked = handles
-        .iter()
-        .filter(|h| h.state() == TaskState::Scheduling)
-        .count();
-    assert!(
-        parked > QUEUED * 9 / 10,
-        "only {parked} tasks are parked when submit returns"
+    let in_state = |state| handles.iter().filter(|h| h.state() == state).count();
+    let parked = in_state(TaskState::Scheduling);
+    assert_eq!(in_state(TaskState::Executing), free_cores as usize);
+    assert_eq!(
+        parked,
+        QUEUED - free_cores as usize,
+        "every task without a core is parked when submit returns"
     );
+
+    // Drain: move the clock to each next deadline until every task has ended.
+    let clock = s.clock();
+    let manual = clock.as_manual().expect("a manual clock");
+    let stuck_after = Instant::now() + Duration::from_secs(120);
     let mut peak = process_threads();
-    for h in handles.iter().step_by(100) {
-        h.wait_final(Duration::from_secs(120)).expect("final");
-        peak = peak.max(process_threads());
+    let mut next = 0;
+    while let Some(h) = handles.get(next) {
+        if h.state().is_final() {
+            if next % 100 == 0 {
+                peak = peak.max(process_threads());
+            }
+            next += 1;
+        } else {
+            assert!(Instant::now() < stuck_after, "task {next} never ended");
+            manual.advance_to_next();
+            std::thread::yield_now();
+        }
     }
     s.wait_tasks(Duration::from_secs(120)).expect("all final");
     assert!(handles.iter().all(|h| h.state() == TaskState::Done));

@@ -1,6 +1,6 @@
-//! Property-based tests over the core data structures and invariants: message codec
-//! round-trips, statistics correctness, resource-accounting conservation, state-machine
-//! legality, distribution bounds, and scheduler safety.
+//! Property-based tests over the core data structures and invariants: statistics
+//! correctness, resource-accounting conservation, state-machine legality, distribution
+//! bounds, scheduler safety, and pub/sub and serving delivery.
 //!
 //! The environment has no registry access, so instead of `proptest` these use a small
 //! hand-rolled harness: each property runs over many seeded-random cases (same binary →
@@ -33,65 +33,6 @@ fn for_each_case(name: &str, mut body: impl FnMut(&mut StdRng)) {
             std::panic::resume_unwind(panic);
         }
     }
-}
-
-fn random_token(rng: &mut StdRng, alphabet: &[u8], max_len: usize) -> String {
-    let len = rng.gen_range(0usize..max_len + 1);
-    (0..len)
-        .map(|_| alphabet[rng.gen_range(0usize..alphabet.len())] as char)
-        .collect()
-}
-
-const TOPIC_ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-";
-const KEY_ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_.";
-
-/// Encoding then decoding a message yields the original, for arbitrary topics, kinds,
-/// headers, and binary payloads — and `encoded_len` is exact.
-#[test]
-fn message_codec_roundtrip() {
-    for_each_case("message_codec_roundtrip", |rng| {
-        let topic = random_token(rng, TOPIC_ALPHABET, 40);
-        let kind = random_token(rng, TOPIC_ALPHABET, 20);
-        let payload: Vec<u8> = (0..rng.gen_range(0usize..2048))
-            .map(|_| rng.gen_range(0u32..256) as u8)
-            .collect();
-        let mut msg = Message::new(topic, kind).with_payload(payload);
-        for _ in 0..rng.gen_range(0usize..8) {
-            let key = random_token(rng, KEY_ALPHABET, 16);
-            if key.is_empty() {
-                continue;
-            }
-            let value: String = (0..rng.gen_range(0usize..32))
-                .map(|_| rng.gen_range(0x20u32..0x7F) as u8 as char)
-                .collect();
-            msg = msg.with_header(key, value);
-        }
-        let encoded = msg.encode();
-        assert_eq!(
-            encoded.len(),
-            msg.encoded_len(),
-            "encoded_len must be exact"
-        );
-        let decoded = Message::decode(encoded).expect("decode");
-        assert_eq!(decoded, msg);
-    });
-}
-
-/// Truncating an encoded frame never panics and never yields a bogus success that
-/// differs from the original message.
-#[test]
-fn message_codec_rejects_or_matches_on_truncation() {
-    for_each_case("message_codec_rejects_or_matches_on_truncation", |rng| {
-        let text: String = (0..rng.gen_range(0usize..256))
-            .map(|_| rng.gen_range(0x20u32..0x7F) as u8 as char)
-            .collect();
-        let msg = Message::new("topic", "kind").with_text(&text);
-        let encoded = msg.encode();
-        let cut = rng.gen_range(0usize..encoded.len() + 1);
-        if let Ok(decoded) = Message::decode(encoded.slice(0..cut)) {
-            assert_eq!(decoded, msg)
-        }
-    });
 }
 
 /// Welford statistics match the naive two-pass computation.
@@ -1736,7 +1677,7 @@ fn queue_admission_preserves_priority_and_fifo() {
     }
 }
 
-/// Zero-copy PUB/SUB fan-out under concurrent subscribe/unsubscribe churn: every
+/// Shared PUB/SUB fan-out under concurrent subscribe/unsubscribe churn: every
 /// message reaches every subscriber that is alive for its whole publish window,
 /// exactly once and in publish order.
 #[test]

@@ -160,22 +160,28 @@ fn a_noop_task_stays_inside_its_allocation_budget() {
     assert_eq!(services.pending(), 0);
     s.close();
 
-    // Somebody listens to tasks: every frame arrives, and is the frame the eager
+    // Somebody listens to tasks: every message arrives, and is the message the eager
     // `Message::new(..).with_header(..)` path used to send.
     let s = session(free_pilot());
     let tasks = s.subscribe_updates(&["state.task"]);
     let handles = s.submit_tasks((0..WAVE).map(|_| noop())).expect("wave");
     s.close();
-    let frames = tasks.drain_frames();
-    assert_eq!(frames.len(), 3 * WAVE, "three frames per task");
-    for (handle, sent) in handles.iter().zip(frames.chunks(3)) {
-        for (frame, state) in sent.iter().zip(["Scheduling", "Executing", "Done"]) {
+    let delivered = tasks.drain();
+    assert_eq!(delivered.len(), 3 * WAVE, "three messages per task");
+    for (handle, sent) in handles.iter().zip(delivered.chunks(3)) {
+        for (msg, state) in sent.iter().zip(["Scheduling", "Executing", "Done"]) {
             let mut eager = Message::new(format!("state.task.{state}"), "state.update")
                 .with_header("entity", handle.id().to_string())
                 .with_header("state", state);
-            // Message ids count up process-wide; everything else must match to the byte.
-            eager.id = Message::decode_view(frame).expect("a frame").id;
-            assert_eq!(*frame, eager.encode());
+            // Message ids count up process-wide; everything else must match.
+            eager.id = msg.id;
+            assert_eq!(msg.topic, eager.topic);
+            assert_eq!(msg.kind, eager.kind);
+            assert_eq!(msg.header("entity"), Some(handle.id()));
+            assert_eq!(msg.header("state"), Some(state));
+            assert_eq!(msg.payload, eager.payload);
+            assert_eq!(msg.encoded_len(), eager.encoded_len());
+            assert_eq!(**msg, eager, "no header beyond entity and state");
         }
     }
 }
