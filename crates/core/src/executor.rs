@@ -69,6 +69,13 @@
 //! observable, then publishes it: a handle that shows `Done` has its resources back
 //! in the pilot, and a task gets exactly one terminal message.
 //!
+//! **A finished task keeps only its record.** [`Executor::spawn_task`] takes the
+//! [`TaskDescription`] by value into the run, beside the slot the run holds from
+//! placement to release; the stages read the run's copy. Both are freed with the run —
+//! after its final advance, once no waker or timer entry refers to it — and what the
+//! session keeps of the task is the [`TaskRecord`]: id, state log, platform, retry
+//! count.
+//!
 //! ## Services
 //!
 //! A service instance is a long-lived executable placed on specific nodes; its
@@ -111,7 +118,9 @@ use hpcml_sim::dist::Dist;
 use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell, WallTimer};
 
 use crate::data::DataManager;
-use crate::describe::{DataDirective, ServicePlacement, ServiceSelector, TaskKind};
+use crate::describe::{
+    DataDirective, ServicePlacement, ServiceSelector, TaskDescription, TaskKind,
+};
 use crate::error::RuntimeError;
 use crate::metrics::{RuntimeMetrics, TaskRow};
 use crate::records::{BootstrapTimes, ServiceRecord, StateModel, TaskRecord};
@@ -211,10 +220,13 @@ struct RunState {
     row: Option<TaskRow>,
 }
 
-/// One task's lifecycle in flight.
+/// One task's lifecycle in flight. It owns what the task needs only while it runs —
+/// the description, and (in [`RunState`]) the slot — so both are freed with the run;
+/// the record keeps what outlives it.
 struct TaskRun {
     executor: Arc<Executor>,
     record: Arc<TaskRecord>,
+    description: TaskDescription,
     scheduler: Option<Arc<Scheduler>>,
     cell: RunCell,
     state: Mutex<RunState>,
@@ -361,15 +373,18 @@ impl Executor {
 
     /// Start the lifecycle of a task: the calling thread advances it to its first
     /// park (for a task that never waits, to its end); the pool resumes it from there.
+    /// The run takes `description` and frees it when it ends.
     pub fn spawn_task(
         self: &Arc<Self>,
         record: Arc<TaskRecord>,
+        description: TaskDescription,
         scheduler: Option<Arc<Scheduler>>,
     ) {
         self.in_flight.fetch_add(1, Ordering::AcqRel);
         let run = Arc::new(TaskRun {
             executor: Arc::clone(self),
             record,
+            description,
             scheduler,
             cell: RunCell::held(),
             state: Mutex::new(RunState {
@@ -645,8 +660,7 @@ impl Executor {
         state: &mut RunState,
         may_block: bool,
     ) -> Result<Option<Park>, RuntimeError> {
-        let record = &run.record;
-        let desc = &record.description;
+        let (record, desc) = (&run.record, &run.description);
         let RunState { stage, slot, row } = state;
         let next = match stage {
             Stage::Admitted => {
@@ -830,7 +844,7 @@ impl Executor {
         }
         let evicted = matches!(err, RuntimeError::Resource(ResourceError::NodeFailed(_)));
         let retries = record.retries.load(Ordering::Relaxed);
-        if evicted && retries < record.description.max_retries {
+        if evicted && retries < run.description.max_retries {
             record.retries.store(retries + 1, Ordering::Relaxed);
             self.metrics.record_scalar("task.retries", 1.0);
             // The retry edge: the record is back in `Scheduling` for the whole backoff,
@@ -1069,9 +1083,9 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::describe::{ServiceDescription, TaskDescription};
+    use crate::describe::ServiceDescription;
     use hpcml_platform::batch::{Allocation, AllocationRequest, BatchSystem};
-    use hpcml_platform::resources::NodeHealth;
+    use hpcml_platform::resources::{NodeHealth, ResourceRequest};
     use hpcml_serving::ModelSpec;
     use hpcml_sim::clock::{ClockSpec, ManualClock};
     use std::time::Instant;
@@ -1128,6 +1142,17 @@ mod tests {
             platform,
             Arc::clone(&fx.clock),
         )
+    }
+
+    /// A record in `New` for `id`, its run started on the fixture's scheduler.
+    fn spawn(fx: &Fixture, id: &str, description: TaskDescription) -> Arc<TaskRecord> {
+        let record = TaskRecord::create(id.into(), PlatformId::Local, Arc::clone(&fx.clock));
+        fx.executor.spawn_task(
+            Arc::clone(&record),
+            description,
+            Some(Arc::clone(&fx.scheduler)),
+        );
+        record
     }
 
     #[test]
@@ -1200,24 +1225,14 @@ mod tests {
     #[test]
     fn noop_task_and_compute_task_complete() {
         let fx = fixture(PlatformId::Local, 1, 10_000.0);
-        let noop = TaskRecord::new(
-            "task.noop".into(),
-            TaskDescription::new("noop"),
-            PlatformId::Local,
-            Arc::clone(&fx.clock),
-        );
-        let compute = TaskRecord::new(
-            "task.compute".into(),
+        let noop = spawn(&fx, "task.noop", TaskDescription::new("noop"));
+        let compute = spawn(
+            &fx,
+            "task.compute",
             TaskDescription::new("compute")
                 .kind(TaskKind::compute_secs(5.0))
                 .cores(2),
-            PlatformId::Local,
-            Arc::clone(&fx.clock),
         );
-        fx.executor
-            .spawn_task(Arc::clone(&noop), Some(Arc::clone(&fx.scheduler)));
-        fx.executor
-            .spawn_task(Arc::clone(&compute), Some(Arc::clone(&fx.scheduler)));
         fx.executor.join_all();
         assert_eq!(noop.state.current(), TaskState::Done);
         assert_eq!(compute.state.current(), TaskState::Done);
@@ -1230,13 +1245,9 @@ mod tests {
     #[test]
     fn task_without_pilot_fails() {
         let fx = fixture(PlatformId::Local, 1, 10_000.0);
-        let t = TaskRecord::new(
-            "task.nopilot".into(),
-            TaskDescription::new("t"),
-            PlatformId::Local,
-            Arc::clone(&fx.clock),
-        );
-        fx.executor.spawn_task(Arc::clone(&t), None);
+        let t = TaskRecord::create("task.nopilot".into(), PlatformId::Local, fx.clock);
+        fx.executor
+            .spawn_task(Arc::clone(&t), TaskDescription::new("t"), None);
         fx.executor.join_all();
         assert_eq!(t.state.current(), TaskState::Failed);
         assert!(t.state.error().unwrap().contains("pilot"));
@@ -1249,16 +1260,13 @@ mod tests {
         fx.executor
             .spawn_service(Arc::clone(&svc), Some(Arc::clone(&fx.scheduler)));
 
-        let client = TaskRecord::new(
-            "task.client".into(),
+        let client = spawn(
+            &fx,
+            "task.client",
             TaskDescription::new("client")
                 .kind(TaskKind::inference_client("noop-0", 10))
                 .after_service("noop-0"),
-            PlatformId::Local,
-            Arc::clone(&fx.clock),
         );
-        fx.executor
-            .spawn_task(Arc::clone(&client), Some(Arc::clone(&fx.scheduler)));
         client
             .state
             .wait_until(|s| s.is_final(), Duration::from_secs(60))
@@ -1331,14 +1339,11 @@ mod tests {
     fn tasks_that_never_park_spawn_no_thread_and_finish_on_the_caller() {
         let fx = fixture(PlatformId::Local, 1, 10_000.0);
         for i in 0..100 {
-            let t = TaskRecord::new(
-                format!("task.inline-{i}"),
+            let t = spawn(
+                &fx,
+                &format!("task.inline-{i}"),
                 TaskDescription::new("noop"),
-                PlatformId::Local,
-                Arc::clone(&fx.clock),
             );
-            fx.executor
-                .spawn_task(Arc::clone(&t), Some(Arc::clone(&fx.scheduler)));
             assert_eq!(t.state.current(), TaskState::Done, "done on return");
             assert_eq!(fx.scheduler.outstanding_slots(), 0, "released before Done");
         }
@@ -1354,14 +1359,11 @@ mod tests {
         fx.executor
             .spawn_service(Arc::clone(&svc), Some(Arc::clone(&fx.scheduler)));
         for i in 0..8 {
-            let client = TaskRecord::new(
-                format!("task.client-{i}"),
+            let client = spawn(
+                &fx,
+                &format!("task.client-{i}"),
                 TaskDescription::new("client").kind(TaskKind::inference_client("noop-r", 2)),
-                PlatformId::Local,
-                Arc::clone(&fx.clock),
             );
-            fx.executor
-                .spawn_task(Arc::clone(&client), Some(Arc::clone(&fx.scheduler)));
             client
                 .state
                 .wait_until(|s| s.is_final(), Duration::from_secs(60))
@@ -1384,19 +1386,12 @@ mod tests {
     fn timers_follow_a_manual_clock() {
         let clock = Arc::new(hpcml_sim::clock::ManualClock::new());
         let shared: SharedClock = Arc::clone(&clock) as SharedClock;
-        let Fixture {
-            metrics,
-            executor,
-            scheduler,
-            ..
-        } = fixture_on(Arc::clone(&shared), PlatformId::Local, 1);
-        let task = TaskRecord::new(
-            "task.manual".into(),
+        let fx = fixture_on(shared, PlatformId::Local, 1);
+        let task = spawn(
+            &fx,
+            "task.manual",
             TaskDescription::new("compute").kind(TaskKind::compute_secs(30.0)),
-            PlatformId::Local,
-            Arc::clone(&shared),
         );
-        executor.spawn_task(Arc::clone(&task), Some(Arc::clone(&scheduler)));
         assert_eq!(task.state.current(), TaskState::Executing);
         // The timer thread registers the deadline with the clock like any sleeper.
         while clock.pending_sleepers() < 1 {
@@ -1417,8 +1412,8 @@ mod tests {
         task.state
             .wait_until(|s| s == TaskState::Done, Duration::from_secs(10))
             .unwrap();
-        executor.join_all();
-        assert_eq!(metrics.scalar_values("task.exec_secs"), vec![30.0]);
+        fx.executor.join_all();
+        assert_eq!(fx.metrics.scalar_values("task.exec_secs"), vec![30.0]);
     }
 
     /// A session clock on which time passes by being read: a read returns the number
@@ -1461,12 +1456,7 @@ mod tests {
         use TaskState::{Done, Executing, New, Scheduling};
         let ticking = Arc::new(TickingClock::default());
         let clock: SharedClock = Arc::clone(&ticking) as SharedClock;
-        let Fixture {
-            metrics,
-            executor,
-            scheduler,
-            ..
-        } = fixture_on(Arc::clone(&clock), PlatformId::Local, 1);
+        let fx = fixture_on(clock, PlatformId::Local, 1);
         let reads = || ticking.task_reads.load(Ordering::Relaxed);
         let secs = |history: Vec<(TaskState, SimTime)>| -> Vec<(TaskState, u64)> {
             let in_secs = |(state, at): (TaskState, SimTime)| (state, at.as_duration().as_secs());
@@ -1475,13 +1465,7 @@ mod tests {
 
         // A NOOP task: New, Scheduling, Executing, the end of execution, Done.
         let (before, t0) = (reads(), ticking.ticks.load(Ordering::Relaxed));
-        let noop = TaskRecord::new(
-            "task.noop".into(),
-            TaskDescription::new("noop"),
-            PlatformId::Local,
-            Arc::clone(&clock),
-        );
-        executor.spawn_task(Arc::clone(&noop), Some(Arc::clone(&scheduler)));
+        let noop = spawn(&fx, "task.noop", TaskDescription::new("noop"));
         assert_eq!(reads() - before, 5, "one read per event of a NOOP task");
         assert_eq!(
             secs(noop.state.history()),
@@ -1493,26 +1477,24 @@ mod tests {
             ],
         );
         // Measured from the `Executing` stamp itself (read t0 + 2) to read t0 + 3.
-        assert_eq!(metrics.scalar_values("task.exec_secs"), [1.0]);
+        assert_eq!(fx.metrics.scalar_values("task.exec_secs"), [1.0]);
 
         // A 10 s compute task adds its two timer checks: one parks it, one finds it over.
         let before = reads();
-        let compute = TaskRecord::new(
-            "task.compute".into(),
+        let compute = spawn(
+            &fx,
+            "task.compute",
             TaskDescription::new("compute").kind(TaskKind::compute_secs(10.0)),
-            PlatformId::Local,
-            Arc::clone(&clock),
         );
-        executor.spawn_task(Arc::clone(&compute), Some(Arc::clone(&scheduler)));
         compute
             .state
             .wait_until(|s| s == Done, Duration::from_secs(30))
             .unwrap();
-        executor.join_all();
+        fx.executor.join_all();
         assert!(reads() - before <= 7, "{} reads", reads() - before);
         let history = secs(compute.state.history());
         assert!(history.windows(2).all(|w| w[0].1 <= w[1].1), "{history:?}");
-        let exec_secs = metrics.scalar_values("task.exec_secs")[1];
+        let exec_secs = fx.metrics.scalar_values("task.exec_secs")[1];
         let (executing, done) = (history[2].1, history[3].1);
         assert_eq!((history[2].0, history[3].0), (Executing, Done));
         assert!(
@@ -1521,13 +1503,12 @@ mod tests {
         );
     }
 
-    /// The node `task`'s attempt runs on, read off the allocation: the one healthy
-    /// node that a probe for the task's resources cannot get. Only for a task that
+    /// The node a task's attempt runs on, read off the allocation: the one healthy
+    /// node that a probe for the task's `resources` cannot get. Only for a task that
     /// asks for a whole node and runs alone.
-    fn busy_node(allocation: &Allocation, task: &TaskRecord) -> usize {
+    fn busy_node(allocation: &Allocation, resources: &ResourceRequest) -> usize {
         let probes: Vec<Slot> =
-            std::iter::from_fn(|| allocation.allocate_slot(&task.description.resources).ok())
-                .collect();
+            std::iter::from_fn(|| allocation.allocate_slot(resources).ok()).collect();
         let free: Vec<usize> = probes.iter().map(Slot::node_index).collect();
         for probe in &probes {
             allocation.release_slot(probe).unwrap();
@@ -1559,20 +1540,15 @@ mod tests {
         // so the node each attempt runs on can be read off the allocation.
         let clock = Arc::new(ManualClock::new());
         let fx = fixture_on(Arc::clone(&clock) as SharedClock, PlatformId::Local, 2);
-        let task = TaskRecord::new(
-            "task.retry".into(),
-            TaskDescription::new("retry")
-                .kind(TaskKind::compute_secs(60.0))
-                .cores(8)
-                .max_retries(2),
-            PlatformId::Local,
-            Arc::clone(&fx.clock),
-        );
-        fx.executor
-            .spawn_task(Arc::clone(&task), Some(Arc::clone(&fx.scheduler)));
+        let description = TaskDescription::new("retry")
+            .kind(TaskKind::compute_secs(60.0))
+            .cores(8)
+            .max_retries(2);
+        let resources = description.resources;
+        let task = spawn(&fx, "task.retry", description);
         assert_eq!(task.state.current(), TaskState::Executing);
         let allocation = fx.scheduler.allocation();
-        let node = busy_node(allocation, &task);
+        let node = busy_node(allocation, &resources);
         allocation.fail_node(node).unwrap();
         // The attempt ends at 60 s and finds its slot evicted; the retry waits out its
         // 0.5 s backoff and is placed again.
@@ -1590,7 +1566,7 @@ mod tests {
             assert!(Instant::now() < deadline, "the retry never executed");
             std::thread::yield_now();
         }
-        let placed = busy_node(allocation, &task);
+        let placed = busy_node(allocation, &resources);
         assert_eq!(advance_past(&clock, 60.5), 120.5);
         task.state
             .wait_until(|s| s == TaskState::Done, Duration::from_secs(10))
@@ -1610,21 +1586,16 @@ mod tests {
     #[test]
     fn eviction_without_retry_budget_fails_the_task() {
         let fx = fixture(PlatformId::Local, 1, 1000.0);
-        let task = TaskRecord::new(
-            "task.noretry".into(),
-            TaskDescription::new("noretry")
-                .kind(TaskKind::compute_secs(60.0))
-                .cores(8),
-            PlatformId::Local,
-            Arc::clone(&fx.clock),
-        );
-        fx.executor
-            .spawn_task(Arc::clone(&task), Some(Arc::clone(&fx.scheduler)));
+        let description = TaskDescription::new("noretry")
+            .kind(TaskKind::compute_secs(60.0))
+            .cores(8);
+        let resources = description.resources;
+        let task = spawn(&fx, "task.noretry", description);
         task.state
             .wait_until(|s| s == TaskState::Executing, Duration::from_secs(10))
             .unwrap();
         let allocation = fx.scheduler.allocation();
-        let node = busy_node(allocation, &task);
+        let node = busy_node(allocation, &resources);
         allocation.fail_node(node).unwrap();
         let _ = task
             .state
@@ -1644,11 +1615,10 @@ mod tests {
     fn a_step_that_panics_on_a_worker_fails_its_task_and_nothing_else() {
         let fx = fixture(PlatformId::Local, 1, 1000.0);
         let task = |name: &str, kind: TaskKind| {
-            TaskRecord::new(
-                format!("task.{name}"),
+            spawn(
+                &fx,
+                &format!("task.{name}"),
                 TaskDescription::new(name).kind(kind).cores(8),
-                PlatformId::Local,
-                Arc::clone(&fx.clock),
             )
         };
         // `first` holds the whole node, so the other two park and are resumed by the
@@ -1661,10 +1631,6 @@ mod tests {
             },
         );
         let last = task("last", TaskKind::compute_secs(5.0));
-        for record in [&first, &doomed, &last] {
-            fx.executor
-                .spawn_task(Arc::clone(record), Some(Arc::clone(&fx.scheduler)));
-        }
         fx.executor.join_all();
         assert_eq!(first.state.current(), TaskState::Done);
         assert_eq!(doomed.state.current(), TaskState::Failed);

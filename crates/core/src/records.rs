@@ -1,18 +1,25 @@
 //! Stateful entity records and the public handles wrapping them.
 //!
-//! A record is the runtime's bookkeeping for one submitted entity: its description, its
-//! state, its placement, and — for failures — the reason. State transitions are
-//! validated against the state models in [`crate::states`] and waiters are woken through
-//! a condition variable, which is what the public `wait_*` calls of
-//! [`TaskHandle`]/[`ServiceHandle`]/[`PilotHandle`] use.
+//! A record is the runtime's bookkeeping for one submitted entity: what a handle can
+//! still ask about once the entity's work is over — its id, its state and, for
+//! failures, the reason. State transitions are validated against the state models in
+//! [`crate::states`] and waiters are woken through a condition variable, which is what
+//! the public `wait_*` calls of [`TaskHandle`]/[`ServiceHandle`]/[`PilotHandle`] use.
+//!
+//! A task record is the smallest: the id, the state cell, the platform and the retry
+//! count (184 bytes; 200 in its `Arc`). What the task needs only while it runs — its
+//! [`TaskDescription`] and its slot — belongs to the executor's run and is freed with
+//! it, so thousands of finished tasks keep no description between them.
 //!
 //! ## State is an event log
 //!
 //! A [`StateCell`] stores one thing: the append-only list of `(state, virtual time)`
 //! entries, in the order the entity entered them. A transition appends one entry — no
-//! string, no map node; the first six entries live inside the record — and hands its
-//! stamp back, so whoever else needs the instant of the event does not read the clock
-//! again. Everything a reader asks for is derived when asked:
+//! string, no map node; the first six entries, 16 bytes each, live inside the record —
+//! and hands its stamp back, so whoever else needs the instant of the event does not
+//! read the clock again. The rare parts — entries past the sixth, a failure reason —
+//! sit behind one pointer that only a seventh entry or a failure allocates. Everything
+//! a reader asks for is derived when asked:
 //!
 //! | query | derived as |
 //! |---|---|
@@ -73,52 +80,69 @@ macro_rules! state_model {
 
 state_model!(TaskState, ServiceState, PilotState);
 
-/// Entries an [`EventLog`] holds in place: the six states of a staged task
+/// Entries a [`StateCell`] holds in place: the six states of a staged task
 /// (`New`, `Scheduling`, `StagingInput`, `Executing`, `StagingOutput`, `Done`).
 const INLINE_EVENTS: usize = 6;
 
-/// Every state an entity entered and when, in entry order. Appending allocates only
-/// from the seventh entry on (a retried task, a service's full lifecycle).
-struct EventLog<S> {
+/// What few cells ever need: the log past its inline entries, and a failure reason.
+struct Rare<S> {
+    /// Entry `INLINE_EVENTS` and later.
+    spill: Vec<(S, SimTime)>,
+    error: Option<String>,
+}
+
+/// Every state an entity entered and when, in entry order, and why it failed.
+/// Appending allocates only from the seventh entry on (a retried task, a service's
+/// full lifecycle); a failure reason shares that one allocation.
+struct StateInner<S> {
     /// The first `min(len, INLINE_EVENTS)` entries; the rest repeats the first entry.
     inline: [(S, SimTime); INLINE_EVENTS],
     len: usize,
-    /// Entry `INLINE_EVENTS` and later.
-    spill: Vec<(S, SimTime)>,
+    /// Allocated by the seventh entry or a failure, whichever comes first.
+    rare: Option<Box<Rare<S>>>,
 }
 
-impl<S: Copy> EventLog<S> {
+impl<S: Copy> StateInner<S> {
     fn new(first: (S, SimTime)) -> Self {
-        EventLog {
+        StateInner {
             inline: [first; INLINE_EVENTS],
             len: 1,
-            spill: Vec::new(),
+            rare: None,
         }
+    }
+
+    fn rare(&mut self) -> &mut Rare<S> {
+        self.rare.get_or_insert_with(|| {
+            Box::new(Rare {
+                spill: Vec::new(),
+                error: None,
+            })
+        })
     }
 
     fn push(&mut self, entry: (S, SimTime)) {
         match self.inline.get_mut(self.len) {
             Some(place) => *place = entry,
-            None => self.spill.push(entry),
+            None => self.rare().spill.push(entry),
         }
         self.len += 1;
     }
 
     fn iter(&self) -> impl DoubleEndedIterator<Item = &(S, SimTime)> {
+        let spill = self.rare.as_ref().map_or(&[][..], |rare| &rare.spill[..]);
         self.inline[..self.len.min(INLINE_EVENTS)]
             .iter()
-            .chain(&self.spill)
+            .chain(spill)
     }
 
     /// The state entered last. The log is never empty.
     fn current(&self) -> S {
         self.iter().next_back().expect("the initial entry").0
     }
-}
 
-struct StateInner<S> {
-    log: EventLog<S>,
-    error: Option<String>,
+    fn error(&self) -> Option<&String> {
+        self.rare.as_ref()?.error.as_ref()
+    }
 }
 
 /// A validated, waitable state holder: an append-only log of `(state, entry time)`
@@ -133,10 +157,7 @@ impl<S: StateModel> StateCell<S> {
     /// Create a cell in the given initial state.
     pub fn new(initial: S, clock: SharedClock) -> Self {
         StateCell {
-            inner: Mutex::new(StateInner {
-                log: EventLog::new((initial, clock.now())),
-                error: None,
-            }),
+            inner: Mutex::new(StateInner::new((initial, clock.now()))),
             cond: Condvar::new(),
             clock,
         }
@@ -144,19 +165,19 @@ impl<S: StateModel> StateCell<S> {
 
     /// Current state.
     pub fn current(&self) -> S {
-        self.inner.lock().log.current()
+        self.inner.lock().current()
     }
 
     /// Failure reason, if the entity failed.
     pub fn error(&self) -> Option<String> {
-        self.inner.lock().error.clone()
+        self.inner.lock().error().cloned()
     }
 
     /// Virtual timestamp (seconds) at which `state` was entered — the last time, for
     /// a state entered more than once — if it was.
     pub fn entered_at(&self, state: S) -> Option<f64> {
         let inner = self.inner.lock();
-        let entry = inner.log.iter().rev().find(|(s, _)| *s == state);
+        let entry = inner.iter().rev().find(|(s, _)| *s == state);
         entry.map(|(_, at)| at.as_secs_f64())
     }
 
@@ -165,7 +186,6 @@ impl<S: StateModel> StateCell<S> {
     pub fn timestamps(&self) -> BTreeMap<String, f64> {
         let inner = self.inner.lock();
         inner
-            .log
             .iter()
             .map(|(state, at)| (state.name().to_string(), at.as_secs_f64()))
             .collect()
@@ -174,7 +194,7 @@ impl<S: StateModel> StateCell<S> {
     /// Every state entered and when, in entry order: a retried task shows each
     /// attempt's `Scheduling` and `Executing`.
     pub fn history(&self) -> Vec<(S, SimTime)> {
-        self.inner.lock().log.iter().copied().collect()
+        self.inner.lock().iter().copied().collect()
     }
 
     /// Attempt a transition; appends the entry and wakes waiters. `Ok(Some(at))` is the
@@ -182,7 +202,7 @@ impl<S: StateModel> StateCell<S> {
     /// cell already was in `next` and nothing was recorded.
     pub fn transition(&self, next: S) -> Result<Option<SimTime>, RuntimeError> {
         let mut inner = self.inner.lock();
-        let current = inner.log.current();
+        let current = inner.current();
         if current == next {
             return Ok(None);
         }
@@ -192,7 +212,7 @@ impl<S: StateModel> StateCell<S> {
             )));
         }
         let at = self.clock.now();
-        inner.log.push((next, at));
+        inner.push((next, at));
         self.cond.notify_all();
         Ok(Some(at))
     }
@@ -201,8 +221,8 @@ impl<S: StateModel> StateCell<S> {
     /// failures can always be recorded).
     pub fn fail(&self, failed_state: S, reason: impl Into<String>) {
         let mut inner = self.inner.lock();
-        inner.error = Some(reason.into());
-        inner.log.push((failed_state, self.clock.now()));
+        inner.rare().error = Some(reason.into());
+        inner.push((failed_state, self.clock.now()));
         self.cond.notify_all();
     }
 
@@ -216,15 +236,15 @@ impl<S: StateModel> StateCell<S> {
         let (mut deadline, mut timed_out) = (None, false);
         let mut inner = self.inner.lock();
         loop {
-            let current = inner.log.current();
+            let current = inner.current();
             if predicate(current) {
                 return Ok(current);
             }
             if current.terminal() {
                 // Terminal but not what the caller wanted: report failure.
                 let reason = inner
-                    .error
-                    .clone()
+                    .error()
+                    .cloned()
                     .unwrap_or_else(|| format!("entity ended in {current:?}"));
                 return Err(RuntimeError::Failed(reason));
             }
@@ -260,12 +280,11 @@ impl BootstrapTimes {
     }
 }
 
-/// Internal record of a task.
+/// Internal record of a task: what outlives its run. The description is the run's
+/// ([`crate::executor::Executor::spawn_task`]) and is freed when the run ends.
 pub struct TaskRecord {
     /// Runtime-assigned identifier (e.g. `task.000004`).
     pub id: String,
-    /// The submitted description.
-    pub description: TaskDescription,
     /// Validated state holder.
     pub state: StateCell<TaskState>,
     /// Platform the task runs on.
@@ -275,16 +294,22 @@ pub struct TaskRecord {
 }
 
 impl TaskRecord {
-    /// Create a record in the `New` state.
+    /// Create a record in the `New` state. The record keeps no description: this
+    /// drops it, and a session hands its own to the run instead.
     pub fn new(
         id: String,
         description: TaskDescription,
         platform: PlatformId,
         clock: SharedClock,
     ) -> Arc<Self> {
+        drop(description);
+        Self::create(id, platform, clock)
+    }
+
+    /// Create a record in the `New` state.
+    pub(crate) fn create(id: String, platform: PlatformId, clock: SharedClock) -> Arc<Self> {
         Arc::new(TaskRecord {
             id,
-            description,
             state: StateCell::new(TaskState::New, clock),
             platform,
             retries: AtomicU32::new(0),
@@ -782,7 +807,6 @@ mod tests {
         let task = |state| TaskHandle {
             record: Arc::new(TaskRecord {
                 id: "task.000000".into(),
-                description: TaskDescription::new("t"),
                 state: StateCell::new(state, clock()),
                 platform: PlatformId::Local,
                 retries: AtomicU32::new(0),
@@ -800,6 +824,14 @@ mod tests {
         };
         assert_eq!(running.wait_final(Duration::MAX).unwrap(), TaskState::Done);
         finisher.join().unwrap();
+    }
+
+    #[test]
+    fn a_task_record_keeps_only_what_outlives_its_run() {
+        // Six 16-byte entries in place, their count and one pointer for the rare
+        // parts; the id, the clock, the platform, the retry count, the cell's locks.
+        assert_eq!(std::mem::size_of::<StateInner<TaskState>>(), 112);
+        assert_eq!(std::mem::size_of::<TaskRecord>(), 184);
     }
 
     #[test]

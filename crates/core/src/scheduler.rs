@@ -57,8 +57,8 @@
 //! A window alone would let a wide head be passed for as long as narrower requests
 //! keep fitting. Every waiter the walk denies and then passes — a later arrival of
 //! its class fitted when it did not — has its overtake counter ticked. When the head
-//! is a gang whose counter exceeds [`Scheduler::max_overtakes`] (default
-//! [`DEFAULT_MAX_OVERTAKES`]; the walk goes back to the head the moment that happens)
+//! is a gang whose counter exceeds [`DEFAULT_MAX_OVERTAKES`] (the walk goes back to
+//! the head the moment that happens)
 //! or whose wait exceeds [`Scheduler::gang_drain_after`], when set, the walk opens a
 //! backfill reservation for it ([`hpcml_platform::batch::Allocation::begin_drain`]):
 //! nodes are pinned to the gang as they free up, invisible to every other request,
@@ -337,11 +337,12 @@ impl Scheduler {
         }
     }
 
-    /// Set the overtake budget: a head gang overtaken more than `budget` times flips
-    /// into draining mode. `None` disables overtake-triggered draining (with
-    /// [`Scheduler::with_gang_drain_after`] also `None`, gangs never drain). Only tests
-    /// pin it: a budget below [`DEFAULT_MAX_OVERTAKES`] makes drains reachable in a
-    /// short request stream.
+    /// Test-only: set the overtake budget, which is [`DEFAULT_MAX_OVERTAKES`] for
+    /// every scheduler the runtime builds. A head gang overtaken more than `budget`
+    /// times flips into draining mode; `None` disables overtake-triggered draining
+    /// (with [`Scheduler::with_gang_drain_after`] also `None`, gangs never drain). A
+    /// budget below the default makes drains reachable in a short request stream.
+    #[doc(hidden)]
     pub fn with_max_overtakes(mut self, budget: Option<u32>) -> Self {
         self.max_overtakes = budget;
         self
@@ -368,7 +369,8 @@ impl Scheduler {
 
     /// The overtake budget before a head gang drains (`None` = overtakes never
     /// trigger a drain).
-    pub fn max_overtakes(&self) -> Option<u32> {
+    #[cfg(test)]
+    fn max_overtakes(&self) -> Option<u32> {
         self.max_overtakes
     }
 

@@ -9,6 +9,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -17,7 +18,7 @@ use hpcml_comm::pubsub::{Publisher, Subscriber};
 use hpcml_comm::registry::EndpointRegistry;
 use hpcml_platform::batch::Allocation;
 use hpcml_platform::PlatformId;
-use hpcml_sim::clock::{ClockSpec, SharedClock};
+use hpcml_sim::clock::{ClockSpec, Interrupt, SharedClock};
 use hpcml_sim::fault::FaultPlan;
 use hpcml_sim::ids;
 
@@ -132,11 +133,12 @@ pub struct Session {
     scheduler: Mutex<Option<Arc<Scheduler>>>,
     pilots: Mutex<Vec<Arc<PilotRecord>>>,
     closed: AtomicBool,
-    /// Asks the detached fault-injector thread to stop firing (it is never
-    /// joined: under a manual clock its sleeps may outlive the session).
+    /// Asks the fault-injector thread to stop firing; `close` sets it.
     fault_stop: Arc<AtomicBool>,
-    /// Set once the injector thread has been spawned (first active pilot).
-    fault_started: AtomicBool,
+    /// Ends the injector's sleep toward its next event early; `close` raises it.
+    fault_wake: Arc<Interrupt>,
+    /// The injector thread, once the first active pilot spawned it; `close` joins it.
+    fault_injector: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Session {
@@ -194,7 +196,8 @@ impl Session {
             pilots: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
             fault_stop: Arc::new(AtomicBool::new(false)),
-            fault_started: AtomicBool::new(false),
+            fault_wake: Interrupt::new(),
+            fault_injector: Mutex::new(None),
             config,
         }
     }
@@ -266,28 +269,30 @@ impl Session {
         })
     }
 
-    /// Spawn the detached fault-injector thread on the first active pilot: it
-    /// sleeps on the session clock to each scheduled event time and fails the
-    /// named node in `allocation`, evicting co-resident slots. The thread is
-    /// deliberately never joined — under a manual clock a pending sleep may never
-    /// return, and `close()` must not hang on it; a stop flag retires it instead.
+    /// Spawn the fault-injector thread on the first active pilot: it sleeps on the
+    /// session clock to each scheduled event time and fails the named node in
+    /// `allocation`, evicting co-resident slots. Its sleeps are interruptible on every
+    /// clock — a manual one included, whose advances raise them too — so `close`
+    /// stops it wherever its next event lies and joins it.
     fn spawn_fault_injector(&self, allocation: &Arc<Allocation>) {
-        if self.config.fault_plan.is_empty() || self.fault_started.swap(true, Ordering::AcqRel) {
+        let mut injector = self.fault_injector.lock();
+        if self.config.fault_plan.is_empty() || injector.is_some() {
             return;
         }
         let plan = self.config.fault_plan.clone();
         let clock = Arc::clone(&self.clock);
         let metrics = Arc::clone(&self.metrics);
         let stop = Arc::clone(&self.fault_stop);
+        let wake = Arc::clone(&self.fault_wake);
         let allocation = Arc::clone(allocation);
-        let epoch = clock.now().as_secs_f64();
-        let _ = std::thread::Builder::new()
+        let epoch = clock.now();
+        let spawned = std::thread::Builder::new()
             .name("fault-injector".into())
             .spawn(move || {
                 for event in plan.events() {
-                    let delay = event.at_secs - (clock.now().as_secs_f64() - epoch);
-                    if delay > 0.0 {
-                        clock.sleep(Duration::from_secs_f64(delay));
+                    let due = epoch + Duration::from_secs_f64(event.at_secs.max(0.0));
+                    while !stop.load(Ordering::Acquire) && clock.now() < due {
+                        clock.sleep_interruptibly(Some(due), None, &wake);
                     }
                     if stop.load(Ordering::Acquire) {
                         return;
@@ -298,6 +303,7 @@ impl Session {
                     }
                 }
             });
+        *injector = spawned.ok();
     }
 
     /// Submit a service instance. Local services require an active pilot; remote
@@ -347,17 +353,8 @@ impl Session {
             .unwrap_or(self.config.platform)
     }
 
-    fn new_task_record(
-        &self,
-        description: TaskDescription,
-        platform: PlatformId,
-    ) -> Arc<TaskRecord> {
-        let record = TaskRecord::new(
-            ids::next_id("task"),
-            description,
-            platform,
-            Arc::clone(&self.clock),
-        );
+    fn new_task_record(&self, platform: PlatformId) -> Arc<TaskRecord> {
+        let record = TaskRecord::create(ids::next_id("task"), platform, Arc::clone(&self.clock));
         self.task_manager.add(Arc::clone(&record));
         record
     }
@@ -367,9 +364,10 @@ impl Session {
     /// this returns (see [`crate::executor`]).
     pub fn submit_task(&self, description: TaskDescription) -> Result<TaskHandle, RuntimeError> {
         self.ensure_open()?;
-        let record = self.new_task_record(description, self.active_platform());
+        let record = self.new_task_record(self.active_platform());
         let scheduler = self.scheduler.lock().clone();
-        self.executor.spawn_task(Arc::clone(&record), scheduler);
+        self.executor
+            .spawn_task(Arc::clone(&record), description, scheduler);
         Ok(TaskHandle { record })
     }
 
@@ -390,9 +388,9 @@ impl Session {
         let handles: Vec<TaskHandle> = descriptions
             .into_iter()
             .map(|description| {
-                let record = self.new_task_record(description, platform);
+                let record = self.new_task_record(platform);
                 self.executor
-                    .spawn_task(Arc::clone(&record), scheduler.clone());
+                    .spawn_task(Arc::clone(&record), description, scheduler.clone());
                 TaskHandle { record }
             })
             .collect();
@@ -406,15 +404,19 @@ impl Session {
         self.task_manager.wait_all(timeout).map(|_| ())
     }
 
-    /// Orderly shutdown: stop all services, wait until every task run has ended (a
-    /// run ends after its last state message is published), stop the executor's
-    /// pool if it was ever started, join the entity threads, terminate pilots.
-    /// Idempotent.
+    /// Orderly shutdown: stop and join the fault injector, stop all services, wait
+    /// until every task run has ended (a run ends after its last state message is
+    /// published), stop the executor's pool if it was ever started, join the entity
+    /// threads, terminate pilots. Idempotent.
     pub fn close(&self) {
         if self.closed.swap(true, Ordering::AcqRel) {
             return;
         }
         self.fault_stop.store(true, Ordering::Release);
+        if let Some(injector) = self.fault_injector.lock().take() {
+            self.fault_wake.raise();
+            let _ = injector.join();
+        }
         self.service_manager.stop_all();
         self.executor.join_all();
         for pilot in self.pilots.lock().iter() {

@@ -20,36 +20,45 @@ use serde::{Deserialize, Serialize};
 ///
 /// `SimTime` is an absolute time stamp; differences between two stamps are
 /// [`Duration`]s. All recorded experiment metrics are durations of virtual time.
+///
+/// A stamp is a whole number of nanoseconds in one `u64` — 8 bytes where a
+/// [`Duration`] takes 16, which is what a task's state log, a timer-heap entry and a
+/// [`ManualClock`] waiter each keep per stamp. It reads back through
+/// [`Duration::from_nanos`], so [`SimTime::as_secs_f64`] and [`SimTime::as_duration`]
+/// return exactly what the `Duration` the stamp was made from returns. Stamps saturate
+/// at `u64::MAX` ns (≈ 584 virtual years): [`SimTime::from_duration`] and `+ Duration`
+/// clamp there where `Duration` arithmetic would overflow.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-pub struct SimTime(Duration);
+pub struct SimTime(u64);
 
 impl SimTime {
     /// The clock epoch (t = 0).
-    pub const ZERO: SimTime = SimTime(Duration::ZERO);
+    pub const ZERO: SimTime = SimTime(0);
 
     /// Construct a time stamp from seconds since the epoch.
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime(Duration::from_secs_f64(secs.max(0.0)))
+        Self::from_duration(Duration::from_secs_f64(secs.max(0.0)))
     }
 
-    /// Construct a time stamp from a duration since the epoch.
+    /// Construct a time stamp from a duration since the epoch, saturating at
+    /// `u64::MAX` ns.
     pub fn from_duration(d: Duration) -> Self {
-        SimTime(d)
+        SimTime(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
     }
 
     /// Seconds since the epoch as a float.
     pub fn as_secs_f64(&self) -> f64 {
-        self.0.as_secs_f64()
+        self.as_duration().as_secs_f64()
     }
 
     /// The underlying duration since the epoch.
     pub fn as_duration(&self) -> Duration {
-        self.0
+        Duration::from_nanos(self.0)
     }
 
     /// Duration elapsed since an earlier time stamp (saturating at zero).
     pub fn since(&self, earlier: SimTime) -> Duration {
-        self.0.saturating_sub(earlier.0)
+        Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -67,21 +76,22 @@ impl fmt::Display for SimTime {
 
 impl Add<Duration> for SimTime {
     type Output = SimTime;
+    /// Saturates at `u64::MAX` ns.
     fn add(self, rhs: Duration) -> SimTime {
-        SimTime(self.0 + rhs)
+        SimTime(self.0.saturating_add(SimTime::from_duration(rhs).0))
     }
 }
 
 impl AddAssign<Duration> for SimTime {
     fn add_assign(&mut self, rhs: Duration) {
-        self.0 += rhs;
+        *self = *self + rhs;
     }
 }
 
 impl Sub<SimTime> for SimTime {
     type Output = Duration;
     fn sub(self, rhs: SimTime) -> Duration {
-        self.0.saturating_sub(rhs.0)
+        self.since(rhs)
     }
 }
 
@@ -233,7 +243,7 @@ impl Default for RealClock {
 
 impl Clock for RealClock {
     fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed())
+        SimTime::from_duration(self.epoch.elapsed())
     }
 
     fn sleep(&self, d: Duration) {
@@ -280,7 +290,7 @@ impl ScaledClock {
 
 impl Clock for ScaledClock {
     fn now(&self) -> SimTime {
-        SimTime(Self::scaled(self.epoch.elapsed(), self.scale))
+        SimTime::from_duration(Self::scaled(self.epoch.elapsed(), self.scale))
     }
 
     fn sleep(&self, d: Duration) {
@@ -525,6 +535,43 @@ mod tests {
         assert_eq!(b - a, Duration::from_millis(500));
         assert_eq!(a - b, Duration::ZERO, "subtraction saturates");
         assert_eq!(b.since(a), Duration::from_millis(500));
+    }
+
+    #[test]
+    fn a_stamp_is_eight_bytes_and_reads_back_as_the_duration_it_was_made_from() {
+        assert_eq!(std::mem::size_of::<SimTime>(), 8);
+        let sources = [
+            Duration::ZERO,
+            Duration::from_nanos(1),
+            Duration::from_millis(1500),
+            Duration::from_secs(1_000_000),
+        ];
+        for d in sources {
+            let stamp = SimTime::from_duration(d);
+            assert_eq!(stamp.as_duration(), d);
+            assert_eq!(stamp.as_secs_f64().to_bits(), d.as_secs_f64().to_bits());
+            assert_eq!((SimTime::ZERO + d).as_duration(), d);
+        }
+        for pair in sources.windows(2) {
+            let (a, b) = (
+                SimTime::from_duration(pair[0]),
+                SimTime::from_duration(pair[1]),
+            );
+            assert!(a < b, "{a:?} < {b:?}");
+            assert_eq!(b - a, pair[1] - pair[0]);
+        }
+    }
+
+    #[test]
+    fn stamps_saturate_at_u64_max_nanoseconds() {
+        let last = SimTime::from_duration(Duration::from_nanos(u64::MAX));
+        assert_eq!(SimTime::ZERO + Duration::MAX, last);
+        assert_eq!(SimTime::from_secs_f64(1.0) + Duration::MAX, last);
+        assert_eq!(SimTime::from_duration(Duration::MAX), last);
+        let mut t = SimTime::from_secs_f64(2.0);
+        t += Duration::MAX;
+        assert_eq!(t, last);
+        assert_eq!(last.since(SimTime::ZERO), Duration::from_nanos(u64::MAX));
     }
 
     #[test]

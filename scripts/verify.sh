@@ -30,6 +30,9 @@ cargo test -q
 echo "==> cargo test -q --workspace (all crates incl. shims)"
 cargo test -q --workspace
 
+echo "==> allocation and retention budgets, release profile (the workspace run above is debug)"
+cargo test -q --release --test task_path_allocs --test request_path_allocs
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -433,6 +433,63 @@ fn session_close_is_idempotent_and_rejects_new_work() {
     ));
 }
 
+/// Threads of this process named `fault-injector` (`/proc/self/task/*/comm`) once
+/// `settled` holds of their count, or whatever it is two seconds on: a new thread
+/// names itself once it runs, and the kernel may list a joined one a moment longer.
+/// `None` where there is no such directory.
+fn fault_injectors(settled: impl Fn(usize) -> bool) -> Option<usize> {
+    let count = || {
+        let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+        let comm = |entry: std::fs::DirEntry| std::fs::read_to_string(entry.path().join("comm"));
+        let injectors = tasks
+            .filter_map(|entry| comm(entry.ok()?).ok())
+            .filter(|name| name.trim_end() == "fault-injector")
+            .count();
+        Some(injectors)
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while count().is_some_and(|n| !settled(n)) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    count()
+}
+
+/// A fault plan whose only event lies 10⁶ virtual seconds away (1 000 s of real time
+/// at scale 1 000, never on a manual clock nobody advances): `close` interrupts the
+/// injector's sleep and joins it, on every kind of clock. No other test in this binary
+/// plans faults, so every `fault-injector` thread of the process is this test's.
+#[test]
+fn close_joins_a_fault_injector_sleeping_toward_a_distant_event() {
+    for clock in [
+        ClockSpec::Real,
+        ClockSpec::scaled(1000.0),
+        ClockSpec::Manual,
+    ] {
+        let s = Session::builder("distant-fault")
+            .platform(PlatformId::Delta)
+            .clock(clock)
+            .seed(5)
+            .fault_plan(FaultPlan::new().fail_at(1e6, 0))
+            .build()
+            .expect("session");
+        let pilot = s
+            .submit_pilot(PilotDescription::new(PlatformId::Delta).nodes(1))
+            .expect("pilot");
+        let running = fault_injectors(|n| n > 0);
+        assert_ne!(running, Some(0), "{clock:?}: no injector running");
+        let wall = std::time::Instant::now();
+        s.close();
+        let took = wall.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "{clock:?}: close took {took:?}"
+        );
+        let left = fault_injectors(|n| n == 0).unwrap_or(0);
+        assert_eq!(left, 0, "{clock:?}: the injector outlived close");
+        assert_eq!(pilot.failed_nodes(), 0, "{clock:?}: the event never fired");
+    }
+}
+
 /// Closing a session the moment a pipeline returns: `PipelineRunner::run` has asked
 /// its services to stop, so `close` finds endpoints that are still registered but
 /// that nobody serves any more and asks again. That second shutdown message must fail

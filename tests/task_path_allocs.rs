@@ -55,17 +55,22 @@ const QUEUED_WAVE: usize = 400;
 /// shared with the run made 9.0, and string-keyed state cells and eagerly built
 /// messages 48.2.
 const BUDGET_PER_TASK: f64 = 9.0;
-/// Live bytes a finished NOOP task may keep: its record (the description and its name,
-/// the id, the state cell's entries), its entry in the task directory, and its metric
-/// records (three `comm.fanout.width` scalars, one `TaskRow`) with their share of
-/// block slack. Its run and its slot are freed. Measured: 611.2, debug and release;
-/// 767.2 while the record kept the run's slot.
-const RETAINED_PER_NOOP_TASK: f64 = 660.0;
+/// Live bytes a finished NOOP task may keep: its record (200 bytes with the `Arc`'s
+/// counts: the id's `String`, the state cell with six 16-byte entries in place, the
+/// clock, the platform, the retry count), the id's bytes, its entry in the task
+/// directory, and its metric records (three `comm.fanout.width` scalars, one
+/// `TaskRow`) with their share of block slack. Its run — with the description and
+/// the slot — is freed. Measured: 271.2, debug and release; 311.2 while the state
+/// cell kept its spill and its failure reason in place, 611.2 while the record kept
+/// the description and stamps were 16-byte `Duration`s, 767.2 while it also kept the
+/// run's slot.
+const RETAINED_PER_NOOP_TASK: f64 = 295.0;
 /// Live bytes a finished task that queued for placement may keep: the NOOP task's
-/// parts and nothing of its wait. Measured: 635–641, debug and release; 1 118 while
-/// its real-time timer entry pinned the run's allocation until the 120 s deadline
-/// and the record kept the run's slot.
-const RETAINED_PER_QUEUED_TASK: f64 = 700.0;
+/// parts and nothing of its wait. Measured: 292.7–293.3 debug, 298.6 release; 635–641
+/// while the record kept the description; 1 118 while its real-time timer entry
+/// pinned the run's allocation until the 120 s deadline and the record kept the run's
+/// slot.
+const RETAINED_PER_QUEUED_TASK: f64 = 325.0;
 
 fn session(pilot: PilotDescription) -> Session {
     let s = Session::builder("allocs")
