@@ -15,6 +15,7 @@ use hpcml_runtime::prelude::{PilotDescription, Session, TaskDescription};
 use hpcml_runtime::scheduler::{Priority, Scheduler};
 use hpcml_runtime::RuntimeMetrics;
 use hpcml_sim::clock::ClockSpec;
+use hpcml_sim::metrics::ScalarSink;
 use hpcml_sim::stats::Summary;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -330,22 +331,21 @@ fn bench_noop_roundtrip(c: &mut Criterion) {
     let _ = server_thread.join();
 }
 
-/// What a scalar record costs with 1, 2 and 16 threads recording at once into one live
-/// `RuntimeMetrics` (the series mix of a task and a request): 16 is more recorders
-/// than the registry has stripes, the paper's 16-client sweep. An iteration is every
-/// thread making `RECORDS_PER_THREAD` records, thread spawn and join included.
-fn bench_metrics_record(c: &mut Criterion) {
-    let mut group = c.benchmark_group("metrics/record_scalar");
+/// Records per thread in an iteration of a `metrics/*` group.
+const RECORDS_PER_THREAD: usize = 20_000;
+
+/// What a record costs with 1, 2 and 16 threads recording at once into one live
+/// `RuntimeMetrics`: 16 is more recorders than the registry has stripes, the paper's
+/// 16-client sweep. An iteration is every thread making `RECORDS_PER_THREAD` records
+/// with `record(metrics, i)`, thread spawn and join included.
+fn bench_records(
+    c: &mut Criterion,
+    group: &str,
+    read: &str,
+    record: impl Fn(&RuntimeMetrics, usize) + Sync,
+) {
+    let mut group = c.benchmark_group(group);
     group.sample_size(10);
-    const RECORDS_PER_THREAD: usize = 20_000;
-    const SERIES: [&str; 6] = [
-        "task.placement_wait_secs",
-        "task.gang.overtakes",
-        "task.exec_secs",
-        "comm.fanout.width",
-        "serving.queue.depth",
-        "comm.queue.depth",
-    ];
     for threads in [1usize, 2, 16] {
         group.bench_with_input(
             BenchmarkId::from_parameter(threads),
@@ -357,17 +357,47 @@ fn bench_metrics_record(c: &mut Criterion) {
                         for _ in 0..threads {
                             s.spawn(|| {
                                 for i in 0..RECORDS_PER_THREAD {
-                                    metrics.record_scalar(SERIES[i % SERIES.len()], i as f64);
+                                    record(&metrics, i);
                                 }
                             });
                         }
                     });
-                    black_box(metrics.scalar_values(SERIES[0]).len())
+                    black_box(metrics.scalar_values(read).len())
                 })
             },
         );
     }
     group.finish();
+}
+
+/// `metrics/record_scalar`: one `f64` per record, in the series mix of a task and a
+/// request. `metrics/record_count`: the per-event widths and depths of the comm fabric
+/// and the serving plane, through the path a session gives them — the metrics behind a
+/// `dyn ScalarSink`, one integer record each, kept as counts.
+fn bench_metrics_record(c: &mut Criterion) {
+    const SCALARS: [&str; 6] = [
+        "task.placement_wait_secs",
+        "task.gang.overtakes",
+        "task.exec_secs",
+        "comm.fanout.width",
+        "serving.queue.depth",
+        "comm.queue.depth",
+    ];
+    bench_records(c, "metrics/record_scalar", SCALARS[0], |metrics, i| {
+        metrics.record_scalar(SCALARS[i % SCALARS.len()], i as f64)
+    });
+    const COUNTS: [&str; 5] = [
+        "comm.fanout.width",
+        "serving.queue.depth",
+        "serving.batch.size",
+        "serving.replica.outstanding",
+        "comm.queue.depth",
+    ];
+    bench_records(c, "metrics/record_count", COUNTS[0], |metrics, i| {
+        // Opaque, as the `Arc<dyn ScalarSink>` a publisher or a replica holds is.
+        let sink: &dyn ScalarSink = black_box(metrics);
+        sink.record_count(COUNTS[i % COUNTS.len()], (i % 8) as u64)
+    });
 }
 
 /// What one read of the session clock costs on this host: `real` is `clock_gettime`

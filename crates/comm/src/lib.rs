@@ -24,7 +24,8 @@
 //!
 //! The fabric's hot paths record a small set of `comm.*` scalar series through a
 //! pluggable [`hpcml_sim::metrics::ScalarSink`] (`with_sink` on the publisher; the
-//! runtime wires the session's metric recorder in):
+//! runtime wires the session's metric recorder in, which keeps these integer series as
+//! exact value counts):
 //!
 //! | series              | recorded by           | meaning                        |
 //! |---------------------|-----------------------|--------------------------------|

@@ -146,7 +146,8 @@ impl Publisher {
         }
     }
 
-    /// Builder: attach a metrics sink recording `comm.fanout.width` per publish. Call
+    /// Builder: attach a metrics sink recording `comm.fanout.width` per publish (as a
+    /// [`ScalarSink::record_count`](hpcml_sim::metrics::ScalarSink::record_count)). Call
     /// at construction, before any subscriber joins — the runtime wires this in when
     /// the session is built.
     pub fn with_sink(self, sink: SharedScalarSink) -> Self {
@@ -189,7 +190,9 @@ impl Publisher {
     /// [`Publisher::publish`] for a message that does not exist yet: `build` runs —
     /// once — only if a live subscriber's prefix matches `topic`, which must be the
     /// topic of the message it returns, and the message it builds moves into the
-    /// shared `Arc`. Records the same `comm.fanout.width` sample.
+    /// shared `Arc`. Records the same `comm.fanout.width` count, matched or not: with
+    /// no subscriber at all a publish is one atomic load and that one record, which
+    /// in a session takes the recording thread's metric stripe lock.
     pub fn publish_with(&self, topic: &str, build: impl FnOnce() -> Message) -> usize {
         self.publish_one(topic, || {
             let msg = build();
@@ -198,19 +201,21 @@ impl Publisher {
         })
     }
 
-    /// One message on `topic`, made by `build` on the first match.
+    /// One message on `topic`, made by `build` on the first match, and its
+    /// `comm.fanout.width` count in the sink.
     fn publish_one(&self, topic: &str, build: impl FnOnce() -> Message) -> usize {
         let delivered = self.fan_out(topic, build);
         self.inner
             .sink
-            .record("comm.fanout.width", delivered as f64);
+            .record_count("comm.fanout.width", delivered as u64);
         delivered
     }
 
     /// Match every live subscriber's prefixes against `topic`, make the message with
     /// `build` on the first match (never, if nothing matches), deliver a share of it to
     /// every matching subscriber, prune closed entries. With no subscriber at all it
-    /// reads one counter and takes no lock.
+    /// reads one counter and takes no lock of its own; the publish around it still
+    /// records its width into the sink (see [`Publisher::publish_with`]).
     fn fan_out(&self, topic: &str, build: impl FnOnce() -> Message) -> usize {
         if self.inner.live.load(Ordering::Acquire) == 0 {
             return 0;

@@ -115,6 +115,7 @@ use hpcml_serving::request::InferenceRequest;
 use hpcml_serving::service::{inference_request_message, InferenceService};
 use hpcml_sim::clock::{SharedClock, SimTime, Stopwatch};
 use hpcml_sim::dist::Dist;
+use hpcml_sim::metrics::SharedScalarSink;
 use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell, WallTimer};
 
 use crate::data::DataManager;
@@ -328,9 +329,10 @@ impl Executor {
     }
 
     /// Publish `id`'s entry into `state`. The message is built only if a subscriber's
-    /// prefix matches the topic; a session nobody listens to pays one atomic load. It
-    /// may wait in an inbox until its subscriber drains, so its two headers get a
-    /// `Vec` of two, not the four a `Vec` grown one push at a time would keep.
+    /// prefix matches the topic; a session nobody listens to pays one atomic load for
+    /// the match and one `comm.fanout.width` count into the session metrics (a stripe
+    /// lock). It may wait in an inbox until its subscriber drains, so its two headers
+    /// get a `Vec` of two, not the four a `Vec` grown one push at a time would keep.
     fn publish_state<S: StateModel>(&self, id: &str, state: S) {
         self.publisher.publish_with(state.topic(), || {
             Message::new(state.topic(), "state.update")
@@ -560,17 +562,14 @@ impl Executor {
         self.publish_state(&record.id, ServiceState::Ready);
 
         // Serve until asked to stop. Serving-plane metrics flow into the runtime
-        // metrics store alongside the task/service scalars.
-        let metrics = Arc::clone(&self.metrics);
-        let sink: hpcml_sim::metrics::SharedScalarSink =
-            Arc::new(move |name: &str, value: f64| metrics.record_scalar(name, value));
+        // metrics store, the plane's sink, alongside the task/service scalars.
         let service = InferenceService::on_executor(
             record.description.name.clone(),
             hosts,
             Arc::clone(&self.clock),
             self.next_seed(),
             desc.serving.clone(),
-            sink,
+            Arc::clone(&self.metrics) as SharedScalarSink,
             Arc::clone(&self.pool),
         );
         let served = service.serve(&endpoint, &record.stop);

@@ -17,6 +17,14 @@
 //! their `request.NNNNNN` entity and named components, are built by the read.
 //! A placed task attempt is one row as well (`TaskRow`: 16 bytes, one stripe lock, no
 //! name look-up); [`RuntimeMetrics::scalar_values`] derives its two series from the rows.
+//!
+//! `RuntimeMetrics` is itself the [`ScalarSink`] the session wires into the comm fabric
+//! and the serving plane. Their per-event widths, depths and counts
+//! (`comm.fanout.width`, `serving.queue.depth`, `serving.batch.size`,
+//! `serving.replica.outstanding`, `comm.queue.depth`) arrive through
+//! [`ScalarSink::record_count`] and are kept as exact `value → count` tables, so a
+//! request or a publish adds no bytes once its values have been seen; they read back
+//! in ascending order. Every other scalar keeps one `f64` per record.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,7 +33,7 @@ use hpcml_serving::request::REQUEST_ID_NAMESPACE;
 use hpcml_sim::ids;
 use hpcml_sim::metrics::{
     component_summaries, total_summary, Blocks, BreakdownRecorder, ComponentSample, MetricRegistry,
-    Striped,
+    ScalarSink, Striped,
 };
 use hpcml_sim::stats::Summary;
 
@@ -171,7 +179,8 @@ impl RuntimeMetrics {
         Summary::from_slice(&self.scalar_values(name))
     }
 
-    /// Scalar series values; the two series of a `TaskRow` are its columns.
+    /// Scalar series values; the two series of a `TaskRow` are its columns, and a
+    /// counted series reads back in ascending order ([`MetricRegistry::values`]).
     pub fn scalar_values(&self, name: &str) -> Vec<f64> {
         let mut values = self.registry.values(name);
         let column: fn(&TaskRow) -> Option<f64> = match name {
@@ -184,9 +193,21 @@ impl RuntimeMetrics {
     }
 }
 
+/// The sink of a session's comm fabric and serving plane.
+impl ScalarSink for RuntimeMetrics {
+    fn record(&self, name: &str, value: f64) {
+        self.record_scalar(name, value);
+    }
+
+    fn record_count(&self, name: &str, value: u64) {
+        self.registry.record_count(name, value);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcml_sim::metrics::SharedScalarSink;
 
     #[test]
     fn bootstrap_recording_and_summaries() {
@@ -250,5 +271,24 @@ mod tests {
         assert_eq!(m.scalar_values("staging.secs").len(), 2);
         assert!((m.scalar_summary("staging.secs").mean - 2.0).abs() < 1e-12);
         assert_eq!(m.scalar_values("missing"), Vec::<f64>::new());
+    }
+
+    #[test]
+    fn a_counted_series_reads_back_what_was_recorded() {
+        let m = RuntimeMetrics::new();
+        let sink = Arc::clone(&m) as SharedScalarSink;
+        let depths = [4u64, 1, 3, 1, 2, 9, 1];
+        for depth in depths {
+            sink.record_count("serving.queue.depth", depth);
+        }
+        sink.record("serving.queue.delay_secs", 0.25);
+        let values = m.scalar_values("serving.queue.depth");
+        assert_eq!(values, [1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 9.0]);
+        assert_eq!(
+            m.scalar_summary("serving.queue.depth"),
+            Summary::from_slice(&values)
+        );
+        assert_eq!(m.scalar_summary("serving.queue.depth").count, depths.len());
+        assert_eq!(m.scalar_values("serving.queue.delay_secs"), [0.25]);
     }
 }

@@ -21,6 +21,7 @@ use hpcml_platform::PlatformId;
 use hpcml_sim::clock::{ClockSpec, Interrupt, SharedClock};
 use hpcml_sim::fault::FaultPlan;
 use hpcml_sim::ids;
+use hpcml_sim::metrics::SharedScalarSink;
 
 use crate::data::DataManager;
 use crate::describe::{PilotDescription, ServiceDescription, ServicePlacement, TaskDescription};
@@ -163,12 +164,9 @@ impl Session {
         let clock = config.clock.build();
         let metrics = RuntimeMetrics::new();
         let registry = Arc::new(EndpointRegistry::new());
-        // State updates fan out through the comm fabric; its comm.* series (fan-out
-        // width, batch sizes) land in the session metrics like every other scalar.
-        let comm_metrics = Arc::clone(&metrics);
-        let publisher = Publisher::new().with_sink(Arc::new(move |name: &str, value: f64| {
-            comm_metrics.record_scalar(name, value);
-        }));
+        // State updates fan out through the comm fabric; its `comm.fanout.width`
+        // counts land in the session metrics, which are the publisher's sink.
+        let publisher = Publisher::new().with_sink(Arc::clone(&metrics) as SharedScalarSink);
         let data = Arc::new(DataManager::new(
             Arc::clone(&clock),
             Arc::clone(&metrics),

@@ -33,7 +33,8 @@
 //! `serving.replica.outstanding` and `comm.queue.depth` per dispatch (the replica's
 //! unanswered requests, and how many requests deep its queue was with this one — 1 for
 //! a request begun at once), `serving.batch.size` per begun request (the width it
-//! joined, itself included) and `serving.queue.delay_secs` per answered request.
+//! joined, itself included) — these three as counts (`ScalarSink::record_count`) —
+//! and `serving.queue.delay_secs` per answered request.
 //!
 //! **Lock order** (continuing the executor's): front-end run → replica run (its
 //! `serving` state, locked only by whoever holds the run) → leaves { replica queue |
@@ -281,7 +282,9 @@ impl Replica {
     /// request costs no time, or join the live sequences until its time is up.
     fn begin(&self, serving: &mut Serving, item: BatchItem, now: SimTime, waited_secs: f64) {
         let width = serving.live.len() + 1;
-        self.shared.sink.record("serving.batch.size", width as f64);
+        self.shared
+            .sink
+            .record_count("serving.batch.size", width as u64);
         // The backend is the one piece of foreign code on this path.
         let begun = catch_unwind(AssertUnwindSafe(|| self.host.begin(&item.request)))
             .map_err(|panic| format!("backend panicked: {}", panic_message(&*panic)))
@@ -491,9 +494,9 @@ impl ReplicaPool {
         };
         let outstanding_after = replica.hot.outstanding.fetch_add(1, Ordering::SeqCst) + 1;
         let sink = &self.shared.sink;
-        sink.record("serving.replica.outstanding", outstanding_after as f64);
+        sink.record_count("serving.replica.outstanding", outstanding_after);
         let depth = replica.accept(item, now);
-        sink.record("comm.queue.depth", depth as f64);
+        sink.record_count("comm.queue.depth", depth as u64);
     }
 
     /// Requests queued at a replica with fewer than `max_batch_size` live sequences —

@@ -374,8 +374,7 @@ impl FrontEnd {
         };
         admission.served += 1;
         // The pool's unanswered requests, this one included.
-        self.sink
-            .record("serving.queue.depth", (backlog + 1) as f64);
+        self.sink.record_count("serving.queue.depth", backlog + 1);
         self.pool.dispatch(item, now);
     }
 

@@ -19,7 +19,15 @@
 //! one must carry it in the value (a timestamp, an index). Counts, sums, summaries and
 //! percentiles do not depend on it.
 //!
-//! Series are kept in [`Blocks`]: appended to, never reallocated, never copied.
+//! A scalar series is one of two kinds, fixed by the call that records it:
+//!
+//! * **values** ([`MetricRegistry::record`]): every `f64` in [`Blocks`] — appended to,
+//!   never reallocated, never copied — and read back in the order above;
+//! * **counts** ([`MetricRegistry::record_count`]): a small-integer observation (a
+//!   width, a depth, a count) kept as an exact `value → count` table per stripe, so the
+//!   series costs memory per *distinct* value, not per record. A read returns every
+//!   recorded value once, **in ascending order** — the one exception to the order
+//!   contract; lengths, sums, means and percentiles are those of the values recorded.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -135,6 +143,28 @@ impl<T> Striped<Blocks<T>> {
             out.extend(stripe.iter().filter_map(&read));
         }
         out
+    }
+}
+
+/// An exact `value → count` table of a counted series, sorted by value: a record is a
+/// binary search and, for a value not seen before on this stripe, one insertion.
+#[derive(Debug, Default)]
+struct Counts {
+    table: Vec<(u64, u64)>,
+}
+
+impl Counts {
+    /// Count one more `value`.
+    fn add(&mut self, value: u64) {
+        match self.table.binary_search_by_key(&value, |&(v, _)| v) {
+            Ok(at) => self.table[at].1 += 1,
+            Err(at) => self.table.insert(at, (value, 1)),
+        }
+    }
+
+    /// Number of values counted.
+    fn len(&self) -> usize {
+        self.table.iter().map(|&(_, n)| n as usize).sum()
     }
 }
 
@@ -257,10 +287,17 @@ pub fn total_summary(samples: &[ComponentSample]) -> Summary {
     Summary::from_slice(&totals)
 }
 
+/// One stripe's series, by kind (see the module docs).
+#[derive(Debug, Default)]
+struct Series {
+    values: BTreeMap<String, Blocks<f64>>,
+    counts: BTreeMap<String, Counts>,
+}
+
 /// Named registry of scalar metric series, shared across runtime components.
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
-    series: Striped<BTreeMap<String, Blocks<f64>>>,
+    series: Striped<Series>,
 }
 
 impl MetricRegistry {
@@ -272,26 +309,49 @@ impl MetricRegistry {
     /// Append a value to the named series, on the calling thread's stripe (creating
     /// the series there on first use — the only time the name is copied).
     pub fn record(&self, name: &str, value: f64) {
-        let mut series = self.series.local();
-        match series.get_mut(name) {
-            Some(values) => values.push(value),
-            None => series.entry(name.to_string()).or_default().push(value),
+        let values = &mut self.series.local().values;
+        match values.get_mut(name) {
+            Some(series) => series.push(value),
+            None => values.entry(name.to_string()).or_default().push(value),
         }
     }
 
-    /// All values recorded under `name` (empty if unknown).
+    /// Count one small-integer observation of the named series, on the calling
+    /// thread's stripe: a counted series keeps one entry per distinct value, however
+    /// many times each is recorded (see the module docs).
+    pub fn record_count(&self, name: &str, value: u64) {
+        let counts = &mut self.series.local().counts;
+        match counts.get_mut(name) {
+            Some(series) => series.add(value),
+            None => counts.entry(name.to_string()).or_default().add(value),
+        }
+    }
+
+    /// All values recorded under `name` (empty if unknown), each once.
     ///
-    /// **Order:** the values one thread recorded are in the order it recorded them;
-    /// values of different threads are grouped by thread, not interleaved by time (see
-    /// the module docs). Compare against a timeline only what one thread recorded, or
-    /// sort.
+    /// **Order:** the values one thread recorded with [`record`](Self::record) are in
+    /// the order it recorded them; values of different threads are grouped by thread,
+    /// not interleaved by time (see the module docs). Compare against a timeline only
+    /// what one thread recorded, or sort. Values counted with
+    /// [`record_count`](Self::record_count) follow, merged over every thread, in
+    /// ascending order.
     pub fn values(&self, name: &str) -> Vec<f64> {
         let mut values = Vec::new();
+        let mut counts = BTreeMap::<u64, usize>::new();
         for stripe in self.series.each() {
-            if let Some(series) = stripe.get(name) {
+            if let Some(series) = stripe.values.get(name) {
                 values.reserve(series.len());
                 values.extend(series.iter());
             }
+            if let Some(series) = stripe.counts.get(name) {
+                for &(value, n) in &series.table {
+                    *counts.entry(value).or_default() += n as usize;
+                }
+            }
+        }
+        values.reserve(counts.values().sum());
+        for (value, n) in counts {
+            values.extend(std::iter::repeat_n(value as f64, n));
         }
         values
     }
@@ -300,7 +360,7 @@ impl MetricRegistry {
     pub fn names(&self) -> Vec<String> {
         let mut names = BTreeSet::new();
         for stripe in self.series.each() {
-            names.extend(stripe.keys().cloned());
+            names.extend(stripe.values.keys().chain(stripe.counts.keys()).cloned());
         }
         names.into_iter().collect()
     }
@@ -309,25 +369,38 @@ impl MetricRegistry {
     pub fn total_count(&self) -> usize {
         self.series
             .each()
-            .map(|stripe| stripe.values().map(Blocks::len).sum::<usize>())
+            .map(|stripe| {
+                stripe.values.values().map(Blocks::len).sum::<usize>()
+                    + stripe.counts.values().map(Counts::len).sum::<usize>()
+            })
             .sum()
     }
 
     /// Remove all series.
     pub fn clear(&self) {
         for mut stripe in self.series.each() {
-            stripe.clear();
+            *stripe = Series::default();
         }
     }
 }
 
 /// Destination for the named scalar observations a layer records on its hot paths
 /// (the comm fabric's `comm.*` series, the serving plane's `serving.*` series). The
-/// runtime wires the session's metric recorder in; standalone uses pass
-/// [`null_sink`]. Implemented for any `Fn(&str, f64)` closure.
+/// runtime wires the session's metric recorder in, which keeps integer observations as
+/// counts; standalone uses pass [`null_sink`]. Implemented for any `Fn(&str, f64)`
+/// closure, which receives integer observations through [`record`](Self::record), in
+/// the order they are made.
 pub trait ScalarSink: Send + Sync {
     /// Record one named scalar observation.
     fn record(&self, name: &str, value: f64);
+
+    /// Record one named small-integer observation (a width, a depth, a count). A sink
+    /// may keep these as counts and read them back in ascending order
+    /// ([`MetricRegistry::record_count`]); by default it is [`record`](Self::record)ed
+    /// as an `f64`.
+    fn record_count(&self, name: &str, value: u64) {
+        self.record(name, value as f64);
+    }
 }
 
 impl<F: Fn(&str, f64) + Send + Sync> ScalarSink for F {
@@ -419,6 +492,71 @@ mod tests {
         null_sink().record("dropped", 1.0);
         assert_eq!(seen.values("comm.fanout.width"), vec![3.0]);
         assert_eq!(seen.total_count(), 1);
+    }
+
+    #[test]
+    fn a_closure_sink_keeps_integer_records_exact_and_in_order() {
+        let seen = Arc::new(MetricRegistry::new());
+        let seen2 = Arc::clone(&seen);
+        let sink: SharedScalarSink =
+            Arc::new(move |name: &str, value: f64| seen2.record(name, value));
+        for depth in [3, 1, 2, 1] {
+            sink.record_count("comm.queue.depth", depth);
+        }
+        assert_eq!(seen.values("comm.queue.depth"), [3.0, 1.0, 2.0, 1.0]);
+    }
+
+    #[test]
+    fn a_counted_series_reads_back_every_value_once_in_ascending_order() {
+        let m = Arc::new(MetricRegistry::new());
+        let threads = 2 * STRIPES;
+        let handles: Vec<_> = (0..threads as u64)
+            .map(|t| {
+                let m = Arc::clone(&m);
+                thread::spawn(move || {
+                    for i in 0..100 {
+                        m.record_count("width", (t * 7 + i) % 13);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        m.record("width", 0.5);
+        let mut recorded: Vec<f64> = (0..threads as u64)
+            .flat_map(|t| (0..100).map(move |i| ((t * 7 + i) % 13) as f64))
+            .collect();
+        recorded.sort_by(f64::total_cmp);
+        let values = m.values("width");
+        assert_eq!(values.len(), threads * 100 + 1);
+        assert_eq!(values[0], 0.5, "recorded values come first");
+        assert_eq!(values[1..], recorded[..], "every count once, ascending");
+        assert_eq!(m.total_count(), threads * 100 + 1);
+        assert_eq!(m.names(), ["width"]);
+        m.clear();
+        assert_eq!(m.total_count(), 0);
+        assert!(m.values("width").is_empty());
+    }
+
+    #[test]
+    fn a_counted_series_keeps_one_entry_per_distinct_value() {
+        let m = MetricRegistry::new();
+        for i in 0..1_000_000u64 {
+            m.record_count("serving.batch.size", i % 16);
+        }
+        let stripe = m.series.local();
+        let counts = &stripe.counts["serving.batch.size"];
+        assert_eq!(counts.table.len(), 16);
+        assert_eq!(counts.len(), 1_000_000);
+        drop(stripe);
+        let values = m.values("serving.batch.size");
+        assert_eq!(values.len(), 1_000_000);
+        assert!(values.windows(2).all(|pair| pair[0] <= pair[1]));
+        assert_eq!(
+            values.iter().sum::<f64>(),
+            62_500.0 * (0..16).sum::<u64>() as f64
+        );
     }
 
     #[test]

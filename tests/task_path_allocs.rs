@@ -58,19 +58,20 @@ const BUDGET_PER_TASK: f64 = 9.0;
 /// Live bytes a finished NOOP task may keep: its record (200 bytes with the `Arc`'s
 /// counts: the id's `String`, the state cell with six 16-byte entries in place, the
 /// clock, the platform, the retry count), the id's bytes, its entry in the task
-/// directory, and its metric records (three `comm.fanout.width` scalars, one
-/// `TaskRow`) with their share of block slack. Its run — with the description and
-/// the slot — is freed. Measured: 271.2, debug and release; 311.2 while the state
-/// cell kept its spill and its failure reason in place, 611.2 while the record kept
-/// the description and stamps were 16-byte `Duration`s, 767.2 while it also kept the
-/// run's slot.
-const RETAINED_PER_NOOP_TASK: f64 = 295.0;
+/// directory, and its metric record (one `TaskRow`) with its share of block slack; its
+/// three `comm.fanout.width` records are value counts, which a width seen before does
+/// not grow. Its run — with the description and the slot — is freed. Measured: 244.0,
+/// debug and release; 271.2 while each width was an 8-byte record, 311.2 while the
+/// state cell kept its spill and its failure reason in place, 611.2 while the record
+/// kept the description and stamps were 16-byte `Duration`s, 767.2 while it also kept
+/// the run's slot.
+const RETAINED_PER_NOOP_TASK: f64 = 268.0;
 /// Live bytes a finished task that queued for placement may keep: the NOOP task's
-/// parts and nothing of its wait. Measured: 292.7–293.3 debug, 298.6 release; 635–641
-/// while the record kept the description; 1 118 while its real-time timer entry
-/// pinned the run's allocation until the 120 s deadline and the record kept the run's
-/// slot.
-const RETAINED_PER_QUEUED_TASK: f64 = 325.0;
+/// parts and nothing of its wait. Measured: 246.8 debug, 252.0 release; 293–299 while
+/// each width was an 8-byte record; 635–641 while the record kept the description;
+/// 1 118 while its real-time timer entry pinned the run's allocation until the 120 s
+/// deadline and the record kept the run's slot.
+const RETAINED_PER_QUEUED_TASK: f64 = 278.0;
 
 fn session(pilot: PilotDescription) -> Session {
     let s = Session::builder("allocs")
