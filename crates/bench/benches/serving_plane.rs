@@ -102,7 +102,7 @@ fn drive(
     // Calibrate the admission estimate with one uncontended request so deadline
     // shedding has a live service-time EWMA from the first flood request on.
     let warm = InferenceRequest::new("w ".repeat(40), 64);
-    let _ = client.request(inference_request_message("svc.bench", &warm));
+    let _ = client.request(inference_request_message("svc.bench", warm));
 
     let t0 = clock.now();
     let workers: Vec<thread::JoinHandle<(Vec<f64>, usize)>> = (0..clients)
@@ -116,8 +116,8 @@ fn drive(
                     let req = InferenceRequest::new("q ".repeat(40), 64)
                         .from_client(format!("bench.{c}"));
                     let msg = match deadline_secs {
-                        Some(d) => inference_request_message_with_deadline("svc.bench", &req, d),
-                        None => inference_request_message("svc.bench", &req),
+                        Some(d) => inference_request_message_with_deadline("svc.bench", req, d),
+                        None => inference_request_message("svc.bench", req),
                     };
                     let sent = clock.now();
                     let reply = client.request(msg).expect("bench service reply");

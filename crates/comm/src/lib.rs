@@ -4,8 +4,9 @@
 //! REQ/REP sockets and components publish state updates over PUB/SUB. This crate
 //! rebuilds those communication patterns from scratch, with:
 //!
-//! * [`message`] — a self-describing message envelope that keeps numbers as numbers
-//!   and knows its size on a length-prefixed wire, which the link prices hops by;
+//! * [`message`] — a self-describing message envelope that keeps numbers as numbers,
+//!   carries bytes or a shared value, and knows its size on a length-prefixed wire,
+//!   which the link prices hops by;
 //! * [`reqrep`] — request/reply endpoints ([`reqrep::ReqRepServer`], [`reqrep::ReqRepClient`])
 //!   used for the service inference API, one request per call: a server is either a
 //!   thread that blocks for requests or a [`reqrep::Server`] whose turn the requesting

@@ -3,10 +3,16 @@
 //! Every payload exchanged between runtime components, clients, and services is wrapped
 //! in a [`Message`]: a topic (what channel/queue it belongs to), a kind (what operation
 //! it represents, e.g. `inference.request`), a set of headers (timings, entity
-//! identifiers), and an opaque byte payload. Messages never leave the process: the
-//! request/reply endpoints move them, and pub/sub shares one `Arc<Message>` among its
-//! subscribers. What a message would weigh on a ZeroMQ-style length-prefixed wire,
+//! identifiers), and a [`Payload`]. Messages never leave the process: the request/reply
+//! endpoints move them, and pub/sub shares one `Arc<Message>` among its subscribers.
+//! What a message would weigh on a ZeroMQ-style length-prefixed wire,
 //! [`Message::encoded_len`], is what a [`crate::link::Link`] prices a hop by.
+//!
+//! # Values stay values
+//!
+//! A payload is bytes (a reply's text) or a value shared with its sender (an inference
+//! request), which is handed over as it is and never encoded: its sender declares what
+//! it would weigh on the wire, and that is what the message is priced by.
 //!
 //! # Numbers stay numbers
 //!
@@ -20,9 +26,10 @@
 //! and two messages compare equal when their wire forms would, whichever way their
 //! headers were given.
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::fmt::Write;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 
@@ -127,6 +134,56 @@ impl Write for Rendered {
     }
 }
 
+/// What a message carries (see the module docs).
+#[derive(Debug, Clone)]
+pub enum Payload {
+    /// Opaque bytes, on the wire as they are.
+    Bytes(Bytes),
+    /// A value shared with its sender, never encoded.
+    Value {
+        /// The value.
+        value: Arc<dyn Any + Send + Sync>,
+        /// What its sender declares the value would weigh on the wire, in bytes.
+        wire_len: usize,
+    },
+}
+
+impl Payload {
+    /// Bytes the payload takes on the wire: the length of the bytes, or the declared
+    /// length of the value.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            Payload::Bytes(bytes) => bytes.len(),
+            Payload::Value { wire_len, .. } => *wire_len,
+        }
+    }
+
+    /// The value, if the payload is a `T`.
+    pub fn downcast<T: Any + Send + Sync>(self) -> Option<Arc<T>> {
+        match self {
+            Payload::Value { value, .. } => value.downcast().ok(),
+            Payload::Bytes(_) => None,
+        }
+    }
+}
+
+/// Bytes are equal by content, values by identity.
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Payload::Bytes(a), Payload::Bytes(b)) => a == b,
+            (
+                Payload::Value { value: a, wire_len },
+                Payload::Value {
+                    value: b,
+                    wire_len: len,
+                },
+            ) => Arc::ptr_eq(a, b) && wire_len == len,
+            _ => false,
+        }
+    }
+}
+
 /// A self-describing message envelope.
 #[derive(Debug, Clone)]
 pub struct Message {
@@ -139,8 +196,8 @@ pub struct Message {
     /// Key/value metadata (timings, entity ids, model names), sorted by key, one entry
     /// per key.
     headers: Vec<(Cow<'static, str>, HeaderValue)>,
-    /// Opaque payload bytes.
-    pub payload: Bytes,
+    /// What the message carries.
+    pub payload: Payload,
 }
 
 /// Two messages are equal when their wire forms would be: a number equals the text of
@@ -171,13 +228,19 @@ impl Message {
             topic: topic.into(),
             kind: kind.into(),
             headers: Vec::new(),
-            payload: Bytes::new(),
+            payload: Payload::Bytes(Bytes::new()),
         }
     }
 
-    /// Attach a payload.
+    /// Attach a byte payload.
     pub fn with_payload(mut self, payload: impl Into<Bytes>) -> Self {
-        self.payload = payload.into();
+        self.payload = Payload::Bytes(payload.into());
+        self
+    }
+
+    /// Attach a shared value, priced as `wire_len` bytes on the wire.
+    pub fn with_value<T: Any + Send + Sync>(mut self, value: Arc<T>, wire_len: usize) -> Self {
+        self.payload = Payload::Value { value, wire_len };
         self
     }
 
@@ -256,20 +319,24 @@ impl Message {
         }
     }
 
-    /// Interpret the payload as UTF-8 text.
+    /// Interpret a byte payload as UTF-8 text.
     pub fn text(&self) -> Option<&str> {
-        std::str::from_utf8(&self.payload).ok()
+        match &self.payload {
+            Payload::Bytes(bytes) => std::str::from_utf8(bytes).ok(),
+            Payload::Value { .. } => None,
+        }
     }
 
-    /// Payload size in bytes.
+    /// Payload size on the wire, in bytes.
     pub fn payload_len(&self) -> usize {
-        self.payload.len()
+        self.payload.wire_len()
     }
 
     /// Exact size of the message on the wire: a 4-byte magic, a version byte, the
     /// 8-byte id, then topic, kind, each header key and value and the payload, each
     /// after a 4-byte length (the headers after a 4-byte count), a number in its wire
-    /// form. The message is never encoded; the link prices a hop by this size.
+    /// form; a value payload counts the length its sender declared. The message is never
+    /// encoded; the link prices a hop by this size.
     pub fn encoded_len(&self) -> usize {
         let headers: usize = self
             .headers
@@ -285,7 +352,7 @@ impl Message {
             + 4
             + headers
             + 4
-            + self.payload.len()
+            + self.payload.wire_len()
     }
 }
 
@@ -334,6 +401,27 @@ mod tests {
         // Reading a number as text renders it once; the length stays.
         assert_eq!(third.header("x"), Some("0.333333333"));
         assert_eq!(third.encoded_len(), 51);
+    }
+
+    #[test]
+    fn a_value_payload_is_shared_and_priced_at_its_declared_length() {
+        let value = Arc::new(String::from("never encoded"));
+        let m = Message::new("t", "k").with_value(Arc::clone(&value), 100);
+        // 29 + "t" 1 + "k" 1 + the declared 100.
+        assert_eq!((m.encoded_len(), m.payload_len()), (131, 100));
+        assert_eq!(m.text(), None, "a value is not text");
+        let copy = m.clone();
+        assert_eq!(m, copy, "clones share the value");
+        let mut other = Message::new("t", "k").with_value(Arc::new(value.to_string()), 100);
+        other.id = m.id;
+        assert_ne!(m, other, "values compare by identity");
+        assert!(m.payload.clone().downcast::<u64>().is_none(), "not a `u64`");
+        let back = m.payload.downcast::<String>().expect("a `String`");
+        assert!(Arc::ptr_eq(&back, &value), "the sender's value, not a copy");
+        assert!(Message::new("t", "k")
+            .payload
+            .downcast::<String>()
+            .is_none());
     }
 
     #[test]

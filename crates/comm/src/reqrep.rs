@@ -689,7 +689,8 @@ mod tests {
                 let queued = std::iter::from_fn(|| self.mailbox.try_recv());
                 for (msg, responder) in brought.into_iter().chain(queued) {
                     self.served_on.lock().push(thread::current().id());
-                    let echo = Message::new(msg.topic.clone(), "echo").with_payload(msg.payload);
+                    let mut echo = Message::new(msg.topic.clone(), "echo");
+                    echo.payload = msg.payload;
                     let _ = responder.reply(echo);
                 }
             });

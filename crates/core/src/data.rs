@@ -13,7 +13,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hpcml_sim::clock::SharedClock;
 use hpcml_sim::dist::Dist;
@@ -22,7 +21,7 @@ use crate::describe::DataDirective;
 use crate::metrics::RuntimeMetrics;
 
 /// Transfer performance model for one class of endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferProfile {
     /// Sustained bandwidth, MiB per second.
     pub bandwidth_mib_s: f64,

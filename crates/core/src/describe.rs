@@ -4,8 +4,6 @@
 //! `ServiceDescription`s through one API (Fig. 2, flow ①). Descriptions are pure data;
 //! the runtime turns them into stateful records at submission time.
 
-use serde::{Deserialize, Serialize};
-
 use hpcml_platform::{PlatformId, ResourceRequest};
 
 // Re-exported so description-level callers (the workflow DSL in particular) can name
@@ -15,7 +13,7 @@ use hpcml_serving::{ModelSpec, ServingConfig};
 use hpcml_sim::dist::Dist;
 
 /// A data staging directive: move a named dataset into or out of the task sandbox.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataDirective {
     /// Dataset name (for bookkeeping and metrics).
     pub name: String,
@@ -47,7 +45,7 @@ impl DataDirective {
 }
 
 /// How an inference client selects the services it sends requests to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServiceSelector {
     /// Explicit list of service names.
     Named(Vec<String>),
@@ -58,7 +56,7 @@ pub enum ServiceSelector {
 }
 
 /// What a task does when it executes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TaskKind {
     /// Does nothing (placeholder / dependency barrier).
     Noop,
@@ -117,7 +115,7 @@ impl TaskKind {
 }
 
 /// Description of a compute task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskDescription {
     /// User-facing task name.
     pub name: String,
@@ -237,7 +235,7 @@ impl TaskDescription {
 }
 
 /// Where a service instance runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServicePlacement {
     /// On the session's local pilot (resources are carved from the pilot allocation and
     /// the service is bootstrapped — launch/init/publish — at submission).
@@ -248,7 +246,7 @@ pub enum ServicePlacement {
 }
 
 /// Description of a service instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceDescription {
     /// User-facing service name; also the endpoint name clients look up.
     pub name: String,
@@ -264,7 +262,6 @@ pub struct ServiceDescription {
     /// The default is one replica that runs up to 8 requests on its backend at once,
     /// each joining the running batch when it is dispatched; `max_batch_size(1)` is the
     /// paper's one-request-at-a-time service.
-    #[serde(default)]
     pub serving: ServingConfig,
     /// Free-form tags.
     pub tags: Vec<(String, String)>,
@@ -354,7 +351,7 @@ impl ServiceDescription {
 }
 
 /// Description of a pilot (resource acquisition request).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PilotDescription {
     /// Target platform.
     pub platform: PlatformId,

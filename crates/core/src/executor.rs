@@ -1016,13 +1016,15 @@ impl Executor {
         let mut cursor = 0;
         let mut errors = 0u32;
         // One request, renewed per iteration: the prompt and the client id are written
-        // once, and the identifier over the previous one.
-        let mut request = InferenceRequest {
+        // once, and the identifier over the previous one. Each request message shares
+        // it with the service, whose replica lets go of it before it answers, so the
+        // renewal finds it unshared and copies nothing.
+        let mut request = Arc::new(InferenceRequest {
             request_id: String::new(),
             prompt,
             max_tokens,
             client_id: record.id.clone(),
-        };
+        });
         for _ in 0..requests {
             let target = (cursor..cursor + clients.len())
                 .map(|i| i % clients.len())
@@ -1030,10 +1032,13 @@ impl Executor {
                 .expect("at least one target");
             cursor = target + 1;
             let (endpoint_name, client) = &clients[target];
-            let request_index = request.renew_id();
+            let request_index = Arc::make_mut(&mut request).renew_id();
             let watch = Stopwatch::start(self.clock.as_ref());
             let mut reply = client
-                .request(inference_request_message(endpoint_name, &request))
+                .request(inference_request_message(
+                    endpoint_name,
+                    Arc::clone(&request),
+                ))
                 .map_err(RuntimeError::Comm)?;
             // An overloaded service sheds instead of queueing past the deadline; honor
             // its retry-after hint a bounded number of times on the virtual clock.
@@ -1047,7 +1052,10 @@ impl Executor {
                     .max(0.001);
                 self.clock.sleep(Duration::from_secs_f64(retry_after));
                 reply = client
-                    .request(inference_request_message(endpoint_name, &request))
+                    .request(inference_request_message(
+                        endpoint_name,
+                        Arc::clone(&request),
+                    ))
                     .map_err(RuntimeError::Comm)?;
             }
             let response_secs = watch.elapsed_secs();

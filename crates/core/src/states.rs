@@ -5,8 +5,6 @@
 //! the paper's overhead decomposition is computed from). This module defines the three
 //! state machines and their legal transitions; [`crate::records`] enforces them.
 
-use serde::{Deserialize, Serialize};
-
 /// Give a state enum its variant names and state-update topics as static strings, so
 /// that neither recording a transition nor publishing it formats `{state:?}`.
 macro_rules! state_names {
@@ -30,7 +28,7 @@ macro_rules! state_names {
 }
 
 /// States of a compute task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TaskState {
     /// Accepted by the client API.
     New,
@@ -96,7 +94,7 @@ impl TaskState {
 }
 
 /// States of a service instance (the paper's extension of the task model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ServiceState {
     /// Accepted by the client API.
     New,
@@ -173,7 +171,7 @@ impl ServiceState {
 }
 
 /// States of a pilot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PilotState {
     /// Accepted by the client API.
     New,

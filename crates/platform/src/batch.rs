@@ -81,7 +81,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hpcml_sim::clock::SharedClock;
 use hpcml_sim::dist::Dist;
@@ -130,7 +129,7 @@ impl std::fmt::Display for BatchError {
 impl std::error::Error for BatchError {}
 
 /// A request for a pilot-sized allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocationRequest {
     /// Number of whole nodes.
     pub nodes: usize,

@@ -8,12 +8,11 @@
 //! that behaviour with a calibrated contention term.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hpcml_sim::dist::Dist;
 
 /// The launch method used to place an executable on compute resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LauncherKind {
     /// Direct fork/exec on an already-provisioned node (cloud hosts, local tests).
     Fork,
@@ -72,7 +71,7 @@ impl std::fmt::Display for LauncherKind {
 /// `launch_time(n) = base + coeff * max(0, n - knee)^exponent` (seconds), where `base`
 /// is stochastic and the contention term is deterministic in the number of concurrent
 /// launches `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaunchModel {
     /// Which launcher this models.
     pub kind: LauncherKind,

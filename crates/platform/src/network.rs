@@ -8,12 +8,11 @@
 //! message hop.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hpcml_sim::dist::Dist;
 
 /// Where two endpoints sit relative to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkLocality {
     /// Same process / same node.
     SameNode,
@@ -24,7 +23,7 @@ pub enum NetworkLocality {
 }
 
 /// A one-way latency distribution for a network link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyProfile {
     /// One-way latency distribution, in milliseconds.
     pub one_way_ms: Dist,

@@ -15,8 +15,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Bits per occupancy word.
 const WORD_BITS: u32 = 128;
 
@@ -90,7 +88,7 @@ impl std::error::Error for ResourceError {}
 /// The policy travels with the request ([`ResourceRequest::packing`], `None` =
 /// [`GangPacking::Partial`]) and governs both direct gang placement and what a
 /// backfill drain is allowed to pin.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum GangPacking {
     /// Members land only on fully idle nodes (the pre-partial behaviour): strongest
     /// isolation, but ranks-per-node shares below a whole node waste the remainder,
@@ -105,7 +103,7 @@ pub enum GangPacking {
 }
 
 /// Shape of a compute node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// CPU cores per node.
     pub cores: u32,
@@ -137,7 +135,7 @@ impl NodeSpec {
 /// reserving the per-node shares, and released as a unit. Under
 /// [`GangPacking::Partial`] (the default) members best-fit onto partially free nodes;
 /// [`GangPacking::Whole`] restricts members to fully idle nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceRequest {
     /// CPU cores per member node.
     pub cores: u32,
@@ -251,7 +249,7 @@ impl Default for ResourceRequest {
 
 /// One node's share of a (possibly multi-node) slot: the concrete core/GPU indices and
 /// memory reserved on that node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotMember {
     /// Index of the node within the allocation.
     pub node_index: usize,
@@ -276,7 +274,7 @@ pub struct SlotMember {
 /// Single-node placements have exactly one member; multi-node MPI gangs hold one per
 /// member node (ordered by node index — the MPI rank order), all claimed atomically and
 /// released as a unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Slot {
     /// Unique slot identifier (within its allocation).
     pub id: u64,
@@ -405,7 +403,7 @@ fn return_unit(mask: &mut [u128], total: u32, id: u32) -> bool {
 /// their slots were evicted and they never re-enter any index. `Retired` nodes
 /// were removed by an explicit shrink ([`crate::batch::Allocation::shrink`]);
 /// like `Failed` it is terminal, but it is an orderly exit, not a fault.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum NodeHealth {
     /// In service and placeable.
     #[default]

@@ -10,14 +10,12 @@
 //! A [`PlatformSpec`] bundles the node shape, node count, launcher kind, and the
 //! latency profiles of its interconnect and of the WAN path towards remote platforms.
 
-use serde::{Deserialize, Serialize};
-
 use crate::launcher::LauncherKind;
 use crate::network::LatencyProfile;
 use crate::resources::NodeSpec;
 
 /// Identifier of a platform in the catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformId {
     /// OLCF Frontier (exascale, MI250X GPUs).
     Frontier,
@@ -58,7 +56,7 @@ impl std::fmt::Display for PlatformId {
 }
 
 /// Full description of a platform: node shape and count, launcher, latency profiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
     /// Catalog identifier.
     pub id: PlatformId,

@@ -5,14 +5,12 @@
 //! time is up (see [`crate::pool`]). Only requests beyond the cap wait. Nothing waits
 //! for company, so a batch is as wide as load makes it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::backend::CALIBRATED_BATCH_SIZE;
 
 /// Configuration of one service instance's serving plane. The defaults are one replica
 /// that runs up to [`CALIBRATED_BATCH_SIZE`] requests at once; `max_batch_size(1)` is
 /// the paper's service, one request at a time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingConfig {
     /// Number of `ModelHost` replicas behind the endpoint.
     pub replicas: usize,

@@ -28,9 +28,9 @@
 //!   time is up, only requests beyond the cap queue, and the replica parks on a timer
 //!   until the next sequence ends;
 //! * [`service`] — [`InferenceService`]: the admission front-end binding a
-//!   [`hpcml_comm::ReqRepServer`] endpoint to the serving plane — zero-copy request
-//!   decode, deadline-aware admission control with load shedding and replica
-//!   routing — decomposing each reply into the paper's `service` and
+//!   [`hpcml_comm::ReqRepServer`] endpoint to the serving plane — requests that
+//!   arrive as shared values, never encoded, deadline-aware admission control with
+//!   load shedding and replica routing — decomposing each reply into the paper's `service` and
 //!   `inference` time components; a resumable run too, advanced by the client thread
 //!   that sends a request and carries it into the pass, so a request that never waits
 //!   is never queued and never changes threads;
@@ -58,6 +58,5 @@ pub use config::ServingConfig;
 pub use host::ModelHost;
 pub use model::{ModelKind, ModelSpec};
 pub use pool::ReplicaPool;
-pub use protocol::ProtocolError;
-pub use request::{InferenceRequest, InferenceRequestView, InferenceResponse};
+pub use request::{InferenceRequest, InferenceResponse};
 pub use service::InferenceService;

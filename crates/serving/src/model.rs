@@ -6,12 +6,10 @@
 //! paper evaluates on; absolute numbers are documented in EXPERIMENTS.md and only the
 //! resulting *shapes* (init ≫ launch ≫ publish; inference ≫ communication) are relied on.
 
-use serde::{Deserialize, Serialize};
-
 use hpcml_sim::dist::Dist;
 
 /// What kind of capability a model exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Immediately replies without computing anything (experiment 2's NOOP model).
     Noop,
@@ -22,7 +20,7 @@ pub enum ModelKind {
 }
 
 /// Specification of a servable model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Model name (e.g. `llama-8b`).
     pub name: String,

@@ -62,13 +62,13 @@ use crate::host::ModelHost;
 use crate::protocol::*;
 use crate::request::InferenceRequest;
 
-/// One admitted request on its way from admission to a replica: the request — parsed
-/// once, at admission, and never copied — where its reply goes and what it has waited
-/// so far. A replica's queue holds these; a live sequence owns one.
+/// One admitted request on its way from admission to a replica: the request — as the
+/// client shared it, never copied — where its reply goes and what it has waited so far.
+/// A replica's queue holds these; a live sequence owns one.
 #[derive(Debug)]
 pub struct BatchItem {
-    /// The parsed request.
-    pub request: InferenceRequest,
+    /// The request, as it was received.
+    pub request: Arc<InferenceRequest>,
     /// Reply channel back to the requesting client.
     pub responder: Responder,
     /// Topic to reply on (the request message's topic).
@@ -91,7 +91,8 @@ pub struct BatchItem {
 fn reply_error(item: BatchItem, why: &str) {
     let reply = Message::new(item.topic, KIND_ERROR)
         .with_header(HDR_ERROR, why.to_string())
-        .with_header(HDR_REQUEST_ID, item.request.request_id);
+        .with_header(HDR_REQUEST_ID, item.request.request_id.clone());
+    drop(item.request);
     let _ = item.responder.reply(reply);
 }
 
@@ -366,9 +367,12 @@ impl Replica {
             .with_f64_header(HDR_INFERENCE_SECS, inference_secs)
             .with_header(HDR_MODEL, self.host.spec().name.clone())
             .with_u64_header(HDR_PROMPT_TOKENS, result.prompt_tokens.into())
-            .with_header(HDR_REQUEST_ID, item.request.request_id)
+            .with_header(HDR_REQUEST_ID, item.request.request_id.clone())
             .with_f64_header(HDR_SERVICE_SECS, service_secs)
             .with_payload(result.text);
+        // Let go of the request first: the client that shares it renews it in place
+        // once it has the reply.
+        drop(item.request);
         let _ = item.responder.reply(reply);
         self.settle();
     }
@@ -666,7 +670,7 @@ mod tests {
             });
             let (msg, responder) = self.endpoint.recv_timeout(Duration::from_secs(5)).unwrap();
             let item = BatchItem {
-                request: InferenceRequest::new("w ".repeat(40), 64),
+                request: Arc::new(InferenceRequest::new("w ".repeat(40), 64)),
                 responder,
                 topic: msg.topic,
                 admission_queue_secs: 0.0,

@@ -1,11 +1,13 @@
-//! The service API protocol: message kinds, header keys, and typed protocol errors.
+//! The service API protocol: message kinds and header keys.
 //!
 //! Every service instance, regardless of the model it hosts, speaks this protocol over
 //! its REQ/REP endpoint — this is the "unified API for ML models" of the paper's §III.
-//! The protocol is deliberately model-agnostic: an inference request carries an opaque
-//! binary prompt payload; replies carry the time-decomposition headers the metrics
-//! need. Overload is part of the protocol: a service may answer a request with a
-//! [`KIND_SHED`] reply carrying a retry-after hint instead of queueing it unboundedly.
+//! The protocol is deliberately model-agnostic: an inference request carries the
+//! [`crate::request::InferenceRequest`] itself, shared with its client and never encoded
+//! (a request message without one is answered with a [`KIND_ERROR`] reply); replies
+//! carry the time-decomposition headers the metrics need. Overload is part of the
+//! protocol: a service may answer a request with a [`KIND_SHED`] reply carrying a
+//! retry-after hint instead of queueing it unboundedly.
 
 /// Message kind: inference request (client → service).
 pub const KIND_INFER_REQUEST: &str = "inference.request";
@@ -50,62 +52,6 @@ pub const HDR_BATCH_SIZE: &str = "svc.batch_size";
 /// replica — its handling, as it passed on the clock.
 pub const HDR_BATCH_WAIT_SECS: &str = "svc.batch_wait_secs";
 
-/// A malformed wire payload, decoded into a typed error instead of a silent `None`.
-///
-/// Raised by [`crate::request::InferenceRequest::decode_view`] when an inference
-/// request payload does not parse; the service surfaces it verbatim on the
-/// [`KIND_ERROR`] reply so clients can distinguish codec failures from host failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// The payload ended before the named field was complete.
-    Truncated {
-        /// Which field the decoder was reading when the payload ran out.
-        field: &'static str,
-    },
-    /// The payload's version byte is not one this decoder understands.
-    UnsupportedVersion(u8),
-    /// A string field was not valid UTF-8.
-    InvalidUtf8 {
-        /// Which field held the invalid bytes.
-        field: &'static str,
-    },
-    /// Trailing bytes after a structurally complete payload (corrupt length prefix).
-    TrailingBytes {
-        /// Number of unconsumed bytes.
-        extra: usize,
-    },
-}
-
-impl std::fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtocolError::Truncated { field } => {
-                write!(f, "malformed inference request payload: truncated {field}")
-            }
-            ProtocolError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "malformed inference request payload: unsupported version {v}"
-                )
-            }
-            ProtocolError::InvalidUtf8 { field } => {
-                write!(
-                    f,
-                    "malformed inference request payload: invalid utf-8 in {field}"
-                )
-            }
-            ProtocolError::TrailingBytes { extra } => {
-                write!(
-                    f,
-                    "malformed inference request payload: {extra} trailing bytes"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,17 +80,5 @@ mod tests {
         ];
         let unique: std::collections::HashSet<&str> = all.iter().copied().collect();
         assert_eq!(unique.len(), all.len());
-    }
-
-    #[test]
-    fn protocol_errors_display_as_malformed() {
-        for err in [
-            ProtocolError::Truncated { field: "prompt" },
-            ProtocolError::UnsupportedVersion(9),
-            ProtocolError::InvalidUtf8 { field: "client_id" },
-            ProtocolError::TrailingBytes { extra: 3 },
-        ] {
-            assert!(err.to_string().contains("malformed"), "{err}");
-        }
     }
 }

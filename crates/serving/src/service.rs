@@ -3,9 +3,10 @@
 //! [`InferenceService::serve`] is what runs inside a *service task* once the runtime has
 //! launched it. The service is an admission front-end over the serving plane:
 //!
-//! 1. requests are admitted in arrival order and decoded zero-copy
-//!    ([`InferenceRequest::decode_view`]); malformed payloads get a typed protocol
-//!    error reply;
+//! 1. requests are admitted in arrival order; each carries its [`InferenceRequest`] as
+//!    a value shared with the client ([`inference_request_message`]), which admission
+//!    reads and hands on as it is — a request message without one gets a [`KIND_ERROR`]
+//!    reply;
 //! 2. admission control sheds requests when `queue_capacity` requests are already
 //!    admitted and unanswered, or when a request's deadline cannot be met at the
 //!    current estimated queue delay ([`KIND_SHED`] + [`HDR_RETRY_AFTER_SECS`]);
@@ -322,8 +323,8 @@ impl FrontEnd {
         }
     }
 
-    /// Admit one inference request, carried or queued: shed it, or parse it, spend its
-    /// handling time and dispatch it.
+    /// Admit one inference request, carried or queued: shed it, or spend its handling
+    /// time and dispatch it.
     fn admit_inference(&self, msg: Message, responder: Responder, admission: &mut Admission) {
         let arrived_secs = self.clock.now().as_secs_f64();
         // Time already spent in the endpoint queue counts toward `service` time; the
@@ -332,15 +333,13 @@ impl FrontEnd {
             .f64_header(HDR_ENQUEUED_AT)
             .map(|enq| (arrived_secs - enq).max(0.0))
             .unwrap_or(0.0);
+        let deadline = msg.f64_header(HDR_DEADLINE_SECS);
 
-        let view = match InferenceRequest::decode_view(&msg.payload) {
-            Ok(view) => view,
-            Err(err) => {
-                let reply =
-                    Message::new(msg.topic, KIND_ERROR).with_header(HDR_ERROR, err.to_string());
-                let _ = responder.reply(reply);
-                return;
-            }
+        let Some(request) = msg.payload.downcast::<InferenceRequest>() else {
+            let reply = Message::new(msg.topic, KIND_ERROR)
+                .with_header(HDR_ERROR, "malformed inference request: no request value");
+            let _ = responder.reply(reply);
+            return;
         };
 
         // Shed rather than admit beyond the bound on unanswered requests, and reject
@@ -348,23 +347,21 @@ impl FrontEnd {
         // the estimated queue delay already exceeds.
         let backlog = self.pool.total_outstanding();
         let late = |deadline_secs| self.pool.estimated_queue_delay_secs(backlog) > deadline_secs;
-        let deadline = msg.f64_header(HDR_DEADLINE_SECS);
         if backlog >= self.config.queue_capacity as u64
             || (self.config.shed_deadlines && deadline.is_some_and(late))
         {
-            self.shed(msg.topic, view.request_id, responder, backlog);
+            self.shed(msg.topic, &request.request_id, responder, backlog);
             return;
         }
 
-        // Parsing / deserialisation overhead.
+        // The modelled parsing / serialisation overhead of a real service.
         let handling_secs = self.handling_overhead.sample(&mut admission.rng).max(0.0);
         self.clock.sleep(Duration::from_secs_f64(handling_secs));
 
         let now = self.clock.now();
         let dispatched_secs = now.as_secs_f64();
         let item = BatchItem {
-            // The one copy of the request: from here on it is moved, never cloned.
-            request: view.to_request(),
+            request,
             responder,
             topic: msg.topic,
             admission_queue_secs,
@@ -394,18 +391,26 @@ impl FrontEnd {
     }
 }
 
-/// Build the wire message for an inference request (client side helper).
-pub fn inference_request_message(endpoint: &str, request: &InferenceRequest) -> Message {
+/// Build the message for an inference request (client side helper). The message
+/// carries `request` itself, shared and never encoded, priced at its
+/// [`InferenceRequest::wire_len`]; a client that keeps an `Arc` of it can renew it in
+/// place once the reply has come (a replica lets go of it before it answers).
+pub fn inference_request_message(
+    endpoint: &str,
+    request: impl Into<Arc<InferenceRequest>>,
+) -> Message {
+    let request = request.into();
+    let wire_len = request.wire_len();
     Message::new(endpoint.to_string(), KIND_INFER_REQUEST)
         .with_header(HDR_REQUEST_ID, request.request_id.clone())
-        .with_payload(request.encode_payload())
+        .with_value(request, wire_len)
 }
 
 /// [`inference_request_message`] with a completion deadline attached: the service sheds
 /// the request upfront when its estimated queue delay exceeds `deadline_secs`.
 pub fn inference_request_message_with_deadline(
     endpoint: &str,
-    request: &InferenceRequest,
+    request: impl Into<Arc<InferenceRequest>>,
     deadline_secs: f64,
 ) -> Message {
     inference_request_message(endpoint, request).with_f64_header(HDR_DEADLINE_SECS, deadline_secs)
@@ -487,7 +492,7 @@ mod tests {
         let (stop, handle, client) = start_service(ModelSpec::noop(), Arc::clone(&c));
         let req = InferenceRequest::new("ping", 1).from_client("task.0");
         let reply = client
-            .request(inference_request_message("svc.test", &req))
+            .request(inference_request_message("svc.test", req))
             .unwrap();
         assert_eq!(reply.kind, KIND_INFER_REPLY);
         assert_eq!(reply.f64_header(HDR_INFERENCE_SECS), Some(0.0));
@@ -504,7 +509,7 @@ mod tests {
         let (stop, handle, client) = start_service(ModelSpec::sim_llama_8b(), Arc::clone(&c));
         let req = InferenceRequest::new("word ".repeat(60), 128).from_client("task.1");
         let reply = client
-            .request(inference_request_message("svc.test", &req))
+            .request(inference_request_message("svc.test", req))
             .unwrap();
         assert_eq!(reply.kind, KIND_INFER_REPLY);
         let inference = reply.f64_header(HDR_INFERENCE_SECS).unwrap();
@@ -528,13 +533,44 @@ mod tests {
     fn malformed_payload_yields_error_reply() {
         let c = clock();
         let (stop, handle, client) = start_service(ModelSpec::noop(), Arc::clone(&c));
+        // A request message that carries no `InferenceRequest`: text, or nothing.
+        for malformed in [
+            Message::new("svc.test", KIND_INFER_REQUEST).with_text("not a valid payload"),
+            Message::new("svc.test", KIND_INFER_REQUEST),
+        ] {
+            let reply = client.request(malformed).unwrap();
+            assert_eq!(reply.kind, KIND_ERROR);
+            assert!(reply.header(HDR_ERROR).unwrap().contains("malformed"));
+        }
+        // The service still answers a valid request on the same endpoint.
+        let req = InferenceRequest::new("still here", 1).from_client("task.0");
+        let id = req.request_id.clone();
         let reply = client
-            .request(Message::new("svc.test", KIND_INFER_REQUEST).with_text("not a valid payload"))
+            .request(inference_request_message("svc.test", req))
             .unwrap();
-        assert_eq!(reply.kind, KIND_ERROR);
-        assert!(reply.header(HDR_ERROR).unwrap().contains("malformed"));
+        assert_eq!(reply.kind, KIND_INFER_REPLY);
+        assert_eq!(reply.header(HDR_REQUEST_ID), Some(id.as_str()));
         stop.store(true, Ordering::Release);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_request_message_is_priced_at_its_hand_counted_wire_length() {
+        let request = Arc::new(InferenceRequest {
+            request_id: "request.000042".into(),
+            prompt: "What does a low dose of radiation do to a cell?".into(),
+            max_tokens: 64,
+            client_id: "task.000007".into(),
+        });
+        // The request: version 1 + four 4-byte fields (three string lengths and
+        // `max_tokens`) + "request.000042" 14 + "task.000007" 11 + the 47-byte prompt
+        // = 89. The message: fixed part 29 + "svc.pin" 7 + "inference.request" 17
+        //    + 8 + "svc.request_id" 14 + "request.000042" 14 + the request 89 = 178.
+        let message = inference_request_message("svc.pin", Arc::clone(&request));
+        assert_eq!(message.encoded_len(), 178);
+        // + 8 + "svc.deadline_secs" 17 + "2.500000000" 11 = 214.
+        let message = inference_request_message_with_deadline("svc.pin", request, 2.5);
+        assert_eq!(message.encoded_len(), 214);
     }
 
     #[test]
@@ -577,7 +613,7 @@ mod tests {
         assert_eq!(pong.header("ready"), Some("false"));
         let req = InferenceRequest::new("early", 4);
         let reply = client
-            .request(inference_request_message("svc.cold", &req))
+            .request(inference_request_message("svc.cold", req))
             .unwrap();
         assert_eq!(reply.kind, KIND_ERROR);
         assert!(reply.header(HDR_ERROR).unwrap().contains("not loaded"));
@@ -628,7 +664,7 @@ mod tests {
                 let requester = thread::spawn(move || {
                     let req = InferenceRequest::new("w ".repeat(40), 64);
                     client
-                        .request(inference_request_message("svc.q", &req))
+                        .request(inference_request_message("svc.q", req))
                         .unwrap()
                 });
                 // Its handling sleep, beside the first's timer if there is one.
@@ -681,7 +717,7 @@ mod tests {
                 thread::spawn(move || {
                     let req =
                         InferenceRequest::new("q ".repeat(30), 64).from_client(format!("task.{i}"));
-                    cl.request(inference_request_message("svc.test", &req))
+                    cl.request(inference_request_message("svc.test", req))
                         .unwrap()
                 })
             })
@@ -746,7 +782,7 @@ mod tests {
             let cl = client.clone();
             let requester = thread::spawn(move || {
                 let req = InferenceRequest::new("w ".repeat(40), 64);
-                cl.request(inference_request_message("svc.full", &req))
+                cl.request(inference_request_message("svc.full", req))
                     .unwrap()
             });
             // Its handling sleep, beside the running batch's timer if there is one.
@@ -760,7 +796,7 @@ mod tests {
         let (first, second) = (admit(1), admit(2));
         let req = InferenceRequest::new("x", 1);
         let shed = client
-            .request(inference_request_message("svc.full", &req))
+            .request(inference_request_message("svc.full", req))
             .unwrap();
         assert_eq!(shed.kind, KIND_SHED, "{:?}", shed.header(HDR_ERROR));
         assert!(shed.f64_header(HDR_RETRY_AFTER_SECS).unwrap() > 0.0);
@@ -789,14 +825,14 @@ mod tests {
         // Warm the service-time estimate with one completed request.
         let warm = InferenceRequest::new("w ".repeat(40), 64);
         client
-            .request(inference_request_message("svc.test", &warm))
+            .request(inference_request_message("svc.test", warm))
             .unwrap();
         // Occupy the replica...
         let blocker = client.clone();
         let blocker_handle = thread::spawn(move || {
             let req = InferenceRequest::new("w ".repeat(40), 64);
             blocker
-                .request(inference_request_message("svc.test", &req))
+                .request(inference_request_message("svc.test", req))
                 .unwrap()
         });
         thread::sleep(Duration::from_millis(1));
@@ -805,7 +841,7 @@ mod tests {
         let req = InferenceRequest::new("now or never", 64);
         let reply = client
             .request(inference_request_message_with_deadline(
-                "svc.test", &req, 0.001,
+                "svc.test", req, 0.001,
             ))
             .unwrap();
         assert_eq!(reply.kind, KIND_SHED, "{:?}", reply.header(HDR_ERROR));
@@ -827,7 +863,7 @@ mod tests {
                 let cl = client.clone();
                 thread::spawn(move || {
                     let req = InferenceRequest::new("w ".repeat(40), 64);
-                    cl.request(inference_request_message("svc.test", &req))
+                    cl.request(inference_request_message("svc.test", req))
                         .unwrap()
                 })
             })
@@ -859,7 +895,7 @@ mod tests {
         let requester = thread::spawn(move || {
             let req = InferenceRequest::new("early bird", 1);
             client
-                .request(inference_request_message("svc.early", &req))
+                .request(inference_request_message("svc.early", req))
                 .unwrap()
         });
         while endpoint.queue_len() == 0 {
@@ -896,7 +932,7 @@ mod tests {
             let requester = scope.spawn(|| {
                 let req = InferenceRequest::new("behind the holder", 1);
                 client
-                    .request(inference_request_message("svc.held", &req))
+                    .request(inference_request_message("svc.held", req))
                     .unwrap()
             });
             // Its bounded wait runs out; it queues and notifies the holder.
@@ -956,7 +992,7 @@ mod tests {
         let requester = thread::spawn(move || {
             let req = InferenceRequest::new("too late", 1);
             client.request_timeout(
-                inference_request_message("svc.late", &req),
+                inference_request_message("svc.late", req),
                 Duration::from_secs(30),
             )
         });
@@ -983,7 +1019,7 @@ mod tests {
         let requester = thread::spawn(move || {
             let req = InferenceRequest::new("alone in its batch", 1);
             client
-                .request(inference_request_message("svc.test", &req))
+                .request(inference_request_message("svc.test", req))
                 .unwrap()
         });
         // Admission runs on the requester's thread and spends its handling time (tens
@@ -1038,7 +1074,7 @@ mod tests {
         let ask = |prompt: &str| {
             let req = InferenceRequest::new(prompt, 1);
             client
-                .request(inference_request_message("svc.panicky", &req))
+                .request(inference_request_message("svc.panicky", req))
                 .unwrap()
         };
         assert_eq!(ask("fine").kind, KIND_INFER_REPLY);

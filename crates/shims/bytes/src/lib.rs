@@ -2,9 +2,7 @@
 //!
 //! [`Bytes`] is an `Arc<Vec<u8>>`, so `clone` is an O(1) reference-count bump. An
 //! empty buffer ([`Bytes::new`]) has no storage and allocates nothing, as in the real
-//! crate. [`BytesMut`] is a thin `Vec<u8>` wrapper implementing the [`BufMut`] writer
-//! surface, frozen into [`Bytes`] without copying the bytes (the `Vec` moves behind
-//! the `Arc` as-is).
+//! crate.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -115,81 +113,9 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-/// Growable byte buffer, frozen into [`Bytes`] without copying.
-#[derive(Default, Debug, Clone, PartialEq, Eq)]
-pub struct BytesMut {
-    vec: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer with room for `cap` bytes.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            vec: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
-    }
-
-    /// Convert into an immutable [`Bytes`] without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.vec)
-    }
-}
-
-/// Writer surface over a growable byte buffer.
-pub trait BufMut {
-    /// Append raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Append one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Append a big-endian u32.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian u64.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.vec.extend_from_slice(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn writer_freezes_what_it_wrote() {
-        let mut w = BytesMut::with_capacity(32);
-        assert!(w.is_empty());
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u8(7);
-        w.put_u64(42);
-        w.put_slice(b"abc");
-        assert_eq!(w.len(), 4 + 1 + 8 + 3);
-        let frozen = w.freeze();
-        assert_eq!(&frozen[..5], &[0xDE, 0xAD, 0xBE, 0xEF, 7]);
-        assert_eq!(&frozen[5..13], &42u64.to_be_bytes());
-        assert_eq!(&frozen[13..], b"abc");
-    }
 
     #[test]
     fn clones_share_storage() {

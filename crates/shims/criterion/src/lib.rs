@@ -5,8 +5,13 @@
 //! time. No statistical regression machinery — the workspace benches compare orders of
 //! magnitude (e.g. allocation latency across node counts), for which median ns/iter is
 //! plenty. Output format: `name  time: [median ns/iter]  iters: N`.
+//!
+//! As with criterion, the first argument after `--` that is not a flag filters the
+//! benches by name: `cargo bench --bench runtime_hotpaths -- metrics` runs only those
+//! whose name contains `metrics`.
 
 use std::fmt::Display;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -168,12 +173,28 @@ impl Bencher {
     }
 }
 
+/// The name filter of this run: the first command-line argument that is not a flag.
+fn filter() -> Option<&'static str> {
+    static FILTER: OnceLock<Option<String>> = OnceLock::new();
+    FILTER
+        .get_or_init(|| std::env::args().skip(1).find(|arg| !arg.starts_with('-')))
+        .as_deref()
+}
+
+/// Whether the bench `name` runs under `filter`: every bench when there is none.
+fn selected(filter: Option<&str>, name: &str) -> bool {
+    filter.is_none_or(|filter| name.contains(filter))
+}
+
 fn run_bench<F: FnMut(&mut Bencher)>(
     name: &str,
     sample_size: usize,
     measurement_time: Duration,
     mut f: F,
 ) {
+    if !selected(filter(), name) {
+        return;
+    }
     let mut b = Bencher {
         samples: Vec::new(),
         sample_size,
@@ -215,7 +236,8 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            // cargo bench passes harness flags (e.g. `--bench`); ignore them.
+            // cargo bench passes harness flags (e.g. `--bench`), which are ignored;
+            // a name filter is read where each bench runs.
             $( $group(); )+
         }
     };
@@ -240,6 +262,21 @@ mod tests {
         });
         group.finish();
         assert!(count > 0);
+    }
+
+    #[test]
+    fn a_filter_selects_the_benches_whose_name_contains_it() {
+        assert!(
+            selected(None, "metrics/record_count/16"),
+            "no filter: every bench"
+        );
+        assert!(selected(Some("metrics"), "metrics/record_count/16"));
+        assert!(selected(Some("record_count/1"), "metrics/record_count/16"));
+        assert!(!selected(Some("metrics"), "scheduler/allocate_release/4"));
+        assert!(
+            !selected(Some("Metrics"), "metrics/record_scalar/1"),
+            "case matters"
+        );
     }
 
     #[test]

@@ -14,7 +14,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
 
 /// A point in virtual time, measured from the owning clock's epoch.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// return exactly what the `Duration` the stamp was made from returns. Stamps saturate
 /// at `u64::MAX` ns (≈ 584 virtual years): [`SimTime::from_duration`] and `+ Duration`
 /// clamp there where `Duration` arithmetic would overflow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -188,7 +187,7 @@ pub trait Clock: Send + Sync {
 pub type SharedClock = Arc<dyn Clock>;
 
 /// Declarative clock configuration, serialisable into experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClockSpec {
     /// Wall-clock time, no compression.
     Real,

@@ -2,16 +2,15 @@
 //!
 //! The experiment harness needs reproducible randomness (same seed → same figure), so
 //! every model that samples a duration takes an explicit `&mut impl Rng`. Distributions
-//! are plain `serde`-serialisable values so platform/model calibration constants can be
-//! embedded in experiment configurations.
+//! are plain `Copy` values, so platform/model calibration constants can be embedded in
+//! experiment configurations.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A univariate distribution over non-negative real values (durations in seconds,
 /// latencies, token counts, ...). Samples are clamped at zero where the underlying
 /// distribution admits negative values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Dist {
     /// Always returns the same value.
     Constant(f64),

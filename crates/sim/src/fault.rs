@@ -10,10 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One scheduled node failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Virtual time (seconds since the session epoch) at which the failure fires.
     pub at_secs: f64,
@@ -26,7 +25,7 @@ pub struct FaultEvent {
 /// Build one explicitly with [`FaultPlan::fail_at`] or derive one from a seed with
 /// [`FaultPlan::seeded`]; either way the plan is a pure value — injecting it is the
 /// session's job.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
-use serde::{Deserialize, Serialize};
 
 use crate::stats::Summary;
 
@@ -173,7 +172,7 @@ impl Counts {
 /// Samples are kept one per request for the length of a session, so a sample is two
 /// allocations — the entity and one exactly-sized component list — and component
 /// names, which are constants of the recording code, are borrowed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSample {
     /// Identifier of the measured entity (service id, request id, ...).
     pub entity: String,

@@ -6,10 +6,8 @@
 //! algorithm, mergeable across threads) and batch summaries with percentiles
 //! ([`Summary`]), plus a fixed-bin [`Histogram`] for distribution plots.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -119,7 +117,7 @@ impl OnlineStats {
 }
 
 /// Batch summary of a sample set: mean, std, min/max, and selected percentiles.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -197,7 +195,7 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -10,8 +10,6 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use hpcml_runtime::describe::{ServiceDescription, TaskDescription};
 use hpcml_runtime::error::RuntimeError;
 use hpcml_runtime::records::{ServiceHandle, TaskHandle};
@@ -20,7 +18,7 @@ use hpcml_runtime::states::TaskState;
 use hpcml_sim::clock::Stopwatch;
 
 /// One stage of a pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// Stage name.
     pub name: String,
@@ -70,7 +68,7 @@ impl Stage {
 }
 
 /// A pipeline: an ordered list of stages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pipeline {
     /// Pipeline name.
     pub name: String,
@@ -105,7 +103,7 @@ impl Pipeline {
 }
 
 /// Outcome of one executed stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Stage name.
     pub name: String,
@@ -120,7 +118,7 @@ pub struct StageReport {
 }
 
 /// Outcome of a pipeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Pipeline name.
     pub pipeline: String,

@@ -12,10 +12,9 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One tunable parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamSpec {
     /// Parameter name (e.g. `learning_rate`).
     pub name: String,
@@ -95,7 +94,7 @@ impl ParamSpec {
 }
 
 /// Which sampling strategy a study uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplerKind {
     /// Independent uniform sampling.
     Random,
@@ -105,7 +104,7 @@ pub enum SamplerKind {
 }
 
 /// One suggested parameter assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trial {
     /// Trial index within its study.
     pub id: usize,

@@ -10,8 +10,6 @@
 //!    each on one GPU, while a feature-extraction service (the fine-tuned ViT exposed
 //!    through the runtime's service interface) answers classification requests.
 
-use serde::{Deserialize, Serialize};
-
 use hpcml_runtime::describe::{DataDirective, ServiceDescription, TaskDescription, TaskKind};
 use hpcml_serving::ModelSpec;
 use hpcml_sim::dist::Dist;
@@ -20,7 +18,7 @@ use crate::dsl::{Pipeline, Stage};
 use crate::hpo::{HpoStudy, SamplerKind};
 
 /// Scale parameters of the Cell Painting pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellPaintingConfig {
     /// Number of dataset shards processed in stage 1.
     pub shards: usize,

@@ -14,10 +14,8 @@ pub use cell_painting::{cell_painting_pipeline, CellPaintingConfig};
 pub use signature_detection::{signature_detection_pipeline, SignatureDetectionConfig};
 pub use uq::{uncertainty_quantification_pipeline, UqConfig};
 
-use serde::{Deserialize, Serialize};
-
 /// One row of the paper's Table I.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UseCaseRow {
     /// Pipeline identifier (1-3).
     pub id: u8,

@@ -10,8 +10,6 @@
 //!    enriched results and literature to generate hypotheses; analysis tasks send it
 //!    inference requests.
 
-use serde::{Deserialize, Serialize};
-
 use hpcml_runtime::describe::{DataDirective, ServiceDescription, TaskDescription, TaskKind};
 use hpcml_serving::ModelSpec;
 use hpcml_sim::dist::Dist;
@@ -19,7 +17,7 @@ use hpcml_sim::dist::Dist;
 use crate::dsl::{Pipeline, Stage};
 
 /// Scale parameters of the Signature Detection pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignatureDetectionConfig {
     /// Number of VCF samples (paper: 15).
     pub samples: usize,

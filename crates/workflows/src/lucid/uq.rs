@@ -21,8 +21,6 @@
 //! distinct nodes (co-locating on partially free ones under the default
 //! [`GangPacking::Partial`] policy; see [`UqConfig::mpi_sim_packing`]).
 
-use serde::{Deserialize, Serialize};
-
 use hpcml_runtime::describe::{
     DataDirective, GangPacking, ServiceDescription, TaskDescription, TaskKind,
 };
@@ -32,7 +30,7 @@ use hpcml_sim::dist::Dist;
 use crate::dsl::{Pipeline, Stage};
 
 /// Scale parameters of the UQ pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UqConfig {
     /// UQ methods evaluated at the innermost level.
     pub methods: Vec<String>,

@@ -1817,10 +1817,11 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
                     let mut answered: Vec<String> = Vec::new();
                     start.wait();
                     while answered.len() < REQUESTS {
-                        let sent = InferenceRequest::new("p", 1).from_client(format!("c{c}"));
+                        let sent =
+                            Arc::new(InferenceRequest::new("p", 1).from_client(format!("c{c}")));
                         let reply = client
                             .request_timeout(
-                                inference_request_message("prop.serving", &sent),
+                                inference_request_message("prop.serving", Arc::clone(&sent)),
                                 Duration::from_secs(30),
                             )
                             .unwrap();
@@ -1835,7 +1836,7 @@ fn serving_interleavings_answer_every_request_exactly_once_in_client_order() {
                             (1..=max_batch).contains(&batch),
                             "case {case}: a batch of {batch} against a cap of {max_batch}"
                         );
-                        answered.push(sent.request_id);
+                        answered.push(sent.request_id.clone());
                         // A request waits only for room in the batch: whatever queues at
                         // a replica with room is begun by whoever holds it before it
                         // parks. A dispatcher queues a moment before it takes or

@@ -367,7 +367,7 @@ fn overload_sheds_and_admitted_requests_keep_bounded_delay() {
     let warm = InferenceRequest::new("w ".repeat(40), 64);
     let reply = h
         .client
-        .request(inference_request_message("svc.plane", &warm))
+        .request(inference_request_message("svc.plane", warm))
         .unwrap();
     assert_eq!(
         reply.kind,
@@ -389,7 +389,7 @@ fn overload_sheds_and_admitted_requests_keep_bounded_delay() {
                 client
                     .request(inference_request_message_with_deadline(
                         "svc.plane",
-                        &req,
+                        req,
                         deadline_secs,
                     ))
                     .unwrap()
@@ -445,7 +445,7 @@ fn batched_dispatch_preserves_per_client_order_and_batches() {
                         .from_client(format!("client.{c}"));
                     let sent_id = req.request_id.clone();
                     let reply = client
-                        .request(inference_request_message("svc.plane", &req))
+                        .request(inference_request_message("svc.plane", req))
                         .unwrap();
                     assert_eq!(reply.kind, KIND_INFER_REPLY, "client {c} req {i}");
                     assert_eq!(
@@ -491,7 +491,7 @@ fn pool_scale_up_and_drain_down() {
             thread::spawn(move || {
                 let req = InferenceRequest::new("d ".repeat(30), 48);
                 client
-                    .request(inference_request_message("svc.plane", &req))
+                    .request(inference_request_message("svc.plane", req))
                     .unwrap()
             })
         })
@@ -525,7 +525,7 @@ fn a_lone_closed_loop_client_is_never_batched() {
         let req = InferenceRequest::new("one at a time", 16);
         let reply = h
             .client
-            .request(inference_request_message("svc.plane", &req))
+            .request(inference_request_message("svc.plane", req))
             .unwrap();
         assert_eq!(reply.kind, KIND_INFER_REPLY);
         assert_eq!(reply.header(HDR_BATCH_SIZE), Some("1"));
@@ -751,7 +751,7 @@ fn three_requests(max_batch_size: usize, jump: Jump) -> ThreeRequests {
             let client = client.clone();
             let requester = thread::spawn(move || {
                 client
-                    .request(inference_request_message("svc.plane", &the_request()))
+                    .request(inference_request_message("svc.plane", the_request()))
                     .unwrap()
             });
             // Admission sleeps the handling time (tens of virtual µs) on the clock, on
