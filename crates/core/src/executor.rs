@@ -73,8 +73,8 @@
 //! [`TaskDescription`] by value into the run, beside the slot the run holds from
 //! placement to release; the stages read the run's copy. Both are freed with the run —
 //! after its final advance, once no waker or timer entry refers to it — and what the
-//! session keeps of the task is the [`TaskRecord`]: id, state log, platform, retry
-//! count.
+//! session keeps of the task is the [`TaskRecord`]: the id's index, state log,
+//! platform, retry count.
 //!
 //! ## Services
 //!
@@ -328,16 +328,17 @@ impl Executor {
             .wrapping_add(self.seed_counter.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Publish `id`'s entry into `state`. The message is built only if a subscriber's
-    /// prefix matches the topic; a session nobody listens to pays one atomic load for
-    /// the match and one `comm.fanout.width` count into the session metrics (a stripe
-    /// lock). It may wait in an inbox until its subscriber drains, so its two headers
-    /// get a `Vec` of two, not the four a `Vec` grown one push at a time would keep.
-    fn publish_state<S: StateModel>(&self, id: &str, state: S) {
+    /// Publish an entity's entry into `state`; `entity` renders the entity's id. The
+    /// message — and the id in it — is built only if a subscriber's prefix matches
+    /// the topic; a session nobody listens to pays one atomic load for the match and
+    /// one `comm.fanout.width` count into the session metrics (a stripe lock). It may
+    /// wait in an inbox until its subscriber drains, so its two headers get a `Vec` of
+    /// two, not the four a `Vec` grown one push at a time would keep.
+    fn publish_state<S: StateModel>(&self, entity: impl FnOnce() -> String, state: S) {
         self.publisher.publish_with(state.topic(), || {
             Message::new(state.topic(), "state.update")
                 .with_header_room(2)
-                .with_header("entity", id.to_string())
+                .with_header("entity", entity())
                 .with_header("state", state.name())
         });
     }
@@ -422,7 +423,7 @@ impl Executor {
             if !record.state.current().is_final() {
                 record.state.fail(ServiceState::Failed, e.to_string());
             }
-            self.publish_state(&record.id, ServiceState::Failed);
+            self.publish_state(|| record.id.clone(), ServiceState::Failed);
         }
     }
 
@@ -437,7 +438,7 @@ impl Executor {
 
         // ② scheduling / placement.
         record.state.transition(ServiceState::Scheduling)?;
-        self.publish_state(&record.id, ServiceState::Scheduling);
+        self.publish_state(|| record.id.clone(), ServiceState::Scheduling);
         let slot = if is_local {
             let scheduler = scheduler.ok_or_else(|| {
                 RuntimeError::InvalidState("local service submitted without an active pilot".into())
@@ -457,7 +458,7 @@ impl Executor {
 
         // ③ launch the service executable on its target resources.
         record.state.transition(ServiceState::Launching)?;
-        self.publish_state(&record.id, ServiceState::Launching);
+        self.publish_state(|| record.id.clone(), ServiceState::Launching);
         let mut rng = StdRng::seed_from_u64(self.next_seed());
         let launch_watch = Stopwatch::start(self.clock.as_ref());
         let in_flight = self.concurrent_launches.fetch_add(1, Ordering::AcqRel) + 1;
@@ -559,7 +560,7 @@ impl Executor {
             self.metrics.record_bootstrap(&record.id, bootstrap);
         }
         record.state.transition(ServiceState::Ready)?;
-        self.publish_state(&record.id, ServiceState::Ready);
+        self.publish_state(|| record.id.clone(), ServiceState::Ready);
 
         // Serve until asked to stop. Serving-plane metrics flow into the runtime
         // metrics store, the plane's sink, alongside the task/service scalars.
@@ -583,7 +584,7 @@ impl Executor {
         if record.state.current() == ServiceState::Stopping {
             record.state.transition(ServiceState::Stopped)?;
         }
-        self.publish_state(&record.id, ServiceState::Stopped);
+        self.publish_state(|| record.id.clone(), ServiceState::Stopped);
         if let Some((scheduler, slot)) = &slot {
             scheduler.release(slot)?;
         }
@@ -618,7 +619,7 @@ impl Executor {
                 Park::Blocking => {
                     // The run stays held; the entity thread takes it over.
                     let this = Arc::clone(self);
-                    let name = run.record.id.clone();
+                    let name = run.record.id();
                     self.spawn_entity(&name, move || this.drive(run, true));
                     return;
                 }
@@ -666,7 +667,7 @@ impl Executor {
                 // A retry comes back already in `Scheduling`: the retry edge entered
                 // and published it when the attempt failed.
                 if record.state.transition(TaskState::Scheduling)?.is_some() {
-                    self.publish_state(&record.id, TaskState::Scheduling);
+                    self.publish_state(|| record.id(), TaskState::Scheduling);
                 }
                 // Readiness relations: every service named in `after_services` must
                 // have published its endpoint before this task starts. Only a
@@ -741,7 +742,7 @@ impl Executor {
                 // Execution began when the state was entered: nobody reads that twice.
                 let entered = record.state.transition(TaskState::Executing)?;
                 let started = entered.expect("an attempt enters `Executing` once");
-                self.publish_state(&record.id, TaskState::Executing);
+                self.publish_state(|| record.id(), TaskState::Executing);
                 let until = match &desc.kind {
                     TaskKind::Noop => Some(started),
                     TaskKind::Compute { duration_secs } => {
@@ -803,7 +804,7 @@ impl Executor {
                 }
                 // Released first, observable second, published last.
                 record.state.transition(TaskState::Done)?;
-                self.publish_state(&record.id, TaskState::Done);
+                self.publish_state(|| record.id(), TaskState::Done);
                 Stage::Done
             }
             Stage::Backoff(until) => {
@@ -849,7 +850,7 @@ impl Executor {
             // The retry edge: the record is back in `Scheduling` for the whole backoff,
             // and the next attempt's `Admitted` stage finds it there.
             if matches!(record.state.transition(TaskState::Scheduling), Ok(Some(_))) {
-                self.publish_state(&record.id, TaskState::Scheduling);
+                self.publish_state(|| record.id(), TaskState::Scheduling);
             }
             let backoff = RETRY_BACKOFF_BASE_SECS * f64::from(1u32 << retries.min(16));
             state.stage = Stage::Backoff(self.clock.now() + Duration::from_secs_f64(backoff));
@@ -858,7 +859,7 @@ impl Executor {
         if !record.state.current().is_final() {
             record.state.fail(TaskState::Failed, err.to_string());
         }
-        self.publish_state(&record.id, TaskState::Failed);
+        self.publish_state(|| record.id(), TaskState::Failed);
         state.stage = Stage::Done;
     }
 
@@ -1023,7 +1024,7 @@ impl Executor {
             request_id: String::new(),
             prompt,
             max_tokens,
-            client_id: record.id.clone(),
+            client_id: record.id(),
         });
         for _ in 0..requests {
             let target = (cursor..cursor + clients.len())
@@ -1151,9 +1152,11 @@ mod tests {
         )
     }
 
-    /// A record in `New` for `id`, its run started on the fixture's scheduler.
-    fn spawn(fx: &Fixture, id: &str, description: TaskDescription) -> Arc<TaskRecord> {
-        let record = TaskRecord::create(id.into(), PlatformId::Local, Arc::clone(&fx.clock));
+    /// A record in `New` with the next task index, its run started on the fixture's
+    /// scheduler.
+    fn spawn(fx: &Fixture, description: TaskDescription) -> Arc<TaskRecord> {
+        let index = hpcml_sim::ids::next_index(crate::records::TASK_NAMESPACE);
+        let record = TaskRecord::create(index, PlatformId::Local, Arc::clone(&fx.clock));
         fx.executor.spawn_task(
             Arc::clone(&record),
             description,
@@ -1232,10 +1235,9 @@ mod tests {
     #[test]
     fn noop_task_and_compute_task_complete() {
         let fx = fixture(PlatformId::Local, 1, 10_000.0);
-        let noop = spawn(&fx, "task.noop", TaskDescription::new("noop"));
+        let noop = spawn(&fx, TaskDescription::new("noop"));
         let compute = spawn(
             &fx,
-            "task.compute",
             TaskDescription::new("compute")
                 .kind(TaskKind::compute_secs(5.0))
                 .cores(2),
@@ -1252,7 +1254,7 @@ mod tests {
     #[test]
     fn task_without_pilot_fails() {
         let fx = fixture(PlatformId::Local, 1, 10_000.0);
-        let t = TaskRecord::create("task.nopilot".into(), PlatformId::Local, fx.clock);
+        let t = TaskRecord::create(0, PlatformId::Local, fx.clock);
         fx.executor
             .spawn_task(Arc::clone(&t), TaskDescription::new("t"), None);
         fx.executor.join_all();
@@ -1269,7 +1271,6 @@ mod tests {
 
         let client = spawn(
             &fx,
-            "task.client",
             TaskDescription::new("client")
                 .kind(TaskKind::inference_client("noop-0", 10))
                 .after_service("noop-0"),
@@ -1345,12 +1346,8 @@ mod tests {
     #[test]
     fn tasks_that_never_park_spawn_no_thread_and_finish_on_the_caller() {
         let fx = fixture(PlatformId::Local, 1, 10_000.0);
-        for i in 0..100 {
-            let t = spawn(
-                &fx,
-                &format!("task.inline-{i}"),
-                TaskDescription::new("noop"),
-            );
+        for _ in 0..100 {
+            let t = spawn(&fx, TaskDescription::new("noop"));
             assert_eq!(t.state.current(), TaskState::Done, "done on return");
             assert_eq!(fx.scheduler.outstanding_slots(), 0, "released before Done");
         }
@@ -1365,10 +1362,9 @@ mod tests {
         let svc = service_record(&fx, "noop-r", ModelSpec::noop(), PlatformId::Local);
         fx.executor
             .spawn_service(Arc::clone(&svc), Some(Arc::clone(&fx.scheduler)));
-        for i in 0..8 {
+        for _ in 0..8 {
             let client = spawn(
                 &fx,
-                &format!("task.client-{i}"),
                 TaskDescription::new("client").kind(TaskKind::inference_client("noop-r", 2)),
             );
             client
@@ -1396,7 +1392,6 @@ mod tests {
         let fx = fixture_on(shared, PlatformId::Local, 1);
         let task = spawn(
             &fx,
-            "task.manual",
             TaskDescription::new("compute").kind(TaskKind::compute_secs(30.0)),
         );
         assert_eq!(task.state.current(), TaskState::Executing);
@@ -1472,7 +1467,7 @@ mod tests {
 
         // A NOOP task: New, Scheduling, Executing, the end of execution, Done.
         let (before, t0) = (reads(), ticking.ticks.load(Ordering::Relaxed));
-        let noop = spawn(&fx, "task.noop", TaskDescription::new("noop"));
+        let noop = spawn(&fx, TaskDescription::new("noop"));
         assert_eq!(reads() - before, 5, "one read per event of a NOOP task");
         assert_eq!(
             secs(noop.state.history()),
@@ -1490,7 +1485,6 @@ mod tests {
         let before = reads();
         let compute = spawn(
             &fx,
-            "task.compute",
             TaskDescription::new("compute").kind(TaskKind::compute_secs(10.0)),
         );
         compute
@@ -1552,7 +1546,7 @@ mod tests {
             .cores(8)
             .max_retries(2);
         let resources = description.resources;
-        let task = spawn(&fx, "task.retry", description);
+        let task = spawn(&fx, description);
         assert_eq!(task.state.current(), TaskState::Executing);
         let allocation = fx.scheduler.allocation();
         let node = busy_node(allocation, &resources);
@@ -1597,7 +1591,7 @@ mod tests {
             .kind(TaskKind::compute_secs(60.0))
             .cores(8);
         let resources = description.resources;
-        let task = spawn(&fx, "task.noretry", description);
+        let task = spawn(&fx, description);
         task.state
             .wait_until(|s| s == TaskState::Executing, Duration::from_secs(10))
             .unwrap();
@@ -1621,13 +1615,8 @@ mod tests {
     #[test]
     fn a_step_that_panics_on_a_worker_fails_its_task_and_nothing_else() {
         let fx = fixture(PlatformId::Local, 1, 1000.0);
-        let task = |name: &str, kind: TaskKind| {
-            spawn(
-                &fx,
-                &format!("task.{name}"),
-                TaskDescription::new(name).kind(kind).cores(8),
-            )
-        };
+        let task =
+            |name: &str, kind: TaskKind| spawn(&fx, TaskDescription::new(name).kind(kind).cores(8));
         // `first` holds the whole node, so the other two park and are resumed by the
         // pool. An infinite duration does not convert to a `Duration`: that step panics.
         let first = task("first", TaskKind::compute_secs(5.0));

@@ -6,20 +6,25 @@
 //! [`crate::states`] and waiters are woken through a condition variable, which is what
 //! the public `wait_*` calls of [`TaskHandle`]/[`ServiceHandle`]/[`PilotHandle`] use.
 //!
-//! A task record is the smallest: the id, the state cell, the platform and the retry
-//! count (184 bytes; 200 in its `Arc`). What the task needs only while it runs — its
-//! [`TaskDescription`] and its slot — belongs to the executor's run and is freed with
-//! it, so thousands of finished tasks keep no description between them.
+//! A task record is the smallest: the id's index, the state cell, the platform and the
+//! retry count (120 bytes; 136 in its `Arc`, which the allocator keeps in a 144-byte
+//! chunk). The id itself — `task.000004` — is rendered from the index where it is read
+//! ([`TaskHandle::id`], the task directory's `ids`, a state message's `entity`
+//! header), so a finished task keeps no string. What the task needs only while it runs
+//! — its [`TaskDescription`] and its slot — belongs to the executor's run and is freed
+//! with it, so thousands of finished tasks keep no description between them.
 //!
 //! ## State is an event log
 //!
 //! A [`StateCell`] stores one thing: the append-only list of `(state, virtual time)`
 //! entries, in the order the entity entered them. A transition appends one entry — no
-//! string, no map node; the first six entries, 16 bytes each, live inside the record —
-//! and hands its stamp back, so whoever else needs the instant of the event does not
-//! read the clock again. The rare parts — entries past the sixth, a failure reason —
-//! sit behind one pointer that only a seventh entry or a failure allocates. Everything
-//! a reader asks for is derived when asked:
+//! string, no map node — and hands its stamp back, so whoever else needs the instant
+//! of the event does not read the clock again. The first six entries live inside the
+//! record, stored by column: six 8-byte stamps, six 1-byte states and a 1-byte count,
+//! 64 bytes with the pointer below, where six `(state, stamp)` pairs would pad each
+//! state to 8 bytes and take 112. The rare parts — entries past the sixth, a failure
+//! reason — sit behind one pointer that only a seventh entry or a failure allocates.
+//! Everything a reader asks for is derived when asked:
 //!
 //! | query | derived as |
 //! |---|---|
@@ -39,6 +44,7 @@ use hpcml_platform::batch::Allocation;
 use hpcml_platform::resources::Slot;
 use hpcml_platform::PlatformId;
 use hpcml_sim::clock::{SharedClock, SimTime};
+use hpcml_sim::ids;
 
 use crate::describe::{PilotDescription, ServiceDescription, TaskDescription};
 use crate::error::RuntimeError;
@@ -80,6 +86,9 @@ macro_rules! state_model {
 
 state_model!(TaskState, ServiceState, PilotState);
 
+/// The id namespace of tasks: a task's id is `task.` and its index, six digits at least.
+pub(crate) const TASK_NAMESPACE: &str = "task";
+
 /// Entries a [`StateCell`] holds in place: the six states of a staged task
 /// (`New`, `Scheduling`, `StagingInput`, `Executing`, `StagingOutput`, `Done`).
 const INLINE_EVENTS: usize = 6;
@@ -93,20 +102,26 @@ struct Rare<S> {
 
 /// Every state an entity entered and when, in entry order, and why it failed.
 /// Appending allocates only from the seventh entry on (a retried task, a service's
-/// full lifecycle); a failure reason shares that one allocation.
+/// full lifecycle); a failure reason shares that one allocation. The entries held in
+/// place are stored by column — six stamps, then six one-byte states — so no state is
+/// padded to a stamp's width.
 struct StateInner<S> {
-    /// The first `min(len, INLINE_EVENTS)` entries; the rest repeats the first entry.
-    inline: [(S, SimTime); INLINE_EVENTS],
-    len: usize,
+    /// The stamps of the first `held` entries; the rest repeat the first entry's.
+    at: [SimTime; INLINE_EVENTS],
+    /// The states of the first `held` entries, likewise.
+    states: [S; INLINE_EVENTS],
+    /// Entries held in place: 1 to `INLINE_EVENTS`. Every later one is in the spill.
+    held: u8,
     /// Allocated by the seventh entry or a failure, whichever comes first.
     rare: Option<Box<Rare<S>>>,
 }
 
 impl<S: Copy> StateInner<S> {
-    fn new(first: (S, SimTime)) -> Self {
+    fn new((state, at): (S, SimTime)) -> Self {
         StateInner {
-            inline: [first; INLINE_EVENTS],
-            len: 1,
+            at: [at; INLINE_EVENTS],
+            states: [state; INLINE_EVENTS],
+            held: 1,
             rare: None,
         }
     }
@@ -120,19 +135,23 @@ impl<S: Copy> StateInner<S> {
         })
     }
 
-    fn push(&mut self, entry: (S, SimTime)) {
-        match self.inline.get_mut(self.len) {
-            Some(place) => *place = entry,
-            None => self.rare().spill.push(entry),
+    fn push(&mut self, (state, at): (S, SimTime)) {
+        let held = usize::from(self.held);
+        if held < INLINE_EVENTS {
+            self.states[held] = state;
+            self.at[held] = at;
+            self.held += 1;
+        } else {
+            self.rare().spill.push((state, at));
         }
-        self.len += 1;
     }
 
-    fn iter(&self) -> impl DoubleEndedIterator<Item = &(S, SimTime)> {
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (S, SimTime)> + '_ {
+        let held = usize::from(self.held);
         let spill = self.rare.as_ref().map_or(&[][..], |rare| &rare.spill[..]);
-        self.inline[..self.len.min(INLINE_EVENTS)]
-            .iter()
-            .chain(spill)
+        let states = self.states[..held].iter().copied();
+        let stamps = self.at[..held].iter().copied();
+        states.zip(stamps).chain(spill.iter().copied())
     }
 
     /// The state entered last. The log is never empty.
@@ -194,7 +213,7 @@ impl<S: StateModel> StateCell<S> {
     /// Every state entered and when, in entry order: a retried task shows each
     /// attempt's `Scheduling` and `Executing`.
     pub fn history(&self) -> Vec<(S, SimTime)> {
-        self.inner.lock().iter().copied().collect()
+        self.inner.lock().iter().collect()
     }
 
     /// Attempt a transition; appends the entry and wakes waiters. `Ok(Some(at))` is the
@@ -283,8 +302,8 @@ impl BootstrapTimes {
 /// Internal record of a task: what outlives its run. The description is the run's
 /// ([`crate::executor::Executor::spawn_task`]) and is freed when the run ends.
 pub struct TaskRecord {
-    /// Runtime-assigned identifier (e.g. `task.000004`).
-    pub id: String,
+    /// Runtime-assigned index in the `task` namespace; [`TaskRecord::id`] renders it.
+    pub index: u64,
     /// Validated state holder.
     pub state: StateCell<TaskState>,
     /// Platform the task runs on.
@@ -295,7 +314,13 @@ pub struct TaskRecord {
 
 impl TaskRecord {
     /// Create a record in the `New` state. The record keeps no description: this
-    /// drops it, and a session hands its own to the run instead.
+    /// drops it, and a session hands its own to the run instead. It keeps the index
+    /// `id` renders, not the string.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not what [`ids::format_id`]`("task", n)` renders for some `n`
+    /// (`task.000004`, `task.1000000`).
     pub fn new(
         id: String,
         description: TaskDescription,
@@ -303,17 +328,25 @@ impl TaskRecord {
         clock: SharedClock,
     ) -> Arc<Self> {
         drop(description);
-        Self::create(id, platform, clock)
+        let index =
+            ids::parse_id(TASK_NAMESPACE, &id).unwrap_or_else(|| panic!("{id:?} is not a task id"));
+        Self::create(index, platform, clock)
     }
 
     /// Create a record in the `New` state.
-    pub(crate) fn create(id: String, platform: PlatformId, clock: SharedClock) -> Arc<Self> {
+    pub(crate) fn create(index: u64, platform: PlatformId, clock: SharedClock) -> Arc<Self> {
         Arc::new(TaskRecord {
-            id,
+            index,
             state: StateCell::new(TaskState::New, clock),
             platform,
             retries: AtomicU32::new(0),
         })
+    }
+
+    /// Runtime-assigned identifier (e.g. `task.000004`), rendered from the index on
+    /// each call.
+    pub fn id(&self) -> String {
+        ids::format_id(TASK_NAMESPACE, self.index)
     }
 }
 
@@ -401,16 +434,17 @@ pub struct TaskHandle {
 impl std::fmt::Debug for TaskHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskHandle")
-            .field("id", &self.record.id)
+            .field("id", &self.record.id())
             .field("state", &self.state())
             .finish()
     }
 }
 
 impl TaskHandle {
-    /// Runtime-assigned identifier.
-    pub fn id(&self) -> &str {
-        &self.record.id
+    /// Runtime-assigned identifier (e.g. `task.000004`). The record keeps only the
+    /// index, so each call renders the string anew.
+    pub fn id(&self) -> String {
+        self.record.id()
     }
 
     /// Current state.
@@ -806,7 +840,7 @@ mod tests {
         // `Instant::now() + Duration::MAX` would panic: there is no such deadline.
         let task = |state| TaskHandle {
             record: Arc::new(TaskRecord {
-                id: "task.000000".into(),
+                index: 0,
                 state: StateCell::new(state, clock()),
                 platform: PlatformId::Local,
                 retries: AtomicU32::new(0),
@@ -827,11 +861,70 @@ mod tests {
     }
 
     #[test]
+    fn a_long_log_keeps_every_entry_in_order() {
+        // 301 entries: six in place, 295 in the spill — past what a one-byte count
+        // of every entry could hold.
+        let clock = Arc::new(hpcml_sim::clock::ManualClock::new());
+        let cell = StateCell::new(TaskState::New, Arc::clone(&clock) as SharedClock);
+        let mut expected = vec![(TaskState::New, SimTime::ZERO)];
+        for _ in 0..150 {
+            for next in [TaskState::Scheduling, TaskState::Executing] {
+                clock.advance(Duration::from_millis(1));
+                let at = cell.transition(next).unwrap().expect("a new entry");
+                expected.push((next, at));
+            }
+        }
+        assert_eq!(expected.len(), 301);
+        let history = cell.history();
+        assert_eq!(history, expected);
+        assert!(history.windows(2).all(|w| w[0].1 < w[1].1), "stamps grow");
+
+        assert_eq!(cell.current(), TaskState::Executing);
+        let last = |state| {
+            let entry = expected.iter().rev().find(|(s, _)| *s == state);
+            entry.map(|(_, at)| at.as_secs_f64())
+        };
+        let stamps = cell.timestamps();
+        assert_eq!(stamps.len(), 3);
+        for state in [TaskState::New, TaskState::Scheduling, TaskState::Executing] {
+            assert_eq!(cell.entered_at(state), last(state), "{state:?}");
+            assert_eq!(Some(stamps[state.name()]), last(state), "{state:?}");
+        }
+        assert_eq!(cell.entered_at(TaskState::Done), None);
+    }
+
+    #[test]
     fn a_task_record_keeps_only_what_outlives_its_run() {
-        // Six 16-byte entries in place, their count and one pointer for the rare
-        // parts; the id, the clock, the platform, the retry count, the cell's locks.
-        assert_eq!(std::mem::size_of::<StateInner<TaskState>>(), 112);
-        assert_eq!(std::mem::size_of::<TaskRecord>(), 184);
+        // Six stamps and six one-byte states in place, their count and one pointer
+        // for the rare parts; the index, the clock, the platform, the retry count,
+        // the cell's locks. In its `Arc`, 136 bytes: a 144-byte heap chunk.
+        assert_eq!(std::mem::size_of::<StateInner<TaskState>>(), 64);
+        assert_eq!(std::mem::size_of::<TaskRecord>(), 120);
+    }
+
+    #[test]
+    fn a_task_record_is_made_from_a_task_id_and_renders_it_back() {
+        for (id, index) in [("task.000004", 4), ("task.1000000", 1_000_000)] {
+            let record = TaskRecord::new(
+                id.to_string(),
+                TaskDescription::new("t"),
+                PlatformId::Local,
+                clock(),
+            );
+            assert_eq!(record.index, index);
+            assert_eq!(record.id(), id);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a task id")]
+    fn a_task_record_refuses_what_is_no_task_id() {
+        TaskRecord::new(
+            "task.4".to_string(),
+            TaskDescription::new("t"),
+            PlatformId::Local,
+            clock(),
+        );
     }
 
     #[test]

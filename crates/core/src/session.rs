@@ -30,7 +30,7 @@ use crate::executor::Executor;
 use crate::metrics::RuntimeMetrics;
 use crate::pilot::PilotManager;
 use crate::records::{
-    PilotHandle, PilotRecord, ServiceHandle, ServiceRecord, TaskHandle, TaskRecord,
+    PilotHandle, PilotRecord, ServiceHandle, ServiceRecord, TaskHandle, TaskRecord, TASK_NAMESPACE,
 };
 use crate::scheduler::Scheduler;
 use crate::service_manager::ServiceManager;
@@ -352,7 +352,8 @@ impl Session {
     }
 
     fn new_task_record(&self, platform: PlatformId) -> Arc<TaskRecord> {
-        let record = TaskRecord::create(ids::next_id("task"), platform, Arc::clone(&self.clock));
+        let index = ids::next_index(TASK_NAMESPACE);
+        let record = TaskRecord::create(index, platform, Arc::clone(&self.clock));
         self.task_manager.add(Arc::clone(&record));
         record
     }

@@ -7,7 +7,8 @@
 //!
 //! Registering a task is the hot path (once per task, under one lock), looking one up by
 //! id is rare (a report at the end of a run): the directory is a `Vec` that `add`
-//! appends to and that the first `get` / `ids` after an append sorts by id.
+//! appends to and that the first `get` / `ids` after an append sorts by index — the
+//! number a task id renders, so `task.999999` comes before `task.1000000`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,16 +16,18 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{RwLock, RwLockReadGuard};
 
+use hpcml_sim::ids;
+
 use crate::error::RuntimeError;
-use crate::records::TaskRecord;
+use crate::records::{TaskRecord, TASK_NAMESPACE};
 use crate::states::TaskState;
 
 #[derive(Default)]
 struct Directory {
-    /// In submission order until a lookup sorts them by id. Ids are unique (the
-    /// session's generator hands each out once).
+    /// In submission order until a lookup sorts them by index. Indices are unique
+    /// (the session's generator hands each out once).
     records: Vec<Arc<TaskRecord>>,
-    /// Whether `records` is in id order.
+    /// Whether `records` is in index order.
     sorted: bool,
 }
 
@@ -55,10 +58,10 @@ impl TaskManager {
         tasks.sorted = false;
     }
 
-    /// The directory in id order, sorting it first if something was appended since
-    /// the last lookup (session ids grow with submission, so that sort finds the
-    /// records all but in place).
-    fn by_id(&self) -> RwLockReadGuard<'_, Directory> {
+    /// The directory in index order, sorting it first if something was appended
+    /// since the last lookup (session indices grow with submission, so that sort
+    /// finds the records all but in place).
+    fn by_index(&self) -> RwLockReadGuard<'_, Directory> {
         loop {
             let tasks = self.tasks.read();
             if tasks.sorted {
@@ -66,21 +69,22 @@ impl TaskManager {
             }
             drop(tasks);
             let mut tasks = self.tasks.write();
-            tasks.records.sort_by(|a, b| a.id.cmp(&b.id));
+            tasks.records.sort_by_key(|r| r.index);
             tasks.sorted = true;
         }
     }
 
-    /// Look a task up by its runtime identifier.
+    /// Look a task up by its runtime identifier (`task.` and the index's digits).
     pub fn get(&self, id: &str) -> Option<Arc<TaskRecord>> {
-        let tasks = self.by_id();
-        let found = tasks.records.binary_search_by(|r| r.id.as_str().cmp(id));
+        let index = ids::parse_id(TASK_NAMESPACE, id)?;
+        let tasks = self.by_index();
+        let found = tasks.records.binary_search_by_key(&index, |r| r.index);
         found.ok().map(|i| Arc::clone(&tasks.records[i]))
     }
 
-    /// All known task identifiers, in id order.
+    /// All known task identifiers, in index order.
     pub fn ids(&self) -> Vec<String> {
-        self.by_id().records.iter().map(|r| r.id.clone()).collect()
+        self.by_index().records.iter().map(|r| r.id()).collect()
     }
 
     /// Number of registered tasks.
@@ -163,14 +167,16 @@ mod tests {
     fn add_get_and_counts() {
         let tm = TaskManager::new();
         assert!(tm.is_empty());
-        let a = record("task.0");
-        let b = record("task.1");
+        let a = record("task.000000");
+        let b = record("task.000001");
         tm.add(Arc::clone(&a));
         tm.add(Arc::clone(&b));
         assert_eq!(tm.len(), 2);
-        assert_eq!(tm.ids(), vec!["task.0".to_string(), "task.1".to_string()]);
-        assert!(tm.get("task.0").is_some());
-        assert!(tm.get("task.9").is_none());
+        assert_eq!(tm.ids(), ["task.000000", "task.000001"]);
+        assert!(tm.get("task.000000").is_some());
+        assert!(tm.get("task.000009").is_none());
+        assert!(tm.get("task.0").is_none(), "no task id");
+        assert!(tm.get("service.000000").is_none(), "no task id");
         assert_eq!(tm.state_counts()[&TaskState::New], 2);
         assert_eq!(tm.finished(), 0);
     }
@@ -178,22 +184,36 @@ mod tests {
     #[test]
     fn lookups_sort_what_was_appended_out_of_order() {
         let tm = TaskManager::new();
-        for id in ["task.2", "task.0", "task.1"] {
+        for id in ["task.000002", "task.000000", "task.000001"] {
             tm.add(record(id));
         }
-        assert_eq!(tm.ids(), ["task.0", "task.1", "task.2"]);
-        assert_eq!(tm.get("task.1").unwrap().id, "task.1");
+        assert_eq!(tm.ids(), ["task.000000", "task.000001", "task.000002"]);
+        assert_eq!(tm.get("task.000001").unwrap().id(), "task.000001");
         // An append after a lookup is found by the next one.
-        tm.add(record("task.-1"));
-        assert_eq!(tm.get("task.-1").unwrap().id, "task.-1");
-        assert_eq!(tm.ids()[0], "task.-1");
-        assert_eq!(tm.len(), 4);
+        tm.add(record("task.000003"));
+        tm.add(record("task.000005"));
+        tm.add(record("task.000004"));
+        assert_eq!(tm.get("task.000004").unwrap().index, 4);
+        assert_eq!(tm.ids()[3..], ["task.000003", "task.000004", "task.000005"]);
+        assert_eq!(tm.len(), 6);
+    }
+
+    #[test]
+    fn ids_past_six_digits_keep_their_numeric_order() {
+        // As strings, "task.1000000" sorts before "task.999999".
+        let tm = TaskManager::new();
+        for id in ["task.1000000", "task.999999"] {
+            tm.add(record(id));
+        }
+        assert_eq!(tm.ids(), ["task.999999", "task.1000000"]);
+        assert_eq!(tm.get("task.999999").unwrap().index, 999_999);
+        assert_eq!(tm.get("task.1000000").unwrap().index, 1_000_000);
     }
 
     #[test]
     fn wait_all_returns_when_tasks_finish() {
         let tm = Arc::new(TaskManager::new());
-        let a = record("task.0");
+        let a = record("task.000000");
         tm.add(Arc::clone(&a));
         let tm2 = Arc::clone(&tm);
         let waiter = thread::spawn(move || tm2.wait_all(Duration::from_secs(5)));
@@ -208,7 +228,7 @@ mod tests {
     #[test]
     fn wait_all_times_out() {
         let tm = TaskManager::new();
-        tm.add(record("task.0"));
+        tm.add(record("task.000000"));
         let err = tm.wait_all(Duration::from_millis(20)).unwrap_err();
         assert!(matches!(err, RuntimeError::WaitTimeout { .. }));
     }
@@ -216,7 +236,7 @@ mod tests {
     #[test]
     fn wait_all_counts_failures_as_finished() {
         let tm = TaskManager::new();
-        let a = record("task.0");
+        let a = record("task.000000");
         tm.add(Arc::clone(&a));
         a.state.fail(TaskState::Failed, "broken");
         let counts = tm.wait_all(Duration::from_millis(100)).unwrap();

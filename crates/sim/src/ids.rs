@@ -78,6 +78,19 @@ pub fn format_id(namespace: &str, index: u64) -> String {
     id
 }
 
+/// The index [`format_id`] made `id` of within `namespace`, if `id` is such an
+/// identifier: `("task", "task.000007")` → `Some(7)`, `("task", "task.1234567")` →
+/// `Some(1_234_567)`; `"task.7"`, `"task.0000007"` and `"service.000007"` are no task
+/// identifier, so each index has one name.
+pub fn parse_id(namespace: &str, id: &str) -> Option<u64> {
+    let digits = id.strip_prefix(namespace)?.strip_prefix('.')?;
+    let padded = digits.len() == 6 || (digits.len() > 6 && !digits.starts_with('0'));
+    if !padded || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
 /// Append the identifier [`format_id`] returns to `id`: for a caller that keeps one
 /// buffer and renames what is in it.
 pub fn write_id(id: &mut String, namespace: &str, index: u64) {
@@ -152,6 +165,25 @@ mod tests {
         assert_eq!(g.next_index("request"), 1);
         assert_eq!(g.next_id("request"), format_id("request", 2));
         assert_eq!(format_id("request", 1_234_567), "request.1234567");
+    }
+
+    #[test]
+    fn parse_id_reads_back_exactly_what_format_id_writes() {
+        for index in [0, 7, 999_999, 1_000_000, 1_234_567, u64::MAX] {
+            assert_eq!(parse_id("task", &format_id("task", index)), Some(index));
+        }
+        for other in [
+            "task.7",
+            "task.0000007",
+            "task.-00001",
+            "task.00000a",
+            "task000007",
+            "tasks.000007",
+            "service.000007",
+            "task.99999999999999999999",
+        ] {
+            assert_eq!(parse_id("task", other), None, "{other}");
+        }
     }
 
     #[test]

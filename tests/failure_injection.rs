@@ -1,10 +1,11 @@
 //! Failure-injection integration tests: the runtime must degrade gracefully when
 //! services cannot start, crash mid-run, or when workloads over-subscribe resources.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hpcml::prelude::*;
 use hpcml::serving::ModelSpec;
+use hpcml::sim::clock::ManualClock;
 
 mod common;
 use common::wait_until;
@@ -226,9 +227,23 @@ fn thread_names() -> Vec<String> {
         .collect()
 }
 
+/// Move `clock` to each next deadline until `done` holds.
+fn advance_until(clock: &ManualClock, mut done: impl FnMut() -> bool) {
+    let stuck_after = Instant::now() + Duration::from_secs(120);
+    while !done() {
+        assert!(Instant::now() < stuck_after, "the session stopped moving");
+        clock.advance_to_next();
+        std::thread::yield_now();
+    }
+}
+
 /// A seeded fault plan fails the node under a running task while 50 others are
 /// parked behind it. Returns the victim, the queued tasks and what the threads were
 /// called the moment the victim's retry became visible (its backoff had just begun).
+///
+/// Time moves only when this moves it: first past the fault, then — once the node
+/// has failed — from deadline to deadline, so the victim's 60 s end never comes
+/// before the fault however late the fault-injector thread runs.
 fn evicted_while_others_queue(max_retries: u32) -> (TaskHandle, Vec<TaskHandle>, Vec<String>) {
     let plan = FaultPlan::seeded(3, 2, 1, 20.0);
     let event = plan.events()[0];
@@ -238,7 +253,7 @@ fn evicted_while_others_queue(max_retries: u32) -> (TaskHandle, Vec<TaskHandle>,
     );
     let s = Session::builder("evicted-queued")
         .platform(PlatformId::Local)
-        .clock(ClockSpec::scaled(1000.0))
+        .clock(ClockSpec::Manual)
         .seed(99)
         .fault_plan(plan)
         .build()
@@ -269,14 +284,34 @@ fn evicted_while_others_queue(max_retries: u32) -> (TaskHandle, Vec<TaskHandle>,
         .expect("queued");
     assert!(queued.iter().all(|h| h.state() == TaskState::Scheduling));
 
+    // Past the fault (before t = 20 s) and short of the holder's end at 30 s.
+    let clock = s.clock();
+    let manual = clock.as_manual().expect("a manual clock");
+    manual.advance(Duration::from_secs_f64(event.at_secs + 1.0));
+    let stuck_after = Instant::now() + Duration::from_secs(120);
+    while pilot.failed_nodes() == 0 {
+        assert!(
+            Instant::now() < stuck_after,
+            "the planned fault never fired"
+        );
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    assert_eq!(victim.state(), TaskState::Executing, "failed mid-execution");
+
     let mut names_at_retry = Vec::new();
     if max_retries > 0 {
-        while victim.retries() == 0 {
+        advance_until(manual, || {
+            if victim.retries() > 0 {
+                return true;
+            }
             assert!(!victim.state().is_final(), "victim ended without retrying");
-            std::thread::sleep(Duration::from_micros(50));
-        }
+            false
+        });
         names_at_retry = thread_names();
     }
+    advance_until(manual, || {
+        victim.state().is_final() && queued.iter().all(|h| h.state().is_final())
+    });
     victim.wait_final(Duration::from_secs(120)).expect("final");
     for h in &queued {
         assert_eq!(

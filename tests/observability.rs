@@ -144,7 +144,7 @@ fn a_retried_task_keeps_both_attempts_and_publishes_each_entry_once() {
             .unwrap_or_else(|e| panic!("no update for entry {entry} ({expected:?}): {e}"));
         assert_eq!(msg.topic, expected.topic());
         assert_eq!(msg.header("state"), Some(expected.name()));
-        assert_eq!(msg.header("entity"), Some(gang.id()));
+        assert_eq!(msg.header("entity"), Some(gang.id().as_str()));
         // The transition is recorded before it is published.
         let history = gang.history();
         assert_eq!(

@@ -50,28 +50,30 @@ const WAVES: usize = 3;
 const WAVE: usize = 2_000;
 const QUEUED_WAVES: usize = 2;
 const QUEUED_WAVE: usize = 400;
-/// Heap allocations one NOOP task may make, its description included. Measured: 8.0
-/// (name, id, record, run, four in the platform allocator) where a slot the record
-/// shared with the run made 9.0, and string-keyed state cells and eagerly built
-/// messages 48.2.
-const BUDGET_PER_TASK: f64 = 9.0;
-/// Live bytes a finished NOOP task may keep: its record (200 bytes with the `Arc`'s
-/// counts: the id's `String`, the state cell with six 16-byte entries in place, the
-/// clock, the platform, the retry count), the id's bytes, its entry in the task
-/// directory, and its metric record (one `TaskRow`) with its share of block slack; its
-/// three `comm.fanout.width` records are value counts, which a width seen before does
-/// not grow. Its run — with the description and the slot — is freed. Measured: 244.0,
-/// debug and release; 271.2 while each width was an 8-byte record, 311.2 while the
-/// state cell kept its spill and its failure reason in place, 611.2 while the record
-/// kept the description and stamps were 16-byte `Duration`s, 767.2 while it also kept
-/// the run's slot.
-const RETAINED_PER_NOOP_TASK: f64 = 268.0;
+/// Heap allocations one NOOP task may make, its description included. Measured: 7.0
+/// (name, record, run, four in the platform allocator); 8.0 while the record kept
+/// its id as a `String`, 9.0 while it also shared a slot with the run, and 48.2 with
+/// string-keyed state cells and eagerly built messages.
+const BUDGET_PER_TASK: f64 = 8.0;
+/// Live bytes a finished NOOP task may keep: its record (136 bytes with the `Arc`'s
+/// counts: the id's index, the state cell with six stamps and six one-byte states in
+/// place, the clock, the platform, the retry count), its entry in the task directory,
+/// and its metric record (one `TaskRow`) with its share of block slack; its three
+/// `comm.fanout.width` records are value counts, which a width seen before does not
+/// grow. Its run — with the description and the slot — is freed. Measured: 169.0,
+/// debug and release; 244.0 while the record kept the id as a `String` and its state
+/// log as 16-byte `(state, stamp)` pairs, 271.2 while each width was also an 8-byte
+/// record, 311.2 while the state cell kept its spill and its failure reason in place,
+/// 611.2 while the record kept the description and stamps were 16-byte `Duration`s,
+/// 767.2 while it also kept the run's slot.
+const RETAINED_PER_NOOP_TASK: f64 = 193.0;
 /// Live bytes a finished task that queued for placement may keep: the NOOP task's
-/// parts and nothing of its wait. Measured: 246.8 debug, 252.0 release; 293–299 while
-/// each width was an 8-byte record; 635–641 while the record kept the description;
-/// 1 118 while its real-time timer entry pinned the run's allocation until the 120 s
-/// deadline and the record kept the run's slot.
-const RETAINED_PER_QUEUED_TASK: f64 = 278.0;
+/// parts and nothing of its wait. Measured: 172.0 release, 177.0 debug; 246.8–252.0
+/// with a `String` id and 16-byte log entries; 293–299 while each width was an 8-byte
+/// record; 635–641 while the record kept the description; 1 118 while its real-time
+/// timer entry pinned the run's allocation until the 120 s deadline and the record
+/// kept the run's slot.
+const RETAINED_PER_QUEUED_TASK: f64 = 196.0;
 
 fn session(pilot: PilotDescription) -> Session {
     let s = Session::builder("allocs")
@@ -175,15 +177,16 @@ fn a_noop_task_stays_inside_its_allocation_budget() {
     let delivered = tasks.drain();
     assert_eq!(delivered.len(), 3 * WAVE, "three messages per task");
     for (handle, sent) in handles.iter().zip(delivered.chunks(3)) {
+        let id = handle.id();
         for (msg, state) in sent.iter().zip(["Scheduling", "Executing", "Done"]) {
             let mut eager = Message::new(format!("state.task.{state}"), "state.update")
-                .with_header("entity", handle.id().to_string())
+                .with_header("entity", id.clone())
                 .with_header("state", state);
             // Message ids count up process-wide; everything else must match.
             eager.id = msg.id;
             assert_eq!(msg.topic, eager.topic);
             assert_eq!(msg.kind, eager.kind);
-            assert_eq!(msg.header("entity"), Some(handle.id()));
+            assert_eq!(msg.header("entity"), Some(id.as_str()));
             assert_eq!(msg.header("state"), Some(state));
             assert_eq!(msg.payload, eager.payload);
             assert_eq!(msg.encoded_len(), eager.encoded_len());
