@@ -21,7 +21,7 @@
 //!
 //! | park | waits for | resumed by |
 //! |---|---|---|
-//! | `Placement` | a slot: the task keeps a place in the scheduler's wait queue ([`Scheduler::poll_placed`]) | the scheduler calling the task's waker on a release, plus a real-time timer at the poll's `wake_at` (request timeout, gang drain threshold), one per waiting task, taken out when the wait ends |
+//! | `Placement` | a slot: the task keeps a place in the scheduler's wait queue ([`Scheduler::poll_placed`]), with no deadline | the scheduler calling the task's waker — capacity came back, or the session closed while the pilot is too small for the task; no timer entry |
 //! | `Timer(t)` | the session clock to read `t`: compute, each staging transfer, retry backoff | the timer thread |
 //! | `Blocking` | something that can only be waited for by blocking: `after_services` not yet published, the inference-client request loop | a dedicated entity thread, for that stage only — it goes on advancing the task until the next park |
 //! | `Done` | — | — |
@@ -116,7 +116,7 @@ use hpcml_serving::service::{inference_request_message, InferenceService};
 use hpcml_sim::clock::{SharedClock, SimTime, Stopwatch};
 use hpcml_sim::dist::Dist;
 use hpcml_sim::metrics::SharedScalarSink;
-use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell, WallTimer};
+use hpcml_sim::pool::{panic_message, Pool, Resume, RunCell};
 
 use crate::data::DataManager;
 use crate::describe::{
@@ -135,7 +135,8 @@ pub const META_PLATFORM: &str = "platform";
 /// Metadata key under which a service's runtime identifier is published.
 pub const META_SERVICE_ID: &str = "service_id";
 
-/// How long entities wait for dependencies (endpoints, resources) in real time.
+/// How long a task waits in real time for the endpoints it names to register:
+/// registry waits only (`after_services`, an inference client's targets).
 const DEPENDENCY_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Virtual backoff before the first retry of a task evicted by a node failure;
@@ -154,7 +155,7 @@ enum Stage {
     /// them on an entity thread.
     AwaitingServices,
     /// Queued for a slot; the placement is created on first entry.
-    Scheduling(Option<Queued>),
+    Scheduling(Option<Placement>),
     /// Input directives are transferred one after the other.
     StagingInput(Staging),
     /// On its slot. `None` before the state is entered; then when execution began and
@@ -171,24 +172,6 @@ enum Stage {
     Done,
 }
 
-/// A task's place in the scheduler's wait queue.
-struct Queued {
-    placement: Placement,
-    /// The run's one real-time timer entry, at the last poll's `wake_at`: re-polls that
-    /// come back with the same deadline keep it, a new deadline replaces it, and the
-    /// end of the wait takes it out.
-    armed: Option<WallTimer>,
-}
-
-impl Queued {
-    /// Take the timer entry out: its wait is over, or has a new deadline.
-    fn disarm(&mut self, pool: &Pool) {
-        if let Some(armed) = self.armed.take() {
-            pool.disarm(armed);
-        }
-    }
-}
-
 /// Progress through a list of staging directives.
 #[derive(Default)]
 struct Staging {
@@ -200,8 +183,7 @@ struct Staging {
 
 /// Why `advance` returned.
 enum Park {
-    /// Waiting in the scheduler's queue, with the real-time deadline filed: poll again
-    /// when woken.
+    /// Waiting in the scheduler's queue: poll again when woken.
     Placement,
     /// Nothing to do until the session clock reads this.
     Timer(SimTime),
@@ -443,11 +425,8 @@ impl Executor {
             let scheduler = scheduler.ok_or_else(|| {
                 RuntimeError::InvalidState("local service submitted without an active pilot".into())
             })?;
-            let (slot, stats) = scheduler.block_on(Placement::new(
-                &desc.resources,
-                Priority::Service,
-                DEPENDENCY_TIMEOUT,
-            ))?;
+            let (slot, stats) =
+                scheduler.block_on(Placement::new(&desc.resources, Priority::Service), None)?;
             self.metrics
                 .record_scalar("service.placement_wait_secs", stats.wait_secs);
             *record.slot.lock() = Some(slot.clone());
@@ -594,9 +573,8 @@ impl Executor {
     // ------------------------------------------------------------------ tasks
 
     /// Advance `run` — which the calling thread holds — until it parks, file the timer
-    /// a `Timer` park needs (a placement wait files and takes out its own), and let go
-    /// of it; or finish it. `may_block` says the caller is an entity thread that may
-    /// run blocking stages itself.
+    /// a `Timer` park needs, and let go of it; or finish it. `may_block` says the
+    /// caller is an entity thread that may run blocking stages itself.
     fn drive(self: &Arc<Self>, run: Arc<TaskRun>, may_block: bool) {
         loop {
             let park = {
@@ -699,25 +677,17 @@ impl Executor {
                 })?;
                 // A retry after a node failure re-enters the wait queue at the front:
                 // the task already waited its turn before the eviction.
-                let queued = pending.get_or_insert_with(|| Queued {
-                    placement: if record.retries.load(Ordering::Relaxed) > 0 {
-                        Placement::requeued(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)
+                let placement = pending.get_or_insert_with(|| {
+                    if record.retries.load(Ordering::Relaxed) > 0 {
+                        Placement::requeued(&desc.resources, Priority::Task)
                     } else {
-                        Placement::new(&desc.resources, Priority::Task, DEPENDENCY_TIMEOUT)
-                    },
-                    armed: None,
+                        Placement::new(&desc.resources, Priority::Task)
+                    }
                 });
                 let waker = Waker::from(Arc::clone(run));
-                match scheduler.poll_placed(&mut queued.placement, &waker) {
-                    PlacementPoll::Pending { wake_at } => {
-                        if queued.armed.is_none_or(|armed| armed.at() != wake_at) {
-                            queued.disarm(&self.pool);
-                            queued.armed = Some(self.pool.wake_at_wall(run, wake_at));
-                        }
-                        return Ok(Some(Park::Placement));
-                    }
+                match scheduler.poll_placed(placement, &waker) {
+                    PlacementPoll::Pending => return Ok(Some(Park::Placement)),
                     PlacementPoll::Ready(result) => {
-                        queued.disarm(&self.pool);
                         let (placed, stats) = result?;
                         *row = Some(TaskRow {
                             placement_wait_secs: stats.wait_secs,
@@ -835,11 +805,10 @@ impl Executor {
             }
             // A placement that still holds a queue place (only a panic gets here with
             // one) must leave it, or it would block the FIFO behind it forever.
-            if let Stage::Scheduling(Some(mut pending)) =
+            if let Stage::Scheduling(Some(pending)) =
                 std::mem::replace(&mut state.stage, Stage::Done)
             {
-                pending.disarm(&self.pool);
-                scheduler.cancel_placement(pending.placement);
+                scheduler.cancel_placement(pending);
             }
         }
         let evicted = matches!(err, RuntimeError::Resource(ResourceError::NodeFailed(_)));
@@ -1443,12 +1412,11 @@ mod tests {
         fn sleep_interruptibly(
             &self,
             deadline: Option<SimTime>,
-            real_deadline: Option<Instant>,
             interrupt: &Arc<hpcml_sim::clock::Interrupt>,
         ) {
             match deadline {
                 Some(_) => std::thread::yield_now(), // look again: that is what moves time
-                None => interrupt.wait_until(real_deadline),
+                None => interrupt.wait_until(None),
             }
         }
     }

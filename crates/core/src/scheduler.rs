@@ -36,13 +36,19 @@
 //! and places nobody itself: one wake per change, and by the time the head's owner
 //! looks, what a burst of releases frees has come together (see `serve` for what
 //! placing at once costs). Apart from walking, a pass takes what a walk left for its
-//! waiter, or — once the timeout has passed — makes one final attempt of its own (a
-//! task only when no service waits) and leaves: a waiter outside the window must not
-//! time out while capacity that fits it sits free. The blocking calls run
-//! `loop { pass; cond.wait_until(wake_at) }`, every sleep starting inside the lock
-//! hold of the pass before it; [`Scheduler::poll_placed`] runs one pass per call,
-//! `wake_at` (request timeout, gang drain threshold) going to the caller's timer.
-//! Everything else is the same code for both.
+//! waiter. A polled placement has no deadline: it waits until a walk serves it or its
+//! owner cancels it. Only a caller blocked in [`Scheduler::allocate`] or
+//! [`Scheduler::requeue`] has a timeout, a real-time watchdog: once it has passed, the
+//! pass makes one final attempt of its own (a task only when no service waits) and
+//! leaves, since a waiter outside the window must not time out while capacity that
+//! fits it sits free. The blocking calls run `loop { pass; cond.wait }`, every sleep
+//! starting inside the lock hold of the pass before it; [`Scheduler::poll_placed`]
+//! runs one pass per call. Everything else is the same code for both.
+//!
+//! A placement's wait and a gang's drain are measured on the session clock — the
+//! allocation's ([`Allocation::clock`]) — read when a request parks, when a drain
+//! begins and when a walk or a final attempt hands a parked waiter its slot. A request
+//! the fast path places reads no clock and waited 0 s.
 //!
 //! * **Lock-free gate.** The numbers of parked services and tasks are mirrored in two
 //!   atomics that change only under the queue lock. A release reads them first and
@@ -52,18 +58,17 @@
 //!   earlier is not lost.
 //! * **Lock order.** queue → allocation state.
 //!
-//! ## Ageing and gang backfill
+//! ## Overtakes and gang backfill
 //!
 //! A window alone would let a wide head be passed for as long as narrower requests
 //! keep fitting. Every waiter the walk denies and then passes — a later arrival of
 //! its class fitted when it did not — has its overtake counter ticked. When the head
 //! is a gang whose counter exceeds [`DEFAULT_MAX_OVERTAKES`] (the walk goes back to
-//! the head the moment that happens)
-//! or whose wait exceeds [`Scheduler::gang_drain_after`], when set, the walk opens a
-//! backfill reservation for it ([`hpcml_platform::batch::Allocation::begin_drain`]):
-//! nodes are pinned to the gang as they free up, invisible to every other request,
-//! until `req.nodes` have accumulated and the walk places the gang through the
-//! reservation. The window keeps backfilling *around* the pinned nodes.
+//! the head the moment that happens), the walk opens a backfill reservation for it
+//! ([`hpcml_platform::batch::Allocation::begin_drain`]): nodes are pinned to the gang
+//! as they free up, invisible to every other request, until `req.nodes` have
+//! accumulated and the walk places the gang through the reservation. The window keeps
+//! backfilling *around* the pinned nodes.
 //!
 //! Every gang placement follows a [`GangPacking`](hpcml_platform::GangPacking) policy:
 //! its request's [`ResourceRequest::packing`], `Partial` when that is unset.
@@ -88,9 +93,11 @@
 //! notified, the error surfacing only so the caller can tell the two paths apart.
 //! [`Scheduler::notify_capacity`] notifies it after an allocation grows
 //! ([`hpcml_platform::batch::Allocation::expand`]), which releases no slot.
+//! A request too wide for the pilot as it stands waits for an `expand` until
+//! [`Scheduler::close`].
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::Waker;
 use std::time::{Duration, Instant};
@@ -99,6 +106,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use hpcml_platform::batch::Allocation;
 use hpcml_platform::resources::{ResourceError, ResourceRequest, Slot};
+use hpcml_sim::clock::SimTime;
 
 use crate::error::RuntimeError;
 
@@ -127,8 +135,8 @@ type Placed = Result<(Slot, PlacementStats), RuntimeError>;
 struct Waiter {
     /// The request, its gang packing resolved.
     req: ResourceRequest,
-    /// When the wait began (real time): the ageing clock.
-    parked_at: Instant,
+    /// When the request parked, on the session clock.
+    parked_at: SimTime,
     /// Armed under the queue lock when the waiter's first pass over the wait loop comes
     /// back pending. A notify before that is a no-op: that first pass is still to come
     /// and reads, under the same lock, the state the notify announced.
@@ -169,9 +177,10 @@ struct ActiveDrain {
     owner: Arc<Waiter>,
     /// Class of the owner — a parking service cancels a task-class drain.
     priority: Priority,
-    /// When the drain began (real time): `drain_secs` covers only an interval that
-    /// ends in a reserved placement, so the clock goes with a cancelled reservation.
-    since: Instant,
+    /// When the drain began, on the session clock: `drain_secs` covers only an
+    /// interval that ends in a reserved placement, so it goes with a cancelled
+    /// reservation.
+    since: SimTime,
 }
 
 /// Everything behind the queue lock: one arrival-ordered FIFO per priority class and
@@ -205,52 +214,46 @@ pub struct PlacementStats {
     /// passed (and by a timed-out waiter's final attempt for those ahead of it) —
     /// never by a race between requests that would both have fitted.
     pub overtakes: u32,
-    /// Real seconds spent in draining mode before placing (`None` = never drained).
+    /// Session-clock seconds spent in draining mode before placing (`None` = never
+    /// drained).
     pub drain_secs: Option<f64>,
-    /// Real seconds from [`Placement::new`] to the pass that gave its owner the slot.
+    /// Session-clock seconds from parking to the walk or final attempt that placed the
+    /// request; 0 for a request the fast path placed.
     pub wait_secs: f64,
 }
 
 /// A placement request in progress: what [`Scheduler::poll_placed`] advances and
-/// what the blocking calls drive internally. It records the request, its deadline
-/// and — once parked — its place in the wait queue, so it must end in a `Ready`
-/// poll or be handed to [`Scheduler::cancel_placement`]; dropped while queued it
-/// would block the FIFO behind it forever.
+/// what the blocking calls drive internally. It records the request and — once
+/// parked — its place in the wait queue, so it must end in a `Ready` poll or be
+/// handed to [`Scheduler::cancel_placement`]; dropped while queued it would block the
+/// FIFO behind it forever.
 #[must_use = "a placement must be polled to Ready or cancelled"]
 pub struct Placement {
     req: ResourceRequest,
     priority: Priority,
     /// Park at the front of the class queue (node-failure requeue).
     requeue: bool,
-    /// When the request arrived (real time): ageing, deadline and wait count from it.
-    parked_at: Instant,
-    /// `None`: too long a timeout to have one — it waits on, looking every ten minutes.
-    deadline: Option<Instant>,
     /// The waiter, from parking until the wait's outcome has been handed out.
     queued: Option<Arc<Waiter>>,
 }
 
 impl Placement {
-    /// A fresh request, as [`Scheduler::allocate`] takes it; `timeout` is real time
-    /// from now.
-    pub fn new(req: &ResourceRequest, priority: Priority, timeout: Duration) -> Self {
-        let parked_at = Instant::now();
+    /// A fresh request, as [`Scheduler::allocate`] takes it.
+    pub fn new(req: &ResourceRequest, priority: Priority) -> Self {
         Placement {
             req: *req,
             priority,
             requeue: false,
-            parked_at,
-            deadline: parked_at.checked_add(timeout),
             queued: None,
         }
     }
 
     /// A request re-entering placement after a node failure, as
     /// [`Scheduler::requeue`] takes it: it parks at the front of its class.
-    pub fn requeued(req: &ResourceRequest, priority: Priority, timeout: Duration) -> Self {
+    pub fn requeued(req: &ResourceRequest, priority: Priority) -> Self {
         Placement {
             requeue: true,
-            ..Placement::new(req, priority, timeout)
+            ..Placement::new(req, priority)
         }
     }
 }
@@ -260,11 +263,8 @@ impl Placement {
 pub enum PlacementPoll {
     /// The wait is over: the slot with its [`PlacementStats`], or why there is none.
     Ready(Result<(Slot, PlacementStats), RuntimeError>),
-    /// Still queued: poll again when woken, and no later than `wake_at`.
-    Pending {
-        /// The earliest real-time deadline the placement has to act on by itself.
-        wake_at: Instant,
-    },
+    /// Still queued: poll again when woken.
+    Pending,
 }
 
 /// How [`Scheduler::enter`] left a placement.
@@ -291,11 +291,10 @@ pub struct Scheduler {
     /// Serve window: how many denied waiters of the serving class a walk looks past.
     lookahead: usize,
     /// Overtake budget before a parked head gang flips to draining (`None` = never
-    /// drain on overtakes).
+    /// drain).
     max_overtakes: Option<u32>,
-    /// Age threshold before a parked head gang flips to draining (`None` = never
-    /// drain on age alone).
-    gang_drain_after: Option<Duration>,
+    /// Set by [`Scheduler::close`]: a request too wide for the pilot fails.
+    closed: AtomicBool,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -323,7 +322,7 @@ impl Scheduler {
             outstanding: AtomicUsize::new(0),
             lookahead: DEFAULT_WINDOW,
             max_overtakes: Some(DEFAULT_MAX_OVERTAKES),
-            gang_drain_after: None,
+            closed: AtomicBool::new(false),
         }
     }
 
@@ -339,20 +338,11 @@ impl Scheduler {
 
     /// Test-only: set the overtake budget, which is [`DEFAULT_MAX_OVERTAKES`] for
     /// every scheduler the runtime builds. A head gang overtaken more than `budget`
-    /// times flips into draining mode; `None` disables overtake-triggered draining
-    /// (with [`Scheduler::with_gang_drain_after`] also `None`, gangs never drain). A
-    /// budget below the default makes drains reachable in a short request stream.
+    /// times flips into draining mode; `None` means gangs never drain. A budget below
+    /// the default makes drains reachable in a short request stream.
     #[doc(hidden)]
     pub fn with_max_overtakes(mut self, budget: Option<u32>) -> Self {
         self.max_overtakes = budget;
-        self
-    }
-
-    /// Set the age threshold: a head gang parked longer than `after` flips into
-    /// draining mode even if its overtake budget is not yet spent. `None` (the
-    /// default) drains on overtakes only.
-    pub fn with_gang_drain_after(mut self, after: Option<Duration>) -> Self {
-        self.gang_drain_after = after;
         self
     }
 
@@ -372,12 +362,6 @@ impl Scheduler {
     #[cfg(test)]
     fn max_overtakes(&self) -> Option<u32> {
         self.max_overtakes
-    }
-
-    /// The parked-age threshold before a head gang drains (`None` = age never
-    /// triggers a drain).
-    pub fn gang_drain_after(&self) -> Option<Duration> {
-        self.gang_drain_after
     }
 
     /// Number of slots currently handed out.
@@ -407,18 +391,20 @@ impl Scheduler {
         }
     }
 
-    /// Whether `waiter` — the head of the serving class, just denied — has aged out of
-    /// plain waiting: a gang, no drain active, draining enabled, and its overtake
-    /// budget spent or its wait past the age threshold.
+    /// Whether `waiter` — the head of the serving class, just denied — should stop
+    /// plain waiting: a gang, no drain active, and its overtake budget spent.
     fn should_drain(&self, st: &QueueState, waiter: &Waiter) -> bool {
         waiter.req.is_gang()
             && st.drain.is_none()
-            && (self
+            && self
                 .max_overtakes
                 .is_some_and(|budget| waiter.overtakes.load(Ordering::Relaxed) > budget)
-                || self
-                    .gang_drain_after
-                    .is_some_and(|after| waiter.parked_at.elapsed() >= after))
+    }
+
+    /// Whether the pilot as it stands has too few nodes for `req`: only an `expand`
+    /// could place it.
+    fn too_wide(&self, req: &ResourceRequest) -> bool {
+        self.allocation.check_satisfiable(req) == Err(ResourceError::InsufficientResources)
     }
 
     /// Cancel the active drain when `condition` holds for it, returning its pinned
@@ -438,8 +424,8 @@ impl Scheduler {
 
     /// The one place a parked waiter is placed, under the queue lock: through its
     /// reservation while it owns the drain, off the free capacity otherwise; a
-    /// denied `head` that has aged out opens a reservation, which the nodes idle
-    /// right now may complete outright.
+    /// denied `head` whose overtake budget is spent opens a reservation, which the
+    /// nodes idle right now may complete outright.
     fn place(
         &self,
         st: &mut QueueState,
@@ -447,15 +433,16 @@ impl Scheduler {
         priority: Priority,
         head: bool,
     ) -> Result<(Slot, PlacementStats), ResourceError> {
-        let placed = |slot: Slot, drained: Option<Instant>| {
+        let placed = |slot: Slot, drained: Option<SimTime>| {
+            let now = self.allocation.clock().now();
             let stats = PlacementStats {
                 overtakes: waiter.overtakes.load(Ordering::Relaxed),
-                drain_secs: drained.map(|since| since.elapsed().as_secs_f64()),
-                wait_secs: 0.0, // known to the pass that hands the slot to its owner
+                drain_secs: drained.map(|since| now.since(since).as_secs_f64()),
+                wait_secs: now.since(waiter.parked_at).as_secs_f64(),
             };
             (slot, stats)
         };
-        let reserved = |st: &mut QueueState, id: u64, since: Instant| {
+        let reserved = |st: &mut QueueState, id: u64, since: SimTime| {
             let found = self.allocation.allocate_reserved(id, &waiter.req)?;
             st.drain = None; // consumed with the placement
             Ok::<_, ResourceError>(placed(found, Some(since)))
@@ -476,7 +463,7 @@ impl Scheduler {
         if head && denied == ResourceError::InsufficientResources && self.should_drain(st, waiter) {
             match self.allocation.begin_drain(&waiter.req) {
                 Ok(id) => {
-                    let since = Instant::now();
+                    let since = self.allocation.clock().now();
                     st.drain = Some(ActiveDrain {
                         id,
                         owner: Arc::clone(waiter),
@@ -608,7 +595,7 @@ impl Scheduler {
     /// additionally wait while any service placement is pending, so services are
     /// never starved by a flood of tasks. A gang request (`req.nodes > 1`) waits
     /// like any other request until enough idle nodes exist, then claims them
-    /// atomically — ageing into a backfill reservation first when it keeps being
+    /// atomically — opening a backfill reservation first when it keeps being
     /// overtaken (see the module docs).
     pub fn allocate(
         &self,
@@ -616,7 +603,7 @@ impl Scheduler {
         priority: Priority,
         timeout: Duration,
     ) -> Result<Slot, RuntimeError> {
-        self.block_on(Placement::new(req, priority, timeout))
+        self.block_on(Placement::new(req, priority), Some(timeout))
             .map(|(slot, _)| slot)
     }
 
@@ -631,7 +618,7 @@ impl Scheduler {
         priority: Priority,
         timeout: Duration,
     ) -> Result<Slot, RuntimeError> {
-        self.block_on(Placement::requeued(req, priority, timeout))
+        self.block_on(Placement::requeued(req, priority), Some(timeout))
             .map(|(slot, _)| slot)
     }
 
@@ -639,25 +626,24 @@ impl Scheduler {
     /// (validation, fast path, parking), then make one pass over the wait loop.
     /// `Ready` carries the final result and spends the placement; `Pending` means
     /// the request keeps its place in the queue and must be polled again when
-    /// `waker` is called or at `wake_at` (the request deadline, or an ageing gang's
-    /// drain threshold), whichever comes first. Polling more often is harmless.
+    /// `waker` is called. Polling more often is harmless.
     ///
     /// `waker` is called under the queue lock, so it must only enqueue work —
     /// never poll inline. It is stored when the first poll comes back pending; a
     /// wake-up that lands while the owner is still inside a poll must make the owner
     /// poll again rather than be dropped.
     ///
-    /// This is [`Scheduler::allocate`] with the thread taken out: both run the same
-    /// entry and pass, and a blocking caller is
-    /// `loop { pass; cond.wait_until(wake_at) }` under the queue lock.
+    /// This is [`Scheduler::allocate`] with the thread and the timeout taken out: both
+    /// run the same entry and pass, and a blocking caller is `loop { pass; cond.wait }`
+    /// under the queue lock.
     pub fn poll_placed(&self, placement: &mut Placement, waker: &Waker) -> PlacementPoll {
         let mut st = match self.enter(placement) {
             Err(e) => return PlacementPoll::Ready(Err(e)),
             Ok(Entered::Placed(placed)) => return PlacementPoll::Ready(Ok(placed)),
             Ok(Entered::Parked(st)) => st,
         };
-        let poll = self.pass(&mut st, placement);
-        if let (PlacementPoll::Pending { .. }, Some(waiter)) = (&poll, &placement.queued) {
+        let poll = self.pass(&mut st, placement, None);
+        if let (PlacementPoll::Pending, Some(waiter)) = (&poll, &placement.queued) {
             waiter.wake.get_or_init(|| WakeSlot::Task(waker.clone()));
         }
         poll
@@ -667,21 +653,31 @@ impl Scheduler {
     /// waiter's condition variable between passes, and return the slot with its
     /// [`PlacementStats`] — what [`Scheduler::allocate`] and [`Scheduler::requeue`]
     /// run. Every sleep begins inside the lock hold of the pass that came back
-    /// pending, so a notification issued under the queue lock is never lost.
+    /// pending, so a notification issued under the queue lock is never lost. A
+    /// `timeout` (real time from parking; `None` = none) ends the wait with a final
+    /// attempt.
     pub fn block_on(
         &self,
         mut placement: Placement,
+        timeout: Option<Duration>,
     ) -> Result<(Slot, PlacementStats), RuntimeError> {
         let mut st = match self.enter(&mut placement)? {
             Entered::Placed(placed) => return Ok(placed),
             Entered::Parked(st) => st,
         };
+        let deadline = timeout.and_then(|timeout| Instant::now().checked_add(timeout));
         loop {
-            match self.pass(&mut st, &mut placement) {
+            match self.pass(&mut st, &mut placement, deadline) {
                 PlacementPoll::Ready(result) => return result,
-                PlacementPoll::Pending { wake_at } => {
+                PlacementPoll::Pending => {
                     let waiter = placement.queued.as_ref().expect("pending means parked");
-                    waiter.thread_cond().wait_until(&mut st, wake_at);
+                    let cond = waiter.thread_cond();
+                    match deadline {
+                        Some(at) => {
+                            cond.wait_until(&mut st, at);
+                        }
+                        None => cond.wait(&mut st),
+                    }
                 }
             }
         }
@@ -716,13 +712,7 @@ impl Scheduler {
             match self.allocation.allocate_slot(&placement.req) {
                 Ok(slot) => {
                     self.outstanding.fetch_add(1, Ordering::AcqRel);
-                    return Ok(Entered::Placed((
-                        slot,
-                        PlacementStats {
-                            wait_secs: placement.parked_at.elapsed().as_secs_f64(),
-                            ..PlacementStats::default()
-                        },
-                    )));
+                    return Ok(Entered::Placed((slot, PlacementStats::default())));
                 }
                 Err(ResourceError::InsufficientResources) => {}
                 Err(e) => return Err(RuntimeError::Resource(e)),
@@ -733,7 +723,7 @@ impl Scheduler {
         // front of the class queue (the request already waited its turn once).
         let waiter = Arc::new(Waiter {
             req: placement.req,
-            parked_at: placement.parked_at,
+            parked_at: self.allocation.clock().now(),
             wake: OnceLock::new(),
             overtakes: AtomicU32::new(0),
             served: Mutex::new(None),
@@ -744,7 +734,9 @@ impl Scheduler {
         } else {
             queue.push_back(Arc::clone(&waiter));
         }
-        waiting.fetch_add(1, Ordering::AcqRel);
+        // Sequentially consistent with `close`, which reads the count after setting
+        // its flag: either it sees this waiter, or this waiter's first pass sees it.
+        waiting.fetch_add(1, Ordering::SeqCst);
         placement.queued = Some(waiter);
         // Service priority extends to reservations: a parking service cancels a
         // task-class drain, so pinned nodes never idle-block it. The task head re-opens
@@ -758,12 +750,17 @@ impl Scheduler {
     }
 
     /// One pass of a parked placement over the wait loop, under the queue lock: from
-    /// inside the window, serve it — the arrival itself, a notify or an ageing
-    /// threshold is what no walk has seen yet, and a release may have read "nobody
-    /// parked" since the fast path looked. Then take what a walk left for this waiter;
-    /// once the deadline has passed, make the explicit final attempt and leave;
-    /// otherwise say when to look again.
-    fn pass(&self, st: &mut QueueState, placement: &mut Placement) -> PlacementPoll {
+    /// inside the window, serve it — the arrival itself or a notify is what no walk has
+    /// seen yet, and a release may have read "nobody parked" since the fast path
+    /// looked. Then take what a walk left for this waiter; leave when the scheduler is
+    /// closed and the waiter too wide for the pilot; make the final attempt and leave
+    /// once the `deadline` of a blocked caller has passed; otherwise stay parked.
+    fn pass(
+        &self,
+        st: &mut QueueState,
+        placement: &mut Placement,
+        deadline: Option<Instant>,
+    ) -> PlacementPoll {
         let waiter = placement.queued.as_ref().expect("pass runs while parked");
         let (queue, _) = self.class(st, placement.priority);
         let mut window = queue.iter().take(self.lookahead);
@@ -771,19 +768,14 @@ impl Scheduler {
             self.serve(st, waiter);
         }
         let served = waiter.served.lock().take();
-        let now = Instant::now();
-        let deadline = placement.deadline.unwrap_or(now + Duration::from_secs(600));
         let result = match served {
             Some(outcome) => outcome,
-            None if now < deadline => {
-                // A gang that may still age into a drain looks again at its threshold.
-                let ageing = self
-                    .gang_drain_after
-                    .filter(|_| waiter.req.is_gang() && st.drain.is_none())
-                    .map(|after| waiter.parked_at + after)
-                    .filter(|threshold| *threshold > now);
-                let wake_at = ageing.map_or(deadline, |t| t.min(deadline));
-                return PlacementPoll::Pending { wake_at };
+            None if self.closed.load(Ordering::SeqCst) && self.too_wide(&waiter.req) => {
+                self.leave(st, placement.priority, waiter, false);
+                Err(RuntimeError::SessionClosed)
+            }
+            None if deadline.is_none_or(|at| Instant::now() < at) => {
+                return PlacementPoll::Pending;
             }
             None => {
                 // Capacity may have freed while this waiter sat outside the window.
@@ -802,10 +794,7 @@ impl Scheduler {
             }
         };
         placement.queued = None;
-        let wait_secs = now.duration_since(placement.parked_at).as_secs_f64();
-        PlacementPoll::Ready(
-            result.map(|(slot, stats)| (slot, PlacementStats { wait_secs, ..stats })),
-        )
+        PlacementPoll::Ready(result)
     }
 
     /// A waiter no walk served leaves the queue: its final attempt `placed` it (the
@@ -880,6 +869,25 @@ impl Scheduler {
     /// — e.g. the pilot expanded its allocation.
     pub fn notify_capacity(&self) {
         self.capacity_changed();
+    }
+
+    /// Fail every parked request the pilot as it stands is too wide for, and each
+    /// such request that arrives from now on, with [`RuntimeError::SessionClosed`]:
+    /// nothing will expand the pilot any more. Whatever fits still waits. Takes no
+    /// lock when nobody is parked.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        if self.waiting_services.load(Ordering::SeqCst) == 0
+            && self.waiting_tasks.load(Ordering::SeqCst) == 0
+        {
+            return;
+        }
+        let st = self.queue.lock();
+        for waiter in st.services.iter().chain(&st.tasks) {
+            if self.too_wide(&waiter.req) {
+                waiter.notify();
+            }
+        }
     }
 }
 
@@ -1010,20 +1018,25 @@ mod tests {
 
     #[test]
     fn an_unbounded_timeout_has_no_deadline_to_overflow() {
-        // `parked_at + Duration::MAX` would panic: there is no such deadline.
+        // `now + Duration::MAX` would panic: there is no such deadline.
         let s = Arc::new(scheduler(PlatformId::Local, 1));
         let held = s
             .allocate(&gpus(2), Priority::Task, Duration::MAX)
             .expect("free capacity: placed at once");
         let s2 = Arc::clone(&s);
         let waiter = thread::spawn(move || {
-            s2.block_on(Placement::new(&gpus(1), Priority::Task, Duration::MAX))
+            s2.block_on(
+                Placement::new(&gpus(1), Priority::Task),
+                Some(Duration::MAX),
+            )
         });
         wait_until(&s, "the second request to park", |s| s.waiting_tasks() == 1);
-        thread::sleep(Duration::from_millis(20));
+        // The wait is measured on the session clock, which only the test moves.
+        let clock = s.allocation().clock().as_manual().expect("a manual clock");
+        clock.advance(Duration::from_secs(20));
         s.release(&held).unwrap();
         let (slot, stats) = waiter.join().unwrap().expect("placed by the release");
-        assert!(stats.wait_secs >= 0.02, "waited {} s", stats.wait_secs);
+        assert_eq!(stats.wait_secs, 20.0);
         s.release(&slot).unwrap();
     }
 
@@ -1347,11 +1360,10 @@ mod tests {
         );
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.block_on(Placement::new(
-                &gang_req,
-                Priority::Task,
-                Duration::from_secs(30),
-            ))
+            s_gang.block_on(
+                Placement::new(&gang_req, Priority::Task),
+                Some(Duration::from_secs(30)),
+            )
         });
         wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
 
@@ -1418,13 +1430,8 @@ mod tests {
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 3);
         let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
         let cores_per_node = alloc.node_spec().cores;
-        let s = Arc::new(
-            Scheduler::with_lookahead(alloc, 2)
-                .with_max_overtakes(None)
-                .with_gang_drain_after(None),
-        );
+        let s = Arc::new(Scheduler::with_lookahead(alloc, 2).with_max_overtakes(None));
         assert_eq!(s.max_overtakes(), None);
-        assert_eq!(s.gang_drain_after(), None);
         let narrow = cores(cores_per_node);
         let gang_req = cores(cores_per_node).with_nodes(4);
 
@@ -1504,11 +1511,10 @@ mod tests {
         let gang_req = cores(32).with_nodes(4);
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.block_on(Placement::new(
-                &gang_req,
-                Priority::Task,
-                Duration::from_secs(30),
-            ))
+            s_gang.block_on(
+                Placement::new(&gang_req, Priority::Task),
+                Some(Duration::from_secs(30)),
+            )
         });
         wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
 
@@ -1598,11 +1604,10 @@ mod tests {
         let gang_req = cores(32).with_nodes(4).with_packing(GangPacking::Whole);
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.block_on(Placement::new(
-                &gang_req,
-                Priority::Task,
-                Duration::from_secs(30),
-            ))
+            s_gang.block_on(
+                Placement::new(&gang_req, Priority::Task),
+                Some(Duration::from_secs(30)),
+            )
         });
         wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
 
@@ -1644,24 +1649,36 @@ mod tests {
     fn drain_timeout_cancels_reservation_and_restores_idle_nodes() {
         let batch = BatchSystem::new(PlatformId::Local.spec(), ClockSpec::Manual.build(), 3);
         let alloc = batch.submit(AllocationRequest::nodes(2)).unwrap();
-        // Age-triggered drain: flips almost immediately once parked.
-        let s = Arc::new(
-            Scheduler::with_lookahead(alloc, 2)
-                .with_max_overtakes(None)
-                .with_gang_drain_after(Some(Duration::from_millis(20))),
-        );
+        // No overtake budget: the first arrival that passes the gang opens its drain.
+        let s = Arc::new(Scheduler::with_lookahead(alloc, 2).with_max_overtakes(Some(0)));
         // One core pinned on one node: a 2-node gang can never complete, but the
-        // other (idle) node gets pinned by its reservation once draining starts.
+        // other node gets pinned by its reservation once draining starts.
         let pin = s
             .allocate(&cores(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
-        let err = s
-            .allocate(
+        let s_gang = Arc::clone(&s);
+        let gang_waiter = thread::spawn(move || {
+            s_gang.allocate(
                 &cores(8).with_nodes(2),
                 Priority::Task,
                 Duration::from_millis(300),
             )
-            .unwrap_err();
+        });
+        wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
+        let narrow = s
+            .allocate(&cores(1), Priority::Task, Duration::from_secs(5))
+            .expect("a narrow arrival passes the gang");
+        assert!(
+            s.allocation().drain_status().is_some(),
+            "and opens its drain"
+        );
+        s.release(&narrow).unwrap();
+        assert_eq!(
+            s.allocation().reserved_nodes(),
+            1,
+            "the free node is pinned"
+        );
+        let err = gang_waiter.join().unwrap().unwrap_err();
         assert!(matches!(err, RuntimeError::WaitTimeout { .. }));
         assert_eq!(
             s.allocation().reserved_nodes(),
@@ -1686,26 +1703,25 @@ mod tests {
     fn parking_service_cancels_task_drain_and_places_first() {
         let batch = BatchSystem::new(PlatformId::Local.spec(), ClockSpec::Manual.build(), 3);
         let alloc = batch.submit(AllocationRequest::nodes(2)).unwrap();
-        let s = Arc::new(
-            Scheduler::with_lookahead(alloc, 2)
-                .with_max_overtakes(None)
-                .with_gang_drain_after(Some(Duration::from_millis(20))),
-        );
+        let s = Arc::new(Scheduler::with_lookahead(alloc, 2).with_max_overtakes(Some(0)));
         let pin = s
             .allocate(&cores(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
         let s_gang = Arc::clone(&s);
         let gang_waiter = thread::spawn(move || {
-            s_gang.block_on(Placement::new(
-                &cores(8).with_nodes(2),
-                Priority::Task,
-                Duration::from_secs(30),
-            ))
+            s_gang.block_on(
+                Placement::new(&cores(8).with_nodes(2), Priority::Task),
+                Some(Duration::from_secs(30)),
+            )
         });
-        // Wait for the age trigger to pin the idle node.
-        wait_until(&s, "task gang draining", |s| {
-            s.allocation().reserved_nodes() == 1
-        });
+        wait_until(&s, "gang parked at the head", |s| s.waiting_tasks() == 1);
+        // A narrow arrival passes the gang, which spends its budget and drains: once
+        // the narrow slot is back, the node without the pin is pinned to the gang.
+        let narrow = s
+            .allocate(&cores(1), Priority::Task, Duration::from_secs(5))
+            .expect("a narrow arrival passes the gang");
+        s.release(&narrow).unwrap();
+        assert_eq!(s.allocation().reserved_nodes(), 1, "task gang draining");
         // A whole-node service arrives: it must not be blocked by the pinned node.
         let svc = s
             .allocate(&cores(8), Priority::Service, Duration::from_secs(5))
@@ -1740,12 +1756,10 @@ mod tests {
             let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), seed);
             let alloc = batch.submit(AllocationRequest::nodes(4)).unwrap();
             let s = Arc::new(
-                Scheduler::with_lookahead(Arc::clone(&alloc), 2)
-                    .with_max_overtakes(None)
-                    .with_gang_drain_after(Some(Duration::from_millis(10))),
+                Scheduler::with_lookahead(Arc::clone(&alloc), 2).with_max_overtakes(Some(0)),
             );
-            // Every node busy: the gang must park, age, and open its reservation.
-            let holds: Vec<_> = (0..4)
+            // Every node busy: the gang must park, and drain once it is passed.
+            let mut holds: Vec<_> = (0..4)
                 .map(|_| {
                     s.allocate(&cores(64), Priority::Task, Duration::from_secs(1))
                         .unwrap()
@@ -1759,6 +1773,13 @@ mod tests {
                     Duration::from_secs(30),
                 )
             });
+            wait_until(&s, "gang parked", |s| s.waiting_tasks() == 1);
+            // A whole node comes back and a later arrival takes it past the gang,
+            // which spends its budget of none and opens its reservation.
+            s.release(&holds[3]).unwrap();
+            holds[3] = s
+                .allocate(&cores(64), Priority::Task, Duration::from_secs(5))
+                .expect("a later arrival passes the gang");
             wait_until(&s, "gang draining", |s| {
                 s.allocation().drain_status().is_some()
             });
@@ -1931,25 +1952,32 @@ mod tests {
 
     #[test]
     fn requeue_ahead_of_a_draining_gang_does_not_shut_it_out_of_its_reservation() {
-        // Both nodes are held; the gang at the head drains at once (age threshold 0),
-        // and both nodes are pinned to it as they come back — before its owner polls
-        // again, a requeued one-core victim parks in front of it and finds nothing
-        // free. The gang asks for no less than the victim just denied, and must be
-        // tried all the same: what it waits for is pinned.
-        let s = scheduler(PlatformId::Local, 2).with_gang_drain_after(Some(Duration::ZERO));
+        // Both nodes are held; the gang at the head drains as soon as a later arrival
+        // passes it (a budget of no overtakes), and both nodes are pinned to it as
+        // they come back — before its owner polls again, a requeued one-core victim
+        // parks in front of it and finds nothing free. The gang asks for no less than
+        // the victim just denied, and must be tried all the same: what it waits for is
+        // pinned.
+        let s = scheduler(PlatformId::Local, 2).with_max_overtakes(Some(0));
         let long = Duration::from_secs(10);
-        let held = [(); 2].map(|()| s.allocate(&cores(8), Priority::Task, long).unwrap());
-        let mut gang = Placement::new(&cores(8).with_nodes(2), Priority::Task, long);
+        let mut held = [(); 2].map(|()| s.allocate(&cores(8), Priority::Task, long).unwrap());
+        let mut gang = Placement::new(&cores(8).with_nodes(2), Priority::Task);
         let poll = s.poll_placed(&mut gang, Waker::noop());
-        assert!(matches!(poll, PlacementPoll::Pending { .. }));
+        assert!(matches!(poll, PlacementPoll::Pending));
+        s.release(&held[1]).unwrap();
+        let mut passer = Placement::new(&cores(8), Priority::Task);
+        held[1] = match s.poll_placed(&mut passer, Waker::noop()) {
+            PlacementPoll::Ready(Ok((slot, _))) => slot,
+            other => panic!("a later arrival passes the gang: {other:?}"),
+        };
         assert!(s.allocation().drain_status().is_some());
         for slot in &held {
             s.release(slot).unwrap();
         }
-        let mut victim = Placement::requeued(&cores(1), Priority::Task, long);
+        let mut victim = Placement::requeued(&cores(1), Priority::Task);
         let poll = s.poll_placed(&mut victim, Waker::noop());
         assert!(
-            matches!(poll, PlacementPoll::Pending { .. }),
+            matches!(poll, PlacementPoll::Pending),
             "every core is pinned to the gang: {poll:?}"
         );
         assert_eq!(s.waiting_tasks(), 1, "the victim's walk placed the gang");
@@ -2013,7 +2041,7 @@ mod tests {
                 .unwrap();
             let victim_node = gang.node_index();
             // The spare (non-member) node carries a narrow tenant, so the requeued
-            // gang cannot place directly and must age into a drain.
+            // gang cannot place directly and must drain once overtaken.
             let mut hold = Some(
                 s.allocate(&narrow, Priority::Task, Duration::from_secs(1))
                     .unwrap(),
@@ -2030,11 +2058,10 @@ mod tests {
             let s_gang = Arc::clone(&s);
             let gang_req = cores(cores_per_node).with_nodes(4);
             let gang_waiter = thread::spawn(move || {
-                s_gang.block_on(Placement::requeued(
-                    &gang_req,
-                    Priority::Task,
-                    Duration::from_secs(30),
-                ))
+                s_gang.block_on(
+                    Placement::requeued(&gang_req, Priority::Task),
+                    Some(Duration::from_secs(30)),
+                )
             });
             wait_until(&s, "requeued gang parked at the head", |s| {
                 s.waiting_tasks() == 1
@@ -2097,10 +2124,10 @@ mod tests {
             .allocate(&cores(8), Priority::Task, Duration::from_secs(1))
             .unwrap();
         // A polled placement parks at the head and is then abandoned.
-        let mut head = Placement::new(&cores(8), Priority::Task, Duration::from_secs(10));
+        let mut head = Placement::new(&cores(8), Priority::Task);
         assert!(matches!(
             s.poll_placed(&mut head, Waker::noop()),
-            PlacementPoll::Pending { .. }
+            PlacementPoll::Pending
         ));
         let s2 = Arc::clone(&s);
         let behind =
@@ -2129,16 +2156,16 @@ mod tests {
         let pin = s.allocate(&cores(1), Priority::Task, long).unwrap();
         let hold_b = s.allocate(&cores(8), Priority::Task, long).unwrap();
         let whole_gang = cores(4).with_nodes(2).with_packing(GangPacking::Whole);
-        let mut gang = Placement::new(&whole_gang, Priority::Task, long);
-        let mut narrow = Placement::new(&cores(8), Priority::Task, long);
+        let mut gang = Placement::new(&whole_gang, Priority::Task);
+        let mut narrow = Placement::new(&cores(8), Priority::Task);
         for parked in [&mut gang, &mut narrow] {
             let poll = s.poll_placed(parked, Waker::noop());
-            assert!(matches!(poll, PlacementPoll::Pending { .. }));
+            assert!(matches!(poll, PlacementPoll::Pending));
         }
         s.release(&hold_b).unwrap();
         assert!(matches!(
             s.poll_placed(&mut gang, Waker::noop()),
-            PlacementPoll::Pending { .. }
+            PlacementPoll::Pending
         ));
         assert_eq!(s.waiting_tasks(), 1, "the gang's walk served the task");
         assert_eq!(s.outstanding_slots(), 2);
@@ -2153,6 +2180,42 @@ mod tests {
             }
             other => panic!("the gang should place: {other:?}"),
         }
+        assert_eq!(s.outstanding_slots(), 0);
+    }
+
+    #[test]
+    fn close_fails_what_is_too_wide_and_still_places_what_fits() {
+        let s = Arc::new(scheduler(PlatformId::Local, 1)); // one 8-core node
+        let long = Duration::from_secs(30);
+        let wide = cores(1).with_nodes(2);
+        let hold = s.allocate(&cores(8), Priority::Task, long).unwrap();
+        let s1 = Arc::clone(&s);
+        let parked_wide = thread::spawn(move || s1.allocate(&wide, Priority::Task, long));
+        wait_until(&s, "too-wide gang parked", |s| s.waiting_tasks() == 1);
+        let s2 = Arc::clone(&s);
+        let fitting = thread::spawn(move || s2.allocate(&cores(8), Priority::Task, long));
+        wait_until(&s, "fitting task parked", |s| s.waiting_tasks() == 2);
+
+        s.close();
+        let failed = parked_wide.join().unwrap();
+        assert!(
+            matches!(failed, Err(RuntimeError::SessionClosed)),
+            "{failed:?}"
+        );
+        let arrived = Instant::now();
+        let refused = s.allocate(&wide, Priority::Task, long);
+        assert!(
+            matches!(refused, Err(RuntimeError::SessionClosed)),
+            "{refused:?}"
+        );
+        assert!(
+            arrived.elapsed() < Duration::from_secs(5),
+            "refused at once"
+        );
+        assert_eq!(s.waiting_tasks(), 1, "what fits still waits");
+        s.release(&hold).unwrap();
+        let slot = fitting.join().unwrap().expect("placed by the release");
+        s.release(&slot).unwrap();
         assert_eq!(s.outstanding_slots(), 0);
     }
 }

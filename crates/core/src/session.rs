@@ -131,7 +131,8 @@ pub struct Session {
     task_manager: Arc<TaskManager>,
     service_manager: Arc<ServiceManager>,
     executor: Arc<Executor>,
-    scheduler: Mutex<Option<Arc<Scheduler>>>,
+    /// One scheduler per pilot, in submission order; new work goes to the last.
+    schedulers: Mutex<Vec<Arc<Scheduler>>>,
     pilots: Mutex<Vec<Arc<PilotRecord>>>,
     closed: AtomicBool,
     /// Asks the fault-injector thread to stop firing; `close` sets it.
@@ -190,7 +191,7 @@ impl Session {
             task_manager: Arc::new(TaskManager::new()),
             service_manager: Arc::new(ServiceManager::new(registry, Arc::clone(&clock))),
             executor,
-            scheduler: Mutex::new(None),
+            schedulers: Mutex::new(Vec::new()),
             pilots: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
             fault_stop: Arc::new(AtomicBool::new(false)),
@@ -257,13 +258,14 @@ impl Session {
             record.allocation.lock().clone().ok_or_else(|| {
                 RuntimeError::InvalidState("pilot active without allocation".into())
             })?;
-        *self.scheduler.lock() = Some(Arc::new(Scheduler::new(Arc::clone(&allocation))));
+        let scheduler = Arc::new(Scheduler::new(Arc::clone(&allocation)));
+        self.schedulers.lock().push(Arc::clone(&scheduler));
         self.pilots.lock().push(Arc::clone(&record));
         self.spawn_fault_injector(&allocation);
         Ok(PilotHandle {
             record,
             manager: Some(Arc::clone(&self.pilot_manager)),
-            scheduler: self.scheduler.lock().clone(),
+            scheduler: Some(scheduler),
         })
     }
 
@@ -290,7 +292,7 @@ impl Session {
                 for event in plan.events() {
                     let due = epoch + Duration::from_secs_f64(event.at_secs.max(0.0));
                     while !stop.load(Ordering::Acquire) && clock.now() < due {
-                        clock.sleep_interruptibly(Some(due), None, &wake);
+                        clock.sleep_interruptibly(Some(due), &wake);
                     }
                     if stop.load(Ordering::Acquire) {
                         return;
@@ -334,11 +336,16 @@ impl Session {
         );
         self.service_manager.add(Arc::clone(&record));
         let scheduler = match description.placement {
-            ServicePlacement::LocalPilot => self.scheduler.lock().clone(),
+            ServicePlacement::LocalPilot => self.scheduler(),
             ServicePlacement::Remote(_) => None,
         };
         self.executor.spawn_service(Arc::clone(&record), scheduler);
         Ok(ServiceHandle { record })
+    }
+
+    /// The scheduler of the latest pilot, if any.
+    fn scheduler(&self) -> Option<Arc<Scheduler>> {
+        self.schedulers.lock().last().cloned()
     }
 
     /// The platform tasks land on: the active pilot's, or the session default.
@@ -364,7 +371,7 @@ impl Session {
     pub fn submit_task(&self, description: TaskDescription) -> Result<TaskHandle, RuntimeError> {
         self.ensure_open()?;
         let record = self.new_task_record(self.active_platform());
-        let scheduler = self.scheduler.lock().clone();
+        let scheduler = self.scheduler();
         self.executor
             .spawn_task(Arc::clone(&record), description, scheduler);
         Ok(TaskHandle { record })
@@ -382,7 +389,7 @@ impl Session {
         descriptions: impl IntoIterator<Item = TaskDescription>,
     ) -> Result<Vec<TaskHandle>, RuntimeError> {
         self.ensure_open()?;
-        let scheduler = self.scheduler.lock().clone();
+        let scheduler = self.scheduler();
         let platform = self.active_platform();
         let handles: Vec<TaskHandle> = descriptions
             .into_iter()
@@ -403,10 +410,11 @@ impl Session {
         self.task_manager.wait_all(timeout).map(|_| ())
     }
 
-    /// Orderly shutdown: stop and join the fault injector, stop all services, wait
-    /// until every task run has ended (a run ends after its last state message is
-    /// published), stop the executor's pool if it was ever started, join the entity
-    /// threads, terminate pilots. Idempotent.
+    /// Orderly shutdown: stop and join the fault injector, stop all services, close
+    /// every scheduler (a request too wide for its pilot fails: nothing will expand the
+    /// pilot any more), wait until every task run has ended (a run ends after its last
+    /// state message is published), stop the executor's pool if it was ever started,
+    /// join the entity threads, terminate pilots. Idempotent.
     pub fn close(&self) {
         if self.closed.swap(true, Ordering::AcqRel) {
             return;
@@ -417,6 +425,9 @@ impl Session {
             let _ = injector.join();
         }
         self.service_manager.stop_all();
+        for scheduler in self.schedulers.lock().iter() {
+            scheduler.close();
+        }
         self.executor.join_all();
         for pilot in self.pilots.lock().iter() {
             let _ = self.pilot_manager.terminate(pilot);

@@ -532,6 +532,8 @@ pub struct Allocation {
     /// Seconds spent waiting in the batch queue (0 if not modelled).
     queue_wait_secs: f64,
     walltime_secs: f64,
+    /// The batch system's clock: the session clock its users measure waits on.
+    clock: SharedClock,
 }
 
 impl std::fmt::Debug for Allocation {
@@ -617,6 +619,11 @@ impl Allocation {
     /// Granted walltime in seconds.
     pub fn walltime_secs(&self) -> f64 {
         self.walltime_secs
+    }
+
+    /// The clock of the batch system that granted this allocation.
+    pub fn clock(&self) -> &SharedClock {
+        &self.clock
     }
 
     /// Check `req` against the allocation shape without touching occupancy: `Err` when
@@ -1206,6 +1213,7 @@ impl BatchSystem {
             evictions: AtomicU64::new(0),
             queue_wait_secs,
             walltime_secs: req.walltime_secs,
+            clock: Arc::clone(&self.clock),
         }))
     }
 

@@ -144,25 +144,14 @@ pub trait Clock: Send + Sync {
     /// Block the calling thread for `d` of virtual time.
     fn sleep(&self, d: Duration);
 
-    /// Block until the clock reads `deadline`, real time reaches `real_deadline`, or
-    /// `interrupt` is raised — whichever comes first (`None` = no such bound). May
-    /// return early; callers re-check their condition. This is how one timer thread
-    /// sleeps to the earliest entry of a timer heap and still hears about an earlier
-    /// one. The provided body serves every clock that runs off real time at a finite
-    /// [`Clock::scale`] (virtual seconds per real second); a clock advanced any other
-    /// way overrides it.
-    fn sleep_interruptibly(
-        &self,
-        deadline: Option<SimTime>,
-        real_deadline: Option<Instant>,
-        interrupt: &Arc<Interrupt>,
-    ) {
-        let virtual_due =
-            deadline.map(|at| Instant::now() + at.since(self.now()).div_f64(self.scale()));
-        let due = match (virtual_due, real_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+    /// Block until the clock reads `deadline` or `interrupt` is raised, whichever
+    /// comes first (`None` = until raised). May return early; callers re-check their
+    /// condition. This is how one timer thread sleeps to the earliest entry of a timer
+    /// heap and still hears about an earlier one. The provided body serves every clock
+    /// that runs off real time at a finite [`Clock::scale`] (virtual seconds per real
+    /// second); a clock advanced any other way overrides it.
+    fn sleep_interruptibly(&self, deadline: Option<SimTime>, interrupt: &Arc<Interrupt>) {
+        let due = deadline.map(|at| Instant::now() + at.since(self.now()).div_f64(self.scale()));
         interrupt.wait_until(due);
     }
 
@@ -435,12 +424,7 @@ impl Clock for ManualClock {
     /// Manual time has no real-time equivalent: register as a pending sleeper (so
     /// [`ManualClock::advance_to_next`] sees the deadline) and as a listener every
     /// advance raises, then wait on the interrupt alone.
-    fn sleep_interruptibly(
-        &self,
-        deadline: Option<SimTime>,
-        real_deadline: Option<Instant>,
-        interrupt: &Arc<Interrupt>,
-    ) {
+    fn sleep_interruptibly(&self, deadline: Option<SimTime>, interrupt: &Arc<Interrupt>) {
         let seq = {
             let mut st = self.state.lock();
             if deadline.is_some_and(|at| st.now >= at) {
@@ -454,7 +438,7 @@ impl Clock for ManualClock {
             st.listeners.push((seq, Arc::clone(interrupt)));
             seq
         };
-        interrupt.wait_until(real_deadline);
+        interrupt.wait_until(None);
         let mut st = self.state.lock();
         st.forget(seq);
         st.listeners.retain(|(s, _)| *s != seq);
@@ -712,19 +696,13 @@ mod tests {
         let interrupt = Interrupt::new();
         // 20 virtual seconds == 20 ms real: the deadline ends the sleep.
         let deadline = clock.now() + Duration::from_secs(20);
-        clock.sleep_interruptibly(Some(deadline), None, &interrupt);
+        clock.sleep_interruptibly(Some(deadline), &interrupt);
         assert!(clock.now() >= deadline);
         // A raise that lands first is latched and ends an unbounded sleep at once.
         interrupt.raise();
         let wall = Instant::now();
-        clock.sleep_interruptibly(None, None, &interrupt);
+        clock.sleep_interruptibly(None, &interrupt);
         assert!(wall.elapsed() < Duration::from_secs(5));
-        // The real-time bound applies when it is the earlier one.
-        let far = clock.now() + Duration::from_secs(3600 * 1000);
-        let wall = Instant::now();
-        clock.sleep_interruptibly(Some(far), Some(wall + Duration::from_millis(5)), &interrupt);
-        assert!(wall.elapsed() >= Duration::from_millis(5));
-        assert!(clock.now() < far);
     }
 
     #[test]
@@ -735,7 +713,7 @@ mod tests {
         let deadline = SimTime::from_secs_f64(7.0);
         let sleeper = thread::spawn(move || {
             while cc.now() < deadline {
-                cc.sleep_interruptibly(Some(deadline), None, &ii);
+                cc.sleep_interruptibly(Some(deadline), &ii);
             }
             cc.now()
         });
@@ -752,7 +730,7 @@ mod tests {
         assert_eq!(sleeper.join().unwrap(), t);
         assert_eq!(c.pending_sleepers(), 0);
         // Already past the deadline: returns without registering.
-        c.sleep_interruptibly(Some(deadline), None, &interrupt);
+        c.sleep_interruptibly(Some(deadline), &interrupt);
     }
 
     #[test]

@@ -29,20 +29,13 @@
 //! waiting). The serving plane's two runs are built for it; tasks are not advanced this
 //! way except by the thread that submits them, which creates them held.
 //!
-//! Timers come in two kinds: a heap of deadlines on the session clock (compute,
-//! staging and backoff sleeps of tasks; inference batches of services) and a queue of
-//! real-time deadlines sorted by time (the scheduler's request timeout and gang drain
-//! threshold). The timer thread sleeps to the earliest of both through
-//! [`crate::clock::Clock::sleep_interruptibly`], so a manual clock works too. An
-//! entry carries the generation its run had when the entry was made; a run that has
-//! since parked on something else has a newer generation, and the stale entry is
-//! dropped when popped. A session-clock entry is never searched for. It owns its run: a
-//! sleeping run has no other holder, and the entry is popped when the sleep ends. A
-//! real-time entry only points at it ([`Weak`]): the scheduler's queue holds a run
-//! that waits for placement. That deadline is minutes away and the wait usually ends
-//! long before it, so whoever filed the entry takes it out when the wait ends
-//! ([`Pool::disarm`] with the [`WallTimer`] that [`Pool::wake_at_wall`] returned):
-//! even a weak entry keeps its run's allocation, and a finished run must keep none.
+//! Timers are one kind: a heap of deadlines on the session clock (compute, staging and
+//! backoff sleeps of tasks; inference batches of services). The timer thread sleeps to
+//! the earliest through [`crate::clock::Clock::sleep_interruptibly`], so a manual clock
+//! works too. An entry carries the generation its run had when the entry was made; a
+//! run that has since parked on a later deadline has a newer generation, and the stale
+//! entry is dropped when popped. An entry is never searched for. It owns its run: a
+//! sleeping run has no other holder, and the entry is popped when the sleep ends.
 //!
 //! Nothing is started eagerly: the workers and the timer thread are spawned by the
 //! first enqueue or timer, sized from `available_parallelism`, and
@@ -52,16 +45,16 @@
 //! **Ownership.** A session-clock timer entry owns its run, so a run that owns the
 //! pool closes a cycle which only an explicit [`Pool::shutdown`] breaks (the executor
 //! does that for its task runs). Runs whose host may simply be dropped — a standalone
-//! service's front-end and replicas — hold the pool as a [`Weak`] and upgrade it for
-//! the length of one call; should that upgrade turn out to be the last reference, the
-//! pool is dropped on one of its own threads, which `shutdown` does not try to join.
+//! service's front-end and replicas — hold the pool as a [`Weak`](std::sync::Weak)
+//! and upgrade it for the length of one call; should that upgrade turn out to be the
+//! last reference, the pool is dropped on one of its own threads, which `shutdown`
+//! does not try to join.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -226,38 +219,10 @@ struct RunQueue {
     shutdown: bool,
 }
 
-/// A real-time timer entry, as [`Pool::wake_at_wall`] filed it: the handle that takes
-/// it out again ([`Pool::disarm`]). Unique for the pool's life, so a handle whose
-/// entry has fired removes nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct WallTimer {
-    at: Instant,
-    seq: u64,
-}
-
-impl WallTimer {
-    /// When the entry fires.
-    pub fn at(&self) -> Instant {
-        self.at
-    }
-}
-
-/// A real-time timer entry: it only points at its run.
-struct WallEntry {
-    key: WallTimer,
-    generation: u64,
-    run: Weak<dyn Resume>,
-}
-
 #[derive(Default)]
 struct Timers {
     /// Deadlines on the session clock; the entry owns the sleeping run.
     by_clock: BinaryHeap<Timer>,
-    /// Real-time deadlines of runs something else holds, sorted by key: by deadline,
-    /// then filing order.
-    by_wall: VecDeque<WallEntry>,
-    /// The `seq` of the next real-time entry.
-    wall_filed: u64,
     shutdown: bool,
 }
 
@@ -341,70 +306,25 @@ impl Pool {
         }
     }
 
-    /// Wake `run` once the session clock reads `at`, unless it parks anew before.
+    /// Wake `run` once the session clock reads `at`, unless it parks anew before: a
+    /// new generation of the run starts, and every older entry of it goes stale. The
+    /// timer thread is interrupted if `at` is its new earliest deadline.
     pub fn wake_at_clock<R: Resume>(&self, run: &Arc<R>, at: SimTime) {
-        let held = Arc::clone(run) as Arc<dyn Resume>;
-        self.add_timer(run.cell(), |timers, generation| {
-            let earliest = timers.by_clock.peek().is_none_or(|head| at < head.at);
-            timers.by_clock.push(Timer {
-                at,
-                generation,
-                run: held,
-            });
-            (earliest, ())
-        });
-    }
-
-    /// Wake `run` once real time reaches `at`, unless it parks anew — or ends —
-    /// before. The caller keeps the run alive, and takes the entry out with
-    /// [`Pool::disarm`] once the wait it was filed for is over.
-    pub fn wake_at_wall<R: Resume>(&self, run: &Arc<R>, at: Instant) -> WallTimer {
-        let seen = Arc::downgrade(run) as Weak<dyn Resume>;
-        self.add_timer(run.cell(), |timers, generation| {
-            let key = WallTimer {
-                at,
-                seq: timers.wall_filed,
-            };
-            timers.wall_filed += 1;
-            let entry = WallEntry {
-                key,
-                generation,
-                run: seen,
-            };
-            let wall = &mut timers.by_wall;
-            let earliest = wall.front().is_none_or(|head| at < head.key.at);
-            // A placement deadline is its arrival plus one timeout, so as a rule an
-            // entry goes last; a drain threshold goes where it belongs.
-            if wall.back().is_none_or(|last| last.key < key) {
-                wall.push_back(entry);
-            } else {
-                wall.insert(wall.partition_point(|e| e.key < key), entry);
-            }
-            (earliest, key)
-        })
-    }
-
-    /// Take a real-time entry out before it fires; one that has fired is gone
-    /// already. The timer thread is not interrupted: an earliest deadline that
-    /// disappears only costs it one look at the queue.
-    pub fn disarm(&self, timer: WallTimer) {
-        let wall = &mut self.shared.timers.lock().by_wall;
-        if let Ok(i) = wall.binary_search_by(|e| e.key.cmp(&timer)) {
-            wall.remove(i);
-        }
-    }
-
-    /// Start a new generation of the run (every older timer entry of it goes stale)
-    /// and file the entry with `file`, which says whether it is the new earliest of
-    /// its heap; the timer thread is interrupted if so.
-    fn add_timer<T>(&self, cell: &RunCell, file: impl FnOnce(&mut Timers, u64) -> (bool, T)) -> T {
         self.ensure_started();
-        let generation = cell.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        let (earliest, filed) = file(&mut self.shared.timers.lock(), generation);
+        let generation = run.cell().generation.fetch_add(1, Ordering::AcqRel) + 1;
+        let earliest = {
+            let by_clock = &mut self.shared.timers.lock().by_clock;
+            let earliest = by_clock.peek().is_none_or(|head| at < head.at);
+            by_clock.push(Timer {
+                at,
+                generation,
+                run: Arc::clone(run) as Arc<dyn Resume>,
+            });
+            earliest
+        };
         if earliest {
             self.shared.interrupt.raise();
         }
-        filed
     }
 
     /// Stop and join the workers and the timer thread, if they were started, and
@@ -428,9 +348,7 @@ impl Pool {
             }
         }
         self.shared.queue.lock().runs.clear();
-        let mut timers = self.shared.timers.lock();
-        timers.by_clock.clear();
-        timers.by_wall.clear();
+        self.shared.timers.lock().by_clock.clear();
     }
 }
 
@@ -491,7 +409,7 @@ impl Shared {
     fn timer_loop(&self) {
         loop {
             let mut due: Vec<(u64, Arc<dyn Resume>)> = Vec::new();
-            let (next_clock, next_wall) = {
+            let next = {
                 let mut timers = self.timers.lock();
                 if timers.shutdown {
                     return;
@@ -500,19 +418,10 @@ impl Shared {
                 while timers.by_clock.peek().is_some_and(|t| t.at <= now) {
                     due.extend(timers.by_clock.pop().map(|t| (t.generation, t.run)));
                 }
-                let wall = Instant::now();
-                while timers.by_wall.front().is_some_and(|e| e.key.at <= wall) {
-                    let entry = timers.by_wall.pop_front().expect("peeked");
-                    due.extend(entry.run.upgrade().map(|run| (entry.generation, run)));
-                }
-                (
-                    timers.by_clock.peek().map(|t| t.at),
-                    timers.by_wall.front().map(|e| e.key.at),
-                )
+                timers.by_clock.peek().map(|t| t.at)
             };
             if due.is_empty() {
-                self.clock
-                    .sleep_interruptibly(next_clock, next_wall, &self.interrupt);
+                self.clock.sleep_interruptibly(next, &self.interrupt);
                 continue;
             }
             for (generation, run) in due {
@@ -530,7 +439,7 @@ mod tests {
     use super::*;
     use crate::clock::ClockSpec;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// A run that counts its resumes and parks again after each.
     struct Counter {
@@ -717,7 +626,7 @@ mod tests {
         pool.wake_at_clock(&early, clock.now() + Duration::from_secs(5));
         // Superseded by a newer park of the same run: only the second entry counts.
         pool.wake_at_clock(&stale, clock.now() + Duration::from_secs(1));
-        pool.wake_at_wall(&stale, Instant::now() + Duration::from_secs(3600));
+        pool.wake_at_clock(&stale, clock.now() + Duration::from_secs(3_600_000));
         early.wait_for(1);
         assert_eq!(
             late.resumed.load(Ordering::Acquire),
@@ -726,41 +635,6 @@ mod tests {
         );
         late.wait_for(1);
         assert_eq!(stale.resumed.load(Ordering::Acquire), 0);
-        // A real-time deadline fires too.
-        pool.wake_at_wall(&early, Instant::now() + Duration::from_millis(5));
-        early.wait_for(2);
-        // And does not keep a run alive that ends before it.
-        let gone = Arc::downgrade(&stale);
-        drop(stale);
-        assert!(gone.upgrade().is_none(), "only the deadline entry is left");
-        pool.shutdown();
-    }
-
-    #[test]
-    fn a_disarmed_real_time_entry_is_gone_and_one_left_in_place_fires() {
-        let pool = Pool::new(ClockSpec::scaled(1000.0).build());
-        let (ended, left) = (Counter::parked(), Counter::parked());
-        let soon = Instant::now() + Duration::from_millis(20);
-        let first = pool.wake_at_wall(&ended, soon + Duration::from_secs(120));
-        assert_eq!(Arc::weak_count(&ended), 1, "the entry points at the run");
-        // Re-armed at an earlier deadline: the old entry goes, the run has one.
-        pool.disarm(first);
-        let armed = pool.wake_at_wall(&ended, soon);
-        assert_eq!(Arc::weak_count(&ended), 1, "one entry per waiting run");
-        // The wait ends: nothing of the run is left on the timer thread's side.
-        pool.disarm(armed);
-        assert_eq!(Arc::weak_count(&ended), 0, "the entry is gone");
-        pool.disarm(armed); // twice: nothing left to take
-
-        // Due after the disarmed deadline: once it has fired, the timer thread has
-        // passed that deadline and found nothing there.
-        let kept = pool.wake_at_wall(&left, soon + Duration::from_millis(5));
-        left.wait_for(1);
-        assert_eq!(Arc::weak_count(&left), 0, "a fired entry is popped");
-        pool.disarm(kept); // fired already: a no-op
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(ended.resumed.load(Ordering::Acquire), 0, "never resumed");
-        assert_eq!(left.resumed.load(Ordering::Acquire), 1);
         pool.shutdown();
     }
 }

@@ -21,6 +21,18 @@ if grep -rn "scheduler_lookahead" crates src examples tests; then
     exit 1
 fi
 
+echo "==> placement runs on the session clock (no gang ageing, no real-time pool timers)"
+if grep -rnE "gang_drain_after|wake_at_wall|WallTimer" crates src examples tests; then
+    echo "verify: gang ageing and the pool's real-time timers are gone" >&2
+    exit 1
+fi
+for f in crates/core/src/executor.rs crates/sim/src/pool.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } /Instant/ { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }' "$f"; then
+        echo "verify: $f acts on the session clock only; Instant belongs to its tests" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 

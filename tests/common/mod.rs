@@ -7,6 +7,7 @@
 use std::time::{Duration, Instant};
 
 use hpcml::prelude::*;
+use hpcml::sim::clock::ManualClock;
 
 /// `Threads:` of `/proc/self/status`; `None` where there is no such file. Process-wide:
 /// a binary that asserts on it holds one test.
@@ -46,4 +47,15 @@ pub fn wait_until(s: &Session, timeout_secs: f64, mut cond: impl FnMut() -> bool
         clock.sleep(Duration::from_millis(50));
     }
     true
+}
+
+/// Move `clock` to each next deadline until `done` holds.
+#[allow(dead_code)]
+pub fn advance_until(clock: &ManualClock, mut done: impl FnMut() -> bool) {
+    let stuck_after = Instant::now() + Duration::from_secs(120);
+    while !done() {
+        assert!(Instant::now() < stuck_after, "the session stopped moving");
+        clock.advance_to_next();
+        std::thread::yield_now();
+    }
 }

@@ -433,6 +433,38 @@ fn session_close_is_idempotent_and_rejects_new_work() {
     ));
 }
 
+/// A request too wide for the pilot as it stands waits for the pilot to grow. Once
+/// the session closes nothing will grow it, so `close` fails it instead of waiting on
+/// it forever, and still lets the work that fits run to its end.
+#[test]
+fn close_ends_a_wait_that_can_never_be_placed() {
+    let s = session(1000.0);
+    s.submit_pilot(PilotDescription::new(PlatformId::Delta).nodes(1))
+        .expect("pilot");
+    let gang = s
+        .submit_task(TaskDescription::new("too-wide").nodes(2))
+        .expect("gang");
+    let compute = s
+        .submit_task(TaskDescription::new("fits").kind(TaskKind::compute_secs(10.0)))
+        .expect("compute");
+    assert_eq!(
+        gang.state(),
+        TaskState::Scheduling,
+        "parked: the pilot could still grow"
+    );
+    let closing = std::time::Instant::now();
+    s.close();
+    assert!(
+        closing.elapsed() < Duration::from_secs(10),
+        "close waited {:?}",
+        closing.elapsed()
+    );
+    assert_eq!(gang.state(), TaskState::Failed);
+    let reason = gang.error().unwrap_or_default();
+    assert!(reason.contains("session is closed"), "{reason:?}");
+    assert_eq!(compute.state(), TaskState::Done);
+}
+
 /// Threads of this process named `fault-injector` (`/proc/self/task/*/comm`) once
 /// `settled` holds of their count, or whatever it is two seconds on: a new thread
 /// names itself once it runs, and the kernel may list a joined one a moment longer.

@@ -5,10 +5,9 @@ use std::time::{Duration, Instant};
 
 use hpcml::prelude::*;
 use hpcml::serving::ModelSpec;
-use hpcml::sim::clock::ManualClock;
 
 mod common;
-use common::wait_until;
+use common::{advance_until, wait_until};
 
 fn session() -> Session {
     Session::builder("failures")
@@ -225,16 +224,6 @@ fn thread_names() -> Vec<String> {
         .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
         .map(|name| name.trim().to_string())
         .collect()
-}
-
-/// Move `clock` to each next deadline until `done` holds.
-fn advance_until(clock: &ManualClock, mut done: impl FnMut() -> bool) {
-    let stuck_after = Instant::now() + Duration::from_secs(120);
-    while !done() {
-        assert!(Instant::now() < stuck_after, "the session stopped moving");
-        clock.advance_to_next();
-        std::thread::yield_now();
-    }
 }
 
 /// A seeded fault plan fails the node under a running task while 50 others are

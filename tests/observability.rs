@@ -5,10 +5,11 @@
 use std::time::Duration;
 
 use hpcml::prelude::*;
+use hpcml::runtime::scheduler::DEFAULT_MAX_OVERTAKES;
 use hpcml::serving::ModelSpec;
 
 mod common;
-use common::wait_until;
+use common::{advance_until, wait_until};
 
 fn session() -> Session {
     Session::builder("observability")
@@ -321,5 +322,78 @@ fn row_backed_series_read_as_they_did_when_recorded_one_by_one() {
             "{name}"
         );
     }
+    s.close();
+}
+
+/// The time between a task's `Scheduling` and `Executing` entries, on the session
+/// clock.
+fn scheduling_to_executing(task: &TaskHandle) -> f64 {
+    let entered = |state| {
+        let history = task.history();
+        let found = history.iter().find(|(s, _)| *s == state).map(|(_, at)| *at);
+        found.unwrap_or_else(|| panic!("never entered {state:?}: {history:?}"))
+    };
+    (entered(TaskState::Executing) - entered(TaskState::Scheduling)).as_secs_f64()
+}
+
+/// A placement wait and a gang's drain are measured on the session clock, like every
+/// other duration a task records: on a manual clock a task parked behind a 10 s
+/// compute task waits exactly the 10 virtual seconds between its `Scheduling` and
+/// `Executing` entries, and a gang that drains from its arrival on drains for exactly
+/// its wait.
+#[test]
+fn placement_waits_and_drains_are_session_clock_differences() {
+    let compute =
+        |name: &str, secs: f64| TaskDescription::new(name).kind(TaskKind::compute_secs(secs));
+    let session = |platform: PlatformId, nodes: usize| {
+        let s = Session::builder("virtual-waits")
+            .platform(platform)
+            .clock(ClockSpec::Manual)
+            .seed(17)
+            .build()
+            .expect("session");
+        s.submit_pilot(PilotDescription::new(platform).nodes(nodes))
+            .expect("pilot");
+        s
+    };
+
+    // One slot: each task takes the pilot's one 8-core node.
+    let s = session(PlatformId::Local, 1);
+    let a = s.submit_task(compute("a", 10.0).cores(8)).expect("a");
+    let b = s.submit_task(compute("b", 10.0).cores(8)).expect("b");
+    assert_eq!(b.state(), TaskState::Scheduling, "b parks behind a");
+    let clock = s.clock();
+    advance_until(clock.as_manual().expect("manual"), || b.state().is_final());
+    assert_eq!(a.state(), TaskState::Done);
+    assert_eq!(b.state(), TaskState::Done);
+    assert_eq!(scheduling_to_executing(&b), 10.0);
+    let mut waits = s.metrics().scalar_values("task.placement_wait_secs");
+    waits.sort_by(f64::total_cmp);
+    assert_eq!(waits, [0.0, 10.0], "a placed at once, b when a released");
+    s.close();
+
+    // Two 64-core nodes: a one-core task, then a gang of both whole nodes that
+    // cannot place beside it, then one-core tasks that pass the gang until its
+    // overtake budget is spent — the last of them opens its drain at t = 0. The gang
+    // places through the drain once the passers end at t = 20.
+    let s = session(PlatformId::Delta, 2);
+    s.submit_task(compute("first", 10.0)).expect("first");
+    let gang = s
+        .submit_task(compute("gang", 30.0).nodes(2).cores(64))
+        .expect("gang");
+    let passers = s
+        .submit_tasks((0..=DEFAULT_MAX_OVERTAKES).map(|i| compute(&format!("pass-{i}"), 20.0)))
+        .expect("passers");
+    assert_eq!(gang.state(), TaskState::Scheduling);
+    assert!(passers.iter().all(|p| p.state() == TaskState::Executing));
+    let clock = s.clock();
+    advance_until(clock.as_manual().expect("manual"), || {
+        gang.state().is_final()
+    });
+    assert_eq!(gang.state(), TaskState::Done);
+    let m = s.metrics();
+    assert_eq!(scheduling_to_executing(&gang), 20.0);
+    assert_eq!(m.scalar_values("task.gang.placement_wait_secs"), [20.0]);
+    assert_eq!(m.scalar_values("task.gang.drain_secs"), [20.0]);
     s.close();
 }

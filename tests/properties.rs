@@ -722,10 +722,8 @@ fn drain_timeout_mid_reservation_leaks_nothing() {
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
         let alloc = batch.submit(AllocationRequest::nodes(nodes)).unwrap();
         let spec = alloc.node_spec();
-        let scheduler = Arc::new(
-            Scheduler::new(Arc::clone(&alloc))
-                .with_gang_drain_after(Some(Duration::from_millis(1))),
-        );
+        // No overtake budget: the first arrival that passes the gang opens its drain.
+        let scheduler = Arc::new(Scheduler::new(Arc::clone(&alloc)).with_max_overtakes(Some(0)));
         // Occupy a random non-empty subset of nodes so the reservation can only pin
         // the remaining idle ones and the gang can never complete.
         let held_nodes = rng.gen_range(1usize..nodes);
@@ -753,10 +751,29 @@ fn drain_timeout_mid_reservation_leaks_nothing() {
             nodes,
             packing: None,
         };
-        // The gang drains almost immediately, pins the idle remainder, then times out.
-        let err = scheduler
-            .allocate(&gang, Priority::Task, Duration::from_millis(40))
-            .unwrap_err();
+        // The gang parks; a one-core arrival passes it, so it drains and pins the idle
+        // remainder once that core is back; then it times out.
+        let parked = Arc::clone(&scheduler);
+        let gang_waiter = std::thread::spawn(move || {
+            parked.allocate(&gang, Priority::Task, Duration::from_millis(100))
+        });
+        while scheduler.waiting_tasks() == 0 {
+            std::thread::yield_now();
+        }
+        let narrow = scheduler
+            .allocate(
+                &ResourceRequest::cores(1).unwrap(),
+                Priority::Task,
+                Duration::from_secs(5),
+            )
+            .expect("a narrow arrival passes the gang");
+        scheduler.release(&narrow).unwrap();
+        assert_eq!(
+            alloc.reserved_nodes(),
+            nodes - held_nodes,
+            "the drain pinned the idle remainder"
+        );
+        let err = gang_waiter.join().unwrap().unwrap_err();
         assert!(matches!(
             err,
             hpcml::runtime::RuntimeError::WaitTimeout { .. }
@@ -1471,10 +1488,10 @@ fn queue_admission_preserves_priority_and_fifo() {
                     std::thread::spawn(move || {
                         for id in range {
                             let mut slot = placements[id].lock().unwrap();
-                            let mut placement = Placement::new(&whole, waiters[id].0, TIMEOUT);
+                            let mut placement = Placement::new(&whole, waiters[id].0);
                             let poll = scheduler.poll_placed(&mut placement, &ready.waker(id));
                             assert!(
-                                matches!(poll, PlacementPoll::Pending { .. }),
+                                matches!(poll, PlacementPoll::Pending),
                                 "case {case}: waiter {id} must park while every node is held"
                             );
                             *slot = Some(placement);
@@ -1514,7 +1531,7 @@ fn queue_admission_preserves_priority_and_fifo() {
                                 continue;
                             };
                             match scheduler.poll_placed(pending, &ready.waker(id)) {
-                                PlacementPoll::Pending { .. } => {}
+                                PlacementPoll::Pending => {}
                                 PlacementPoll::Ready(result) => {
                                     let (slot, _) = result.expect("no waiter may be lost");
                                     *placement = None;
@@ -2330,11 +2347,12 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
         fn enter(&mut self, id: usize, r: Request, parked: usize) {
             let (scheduler, log) = (Arc::clone(&self.scheduler), Arc::clone(&self.log));
             self.threads.push(std::thread::spawn(move || {
-                let placed = scheduler.block_on(if r.requeue {
-                    Placement::requeued(&r.req, r.priority, TIMEOUT)
+                let placement = if r.requeue {
+                    Placement::requeued(&r.req, r.priority)
                 } else {
-                    Placement::new(&r.req, r.priority, TIMEOUT)
-                });
+                    Placement::new(&r.req, r.priority)
+                };
+                let placed = scheduler.block_on(placement, Some(TIMEOUT));
                 let (slot, stats) = placed.expect("request places");
                 log.lock().unwrap().push((id, stats.overtakes));
                 slot
@@ -2390,9 +2408,7 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
                 return; // woken once more after it had placed
             };
             match self.scheduler.poll_placed(placement, &self.ready.waker(id)) {
-                PlacementPoll::Pending { wake_at } => {
-                    assert!(wake_at > Instant::now(), "nothing here times out");
-                }
+                PlacementPoll::Pending => {}
                 PlacementPoll::Ready(result) => {
                     let (slot, stats) = result.expect("request places");
                     self.placements[id] = None;
@@ -2406,9 +2422,9 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
     impl Waiting for Polled {
         fn enter(&mut self, id: usize, r: Request, parked: usize) {
             self.placements[id] = Some(if r.requeue {
-                Placement::requeued(&r.req, r.priority, TIMEOUT)
+                Placement::requeued(&r.req, r.priority)
             } else {
-                Placement::new(&r.req, r.priority, TIMEOUT)
+                Placement::new(&r.req, r.priority)
             });
             self.poll(id);
             assert_eq!(
@@ -2419,11 +2435,11 @@ fn polled_and_blocking_waits_place_in_the_same_order_with_the_same_overtakes() {
         }
 
         fn abandon(&mut self, r: Request, parked: usize) {
-            let mut placement = Placement::new(&r.req, r.priority, TIMEOUT);
+            let mut placement = Placement::new(&r.req, r.priority);
             let poll = self
                 .scheduler
                 .poll_placed(&mut placement, std::task::Waker::noop());
-            assert!(matches!(poll, PlacementPoll::Pending { .. }));
+            assert!(matches!(poll, PlacementPoll::Pending));
             let waiting = |s: &Scheduler| s.waiting_tasks() + s.waiting_services();
             assert_eq!(waiting(&self.scheduler), parked + 1);
             self.scheduler.cancel_placement(placement);
@@ -2546,7 +2562,6 @@ fn polled_waiters_never_double_book_or_lose_a_wakeup() {
     const NODES: usize = 6;
     const REQUESTS: usize = 60;
     const POLLERS: usize = 3;
-    const TIMEOUT: Duration = Duration::from_secs(60);
 
     /// Cores in use, `(node, core)`, and which slot holds which. `fail_node` runs
     /// under this lock and writes its victims off with it, so a re-claim of the freed
@@ -2636,7 +2651,7 @@ fn polled_waiters_never_double_book_or_lose_a_wakeup() {
         let placements: Arc<Vec<Mutex<Option<Placement>>>> = Arc::new(
             requests
                 .iter()
-                .map(|(req, priority)| Mutex::new(Some(Placement::new(req, *priority, TIMEOUT))))
+                .map(|(req, priority)| Mutex::new(Some(Placement::new(req, *priority))))
                 .collect(),
         );
         let placed = Arc::new(AtomicUsize::new(0));
@@ -2662,7 +2677,7 @@ fn polled_waiters_never_double_book_or_lose_a_wakeup() {
                             continue;
                         };
                         match scheduler.poll_placed(pending, &ready.waker(id)) {
-                            PlacementPoll::Pending { .. } => {}
+                            PlacementPoll::Pending => {}
                             PlacementPoll::Ready(result) => {
                                 let (slot, _) = result.unwrap_or_else(|e| {
                                     panic!("case {case}: request {id} did not place: {e}")
@@ -2705,7 +2720,7 @@ fn polled_waiters_never_double_book_or_lose_a_wakeup() {
                         ))) => {
                             let (req, priority) = requests[id];
                             *placements[id].lock().unwrap() =
-                                Some(Placement::requeued(&req, priority, TIMEOUT));
+                                Some(Placement::requeued(&req, priority));
                             ready.push(id);
                         }
                         Err(e) => panic!("case {case}: release failed: {e}"),
@@ -2760,10 +2775,11 @@ fn polled_waiters_never_double_book_or_lose_a_wakeup() {
     }
 }
 
-/// The deadlines a blocked thread would sleep to come back from `poll_placed` as
-/// `wake_at`, and acting on them is all it takes: a polled gang ages into a backfill
-/// drain with no release ever arriving, and a polled waiter outside the serve window
-/// makes its explicit final attempt when its timeout has passed.
+/// A polled placement needs no deadline of its own: a polled gang opens its backfill
+/// drain when a later arrival passes it and places through it when a release
+/// completes it, each step announced by its waker alone. Only a blocked caller has a
+/// timeout: a waiter outside the serve window makes its explicit final attempt when
+/// that has passed.
 #[test]
 fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
     use hpcml::runtime::scheduler::{
@@ -2773,22 +2789,13 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// What the executor's timer does with a `wake_at`.
-    fn sleep_until(at: Instant) {
-        std::thread::sleep(at.saturating_duration_since(Instant::now()));
-    }
-    let wake_at = |poll: PlacementPoll| match poll {
-        PlacementPoll::Pending { wake_at } => wake_at,
-        PlacementPoll::Ready(result) => panic!("expected pending, got {result:?}"),
-    };
     let ready = ReadyQueue::new();
 
-    // --- A gang ages into a drain through `wake_at` alone. ---
+    // --- A polled gang drains once passed, woken by its waker alone. ---
     {
         let batch = BatchSystem::new(PlatformId::Delta.spec(), ClockSpec::Manual.build(), 1);
         let alloc = batch.submit(AllocationRequest::nodes(3)).unwrap();
-        let after = Duration::from_millis(40);
-        let scheduler = Scheduler::new(Arc::clone(&alloc)).with_gang_drain_after(Some(after));
+        let scheduler = Scheduler::new(Arc::clone(&alloc)).with_max_overtakes(Some(0));
         let whole = ResourceRequest::cores(alloc.node_spec().cores).unwrap();
         // Two nodes busy, one idle: the two-node gang cannot place.
         let busy: Vec<_> = (0..2)
@@ -2798,32 +2805,34 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
                     .unwrap()
             })
             .collect();
-        let timeout = Duration::from_secs(30);
-        let parked_at = Instant::now();
-        let mut gang = Placement::new(&whole.with_nodes(2), Priority::Task, timeout);
-        let first = wake_at(scheduler.poll_placed(&mut gang, &ready.waker(0)));
-        assert!(
-            first >= parked_at + after && first < parked_at + Duration::from_secs(1),
-            "an ageing gang asks to be looked at when its drain threshold passes"
-        );
+        let mut gang = Placement::new(&whole.with_nodes(2), Priority::Task);
+        let first = scheduler.poll_placed(&mut gang, &ready.waker(0));
+        assert!(matches!(first, PlacementPoll::Pending), "{first:?}");
         assert!(alloc.drain_status().is_none());
-        sleep_until(first);
-        assert_eq!(
-            ready.pop(),
-            None,
-            "no release arrived, nobody woke the gang"
+        // A one-core arrival passes the gang, which spends its budget and drains; the
+        // core it took keeps the idle node from covering a member share until it is
+        // back.
+        let narrow = scheduler
+            .allocate(
+                &ResourceRequest::cores(1).unwrap(),
+                Priority::Task,
+                Duration::from_secs(1),
+            )
+            .expect("a narrow arrival passes the gang");
+        assert!(
+            alloc.drain_status().is_some(),
+            "the gang opened a reservation"
         );
-        let second = wake_at(scheduler.poll_placed(&mut gang, &ready.waker(0)));
-        let drain = alloc.drain_status().expect("the gang opened a reservation");
+        scheduler.release(&narrow).unwrap();
+        let drain = alloc.drain_status().expect("the reservation is open");
         assert_eq!(
             drain.pinned_idle + drain.pinned_partial,
             1,
             "the idle node is pinned"
         );
-        assert!(
-            second >= parked_at + timeout,
-            "once draining, only the request deadline is left"
-        );
+        assert_eq!(ready.pop(), Some(0), "the release woke the gang");
+        let second = scheduler.poll_placed(&mut gang, &ready.waker(0));
+        assert!(matches!(second, PlacementPoll::Pending), "{second:?}");
         // A release completes the reservation and wakes the gang.
         scheduler.release(&busy[0]).unwrap();
         assert_eq!(ready.pop(), Some(0));
@@ -2839,42 +2848,51 @@ fn polled_deadlines_open_drains_and_time_out_with_a_final_attempt() {
         assert!(alloc.is_idle());
     }
 
-    // --- A waiter times out through `wake_at`, final attempt included. ---
+    // --- A blocked waiter times out, final attempt included. ---
     {
         let batch = BatchSystem::new(PlatformId::Local.spec(), ClockSpec::Manual.build(), 1);
         let alloc = batch.submit(AllocationRequest::nodes(1)).unwrap(); // 2 GPUs
-        let scheduler = Scheduler::new(Arc::clone(&alloc));
+        let scheduler = Arc::new(Scheduler::new(Arc::clone(&alloc)));
         let gpus = |n| ResourceRequest::gpus(n).unwrap();
         let hold = scheduler
             .allocate(&gpus(1), Priority::Task, Duration::from_secs(1))
             .unwrap();
+        let parked = |n: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while scheduler.waiting_tasks() < n {
+                assert!(Instant::now() < deadline, "{n} waiters never parked");
+                std::thread::yield_now();
+            }
+        };
         // A window's worth of heads need both GPUs and never fit; the free GPU is out
         // of reach of the waiter behind them (outside the window) — except by its
         // final attempt.
-        let mut heads: Vec<Placement> = (0..DEFAULT_WINDOW)
-            .map(|_| Placement::new(&gpus(2), Priority::Task, Duration::from_millis(150)))
+        let heads: Vec<_> = (0..DEFAULT_WINDOW)
+            .map(|i| {
+                let scheduler = Arc::clone(&scheduler);
+                let head = std::thread::spawn(move || {
+                    scheduler.allocate(&gpus(2), Priority::Task, Duration::from_millis(400))
+                });
+                parked(i + 1);
+                head
+            })
             .collect();
-        let mut behind = Placement::new(&gpus(1), Priority::Task, Duration::from_millis(50));
-        let head_deadlines: Vec<Instant> = (heads.iter_mut().enumerate())
-            .map(|(i, head)| wake_at(scheduler.poll_placed(head, &ready.waker(1 + i))))
-            .collect();
-        let behind_waker = ready.waker(1 + DEFAULT_WINDOW);
-        let behind_deadline = wake_at(scheduler.poll_placed(&mut behind, &behind_waker));
-        assert!(head_deadlines.iter().all(|&head| behind_deadline < head));
-        assert_eq!(scheduler.waiting_tasks(), DEFAULT_WINDOW + 1);
-        sleep_until(behind_deadline);
-        match scheduler.poll_placed(&mut behind, &behind_waker) {
-            PlacementPoll::Ready(Ok((slot, _))) => {
+        let arrived = Instant::now();
+        match scheduler.allocate(&gpus(1), Priority::Task, Duration::from_millis(50)) {
+            Ok(slot) => {
                 assert_eq!(slot.num_gpus(), 1);
+                assert!(
+                    arrived.elapsed() >= Duration::from_millis(50),
+                    "at its deadline"
+                );
                 scheduler.release(&slot).unwrap();
             }
             other => panic!("the final attempt should take the free GPU: {other:?}"),
         }
         // Nothing is left for the heads: their final attempts fail and they time out.
-        sleep_until(*head_deadlines.iter().max().expect("a window of heads"));
-        for (i, head) in heads.iter_mut().enumerate() {
-            match scheduler.poll_placed(head, &ready.waker(1 + i)) {
-                PlacementPoll::Ready(Err(RuntimeError::WaitTimeout { .. })) => {}
+        for (i, head) in heads.into_iter().enumerate() {
+            match head.join().unwrap() {
+                Err(RuntimeError::WaitTimeout { .. }) => {}
                 other => panic!("head {i} should time out: {other:?}"),
             }
         }
@@ -2988,9 +3006,9 @@ fn in_order_window_places_in_arrival_order_and_ages_gangs_into_drains() {
                     .iter()
                     .enumerate()
                     .map(|(id, (req, priority))| {
-                        let mut placement = Placement::new(req, *priority, TIMEOUT);
+                        let mut placement = Placement::new(req, *priority);
                         let poll = scheduler.poll_placed(&mut placement, &waker(id));
-                        assert!(matches!(poll, PlacementPoll::Pending { .. }), "case {case}");
+                        assert!(matches!(poll, PlacementPoll::Pending), "case {case}");
                         Mutex::new(Some(placement))
                     })
                     .collect(),
@@ -3019,7 +3037,7 @@ fn in_order_window_places_in_arrival_order_and_ages_gangs_into_drains() {
                                 continue;
                             };
                             match scheduler.poll_placed(pending, &wakers[id]) {
-                                PlacementPoll::Pending { .. } => {}
+                                PlacementPoll::Pending => {}
                                 PlacementPoll::Ready(result) => {
                                     let (slot, s) = result.expect("no waiter may be lost");
                                     *placement = None;
@@ -3117,9 +3135,9 @@ fn in_order_window_places_in_arrival_order_and_ages_gangs_into_drains() {
             let mut placements: Vec<Option<Placement>> = (0..=narrow)
                 .map(|id| {
                     let req = if id == 0 { core_req(node, 2) } else { quarter };
-                    let mut placement = Placement::new(&req, Priority::Task, TIMEOUT);
+                    let mut placement = Placement::new(&req, Priority::Task);
                     let poll = scheduler.poll_placed(&mut placement, &ready.waker(id));
-                    assert!(matches!(poll, PlacementPoll::Pending { .. }), "case {case}");
+                    assert!(matches!(poll, PlacementPoll::Pending), "case {case}");
                     Some(placement)
                 })
                 .collect();
