@@ -16,8 +16,7 @@
 //!   subscriber list into one inbox per subscriber;
 //! * [`registry`] — the read-mostly endpoint registry services publish themselves
 //!   into (the `publish` component of the paper's bootstrap time): lookups read a
-//!   lock-free snapshot, writers replace it, and every lookup that has to wait waits
-//!   on one predicate;
+//!   lock-free snapshot and never wait, writers replace it;
 //! * [`link`] — latency injection: every hop between two endpoints samples the
 //!   appropriate [`hpcml_platform::LatencyProfile`] (local vs remote) on the shared
 //!   virtual clock, so the response-time experiments see the paper's measured

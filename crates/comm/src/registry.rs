@@ -4,29 +4,25 @@
 //! started service instance needs to make its endpoint known so that client tasks can
 //! find it. In this reproduction the [`EndpointRegistry`] plays that role: services
 //! register a [`ReqRepHandle`] under their service name together with metadata (model
-//! name, node, GPUs); clients look the handle up (optionally blocking until it appears)
-//! and connect to it over a [`crate::link::Link`] appropriate to their locality.
+//! name, node, GPUs); clients look the handle up and connect to it over a
+//! [`crate::link::Link`] appropriate to their locality.
 //!
-//! # One snapshot, one wait
+//! # One snapshot
 //!
 //! The registry is lookup-heavy: every client task resolves its service endpoint, but
 //! registrations happen only when instances start or stop. The entries are one
 //! `RwLock<Arc<BTreeMap>>` **snapshot** — a reader takes the lock just long enough to
 //! clone the `Arc` (writers hold it only for a pointer swap), then walks the snapshot
-//! lock-free. Writers serialise on one version mutex, copy the map, mutate the copy,
-//! and publish it as a fresh snapshot.
+//! lock-free. Writers serialise on one plain mutex, copy the map, mutate the copy, and
+//! publish it as a fresh snapshot.
 //!
-//! A lookup that has to wait says what it waits for as a predicate over entries
-//! ([`EndpointRegistry::wait_matching`]; [`EndpointRegistry::wait_for`] a name is one
-//! such predicate): writers bump the version after publishing and notify, waiters
-//! re-check the snapshot under the version mutex on every bump. Lock order is always
-//! version mutex → snapshot `RwLock` write, never the reverse.
+//! Nothing here waits: a task waiting on a service parks in the runtime's executor.
+//! The lock order is in `docs/ARCHITECTURE.md` ("Lock order").
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::error::CommError;
 use crate::reqrep::ReqRepHandle;
@@ -44,14 +40,13 @@ pub struct EndpointEntry {
 
 type Snapshot = Arc<BTreeMap<String, EndpointEntry>>;
 
-/// Thread-safe endpoint registry with blocking lookup.
+/// Thread-safe endpoint registry.
 #[derive(Default)]
 pub struct EndpointRegistry {
     /// Published snapshot; readers clone the Arc and walk it lock-free.
     snapshot: RwLock<Snapshot>,
-    /// Version counter bumped on every publish; guards the condvar for waiters.
-    version: Mutex<u64>,
-    changed: Condvar,
+    /// Serialises writers, so no copy-on-write loses another writer's change.
+    writer: Mutex<()>,
 }
 
 impl std::fmt::Debug for EndpointRegistry {
@@ -73,15 +68,13 @@ impl EndpointRegistry {
     }
 
     /// Copy-on-write mutation: `f` edits a private copy of the map; a changed copy is
-    /// published as the new snapshot and waiters are notified. Returns `f`'s payload.
+    /// published as the new snapshot. Returns `f`'s payload.
     fn mutate<R>(&self, f: impl FnOnce(&mut BTreeMap<String, EndpointEntry>) -> (bool, R)) -> R {
-        let mut version = self.version.lock();
+        let _writer = self.writer.lock();
         let mut copy = (**self.snapshot.read()).clone();
         let (changed, result) = f(&mut copy);
         if changed {
             *self.snapshot.write() = Arc::new(copy);
-            *version += 1;
-            self.changed.notify_all();
         }
         result
     }
@@ -124,52 +117,18 @@ impl EndpointRegistry {
         self.read().get(name).cloned()
     }
 
-    /// Block until the endpoint appears or `timeout` (real time) elapses
-    /// (`Duration::MAX`: without a deadline).
-    pub fn wait_for(&self, name: &str, timeout: Duration) -> Result<EndpointEntry, CommError> {
-        self.wait_matching(|entry| entry.name == name, timeout)
-            .pop()
-            .ok_or_else(|| CommError::EndpointNotFound(name.to_string()))
-    }
-
-    /// Block until some entry satisfies `matches`, or until `timeout` (real time)
-    /// elapses (`Duration::MAX`: without a deadline). Returns every entry that does,
-    /// sorted by name — none if the time ran out.
-    pub fn wait_matching(
-        &self,
-        matches: impl Fn(&EndpointEntry) -> bool,
-        timeout: Duration,
-    ) -> Vec<EndpointEntry> {
-        let deadline = Instant::now().checked_add(timeout);
-        let mut version = self.version.lock();
-        let mut timed_out = false;
-        loop {
-            // Looked at under the version lock, which every publish holds: none is missed.
-            let found = self.matching(&matches);
-            if !found.is_empty() || timed_out {
-                return found;
-            }
-            timed_out = crate::wait_until(&self.changed, &mut version, deadline);
-        }
-    }
-
-    /// Entries that satisfy `matches`, sorted by name.
-    fn matching(&self, matches: impl Fn(&EndpointEntry) -> bool) -> Vec<EndpointEntry> {
-        self.read()
-            .values()
-            .filter(|e| matches(e))
-            .cloned()
-            .collect()
-    }
-
-    /// Names of all registered endpoints (sorted).
-    pub fn names(&self) -> Vec<String> {
-        self.read().keys().cloned().collect()
+    /// Every registered entry, sorted by name.
+    pub fn entries(&self) -> Vec<EndpointEntry> {
+        self.read().values().cloned().collect()
     }
 
     /// All entries whose metadata key `key` equals `value`, sorted by name.
     pub fn find_by_metadata(&self, key: &str, value: &str) -> Vec<EndpointEntry> {
-        self.matching(|e| e.metadata.get(key).map(String::as_str) == Some(value))
+        self.read()
+            .values()
+            .filter(|e| e.metadata.get(key).map(String::as_str) == Some(value))
+            .cloned()
+            .collect()
     }
 
     /// Number of registered endpoints.
@@ -191,6 +150,7 @@ mod tests {
     use crate::reqrep::ReqRepServer;
     use hpcml_sim::clock::ClockSpec;
     use std::thread;
+    use std::time::Duration;
 
     fn meta(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
         pairs
@@ -209,7 +169,7 @@ mod tests {
         assert_eq!(reg.len(), 1);
         let entry = reg.lookup("svc.a").unwrap();
         assert_eq!(entry.metadata["model"], "llama-8b");
-        assert_eq!(reg.names(), vec!["svc.a".to_string()]);
+        assert_eq!(reg.entries()[0].name, "svc.a");
         assert!(reg.lookup("svc.b").is_none());
         let removed = reg.unregister("svc.a").unwrap();
         assert_eq!(removed.name, "svc.a");
@@ -228,31 +188,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CommError::AlreadyRegistered(_)));
         assert_eq!(reg.len(), 1, "failed insert publishes nothing");
-    }
-
-    #[test]
-    fn wait_for_blocks_until_registration() {
-        let reg = Arc::new(EndpointRegistry::new());
-        let reg2 = Arc::clone(&reg);
-        let waiter = thread::spawn(move || reg2.wait_for("svc.late", Duration::from_secs(5)));
-        thread::sleep(Duration::from_millis(20));
-        let server = ReqRepServer::new("svc.late");
-        reg.register("svc.late", server.handle(), BTreeMap::new())
-            .unwrap();
-        let entry = waiter.join().unwrap().unwrap();
-        assert_eq!(entry.name, "svc.late");
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let reg = EndpointRegistry::new();
-        let err = reg
-            .wait_for("svc.never", Duration::from_millis(20))
-            .unwrap_err();
-        assert!(matches!(err, CommError::EndpointNotFound(_)));
-        assert!(reg
-            .wait_matching(|_| true, Duration::from_millis(20))
-            .is_empty());
     }
 
     #[test]
@@ -300,7 +235,7 @@ mod tests {
             reg.register(name, server.handle(), meta(&[("group", group)]))
                 .unwrap();
         }
-        let names = reg.names();
+        let names: Vec<String> = reg.entries().into_iter().map(|e| e.name).collect();
         assert_eq!(
             names,
             (0..32).map(|i| format!("svc.{i:02}")).collect::<Vec<_>>()
@@ -320,19 +255,6 @@ mod tests {
         }
         assert_eq!(reg.len(), 32 - 11);
         assert!(!format!("{reg:?}").is_empty());
-    }
-
-    #[test]
-    fn a_wait_without_a_deadline_returns_what_registers_later() {
-        let reg = Arc::new(EndpointRegistry::new());
-        let reg2 = Arc::clone(&reg);
-        // `Duration::MAX` overflows an `Instant`: it means no deadline at all.
-        let waiter = thread::spawn(move || reg2.wait_for("svc.later", Duration::MAX));
-        thread::sleep(Duration::from_millis(20));
-        let server = ReqRepServer::new("svc.later");
-        reg.register("svc.later", server.handle(), BTreeMap::new())
-            .unwrap();
-        assert_eq!(waiter.join().unwrap().unwrap().name, "svc.later");
     }
 
     #[test]

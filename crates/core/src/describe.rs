@@ -128,7 +128,8 @@ pub struct TaskDescription {
     pub stage_in: Vec<DataDirective>,
     /// Datasets staged out after execution.
     pub stage_out: Vec<DataDirective>,
-    /// Services that must be `Ready` before this task may start executing.
+    /// Services that must have published their endpoints before this task is placed;
+    /// one that ends (`Failed` or `Stopped`) without publishing fails the task.
     pub after_services: Vec<String>,
     /// Free-form tags (pipeline name, stage name, ...).
     pub tags: Vec<(String, String)>,
@@ -221,7 +222,7 @@ impl TaskDescription {
         self
     }
 
-    /// Require a service to be ready before this task executes.
+    /// Require a service to have published its endpoint before this task is placed.
     pub fn after_service(mut self, service: impl Into<String>) -> Self {
         self.after_services.push(service.into());
         self

@@ -28,6 +28,13 @@ pub enum RuntimeError {
     },
     /// A task or service failed; the payload carries the reason.
     Failed(String),
+    /// A service a task depends on ended without publishing its endpoint.
+    DependencyFailed {
+        /// The service's name.
+        service: String,
+        /// Its failure reason, or the state it ended in.
+        reason: String,
+    },
     /// The session is already closed.
     SessionClosed,
 }
@@ -44,6 +51,9 @@ impl fmt::Display for RuntimeError {
                 write!(f, "timed out waiting for {entity} to reach {awaited}")
             }
             RuntimeError::Failed(reason) => write!(f, "entity failed: {reason}"),
+            RuntimeError::DependencyFailed { service, reason } => {
+                write!(f, "service {service} ended unpublished: {reason}")
+            }
             RuntimeError::SessionClosed => write!(f, "session is closed"),
         }
     }
@@ -95,6 +105,11 @@ mod tests {
         .to_string()
         .contains("Ready"));
         assert!(RuntimeError::SessionClosed.to_string().contains("closed"));
+        let e = RuntimeError::DependencyFailed {
+            service: "llm-0".into(),
+            reason: "model does not fit".into(),
+        };
+        assert!(e.to_string().contains("llm-0") && e.to_string().contains("fit"));
         assert!(RuntimeError::Failed("boom".into())
             .to_string()
             .contains("boom"));

@@ -21,9 +21,9 @@
 //!
 //! | park | waits for | resumed by |
 //! |---|---|---|
-//! | `Placement` | a slot: the task keeps a place in the scheduler's wait queue ([`Scheduler::poll_placed`]), with no deadline | the scheduler calling the task's waker — capacity came back, or the session closed while the pilot is too small for the task; no timer entry |
+//! | `Waker` | a service the task depends on to publish its endpoint, on the dependents list (`Executor::services_published`); or a slot, in the scheduler's wait queue ([`Scheduler::poll_placed`]). No deadline | the task's waker: a service became `Ready`, `Failed` or `Stopped`, or the session is closing; capacity came back, or the session closed while the pilot is too small for the task. No timer entry |
 //! | `Timer(t)` | the session clock to read `t`: compute, each staging transfer, retry backoff | the timer thread |
-//! | `Blocking` | something that can only be waited for by blocking: `after_services` not yet published, the inference-client request loop | a dedicated entity thread, for that stage only — it goes on advancing the task until the next park |
+//! | `Blocking` | the inference-client request loop, which can only be waited for by blocking | a dedicated entity thread, for that stage only — it goes on advancing the task until the next park |
 //! | `Done` | — | — |
 //!
 //! **Who advances when.** The thread that submits a task advances it to its first
@@ -45,7 +45,7 @@
 //!
 //! | run | made runnable by | advanced by | parks on |
 //! |---|---|---|---|
-//! | task | `submit_task(s)` | the submitting thread, then workers | placement, timers, blocking stages (above) |
+//! | task | `submit_task(s)` | the submitting thread, then workers | its waker, timers, the client loop (above) |
 //! | a service's admission front-end | a client sending a message to the endpoint | that client's thread, which takes the run and carries its message into the pass; if another thread holds the run past a bounded wait, the message queues and that one makes one more pass ([`Pool::advance_or_wake`]) | nothing: a pass ends when nothing waits |
 //! | a replica | the front-end dispatching a request to it | the dispatching thread, which begins the request on an idle replica — still the client's, for a request that met no queue; whoever holds a busy replica begins what queued, in dispatch order, as its next batch | the batch's inference time: a session-clock timer, then a worker |
 //!
@@ -53,17 +53,16 @@
 //! on the requesting thread without having been queued anywhere, and one that waits
 //! does so in a queue or on the timer heap.
 //!
-//! Thread count is therefore bounded by pool size + 1 + live services + in-flight
-//! `Blocking` stages, whatever the number of tasks **and whatever the replica count**
-//! (a service's one thread runs its lifecycle and then sleeps in `serve`); finished
-//! entity threads are joined whenever a new one is spawned.
+//! Thread count is therefore bounded by pool size + 1 + live services + running
+//! inference clients, whatever the number of tasks — a task waiting on a service costs
+//! no thread — **and whatever the replica count** (a service's one thread runs its
+//! lifecycle and then sleeps in `serve`); finished entity threads are joined whenever a
+//! new one is spawned.
 //!
-//! **Lock order.** run state → { scheduler queue → allocation state } and run state →
-//! front-end run → replica run → { reply slot | mailbox | timer heaps | run queue };
-//! the last four are leaves, taken with nothing else held beneath them. A task waker —
-//! which runs under the scheduler's queue lock — touches only the run's status and the
-//! run queue; an endpoint's waker, which advances the front-end inline, is called with
-//! no comm lock held.
+//! **Lock order:** the table in `docs/ARCHITECTURE.md` ("Lock order"). A task waker —
+//! called under the scheduler's queue lock, or by a service event with no lock held —
+//! touches only the run's status and the run queue; an endpoint's waker, which
+//! advances the front-end inline, is called with no comm lock held.
 //!
 //! **`Done` means released.** The final stage releases the slot, then makes `Done`
 //! observable, then publishes it: a handle that shows `Done` has its resources back
@@ -105,6 +104,7 @@ use hpcml_comm::message::Message;
 use hpcml_comm::pubsub::Publisher;
 use hpcml_comm::registry::{EndpointEntry, EndpointRegistry};
 use hpcml_comm::reqrep::ReqRepServer;
+use hpcml_comm::CommError;
 use hpcml_platform::resources::{ResourceError, Slot};
 use hpcml_platform::PlatformId;
 use hpcml_serving::host::ModelHost;
@@ -126,6 +126,7 @@ use crate::error::RuntimeError;
 use crate::metrics::{RuntimeMetrics, TaskRow};
 use crate::records::{BootstrapTimes, ServiceRecord, StateModel, TaskRecord};
 use crate::scheduler::{Placement, PlacementPoll, PlacementStats, Priority, Scheduler};
+use crate::service_manager::ServiceManager;
 use crate::states::{ServiceState, TaskState};
 
 /// Metadata key under which a service's model name is published.
@@ -134,10 +135,6 @@ pub const META_MODEL: &str = "model";
 pub const META_PLATFORM: &str = "platform";
 /// Metadata key under which a service's runtime identifier is published.
 pub const META_SERVICE_ID: &str = "service_id";
-
-/// How long a task waits in real time for the endpoints it names to register:
-/// registry waits only (`after_services`, an inference client's targets).
-const DEPENDENCY_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Virtual backoff before the first retry of a task evicted by a node failure;
 /// doubles on every further attempt (exponential backoff on the session clock).
@@ -151,8 +148,7 @@ const MAX_SHED_RETRIES: u32 = 3;
 enum Stage {
     /// Accepted, or back from a retry backoff: nothing of this attempt has happened.
     Admitted,
-    /// `Scheduling` is published but an `after_services` endpoint is not: wait for
-    /// them on an entity thread.
+    /// `Scheduling` is published: park until every service edge is met.
     AwaitingServices,
     /// Queued for a slot; the placement is created on first entry.
     Scheduling(Option<Placement>),
@@ -183,11 +179,11 @@ struct Staging {
 
 /// Why `advance` returned.
 enum Park {
-    /// Waiting in the scheduler's queue: poll again when woken.
-    Placement,
+    /// On the dependents list or in the scheduler's queue: poll again when woken.
+    Waker,
     /// Nothing to do until the session clock reads this.
     Timer(SimTime),
-    /// The next stage must block: continue on an entity thread.
+    /// The inference-client loop must block: continue on an entity thread.
     Blocking,
     /// The lifecycle is over.
     Done,
@@ -241,23 +237,28 @@ pub struct Executor {
     clock: SharedClock,
     metrics: Arc<RuntimeMetrics>,
     registry: Arc<EndpointRegistry>,
+    /// Tells an unpublished service from one that ended unpublished.
+    services: Arc<ServiceManager>,
+    /// Runs parked in `AwaitingServices`, woken by every service event; `None` = closed.
+    /// `drained` waits on this lock too, so `join_all` closes the list under the lock it
+    /// waits for the drain under, and `close` takes no lock more.
+    dependents: Mutex<Option<Vec<Waker>>>,
     data: Arc<DataManager>,
     publisher: Publisher,
     concurrent_launches: Arc<AtomicU32>,
     publish_overhead: Dist,
     seed_counter: AtomicU64,
     base_seed: u64,
-    /// Entity threads not yet joined: services and `Blocking` task stages.
+    /// Entity threads not yet joined: services and inference-client loops.
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Resumes parked runs — tasks, and the replicas of the services hosted here;
     /// starts no thread before the first park.
     pool: Arc<Pool>,
     /// Task runs between spawn and their last publish.
     in_flight: AtomicUsize,
-    /// Signalled under `drain_lock` by the run that brings `in_flight` to zero;
+    /// Signalled under `dependents` by the run that brings `in_flight` to zero;
     /// `join_all` checks the count under it too, so the signal is never lost.
     drained: Condvar,
-    drain_lock: Mutex<()>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -275,11 +276,11 @@ impl std::fmt::Debug for Executor {
 }
 
 impl Executor {
-    /// Create an executor. Spawns nothing.
+    /// Create an executor for the services `services` tracks. Spawns nothing.
     pub fn new(
         clock: SharedClock,
         metrics: Arc<RuntimeMetrics>,
-        registry: Arc<EndpointRegistry>,
+        services: Arc<ServiceManager>,
         data: Arc<DataManager>,
         publisher: Publisher,
         base_seed: u64,
@@ -288,7 +289,9 @@ impl Executor {
             pool: Arc::new(Pool::new(Arc::clone(&clock))),
             clock,
             metrics,
-            registry,
+            registry: Arc::clone(services.registry()),
+            services,
+            dependents: Mutex::new(Some(Vec::new())),
             data,
             publisher,
             concurrent_launches: Arc::new(AtomicU32::new(0)),
@@ -300,7 +303,6 @@ impl Executor {
             handles: Mutex::new(Vec::new()),
             in_flight: AtomicUsize::new(0),
             drained: Condvar::new(),
-            drain_lock: Mutex::new(()),
         })
     }
 
@@ -325,9 +327,9 @@ impl Executor {
         });
     }
 
-    /// The one place entity threads come from: services, and task stages that must
-    /// block. Finished threads are joined first, so a long session with many short
-    /// blocking stages does not pile up unjoined stacks.
+    /// The one place entity threads come from: services, and inference-client loops.
+    /// Finished threads are joined first, so a long session with many short clients
+    /// does not pile up unjoined stacks.
     fn spawn_entity(&self, name: &str, body: impl FnOnce() + Send + 'static) {
         let mut handles = self.handles.lock();
         let mut i = 0;
@@ -381,12 +383,18 @@ impl Executor {
         self.drive(run, false);
     }
 
-    /// Wait until every task run has ended, join every entity thread (services must
-    /// have been asked to stop), then stop the pool if it was started. In that order:
-    /// a service on its way out waits for its replicas' batches to end, and those park
-    /// on the pool's timers.
+    /// Close the dependents list (a run still waiting on a service fails with
+    /// [`RuntimeError::SessionClosed`]), wait until every task run has ended, join
+    /// every entity thread (services must have been asked to stop), then stop the pool
+    /// if it was started. In that order: a service on its way out waits for its
+    /// replicas' batches to end, and those park on the pool's timers.
     pub fn join_all(&self) {
-        let mut lock = self.drain_lock.lock();
+        let mut lock = self.dependents.lock();
+        if let Some(parked) = lock.take().filter(|parked| !parked.is_empty()) {
+            drop(lock);
+            parked.into_iter().for_each(Waker::wake);
+            lock = self.dependents.lock();
+        }
         while self.in_flight.load(Ordering::Acquire) > 0 {
             self.drained.wait(&mut lock);
         }
@@ -407,6 +415,14 @@ impl Executor {
             }
             self.publish_state(|| record.id.clone(), ServiceState::Failed);
         }
+        // `Failed` or `Stopped`: a task waiting on this service fails.
+        self.wake_dependents();
+    }
+
+    /// Wake every run parked on a service edge, after a service event.
+    fn wake_dependents(&self) {
+        let parked = self.dependents.lock().as_mut().map(std::mem::take);
+        parked.into_iter().flatten().for_each(Waker::wake);
     }
 
     fn run_service_inner(
@@ -540,6 +556,7 @@ impl Executor {
         }
         record.state.transition(ServiceState::Ready)?;
         self.publish_state(|| record.id.clone(), ServiceState::Ready);
+        self.wake_dependents();
 
         // Serve until asked to stop. Serving-plane metrics flow into the runtime
         // metrics store, the plane's sink, alongside the task/service scalars.
@@ -574,7 +591,7 @@ impl Executor {
 
     /// Advance `run` — which the calling thread holds — until it parks, file the timer
     /// a `Timer` park needs, and let go of it; or finish it. `may_block` says the
-    /// caller is an entity thread that may run blocking stages itself.
+    /// caller is an entity thread that may run the client loop itself.
     fn drive(self: &Arc<Self>, run: Arc<TaskRun>, may_block: bool) {
         loop {
             let park = {
@@ -589,7 +606,7 @@ impl Executor {
                 Park::Done => {
                     run.cell.finish();
                     if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let _lock = self.drain_lock.lock();
+                        let _lock = self.dependents.lock();
                         self.drained.notify_all();
                     }
                     return;
@@ -601,7 +618,7 @@ impl Executor {
                     self.spawn_entity(&name, move || this.drive(run, true));
                     return;
                 }
-                Park::Timer(_) | Park::Placement => {
+                Park::Timer(_) | Park::Waker => {
                     if run.cell.release() {
                         return;
                     }
@@ -647,27 +664,16 @@ impl Executor {
                 if record.state.transition(TaskState::Scheduling)?.is_some() {
                     self.publish_state(|| record.id(), TaskState::Scheduling);
                 }
-                // Readiness relations: every service named in `after_services` must
-                // have published its endpoint before this task starts. Only a
-                // missing one needs a thread to wait on.
-                let published = desc
-                    .after_services
-                    .iter()
-                    .all(|name| self.registry.lookup(&format!("service.{name}")).is_some());
-                if published {
+                let client = matches!(desc.kind, TaskKind::InferenceClient { .. });
+                if desc.after_services.is_empty() && !client {
                     Stage::Scheduling(None)
                 } else {
                     Stage::AwaitingServices
                 }
             }
             Stage::AwaitingServices => {
-                if !may_block {
-                    return Ok(Some(Park::Blocking));
-                }
-                for service_name in &desc.after_services {
-                    self.registry
-                        .wait_for(&format!("service.{service_name}"), DEPENDENCY_TIMEOUT)
-                        .map_err(RuntimeError::Comm)?;
+                if !self.services_published(run)? {
+                    return Ok(Some(Park::Waker));
                 }
                 Stage::Scheduling(None)
             }
@@ -686,7 +692,7 @@ impl Executor {
                 });
                 let waker = Waker::from(Arc::clone(run));
                 match scheduler.poll_placed(placement, &waker) {
-                    PlacementPoll::Pending => return Ok(Some(Park::Placement)),
+                    PlacementPoll::Pending => return Ok(Some(Park::Waker)),
                     PlacementPoll::Ready(result) => {
                         let (placed, stats) = result?;
                         *row = Some(TaskRow {
@@ -877,39 +883,60 @@ impl Executor {
         }
     }
 
-    /// The endpoints `selector` names, waiting up to `DEPENDENCY_TIMEOUT` for them to
-    /// register.
+    /// Whether every service edge of `run` is met: its `after_services` names, each name
+    /// of a `Named` client selector, and a `ByModel` / `Any` selector (met by the first
+    /// match). A name fails the task once its service ended unpublished. An unmet edge
+    /// files the run's waker, under the lock every service event takes to wake the list.
+    fn services_published(&self, run: &Arc<TaskRun>) -> Result<bool, RuntimeError> {
+        let desc = &run.description;
+        let mut dependents = self.dependents.lock();
+        let (named, mut met) = match &desc.kind {
+            TaskKind::InferenceClient { selector, .. } => match selector {
+                ServiceSelector::Named(names) => (names.as_slice(), true),
+                _ => (&[][..], self.resolve_targets(selector).is_ok()),
+            },
+            _ => (&[][..], true),
+        };
+        for name in desc.after_services.iter().chain(named) {
+            if self.registry.lookup(&format!("service.{name}")).is_some() {
+                continue;
+            }
+            met = false;
+            if let Some(record) = self.services.get(name) {
+                let state = record.state.current();
+                if state.is_final() {
+                    let reason = record.state.error().unwrap_or_else(|| state.name().into());
+                    let service = name.clone();
+                    return Err(RuntimeError::DependencyFailed { service, reason });
+                }
+            }
+        }
+        if met {
+            return Ok(true);
+        }
+        let parked = dependents.as_mut().ok_or(RuntimeError::SessionClosed)?;
+        parked.push(Waker::from(Arc::clone(run)));
+        Ok(false)
+    }
+
+    /// The endpoints `selector` names, as the registry holds them now; never none. The
+    /// task was placed only once they had published, so a missing one has gone since.
     fn resolve_targets(
         &self,
         selector: &ServiceSelector,
     ) -> Result<Vec<EndpointEntry>, RuntimeError> {
-        let (entries, missing) = match selector {
-            ServiceSelector::Named(names) => {
-                return names
-                    .iter()
-                    .map(|name| {
-                        self.registry
-                            .wait_for(&format!("service.{name}"), DEPENDENCY_TIMEOUT)
-                            .map_err(RuntimeError::Comm)
-                    })
-                    .collect();
-            }
-            ServiceSelector::ByModel(model) => (
-                self.registry.wait_matching(
-                    |entry| entry.metadata.get(META_MODEL).map(String::as_str) == Some(model),
-                    DEPENDENCY_TIMEOUT,
-                ),
-                format!("no service hosting model {model}"),
-            ),
-            ServiceSelector::Any => (
-                self.registry.wait_matching(|_| true, DEPENDENCY_TIMEOUT),
-                "no service registered".to_string(),
-            ),
+        let entries = match selector {
+            ServiceSelector::Named(names) => names
+                .iter()
+                .map(|name| self.registry.lookup(&format!("service.{name}")))
+                .collect::<Option<_>>()
+                .unwrap_or_default(),
+            ServiceSelector::ByModel(model) => self.registry.find_by_metadata(META_MODEL, model),
+            ServiceSelector::Any => self.registry.entries(),
         };
         if entries.is_empty() {
-            return Err(RuntimeError::Comm(hpcml_comm::CommError::EndpointNotFound(
-                missing,
-            )));
+            let missing = format!("no service for {selector:?}");
+            return Err(RuntimeError::Comm(CommError::EndpointNotFound(missing)));
         }
         Ok(entries)
     }
@@ -964,11 +991,6 @@ impl Executor {
                 (entry.name.clone(), entry.handle.connect(link))
             })
             .collect();
-        if clients.is_empty() {
-            return Err(RuntimeError::Failed(
-                "inference client has no target services".into(),
-            ));
-        }
 
         let prompt: String = {
             let mut words = Vec::with_capacity(prompt_words as usize);
@@ -1071,6 +1093,7 @@ mod tests {
         clock: SharedClock,
         metrics: Arc<RuntimeMetrics>,
         registry: Arc<EndpointRegistry>,
+        services: Arc<ServiceManager>,
         executor: Arc<Executor>,
         scheduler: Arc<Scheduler>,
     }
@@ -1087,10 +1110,14 @@ mod tests {
             Arc::clone(&metrics),
             1,
         ));
+        let services = Arc::new(ServiceManager::new(
+            Arc::clone(&registry),
+            Arc::clone(&clock),
+        ));
         let executor = Executor::new(
             Arc::clone(&clock),
             Arc::clone(&metrics),
-            Arc::clone(&registry),
+            Arc::clone(&services),
             data,
             Publisher::new(),
             42,
@@ -1102,23 +1129,27 @@ mod tests {
             clock,
             metrics,
             registry,
+            services,
             executor,
             scheduler,
         }
     }
 
+    /// A service record in `New`, known to the fixture's service manager.
     fn service_record(
         fx: &Fixture,
         name: &str,
         model: ModelSpec,
         platform: PlatformId,
     ) -> Arc<ServiceRecord> {
-        ServiceRecord::new(
+        let record = ServiceRecord::new(
             format!("service.x-{name}"),
             ServiceDescription::new(name).model(model).gpus(1),
             platform,
             Arc::clone(&fx.clock),
-        )
+        );
+        fx.services.add(Arc::clone(&record));
+        record
     }
 
     /// A record in `New` with the next task index, its run started on the fixture's
@@ -1288,28 +1319,75 @@ mod tests {
 
     #[test]
     fn selectors_wait_for_a_service_that_registers_later() {
-        let fx = fixture(PlatformId::Local, 1, 10_000.0);
-        let waiters: Vec<_> = [
-            ServiceSelector::ByModel("noop".into()),
-            ServiceSelector::Any,
-        ]
-        .into_iter()
-        .map(|selector| {
-            let executor = Arc::clone(&fx.executor);
-            std::thread::spawn(move || executor.resolve_targets(&selector))
-        })
-        .collect();
-        std::thread::sleep(Duration::from_millis(20));
-        let server = ReqRepServer::new("service.late");
-        let metadata = BTreeMap::from([(META_MODEL.to_string(), "noop".to_string())]);
-        fx.registry
-            .register("service.late", server.handle(), metadata)
-            .unwrap();
-        for waiter in waiters {
-            let entries = waiter.join().unwrap().unwrap();
-            let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
-            assert_eq!(names, ["service.late"]);
+        let fx = fixture(PlatformId::Local, 2, 10_000.0);
+        let mut any = TaskKind::inference_client_for_model("noop", 3);
+        if let TaskKind::InferenceClient { selector, .. } = &mut any {
+            *selector = ServiceSelector::Any;
         }
+        let clients = [TaskKind::inference_client_for_model("noop", 3), any]
+            .map(|kind| spawn(&fx, TaskDescription::new("client").kind(kind)));
+        for client in &clients {
+            assert_eq!(client.state.current(), TaskState::Scheduling);
+        }
+        assert_eq!(
+            fx.scheduler.outstanding_slots(),
+            0,
+            "placed only once published"
+        );
+        let svc = service_record(&fx, "late", ModelSpec::noop(), PlatformId::Local);
+        fx.executor
+            .spawn_service(Arc::clone(&svc), Some(Arc::clone(&fx.scheduler)));
+        for client in &clients {
+            client
+                .state
+                .wait_until(|s| s.is_final(), Duration::from_secs(60))
+                .unwrap();
+            assert_eq!(client.state.current(), TaskState::Done);
+        }
+        assert_eq!(fx.metrics.response_count(), 6);
+        svc.request_stop();
+        fx.executor.join_all();
+    }
+
+    #[test]
+    fn a_task_waiting_on_a_service_holds_no_thread_and_executes_when_it_is_ready() {
+        let clock = Arc::new(ManualClock::new());
+        let fx = fixture_on(Arc::clone(&clock) as SharedClock, PlatformId::Local, 2);
+        let svc = service_record(&fx, "later", ModelSpec::noop(), PlatformId::Local);
+        fx.executor
+            .spawn_service(Arc::clone(&svc), Some(Arc::clone(&fx.scheduler)));
+        let task = spawn(
+            &fx,
+            TaskDescription::new("after")
+                .kind(TaskKind::compute_secs(5.0))
+                .after_service("later"),
+        );
+        assert_eq!(task.state.current(), TaskState::Scheduling);
+        assert_eq!(
+            fx.executor.handles.lock().len(),
+            1,
+            "the service's lifecycle thread, and none for the waiting task"
+        );
+        while svc.state.current() != ServiceState::Ready {
+            clock.advance_to_next();
+            std::thread::yield_now();
+        }
+        // No deadline is pending between `Ready` and the task's execution, so the clock
+        // cannot move between the two stamps.
+        task.state
+            .wait_until(|s| s >= TaskState::Executing, Duration::from_secs(10))
+            .unwrap();
+        assert_eq!(
+            task.state.entered_at(TaskState::Executing),
+            svc.state.entered_at(ServiceState::Ready)
+        );
+        while task.state.current() != TaskState::Done {
+            clock.advance_to_next();
+            std::thread::yield_now();
+        }
+        svc.request_stop();
+        fx.executor.join_all();
+        assert_eq!(fx.scheduler.outstanding_slots(), 0);
     }
 
     #[test]
@@ -1331,6 +1409,10 @@ mod tests {
         let svc = service_record(&fx, "noop-r", ModelSpec::noop(), PlatformId::Local);
         fx.executor
             .spawn_service(Arc::clone(&svc), Some(Arc::clone(&fx.scheduler)));
+        // Published before the clients come, so none parks on it and the pool stays off.
+        svc.state
+            .wait_until(|s| s == ServiceState::Ready, Duration::from_secs(30))
+            .unwrap();
         for _ in 0..8 {
             let client = spawn(
                 &fx,

@@ -125,7 +125,6 @@ pub struct Session {
     id: String,
     clock: SharedClock,
     metrics: Arc<RuntimeMetrics>,
-    registry: Arc<EndpointRegistry>,
     publisher: Publisher,
     pilot_manager: Arc<PilotManager>,
     task_manager: Arc<TaskManager>,
@@ -164,7 +163,6 @@ impl Session {
     pub fn with_config(config: SessionConfig) -> Self {
         let clock = config.clock.build();
         let metrics = RuntimeMetrics::new();
-        let registry = Arc::new(EndpointRegistry::new());
         // State updates fan out through the comm fabric; its `comm.fanout.width`
         // counts land in the session metrics, which are the publisher's sink.
         let publisher = Publisher::new().with_sink(Arc::clone(&metrics) as SharedScalarSink);
@@ -173,10 +171,14 @@ impl Session {
             Arc::clone(&metrics),
             config.seed ^ 0xDA7A,
         ));
+        let service_manager = Arc::new(ServiceManager::new(
+            Arc::new(EndpointRegistry::new()),
+            Arc::clone(&clock),
+        ));
         let executor = Executor::new(
             Arc::clone(&clock),
             Arc::clone(&metrics),
-            Arc::clone(&registry),
+            Arc::clone(&service_manager),
             data,
             publisher.clone(),
             config.seed,
@@ -185,11 +187,10 @@ impl Session {
             id: ids::next_id(&format!("session.{}", config.name)),
             clock: Arc::clone(&clock),
             metrics,
-            registry: Arc::clone(&registry),
             publisher,
             pilot_manager: Arc::new(PilotManager::new(Arc::clone(&clock), config.seed ^ 0x9107)),
             task_manager: Arc::new(TaskManager::new()),
-            service_manager: Arc::new(ServiceManager::new(registry, Arc::clone(&clock))),
+            service_manager,
             executor,
             schedulers: Mutex::new(Vec::new()),
             pilots: Mutex::new(Vec::new()),
@@ -231,7 +232,7 @@ impl Session {
 
     /// The endpoint registry services publish into.
     pub fn endpoint_registry(&self) -> Arc<EndpointRegistry> {
-        Arc::clone(&self.registry)
+        Arc::clone(self.service_manager.registry())
     }
 
     /// The service manager (readiness, liveness, shutdown).
@@ -381,9 +382,10 @@ impl Session {
     /// order, with the scheduler and the platform resolved once. The calling thread
     /// advances every task to its first park, so the tasks reach the scheduler's wait
     /// queue in submission order, and each is validated, placed or parked on its own —
-    /// an impossible shape or an unpublished `after_services` fails or delays only
-    /// that task. Records the number of tasks handed in as
-    /// `task.admission.batch_size`.
+    /// an impossible shape fails only that task, and one whose `after_services` (or
+    /// inference targets) have not published parks before it asks for a slot, costing
+    /// no thread, until a service event wakes it. Records the number of tasks handed
+    /// in as `task.admission.batch_size`.
     pub fn submit_tasks(
         &self,
         descriptions: impl IntoIterator<Item = TaskDescription>,
@@ -412,9 +414,10 @@ impl Session {
 
     /// Orderly shutdown: stop and join the fault injector, stop all services, close
     /// every scheduler (a request too wide for its pilot fails: nothing will expand the
-    /// pilot any more), wait until every task run has ended (a run ends after its last
-    /// state message is published), stop the executor's pool if it was ever started,
-    /// join the entity threads, terminate pilots. Idempotent.
+    /// pilot any more), fail every task still waiting on an unpublished service, wait
+    /// until every task run has ended (a run ends after its last state message is
+    /// published), stop the executor's pool if it was ever started, join the entity
+    /// threads, terminate pilots. Idempotent.
     pub fn close(&self) {
         if self.closed.swap(true, Ordering::AcqRel) {
             return;

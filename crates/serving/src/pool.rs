@@ -36,11 +36,8 @@
 //! joined, itself included) — these three as counts (`ScalarSink::record_count`) —
 //! and `serving.queue.delay_secs` per answered request.
 //!
-//! **Lock order** (continuing the executor's): front-end run → replica run (its
-//! `serving` state, locked only by whoever holds the run) → leaves { replica queue |
-//! host rng | reply slot | metric sink | timer heap | the quiesce lock }. A replica
-//! step never reaches back into the front-end, so the front-end may dispatch — and
-//! thereby advance a replica — from inside its own pass.
+//! **Lock order:** the table in `docs/ARCHITECTURE.md` ("Lock order"); a replica's
+//! `serving` state is locked only by whoever holds the run.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;

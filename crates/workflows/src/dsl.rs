@@ -192,9 +192,10 @@ impl<'a> PipelineRunner<'a> {
         for stage in &pipeline.stages {
             let watch = Stopwatch::start(clock.as_ref());
 
-            // Bring services up first and wait for readiness — the runtime guarantees
-            // this ordering anyway (service priority + after_service), but the workflow
-            // layer waits explicitly so stage timings are attributable.
+            // Bring services up first and wait for readiness. A task that names a
+            // service would park until it published anyway (service priority, and an
+            // `after_service` edge), but the workflow layer waits explicitly so stage
+            // timings are attributable.
             let mut services: Vec<ServiceHandle> = Vec::with_capacity(stage.services.len());
             for sd in &stage.services {
                 services.push(self.session.submit_service(sd.clone())?);

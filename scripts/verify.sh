@@ -21,9 +21,9 @@ if grep -rn "scheduler_lookahead" crates src examples tests; then
     exit 1
 fi
 
-echo "==> placement runs on the session clock (no gang ageing, no real-time pool timers)"
-if grep -rnE "gang_drain_after|wake_at_wall|WallTimer" crates src examples tests; then
-    echo "verify: gang ageing and the pool's real-time timers are gone" >&2
+echo "==> runtime waits have no real-time bound (no gang ageing, no real-time pool timers, no registry waits)"
+if grep -rnE "gang_drain_after|wake_at_wall|WallTimer|DEPENDENCY_TIMEOUT|wait_matching" crates src examples tests; then
+    echo "verify: gang ageing, the pool's real-time timers and the registry waits are gone" >&2
     exit 1
 fi
 for f in crates/core/src/executor.rs crates/sim/src/pool.rs; do
@@ -32,6 +32,10 @@ for f in crates/core/src/executor.rs crates/sim/src/pool.rs; do
         exit 1
     fi
 done
+if awk '/^#\[cfg\(test\)\]/ { exit } /Condvar/ { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }' crates/comm/src/registry.rs; then
+    echo "verify: the endpoint registry never waits; a task waits on a service in the executor" >&2
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release

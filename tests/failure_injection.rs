@@ -47,6 +47,79 @@ fn service_fails_when_model_exceeds_gpu_memory() {
     s.close();
 }
 
+/// A task after a service that fails at init — before it publishes — fails at the
+/// same virtual instant, naming the service: the failure wakes it, nothing times out.
+#[test]
+fn a_task_after_a_service_that_fails_before_publishing_fails_with_it() {
+    let s = Session::builder("dependency-failed")
+        .platform(PlatformId::Local)
+        .clock(ClockSpec::Manual)
+        .seed(99)
+        .build()
+        .expect("session");
+    s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(1))
+        .expect("pilot");
+    // llama-70b (140 GiB) cannot fit the local platform's 16 GiB GPUs.
+    let svc = s
+        .submit_service(
+            ServiceDescription::new("too-big")
+                .model(ModelSpec::sim_llama_70b())
+                .gpus(1),
+        )
+        .expect("service");
+    let task = s
+        .submit_task(
+            TaskDescription::new("after-too-big")
+                .kind(TaskKind::compute_secs(1.0))
+                .after_service("too-big"),
+        )
+        .expect("task");
+    assert_eq!(task.state(), TaskState::Scheduling, "waits for the service");
+    let started = Instant::now();
+    let clock = s.clock();
+    advance_until(clock.as_manual().expect("a manual clock"), || {
+        task.state().is_final()
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "failed after {:?} of real time",
+        started.elapsed()
+    );
+    assert_eq!(svc.state(), ServiceState::Failed);
+    assert_eq!(task.state(), TaskState::Failed);
+    let error = task.error().expect("a reason");
+    assert!(error.contains("too-big"), "{error}");
+    assert_eq!(
+        task.history().last().map(|&(_, at)| at),
+        svc.history().last().map(|&(_, at)| at),
+        "the task fails when its service does"
+    );
+    s.close();
+}
+
+/// A task after a service nobody submits waits without a thread or a deadline until
+/// `close`, which fails it at once instead of waiting with it.
+#[test]
+fn close_fails_a_task_after_a_service_never_submitted() {
+    let s = session();
+    s.submit_pilot(PilotDescription::new(PlatformId::Local).nodes(1))
+        .expect("pilot");
+    let task = s
+        .submit_task(TaskDescription::new("orphaned").after_service("never"))
+        .expect("task");
+    assert_eq!(task.state(), TaskState::Scheduling);
+    let started = Instant::now();
+    s.close();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "close took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(task.state(), TaskState::Failed);
+    let error = task.error().expect("a reason");
+    assert!(error.contains("closed"), "{error}");
+}
+
 #[test]
 fn crashed_service_fails_liveness_probe_and_dependent_clients() {
     let s = session();
